@@ -28,13 +28,17 @@
  * container); tools/run_benches.sh invokes it that way.
  */
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <thread>
@@ -62,6 +66,38 @@ namespace {
  */
 constexpr double kSeedBaselineAllreduceMs = 5.58; // ms per run
 constexpr double kSeedBaselineTunerMs = 223.0;    // ms per sweep
+
+/**
+ * Global-recompute flow-network reference numbers, frozen: the
+ * pre-sharding engine re-ran max-min filling over every active flow
+ * on each update. Measured at one thread on the scaling cells below
+ * (1 MB Ring AllReduce and the flow-churn microbench; Release build,
+ * fastest of two runs on a shared 4-vCPU x86-64 host) before that
+ * engine was deleted, so scaling rows keep reporting the sharding
+ * speedup against the same anchor.
+ */
+struct GlobalRecomputeBaseline
+{
+    int ranks;
+    double allreduceMs; // ms per run
+    double churnMs;     // ms per churn cell
+};
+constexpr GlobalRecomputeBaseline kGlobalRecomputeBaselines[] = {
+    { 16, 2.408, 10.246 },
+    { 64, 39.196, 123.564 },
+    { 128, 226.968, 607.364 },
+};
+
+/** The frozen baseline for @p ranks, or null when none was recorded. */
+const GlobalRecomputeBaseline *
+globalRecomputeBaseline(int ranks)
+{
+    for (const GlobalRecomputeBaseline &base : kGlobalRecomputeBaselines) {
+        if (base.ranks == ranks)
+            return &base;
+    }
+    return nullptr;
+}
 
 struct Fingerprint
 {
@@ -128,30 +164,22 @@ parseIntList(const char *flag, const char *arg, int lo, int hi)
 }
 
 /**
- * One scaling cell: repeated 1 MB timing-mode Ring AllReduce runs at
- * a given simulation thread count (or with sharding disabled — the
- * pre-sharding global-recompute engine). Returns the fastest pass
- * wall-clock and the (identical-across-passes) simulated fingerprint.
- */
-/**
  * Flow-network churn cell: the subsystem microbench that isolates the
- * component the sharded engine parallelizes. Every ring pair keeps
- * @p lanes flows in flight; each completion immediately starts the
- * next, with pair- and wave-staggered sizes so completions land on
- * *distinct* timestamps — the irregular-traffic regime where the
- * global engine recomputes every flow in the machine per update while
- * the sharded engine touches one component. (Symmetric collectives
- * coalesce same-instant completions into one update, which is why
- * the full-stack cells above show a smaller gap.)
+ * component the sharded flow network parallelizes. Every ring pair
+ * keeps @p lanes flows in flight; each completion immediately starts
+ * the next, with pair- and wave-staggered sizes so completions land
+ * on *distinct* timestamps — the irregular-traffic regime where a
+ * global engine would recompute every flow in the machine per update
+ * while the sharded one touches one component. (Symmetric collectives
+ * coalesce same-instant completions into one update, which is why the
+ * full-stack cells show a smaller gap.)
  */
 double
-runChurnCell(const Topology &topo, int ranks, int threads,
-             bool sharded, int waves, int lanes, TimeNs *end_ns,
-             double *delivered)
+runChurnCell(const Topology &topo, int ranks, int threads, int waves,
+             int lanes, TimeNs *end_ns, double *delivered)
 {
     EventQueue events;
     FlowNetwork net(topo, events);
-    net.enableSharding(sharded);
     net.setThreads(threads);
     auto t0 = std::chrono::steady_clock::now();
     std::vector<int> left(ranks, waves);
@@ -175,11 +203,14 @@ runChurnCell(const Topology &topo, int ranks, int threads,
     return wallMs(t0);
 }
 
+/**
+ * One scaling cell: repeated 1 MB timing-mode Ring AllReduce runs at
+ * a given simulation thread count. Returns the fastest pass
+ * wall-clock and the (identical-across-passes) simulated fingerprint.
+ */
 double
 runScalingCell(const Topology &topo, const IrProgram &ir, int threads,
-               bool sharded, int passes, Fingerprint *fp,
-               bool parallel_interp = false,
-               SimProfile *profile = nullptr)
+               int passes, Fingerprint *fp, SimProfile *profile = nullptr)
 {
     double best_ms = std::numeric_limits<double>::infinity();
     for (int p = 0; p < passes; p++) {
@@ -187,7 +218,6 @@ runScalingCell(const Topology &topo, const IrProgram &ir, int threads,
         EventQueue events;
         FlowNetwork network(topo, events);
         network.setThreads(threads);
-        network.enableSharding(sharded);
         // The profiled pass is separate from the timed passes
         // (callers pass passes=1 with a profile): the timer
         // bookkeeping itself would perturb the ms/run numbers.
@@ -198,7 +228,6 @@ runScalingCell(const Topology &topo, const IrProgram &ir, int threads,
         exec.bytesPerRank = 1ull << 20;
         exec.maxTilesPerChunk = 16;
         exec.launchOverheadUs = topo.params().kernelLaunchUs;
-        exec.parallelInterp = parallel_interp;
         exec.profile = profile;
         IrExecution run(topo, ir, events, network, exec, nullptr);
         ExecStats stats;
@@ -241,6 +270,13 @@ fingerprintBattery()
     ll4.instances = 4;
     ll4.protocol = Protocol::LL;
     AlgoConfig plain;
+
+    // Per-process name: concurrent batteries must not share the file.
+    const std::string trace_path =
+        (std::filesystem::temp_directory_path() /
+         ("mscclang_fingerprint_trace_" + std::to_string(::getpid()) +
+          ".json"))
+            .string();
 
     std::vector<Config> configs;
     configs.push_back({ "ring8.ndv4.64K",
@@ -294,7 +330,7 @@ fingerprintBattery()
         exec.bytesPerRank = config.bytes;
         exec.maxTilesPerChunk = 16;
         exec.launchOverheadUs = config.topo.params().kernelLaunchUs;
-        exec.traceFile = "/tmp/mscclang_fingerprint_trace.json";
+        exec.traceFile = trace_path;
         DataStore store;
         if (config.dataMode) {
             store.configure(config.ir, config.bytes);
@@ -348,7 +384,7 @@ fingerprintBattery()
                     static_cast<unsigned long long>(hash),
                     static_cast<unsigned long long>(set_hash));
     }
-    std::remove("/tmp/mscclang_fingerprint_trace.json");
+    std::remove(trace_path.c_str());
     return 0;
 }
 
@@ -502,218 +538,141 @@ main(int argc, char **argv)
     std::printf("\n");
 
     // ---------------------------------------------------------------
-    // Workload 3: ranks x threads scaling, both interpreter engines.
-    // Each rank count first measures the pre-sharding engine (global
-    // max-min recompute on every update: enableSharding(false),
-    // 1 thread) as the algorithmic baseline, then the sharded engine
-    // across the thread axis with the serial interpreter, then the
-    // same axis with the parallel interpreter (DESIGN.md §13).
-    // Simulated fingerprints must be bit-identical across thread
-    // counts within each engine, and across engines up to wireBytes
-    // fp-summation order — the bench enforces both. It also enforces
-    // the adaptive-threshold guarantee: no cell may fall below 0.95x
-    // of its rank's serial-interpreter 1-thread cell (extra threads
-    // and the parallel engine must never cost more than measurement
-    // noise). Thread-axis wall-clock gains require real cores
-    // (host_cpus is recorded in the JSON); the sharding gain is
-    // algorithmic and shows on any host.
+    // Workload 3: ranks x threads scaling. Each rank count runs the
+    // 1 MB allreduce and the flow-churn microbench across the thread
+    // axis; the frozen global-recompute numbers anchor the sharding
+    // speedup. Simulated fingerprints must be bit-identical across
+    // thread counts — the bench enforces it. It also enforces the
+    // adaptive-threshold guarantee: no cell may fall below 0.95x of
+    // its rank's 1-thread cell (extra threads must never cost more
+    // than measurement noise). Thread-axis wall-clock gains require
+    // real cores (host_cpus is recorded in the JSON); the sharding
+    // gain is algorithmic and shows on any host.
     struct ScalingCell
     {
         int ranks;
         int threads;
-        bool parallelInterp;
         double ms;
         Fingerprint fp;
-        double vsFirst;    // speedup vs this engine's 1-thread cell
-        double vsSerial1t; // speedup vs serial-interp 1-thread cell
-        double vsGlobal;   // speedup vs the unsharded baseline
-        double churnMs;    // flow-network churn (serial cells only)
+        double vsFirst;  // speedup vs this rank's 1st-thread-count cell
+        double vsGlobal; // speedup vs the frozen global-recompute run
+        double churnMs;  // flow-network churn microbench
         TimeNs churnEndNs;
         double churnVsGlobal;
-        SimProfile prof;   // --profile pass (zeros otherwise)
+        SimProfile prof; // --profile pass (zeros otherwise)
     };
     std::vector<ScalingCell> cells;
-    // Per rank count: (full-stack baseline ms, churn baseline ms).
-    std::vector<std::pair<int, std::pair<double, double>>> global_ms;
-    // Per rank count: the serial-engine 1-thread ms (the 0.95x and
-    // vs-serial reference).
-    std::vector<std::pair<int, double>> serial_1t_ms;
+    // Per rank count: the first-thread-count ms (the 0.95x reference).
+    std::vector<std::pair<int, double>> first_ms_by_ranks;
     const int scale_passes = 3;
     const int churn_waves = 200, churn_lanes = 4;
     bool fp_mismatch = false;
     std::printf("# scaling: Ring AllReduce 1MB (ch=4 r=8 LL128) + "
-                "flow-churn microbench, ranks x threads x engine\n");
+                "flow-churn microbench, ranks x threads\n");
     for (int ranks : scale_ranks) {
         Topology stopo = makeNdv4(ranks / 8);
         IrProgram sring =
             compileProgram(*makeRingAllReduce(ranks, 4, cfg)).ir;
-        Fingerprint base_fp;
-        double base_ms = runScalingCell(stopo, sring, 1, false,
-                                        scale_passes, &base_fp);
-        TimeNs churn_base_end = 0;
-        double churn_base_delivered = 0.0;
-        double churn_base_ms =
-            runChurnCell(stopo, ranks, 1, false, churn_waves,
-                         churn_lanes, &churn_base_end,
-                         &churn_base_delivered);
-        global_ms.emplace_back(
-            ranks, std::make_pair(base_ms, churn_base_ms));
-        std::printf("ranks=%-3d global-recompute baseline: allreduce "
-                    "%.3f ms (endNs=%lld), churn %.3f ms "
-                    "(endNs=%lld)\n",
-                    ranks, base_ms,
-                    static_cast<long long>(base_fp.endNs),
-                    churn_base_ms,
-                    static_cast<long long>(churn_base_end));
-        Fingerprint serial_ref; // serial engine, first thread count
+        const GlobalRecomputeBaseline *global =
+            globalRecomputeBaseline(ranks);
+        Fingerprint ref;
         TimeNs churn_ref_end = 0;
         double churn_ref_delivered = 0.0;
-        double serial_first = 0.0;
-        for (int engine = 0; engine < 2; engine++) {
-            bool pinterp = engine == 1;
-            Fingerprint ref;
-            double first_ms = 0.0;
-            for (size_t t = 0; t < scale_threads.size(); t++) {
-                ScalingCell cell;
-                cell.ranks = ranks;
-                cell.threads = scale_threads[t];
-                cell.parallelInterp = pinterp;
-                cell.ms = runScalingCell(stopo, sring, cell.threads,
-                                         true, scale_passes, &cell.fp,
-                                         pinterp);
-                cell.churnMs = 0.0;
-                cell.churnEndNs = 0;
-                cell.churnVsGlobal = 0.0;
-                if (!pinterp) {
-                    // The churn microbench has no interpreter in the
-                    // loop; measure it once, on the serial axis.
-                    double churn_delivered = 0.0;
-                    cell.churnMs = runChurnCell(
-                        stopo, ranks, cell.threads, true, churn_waves,
-                        churn_lanes, &cell.churnEndNs,
-                        &churn_delivered);
-                    if (t == 0) {
-                        churn_ref_end = cell.churnEndNs;
-                        churn_ref_delivered = churn_delivered;
-                    } else if (cell.churnEndNs != churn_ref_end ||
-                               churn_delivered !=
-                                   churn_ref_delivered) {
-                        fp_mismatch = true;
-                    }
-                    cell.churnVsGlobal = cell.churnMs > 0.0
-                        ? churn_base_ms / cell.churnMs
-                        : 0.0;
-                }
-                if (t == 0) {
-                    ref = cell.fp;
-                    first_ms = cell.ms;
-                    if (!pinterp) {
-                        serial_ref = ref;
-                        serial_first = first_ms;
-                        serial_1t_ms.emplace_back(ranks, first_ms);
-                    }
-                } else if (cell.fp.endNs != ref.endNs ||
-                           cell.fp.messages != ref.messages ||
-                           cell.fp.wireBytes != ref.wireBytes) {
-                    // Bit-exact within an engine, any thread count.
-                    fp_mismatch = true;
-                }
-                if (pinterp &&
-                    (cell.fp.endNs != serial_ref.endNs ||
-                     cell.fp.messages != serial_ref.messages ||
-                     std::fabs(cell.fp.wireBytes -
-                               serial_ref.wireBytes) >
-                         1e-6 * serial_ref.wireBytes + 1e-3)) {
-                    // Engines agree exactly on time and messages, up
-                    // to fp-summation order on wireBytes.
-                    fp_mismatch = true;
-                }
-                if (profile_on) {
-                    runScalingCell(stopo, sring, cell.threads, true,
-                                   1, nullptr, pinterp, &cell.prof);
-                }
-                cell.vsFirst =
-                    cell.ms > 0.0 ? first_ms / cell.ms : 0.0;
-                cell.vsSerial1t =
-                    cell.ms > 0.0 ? serial_first / cell.ms : 0.0;
-                cell.vsGlobal =
-                    cell.ms > 0.0 ? base_ms / cell.ms : 0.0;
-                if (!pinterp) {
-                    std::printf(
-                        "ranks=%-3d threads=%-2d serial-interp   "
-                        "%.3f ms/run (vs-1t %.2fx, vs-global %.2fx)  "
-                        "churn %.3f ms (vs-global %.2fx)  "
-                        "endNs=%lld\n",
-                        cell.ranks, cell.threads, cell.ms,
-                        cell.vsFirst, cell.vsGlobal, cell.churnMs,
-                        cell.churnVsGlobal,
-                        static_cast<long long>(cell.fp.endNs));
-                } else {
-                    std::printf(
-                        "ranks=%-3d threads=%-2d parallel-interp "
-                        "%.3f ms/run (vs-1t %.2fx, vs-serial-1t "
-                        "%.2fx, vs-global %.2fx)  endNs=%lld\n",
-                        cell.ranks, cell.threads, cell.ms,
-                        cell.vsFirst, cell.vsSerial1t, cell.vsGlobal,
-                        static_cast<long long>(cell.fp.endNs));
-                }
-                cells.push_back(cell);
+        double first_ms = 0.0;
+        for (size_t t = 0; t < scale_threads.size(); t++) {
+            ScalingCell cell;
+            cell.ranks = ranks;
+            cell.threads = scale_threads[t];
+            cell.ms = runScalingCell(stopo, sring, cell.threads,
+                                     scale_passes, &cell.fp);
+            double churn_delivered = 0.0;
+            cell.churnMs = runChurnCell(stopo, ranks, cell.threads,
+                                        churn_waves, churn_lanes,
+                                        &cell.churnEndNs,
+                                        &churn_delivered);
+            if (t == 0) {
+                ref = cell.fp;
+                first_ms = cell.ms;
+                first_ms_by_ranks.emplace_back(ranks, first_ms);
+                churn_ref_end = cell.churnEndNs;
+                churn_ref_delivered = churn_delivered;
+            } else if (cell.fp.endNs != ref.endNs ||
+                       cell.fp.messages != ref.messages ||
+                       cell.fp.wireBytes != ref.wireBytes ||
+                       cell.churnEndNs != churn_ref_end ||
+                       churn_delivered != churn_ref_delivered) {
+                // Bit-exact at any thread count.
+                fp_mismatch = true;
             }
+            if (profile_on) {
+                runScalingCell(stopo, sring, cell.threads, 1, nullptr,
+                               &cell.prof);
+            }
+            cell.vsFirst = cell.ms > 0.0 ? first_ms / cell.ms : 0.0;
+            cell.vsGlobal = global != nullptr && cell.ms > 0.0
+                ? global->allreduceMs / cell.ms
+                : 0.0;
+            cell.churnVsGlobal = global != nullptr && cell.churnMs > 0.0
+                ? global->churnMs / cell.churnMs
+                : 0.0;
+            std::printf("ranks=%-3d threads=%-2d %.3f ms/run (vs-1t "
+                        "%.2fx, vs-global %.2fx)  churn %.3f ms "
+                        "(vs-global %.2fx)  endNs=%lld\n",
+                        cell.ranks, cell.threads, cell.ms, cell.vsFirst,
+                        cell.vsGlobal, cell.churnMs, cell.churnVsGlobal,
+                        static_cast<long long>(cell.fp.endNs));
+            cells.push_back(cell);
         }
     }
     if (fp_mismatch) {
         std::fprintf(stderr,
                      "sim_throughput: FINGERPRINT MISMATCH across "
-                     "thread counts or engines — determinism "
-                     "contract broken\n");
+                     "thread counts — determinism contract broken\n");
         return 1;
     }
 
     // The no-regression gate (adaptive batch threshold, DESIGN.md
     // §13): every scaling cell must stay within 5% of its rank's
-    // serial-interpreter 1-thread wall clock. A violation is
-    // re-measured with *interleaved* reference/cell passes (min over
-    // both the original and retry samples) before it counts:
-    // min-of-passes absorbs most interference on a shared host, but
-    // not a steal burst spanning a whole cell — interleaving puts
-    // the burst on both sides of the ratio. With the adaptive
-    // threshold and the hardware-concurrency lane cap, a genuine
-    // regression mechanism would depress every retry, not one.
+    // first-thread-count wall clock. A violation is re-measured with
+    // *interleaved* reference/cell passes (min over both the original
+    // and retry samples) before it counts: min-of-passes absorbs most
+    // interference on a shared host, but not a steal burst spanning a
+    // whole cell — interleaving puts the burst on both sides of the
+    // ratio. With the adaptive threshold and the hardware-concurrency
+    // lane cap, a genuine regression mechanism would depress every
+    // retry, not one.
     int regressions = 0;
     for (ScalingCell &cell : cells) {
-        if (cell.vsSerial1t >= 0.95)
+        if (cell.vsFirst >= 0.95)
             continue;
         double ref_ms = 0.0;
-        for (const auto &entry : serial_1t_ms)
+        for (const auto &entry : first_ms_by_ranks)
             if (entry.first == cell.ranks)
                 ref_ms = entry.second;
         Topology stopo = makeNdv4(cell.ranks / 8);
         IrProgram sring =
             compileProgram(*makeRingAllReduce(cell.ranks, 4, cfg)).ir;
-        for (int attempt = 0;
-             attempt < 3 && cell.vsSerial1t < 0.95; attempt++) {
+        for (int attempt = 0; attempt < 3 && cell.vsFirst < 0.95;
+             attempt++) {
             for (int p = 0; p < scale_passes; p++) {
                 ref_ms = std::min(
-                    ref_ms, runScalingCell(stopo, sring, 1, true, 1,
+                    ref_ms, runScalingCell(stopo, sring,
+                                           scale_threads.front(), 1,
                                            nullptr));
                 cell.ms = std::min(
-                    cell.ms,
-                    runScalingCell(stopo, sring, cell.threads, true,
-                                   1, nullptr, cell.parallelInterp));
+                    cell.ms, runScalingCell(stopo, sring, cell.threads,
+                                            1, nullptr));
             }
-            cell.vsSerial1t =
-                cell.ms > 0.0 ? ref_ms / cell.ms : 0.0;
+            cell.vsFirst = cell.ms > 0.0 ? ref_ms / cell.ms : 0.0;
         }
-        if (cell.vsSerial1t >= 0.95)
+        if (cell.vsFirst >= 0.95)
             continue;
         regressions++;
         std::fprintf(stderr,
                      "sim_throughput: REGRESSION ranks=%d threads=%d "
-                     "%s-interp is %.2fx of the serial 1-thread cell "
-                     "(floor 0.95x)\n",
-                     cell.ranks, cell.threads,
-                     cell.parallelInterp ? "parallel" : "serial",
-                     cell.vsSerial1t);
+                     "is %.2fx of the %d-thread cell (floor 0.95x)\n",
+                     cell.ranks, cell.threads, cell.vsFirst,
+                     scale_threads.front());
     }
 
     if (profile_on) {
@@ -721,11 +680,10 @@ main(int argc, char **argv)
                     "(one profiled pass, us)\n");
         for (const ScalingCell &c : cells) {
             std::printf(
-                "ranks=%-3d threads=%-2d %s eventq %.1f flownet %.1f "
+                "ranks=%-3d threads=%-2d eventq %.1f flownet %.1f "
                 "flowcb %.1f interp-par %.1f interp-merge %.1f "
                 "(batches: flow %llu, interp %llu, pooled %llu)\n",
                 c.ranks, c.threads,
-                c.parallelInterp ? "parallel-interp" : "serial-interp  ",
                 static_cast<double>(c.prof.eventQueueNs) / 1000.0,
                 static_cast<double>(c.prof.flowNetworkNs) / 1000.0,
                 static_cast<double>(c.prof.flowCallbacksNs) / 1000.0,
@@ -776,37 +734,32 @@ main(int argc, char **argv)
         unsigned hw = std::thread::hardware_concurrency();
         std::fprintf(f, "  \"host_cpus\": %u,\n", hw > 0 ? hw : 1);
         std::fprintf(f, "  \"global_recompute_baseline_ms\": {");
-        for (size_t i = 0; i < global_ms.size(); i++)
+        for (size_t i = 0; i < std::size(kGlobalRecomputeBaselines);
+             i++) {
+            const GlobalRecomputeBaseline &base =
+                kGlobalRecomputeBaselines[i];
             std::fprintf(f,
                          "%s\"%d\": {\"allreduce\": %.4f, "
                          "\"churn\": %.4f}",
-                         i > 0 ? ", " : "", global_ms[i].first,
-                         global_ms[i].second.first,
-                         global_ms[i].second.second);
+                         i > 0 ? ", " : "", base.ranks,
+                         base.allreduceMs, base.churnMs);
+        }
         std::fprintf(f, "},\n  \"scaling\": [\n");
         for (size_t i = 0; i < cells.size(); i++) {
             const ScalingCell &c = cells[i];
             std::fprintf(f,
                          "    {\"ranks\": %d, \"threads\": %d, "
-                         "\"engine\": \"%s\", "
                          "\"ms_per_run\": %.4f, \"end_ns\": %lld, "
                          "\"speedup_vs_1t\": %.2f, "
-                         "\"speedup_vs_serial_1t\": %.2f, "
-                         "\"speedup_vs_global_recompute\": %.2f",
-                         c.ranks, c.threads,
-                         c.parallelInterp ? "parallel" : "serial",
-                         c.ms, static_cast<long long>(c.fp.endNs),
-                         c.vsFirst, c.vsSerial1t, c.vsGlobal);
-            if (!c.parallelInterp) {
-                std::fprintf(f,
-                             ", \"churn_ms\": %.4f, "
-                             "\"churn_end_ns\": %lld, "
-                             "\"churn_speedup_vs_global_recompute\": "
-                             "%.2f",
-                             c.churnMs,
-                             static_cast<long long>(c.churnEndNs),
-                             c.churnVsGlobal);
-            }
+                         "\"speedup_vs_global_recompute\": %.2f, "
+                         "\"churn_ms\": %.4f, "
+                         "\"churn_end_ns\": %lld, "
+                         "\"churn_speedup_vs_global_recompute\": %.2f",
+                         c.ranks, c.threads, c.ms,
+                         static_cast<long long>(c.fp.endNs), c.vsFirst,
+                         c.vsGlobal, c.churnMs,
+                         static_cast<long long>(c.churnEndNs),
+                         c.churnVsGlobal);
             if (profile_on) {
                 std::fprintf(
                     f,

@@ -424,17 +424,29 @@ checkRingOrder(const std::vector<Rank> &order, const char *what)
     }
 }
 
+/**
+ * Backtracking steps findRingOrder may take before it gives up. The
+ * hardest reformations of a 2-node machine (a whole NIC dead on
+ * generic:2:8) take ~110k steps; a dead boundary NIC on generic:4:8
+ * would take hours. The cap keeps a failed search at a fraction of
+ * a second.
+ */
+constexpr long kRingSearchSteps = 1L << 19;
+
 /** Extends order[0..depth) to a full cycle. Candidates on the same
  *  node as the previous hop are tried before cross-node ones
  *  (ascending within each class), so a reformed ring detours around
  *  a dead link locally and only crosses the NIC-limited node
  *  boundary when no same-node path survives. The first solution is
  *  lexicographically smallest under that preference — which on a
- *  healthy machine (and any single-node one) is plain rank order. */
+ *  healthy machine (and any single-node one) is plain rank order.
+ *  Fails once @p steps runs out. */
 bool
 extendRingOrder(const Topology &topology, std::vector<Rank> &order,
-                std::vector<bool> &used, int depth)
+                std::vector<bool> &used, int depth, long &steps)
 {
+    if (--steps < 0)
+        return false;
     int R = topology.numRanks();
     if (depth == R)
         return topology.connected(order[R - 1], order[0]);
@@ -449,7 +461,7 @@ extendRingOrder(const Topology &topology, std::vector<Rank> &order,
                 continue;
             order[depth] = next;
             used[next] = true;
-            if (extendRingOrder(topology, order, used, depth + 1))
+            if (extendRingOrder(topology, order, used, depth + 1, steps))
                 return true;
             used[next] = false;
         }
@@ -470,7 +482,8 @@ findRingOrder(const Topology &topology)
     used[0] = true; // cycles are rotation-invariant: anchor at rank 0
     if (R == 1)
         return order;
-    if (!extendRingOrder(topology, order, used, 1))
+    long steps = kRingSearchSteps;
+    if (!extendRingOrder(topology, order, used, 1, steps))
         return {};
     return order;
 }

@@ -180,8 +180,9 @@ std::unique_ptr<Program> makeSccl122AllGather(const Topology &topology,
  * cycle exists (e.g. too many links quarantined). This is the ring
  * reformation step of degraded-topology replanning: a dead link
  * excludes some orders, and the search routes the ring around it.
- * Worst case exponential in ranks — intended for the machine sizes
- * the paper evaluates (8..32 ranks), not thousand-rank clusters.
+ * Worst case exponential in ranks, so the search is capped at a
+ * fixed number of backtracking steps and also returns empty when the
+ * cap runs out (callers then fall back as for "no cycle").
  */
 std::vector<Rank> findRingOrder(const Topology &topology);
 

@@ -70,9 +70,6 @@ struct RunOptions
     /** Worker threads for the simulation's shard batches (see
      *  ExecOptions::simThreads). */
     int simThreads = 1;
-    /** Parallel interpreter engine (see ExecOptions::parallelInterp);
-     *  bit-identical results at every simThreads count. */
-    bool parallelInterp = false;
     /** Wall-clock phase accounting (see ExecOptions::profile). Not
      *  owned; null disables. */
     SimProfile *profile = nullptr;

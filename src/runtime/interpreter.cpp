@@ -174,17 +174,17 @@ struct IrExecution::Impl
     };
 
     // ------------------------------------------------------------------
-    // Parallel engine (options.parallelInterp, DESIGN.md §13): each
-    // rank is a shard. Interpreter steps become *actions* in per-rank
-    // queues ordered by (due, per-rank seq); one coalesced shard
-    // event per rank marks its earliest due time. A batch of
-    // same-time rank events runs a parallel phase (ranks advance
-    // independently: ConnState fields are ownership-partitioned —
-    // ring/head/count/waitingReceiver belong to the destination
-    // rank, occupied/waitingSender to the source — and dependencies
-    // and semaphores are same-rank by construction) followed by a
-    // serial merge in the queue's deterministic (time, domain, rank,
-    // seq) order that applies every cross-rank or global effect.
+    // Rank shards (DESIGN.md §13): each rank is a shard. Interpreter
+    // steps are *actions* in per-rank queues ordered by (due,
+    // per-rank seq); one coalesced shard event per rank marks its
+    // earliest due time. A batch of same-time rank events runs a
+    // parallel phase (ranks advance independently: ConnState fields
+    // are ownership-partitioned — ring/head/count/waitingReceiver
+    // belong to the destination rank, occupied/waitingSender to the
+    // source — and dependencies and semaphores are same-rank by
+    // construction) followed by a serial merge in the queue's
+    // deterministic (time, domain, rank, seq) order that applies
+    // every cross-rank or global effect.
 
     enum ActionKind
     {
@@ -272,8 +272,6 @@ struct IrExecution::Impl
     std::vector<SendOp> sendPool;
     int freeSend = -1;
 
-    /** Parallel engine state (empty when parallelInterp is off). */
-    bool parallel = false;
     int interpDomain = -1;
     std::vector<RankCtx> rankCtx;
     /** semaphore waiters per flat tb: (threshold units, waiter). */
@@ -440,14 +438,11 @@ struct IrExecution::Impl
             }
         }
 
-        parallel = options.parallelInterp;
-        if (parallel) {
-            rankCtx.resize(ir.numRanks);
-            interpDomain = events.addShardDomain(
-                [this](const std::vector<int> &batch) {
-                    runRankBatch(batch);
-                });
-        }
+        rankCtx.resize(ir.numRanks);
+        interpDomain = events.addShardDomain(
+            [this](const std::vector<int> &batch) {
+                runRankBatch(batch);
+            });
     }
 
     int
@@ -506,7 +501,7 @@ struct IrExecution::Impl
     }
 
     // ------------------------------------------------------------------
-    // Parallel engine: rank-shard action queues and the batch runner.
+    // Rank-shard action queues and the batch runner.
 
     void
     pushAction(RankCtx &ctx, TimeNs due, int kind, int arg,
@@ -567,8 +562,8 @@ struct IrExecution::Impl
     /**
      * After finishAll (abort or completion) the remaining rank
      * events just drain their queues so in-flight pooled sends
-     * return to the arena — the parallel twin of the serial engine's
-     * aborted checks in launchFlow/flowDrained/deliver.
+     * return to the arena, as the aborted checks in launchFlow and
+     * flowDrained do for sends still on the wire.
      */
     void
     drainRank(int rank)
@@ -601,13 +596,13 @@ struct IrExecution::Impl
             RankAction act = popAction(ctx);
             switch (act.kind) {
               case kActAdvance:
-                tryAdvance(act.arg, &ctx);
+                tryAdvance(act.arg, ctx);
                 break;
               case kActComplete:
-                completeInstr(act.arg, act.received, &ctx);
+                completeInstr(act.arg, act.received, ctx);
                 break;
               case kActDeliver:
-                deliver(act.arg, &ctx);
+                deliver(act.arg, ctx);
                 break;
             }
         }
@@ -670,10 +665,31 @@ struct IrExecution::Impl
         syncRankEvent(rank);
     }
 
+    /**
+     * Drops the per-rank queues and staging buffers once the run is
+     * over: an execution may outlive its run by a long way (the
+     * workload replayer keeps every attempt until the shared fabric
+     * drains). A rank event is pending exactly while its rank has
+     * queued actions, so with every queue empty no batch can reach
+     * rankCtx again; an aborted run with queued deliveries keeps
+     * its state for drainRank.
+     */
+    void
+    releaseRankState()
+    {
+        for (const RankCtx &ctx : rankCtx) {
+            if (!ctx.actions.empty())
+                return;
+        }
+        std::vector<RankCtx>().swap(rankCtx);
+    }
+
     /** EventQueue batch entry point for the interpreter domain. */
     void
     runRankBatch(const std::vector<int> &batch)
     {
+        // The only way into tryAdvance/execute/deliver/completeInstr:
+        // once the run is over they never see another action.
         if (aborted || done) {
             for (int rank : batch)
                 drainRank(rank);
@@ -866,16 +882,9 @@ struct IrExecution::Impl
                 finishAll();
                 return;
             }
-            if (parallel) {
-                TimeNs now = events.now();
-                for (TbState &tb : tbs) {
-                    stageSerial(tb.rank, now, kActAdvance, tb.flatId,
-                                false);
-                }
-                return;
-            }
+            TimeNs now = events.now();
             for (TbState &tb : tbs)
-                tryAdvance(tb.flatId);
+                stageSerial(tb.rank, now, kActAdvance, tb.flatId, false);
         });
     }
 
@@ -1015,6 +1024,7 @@ struct IrExecution::Impl
         stats.firedFaults = network.firedFaults();
         if (!options.traceFile.empty())
             writeTrace();
+        releaseRankState();
         if (onComplete)
             onComplete(stats);
     }
@@ -1059,7 +1069,7 @@ struct IrExecution::Impl
     /** Same-rank wake: the waiter's rank owns the waiting slot, so
      *  the parallel phase may advance it inline under its own ctx. */
     void
-    wake(int &slot_ref, RankCtx *ctx = nullptr)
+    wake(int &slot_ref, RankCtx &ctx)
     {
         int id = slot_ref;
         slot_ref = -1;
@@ -1070,7 +1080,7 @@ struct IrExecution::Impl
     /** Semaphore waiters are same-rank by construction (IrDep names
      *  a thread block on the publishing rank). */
     void
-    bumpUnits(TbState &tb, RankCtx *ctx = nullptr)
+    bumpUnits(TbState &tb, RankCtx &ctx)
     {
         tb.units++;
         std::vector<std::pair<long, int>> &waiters =
@@ -1088,78 +1098,68 @@ struct IrExecution::Impl
     }
 
     void
-    tryAdvance(int flat, RankCtx *ctx = nullptr)
+    tryAdvance(int flat, RankCtx &ctx)
     {
-        if (aborted)
-            return;
         TbState &tb = tbs[flat];
         if (tb.busy || tb.finished)
             return;
-        for (;;) {
-            if (tb.numSteps == 0 || tb.tile >= numTiles) {
-                tb.finished = true;
-                if (ctx != nullptr) {
-                    // Completion detection is the merge phase's: the
-                    // global count folds per-rank deltas.
-                    ctx->finishedDelta++;
-                } else if (++finishedTbs ==
-                           static_cast<int>(tbs.size())) {
-                    finishAll();
-                }
-                return;
-            }
-            const IrInstruction &instr = tb.tb->steps[tb.step];
-
-            // Cross thread block dependencies (same rank).
-            for (const IrDep &dep : instr.deps) {
-                int dep_flat = flatOf(tb.rank, dep.tb);
-                long needed = static_cast<long>(tb.tile) *
-                    static_cast<long>(tbs[dep_flat].numSteps) +
-                    dep.step + 1;
-                if (tbs[dep_flat].units < needed) {
-                    semWaiters[dep_flat].emplace_back(needed, flat);
-                    return;
-                }
-            }
-
-            std::uint64_t payload;
-            if (tb.cachedTile == tb.tile && tb.cachedStep == tb.step) {
-                payload = tb.cachedPayload;
-            } else {
-                payload = payloadBytes(instr, tb.tile);
-                tb.cachedPayload = payload;
-                tb.cachedTile = tb.tile;
-                tb.cachedStep = tb.step;
-            }
-            bool receives = irOpReceives(instr.op) && payload > 0;
-            bool sends = irOpSends(instr.op) && payload > 0;
-
-            if (receives) {
-                if (tb.recvConn < 0)
-                    return; // no peer: wedges, as diagnosed by runIr
-                ConnState &in = conns[tb.recvConn];
-                if (in.count == 0) {
-                    in.waitingReceiver = flat;
-                    return;
-                }
-            }
-            if (sends) {
-                ConnState &out = conns[tb.sendConn];
-                if (out.occupied >= proto.slots) {
-                    out.waitingSender = flat;
-                    return;
-                }
-            }
-
-            execute(tb, instr, payload, receives, sends, ctx);
+        if (tb.numSteps == 0 || tb.tile >= numTiles) {
+            tb.finished = true;
+            // Completion detection is the merge phase's: the global
+            // count folds per-rank deltas.
+            ctx.finishedDelta++;
             return;
         }
+        const IrInstruction &instr = tb.tb->steps[tb.step];
+
+        // Cross thread block dependencies (same rank).
+        for (const IrDep &dep : instr.deps) {
+            int dep_flat = flatOf(tb.rank, dep.tb);
+            long needed = static_cast<long>(tb.tile) *
+                static_cast<long>(tbs[dep_flat].numSteps) +
+                dep.step + 1;
+            if (tbs[dep_flat].units < needed) {
+                semWaiters[dep_flat].emplace_back(needed, flat);
+                return;
+            }
+        }
+
+        std::uint64_t payload;
+        if (tb.cachedTile == tb.tile && tb.cachedStep == tb.step) {
+            payload = tb.cachedPayload;
+        } else {
+            payload = payloadBytes(instr, tb.tile);
+            tb.cachedPayload = payload;
+            tb.cachedTile = tb.tile;
+            tb.cachedStep = tb.step;
+        }
+        bool receives = irOpReceives(instr.op) && payload > 0;
+        bool sends = irOpSends(instr.op) && payload > 0;
+
+        if (receives) {
+            if (tb.recvConn < 0)
+                return; // no peer: wedges, as diagnosed by runIr
+            ConnState &in = conns[tb.recvConn];
+            if (in.count == 0) {
+                in.waitingReceiver = flat;
+                return;
+            }
+        }
+        if (sends) {
+            ConnState &out = conns[tb.sendConn];
+            if (out.occupied >= proto.slots) {
+                out.waitingSender = flat;
+                return;
+            }
+        }
+
+        execute(tb, instr, payload, receives, sends, ctx);
     }
 
     void
     execute(TbState &tb, const IrInstruction &instr,
             std::uint64_t payload, bool receives, bool sends,
-            RankCtx *ctx = nullptr)
+            RankCtx &ctx)
     {
         tb.busy = true;
         tb.busyStartNs = events.now();
@@ -1218,48 +1218,21 @@ struct IrExecution::Impl
             TimeNs alpha_ns =
                 tb.tile == 0 ? tb.sendAlpha0Ns : tb.sendAlphaNNs;
 
-            if (ctx != nullptr) {
-                // Arena allocation and event scheduling are global:
-                // the merge phase performs them in batch order.
-                ctx->messagesDelta++;
-                ctx->wireBytesDelta += wire_bytes;
-                ctx->sends.push_back(StagedSend{
-                    std::move(outgoing), tb.flatId, tb.sendConn,
-                    receives, usToNs(issue_us), alpha_ns, wire_bytes,
-                    tb.sendCapGBps, tb.sendResources });
-                return;
-            }
-            stats.messages++;
-            stats.wireBytes += wire_bytes;
-
-            int idx = allocSendOp();
-            SendOp &op = sendPool[idx];
-            op.msg = std::move(outgoing);
-            op.flat = tb.flatId;
-            op.conn = tb.sendConn;
-            op.receives = receives;
-            op.alphaNs = alpha_ns;
-            op.wireBytes = wire_bytes;
-            op.capGBps = tb.sendCapGBps;
-            op.resources = tb.sendResources;
-            events.scheduleAfter(usToNs(issue_us),
-                                 [this, idx] { launchFlow(idx); });
+            // Arena allocation and event scheduling are global: the
+            // merge phase performs them in batch order.
+            ctx.messagesDelta++;
+            ctx.wireBytesDelta += wire_bytes;
+            ctx.sends.push_back(StagedSend{
+                std::move(outgoing), tb.flatId, tb.sendConn, receives,
+                usToNs(issue_us), alpha_ns, wire_bytes, tb.sendCapGBps,
+                tb.sendResources });
         } else {
+            // All local costs are strictly positive, so the
+            // completion lands in a strictly later batch — no
+            // same-instant self-cascade inside the parallel phase.
             double cost_us = localCostUs(instr, payload, tb.tile);
-            int flat = tb.flatId;
-            if (ctx != nullptr) {
-                // All local costs are strictly positive, so the
-                // completion lands in a strictly later batch — no
-                // same-instant self-cascade inside the parallel
-                // phase.
-                pushAction(*ctx, events.now() + usToNs(cost_us),
-                           kActComplete, flat, receives);
-                return;
-            }
-            events.scheduleAfter(usToNs(cost_us),
-                                 [this, flat, receives] {
-                                     completeInstr(flat, receives);
-                                 });
+            pushAction(ctx, events.now() + usToNs(cost_us),
+                       kActComplete, tb.flatId, receives);
         }
     }
 
@@ -1276,7 +1249,11 @@ struct IrExecution::Impl
                           [this, idx] { flowDrained(idx); });
     }
 
-    /** The wire drained: release the sender, deliver alpha later. */
+    /**
+     * The wire drained: restage on the owning rank shards. The
+     * sender's completion is its rank's work at this instant, the
+     * delivery is the destination rank's an alpha later.
+     */
     void
     flowDrained(int idx)
     {
@@ -1284,88 +1261,53 @@ struct IrExecution::Impl
             freeSendOp(idx);
             return;
         }
-        SendOp &op = sendPool[idx];
-        if (parallel) {
-            // Restage on the owning rank shards: the sender's
-            // completion is its rank's work at this instant, the
-            // delivery is the destination rank's an alpha later.
-            TimeNs now = events.now();
-            stageSerial(tbs[op.flat].rank, now, kActComplete, op.flat,
-                        op.receives);
-            stageSerial(connDst[op.conn], now + op.alphaNs,
-                        kActDeliver, idx, false);
-            return;
-        }
-        completeInstr(op.flat, op.receives);
-        events.scheduleAfter(sendPool[idx].alphaNs,
-                             [this, idx] { deliver(idx); });
+        const SendOp &op = sendPool[idx];
+        TimeNs now = events.now();
+        stageSerial(tbs[op.flat].rank, now, kActComplete, op.flat,
+                    op.receives);
+        stageSerial(connDst[op.conn], now + op.alphaNs, kActDeliver,
+                    idx, false);
     }
 
     /** A sent tile arrived at the destination rank. */
     void
-    deliver(int idx, RankCtx *ctx = nullptr)
+    deliver(int idx, RankCtx &ctx)
     {
-        if (aborted) {
-            freeSendOp(idx);
-            return;
-        }
         SendOp &op = sendPool[idx];
         ConnState &conn = conns[op.conn];
         pushInbox(conn, std::move(op.msg));
-        if (ctx != nullptr) {
-            ctx->freedSends.push_back(idx); // arena is global
-            ctx->progressDelta++;
-        } else {
-            freeSendOp(idx);
-            progress++;
-        }
+        ctx.freedSends.push_back(idx); // arena is global
+        ctx.progressDelta++;
         wake(conn.waitingReceiver, ctx);
     }
 
     /** Wraps up the current instruction of a thread block. */
     void
-    completeInstr(int flat, bool received, RankCtx *ctx = nullptr)
+    completeInstr(int flat, bool received, RankCtx &ctx)
     {
-        if (aborted)
-            return;
-        if (ctx != nullptr)
-            ctx->progressDelta++;
-        else
-            progress++;
+        ctx.progressDelta++;
         TbState &tb = tbs[flat];
         if (traceEnabled) {
             // Per-rank buffers merge in batch order; writeTrace's
             // canonical sort makes the file bytes independent of the
             // append order anyway.
-            (ctx != nullptr ? ctx->trace : trace)
-                .push_back(TraceEvent{ tb.rank, tb.tb->id, tb.tile,
-                                       tb.step,
-                                       tb.tb->steps[tb.step].op,
-                                       tb.busyStartNs,
-                                       events.now() });
+            ctx.trace.push_back(TraceEvent{
+                tb.rank, tb.tb->id, tb.tile, tb.step,
+                tb.tb->steps[tb.step].op, tb.busyStartNs,
+                events.now() });
         }
         if (debugLog) {
-            std::string line = strprintf(
+            ctx.logs.push_back(strprintf(
                 "t=%8.2fus rank %d tb %d tile %d step %d done: %s",
                 static_cast<double>(events.now()) / 1000.0, tb.rank,
                 tb.tb->id, tb.tile, tb.step,
-                tb.tb->steps[tb.step].toString().c_str());
-            if (ctx != nullptr)
-                ctx->logs.push_back(std::move(line));
-            else
-                logDebug(line);
+                tb.tb->steps[tb.step].toString().c_str()));
         }
         if (received) {
             // Consuming the message frees the sender's FIFO slot —
             // sender-side state, owned by the peer rank: the merge
             // phase applies it and restages the blocked sender.
-            if (ctx != nullptr) {
-                ctx->slotFreed.push_back(tb.recvConn);
-            } else {
-                ConnState &in = conns[tb.recvConn];
-                in.occupied--;
-                wake(in.waitingSender);
-            }
+            ctx.slotFreed.push_back(tb.recvConn);
         }
         bumpUnits(tb, ctx);
         tb.busy = false;

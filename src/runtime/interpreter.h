@@ -16,6 +16,14 @@
  *    protocol's per-message latency; local copies and reductions are
  *    charged at per-thread-block memory throughput.
  *
+ * Rank-shard batches (DESIGN.md §13): thread-block state is
+ * partitioned by rank, and same-timestamp interpreter work drains as
+ * conservative rank-shard batches — a parallel phase advances ready
+ * thread blocks per rank on the simulation's worker pool, then a
+ * serial merge applies cross-rank effects (FIFO slot releases, send
+ * launches, trace/stats/progress folds) in deterministic batch
+ * order, so results are bit-identical at every simThreads count.
+ *
  * The interpreter runs in one of two modes: data mode moves real
  * float elements (so collectives can be validated against an oracle
  * end to end) and timing mode moves only byte counts (for the
@@ -101,26 +109,10 @@ struct ExecOptions
      * callers that launch simulations from their own worker threads
      * (the tuner sweep) size this from the process-wide
      * SimThreadBudget so the composition cannot oversubscribe the
-     * machine. The flow network and the parallel interpreter share
-     * one pool sized by this knob.
+     * machine. The flow network and the interpreter's rank batches
+     * share one pool sized by this knob.
      */
     int simThreads = 1;
-    /**
-     * Parallel interpreter engine (DESIGN.md §13): thread-block
-     * state is partitioned by rank, and same-timestamp interpreter
-     * work drains as conservative rank-shard batches — a parallel
-     * phase advances ready thread blocks per rank on the worker
-     * pool, then a serial merge applies cross-rank effects (FIFO
-     * slot releases, send launches, trace/stats/progress folds) in
-     * deterministic batch order, so results are bit-identical at
-     * every simThreads count. Off by default: the serial engine is
-     * the measurable baseline, and its floating-point accumulation
-     * order (wireBytes) is part of the historical fingerprint
-     * battery. Each engine is deterministic; the two agree exactly
-     * on simulated timestamps, messages, traces and data, and up to
-     * summation order on wireBytes.
-     */
-    bool parallelInterp = false;
     /**
      * Wall-clock phase accounting (bench --profile). Not owned; null
      * disables all timing. Written only from the driving thread.

@@ -53,14 +53,6 @@ struct TuneOptions
     int threads = 0;
     /** Requested flow-network threads inside each simulation. */
     int simThreads = 1;
-    /**
-     * Run each sweep simulation on the parallel interpreter engine.
-     * Tuned windows come out identical either way on every collective
-     * whose wireBytes tie-breaks are not fp-summation-order sensitive
-     * (timestamps are engine-exact); the knob exists so sweeps can
-     * ride the same engine the production path uses.
-     */
-    bool parallelInterp = false;
 };
 
 /**

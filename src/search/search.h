@@ -122,9 +122,6 @@ struct SearchOptions
      *  any thread count. */
     int threads = 0;
     int simThreads = 1;
-    /** Run sweep simulations on the parallel interpreter engine
-     *  (see TuneOptions::parallelInterp). */
-    bool parallelInterp = false;
 
     /**
      * Cap on evaluated candidates; 0 = evaluate every enumerated

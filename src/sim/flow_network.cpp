@@ -244,24 +244,15 @@ FlowNetwork::startFlow(const std::vector<ResourceId> &resources,
     // Find the shards this route crosses. Several means the new flow
     // couples previously independent components: merge them.
     mergeScratch_.clear();
-    if (sharded_) {
-        for (ResourceId r : resources) {
-            int shard = resourceShard_[r];
-            if (shard >= 0)
-                mergeScratch_.push_back(shard);
-        }
-        std::sort(mergeScratch_.begin(), mergeScratch_.end());
-        mergeScratch_.erase(std::unique(mergeScratch_.begin(),
-                                        mergeScratch_.end()),
-                            mergeScratch_.end());
-    } else {
-        for (size_t s = 0; s < shards_.size(); s++) {
-            if (shards_[s].live) {
-                mergeScratch_.push_back(static_cast<int>(s));
-                break;
-            }
-        }
+    for (ResourceId r : resources) {
+        int shard = resourceShard_[r];
+        if (shard >= 0)
+            mergeScratch_.push_back(shard);
     }
+    std::sort(mergeScratch_.begin(), mergeScratch_.end());
+    mergeScratch_.erase(std::unique(mergeScratch_.begin(),
+                                    mergeScratch_.end()),
+                        mergeScratch_.end());
 
     int target;
     if (mergeScratch_.empty()) {
@@ -427,10 +418,8 @@ FlowNetwork::runShardBatch(const std::vector<int> &batch)
 
     // Completion callbacks run last — they may start new flows, and
     // flow starts mutate shard structure (merges), which must not
-    // overlap the batch bookkeeping above. In serial-interpreter
-    // runs these callbacks carry the whole interpreter forward, so
-    // their time is booked separately (the Amdahl residue the
-    // parallel interpreter attacks).
+    // overlap the batch bookkeeping above. They restage interpreter
+    // work on its rank shards, so their time is booked separately.
     timer.stop();
     SimProfileTimer cbTimer(profile_ ? &profile_->flowCallbacksNs
                                      : nullptr);
@@ -488,11 +477,10 @@ FlowNetwork::shardSerial(int shard)
         freeShard(shard);
         return;
     }
-    if (sharded_ && s.membershipDirty) {
+    if (s.membershipDirty) {
         partitionShard(shard);
         return;
     }
-    s.membershipDirty = false;
     if (s.nextDelayNs >= 0)
         scheduleShardUpdate(shard, events_.now() + s.nextDelayNs);
 }

@@ -57,7 +57,7 @@ using FlowId = std::int64_t;
  * even when a worker pool is available: the fan-out/barrier overhead
  * of a pooled forEach exceeds the win on small batches (the 16-rank
  * oversharding regression in BENCH_sim.json). Shared by the flow
- * network and the parallel interpreter.
+ * network and the interpreter.
  */
 constexpr std::size_t kMinParallelBatch = 4;
 
@@ -80,21 +80,14 @@ class FlowNetwork
     /**
      * The shard-batch worker pool, created lazily from the threads()
      * setting (null when the effective lane count is 1, e.g. after
-     * the hardware-concurrency cap). The parallel interpreter shares
-     * this pool so one simThreads knob — and one SimThreadBudget
-     * lease — governs both engines' lanes.
+     * the hardware-concurrency cap). The interpreter's rank batches
+     * share this pool so one simThreads knob — and one
+     * SimThreadBudget lease — governs both layers' lanes.
      */
     SimWorkerPool *workerPool();
 
     /** Installs wall-clock phase accounting (null disables). */
     void setProfile(SimProfile *profile) { profile_ = profile; }
-
-    /**
-     * Disables component sharding: every flow joins one global shard,
-     * reproducing the pre-sharding engine's arithmetic exactly. The
-     * benchmark's baseline mode; also a debugging aid.
-     */
-    void enableSharding(bool on) { sharded_ = on; }
 
     /**
      * Starts a transfer of @p bytes across @p resources with a
@@ -244,7 +237,6 @@ class FlowNetwork
     std::vector<Shard> shards_;
     std::vector<int> freeShards_;
     int activeShards_ = 0;
-    bool sharded_ = true;
 
     int threads_ = 1;
     std::unique_ptr<SimWorkerPool> pool_;

@@ -26,7 +26,7 @@ struct SimProfile
     std::int64_t eventQueueNs = 0;
     /** Flow-network shard batches: parallel settle/recompute + merge. */
     std::int64_t flowNetworkNs = 0;
-    /** Flow-completion callbacks (interpreter work in serial mode). */
+    /** Flow-completion callbacks (restaging interpreter work). */
     std::int64_t flowCallbacksNs = 0;
     /** Interpreter rank-batch parallel phase. */
     std::int64_t interpParallelNs = 0;

@@ -272,7 +272,6 @@ class Replayer
         exec.watchdogNoProgressUs = options_.watchdogNoProgressUs;
         exec.faults = nullptr; // the storm is armed on the shared fabric
         exec.simThreads = options_.simThreads;
-        exec.parallelInterp = options_.parallelInterp;
         exec.profile = options_.profile;
 
         // Executions stay alive until the fabric drains: an aborted
@@ -453,8 +452,8 @@ ReplayResult::fingerprint() const
     // Canonical per-op lines rather than raw double bits: the same
     // "%.3f" quantization the JSON reports use, so the fingerprint
     // and the emitted report agree on what counts as identical.
-    // wireBytes is deliberately absent — its float-summation order
-    // is engine-specific (see ExecOptions::parallelInterp).
+    // wireBytes is deliberately absent — it is a float sum whose
+    // accumulation order is an implementation detail.
     std::uint64_t hash = kFnvOffset;
     for (const OpRecord &op : ops) {
         fnvMix(hash,

@@ -62,7 +62,6 @@ struct ReplayOptions
     /** Simulation worker threads; results are bit-identical at every
      *  value (the determinism goldens pin this). */
     int simThreads = 1;
-    bool parallelInterp = false;
     /** Availability threshold: an op is available when it completed
      *  within this multiple of its fault-free latency. */
     double sloMultiplier = 3.0;

@@ -9,6 +9,7 @@
  * counts.
  */
 
+#include <chrono>
 #include <limits>
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include "runtime/health.h"
 #include "runtime/tuner.h"
 #include "test_util.h"
+#include "workload/workload.h"
 
 namespace mscclang {
 namespace {
@@ -190,6 +192,36 @@ TEST(Recovery, FindRingOrderRoutesAroundDeadLinks)
     for (int dst = 1; dst < 8; dst++)
         all_out.push_back(Link{ 0, dst });
     EXPECT_TRUE(findRingOrder(topo.degraded(all_out)).empty());
+}
+
+TEST(Recovery, FindRingOrderGivesUpQuicklyOnDeadBoundaryNic)
+{
+    // The NIC of node 0's last GPU dies on a 4-node machine. The
+    // backtracking search would explore same-node permutations for
+    // hours; its step cap must end it within a second, and an empty
+    // order sends the replanner to its fallback.
+    Topology topo = parseTopology("generic:4:8");
+    std::vector<Link> dead;
+    for (const FaultEvent &event : makeNicFailure(topo, 7, 0.0).events) {
+        for (Link link : topo.linksUsingResource(event.resource))
+            dead.push_back(link);
+    }
+    Topology degraded = topo.degraded(dead);
+    auto t0 = std::chrono::steady_clock::now();
+    std::vector<Rank> order = findRingOrder(degraded);
+    std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - t0;
+    EXPECT_LT(elapsed.count(), 1.0);
+    EXPECT_TRUE(order.empty());
+
+    // The same dead NIC on a 2-node machine still reforms a ring.
+    Topology small = parseTopology("generic:2:8");
+    std::vector<Link> small_dead;
+    for (const FaultEvent &event : makeNicFailure(small, 7, 0.0).events) {
+        for (Link link : small.linksUsingResource(event.resource))
+            small_dead.push_back(link);
+    }
+    EXPECT_EQ(findRingOrder(small.degraded(small_dead)).size(), 16u);
 }
 
 TEST(Recovery, ReformedRingPrefersSameNodePaths)

@@ -14,6 +14,7 @@
 #include "common/error.h"
 #include "compiler/compiler.h"
 #include "runtime/tuner.h"
+#include "test_util.h"
 
 namespace mscclang {
 namespace {
@@ -233,7 +234,7 @@ TEST(Tracing, EmitsValidTimeline)
 {
     Topology topo = makeGeneric(1, 4);
     IrProgram ir = compileProgram(*makeRingAllReduce(4, 1, {})).ir;
-    std::string path = ::testing::TempDir() + "mscclang_trace.json";
+    std::string path = testing::tempPath("trace.json");
     ExecOptions options;
     options.bytesPerRank = 64 << 10;
     options.traceFile = path;

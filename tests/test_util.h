@@ -8,8 +8,12 @@
 #ifndef MSCCLANG_TESTS_TEST_UTIL_H_
 #define MSCCLANG_TESTS_TEST_UTIL_H_
 
+#include <unistd.h>
+
 #include <string>
 #include <vector>
+
+#include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "compiler/compiler.h"
@@ -19,6 +23,21 @@
 #include "topology/topology.h"
 
 namespace mscclang::testing {
+
+/**
+ * A scratch file path under the gtest temp dir that is unique to the
+ * running test and process. ctest runs every discovered test as its
+ * own concurrent process, so a fixed file name would be shared by
+ * tests running at the same time. Call from inside a test body.
+ */
+inline std::string
+tempPath(const std::string &tag)
+{
+    const ::testing::TestInfo *info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    return ::testing::TempDir() + "mscclang_" + info->test_suite_name() +
+        "." + info->name() + "_" + std::to_string(::getpid()) + "_" + tag;
+}
 
 /** Deterministically fills every rank's input buffer. */
 inline std::vector<std::vector<float>>

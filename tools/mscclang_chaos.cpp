@@ -59,9 +59,8 @@ usage()
         "                     ('-' for stdout)\n"
         "  --data             move real floats (slower, validates "
         "buffers)\n"
-        "  --sim-threads <n>  simulation worker threads (default 1)\n"
-        "  --parallel-interp  parallel interpreter engine (same\n"
-        "                     matrix at any --sim-threads)\n"
+        "  --sim-threads <n>  simulation worker threads (default 1;\n"
+        "                     same matrix at any count)\n"
         "  --profile          print a wall-clock phase breakdown of\n"
         "                     the whole sweep after the matrix\n");
 }
@@ -120,7 +119,6 @@ main(int argc, char **argv)
     std::string csv_path;
     bool data_mode = false;
     int sim_threads = 1;
-    bool parallel_interp = false;
     bool profile_on = false;
     for (int i = 1; i < argc; i++) {
         std::string flag = argv[i];
@@ -150,8 +148,6 @@ main(int argc, char **argv)
             else if (flag == "--data") data_mode = true;
             else if (flag == "--sim-threads")
                 sim_threads = std::stoi(value());
-            else if (flag == "--parallel-interp")
-                parallel_interp = true;
             else if (flag == "--profile") profile_on = true;
             else if (flag == "--help" || flag == "-h") {
                 usage();
@@ -274,7 +270,6 @@ main(int argc, char **argv)
                 run.bytes = bytes;
                 run.dataMode = data_mode;
                 run.simThreads = sim_threads;
-                run.parallelInterp = parallel_interp;
                 run.profile = profile_on ? &profile : nullptr;
                 run.watchdogNoProgressUs =
                     std::max(200.0, healthy_us);

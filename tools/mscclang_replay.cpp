@@ -10,8 +10,8 @@
  * disabled, so the report quantifies what the healing runtime buys.
  *
  * Deterministic: the same flags (seed included) produce byte-identical
- * JSON/CSV at every --sim-threads count and on both interpreter
- * engines — the property --smoke asserts.
+ * JSON/CSV at every --sim-threads count — the property --smoke
+ * asserts.
  *
  * Examples:
  *   mscclang_replay
@@ -56,7 +56,6 @@ usage()
         "  --healing <arm>     on | off | both (default both)\n"
         "  --data              move real floats (slow; validates)\n"
         "  --sim-threads <n>   simulation worker threads (default 1)\n"
-        "  --parallel-interp   parallel interpreter engine\n"
         "  --json <path>       write the report JSON ('-' = stdout)\n"
         "  --csv <path>        write the report CSV ('-' = stdout)\n"
         "  --emit-spec <path>  write the workload trace JSON\n"
@@ -239,8 +238,7 @@ runComparison(const std::string &machine, const WorkloadSpec &spec,
  * The acceptance gate: seeded 3-stream mixed workload on a 16-rank
  * machine under a link-flap storm must (a) report strictly higher
  * availability with healing on than off, (b) report a p99 for every
- * stream, and (c) emit byte-identical JSON at sim-threads {1, 2, 4}
- * on both interpreter engines.
+ * stream, and (c) emit byte-identical JSON at sim-threads {1, 2, 4}.
  */
 int
 runSmoke(std::uint64_t seed)
@@ -259,19 +257,9 @@ runSmoke(std::uint64_t seed)
     std::string reference;
     int failures = 0;
 
-    struct Config
-    {
-        int simThreads;
-        bool parallelInterp;
-    };
-    const std::vector<Config> configs = {
-        { 1, false }, { 2, false }, { 4, false },
-        { 1, true },  { 2, true },  { 4, true },
-    };
-    for (const Config &config : configs) {
+    for (int threads : { 1, 2, 4 }) {
         ReplayOptions arm = options;
-        arm.simThreads = config.simThreads;
-        arm.parallelInterp = config.parallelInterp;
+        arm.simThreads = threads;
         double on = 0.0;
         double off = 0.0;
         std::string json = runComparison(machine, spec, storm, arm,
@@ -282,10 +270,8 @@ runSmoke(std::uint64_t seed)
             avail_on = on;
             avail_off = off;
         } else if (json != reference) {
-            std::printf("FAIL: threads=%d engine=%s report differs "
-                        "from threads=1 serial\n",
-                        config.simThreads,
-                        config.parallelInterp ? "parallel" : "serial");
+            std::printf("FAIL: threads=%d report differs from "
+                        "threads=1\n", threads);
             failures++;
         }
     }
@@ -351,8 +337,6 @@ main(int argc, char **argv)
             else if (flag == "--data") options.dataMode = true;
             else if (flag == "--sim-threads")
                 options.simThreads = std::stoi(value());
-            else if (flag == "--parallel-interp")
-                options.parallelInterp = true;
             else if (flag == "--json") json_path = value();
             else if (flag == "--csv") csv_path = value();
             else if (flag == "--emit-spec") spec_path = value();

@@ -57,10 +57,8 @@ usage()
         "  --to <size>           sweep end (default 64MB)\n"
         "  --threads <n>         sweep worker threads (default: "
         "hardware)\n"
-        "  --sim-threads <n>     flow-network threads per simulation "
+        "  --sim-threads <n>     worker threads inside each simulation "
         "(default 1)\n"
-        "  --parallel-interp     parallel interpreter engine inside "
-        "each simulation\n"
         "  --seed <n>            subsample seed (default 0x5eed)\n"
         "  --max-candidates <n>  cap on evaluated candidates "
         "(0 = all)\n"
@@ -132,7 +130,6 @@ checkAgainstHandTuned(const Topology &topology,
     topts.maxTilesPerChunk = options.maxTilesPerChunk;
     topts.threads = options.threads;
     topts.simThreads = options.simThreads;
-    topts.parallelInterp = options.parallelInterp;
     std::vector<std::vector<double>> hand_times =
         sweepCandidateTimesUs(topology, pointers, result.sizes, topts);
 
@@ -190,8 +187,6 @@ main(int argc, char **argv)
                 options.threads = std::atoi(value().c_str());
             } else if (arg == "--sim-threads") {
                 options.simThreads = std::atoi(value().c_str());
-            } else if (arg == "--parallel-interp") {
-                options.parallelInterp = true;
             } else if (arg == "--seed") {
                 options.seed = std::strtoull(value().c_str(),
                                              nullptr, 0);

@@ -17,15 +17,14 @@ cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" --target sim_throughput compiler_scaling \
     mscclang_search_cli mscclang_replay -j"$(nproc)"
 
-# Sweep all three scaling axes: rank counts stress the sharded flow
-# network's partition fan-out, thread counts its worker pool, and the
-# bench itself runs every (ranks, threads) cell on both interpreter
-# engines (serial and rank-batched parallel — the "engine" field of
-# each scaling row). --profile adds the wall-clock phase breakdown
-# (event queue / flow network / interp parallel / interp merge) to
-# every row; host_cpus in the JSON says how many real cores the
-# thread axis had to work with. The frozen seed baselines inside the
-# JSON are unaffected by the sweep arguments.
+# Sweep both scaling axes: rank counts stress the sharded flow
+# network's partition fan-out and the interpreter's rank batches,
+# thread counts their shared worker pool. --profile adds the
+# wall-clock phase breakdown (event queue / flow network / interp
+# parallel / interp merge) to every row; host_cpus in the JSON says
+# how many real cores the thread axis had to work with. The frozen
+# seed and global-recompute baselines inside the JSON are unaffected
+# by the sweep arguments.
 SIM_RANKS="${SIM_RANKS:-16,64,128}"
 SIM_THREADS="${SIM_THREADS:-1,2,4,8}"
 "$BUILD_DIR/bench/sim_throughput" --json BENCH_sim.json \

@@ -20,11 +20,11 @@
 # With --tsan, builds a third tree with ThreadSanitizer instead
 # (-DMSCCLANG_TSAN=ON; TSan cannot link with ASan) and runs the
 # suites that actually spin threads: the flow network's shard batch
-# workers (Sim), the parallel interpreter's rank batches (Interp*,
-# Determinism's ParallelInterp sweeps), the simThreads determinism
-# sweeps (Determinism), the fault path that mutates capacities
-# between batches (Faults), the schedule search's budget-leased
-# sweep worker pool (Search, SimThreadLease), and the race verifier's
+# workers (Sim), the interpreter's rank batches under the simThreads
+# determinism sweeps and the abort path (Determinism, Watchdog), the
+# fault path that mutates capacities between batches (Faults), the
+# schedule search's budget-leased sweep worker pool (Search,
+# SimThreadLease), and the race verifier's
 # lock-free union-find contraction plus its differential engine
 # sweeps (UnionFind, Hierarchical). TSan runs export
 # MSCCLANG_SIM_THREADS_UNCAPPED=1 so the worker pools spin real
@@ -32,6 +32,11 @@
 # the hardware-concurrency cap would otherwise collapse every pool
 # to inline execution.
 # Registered as the "tsan" ctest configuration (ctest -C tsan).
+#
+# Every mode finishes with a flake check: the suites that write
+# scratch files and spin simulation threads (Determinism, Faults,
+# Tuner) rerun five times as concurrent ctest processes (-j8), so
+# a test sharing state with another test process fails the run.
 #
 # Usage: tools/run_sanitized.sh [--chaos-sweep|--tsan] [ctest -R regex]
 set -euo pipefail
@@ -50,7 +55,7 @@ fi
 if [[ "$TSAN" == "1" ]]; then
     BUILD_DIR="${BUILD_DIR:-build-tsan}"
     SANITIZE_FLAG="-DMSCCLANG_TSAN=ON"
-    FILTER="${1:-Sim|Interp|Determinism|Faults|Watchdog|Search|SimThreadLease|Replay|Hierarchical|UnionFind}"
+    FILTER="${1:-Sim|Determinism|Faults|Watchdog|Search|SimThreadLease|Replay|Hierarchical|UnionFind}"
 else
     BUILD_DIR="${BUILD_DIR:-build-asan}"
     SANITIZE_FLAG="-DMSCCLANG_SANITIZE=ON"
@@ -62,7 +67,7 @@ cmake -B "$BUILD_DIR" -S . "$SANITIZE_FLAG" \
 cmake --build "$BUILD_DIR" --target test_faults test_interpreter \
     test_sim test_races test_recovery test_plan_cache \
     test_determinism test_search test_workload test_hierarchical \
-    test_unionfind -j"$(nproc)"
+    test_unionfind test_tuner -j"$(nproc)"
 
 if [[ "$TSAN" == "1" ]]; then
     export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
@@ -75,6 +80,8 @@ else
 fi
 ctest --test-dir "$BUILD_DIR" -R "$FILTER" --output-on-failure \
     -j"$(nproc)"
+ctest --test-dir "$BUILD_DIR" -R 'Determinism|Faults|Tuner' \
+    --output-on-failure -j8 --repeat until-fail:5
 
 if [[ "$CHAOS_SWEEP" == "1" ]]; then
     cmake --build "$BUILD_DIR" --target mscclang_chaos -j"$(nproc)"
