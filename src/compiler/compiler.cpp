@@ -2,7 +2,6 @@
 
 #include "common/error.h"
 #include "common/strings.h"
-#include "compiler/chunk_dag.h"
 #include "compiler/verifier.h"
 
 namespace mscclang {
@@ -12,9 +11,6 @@ compileProgram(const Program &program, const CompileOptions &options)
 {
     Compiled out;
     out.stats.traceOps = static_cast<int>(program.ops().size());
-
-    ChunkDag chunk_dag(program);
-    out.stats.chunkCriticalPath = chunk_dag.criticalPathLength();
 
     InstrGraph graph = lowerProgram(program);
     out.stats.instrsBeforeFusion = graph.numLive();

@@ -43,7 +43,6 @@ struct CompileOptions
 struct CompileStats
 {
     int traceOps = 0;
-    int chunkCriticalPath = 0;
     int instrsBeforeFusion = 0;
     int instrsAfterFusion = 0;
     FusionStats fusion;

@@ -10,6 +10,7 @@
 
 #include "collectives/classic.h"
 #include "common/error.h"
+#include "compiler/chunk_dag.h"
 #include "test_util.h"
 
 namespace mscclang {
@@ -111,9 +112,8 @@ TEST(Classic, BinomialBroadcast)
 TEST(Classic, BinomialBroadcastHasLogDepth)
 {
     auto prog = makeBinomialBroadcast(16, 0, {});
-    Compiled out = compileProgram(*prog);
     // 4 rounds of doubling: critical path ~log2(16) + local place.
-    EXPECT_LE(out.stats.chunkCriticalPath, 5);
+    EXPECT_LE(ChunkDag(*prog).criticalPathLength(), 5);
 }
 
 TEST(Classic, HierarchicalAllGather)

@@ -334,7 +334,7 @@ TEST(CompileStats, CountsAreCoherent)
               out.stats.instrsAfterFusion);
     EXPECT_EQ(out.stats.totalInstructions,
               out.stats.instrsAfterFusion);
-    EXPECT_EQ(out.stats.chunkCriticalPath, 6);
+    EXPECT_EQ(ChunkDag(prog).criticalPathLength(), 6);
 }
 
 TEST(CompileStats, TopologyConnectivityEnforced)

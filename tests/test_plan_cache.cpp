@@ -16,12 +16,14 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "collectives/classic.h"
 #include "collectives/collectives.h"
+#include "common/error.h"
 #include "common/strings.h"
 #include "compiler/plan_cache.h"
 #include "search/search.h"
@@ -441,6 +443,159 @@ TEST(PlanCache, GlobalEntryPointIsCoherent)
         compileProgram(*makeNaiveAllToAll(2, plain), copts).ir.toXml();
     EXPECT_EQ(a, cold);
     EXPECT_EQ(b, cold);
+}
+
+/** Traces copy @p n (0..3) of a 2-rank AllGather by direct copies:
+ *  rank n/2's input chunk to output slot n/2 on rank n%2. */
+void
+traceAllGatherCopy(Program &prog, int n)
+{
+    Rank src = n / 2;
+    prog.chunk(src, BufferKind::Input, 0)
+        .copy(n % 2, BufferKind::Output, src);
+}
+
+/** A complete 2-rank AllGather. With @p preset_scratch, rank 0's
+ *  scratch[5] is preset first, as a composed kernel's leftover state,
+ *  which grows rank 0's scratch to 6 chunks that no op touches. */
+std::unique_ptr<Program>
+tracedAllGather(bool preset_scratch)
+{
+    auto prog = std::make_unique<Program>(
+        std::make_shared<AllGatherCollective>(2, 1));
+    if (preset_scratch)
+        prog->presetChunk(0, BufferKind::Scratch, 5,
+                          ChunkValue::input(1, 0));
+    for (int n = 0; n < 4; n++)
+        traceAllGatherCopy(*prog, n);
+    return prog;
+}
+
+TEST(PlanCache, KeyCoversScratchGrownByPresetChunk)
+{
+    // The scheduler sizes IR scratch from Program::scratchChunkCount,
+    // so two traces with equal ops but different preset scratch must
+    // not share a plan.
+    auto plain = tracedAllGather(false);
+    auto preset = tracedAllGather(true);
+    ASSERT_EQ(preset->scratchChunkCount(0), 6);
+    EXPECT_NE(planCacheKey(*plain, {}), planCacheKey(*preset, {}));
+
+    Compiled direct = compileProgram(*preset);
+    ASSERT_EQ(direct.ir.gpus[0].scratchChunks, 6);
+    PlanCache cache(8);
+    EXPECT_EQ(cache.compile(*plain).ir.gpus[0].scratchChunks, 0);
+    Compiled served = cache.compile(*preset);
+    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_EQ(served.ir.gpus[0].scratchChunks, 6);
+    EXPECT_EQ(served.ir.toXml(), direct.ir.toXml());
+}
+
+TEST(PlanCache, FingerprintMemoFollowsTracing)
+{
+    Program prog(std::make_shared<AllGatherCollective>(2, 1));
+    for (int n = 0; n < 3; n++)
+        traceAllGatherCopy(prog, n);
+    std::uint64_t three = fingerprintProgram(prog);
+    EXPECT_EQ(fingerprintProgram(prog), three);
+
+    // Appending an op invalidates the memo: the new value is the
+    // fingerprint of a freshly traced identical program.
+    traceAllGatherCopy(prog, 3);
+    std::uint64_t four = fingerprintProgram(prog);
+    EXPECT_NE(four, three);
+    EXPECT_EQ(four, fingerprintProgram(*tracedAllGather(false)));
+
+    // So does growing scratch without an op: a chunk() read past the
+    // end grows scratch before it rejects the uninitialized chunk.
+    EXPECT_THROW(prog.chunk(1, BufferKind::Scratch, 2), ProgramError);
+    ASSERT_EQ(prog.scratchChunkCount(1), 3);
+    EXPECT_NE(fingerprintProgram(prog), four);
+}
+
+TEST(PlanCache, ConcurrentKeyingOfOneProgramAgrees)
+{
+    // Eight threads race to fill one Program's memo and to compile it
+    // through one cache; every fingerprint and every plan must match
+    // the single-threaded answer for an identical trace.
+    AlgoConfig i2;
+    i2.instances = 2;
+    auto shared = makeRingAllReduce(8, 2, i2);
+    std::uint64_t expect_fp =
+        fingerprintProgram(*makeRingAllReduce(8, 2, i2));
+    std::string expect_xml =
+        compileProgram(*makeRingAllReduce(8, 2, i2)).ir.toXml();
+
+    constexpr int kThreads = 8;
+    PlanCache cache(4);
+    std::vector<std::uint64_t> fps(kThreads);
+    std::vector<std::string> xmls(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; t++) {
+        threads.emplace_back([&, t] {
+            fps[t] = fingerprintProgram(*shared);
+            xmls[t] = cache.compile(*shared).ir.toXml();
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    for (int t = 0; t < kThreads; t++) {
+        EXPECT_EQ(fps[t], expect_fp) << "thread " << t;
+        EXPECT_EQ(xmls[t], expect_xml) << "thread " << t;
+    }
+    EXPECT_EQ(cache.hits() + cache.misses(),
+              static_cast<std::size_t>(kThreads));
+}
+
+TEST(PlanCache, KeySeparatesEveryTraceOpField)
+{
+    // One traced op per program, on identical preset state, varied in
+    // exactly one TraceOp field. Count is shared by src and dst in
+    // any legal trace, so it varies both.
+    enum Variant {
+        Base, Kind, SrcRank, SrcBuffer, SrcIndex, Count, DstRank,
+        DstBuffer, DstIndex, Channel, ParFactor, NumVariants
+    };
+    auto make = [](Variant v) {
+        auto prog = std::make_unique<Program>(
+            std::make_shared<AllGatherCollective>(4, 2));
+        // Presets grow rank 0's and rank 1's scratch in every
+        // variant alike, so only the op differs.
+        prog->presetChunk(0, BufferKind::Scratch, 0,
+                          ChunkValue::input(0, 0));
+        prog->presetChunk(1, BufferKind::Scratch, 3,
+                          ChunkValue::input(1, 0));
+        prog->presetChunk(1, BufferKind::Output, 0,
+                          ChunkValue::input(1, 0));
+        ChunkRef src = prog->chunk(
+            v == SrcRank ? 2 : 0,
+            v == SrcBuffer ? BufferKind::Scratch : BufferKind::Input,
+            v == SrcIndex ? 1 : 0, v == Count ? 2 : 1);
+        Rank dst_rank = v == DstRank ? 2 : 1;
+        BufferKind dst_buffer =
+            v == DstBuffer ? BufferKind::Scratch : BufferKind::Output;
+        int dst_index = v == DstIndex ? 2 : 0;
+        OpOptions opts;
+        opts.channel = v == Channel ? 1 : -1;
+        ParallelizeScope scope = prog->parallelize(v == ParFactor ? 2 : 1);
+        if (v == Kind)
+            prog->chunk(dst_rank, dst_buffer, dst_index)
+                .reduce(src, opts);
+        else
+            src.copy(dst_rank, dst_buffer, dst_index, opts);
+        return prog;
+    };
+
+    std::vector<std::uint64_t> keys;
+    for (int v = Base; v < NumVariants; v++) {
+        auto prog = make(static_cast<Variant>(v));
+        ASSERT_EQ(prog->ops().size(), 1u);
+        keys.push_back(planCacheKey(*prog, {}));
+    }
+    for (size_t a = 0; a < keys.size(); a++)
+        for (size_t b = a + 1; b < keys.size(); b++)
+            EXPECT_NE(keys[a], keys[b]) << "variants " << a << ", " << b;
+    EXPECT_EQ(keys[Base], planCacheKey(*make(Base), {}));
 }
 
 } // namespace

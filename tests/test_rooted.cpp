@@ -9,6 +9,7 @@
 
 #include "collectives/rooted.h"
 #include "common/error.h"
+#include "compiler/chunk_dag.h"
 #include "test_util.h"
 
 namespace mscclang {
@@ -55,9 +56,8 @@ TEST(Rooted, BinomialReduceAcrossShapesAndRoots)
 TEST(Rooted, BinomialReduceHasLogCriticalPath)
 {
     auto prog = makeBinomialReduce(8, 0, {});
-    Compiled out = compileProgram(*prog);
     // stage copy + 3 reduction rounds + final copy
-    EXPECT_LE(out.stats.chunkCriticalPath, 6);
+    EXPECT_LE(ChunkDag(*prog).criticalPathLength(), 6);
 }
 
 TEST(Rooted, DirectGather)

@@ -240,6 +240,8 @@ main(int argc, char **argv)
         Compiled out = compileProgram(*prog, copts);
 
         if (args.stats) {
+            // The chunk DAG is a diagnostic, built only on request.
+            int critical_path = ChunkDag(*prog).criticalPathLength();
             std::fprintf(stderr,
                 "algo=%s machine=%s ranks=%d\n"
                 "trace ops          %6d\n"
@@ -249,8 +251,7 @@ main(int argc, char **argv)
                 "channels           %6d\n"
                 "thread blocks/gpu  %6d\n",
                 args.algo.c_str(), topo.name().c_str(),
-                topo.numRanks(), out.stats.traceOps,
-                out.stats.chunkCriticalPath,
+                topo.numRanks(), out.stats.traceOps, critical_path,
                 out.stats.instrsBeforeFusion,
                 out.stats.instrsAfterFusion, out.stats.fusion.rcs,
                 out.stats.fusion.rrcs, out.stats.fusion.rrs,
