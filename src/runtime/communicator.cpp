@@ -450,7 +450,6 @@ Communicator::runAttempt(const IrProgram &ir, const RunOptions &options,
     exec.watchdogTimeoutUs = options.watchdogTimeoutUs;
     exec.watchdogNoProgressUs = options.watchdogNoProgressUs;
     exec.faults = faults;
-    exec.simThreads = options.simThreads;
     exec.profile = options.profile;
     if (options.dataMode)
         store_.configure(ir, options.bytes);

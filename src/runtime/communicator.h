@@ -67,9 +67,6 @@ struct RunOptions
      * remainder of the schedule.
      */
     int maxAttempts = 2;
-    /** Worker threads for the simulation's shard batches (see
-     *  ExecOptions::simThreads). */
-    int simThreads = 1;
     /** Wall-clock phase accounting (see ExecOptions::profile). Not
      *  owned; null disables. */
     SimProfile *profile = nullptr;

@@ -178,11 +178,11 @@ struct IrExecution::Impl
     // steps are *actions* in per-rank queues ordered by (due,
     // per-rank seq); one coalesced shard event per rank marks its
     // earliest due time. A batch of same-time rank events runs a
-    // parallel phase (ranks advance independently: ConnState fields
+    // per-rank phase (ranks advance independently: ConnState fields
     // are ownership-partitioned — ring/head/count/waitingReceiver
     // belong to the destination rank, occupied/waitingSender to the
     // source — and dependencies and semaphores are same-rank by
-    // construction) followed by a serial merge in the queue's
+    // construction) followed by a merge phase in the queue's
     // deterministic (time, domain, rank, seq) order that applies
     // every cross-rank or global effect.
 
@@ -210,10 +210,9 @@ struct IrExecution::Impl
         return a.seq > b.seq;
     }
 
-    /** A send computed in the parallel phase; the merge phase
+    /** A send computed in the per-rank phase; the merge phase
      *  allocates its pooled SendOp and schedules the launch, so
-     *  arena indices and event sequence stay a pure function of the
-     *  schedule at every thread count. */
+     *  arena indices and event sequence follow the batch order. */
     struct StagedSend
     {
         Message msg;
@@ -228,11 +227,8 @@ struct IrExecution::Impl
     };
 
     /**
-     * Per-rank shard state. `actions`/`nextSeq` are written by the
-     * driving thread (staging) and by the one worker processing the
-     * rank in a batch's parallel phase — never both at once. The
-     * delta/output fields are parallel-phase products folded into
-     * the global totals by the serial merge.
+     * Per-rank shard state. The delta/output fields are per-rank
+     * phase products folded into the global totals by the merge.
      */
     struct RankCtx
     {
@@ -550,8 +546,9 @@ struct IrExecution::Impl
                                                 interpDomain);
     }
 
-    /** Stages an action from the driving thread (flow completions,
-     *  cross-rank wakes, kickoff) and syncs the rank's event. */
+    /** Stages an action from outside a per-rank phase (flow
+     *  completions, cross-rank wakes, kickoff) and syncs the rank's
+     *  event. */
     void
     stageSerial(int rank, TimeNs due, int kind, int arg, bool received)
     {
@@ -579,13 +576,13 @@ struct IrExecution::Impl
     }
 
     /**
-     * Parallel phase for one rank: pop every action due now, in
+     * Per-rank phase for one rank: pop every action due now, in
      * (due, seq) order, and run it against rank-owned state only.
      * Cross-rank and global effects land in the rank's ctx for the
      * merge phase.
      */
     void
-    rankParallel(int rank)
+    rankLocal(int rank)
     {
         RankCtx &ctx = rankCtx[rank];
         ctx.pendingEvent = 0; // consumed by the queue
@@ -609,7 +606,7 @@ struct IrExecution::Impl
     }
 
     /**
-     * Serial merge for one rank, in deterministic batch order: fold
+     * Merge phase for one rank, in deterministic batch order: fold
      * stats/trace/progress, release FIFO slots and restage their
      * (cross-rank) blocked senders at this instant, recycle and
      * allocate pooled sends, and re-arm the rank's shard event.
@@ -701,23 +698,8 @@ struct IrExecution::Impl
         {
             SimProfileTimer timer(prof ? &prof->interpParallelNs
                                        : nullptr);
-            // Same adaptive threshold as the flow network: narrow
-            // batches run inline, the fan-out/barrier overhead beats
-            // the win below a handful of ranks.
-            SimWorkerPool *pool = batch.size() >= kMinParallelBatch
-                ? network.workerPool()
-                : nullptr;
-            if (pool) {
-                if (prof)
-                    prof->interpPooledBatches++;
-                pool->forEach(batch.size(),
-                              [this, &batch](std::size_t i) {
-                                  rankParallel(batch[i]);
-                              });
-            } else {
-                for (int rank : batch)
-                    rankParallel(rank);
-            }
+            for (int rank : batch)
+                rankLocal(rank);
         }
         SimProfileTimer timer(prof ? &prof->interpMergeNs : nullptr);
         for (int rank : batch)
@@ -1067,7 +1049,7 @@ struct IrExecution::Impl
     }
 
     /** Same-rank wake: the waiter's rank owns the waiting slot, so
-     *  the parallel phase may advance it inline under its own ctx. */
+     *  the per-rank phase may advance it inline under its own ctx. */
     void
     wake(int &slot_ref, RankCtx &ctx)
     {
@@ -1229,7 +1211,7 @@ struct IrExecution::Impl
         } else {
             // All local costs are strictly positive, so the
             // completion lands in a strictly later batch — no
-            // same-instant self-cascade inside the parallel phase.
+            // same-instant self-cascade inside the per-rank phase.
             double cost_us = localCostUs(instr, payload, tb.tile);
             pushAction(ctx, events.now() + usToNs(cost_us),
                        kActComplete, tb.flatId, receives);
@@ -1409,11 +1391,6 @@ runIr(const Topology &topology, const IrProgram &ir,
 {
     EventQueue events;
     FlowNetwork network(topology, events);
-    // The explicit knob is honored as-is (timings are bit-identical
-    // at any value). Callers that spawn simulations from their own
-    // worker threads — the tuner sweep — size simThreads from the
-    // process-wide SimThreadBudget instead of passing a raw request.
-    network.setThreads(options.simThreads);
     events.setProfile(options.profile);
     network.setProfile(options.profile);
     const FaultSchedule &faults =

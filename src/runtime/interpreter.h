@@ -18,11 +18,11 @@
  *
  * Rank-shard batches (DESIGN.md §13): thread-block state is
  * partitioned by rank, and same-timestamp interpreter work drains as
- * conservative rank-shard batches — a parallel phase advances ready
- * thread blocks per rank on the simulation's worker pool, then a
- * serial merge applies cross-rank effects (FIFO slot releases, send
+ * conservative rank-shard batches — a per-rank phase advances ready
+ * thread blocks rank by rank against rank-owned state, then a merge
+ * phase applies cross-rank effects (FIFO slot releases, send
  * launches, trace/stats/progress folds) in deterministic batch
- * order, so results are bit-identical at every simThreads count.
+ * order. The whole simulation runs on the caller's thread.
  *
  * The interpreter runs in one of two modes: data mode moves real
  * float elements (so collectives can be validated against an oracle
@@ -103,19 +103,8 @@ struct ExecOptions
      */
     const FaultSchedule *faults = nullptr;
     /**
-     * Worker threads for the simulation's shard batches (1 =
-     * serial). Simulated timings are bit-identical for every value —
-     * threads only change wall-clock speed. Honored as requested;
-     * callers that launch simulations from their own worker threads
-     * (the tuner sweep) size this from the process-wide
-     * SimThreadBudget so the composition cannot oversubscribe the
-     * machine. The flow network and the interpreter's rank batches
-     * share one pool sized by this knob.
-     */
-    int simThreads = 1;
-    /**
      * Wall-clock phase accounting (bench --profile). Not owned; null
-     * disables all timing. Written only from the driving thread.
+     * disables all timing.
      */
     SimProfile *profile = nullptr;
 };

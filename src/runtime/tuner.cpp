@@ -1,5 +1,6 @@
 #include "runtime/tuner.h"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <limits>
@@ -10,7 +11,6 @@
 #include "common/strings.h"
 #include "runtime/health.h"
 #include "runtime/interpreter.h"
-#include "sim/worker_pool.h"
 
 namespace mscclang {
 
@@ -89,33 +89,13 @@ sweepCandidateTimesUs(const Topology &topology,
     std::vector<double> time_us(candidates.size() * sizes.size(), 0.0);
     size_t points = time_us.size();
 
-    // Lease real threads from the process-wide budget so the
-    // composition — sweep workers, each running a simulation that may
-    // itself be threaded — cannot oversubscribe the machine. Sweep
-    // workers get priority (coarser-grained parallelism pays better);
-    // leftover tokens are split evenly into per-simulation threads.
-    // The caller's thread always counts as one worker, so a depleted
-    // budget degrades to a fully serial sweep, never a stall — and
-    // the result matrix is identical either way. The RAII lease
-    // returns the tokens on every exit path, including a simulation
-    // throwing (a leaked grant would permanently shrink the budget
-    // for the whole process).
-    unsigned hw = std::thread::hardware_concurrency();
-    size_t want = options.threads > 0
-        ? static_cast<size_t>(options.threads)
-        : static_cast<size_t>(hw > 0 ? hw : 1);
-    want = std::min(want, points);
-    int per_sim = std::max(1, options.simThreads);
-    int extra_want = static_cast<int>(want) - 1 +
-        static_cast<int>(want) * (per_sim - 1);
-    SimThreadLease lease(extra_want);
+    // Each simulation runs on one thread, so more workers than
+    // hardware threads would only oversubscribe the machine.
+    size_t hw = std::max(1u, std::thread::hardware_concurrency());
     size_t workers = std::min(
-        want, static_cast<size_t>(1 + lease.granted()));
-    int sim_threads = std::min(
-        per_sim,
-        1 +
-            (lease.granted() - static_cast<int>(workers) + 1) /
-                static_cast<int>(workers));
+        { options.threads > 0 ? static_cast<size_t>(options.threads)
+                              : hw,
+          points, hw });
 
     auto simulate = [&](size_t point) {
         size_t u = point / sizes.size();
@@ -124,7 +104,6 @@ sweepCandidateTimesUs(const Topology &topology,
         exec.bytesPerRank = sizes[i];
         exec.maxTilesPerChunk = options.maxTilesPerChunk;
         exec.launchOverheadUs = topology.params().kernelLaunchUs;
-        exec.simThreads = sim_threads;
         ExecStats stats = runIr(topology, *candidates[u], exec);
         time_us[point] = stats.durationUs();
     };
@@ -153,7 +132,7 @@ sweepCandidateTimesUs(const Topology &topology,
             }
         };
         // The caller is one of the workers: only workers-1 threads
-        // are spawned, matching the budget lease's accounting.
+        // are spawned.
         std::vector<std::thread> pool;
         pool.reserve(workers - 1);
         for (size_t w = 1; w < workers; w++)

@@ -38,21 +38,14 @@ struct TuneOptions
     std::uint64_t toBytes = 64 << 20;
     int maxTilesPerChunk = 16;
     /**
-     * Worker threads for the sweep; 0 means one per hardware thread.
-     * The tuned windows are identical for any thread count: each
-     * (candidate, size) point is an independent simulation on the
-     * immutable topology, and the winner merge runs serially over
-     * the completed result matrix.
-     *
-     * Both this and simThreads are *requests*: the sweep leases the
-     * actual thread count from the process-wide SimThreadBudget, so
-     * sweep workers times per-simulation workers never exceeds the
-     * hardware concurrency (sweep workers get priority; leftover
-     * tokens become per-simulation threads).
+     * Worker threads for the sweep; 0 means one per hardware thread,
+     * and no more than the hardware threads or the sweep points are
+     * ever started. The tuned windows are identical for any thread
+     * count: each (candidate, size) point is an independent
+     * simulation on the immutable topology, and the winner merge
+     * runs serially over the completed result matrix.
      */
     int threads = 0;
-    /** Requested flow-network threads inside each simulation. */
-    int simThreads = 1;
 };
 
 /**
@@ -68,11 +61,10 @@ std::vector<std::uint64_t> tuneSweepSizes(std::uint64_t from_bytes,
 /**
  * Times every (candidate, size) point on the simulated machine and
  * returns the matrix indexed [candidate][size]. The points are
- * independent simulations fanned out over worker threads leased from
- * the process-wide SimThreadBudget (options.threads sweep workers
- * first, leftovers becoming per-simulation simThreads), via an RAII
- * lease so the tokens return even when a simulation throws; the
- * filled matrix is identical for every thread count.
+ * independent simulations fanned out over options.threads worker
+ * threads; the first simulation error is rethrown once every worker
+ * has stopped, and the filled matrix is identical for every thread
+ * count.
  * options.fromBytes/toBytes are ignored — @p sizes is the sweep.
  */
 std::vector<std::vector<double>> sweepCandidateTimesUs(

@@ -355,7 +355,6 @@ searchSchedules(const Topology &topology, const std::string &collective,
     topts.toBytes = options.toBytes;
     topts.maxTilesPerChunk = options.maxTilesPerChunk;
     topts.threads = options.threads;
-    topts.simThreads = options.simThreads;
     std::vector<const IrProgram *> pointers;
     pointers.reserve(irs.size());
     for (const IrProgram &ir : irs)

@@ -7,9 +7,8 @@
  * DSL factories — algorithm family x channels x parallelize factor x
  * instances x protocol x send-aggregation count — each candidate is
  * compiled through the content-addressed plan cache, costed on the
- * flow-network simulator across a geometric size sweep (leasing
- * worker threads from the process-wide SimThreadBudget so search
- * parallelism composes with per-simulation threading), dominated
+ * flow-network simulator across a geometric size sweep (independent
+ * simulations fanned out over sweep worker threads), dominated
  * points are pruned, and the surviving pareto frontier is emitted as
  * TunedWindow vectors that install directly into a Communicator's
  * window table.
@@ -116,12 +115,10 @@ struct SearchOptions
     std::uint64_t fromBytes = 1 << 10;
     std::uint64_t toBytes = 64 << 20;
     int maxTilesPerChunk = 16;
-    /** Sweep worker threads (0 = one per hardware thread) and
-     *  requested per-simulation threads; both are leased from the
-     *  process-wide SimThreadBudget. The frontier is identical for
-     *  any thread count. */
+    /** Sweep worker threads (0 = one per hardware thread; see
+     *  TuneOptions::threads). The frontier is identical for any
+     *  thread count. */
     int threads = 0;
-    int simThreads = 1;
 
     /**
      * Cap on evaluated candidates; 0 = evaluate every enumerated

@@ -19,8 +19,8 @@
  * error instead of silently recycling — a wrapped generation would
  * let a stale EventId cancel an unrelated event (ABA).
  *
- * Sharded events (the parallel-simulation substrate, DESIGN.md §11,
- * §13): a producer that partitions its state into independent shards
+ * Sharded events (conservative batches, DESIGN.md §11, §13): a
+ * producer that partitions its state into independent shards
  * — the flow network's coupled-flow components, the interpreter's
  * per-rank thread blocks — schedules *shard events* instead of
  * callbacks. Each producer registers a *domain* (a batch runner);
@@ -28,11 +28,13 @@
  * merge key (time, domain, shard, sequence), and are drained in
  * batches: when the earliest pending event is a shard event at time
  * T, every shard event at exactly (T, domain) is popped as one batch
- * and handed to that domain's runner, which may process the shards
- * on a worker pool because same-instant shards of one domain are
- * independent by construction (any cross-shard influence needs an
- * ordinary serial event or a merge-phase restage, and none can exist
- * between equal timestamps). Ordinary events interleave with shard
+ * and handed to that domain's runner, which advances each shard on
+ * its own state before merging cross-shard effects in batch order:
+ * same-instant shards of one domain are independent by construction
+ * (any cross-shard influence needs an ordinary event or a merge-phase
+ * restage, and none can exist between equal timestamps). Batching
+ * amortizes heap traffic; the batch order fixes the deterministic
+ * event order the simulated results depend on. Ordinary events interleave with shard
  * events by (time, sequence) against the front of the shard heap, so
  * a serial event scheduled before a same-time shard batch still runs
  * first.
@@ -66,9 +68,9 @@ usToNs(double us)
 using EventId = std::uint64_t;
 
 /**
- * The event queue. The driving thread is single; parallelism happens
- * only inside shard-event batches, under the batch runner's control.
- * Callbacks may schedule more events.
+ * The event queue. Single-threaded: events, shard batches and their
+ * callbacks all run on the caller of run(). Callbacks may schedule
+ * more events.
  */
 class EventQueue
 {

@@ -53,27 +53,6 @@ FlowNetwork::FlowNetwork(const Topology &topology, EventQueue &events)
 
 FlowNetwork::~FlowNetwork() = default;
 
-void
-FlowNetwork::setThreads(int threads)
-{
-    threads = std::max(1, threads);
-    if (threads == threads_)
-        return;
-    threads_ = threads;
-    pool_.reset(); // rebuilt lazily at the next parallel batch
-}
-
-SimWorkerPool *
-FlowNetwork::workerPool()
-{
-    if (threads_ > 1 && !pool_)
-        pool_ = std::make_unique<SimWorkerPool>(threads_);
-    // The pool caps its lane count at hardware concurrency; a capped-
-    // to-one pool is pure overhead, so callers get null and run
-    // inline instead.
-    return pool_ && pool_->threads() > 1 ? pool_.get() : nullptr;
-}
-
 int
 FlowNetwork::allocFlow()
 {
@@ -393,28 +372,17 @@ FlowNetwork::runShardBatch(const std::vector<int> &batch)
     if (profile_)
         profile_->flowBatches++;
 
-    // Parallel phase: each shard settles, completes, and recomputes
-    // against its own state only. Workers claim shards in any order;
-    // every per-shard result is independent of that order, so the
-    // simulation is bit-identical at every thread count. Batches
-    // narrower than kMinParallelBatch run inline: the fan-out and
-    // barrier cost more than the shards themselves on small batches.
-    SimWorkerPool *pool =
-        batch.size() >= kMinParallelBatch ? workerPool() : nullptr;
-    if (pool) {
-        pool->forEach(batch.size(), [this, &batch](std::size_t i) {
-            shardParallel(batch[i]);
-        });
-    } else {
-        for (int shard : batch)
-            shardParallel(shard);
-    }
+    // Per-shard phase: each shard settles, completes, and recomputes
+    // against its own state only, so no shard's result depends on
+    // the others' order within the batch.
+    for (int shard : batch)
+        shardLocal(shard);
 
-    // Serial phase, in the queue's deterministic (time, shard, seq)
+    // Merge phase, in the queue's deterministic (time, shard, seq)
     // batch order: fold totals, recycle flows, re-partition, requeue.
     batchCallbacks_.clear();
     for (int shard : batch)
-        shardSerial(shard);
+        shardMerge(shard);
 
     // Completion callbacks run last — they may start new flows, and
     // flow starts mutate shard structure (merges), which must not
@@ -429,7 +397,7 @@ FlowNetwork::runShardBatch(const std::vector<int> &batch)
 }
 
 void
-FlowNetwork::shardParallel(int shard)
+FlowNetwork::shardLocal(int shard)
 {
     Shard &s = shards_[shard];
     s.pendingEvent = 0; // consumed by the queue
@@ -460,7 +428,7 @@ FlowNetwork::shardParallel(int shard)
 }
 
 void
-FlowNetwork::shardSerial(int shard)
+FlowNetwork::shardMerge(int shard)
 {
     Shard &s = shards_[shard];
     foldDelivered(s);
@@ -491,7 +459,7 @@ FlowNetwork::recomputeShard(Shard &s)
     // Sweep stale touched entries (resources whose last flow left,
     // releasing their shard ownership) and reset the per-resource
     // scratch for the live ones. The scratch arrays are global but
-    // resource-indexed: parallel shards write disjoint entries.
+    // resource-indexed: each shard writes only its own entries.
     size_t live = 0;
     for (ResourceId r : s.touched) {
         if (flowCount_[r] > 0) {
@@ -561,8 +529,7 @@ FlowNetwork::recomputeShard(Shard &s)
     // rescheduled when the fault recovers — or never, for a hard
     // link-down, which the interpreter's watchdog detects). A flow
     // starved with no fault in sight is an error — raised from the
-    // serial phase, since worker threads must not throw past the
-    // batch barrier.
+    // merge phase, in batch order.
     s.starved = false;
     double earliest_ns = std::numeric_limits<double>::infinity();
     for (int index : s.flows) {

@@ -23,11 +23,10 @@
  * restricted to the shard — mathematically the same fixed point,
  * since components share no resources.
  *
- * Parallel execution: same-instant shard updates arrive from the
+ * Batched execution: same-instant shard updates arrive from the
  * EventQueue as one batch. The batch's per-shard phase (settle,
- * completion detection, recompute) runs on a SimWorkerPool — shards
- * touch disjoint state, so any thread count computes bit-identical
- * results — followed by a serial phase in deterministic (time,
+ * completion detection, recompute) runs shard by shard against
+ * disjoint state, followed by a merge phase in deterministic (time,
  * shard, seq) batch order that folds per-shard byte counts into the
  * global totals, re-partitions, reschedules, and finally fires
  * completion callbacks in shard-then-start order.
@@ -38,11 +37,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "sim/event_queue.h"
-#include "sim/worker_pool.h"
 #include "topology/topology.h"
 
 namespace mscclang {
@@ -52,39 +49,12 @@ struct SimProfile;
 /** Identifier of an in-flight transfer. */
 using FlowId = std::int64_t;
 
-/**
- * Shard batches narrower than this run inline on the driving thread
- * even when a worker pool is available: the fan-out/barrier overhead
- * of a pooled forEach exceeds the win on small batches (the 16-rank
- * oversharding regression in BENCH_sim.json). Shared by the flow
- * network and the interpreter.
- */
-constexpr std::size_t kMinParallelBatch = 4;
-
 /** The shared-fabric model. One instance per simulated machine. */
 class FlowNetwork
 {
   public:
     FlowNetwork(const Topology &topology, EventQueue &events);
     ~FlowNetwork();
-
-    /**
-     * Sets the worker-thread count for shard-batch processing
-     * (default 1 = inline on the driving thread). Simulated results
-     * are bit-identical for every value. Call before running; the
-     * pool is created lazily at the first parallel batch.
-     */
-    void setThreads(int threads);
-    int threads() const { return threads_; }
-
-    /**
-     * The shard-batch worker pool, created lazily from the threads()
-     * setting (null when the effective lane count is 1, e.g. after
-     * the hardware-concurrency cap). The interpreter's rank batches
-     * share this pool so one simThreads knob — and one
-     * SimThreadBudget lease — governs both layers' lanes.
-     */
-    SimWorkerPool *workerPool();
 
     /** Installs wall-clock phase accounting (null disables). */
     void setProfile(SimProfile *profile) { profile_ = profile; }
@@ -127,7 +97,7 @@ class FlowNetwork
 
     int activeFlows() const { return activeFlows_; }
 
-    /** Live shards (diagnostics: the parallelism grain). */
+    /** Live shards (diagnostics: the batching grain). */
     int activeShards() const { return activeShards_; }
 
     /** Total bytes delivered so far (conservation checks in tests). */
@@ -153,12 +123,7 @@ class FlowNetwork
         int nextFree = -1;
     };
 
-    /**
-     * One shard: a connected component of the flow/resource graph.
-     * All members are written either from the serial driving thread
-     * or from the single worker processing the shard in a batch's
-     * parallel phase — never both at once.
-     */
+    /** One shard: a connected component of the flow/resource graph. */
     struct Shard
     {
         /** Member flows (arena indices) in ascending FlowId order —
@@ -173,7 +138,7 @@ class FlowNetwork
         bool live = false;
         /** Lost flows since the last partition check. */
         bool membershipDirty = false;
-        /** Parallel-phase outputs, folded in by the serial phase: */
+        /** Per-shard phase outputs, folded in by the merge phase: */
         double settledBytes = 0.0;
         std::vector<std::function<void()>> done;
         std::vector<int> doneFlows;
@@ -198,17 +163,17 @@ class FlowNetwork
 
     /**
      * Splits a shard that lost flows back into connected components;
-     * reschedules each component's next update. Serial phase only.
+     * reschedules each component's next update. Merge phase only.
      */
     void partitionShard(int shard);
 
     /** Coalesces the shard's pending update event to @p when. */
     void scheduleShardUpdate(int shard, TimeNs when);
 
-    /** Parallel phase: settle, complete, recompute one shard. */
-    void shardParallel(int shard);
-    /** Serial phase: fold totals, free flows, repartition, requeue. */
-    void shardSerial(int shard);
+    /** Per-shard phase: settle, complete, recompute one shard. */
+    void shardLocal(int shard);
+    /** Merge phase: fold totals, free flows, repartition, requeue. */
+    void shardMerge(int shard);
     /** EventQueue batch entry point. */
     void runShardBatch(const std::vector<int> &batch);
 
@@ -238,8 +203,6 @@ class FlowNetwork
     std::vector<int> freeShards_;
     int activeShards_ = 0;
 
-    int threads_ = 1;
-    std::unique_ptr<SimWorkerPool> pool_;
     SimProfile *profile_ = nullptr;
 
     double delivered_ = 0.0;
@@ -267,12 +230,12 @@ class FlowNetwork
     /** Whether a resource is in its shard's touched list. */
     std::vector<char> inTouched_;
 
-    // Recompute scratch, indexed by resource. Parallel shards write
-    // disjoint entries (each resource has one owner).
+    // Recompute scratch, indexed by resource. Shards write disjoint
+    // entries (each resource has one owner).
     std::vector<double> remCap_;
     std::vector<int> usage_;
 
-    // Partition scratch (serial phase only).
+    // Partition scratch (merge phase only).
     std::vector<std::uint32_t> resEpoch_;
     std::vector<int> resOwner_;
     std::uint32_t epoch_ = 0;

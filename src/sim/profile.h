@@ -4,11 +4,10 @@
  * SimProfile instance is threaded (optionally) through the event
  * queue, the flow network, and the interpreter; each component
  * accumulates the host nanoseconds it spends in its phase so a bench
- * can print the Amdahl split — how much of a run is parallelizable
- * shard work versus the serial residue. All accumulation happens on
- * the driving thread (the batch runners time whole phases from
- * outside the worker pool), so plain fields suffice. When no profile
- * is installed the hot paths skip the clock reads entirely.
+ * can print where a run's wall clock went: event dispatch, per-shard
+ * work, or the merge phases between them. The simulation runs on one
+ * thread, so plain fields suffice. When no profile is installed the
+ * hot paths skip the clock reads entirely.
  */
 
 #ifndef MSCCLANG_SIM_PROFILE_H_
@@ -24,11 +23,11 @@ struct SimProfile
 {
     /** Serial event dispatch + shard-batch extraction (EventQueue). */
     std::int64_t eventQueueNs = 0;
-    /** Flow-network shard batches: parallel settle/recompute + merge. */
+    /** Flow-network shard batches: per-shard settle/recompute + merge. */
     std::int64_t flowNetworkNs = 0;
     /** Flow-completion callbacks (restaging interpreter work). */
     std::int64_t flowCallbacksNs = 0;
-    /** Interpreter rank-batch parallel phase. */
+    /** Interpreter rank-batch per-rank phase. */
     std::int64_t interpParallelNs = 0;
     /** Interpreter rank-batch serial merge phase. */
     std::int64_t interpMergeNs = 0;
@@ -36,8 +35,6 @@ struct SimProfile
     std::uint64_t serialEvents = 0;
     std::uint64_t flowBatches = 0;
     std::uint64_t interpBatches = 0;
-    /** Interpreter batches wide enough to use the worker pool. */
-    std::uint64_t interpPooledBatches = 0;
 
     void
     reset()

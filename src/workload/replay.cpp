@@ -91,7 +91,6 @@ class Replayer
         buildGraph();
         preflightPlans();
 
-        network_.setThreads(options_.simThreads);
         network_.setProfile(options_.profile);
         events_.setProfile(options_.profile);
         if (!storm_.events.empty())
@@ -271,7 +270,6 @@ class Replayer
         exec.watchdogTimeoutUs = options_.watchdogTimeoutUs;
         exec.watchdogNoProgressUs = options_.watchdogNoProgressUs;
         exec.faults = nullptr; // the storm is armed on the shared fabric
-        exec.simThreads = options_.simThreads;
         exec.profile = options_.profile;
 
         // Executions stay alive until the fabric drains: an aborted

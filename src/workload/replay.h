@@ -59,9 +59,6 @@ struct ReplayOptions
     double watchdogNoProgressUs = 250.0;
     double watchdogTimeoutUs = 0.0;
     int maxTilesPerChunk = 4;
-    /** Simulation worker threads; results are bit-identical at every
-     *  value (the determinism goldens pin this). */
-    int simThreads = 1;
     /** Availability threshold: an op is available when it completed
      *  within this multiple of its fault-free latency. */
     double sloMultiplier = 3.0;
@@ -126,8 +123,8 @@ struct ReplayResult
     /** Quarantine at the end of the replay (sorted). */
     std::vector<Link> quarantined;
 
-    /** FNV-1a over every op record and the fleet counters; stable
-     *  across simThreads counts and interpreter engines. */
+    /** FNV-1a over every op record and the fleet counters; the same
+     *  spec, storm and options always give the same value. */
     std::uint64_t fingerprint() const;
 };
 

@@ -150,15 +150,18 @@ TEST(Determinism, DataModeStatsAndBuffersAreBitIdentical)
     AlgoConfig cfg;
     cfg.protocol = Protocol::Simple;
     cfg.instances = 2;
-    IrProgram ir = compileProgram(*makeRingAllReduce(8, 2, cfg)).ir;
+    std::unique_ptr<Program> program = makeRingAllReduce(8, 2, cfg);
+    IrProgram ir = compileProgram(*program).ir;
     const std::uint64_t bytes = 256 << 10;
 
+    std::vector<std::vector<float>> inputs(8);
     auto run_once = [&](DataStore &store) {
         store.configure(ir, bytes);
         for (int r = 0; r < 8; r++) {
             std::vector<float> &in = store.input(r);
             for (size_t i = 0; i < in.size(); i++)
                 in[i] = static_cast<float>((r * 131 + i) % 97);
+            inputs[r] = in;
         }
         ExecOptions exec;
         exec.dataMode = true;
@@ -174,10 +177,16 @@ TEST(Determinism, DataModeStatsAndBuffersAreBitIdentical)
     EXPECT_EQ(a.endNs, b.endNs);
     EXPECT_EQ(a.messages, b.messages);
     EXPECT_EQ(a.wireBytes, b.wireBytes);
+    std::vector<std::vector<float>> outputs(8);
     for (int r = 0; r < 8; r++) {
         // Element-exact: reductions must run in the same order too.
         EXPECT_EQ(store_a.output(r), store_b.output(r)) << "rank " << r;
+        outputs[r] = store_a.buffer(r, BufferKind::Output, ir.inPlace);
     }
+    // And the buffers satisfy the collective's postcondition.
+    EXPECT_EQ(compareToReference(program->collective(), inputs, outputs,
+                                 ir.reduceOp),
+              "");
 }
 
 TEST(Determinism, TimingModeMatchesDataModeTimings)
@@ -208,217 +217,17 @@ TEST(Determinism, TimingModeMatchesDataModeTimings)
     EXPECT_EQ(t.wireBytes, d.wireBytes);
 }
 
-/** One timing-mode run with the given flow-network thread count. */
+/** One timing-mode run, optionally writing a trace file. */
 ExecStats
-runWithSimThreads(const Topology &topo, const IrProgram &ir,
-                  std::uint64_t bytes, int threads,
-                  const std::string &trace_path = std::string())
+runTiming(const Topology &topo, const IrProgram &ir, std::uint64_t bytes,
+          const std::string &trace_path = std::string())
 {
     ExecOptions exec;
     exec.bytesPerRank = bytes;
     exec.maxTilesPerChunk = 16;
     exec.launchOverheadUs = topo.params().kernelLaunchUs;
-    exec.simThreads = threads;
     exec.traceFile = trace_path;
     return runIr(topo, ir, exec);
-}
-
-/**
- * The parallel-simulation contract (DESIGN.md §11): the simulated
- * fingerprint is bit-identical at every thread count. Runs at one
- * thread as the reference, then at {2, 4, 8}; any divergence means a
- * shard batch leaked ordering into simulated time.
- */
-void
-expectSimThreadInvariant(const Topology &topo, const IrProgram &ir,
-                         std::uint64_t bytes)
-{
-    ExecStats ref = runWithSimThreads(topo, ir, bytes, 1);
-    for (int threads : { 2, 4, 8 }) {
-        ExecStats got = runWithSimThreads(topo, ir, bytes, threads);
-        EXPECT_EQ(ref.endNs, got.endNs) << "threads=" << threads;
-        EXPECT_EQ(ref.startNs, got.startNs) << "threads=" << threads;
-        EXPECT_EQ(ref.messages, got.messages)
-            << "threads=" << threads;
-        EXPECT_EQ(ref.wireBytes, got.wireBytes) // exact, not NEAR
-            << "threads=" << threads;
-    }
-}
-
-TEST(Determinism, SimThreadsInvariantAllReduce16)
-{
-    Topology topo = makeNdv4(2);
-    AlgoConfig cfg;
-    cfg.protocol = Protocol::LL128;
-    cfg.instances = 4;
-    IrProgram ir = compileProgram(*makeRingAllReduce(16, 4, cfg)).ir;
-    expectSimThreadInvariant(topo, ir, 1 << 20);
-}
-
-TEST(Determinism, SimThreadsInvariantAllGather16)
-{
-    Topology topo = makeNdv4(2);
-    AlgoConfig cfg;
-    cfg.protocol = Protocol::Simple;
-    cfg.instances = 2;
-    IrProgram ir = compileProgram(*makeRingAllGather(16, 2, cfg)).ir;
-    expectSimThreadInvariant(topo, ir, 256 << 10);
-}
-
-TEST(Determinism, SimThreadsInvariantAllToAll16)
-{
-    Topology topo = makeNdv4(2);
-    AlgoConfig cfg;
-    cfg.protocol = Protocol::Simple;
-    cfg.instances = 1;
-    IrProgram ir = compileProgram(*makeTwoStepAllToAll(2, 8, cfg)).ir;
-    expectSimThreadInvariant(topo, ir, 256 << 10);
-}
-
-TEST(Determinism, SimThreadsInvariantAllReduce64)
-{
-    Topology topo = makeNdv4(8);
-    AlgoConfig cfg;
-    cfg.protocol = Protocol::LL128;
-    cfg.instances = 2;
-    IrProgram ir = compileProgram(*makeRingAllReduce(64, 2, cfg)).ir;
-    expectSimThreadInvariant(topo, ir, 256 << 10);
-}
-
-TEST(Determinism, SimThreadsInvariantAllGather64)
-{
-    Topology topo = makeNdv4(8);
-    AlgoConfig cfg;
-    cfg.protocol = Protocol::Simple;
-    cfg.instances = 1;
-    IrProgram ir = compileProgram(*makeRingAllGather(64, 2, cfg)).ir;
-    expectSimThreadInvariant(topo, ir, 128 << 10);
-}
-
-TEST(Determinism, SimThreadsInvariantAllToAll64)
-{
-    Topology topo = makeNdv4(8);
-    AlgoConfig cfg;
-    cfg.protocol = Protocol::Simple;
-    cfg.instances = 1;
-    IrProgram ir = compileProgram(*makeTwoStepAllToAll(8, 8, cfg)).ir;
-    expectSimThreadInvariant(topo, ir, 64 << 10);
-}
-
-TEST(Determinism, SimThreadsInvariantTraceContent)
-{
-    // Stronger than the stats fingerprint: the full instruction
-    // timeline — every slice's begin and end timestamp — must be
-    // byte-identical across thread counts.
-    Topology topo = makeNdv4(2);
-    AlgoConfig cfg;
-    cfg.protocol = Protocol::LL128;
-    cfg.instances = 2;
-    IrProgram ir = compileProgram(*makeRingAllReduce(16, 2, cfg)).ir;
-    std::string path_1 = testing::tempPath("1.json");
-    std::string path_8 = testing::tempPath("8.json");
-    ExecStats a = runWithSimThreads(topo, ir, 1 << 20, 1, path_1);
-    ExecStats b = runWithSimThreads(topo, ir, 1 << 20, 8, path_8);
-    EXPECT_EQ(a.endNs, b.endNs);
-    std::string trace_1 = slurp(path_1);
-    std::string trace_8 = slurp(path_8);
-    EXPECT_FALSE(trace_1.empty());
-    EXPECT_EQ(trace_1, trace_8);
-    std::remove(path_1.c_str());
-    std::remove(path_8.c_str());
-}
-
-TEST(Determinism, SimThreadsInvariantWithActiveFaults)
-{
-    // Fault activation must fire at the same simulated timestamp no
-    // matter how the flow network is sharded or how many workers
-    // drain a batch: the schedule rides the serial event queue, and
-    // capacity mutation settles only the owning shard.
-    Topology topo = makeNdv4(2);
-    AlgoConfig cfg;
-    cfg.protocol = Protocol::Simple;
-    cfg.instances = 2;
-    IrProgram ir = compileProgram(*makeRingAllReduce(16, 2, cfg)).ir;
-    const std::uint64_t bytes = 1 << 20;
-
-    double healthy_us =
-        runWithSimThreads(topo, ir, bytes, 1).durationUs();
-    const Route &route = topo.route(0, 1);
-    ASSERT_FALSE(route.resources.empty());
-    FaultEvent degrade;
-    degrade.resource = route.resources.front();
-    degrade.kind = FaultKind::Degrade;
-    degrade.atUs = healthy_us * 0.3;
-    degrade.durationUs = healthy_us * 0.4;
-    degrade.factor = 0.05;
-    topo.setFaultSchedule(FaultSchedule{ { degrade } });
-
-    ExecStats ref = runWithSimThreads(topo, ir, bytes, 1);
-    EXPECT_FALSE(ref.aborted);
-    EXPECT_EQ(ref.faultsSeen, 1);
-    EXPECT_GT(ref.durationUs(), healthy_us); // the fault bit
-    for (int threads : { 2, 4, 8 }) {
-        ExecStats got = runWithSimThreads(topo, ir, bytes, threads);
-        EXPECT_EQ(ref.endNs, got.endNs) << "threads=" << threads;
-        EXPECT_EQ(ref.messages, got.messages)
-            << "threads=" << threads;
-        EXPECT_EQ(ref.wireBytes, got.wireBytes)
-            << "threads=" << threads;
-        EXPECT_EQ(ref.firedFaults, got.firedFaults)
-            << "threads=" << threads;
-        EXPECT_EQ(ref.faultsSeen, got.faultsSeen)
-            << "threads=" << threads;
-    }
-}
-
-TEST(Determinism, SimThreadsDataModeMatchesReference)
-{
-    // Real float data: each rank's reductions execute in the same
-    // per-rank order at every worker count, so output buffers are
-    // element-exact across thread counts — and they satisfy the
-    // collective's postcondition.
-    Topology topo = makeNdv4(1);
-    AlgoConfig cfg;
-    cfg.protocol = Protocol::Simple;
-    cfg.instances = 2;
-    std::unique_ptr<Program> program = makeRingAllReduce(8, 2, cfg);
-    IrProgram ir = compileProgram(*program).ir;
-    const std::uint64_t bytes = 256 << 10;
-
-    std::vector<std::vector<float>> inputs;
-    auto run_once = [&](DataStore &store, int threads) {
-        store.configure(ir, bytes);
-        inputs.assign(8, {});
-        for (int r = 0; r < 8; r++) {
-            std::vector<float> &in = store.input(r);
-            for (size_t i = 0; i < in.size(); i++)
-                in[i] = static_cast<float>((r * 131 + i) % 97);
-            inputs[r] = in;
-        }
-        ExecOptions exec;
-        exec.dataMode = true;
-        exec.bytesPerRank = bytes;
-        exec.maxTilesPerChunk = 16;
-        exec.launchOverheadUs = topo.params().kernelLaunchUs;
-        exec.simThreads = threads;
-        return runIr(topo, ir, exec, &store);
-    };
-
-    DataStore store_1, store_4;
-    ExecStats p1 = run_once(store_1, 1);
-    ExecStats p4 = run_once(store_4, 4);
-    EXPECT_EQ(p1.endNs, p4.endNs);
-    EXPECT_EQ(p1.messages, p4.messages);
-    std::vector<std::vector<float>> outputs(8);
-    for (int r = 0; r < 8; r++) {
-        outputs[r] = store_1.buffer(r, BufferKind::Output, ir.inPlace);
-        EXPECT_EQ(outputs[r],
-                  store_4.buffer(r, BufferKind::Output, ir.inPlace))
-            << "rank " << r;
-    }
-    EXPECT_EQ(compareToReference(program->collective(), inputs, outputs,
-                                 ir.reduceOp),
-              "");
 }
 
 std::uint64_t
@@ -431,7 +240,8 @@ doubleBits(double value)
 
 TEST(Determinism, SimulatedFingerprintsMatchGoldens)
 {
-    // Pinned simulated results of three collectives. endNs and
+    // Pinned simulated results of six collectives (16 and 64 ranks;
+    // ring allreduce, ring allgather and two-step alltoall). endNs and
     // messages are the values the retired serial interpreter produced,
     // so the rank-batched interpreter reproduces its timeline exactly;
     // wireBytes is a float sum folded rank by rank per batch, pinned
@@ -449,23 +259,37 @@ TEST(Determinism, SimulatedFingerprintsMatchGoldens)
     AlgoConfig ll128;
     ll128.protocol = Protocol::LL128;
     ll128.instances = 4;
+    AlgoConfig ll128x2;
+    ll128x2.protocol = Protocol::LL128;
+    ll128x2.instances = 2;
     AlgoConfig simple;
     simple.protocol = Protocol::Simple;
     simple.instances = 1;
+    AlgoConfig simplex2;
+    simplex2.protocol = Protocol::Simple;
+    simplex2.instances = 2;
     std::vector<Golden> goldens;
     goldens.push_back({ "ring_allreduce_16", makeNdv4(2),
                         compileProgram(*makeRingAllReduce(16, 4, ll128)).ir,
                         1 << 20, 302200, 1920, 0x4184dd1e0000002dull });
-    goldens.push_back({ "ring_allgather_64", makeNdv4(8),
-                        compileProgram(*makeRingAllGather(64, 2, simple)).ir,
-                        128 << 10, 680649, 4032, 0x41c2a45e5787861eull });
+    goldens.push_back({ "ring_allgather_16", makeNdv4(2),
+                        compileProgram(*makeRingAllGather(16, 2, simplex2)).ir,
+                        256 << 10, 227765, 480, 0x4191d36c65a5a5baull });
     goldens.push_back({ "twostep_alltoall_2x8", makeNdv4(2),
                         compileProgram(*makeTwoStepAllToAll(2, 8, simple)).ir,
                         256 << 10, 30641, 240, 0x415a3001e1e1e1ecull });
+    goldens.push_back({ "ring_allreduce_64", makeNdv4(8),
+                        compileProgram(*makeRingAllReduce(64, 2, ll128x2)).ir,
+                        256 << 10, 269264, 16128, 0x418cd0f8ccccd2f5ull });
+    goldens.push_back({ "ring_allgather_64", makeNdv4(8),
+                        compileProgram(*makeRingAllGather(64, 2, simple)).ir,
+                        128 << 10, 680649, 4032, 0x41c2a45e5787861eull });
+    goldens.push_back({ "twostep_alltoall_8x8", makeNdv4(8),
+                        compileProgram(*makeTwoStepAllToAll(8, 8, simple)).ir,
+                        64 << 10, 29340, 4032, 0x4170c7bc3c3c3c3full });
     for (const Golden &gold : goldens) {
         SCOPED_TRACE(gold.name);
-        ExecStats stats = runWithSimThreads(gold.topo, gold.ir,
-                                            gold.bytes, 1);
+        ExecStats stats = runTiming(gold.topo, gold.ir, gold.bytes);
         EXPECT_EQ(stats.endNs, gold.endNs);
         EXPECT_EQ(stats.messages, gold.messages);
         EXPECT_EQ(doubleBits(stats.wireBytes), gold.wireBytesBits)
@@ -474,8 +298,8 @@ TEST(Determinism, SimulatedFingerprintsMatchGoldens)
 }
 
 /**
- * One-thread fingerprint of the retired serial interpreter, recorded
- * for each program of the parallel-interpreter sweeps below.
+ * Fingerprint of the retired serial interpreter, recorded for each
+ * program of the rank-batched interpreter checks below.
  */
 struct SerialEngineFingerprint
 {
@@ -486,12 +310,11 @@ struct SerialEngineFingerprint
 };
 
 /**
- * The parallel-interpreter contract (DESIGN.md §13): the rank-batched
- * interpreter reproduces the serial interpreter it replaced — the
- * timestamps and message counts exactly, wireBytes up to
- * floating-point summation order (per-rank partial sums fold
- * rank-by-rank instead of accumulating in global event order) — and
- * its fingerprint is bit-identical at every simThreads count.
+ * The rank-batched interpreter contract (DESIGN.md §13): it
+ * reproduces the serial interpreter it replaced — the timestamps and
+ * message counts exactly, wireBytes up to floating-point summation
+ * order (per-rank partial sums fold rank-by-rank instead of
+ * accumulating in global event order).
  */
 void
 expectParallelInterpInvariant(const Topology &topo,
@@ -499,21 +322,12 @@ expectParallelInterpInvariant(const Topology &topo,
                               std::uint64_t bytes,
                               const SerialEngineFingerprint &serial)
 {
-    ExecStats ref = runWithSimThreads(topo, ir, bytes, 1);
+    ExecStats ref = runTiming(topo, ir, bytes);
     EXPECT_EQ(serial.endNs, ref.endNs) << "engine divergence";
     EXPECT_EQ(serial.startNs, ref.startNs);
     EXPECT_EQ(serial.messages, ref.messages);
     EXPECT_NEAR(serial.wireBytes, ref.wireBytes,
                 1e-6 * serial.wireBytes + 1e-3);
-    for (int threads : { 2, 4, 8 }) {
-        ExecStats got = runWithSimThreads(topo, ir, bytes, threads);
-        EXPECT_EQ(ref.endNs, got.endNs) << "threads=" << threads;
-        EXPECT_EQ(ref.startNs, got.startNs) << "threads=" << threads;
-        EXPECT_EQ(ref.messages, got.messages)
-            << "threads=" << threads;
-        EXPECT_EQ(ref.wireBytes, got.wireBytes) // exact, not NEAR
-            << "threads=" << threads;
-    }
 }
 
 TEST(Determinism, ParallelInterpInvariantAllReduce16)
@@ -586,30 +400,25 @@ TEST(Determinism, ParallelInterpTraceContentMatchesSerialEngine)
 {
     // The full instruction timeline is engine-independent: every
     // slice's begin/end timestamp is byte-identical to the serial
-    // interpreter's trace (pinned by its FNV-1a hash and length) at
-    // any thread count (writeTrace's canonical sort erases
-    // append-order differences).
+    // interpreter's trace (pinned by its FNV-1a hash and length;
+    // writeTrace's canonical sort erases append-order differences).
     Topology topo = makeNdv4(2);
     AlgoConfig cfg;
     cfg.protocol = Protocol::LL128;
     cfg.instances = 2;
     IrProgram ir = compileProgram(*makeRingAllReduce(16, 2, cfg)).ir;
-    for (int threads : { 1, 8 }) {
-        SCOPED_TRACE(threads);
-        std::string path =
-            testing::tempPath("pinterp_" + std::to_string(threads) + ".json");
-        runWithSimThreads(topo, ir, 1 << 20, threads, path);
-        std::string trace = slurp(path);
-        EXPECT_EQ(trace.size(), 92107u);
-        EXPECT_EQ(fnv1a(trace), 0x3e476cfc9356da45ull);
-        std::remove(path.c_str());
-    }
+    std::string path = testing::tempPath("pinterp.json");
+    runTiming(topo, ir, 1 << 20, path);
+    std::string trace = slurp(path);
+    EXPECT_EQ(trace.size(), 92107u);
+    EXPECT_EQ(fnv1a(trace), 0x3e476cfc9356da45ull);
+    std::remove(path.c_str());
 }
 
 TEST(Determinism, ParallelInterpInvariantWithActiveFaults)
 {
     // Fired-fault sets and post-fault timings match the serial
-    // interpreter's and survive every worker count.
+    // interpreter's.
     Topology topo = makeNdv4(2);
     AlgoConfig cfg;
     cfg.protocol = Protocol::Simple;
@@ -617,8 +426,7 @@ TEST(Determinism, ParallelInterpInvariantWithActiveFaults)
     IrProgram ir = compileProgram(*makeRingAllReduce(16, 2, cfg)).ir;
     const std::uint64_t bytes = 1 << 20;
 
-    double healthy_us =
-        runWithSimThreads(topo, ir, bytes, 1).durationUs();
+    double healthy_us = runTiming(topo, ir, bytes).durationUs();
     const Route &route = topo.route(0, 1);
     ASSERT_FALSE(route.resources.empty());
     FaultEvent degrade;
@@ -629,23 +437,12 @@ TEST(Determinism, ParallelInterpInvariantWithActiveFaults)
     degrade.factor = 0.05;
     topo.setFaultSchedule(FaultSchedule{ { degrade } });
 
-    ExecStats ref = runWithSimThreads(topo, ir, bytes, 1);
+    ExecStats ref = runTiming(topo, ir, bytes);
     EXPECT_FALSE(ref.aborted);
     EXPECT_EQ(ref.endNs, 176470); // the serial interpreter's
+    EXPECT_GT(ref.durationUs(), healthy_us); // the fault bit
     EXPECT_EQ(ref.firedFaults, std::vector<int>{ 0 });
     EXPECT_EQ(ref.faultsSeen, 1);
-    for (int threads : { 2, 4, 8 }) {
-        ExecStats got = runWithSimThreads(topo, ir, bytes, threads);
-        EXPECT_EQ(ref.endNs, got.endNs) << "threads=" << threads;
-        EXPECT_EQ(ref.messages, got.messages)
-            << "threads=" << threads;
-        EXPECT_EQ(ref.wireBytes, got.wireBytes)
-            << "threads=" << threads;
-        EXPECT_EQ(ref.firedFaults, got.firedFaults)
-            << "threads=" << threads;
-        EXPECT_EQ(ref.faultsSeen, got.faultsSeen)
-            << "threads=" << threads;
-    }
 }
 
 TEST(Determinism, TunerWindowsIndependentOfThreadCount)
@@ -954,8 +751,11 @@ TEST(Determinism, WorkloadReplayInvariantAcrossThreads)
 {
     // A stormed multi-stream replay — retries, backoff jitter,
     // quarantine churn and all — must produce the identical op-level
-    // fingerprint at every simThreads count. This pins the whole
-    // recovery stack, not just one kernel's timing.
+    // fingerprint whether it runs alone or beside other replays on
+    // concurrent host threads (as the tuner and search sweeps run
+    // simulations): no simulation may share mutable state with
+    // another. This pins the whole recovery stack, not just one
+    // kernel's timing.
     Topology topo = parseTopology("generic:2:4");
     WorkloadSpec spec = mergeSpecs(
         "det", { makeDecodeWorkload(4, 512 * 1024, 300.0, 3),
@@ -963,22 +763,30 @@ TEST(Determinism, WorkloadReplayInvariantAcrossThreads)
     FaultSchedule storm = makeLinkFlapStorm(
         resourcesMatching(topo, "ib-send[0.3]"), 3, 700.0, 500.0,
         150.0);
-
-    std::uint64_t reference = 0;
-    for (int threads : { 1, 2, 4, 8 }) {
-        SCOPED_TRACE(threads);
+    auto replay_once = [&](int *faults_fired) {
         Communicator comm(topo);
         registerWorkloadPlans(comm, spec);
-        ReplayOptions options;
-        options.simThreads = threads;
-        ReplayResult replay = replayWorkload(comm, spec, storm, options);
-        if (threads == 1) {
-            reference = replay.fingerprint();
-            EXPECT_GT(replay.faultsFired, 0)
-                << "the storm must actually hit the traffic";
-        } else {
-            EXPECT_EQ(replay.fingerprint(), reference);
-        }
+        ReplayResult replay =
+            replayWorkload(comm, spec, storm, ReplayOptions{});
+        *faults_fired = replay.faultsFired;
+        return replay.fingerprint();
+    };
+
+    int faults_fired = 0;
+    std::uint64_t reference = replay_once(&faults_fired);
+    EXPECT_GT(faults_fired, 0) << "the storm must actually hit the traffic";
+
+    constexpr int kConcurrent = 4;
+    std::vector<std::uint64_t> got(kConcurrent, 0);
+    std::vector<int> fired(kConcurrent, 0);
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kConcurrent; t++)
+        workers.emplace_back([&, t] { got[t] = replay_once(&fired[t]); });
+    for (std::thread &worker : workers)
+        worker.join();
+    for (int t = 0; t < kConcurrent; t++) {
+        EXPECT_EQ(got[t], reference) << "thread " << t;
+        EXPECT_EQ(fired[t], faults_fired) << "thread " << t;
     }
 }
 

@@ -3,8 +3,8 @@
  * Tests for the schedule-space search layer (src/search): label
  * derivation, candidate enumeration, pareto pruning, window
  * installation, the hand-tuned acceptance baseline, determinism
- * across thread counts, and the SimThreadBudget lease the sweep
- * holds its tokens through.
+ * across thread counts, and error propagation out of the sweep's
+ * worker threads.
  */
 
 #include <algorithm>
@@ -16,7 +16,6 @@
 #include "compiler/plan_cache.h"
 #include "runtime/communicator.h"
 #include "search/search.h"
-#include "sim/worker_pool.h"
 
 namespace mscclang {
 namespace {
@@ -264,10 +263,8 @@ TEST(Search, ByteIdenticalAcrossSeedsAndThreadCounts)
     options.maxCandidates = 9; // make the seeded subsample bite
     options.seed = 99;
 
-    options.simThreads = 1;
     options.threads = 1;
     SearchResult serial = searchSchedules(topo, "allreduce", options);
-    options.simThreads = 4;
     options.threads = 4;
     SearchResult threaded =
         searchSchedules(topo, "allreduce", options);
@@ -406,66 +403,36 @@ TEST(Search, ReportsAreWellFormed)
     EXPECT_EQ(lines, result.evaluated.size() + 1); // header + rows
 }
 
-TEST(SimThreadLease, ReleasesOnThrowDuringSweep)
+TEST(Search, ThrowingSweepLeavesLaterSweepsWorking)
 {
-    // Satellite 3's regression: a simulation throwing mid-sweep must
-    // not leak budget tokens. The mismatched IR (8 ranks on a
-    // 4-rank machine) makes every sweep worker throw after the lease
-    // is held.
+    // A simulation throwing mid-sweep must surface as an Error on
+    // the caller once every worker has stopped, and must leave
+    // nothing behind that breaks the next sweep. The mismatched IR
+    // (8 ranks on a 4-rank machine) makes every sweep worker throw.
     Topology topo4 = makeGeneric(1, 4);
     Topology topo8 = makeNdv4(1);
     ScheduleCandidate spec;
     spec.family = AlgoFamily::Ring;
     IrProgram wrong =
         compileProgramCached(*buildCandidate(spec, topo8)).ir;
+    IrProgram right =
+        compileProgramCached(*buildCandidate(spec, topo4)).ir;
 
-    int before = SimThreadBudget::available();
-    ASSERT_EQ(before, SimThreadBudget::capacity());
-    std::vector<const IrProgram *> pointers{ &wrong };
-    std::vector<std::uint64_t> sizes{ 1 << 20, 2 << 20 };
+    std::vector<std::uint64_t> sizes{ 1 << 20, 2 << 20, 4 << 20,
+                                      8 << 20 };
     TuneOptions options;
     options.threads = 4;
-    options.simThreads = 2;
-    EXPECT_THROW(
-        sweepCandidateTimesUs(topo4, pointers, sizes, options), Error);
-    // Every token is back: the full budget re-acquires.
-    EXPECT_EQ(SimThreadBudget::available(), before);
-    SimThreadLease all(before + 16);
-    EXPECT_EQ(all.granted(), before);
-}
+    std::vector<const IrProgram *> bad{ &wrong, &wrong };
+    EXPECT_THROW(sweepCandidateTimesUs(topo4, bad, sizes, options),
+                 Error);
 
-TEST(SimThreadLease, RaiiDrainAndReacquire)
-{
-    int capacity = SimThreadBudget::capacity();
-    ASSERT_EQ(SimThreadBudget::available(), capacity);
-    try {
-        SimThreadLease lease(capacity + 8); // drain the whole pool
-        EXPECT_EQ(lease.granted(), capacity);
-        EXPECT_EQ(SimThreadBudget::available(), 0);
-        throw RuntimeError("forced");
-    } catch (const RuntimeError &) {
-    }
-    // The throw unwound the lease: the full budget is available and
-    // can be re-acquired.
-    EXPECT_EQ(SimThreadBudget::available(), capacity);
-    {
-        SimThreadLease again(capacity);
-        EXPECT_EQ(again.granted(), capacity);
-    }
-    EXPECT_EQ(SimThreadBudget::available(), capacity);
-
-    // Move semantics: the grant travels, never double-releases.
-    {
-        SimThreadLease source(capacity);
-        SimThreadLease sink(std::move(source));
-        EXPECT_EQ(source.granted(), 0);
-        EXPECT_EQ(sink.granted(), capacity);
-        SimThreadLease assigned;
-        assigned = std::move(sink);
-        EXPECT_EQ(sink.granted(), 0);
-        EXPECT_EQ(assigned.granted(), capacity);
-    }
-    EXPECT_EQ(SimThreadBudget::available(), capacity);
+    std::vector<const IrProgram *> good{ &right };
+    std::vector<std::vector<double>> times =
+        sweepCandidateTimesUs(topo4, good, sizes, options);
+    ASSERT_EQ(times.size(), 1u);
+    ASSERT_EQ(times[0].size(), sizes.size());
+    for (double us : times[0])
+        EXPECT_GT(us, 0.0);
 }
 
 } // namespace

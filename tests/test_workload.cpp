@@ -436,27 +436,6 @@ TEST(Replay, NoPlanSourceThrowsBeforeTheSimStarts)
                  RuntimeError);
 }
 
-TEST(Replay, FingerprintInvariantAcrossSimThreads)
-{
-    WorkloadSpec spec = smallSpec(3, 256 * 1024);
-    std::vector<ResourceId> targets = resourcesMatching(
-        parseTopology("generic:2:2"), "ib-send[0.1]");
-    FaultSchedule storm =
-        makeLinkFlapStorm(targets, 2, 500.0, 300.0, 60.0);
-    std::uint64_t reference = 0;
-    for (int threads : { 1, 4 }) {
-        Fixture fx(spec);
-        ReplayOptions options = fastOptions();
-        options.simThreads = threads;
-        ReplayResult replay =
-            replayWorkload(fx.comm, spec, storm, options);
-        if (threads == 1)
-            reference = replay.fingerprint();
-        else
-            EXPECT_EQ(replay.fingerprint(), reference);
-    }
-}
-
 // ---------------------------------------------------------------------
 // Slo suite: aggregation math and report emission.
 // ---------------------------------------------------------------------

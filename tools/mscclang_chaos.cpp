@@ -59,8 +59,6 @@ usage()
         "                     ('-' for stdout)\n"
         "  --data             move real floats (slower, validates "
         "buffers)\n"
-        "  --sim-threads <n>  simulation worker threads (default 1;\n"
-        "                     same matrix at any count)\n"
         "  --profile          print a wall-clock phase breakdown of\n"
         "                     the whole sweep after the matrix\n");
 }
@@ -118,7 +116,6 @@ main(int argc, char **argv)
     std::uint64_t seed = 1;
     std::string csv_path;
     bool data_mode = false;
-    int sim_threads = 1;
     bool profile_on = false;
     for (int i = 1; i < argc; i++) {
         std::string flag = argv[i];
@@ -146,8 +143,6 @@ main(int argc, char **argv)
                 seed = std::stoull(value());
             else if (flag == "--csv") csv_path = value();
             else if (flag == "--data") data_mode = true;
-            else if (flag == "--sim-threads")
-                sim_threads = std::stoi(value());
             else if (flag == "--profile") profile_on = true;
             else if (flag == "--help" || flag == "-h") {
                 usage();
@@ -269,7 +264,6 @@ main(int argc, char **argv)
                 RunOptions run;
                 run.bytes = bytes;
                 run.dataMode = data_mode;
-                run.simThreads = sim_threads;
                 run.profile = profile_on ? &profile : nullptr;
                 run.watchdogNoProgressUs =
                     std::max(200.0, healthy_us);
@@ -324,8 +318,7 @@ main(int argc, char **argv)
                 "  event queue     %10.1f us  (%llu serial events)\n"
                 "  flow network    %10.1f us  (%llu batches)\n"
                 "  flow callbacks  %10.1f us\n"
-                "  interp parallel %10.1f us  (%llu batches, "
-                "%llu pooled)\n"
+                "  interp per-rank %10.1f us  (%llu batches)\n"
                 "  interp merge    %10.1f us\n",
                 us(profile.eventQueueNs),
                 static_cast<unsigned long long>(profile.serialEvents),
@@ -334,8 +327,6 @@ main(int argc, char **argv)
                 us(profile.flowCallbacksNs),
                 us(profile.interpParallelNs),
                 static_cast<unsigned long long>(profile.interpBatches),
-                static_cast<unsigned long long>(
-                    profile.interpPooledBatches),
                 us(profile.interpMergeNs));
         }
 

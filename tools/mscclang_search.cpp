@@ -8,8 +8,11 @@
  * pick per-size winners" workflow.
  *
  * Deterministic: the same --seed, machine and knob lists produce
- * byte-identical --json/--csv output at any --threads/--sim-threads
- * setting.
+ * byte-identical --json/--csv output at any --threads setting.
+ *
+ * Numeric options are parsed strictly: a value that is not a whole
+ * non-negative integer in range is an error (exit 2), never a silent
+ * 0 or a wrapped huge number.
  *
  * Examples:
  *   mscclang_search
@@ -24,6 +27,8 @@
  * hand-written baseline.
  */
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -57,8 +62,6 @@ usage()
         "  --to <size>           sweep end (default 64MB)\n"
         "  --threads <n>         sweep worker threads (default: "
         "hardware)\n"
-        "  --sim-threads <n>     worker threads inside each simulation "
-        "(default 1)\n"
         "  --seed <n>            subsample seed (default 0x5eed)\n"
         "  --max-candidates <n>  cap on evaluated candidates "
         "(0 = all)\n"
@@ -71,6 +74,39 @@ usage()
         "('-' for stdout)\n"
         "  --smoke               compact space + hand-tuned baseline "
         "gate\n");
+}
+
+/** A malformed option value: reported as a usage error (exit 2). */
+class BadValue : public Error
+{
+  public:
+    explicit BadValue(const std::string &what) : Error(what) {}
+};
+
+/**
+ * Parses the whole of @p text as an unsigned integer in [0, @p max]
+ * (base as for strtoull). A sign, a leading space, trailing junk, an
+ * empty token or an out-of-range value throws BadValue naming @p flag.
+ */
+std::uint64_t
+parseCount(const std::string &flag, const std::string &text,
+           std::uint64_t max, int base = 10)
+{
+    bool ok = !text.empty() &&
+        std::isdigit(static_cast<unsigned char>(text[0]));
+    std::uint64_t value = 0;
+    if (ok) {
+        char *end = nullptr;
+        errno = 0;
+        value = std::strtoull(text.c_str(), &end, base);
+        ok = *end == '\0' && errno != ERANGE && value <= max;
+    }
+    if (!ok) {
+        throw BadValue(strprintf(
+            "%s: '%s' is not an integer in [0, %llu]", flag.c_str(),
+            text.c_str(), static_cast<unsigned long long>(max)));
+    }
+    return value;
 }
 
 void
@@ -129,7 +165,6 @@ checkAgainstHandTuned(const Topology &topology,
     TuneOptions topts;
     topts.maxTilesPerChunk = options.maxTilesPerChunk;
     topts.threads = options.threads;
-    topts.simThreads = options.simThreads;
     std::vector<std::vector<double>> hand_times =
         sweepCandidateTimesUs(topology, pointers, result.sizes, topts);
 
@@ -184,25 +219,26 @@ main(int argc, char **argv)
             } else if (arg == "--to") {
                 options.toBytes = parseBytes(value());
             } else if (arg == "--threads") {
-                options.threads = std::atoi(value().c_str());
-            } else if (arg == "--sim-threads") {
-                options.simThreads = std::atoi(value().c_str());
+                options.threads = static_cast<int>(parseCount(
+                    arg, value(), std::numeric_limits<int>::max()));
             } else if (arg == "--seed") {
-                options.seed = std::strtoull(value().c_str(),
-                                             nullptr, 0);
+                options.seed = parseCount(
+                    arg, value(),
+                    std::numeric_limits<std::uint64_t>::max(), 0);
             } else if (arg == "--max-candidates") {
-                options.maxCandidates = static_cast<std::size_t>(
-                    std::strtoull(value().c_str(), nullptr, 0));
+                options.maxCandidates =
+                    static_cast<std::size_t>(parseCount(
+                        arg, value(),
+                        std::numeric_limits<std::size_t>::max()));
             } else if (arg == "--hier-splits") {
                 options.hierSplits.clear();
                 for (const std::string &tok :
                      splitString(value(), ',')) {
                     options.hierSplits.push_back(
-                        std::atoi(tok.c_str()));
+                        static_cast<int>(parseCount(
+                            arg, tok,
+                            std::numeric_limits<int>::max())));
                 }
-                if (options.hierSplits.empty())
-                    throw Error("--hier-splits needs at least one "
-                                "value");
             } else if (arg == "--json") {
                 json_path = value();
             } else if (arg == "--csv") {
@@ -289,7 +325,6 @@ main(int argc, char **argv)
             multi.fromBytes = 64 << 10;
             multi.toBytes = 4 << 20;
             multi.threads = options.threads;
-            multi.simThreads = options.simThreads;
             Topology two_node = parseTopology("generic:2:4");
             SearchResult mresult =
                 searchSchedules(two_node, "allreduce", multi);
@@ -312,6 +347,9 @@ main(int argc, char **argv)
                         mresult.windows.size());
         }
         return 0;
+    } catch (const BadValue &error) {
+        std::fprintf(stderr, "mscclang_search: %s\n", error.what());
+        return 2;
     } catch (const Error &error) {
         std::fprintf(stderr, "mscclang_search: %s\n", error.what());
         return 1;

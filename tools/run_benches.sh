@@ -17,18 +17,15 @@ cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" --target sim_throughput compiler_scaling \
     mscclang_search_cli mscclang_replay -j"$(nproc)"
 
-# Sweep both scaling axes: rank counts stress the sharded flow
-# network's partition fan-out and the interpreter's rank batches,
-# thread counts their shared worker pool. --profile adds the
-# wall-clock phase breakdown (event queue / flow network / interp
-# parallel / interp merge) to every row; host_cpus in the JSON says
-# how many real cores the thread axis had to work with. The frozen
-# seed and global-recompute baselines inside the JSON are unaffected
-# by the sweep arguments.
+# Sweep the rank axis: rank counts stress the sharded flow network's
+# partition fan-out and the interpreter's rank batches. --profile adds
+# the wall-clock phase breakdown (event queue / flow network / interp
+# per-rank / interp merge) to every row; host_cpus in the JSON records
+# the host. The frozen seed and global-recompute baselines inside the
+# JSON are unaffected by the sweep arguments.
 SIM_RANKS="${SIM_RANKS:-16,64,128}"
-SIM_THREADS="${SIM_THREADS:-1,2,4,8}"
 "$BUILD_DIR/bench/sim_throughput" --json BENCH_sim.json \
-    --ranks "$SIM_RANKS" --threads "$SIM_THREADS" --profile
+    --ranks "$SIM_RANKS" --profile
 echo "wrote $(pwd)/BENCH_sim.json"
 
 # --big-ranks (opt-in: BIG_RANKS=1) extends the compile record with
@@ -55,9 +52,8 @@ echo "wrote $(pwd)/BENCH_search.json"
 # (3 concurrent streams) replayed over the 16-rank two-node machine
 # under a node-boundary link-flap storm, healing on versus off
 # against the same fault-free baseline. Deterministic — the JSON is
-# byte-identical at every simThreads count (tools/mscclang_replay
-# --smoke gates that), so a diff of this record is always a real
-# behaviour change.
+# byte-identical on every run (tools/mscclang_replay --smoke gates
+# that), so a diff of this record is always a real behaviour change.
 "$BUILD_DIR/tools/mscclang_replay" --machine generic:2:8 \
     --workload mixed --storm flap --healing both \
     --json BENCH_workload.json > /dev/null

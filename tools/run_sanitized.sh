@@ -19,24 +19,17 @@
 #
 # With --tsan, builds a third tree with ThreadSanitizer instead
 # (-DMSCCLANG_TSAN=ON; TSan cannot link with ASan) and runs the
-# suites that actually spin threads: the flow network's shard batch
-# workers (Sim), the interpreter's rank batches under the simThreads
-# determinism sweeps and the abort path (Determinism, Watchdog), the
-# fault path that mutates capacities between batches (Faults), the
-# schedule search's budget-leased sweep worker pool (Search,
-# SimThreadLease), and the race verifier's
-# lock-free union-find contraction plus its differential engine
-# sweeps (UnionFind, Hierarchical), and the plan cache's memoized
-# program fingerprint under concurrent compiles of one program
-# (PlanCache). TSan runs export
-# MSCCLANG_SIM_THREADS_UNCAPPED=1 so the worker pools spin real
-# threads — and real interleavings — even on a small CI host where
-# the hardware-concurrency cap would otherwise collapse every pool
-# to inline execution.
+# suites that still start threads (the simulator itself is
+# single-threaded): the schedule search's and the tuner's sweep
+# workers, each running independent simulations (Search, Tuner), the
+# race verifier's thread pool (Races), its lock-free union-find
+# contraction plus its differential engine sweeps (UnionFind,
+# Hierarchical), and the plan cache's memoized program fingerprint
+# under concurrent compiles of one program (PlanCache).
 # Registered as the "tsan" ctest configuration (ctest -C tsan).
 #
 # Every mode finishes with a flake check: the suites that write
-# scratch files and spin simulation threads (Determinism, Faults,
+# scratch files and start sweep threads (Determinism, Faults,
 # Tuner) rerun five times as concurrent ctest processes (-j8), so
 # a test sharing state with another test process fails the run.
 #
@@ -57,11 +50,11 @@ fi
 if [[ "$TSAN" == "1" ]]; then
     BUILD_DIR="${BUILD_DIR:-build-tsan}"
     SANITIZE_FLAG="-DMSCCLANG_TSAN=ON"
-    FILTER="${1:-Sim|Determinism|Faults|Watchdog|Search|SimThreadLease|Replay|Hierarchical|UnionFind|PlanCache}"
+    FILTER="${1:-Search|Tuner|Races|UnionFind|Hierarchical|PlanCache}"
 else
     BUILD_DIR="${BUILD_DIR:-build-asan}"
     SANITIZE_FLAG="-DMSCCLANG_SANITIZE=ON"
-    FILTER="${1:-Faults|Watchdog|Communicator|Interpreter|EventQueue|Flow|Recovery|Health|PlanCache|Determinism|Races|Search|SimThreadLease|Workload|Replay|Slo|Hierarchical|UnionFind}"
+    FILTER="${1:-Faults|Watchdog|Communicator|Interpreter|EventQueue|Flow|Recovery|Health|PlanCache|Determinism|Races|Search|Workload|Replay|Slo|Hierarchical|UnionFind}"
 fi
 
 cmake -B "$BUILD_DIR" -S . "$SANITIZE_FLAG" \
@@ -73,9 +66,6 @@ cmake --build "$BUILD_DIR" --target test_faults test_interpreter \
 
 if [[ "$TSAN" == "1" ]]; then
     export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
-    # Real threads even on tiny hosts: the point of the TSan run is
-    # cross-thread interleavings, not wall-clock speed.
-    export MSCCLANG_SIM_THREADS_UNCAPPED=1
 else
     export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}"
     export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}"
