@@ -114,13 +114,16 @@ struct Cell
     double coldMs;
     double warmMs;
     double seedColdMs;
+    /** Per-phase times of the cold compile (big cells only). */
+    CompileStats coldStats = {};
 };
 
 /**
  * Multi-node scaling cells (--big-ranks): verify-on cold and warm
  * compiles at 64..1024 ranks for the flat ring and the hierarchical
  * allreduce (8-GPU nodes). No frozen seed here — the seed compiler
- * rejected these sizes outright — so the cells carry raw latencies.
+ * rejected these sizes outright — so the cells carry raw latencies,
+ * plus the lower/fuse/schedule/verify split of the cold compile.
  */
 constexpr int kBigRankSteps[5] = { 64, 128, 256, 512, 1024 };
 
@@ -214,16 +217,19 @@ main(int argc, char **argv)
                                      "hierarchical_allreduce" };
         std::printf("# --big-ranks — verify-on compiles at scale "
                     "(single samples)\n");
-        std::printf("%-22s %5s %10s %10s\n", "collective", "ranks",
-                    "cold_ms", "warm_ms");
+        std::printf("%-22s %5s %10s %10s %9s %9s %9s %9s\n",
+                    "collective", "ranks", "cold_ms", "warm_ms",
+                    "lower_ms", "fuse_ms", "sched_ms", "verify_ms");
         for (int c = 0; c < 2; c++) {
             for (int ranks : kBigRankSteps) {
                 CompileOptions copts; // verify defaults on
+                CompileStats phases;
                 double cold = minBatchMs(1, 1, [&] {
                     auto prog = makeBigProgram(c, ranks);
                     Compiled out = compileProgram(*prog, copts);
                     if (out.ir.numRanks != ranks)
                         std::abort();
+                    phases = out.stats;
                 });
                 PlanCache cache(4);
                 auto warm_prog = makeBigProgram(c, ranks);
@@ -236,9 +242,12 @@ main(int argc, char **argv)
                 if (cache.hits() == 0)
                     std::abort();
                 big_cells.push_back(Cell{ big_names[c], ranks, true,
-                                          cold, warm, 0.0 });
-                std::printf("%-22s %5d %10.1f %10.4f\n", big_names[c],
-                            ranks, cold, warm);
+                                          cold, warm, 0.0, phases });
+                std::printf("%-22s %5d %10.1f %10.4f %9.1f %9.1f %9.1f "
+                            "%9.1f\n", big_names[c], ranks, cold, warm,
+                            phases.lowerNs / 1e6, phases.fuseNs / 1e6,
+                            phases.scheduleNs / 1e6,
+                            phases.verifyNs / 1e6);
             }
         }
     }
@@ -307,11 +316,16 @@ main(int argc, char **argv)
         std::fprintf(f, "  ],\n  \"big_cells\": [\n");
         for (size_t i = 0; i < big_cells.size(); i++) {
             const Cell &cell = big_cells[i];
+            const CompileStats &phases = cell.coldStats;
             std::fprintf(f,
                 "    {\"collective\": \"%s\", \"ranks\": %d, "
                 "\"verify\": true, \"cold_ms\": %.4f, "
-                "\"warm_ms\": %.4f}%s\n",
+                "\"warm_ms\": %.4f, \"lower_ms\": %.2f, "
+                "\"fuse_ms\": %.2f, \"schedule_ms\": %.2f, "
+                "\"verify_ms\": %.2f}%s\n",
                 cell.collective, cell.ranks, cell.coldMs, cell.warmMs,
+                phases.lowerNs / 1e6, phases.fuseNs / 1e6,
+                phases.scheduleNs / 1e6, phases.verifyNs / 1e6,
                 i + 1 < big_cells.size() ? "," : "");
         }
         std::fprintf(f,

@@ -1,19 +1,38 @@
 #include "compiler/compiler.h"
 
+#include <chrono>
+
 #include "common/error.h"
 #include "common/strings.h"
 #include "compiler/verifier.h"
 
 namespace mscclang {
 
-Compiled
-compileProgram(const Program &program, const CompileOptions &options)
-{
-    Compiled out;
-    out.stats.traceOps = static_cast<int>(program.ops().size());
+namespace {
 
+using Clock = std::chrono::steady_clock;
+
+std::int64_t
+nsSince(Clock::time_point start)
+{
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               Clock::now() - start)
+        .count();
+}
+
+/**
+ * Lowers, fuses and schedules @p program, filling the matching
+ * fields of @p stats. The instruction graph is dead once scheduled,
+ * so it is freed here, before verification allocates.
+ */
+IrProgram
+buildIr(const Program &program, const CompileOptions &options,
+        CompileStats &stats)
+{
+    Clock::time_point start = Clock::now();
     InstrGraph graph = lowerProgram(program);
-    out.stats.instrsBeforeFusion = graph.numLive();
+    stats.lowerNs = nsSince(start);
+    stats.instrsBeforeFusion = graph.numLive();
 
     if (options.topology != nullptr) {
         const Topology &topo = *options.topology;
@@ -34,15 +53,33 @@ compileProgram(const Program &program, const CompileOptions &options)
         }
     }
 
-    if (options.fuse)
-        out.stats.fusion = fuseInstructions(graph);
-    out.stats.instrsAfterFusion = graph.numLive();
+    if (options.fuse) {
+        start = Clock::now();
+        stats.fusion = fuseInstructions(graph);
+        stats.fuseNs = nsSince(start);
+    }
+    stats.instrsAfterFusion = graph.numLive();
 
     ScheduleOptions sched;
     sched.maxThreadBlocks = options.maxThreadBlocks;
     sched.topology = options.topology;
-    out.ir = scheduleProgram(program, graph, sched);
+    // The schedule's witness order must hold at the slot count the
+    // verifier checks it against.
+    sched.slots = options.verifySlots;
+    start = Clock::now();
+    IrProgram ir = scheduleProgram(program, graph, sched);
+    stats.scheduleNs = nsSince(start);
+    return ir;
+}
 
+} // namespace
+
+Compiled
+compileProgram(const Program &program, const CompileOptions &options)
+{
+    Compiled out;
+    out.stats.traceOps = static_cast<int>(program.ops().size());
+    out.ir = buildIr(program, options, out.stats);
     out.stats.channels = out.ir.numChannels();
     out.stats.maxThreadBlocks = out.ir.maxThreadBlocks();
     out.stats.totalInstructions = out.ir.totalInstructions();
@@ -50,7 +87,9 @@ compileProgram(const Program &program, const CompileOptions &options)
     if (options.verify) {
         VerifyOptions verify;
         verify.slots = options.verifySlots;
+        Clock::time_point start = Clock::now();
         verifyIr(out.ir, program.collective(), verify);
+        out.stats.verifyNs = nsSince(start);
     }
     return out;
 }

@@ -8,6 +8,8 @@
 #ifndef MSCCLANG_COMPILER_COMPILER_H_
 #define MSCCLANG_COMPILER_COMPILER_H_
 
+#include <cstdint>
+
 #include "compiler/instr_graph.h"
 #include "compiler/schedule.h"
 #include "dsl/program.h"
@@ -49,6 +51,12 @@ struct CompileStats
     int channels = 0;
     int maxThreadBlocks = 0;
     int totalInstructions = 0;
+    /** Wall time of each compile phase in ns (0 when the phase did
+     *  not run: fuse = false, verify = false). */
+    std::int64_t lowerNs = 0;
+    std::int64_t fuseNs = 0;
+    std::int64_t scheduleNs = 0;
+    std::int64_t verifyNs = 0;
 };
 
 /** Compilation result. */

@@ -59,11 +59,9 @@ struct InstrNode
     /** False after the node is absorbed by instruction fusion. */
     bool live = true;
 
-    /** Scheduling results. */
+    /** Longest path from a root / to a leaf (computeDepths). */
     int depth = 0;
     int rdepth = 0;
-    int tb = -1;
-    int step = -1;
 
     bool receives() const { return irOpReceives(op); }
     bool sends() const { return irOpSends(op); }

@@ -80,7 +80,7 @@ class PlanCache
      * byte-identical (same toXml()) to what compileProgram() would
      * produce; memory hits also return the original CompileStats,
      * while disk hits reconstruct the stats fields derivable from
-     * the IR and zero the trace/fusion counters.
+     * the IR and zero the trace/fusion counters and phase times.
      */
     Compiled compile(const Program &program,
                      const CompileOptions &options = {});

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <queue>
 #include <tuple>
-#include <unordered_map>
 
 #include "common/error.h"
 #include "common/strings.h"
@@ -15,114 +15,411 @@ namespace mscclang {
 namespace {
 
 /**
- * Packed integer keys for the scheduler's hash maps: ranks get
- * 21 bits, channels up to 22. Node ids are never packed — graph size
- * is bounded only by memory, which thousand-rank compiles need.
+ * Compact view of the fused graph's live nodes, built once per
+ * schedule; every pass below runs on it instead of the node slots,
+ * half of which fusion left dead. Dense index d names the d-th live
+ * node in ascending id order, so comparing dense indices compares
+ * node ids and every id-order tie-break carries over unchanged.
  */
-constexpr int kFieldBits = 21;
-
-/** (channel, peer) ownership key; peer must be >= 0. */
-std::uint64_t
-ownerKey(int channel, Rank peer)
+struct LiveView
 {
-    return (std::uint64_t(channel) << kFieldBits) | std::uint64_t(peer);
-}
+    /** Dense index -> node id, ascending. */
+    std::vector<int> ids;
+    /** Per dense node, copied from the graph so that only emission
+     *  reads node slots out of id order. io: bit 0 sends, bit 1
+     *  receives. */
+    std::vector<Rank> rank, sendPeer, recvPeer;
+    std::vector<std::uint8_t> io;
+    std::vector<int> opId, chanDirective;
+    /** Channel chosen by assignChannels (-1 for local nodes). */
+    std::vector<int> channel;
+    /** CSR of live processing successors: succs[succBegin[d]..). */
+    std::vector<int> succBegin;
+    std::vector<int> succs;
+    /** Live communication successor / predecessor (-1 none). */
+    std::vector<int> commSucc;
+    std::vector<int> commPred;
+    /** Live processing predecessors plus the comm predecessor. */
+    std::vector<int> indegree;
 
-/** (src, dst, channel*2 + role) FIFO gate key. */
-std::uint64_t
-gateKey(Rank src, Rank dst, std::uint64_t chan_role)
-{
-    return (std::uint64_t(src) << 43) | (std::uint64_t(dst) << 22) |
-        chan_role;
-}
-
-/**
- * Union-find over communication edges. An edge is identified by the
- * id of its receiving node; edges linked through a fused instruction
- * (which receives on one and sends on the next) form a chain that
- * must live on a single channel (paper §5.2).
- */
-class ChainFinder
-{
-  public:
-    explicit ChainFinder(int n) : parent_(n)
-    {
-        for (int i = 0; i < n; i++)
-            parent_[i] = i;
-    }
-
-    int
-    find(int x)
-    {
-        while (parent_[x] != x) {
-            parent_[x] = parent_[parent_[x]];
-            x = parent_[x];
-        }
-        return x;
-    }
-
-    void
-    unite(int a, int b)
-    {
-        parent_[find(a)] = find(b);
-    }
-
-  private:
-    std::vector<int> parent_;
+    int size() const { return static_cast<int>(ids.size()); }
+    bool sends(int d) const { return io[d] & 1; }
+    bool receives(int d) const { return io[d] & 2; }
 };
 
+LiveView
+buildLiveView(const InstrGraph &graph)
+{
+    LiveView view;
+    std::vector<int> dense(graph.numNodes(), -1);
+    for (const InstrNode &node : graph.nodes()) {
+        if (node.live) {
+            dense[node.id] = view.size();
+            view.ids.push_back(node.id);
+        }
+    }
+    int n = view.size();
+    view.rank.resize(n);
+    view.sendPeer.resize(n);
+    view.recvPeer.resize(n);
+    view.io.resize(n);
+    view.opId.resize(n);
+    view.chanDirective.resize(n);
+    view.channel.assign(n, -1);
+    view.succBegin.resize(n + 1);
+    view.commSucc.assign(n, -1);
+    view.commPred.assign(n, -1);
+    view.indegree.assign(n, 0);
+    auto dense_of = [&](int id) { return id >= 0 ? dense[id] : -1; };
+    for (int d = 0; d < n; d++) {
+        const InstrNode &node = graph.node(view.ids[d]);
+        view.rank[d] = node.rank;
+        view.sendPeer[d] = node.sendPeer;
+        view.recvPeer[d] = node.recvPeer;
+        view.io[d] = (node.sends() ? 1 : 0) | (node.receives() ? 2 : 0);
+        view.opId[d] = node.opId;
+        view.chanDirective[d] = node.chanDirective;
+        view.succBegin[d] = static_cast<int>(view.succs.size());
+        // forEachLiveSucc, with liveness read from the dense map
+        // rather than the node slots.
+        for (int edge_idx : graph.succEdges(node.id)) {
+            int to = dense[graph.edges()[edge_idx].to];
+            if (to >= 0 && to != d) {
+                view.succs.push_back(to);
+                view.indegree[to]++;
+            }
+        }
+        view.commSucc[d] = dense_of(node.commSucc);
+        view.commPred[d] = dense_of(node.commPred);
+        if (view.commSucc[d] >= 0)
+            view.indegree[view.commSucc[d]]++;
+    }
+    view.succBegin[n] = static_cast<int>(view.succs.size());
+    return view;
+}
+
+/** Visits every successor of @p d: processing ones, then the comm one. */
+template <typename Fn>
+void
+forEachSucc(const LiveView &view, int d, Fn &&fn)
+{
+    for (int i = view.succBegin[d]; i < view.succBegin[d + 1]; i++)
+        fn(view.succs[i]);
+    if (view.commSucc[d] >= 0)
+        fn(view.commSucc[d]);
+}
+
 /**
- * Registry of fused-instruction pairings per (rank, channel). A fused
- * instruction forces its send connection and recv connection into one
- * thread block, so two fused instructions on the same rank and
- * channel must agree on the pairing.
+ * The sweeps' priority order (paper §5.2, steps 1 and 3): lower depth
+ * first (instructions enabled earlier), then higher rdepth (more
+ * downstream dependencies), then node id. Depth is the longest path
+ * from a root and rdepth the longest path to a leaf, over processing
+ * and communication edges. The whole order is ranked once, so a heap
+ * entry is one int: the node's rank in it.
+ */
+struct Priority
+{
+    std::vector<int> byRank; // rank -> dense index
+    std::vector<int> rankOf; // dense index -> rank
+};
+
+Priority
+rankByPriority(const LiveView &view)
+{
+    int n = view.size();
+    std::vector<int> depth(n, 0), rdepth(n, 0);
+    std::vector<int> remaining = view.indegree;
+    std::vector<int> topo;
+    topo.reserve(n);
+    for (int d = 0; d < n; d++) {
+        if (remaining[d] == 0)
+            topo.push_back(d);
+    }
+    // The ready "queue" is the unprocessed tail of topo itself.
+    for (size_t head = 0; head < topo.size(); head++) {
+        int d = topo[head];
+        forEachSucc(view, d, [&](int succ) {
+            depth[succ] = std::max(depth[succ], depth[d] + 1);
+            if (--remaining[succ] == 0)
+                topo.push_back(succ);
+        });
+    }
+    if (static_cast<int>(topo.size()) != n)
+        throw CompileError("instruction DAG contains a cycle");
+    int max_rdepth = 0, max_depth = 0;
+    for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+        int d = *it;
+        forEachSucc(view, d, [&](int succ) {
+            rdepth[d] = std::max(rdepth[d], rdepth[succ] + 1);
+        });
+        max_rdepth = std::max(max_rdepth, rdepth[d]);
+        max_depth = std::max(max_depth, depth[d]);
+    }
+
+    // Two stable counting sorts over ascending dense indices: by
+    // rdepth descending, then by depth ascending.
+    auto bucket_sort = [](const std::vector<int> &in, int max_key,
+                          auto &&key) {
+        std::vector<int> start(max_key + 2, 0);
+        for (int d : in)
+            start[key(d) + 1]++;
+        for (int k = 0; k <= max_key; k++)
+            start[k + 1] += start[k];
+        std::vector<int> out(in.size());
+        for (int d : in)
+            out[start[key(d)]++] = d;
+        return out;
+    };
+    std::vector<int> ascending(n);
+    for (int d = 0; d < n; d++)
+        ascending[d] = d;
+    Priority prio;
+    prio.byRank = bucket_sort(
+        bucket_sort(ascending, max_rdepth,
+                    [&](int d) { return max_rdepth - rdepth[d]; }),
+        max_depth, [&](int d) { return depth[d]; });
+    prio.rankOf.resize(n);
+    for (int r = 0; r < n; r++)
+        prio.rankOf[prio.byRank[r]] = r;
+    return prio;
+}
+
+/**
+ * Fused-instruction pairings per (rank, channel). A fused instruction
+ * forces its send connection and recv connection into one thread
+ * block, so two fused instructions on the same rank and channel must
+ * agree on the pairing. Each (rank, channel) that has a pairing owns
+ * one array: partner recv peer by send peer, then partner send peer
+ * by recv peer (-1 none).
  */
 class PairingRegistry
 {
   public:
+    explicit PairingRegistry(int num_ranks) : numRanks_(num_ranks) {}
+
     /** Tests whether pairing (sendPeer, recvPeer) fits at (rank, ch). */
     bool
     compatible(Rank rank, int channel, Rank send_peer,
                Rank recv_peer) const
     {
-        auto send_it = bySend_.find(key(rank, channel, send_peer));
-        if (send_it != bySend_.end() && send_it->second != recv_peer)
-            return false;
-        auto recv_it = byRecv_.find(key(rank, channel, recv_peer));
-        if (recv_it != byRecv_.end() && recv_it->second != send_peer)
-            return false;
-        return true;
+        size_t slot = slotOf(rank, channel);
+        if (slot >= peers_.size() || peers_[slot].empty())
+            return true;
+        const std::vector<Rank> &peers = peers_[slot];
+        Rank paired_recv = peers[send_peer];
+        Rank paired_send = peers[numRanks_ + recv_peer];
+        return (paired_recv < 0 || paired_recv == recv_peer) &&
+            (paired_send < 0 || paired_send == send_peer);
     }
 
     void
     insert(Rank rank, int channel, Rank send_peer, Rank recv_peer)
     {
-        bySend_[key(rank, channel, send_peer)] = recv_peer;
-        byRecv_[key(rank, channel, recv_peer)] = send_peer;
+        size_t slot = slotOf(rank, channel);
+        if (slot >= peers_.size())
+            peers_.resize(slot + 1);
+        std::vector<Rank> &peers = peers_[slot];
+        if (peers.empty())
+            peers.assign(2 * size_t(numRanks_), -1);
+        peers[send_peer] = recv_peer;
+        peers[numRanks_ + recv_peer] = send_peer;
     }
 
   private:
-    static std::uint64_t
-    key(Rank rank, int channel, Rank peer)
+    size_t
+    slotOf(Rank rank, int channel) const
     {
-        return (std::uint64_t(channel) << 42) |
-            (std::uint64_t(rank) << kFieldBits) | std::uint64_t(peer);
+        return size_t(channel) * numRanks_ + rank;
     }
 
-    std::unordered_map<std::uint64_t, Rank> bySend_;
-    std::unordered_map<std::uint64_t, Rank> byRecv_;
+    int numRanks_;
+    std::vector<std::vector<Rank>> peers_;
 };
 
 /** All per-chain facts needed to pick its channel. */
 struct Chain
 {
-    std::vector<int> recvNodes; // member edges, by receiving node id
+    /** Member edges, by dense receiving node, ascending. */
+    int begin = 0, end = 0;
+    /** Deduplicated op ids, a range of the flat op list. */
+    int opBegin = 0, opEnd = 0;
     int directive = -1;
     int splitIdx = 0;
     int splitCount = 1;
-    std::vector<int> opIds; // deduplicated, unordered
-    int minNode = 0;
 };
+
+/**
+ * Channel assignment (paper §5.2, "Channel Assignment"). An edge is
+ * identified by its receiving node; edges linked through a fused
+ * instruction (which receives on one and sends on the next) form a
+ * chain that must live on a single channel. Chains are paths along
+ * commSucc, committed in order of their lowest receiving node id.
+ * Fills view.channel for every communication node and returns the
+ * channel count.
+ */
+int
+assignChannels(const InstrGraph &graph, LiveView &view)
+{
+    int n = view.size();
+    // Number chains by their lowest member: walk back from the first
+    // unnumbered receiver to the chain's first edge (whose sender
+    // receives nothing), then collect the whole path forward.
+    std::vector<int> chain_of(n, -1);
+    std::vector<Chain> chains;
+    std::vector<int> members;
+    int max_op_id = -1;
+    for (int d = 0; d < n; d++) {
+        max_op_id = std::max(max_op_id, view.opId[d]);
+        if (view.commPred[d] < 0 || chain_of[d] >= 0)
+            continue;
+        int head = d;
+        for (int walked = 0; view.commPred[view.commPred[head]] >= 0;
+             walked++) {
+            if (walked > n)
+                throw CompileError("instruction DAG contains a cycle");
+            head = view.commPred[head];
+        }
+        Chain chain;
+        chain.begin = static_cast<int>(members.size());
+        for (int x = head; x >= 0; x = view.commSucc[x]) {
+            chain_of[x] = static_cast<int>(chains.size());
+            members.push_back(x);
+        }
+        chain.end = static_cast<int>(members.size());
+        std::sort(members.begin() + chain.begin,
+                  members.begin() + chain.end);
+        chains.push_back(chain);
+    }
+
+    // Chain facts, folded in ascending node order across all chains
+    // so the first inconsistency found is the lowest-id one.
+    for (int d = 0; d < n; d++) {
+        if (chain_of[d] < 0)
+            continue;
+        Chain &chain = chains[chain_of[d]];
+        const InstrNode &node = graph.node(view.ids[d]);
+        if (d == members[chain.begin]) {
+            chain.splitIdx = node.splitIdx;
+            chain.splitCount = node.splitCount;
+        }
+        if (node.splitIdx != chain.splitIdx ||
+            node.splitCount != chain.splitCount) {
+            throw CompileError(
+                "channel assignment: fused chain mixes parallelization "
+                "instances");
+        }
+        for (int directive : { view.chanDirective[d],
+                               view.chanDirective[view.commPred[d]] }) {
+            if (directive < 0)
+                continue;
+            if (chain.directive >= 0 && chain.directive != directive) {
+                throw CompileError(strprintf(
+                    "conflicting channel directives %d and %d on one "
+                    "fused chain", chain.directive, directive));
+            }
+            chain.directive = directive;
+        }
+    }
+    // Each chain's distinct op ids; op_chain (indexed by opId + 1,
+    // like op_last below) remembers the last chain that listed an op.
+    std::vector<int> chain_ops;
+    std::vector<int> op_chain(max_op_id + 2, -1);
+    for (int c = 0; c < static_cast<int>(chains.size()); c++) {
+        Chain &chain = chains[c];
+        chain.opBegin = static_cast<int>(chain_ops.size());
+        for (int i = chain.begin; i < chain.end; i++) {
+            for (int d : { members[i], view.commPred[members[i]] }) {
+                int &last = op_chain[view.opId[d] + 1];
+                if (last != c) {
+                    last = c;
+                    chain_ops.push_back(view.opId[d]);
+                }
+            }
+        }
+        chain.opEnd = static_cast<int>(chain_ops.size());
+    }
+
+    PairingRegistry pairings(graph.numRanks());
+    // Channels already used by some instance of an op: sibling
+    // instances of a parallelized op must not share a channel. One
+    // list per op, linked through the flat `used` array from its
+    // newest entry op_last[opId + 1].
+    struct UsedChannel
+    {
+        int channel;
+        int prev;
+    };
+    std::vector<UsedChannel> used;
+    std::vector<int> op_last(max_op_id + 2, -1);
+    int num_channels = 0;
+
+    auto conflicts = [&](const Chain &chain, int channel) {
+        for (int i = chain.opBegin; i < chain.opEnd; i++) {
+            for (int u = op_last[chain_ops[i] + 1]; u >= 0;
+                 u = used[u].prev) {
+                if (used[u].channel == channel)
+                    return true;
+            }
+        }
+        for (int i = chain.begin; i < chain.end; i++) {
+            int d = members[i];
+            // fused: forces pairing (sendPeer, recvPeer) at the node
+            if (view.commSucc[d] >= 0 &&
+                !pairings.compatible(view.rank[d], channel,
+                                     view.sendPeer[d], view.recvPeer[d])) {
+                return true;
+            }
+        }
+        return false;
+    };
+
+    auto commit = [&](const Chain &chain, int channel) {
+        // conflicts() already ruled the channel absent for every op.
+        for (int i = chain.opBegin; i < chain.opEnd; i++) {
+            int &last = op_last[chain_ops[i] + 1];
+            used.push_back({ channel, last });
+            last = static_cast<int>(used.size()) - 1;
+        }
+        for (int i = chain.begin; i < chain.end; i++) {
+            int d = members[i];
+            view.channel[d] = channel;
+            view.channel[view.commPred[d]] = channel;
+            if (view.commSucc[d] >= 0) {
+                pairings.insert(view.rank[d], channel, view.sendPeer[d],
+                                view.recvPeer[d]);
+            }
+        }
+        num_channels = std::max(num_channels, channel + 1);
+    };
+
+    for (const Chain &chain : chains) {
+        if (chain.directive >= 0) {
+            int channel =
+                chain.directive * chain.splitCount + chain.splitIdx;
+            if (conflicts(chain, channel)) {
+                throw CompileError(strprintf(
+                    "channel directive %d (instance %d/%d -> channel %d) "
+                    "conflicts with another fused chain",
+                    chain.directive, chain.splitIdx, chain.splitCount,
+                    channel));
+            }
+            commit(chain, channel);
+            continue;
+        }
+        for (int base = 0;; base++) {
+            int channel = base * chain.splitCount + chain.splitIdx;
+            if (!conflicts(chain, channel)) {
+                commit(chain, channel);
+                break;
+            }
+            if (base > graph.numNodes()) {
+                throw CompileError(
+                    "channel assignment failed to converge");
+            }
+        }
+    }
+    return num_channels;
+}
 
 /** Key of a thread block before ids are assigned. */
 struct TbKey
@@ -139,166 +436,31 @@ struct TbKey
     }
 };
 
-/** Channel assignment (paper §5.2, "Channel Assignment"). */
-void
-assignChannels(InstrGraph &graph)
-{
-    int n = graph.numNodes();
-    ChainFinder chains(n);
-    int max_op_id = -1;
-    for (int id = 0; id < n; id++) {
-        const InstrNode &node = graph.node(id);
-        if (!node.live)
-            continue;
-        max_op_id = std::max(max_op_id, node.opId);
-        // A fused instruction links its incoming edge (keyed by this
-        // node) with its outgoing edge (keyed by its comm successor).
-        if (node.commPred >= 0 && node.commSucc >= 0)
-            chains.unite(id, node.commSucc);
-    }
-
-    std::vector<Chain> chain_store;
-    std::unordered_map<int, int> by_root; // root -> chain_store index
-    auto add_op = [](std::vector<int> &ops, int op) {
-        if (std::find(ops.begin(), ops.end(), op) == ops.end())
-            ops.push_back(op);
-    };
-    for (int id = 0; id < n; id++) {
-        const InstrNode &node = graph.node(id);
-        if (!node.live || node.commPred < 0)
-            continue; // not a receiving edge endpoint
-        auto [it, fresh] =
-            by_root.try_emplace(chains.find(id),
-                                static_cast<int>(chain_store.size()));
-        if (fresh)
-            chain_store.emplace_back();
-        Chain &chain = chain_store[it->second];
-        if (chain.recvNodes.empty()) {
-            chain.splitIdx = node.splitIdx;
-            chain.splitCount = node.splitCount;
-            chain.minNode = id;
-        }
-        chain.recvNodes.push_back(id);
-        chain.minNode = std::min(chain.minNode, id);
-        if (node.splitIdx != chain.splitIdx ||
-            node.splitCount != chain.splitCount) {
-            throw CompileError(
-                "channel assignment: fused chain mixes parallelization "
-                "instances");
-        }
-        const InstrNode &sender = graph.node(node.commPred);
-        for (int directive : { node.chanDirective, sender.chanDirective }) {
-            if (directive < 0)
-                continue;
-            if (chain.directive >= 0 && chain.directive != directive) {
-                throw CompileError(strprintf(
-                    "conflicting channel directives %d and %d on one "
-                    "fused chain", chain.directive, directive));
-            }
-            chain.directive = directive;
-        }
-        add_op(chain.opIds, node.opId);
-        add_op(chain.opIds, sender.opId);
-    }
-
-    std::vector<Chain *> ordered;
-    ordered.reserve(chain_store.size());
-    for (Chain &chain : chain_store)
-        ordered.push_back(&chain);
-    std::sort(ordered.begin(), ordered.end(),
-              [](const Chain *a, const Chain *b) {
-                  return a->minNode < b->minNode;
-              });
-
-    PairingRegistry pairings;
-    // Channels already used by some instance of an op: sibling
-    // instances of a parallelized op must not share a channel.
-    // Indexed densely by opId + 1 (opId -1 maps to slot 0).
-    std::vector<std::vector<int>> op_channels(max_op_id + 2);
-
-    auto conflicts = [&](const Chain &chain, int channel) {
-        for (int op_id : chain.opIds) {
-            const std::vector<int> &used = op_channels[op_id + 1];
-            if (std::find(used.begin(), used.end(), channel) !=
-                used.end()) {
-                return true;
-            }
-        }
-        for (int recv_id : chain.recvNodes) {
-            const InstrNode &node = graph.node(recv_id);
-            if (node.commSucc >= 0) {
-                // fused: forces pairing (sendPeer, recvPeer) at node
-                if (!pairings.compatible(node.rank, channel,
-                                         node.sendPeer, node.recvPeer)) {
-                    return true;
-                }
-            }
-        }
-        return false;
-    };
-
-    auto commit = [&](Chain &chain, int channel) {
-        // conflicts() already ruled the channel absent for every op.
-        for (int op_id : chain.opIds)
-            op_channels[op_id + 1].push_back(channel);
-        for (int recv_id : chain.recvNodes) {
-            InstrNode &node = graph.node(recv_id);
-            node.channel = channel;
-            graph.node(node.commPred).channel = channel;
-            if (node.commSucc >= 0) {
-                pairings.insert(node.rank, channel, node.sendPeer,
-                                node.recvPeer);
-            }
-        }
-    };
-
-    for (Chain *chain : ordered) {
-        if (chain->directive >= 0) {
-            int channel =
-                chain->directive * chain->splitCount + chain->splitIdx;
-            if (conflicts(*chain, channel)) {
-                throw CompileError(strprintf(
-                    "channel directive %d (instance %d/%d -> channel %d) "
-                    "conflicts with another fused chain",
-                    chain->directive, chain->splitIdx, chain->splitCount,
-                    channel));
-            }
-            commit(*chain, channel);
-            continue;
-        }
-        for (int base = 0;; base++) {
-            int channel = base * chain->splitCount + chain->splitIdx;
-            if (!conflicts(*chain, channel)) {
-                commit(*chain, channel);
-                break;
-            }
-            if (base > graph.numNodes()) {
-                throw CompileError(
-                    "channel assignment failed to converge");
-            }
-        }
-    }
-}
-
 struct TbState
 {
     TbKey key;
     int id = -1;
-    std::vector<int> steps;   // node ids in order
+    std::vector<int> steps;   // dense node indices in order
     long lastAssigned = -1;   // global schedule sequence
 };
+
+/** No thread block owns the connection. */
+constexpr int kUnowned = -2;
+/** Connection seen but its thread block not yet created. */
+constexpr int kPending = -1;
 
 /** Per-rank thread block construction (paper §5.2, step 2). */
 struct RankTbs
 {
     std::vector<TbState> tbs;
-    /** Connection ownership: ownerKey(channel, peer) -> tb index. */
-    std::unordered_map<std::uint64_t, int> sendOwner;
-    std::unordered_map<std::uint64_t, int> recvOwner;
+    /** Connection ownership: (channel * numRanks + peer) -> tb. */
+    std::vector<int> sendOwner;
+    std::vector<int> recvOwner;
 };
 
 std::vector<RankTbs>
-createThreadBlocks(InstrGraph &graph, const ScheduleOptions &options,
+createThreadBlocks(const InstrGraph &graph, const LiveView &view,
+                   int num_channels, const ScheduleOptions &options,
                    bool merge_ib_pairs)
 {
     const Topology *topo = options.topology;
@@ -311,26 +473,32 @@ createThreadBlocks(InstrGraph &graph, const ScheduleOptions &options,
             return true;
         return topo->nodeOf(rank) == topo->nodeOf(peer);
     };
-    std::vector<RankTbs> ranks(graph.numRanks());
+    int num_ranks = graph.numRanks();
+    auto conn = [&](int channel, Rank peer) {
+        return size_t(channel) * num_ranks + peer;
+    };
+    std::vector<RankTbs> ranks(num_ranks);
+    for (RankTbs &rank : ranks) {
+        rank.sendOwner.assign(size_t(num_channels) * num_ranks, kUnowned);
+        rank.recvOwner.assign(size_t(num_channels) * num_ranks, kUnowned);
+    }
 
     // One scan feeds both passes and the local-work check below.
     std::vector<std::vector<std::tuple<int, Rank, Rank>>> fused_keys(
-        graph.numRanks());
-    std::vector<char> has_local(graph.numRanks(), 0);
-    for (const InstrNode &node : graph.nodes()) {
-        if (!node.live)
-            continue;
-        if (node.sends() && node.receives()) {
-            fused_keys[node.rank].push_back(
-                { node.channel, node.sendPeer, node.recvPeer });
-        } else if (!node.sends() && !node.receives()) {
-            has_local[node.rank] = 1;
+        num_ranks);
+    std::vector<char> has_local(num_ranks, 0);
+    for (int d = 0; d < view.size(); d++) {
+        if (view.sends(d) && view.receives(d)) {
+            fused_keys[view.rank[d]].push_back(
+                { view.channel[d], view.sendPeer[d], view.recvPeer[d] });
+        } else if (!view.sends(d) && !view.receives(d)) {
+            has_local[view.rank[d]] = 1;
         }
     }
 
     // Pass 1: fused instructions force (channel, sendPeer, recvPeer)
     // tuples.
-    for (int r = 0; r < graph.numRanks(); r++) {
+    for (int r = 0; r < num_ranks; r++) {
         std::vector<std::tuple<int, Rank, Rank>> &keys = fused_keys[r];
         std::sort(keys.begin(), keys.end());
         keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
@@ -338,14 +506,15 @@ createThreadBlocks(InstrGraph &graph, const ScheduleOptions &options,
             TbState tb;
             tb.key = TbKey{ channel, send_peer, recv_peer };
             int idx = static_cast<int>(ranks[r].tbs.size());
-            if (ranks[r].sendOwner.count(ownerKey(channel, send_peer)) ||
-                ranks[r].recvOwner.count(ownerKey(channel, recv_peer))) {
+            int &send_owner = ranks[r].sendOwner[conn(channel, send_peer)];
+            int &recv_owner = ranks[r].recvOwner[conn(channel, recv_peer)];
+            if (send_owner != kUnowned || recv_owner != kUnowned) {
                 throw CompileError(strprintf(
                     "rank %d channel %d: connection claimed by two "
                     "thread blocks", r, channel));
             }
-            ranks[r].sendOwner[ownerKey(channel, send_peer)] = idx;
-            ranks[r].recvOwner[ownerKey(channel, recv_peer)] = idx;
+            send_owner = idx;
+            recv_owner = idx;
             ranks[r].tbs.push_back(std::move(tb));
         }
     }
@@ -353,34 +522,28 @@ createThreadBlocks(InstrGraph &graph, const ScheduleOptions &options,
     // Pass 2: unowned plain connections, paired send+recv per channel
     // where possible to conserve thread blocks. Collected as flat
     // (channel, peer) lists per rank; sorting them groups by channel
-    // with peers ascending, matching the per-channel sorted sweep the
-    // set/map version performed.
-    std::vector<std::vector<std::pair<int, Rank>>> loose_sends(
-        graph.numRanks());
-    std::vector<std::vector<std::pair<int, Rank>>> loose_recvs(
-        graph.numRanks());
-    for (const InstrNode &node : graph.nodes()) {
-        if (!node.live)
-            continue;
-        if (node.sends() &&
-            !ranks[node.rank].sendOwner.count(
-                ownerKey(node.channel, node.sendPeer))) {
-            loose_sends[node.rank].push_back(
-                { node.channel, node.sendPeer });
-            ranks[node.rank].sendOwner[ownerKey(node.channel,
-                                                node.sendPeer)] =
-                -1; // placeholder to dedupe
+    // with peers ascending.
+    std::vector<std::vector<std::pair<int, Rank>>> loose_sends(num_ranks);
+    std::vector<std::vector<std::pair<int, Rank>>> loose_recvs(num_ranks);
+    for (int d = 0; d < view.size(); d++) {
+        Rank r = view.rank[d];
+        int channel = view.channel[d];
+        if (view.sends(d)) {
+            int &owner = ranks[r].sendOwner[conn(channel, view.sendPeer[d])];
+            if (owner == kUnowned) {
+                loose_sends[r].push_back({ channel, view.sendPeer[d] });
+                owner = kPending;
+            }
         }
-        if (node.receives() &&
-            !ranks[node.rank].recvOwner.count(
-                ownerKey(node.channel, node.recvPeer))) {
-            loose_recvs[node.rank].push_back(
-                { node.channel, node.recvPeer });
-            ranks[node.rank].recvOwner[ownerKey(node.channel,
-                                                node.recvPeer)] = -1;
+        if (view.receives(d)) {
+            int &owner = ranks[r].recvOwner[conn(channel, view.recvPeer[d])];
+            if (owner == kUnowned) {
+                loose_recvs[r].push_back({ channel, view.recvPeer[d] });
+                owner = kPending;
+            }
         }
     }
-    for (int r = 0; r < graph.numRanks(); r++) {
+    for (int r = 0; r < num_ranks; r++) {
         std::vector<std::pair<int, Rank>> &sends = loose_sends[r];
         std::vector<std::pair<int, Rank>> &recvs = loose_recvs[r];
         std::sort(sends.begin(), sends.end());
@@ -419,19 +582,19 @@ createThreadBlocks(InstrGraph &graph, const ScheduleOptions &options,
                 TbState tb;
                 tb.key = TbKey{ channel, send_peer, recv_peer };
                 int idx = static_cast<int>(ranks[r].tbs.size());
-                ranks[r].sendOwner[ownerKey(channel, send_peer)] = idx;
+                ranks[r].sendOwner[conn(channel, send_peer)] = idx;
                 if (recv_peer >= 0)
-                    ranks[r].recvOwner[ownerKey(channel, recv_peer)] = idx;
+                    ranks[r].recvOwner[conn(channel, recv_peer)] = idx;
                 ranks[r].tbs.push_back(std::move(tb));
             }
         }
         for (const auto &[channel, recv_peer] : recvs) {
-            if (ranks[r].recvOwner[ownerKey(channel, recv_peer)] != -1)
+            int &owner = ranks[r].recvOwner[conn(channel, recv_peer)];
+            if (owner != kPending)
                 continue; // already paired above
+            owner = static_cast<int>(ranks[r].tbs.size());
             TbState tb;
             tb.key = TbKey{ channel, -1, recv_peer };
-            int idx = static_cast<int>(ranks[r].tbs.size());
-            ranks[r].recvOwner[ownerKey(channel, recv_peer)] = idx;
             ranks[r].tbs.push_back(std::move(tb));
         }
         // A rank with only local work still needs one thread block.
@@ -445,19 +608,15 @@ createThreadBlocks(InstrGraph &graph, const ScheduleOptions &options,
                   [](const TbState &a, const TbState &b) {
                       return a.key < b.key;
                   });
-        ranks[r].sendOwner.clear();
-        ranks[r].recvOwner.clear();
         for (size_t i = 0; i < ranks[r].tbs.size(); i++) {
             TbState &tb = ranks[r].tbs[i];
             tb.id = static_cast<int>(i);
-            if (tb.key.sendPeer >= 0) {
-                ranks[r].sendOwner[ownerKey(tb.key.channel,
-                                            tb.key.sendPeer)] = tb.id;
-            }
-            if (tb.key.recvPeer >= 0) {
-                ranks[r].recvOwner[ownerKey(tb.key.channel,
-                                            tb.key.recvPeer)] = tb.id;
-            }
+            if (tb.key.sendPeer >= 0)
+                ranks[r].sendOwner[conn(tb.key.channel, tb.key.sendPeer)] =
+                    tb.id;
+            if (tb.key.recvPeer >= 0)
+                ranks[r].recvOwner[conn(tb.key.channel, tb.key.recvPeer)] =
+                    tb.id;
         }
     }
     return ranks;
@@ -465,59 +624,38 @@ createThreadBlocks(InstrGraph &graph, const ScheduleOptions &options,
 
 /**
  * FIFO gate and slot-accounting plan for the second scheduling sweep,
- * all in dense ids. Each connection (src, dst, channel) has two
- * ordered gate lists — one for its send-side instructions and one for
- * its receive-side instructions — plus one plain connection id used
- * to count outstanding sends.
+ * indexed by dense node. Every connection is owned by exactly one
+ * sending and one receiving thread block, and a block has at most one
+ * send and one recv peer, so global thread block t's send connection
+ * is gate 2t and its recv connection gate 2t+1; the connection's
+ * outstanding-send count is keyed by its sending block t.
  */
 struct GatePlan
 {
     /** Per node: gate its send/recv half must take turns on (-1 none). */
     std::vector<int> sendGate, recvGate;
-    /** Per node: plain connection id of its send/recv half (-1 none). */
+    /** Per node: connection of its send/recv half (-1 none). */
     std::vector<int> sendConn, recvConn;
-    /** Per gate: required order of node ids. */
+    /** Per gate: required order of dense nodes. */
     std::vector<std::vector<int>> gateOrder;
     int numConns = 0;
 };
 
 /**
- * One heap-driven topological sweep over the live instruction graph
- * in priority order: lower depth first (instructions enabled
- * earlier), then higher rdepth (more downstream dependencies), then
- * id for determinism (paper §5.2, steps 1 and 3). @p plan, when
- * non-null, holds per-gate required orders; a node with a gate must
- * wait for its turn in that gate's list.
+ * One heap-driven topological sweep over the live view in priority
+ * order. @p plan, when non-null, holds per-gate required orders; a
+ * node with a gate must wait for its turn in that gate's list.
  */
 std::vector<int>
-topoSweep(InstrGraph &graph, const GatePlan *plan, int slots = 0)
+topoSweep(const LiveView &view, const Priority &prio, const GatePlan *plan,
+          int slots = 0)
 {
-    int n = graph.numNodes();
-
-    std::vector<int> remaining(n, 0);
-    for (const InstrNode &node : graph.nodes()) {
-        if (!node.live)
-            continue;
-        remaining[node.id] = graph.countLivePreds(node.id);
-        if (node.commPred >= 0)
-            remaining[node.id]++;
-    }
-
-    // Priority (depth asc, rdepth desc, id asc): depth and inverted
-    // rdepth pack into one comparison word, the id rides alongside so
-    // graphs of any size keep exact tie-break order.
-    using Prio = std::pair<std::uint64_t, int>;
-    auto prio = [&](int id) {
-        const InstrNode &node = graph.node(id);
-        return Prio{ (std::uint64_t(node.depth) << 32) |
-                         (0xFFFFFFFFull - std::uint64_t(node.rdepth)),
-                     id };
-    };
-    std::priority_queue<Prio, std::vector<Prio>, std::greater<Prio>>
-        heap;
-    for (const InstrNode &node : graph.nodes()) {
-        if (node.live && remaining[node.id] == 0)
-            heap.push(prio(node.id));
+    int n = view.size();
+    std::vector<int> remaining = view.indegree;
+    std::priority_queue<int, std::vector<int>, std::greater<int>> heap;
+    for (int d = 0; d < n; d++) {
+        if (remaining[d] == 0)
+            heap.push(prio.rankOf[d]);
     }
 
     // Per-gate progress; a node out of turn parks on the gate that
@@ -525,7 +663,7 @@ topoSweep(InstrGraph &graph, const GatePlan *plan, int slots = 0)
     // when that gate reaches it.
     int num_gates = plan ? static_cast<int>(plan->gateOrder.size()) : 0;
     std::vector<size_t> gate_pos(num_gates, 0);
-    std::vector<int> parked_gate(n, -1);
+    std::vector<int> parked_gate(plan ? n : 0, -1);
 
     // Slot accounting (paper §6.1: the compiler must not emit
     // schedules with more than s outstanding sends). The emitted
@@ -538,171 +676,137 @@ topoSweep(InstrGraph &graph, const GatePlan *plan, int slots = 0)
     std::vector<std::vector<int>> slot_blocked(num_conns);
 
     std::vector<int> order;
-    order.reserve(graph.numLive());
+    order.reserve(n);
     while (!heap.empty()) {
-        int id = heap.top().second;
+        int d = prio.byRank[heap.top()];
         heap.pop();
-        const InstrNode &node = graph.node(id);
-        int gates[2] = { plan ? plan->sendGate[id] : -1,
-                         plan ? plan->recvGate[id] : -1 };
+        if (plan) {
+            int gates[2] = { plan->sendGate[d], plan->recvGate[d] };
 
-        // FIFO gate: the node must be next in line on each of its
-        // connections (send side checked first).
-        bool gated = false;
-        for (int g : gates) {
-            if (g < 0)
-                continue;
-            size_t pos = gate_pos[g];
-            const std::vector<int> &seq = plan->gateOrder[g];
-            if (pos < seq.size() && seq[pos] != id) {
-                parked_gate[id] = g;
-                gated = true;
-                break;
+            // FIFO gate: the node must be next in line on each of its
+            // connections (send side checked first).
+            bool gated = false;
+            for (int g : gates) {
+                if (g < 0)
+                    continue;
+                const std::vector<int> &seq = plan->gateOrder[g];
+                if (gate_pos[g] < seq.size() && seq[gate_pos[g]] != d) {
+                    parked_gate[d] = g;
+                    gated = true;
+                    break;
+                }
             }
-        }
-        if (gated)
-            continue;
+            if (gated)
+                continue;
 
-        // Slot gate: sending with all FIFO slots full would wedge.
-        if (slots > 0 && node.sends()) {
-            int conn = plan ? plan->sendConn[id] : -1;
-            if (conn >= 0 && outstanding[conn] >= slots) {
-                slot_blocked[conn].push_back(id);
+            // Slot gate: sending with all FIFO slots full would wedge.
+            int send_conn = plan->sendConn[d];
+            if (slots > 0 && send_conn >= 0 &&
+                outstanding[send_conn] >= slots) {
+                slot_blocked[send_conn].push_back(d);
                 continue;
             }
-        }
-
-        if (slots > 0 && plan) {
-            if (node.sends() && plan->sendConn[id] >= 0)
-                outstanding[plan->sendConn[id]]++;
-            if (node.receives() && plan->recvConn[id] >= 0) {
-                int conn = plan->recvConn[id];
-                outstanding[conn]--;
-                // Wake every blocked sender; the heap re-ranks them.
-                for (int waiter : slot_blocked[conn])
-                    heap.push(prio(waiter));
-                slot_blocked[conn].clear();
+            if (slots > 0) {
+                if (send_conn >= 0)
+                    outstanding[send_conn]++;
+                int recv_conn = plan->recvConn[d];
+                if (recv_conn >= 0) {
+                    outstanding[recv_conn]--;
+                    // Wake every blocked sender; the heap re-ranks them.
+                    for (int waiter : slot_blocked[recv_conn])
+                        heap.push(prio.rankOf[waiter]);
+                    slot_blocked[recv_conn].clear();
+                }
             }
-        }
 
-        order.push_back(id);
-        for (int g : gates) {
-            if (g < 0)
-                continue;
-            size_t pos = ++gate_pos[g];
-            const std::vector<int> &seq = plan->gateOrder[g];
-            if (pos < seq.size()) {
-                int next = seq[pos];
-                if (parked_gate[next] == g) {
-                    parked_gate[next] = -1;
-                    heap.push(prio(next));
+            for (int g : gates) {
+                if (g < 0)
+                    continue;
+                size_t pos = ++gate_pos[g];
+                const std::vector<int> &seq = plan->gateOrder[g];
+                if (pos < seq.size()) {
+                    int next = seq[pos];
+                    if (parked_gate[next] == g) {
+                        parked_gate[next] = -1;
+                        heap.push(prio.rankOf[next]);
+                    }
                 }
             }
         }
 
-        graph.forEachLiveSucc(id, [&](int succ) {
+        order.push_back(d);
+        forEachSucc(view, d, [&](int succ) {
             if (--remaining[succ] == 0)
-                heap.push(prio(succ));
+                heap.push(prio.rankOf[succ]);
         });
-        if (node.commSucc >= 0 && graph.node(node.commSucc).live) {
-            if (--remaining[node.commSucc] == 0)
-                heap.push(prio(node.commSucc));
-        }
     }
 
-    if (static_cast<int>(order.size()) != graph.numLive()) {
+    if (static_cast<int>(order.size()) != n) {
         throw CompileError(strprintf(
             "scheduler: only %zu of %d instructions could be ordered; "
             "the program needs explicit channel directives to avoid a "
-            "FIFO ordering conflict", order.size(), graph.numLive()));
+            "FIFO ordering conflict", order.size(), n));
     }
     return order;
 }
 
-/** Greedy priority topological assignment (paper §5.2, steps 1-4). */
+/**
+ * Greedy priority topological assignment (paper §5.2, steps 1-4).
+ * @p conn_tb holds each communication node's global thread block
+ * (tb_base of its rank + local id; -1 for local nodes). Fills each
+ * node's thread block id and step.
+ */
 void
-assignInstructions(InstrGraph &graph, std::vector<RankTbs> &ranks,
-                   int slots)
+assignInstructions(const LiveView &view, std::vector<RankTbs> &ranks,
+                   const std::vector<int> &tb_base,
+                   const std::vector<int> &conn_tb, int slots,
+                   std::vector<int> &tb_of, std::vector<int> &step_of)
 {
-    graph.computeDepths();
+    Priority prio = rankByPriority(view);
 
     // Pass 1: unconstrained priority order; it fixes, for every
     // connection, the order in which sends (and therefore their
     // matched FIFO receives, paper §6.1) will happen.
-    std::vector<int> ideal = topoSweep(graph, nullptr);
+    std::vector<int> ideal = topoSweep(view, prio, nullptr);
 
-    int n = graph.numNodes();
+    int n = view.size();
     GatePlan plan;
+    plan.numConns = tb_base.back();
     plan.sendGate.assign(n, -1);
     plan.recvGate.assign(n, -1);
     plan.sendConn.assign(n, -1);
     plan.recvConn.assign(n, -1);
-    std::unordered_map<std::uint64_t, int> gate_ids;
-    std::unordered_map<std::uint64_t, int> conn_ids;
-    auto gate_of = [&](std::uint64_t key) {
-        auto [it, fresh] =
-            gate_ids.try_emplace(key,
-                                 static_cast<int>(plan.gateOrder.size()));
-        if (fresh)
-            plan.gateOrder.emplace_back();
-        return it->second;
-    };
-    for (int id : ideal) {
-        const InstrNode &node = graph.node(id);
-        if (!node.sends())
+    plan.gateOrder.resize(2 * size_t(plan.numConns));
+    for (int d : ideal) {
+        if (!view.sends(d))
             continue;
-        auto [conn_it, fresh] = conn_ids.try_emplace(
-            gateKey(node.rank, node.sendPeer,
-                    std::uint64_t(node.channel)),
-            plan.numConns);
-        if (fresh)
-            plan.numConns++;
-        int conn = conn_it->second;
-        int sg = gate_of(gateKey(node.rank, node.sendPeer,
-                                 std::uint64_t(node.channel) * 2));
-        plan.gateOrder[sg].push_back(id);
-        plan.sendGate[id] = sg;
-        plan.sendConn[id] = conn;
-        const InstrNode &recv = graph.node(node.commSucc);
-        int rg = gate_of(gateKey(recv.recvPeer, recv.rank,
-                                 std::uint64_t(recv.channel) * 2 + 1));
-        plan.gateOrder[rg].push_back(recv.id);
-        plan.recvGate[recv.id] = rg;
-        plan.recvConn[recv.id] = conn;
+        int recv = view.commSucc[d];
+        plan.sendGate[d] = 2 * conn_tb[d];
+        plan.recvGate[recv] = 2 * conn_tb[recv] + 1;
+        plan.sendConn[d] = conn_tb[d];
+        plan.recvConn[recv] = conn_tb[d];
+        plan.gateOrder[plan.sendGate[d]].push_back(d);
+        plan.gateOrder[plan.recvGate[recv]].push_back(recv);
     }
 
     // Pass 2: the same priority sweep, now honoring FIFO turns on
     // both ends of every connection so the k-th receive always pairs
     // with the k-th send.
-    std::vector<int> order = topoSweep(graph, &plan, slots);
+    std::vector<int> order = topoSweep(view, prio, &plan, slots);
 
+    tb_of.assign(n, -1);
+    step_of.assign(n, -1);
     long sequence = 0;
-    auto tb_of_comm = [&](const InstrNode &node) -> TbState & {
-        RankTbs &rank = ranks[node.rank];
-        if (node.sends()) {
-            auto it = rank.sendOwner.find(
-                ownerKey(node.channel, node.sendPeer));
-            if (it == rank.sendOwner.end())
-                throw CompileError("scheduler: unowned send connection");
-            return rank.tbs[it->second];
-        }
-        auto it =
-            rank.recvOwner.find(ownerKey(node.channel, node.recvPeer));
-        if (it == rank.recvOwner.end())
-            throw CompileError("scheduler: unowned recv connection");
-        return rank.tbs[it->second];
-    };
-
-    for (int id : order) {
-        InstrNode &node = graph.node(id);
+    for (int d : order) {
+        Rank r = view.rank[d];
+        RankTbs &rank = ranks[r];
         TbState *tb = nullptr;
-        if (node.sends() || node.receives()) {
-            tb = &tb_of_comm(node);
+        if (conn_tb[d] >= 0) {
+            tb = &rank.tbs[conn_tb[d] - tb_base[r]];
         } else {
             // Local instruction: any thread block on the rank; pick
             // the one whose latest assigned instruction is earliest
             // (paper §5.2, step 4).
-            RankTbs &rank = ranks[node.rank];
             for (TbState &cand : rank.tbs) {
                 if (tb == nullptr || cand.lastAssigned < tb->lastAssigned)
                     tb = &cand;
@@ -710,40 +814,51 @@ assignInstructions(InstrGraph &graph, std::vector<RankTbs> &ranks,
             if (tb == nullptr)
                 throw CompileError("scheduler: rank has no thread block");
         }
-        node.tb = tb->id;
-        node.step = static_cast<int>(tb->steps.size());
-        tb->steps.push_back(id);
+        tb_of[d] = tb->id;
+        step_of[d] = static_cast<int>(tb->steps.size());
+        tb->steps.push_back(d);
         tb->lastAssigned = sequence++;
     }
 }
 
-/** Cross thread block dependency insertion (paper §5.2). */
+/**
+ * Cross thread block dependency insertion (paper §5.2): every
+ * processing edge between two thread blocks of one rank. Returns the
+ * candidate deps per dense node as CSR (merged per thread block at
+ * emission) and marks each node some other block waits on.
+ */
 void
-insertCrossTbDeps(InstrGraph &graph,
-                  std::vector<std::vector<IrDep>> &deps_out,
-                  std::vector<bool> &has_dep_out)
+insertCrossTbDeps(const LiveView &view, const std::vector<int> &tb_of,
+                  const std::vector<int> &step_of,
+                  std::vector<int> &dep_begin, std::vector<IrDep> &deps,
+                  std::vector<char> &has_dep)
 {
-    deps_out.assign(graph.numNodes(), {});
-    has_dep_out.assign(graph.numNodes(), false);
-    for (const InstrEdge &edge : graph.edges()) {
-        const InstrNode &from = graph.node(edge.from);
-        const InstrNode &to = graph.node(edge.to);
-        if (!from.live || !to.live || edge.from == edge.to)
-            continue;
-        if (from.rank != to.rank || from.tb == to.tb)
-            continue; // same-block order is implicit
-        // Keep only the latest step per predecessor thread block.
-        bool merged = false;
-        for (IrDep &dep : deps_out[edge.to]) {
-            if (dep.tb == from.tb) {
-                dep.step = std::max(dep.step, from.step);
-                merged = true;
-                break;
+    int n = view.size();
+    auto crosses = [&](int from, int to) {
+        // same-block order is implicit
+        return view.rank[from] == view.rank[to] && tb_of[from] != tb_of[to];
+    };
+    dep_begin.assign(n + 1, 0);
+    has_dep.assign(n, 0);
+    for (int d = 0; d < n; d++) {
+        for (int i = view.succBegin[d]; i < view.succBegin[d + 1]; i++) {
+            int to = view.succs[i];
+            if (crosses(d, to)) {
+                dep_begin[to + 1]++;
+                has_dep[d] = 1;
             }
         }
-        if (!merged)
-            deps_out[edge.to].push_back(IrDep{ from.tb, from.step });
-        has_dep_out[edge.from] = true;
+    }
+    for (int d = 0; d < n; d++)
+        dep_begin[d + 1] += dep_begin[d];
+    deps.resize(dep_begin[n]);
+    std::vector<int> fill(dep_begin.begin(), dep_begin.end() - 1);
+    for (int d = 0; d < n; d++) {
+        for (int i = view.succBegin[d]; i < view.succBegin[d + 1]; i++) {
+            int to = view.succs[i];
+            if (crosses(d, to))
+                deps[fill[to]++] = IrDep{ tb_of[d], step_of[d] };
+        }
     }
 }
 
@@ -753,7 +868,8 @@ IrProgram
 scheduleProgram(const Program &program, InstrGraph &graph,
                 const ScheduleOptions &options)
 {
-    assignChannels(graph);
+    LiveView view = buildLiveView(graph);
+    int num_channels = assignChannels(graph, view);
     auto over_limit = [&](const std::vector<RankTbs> &ranks) {
         for (const RankTbs &rank : ranks) {
             if (static_cast<int>(rank.tbs.size()) >
@@ -763,16 +879,18 @@ scheduleProgram(const Program &program, InstrGraph &graph,
         }
         return false;
     };
-    std::vector<RankTbs> ranks =
-        createThreadBlocks(graph, options, /*merge_ib_pairs=*/false);
+    std::vector<RankTbs> ranks = createThreadBlocks(
+        graph, view, num_channels, options, /*merge_ib_pairs=*/false);
     if (over_limit(ranks)) {
         // SM pressure: share thread blocks between IB send and
         // receive connections, like NCCL folding P2P work onto a
         // limited channel count.
-        ranks = createThreadBlocks(graph, options,
+        ranks = createThreadBlocks(graph, view, num_channels, options,
                                    /*merge_ib_pairs=*/true);
     }
-    for (int r = 0; r < graph.numRanks(); r++) {
+    int num_ranks = graph.numRanks();
+    std::vector<int> tb_base(num_ranks + 1, 0);
+    for (int r = 0; r < num_ranks; r++) {
         if (static_cast<int>(ranks[r].tbs.size()) >
             options.maxThreadBlocks) {
             throw CompileError(strprintf(
@@ -780,12 +898,39 @@ scheduleProgram(const Program &program, InstrGraph &graph,
                 "cooperative launch limit of %d", r, ranks[r].tbs.size(),
                 options.maxThreadBlocks));
         }
+        tb_base[r + 1] = tb_base[r] + static_cast<int>(ranks[r].tbs.size());
     }
-    assignInstructions(graph, ranks, std::max(1, options.slots));
 
-    std::vector<std::vector<IrDep>> deps;
-    std::vector<bool> has_dep;
-    insertCrossTbDeps(graph, deps, has_dep);
+    // Each communication node's thread block: the owner of its send
+    // connection, else of its recv connection.
+    std::vector<int> conn_tb(view.size(), -1);
+    for (int d = 0; d < view.size(); d++) {
+        if (!view.sends(d) && !view.receives(d))
+            continue;
+        Rank r = view.rank[d];
+        size_t slot = size_t(view.channel[d]) * num_ranks;
+        int tb = view.sends(d) ? ranks[r].sendOwner[slot + view.sendPeer[d]]
+                               : ranks[r].recvOwner[slot + view.recvPeer[d]];
+        if (tb < 0) {
+            throw CompileError(strprintf(
+                "scheduler: unowned %s connection",
+                view.sends(d) ? "send" : "recv"));
+        }
+        conn_tb[d] = tb_base[r] + tb;
+    }
+    for (RankTbs &rank : ranks) {
+        rank.sendOwner = {};
+        rank.recvOwner = {};
+    }
+
+    std::vector<int> tb_of, step_of;
+    assignInstructions(view, ranks, tb_base, conn_tb,
+                       std::max(1, options.slots), tb_of, step_of);
+
+    std::vector<int> dep_begin;
+    std::vector<IrDep> deps;
+    std::vector<char> has_dep;
+    insertCrossTbDeps(view, tb_of, step_of, dep_begin, deps, has_dep);
 
     const Collective &coll = program.collective();
     IrProgram ir;
@@ -810,8 +955,9 @@ scheduleProgram(const Program &program, InstrGraph &graph,
             out.sendPeer = tb.key.sendPeer;
             out.recvPeer = tb.key.recvPeer;
             out.channel = tb.key.channel;
-            for (int node_id : tb.steps) {
-                const InstrNode &node = graph.node(node_id);
+            out.steps.reserve(tb.steps.size());
+            for (int d : tb.steps) {
+                const InstrNode &node = graph.node(view.ids[d]);
                 IrInstruction instr;
                 instr.op = node.op;
                 const BufferSlice &src =
@@ -826,13 +972,19 @@ scheduleProgram(const Program &program, InstrGraph &graph,
                                                     : dst.count;
                 instr.splitIdx = node.splitIdx;
                 instr.splitCount = node.splitCount;
-                instr.deps = deps[node_id];
-                std::sort(instr.deps.begin(), instr.deps.end(),
-                          [](const IrDep &a, const IrDep &b) {
-                              return std::tie(a.tb, a.step) <
-                                  std::tie(b.tb, b.step);
-                          });
-                instr.hasDep = has_dep[node_id];
+                // Keep only the latest step per predecessor thread
+                // block, ordered by thread block.
+                auto first = deps.begin() + dep_begin[d];
+                auto last = deps.begin() + dep_begin[d + 1];
+                std::sort(first, last, [](const IrDep &a, const IrDep &b) {
+                    return a.tb != b.tb ? a.tb < b.tb : a.step > b.step;
+                });
+                last = std::unique(first, last,
+                                   [](const IrDep &a, const IrDep &b) {
+                                       return a.tb == b.tb;
+                                   });
+                instr.deps.assign(first, last);
+                instr.hasDep = has_dep[d];
                 out.steps.push_back(std::move(instr));
             }
             gpu.threadBlocks.push_back(std::move(out));

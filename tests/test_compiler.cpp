@@ -6,8 +6,11 @@
  * dependence analysis that enables cross-phase fusion.
  */
 
+#include <chrono>
+
 #include <gtest/gtest.h>
 
+#include "collectives/collectives.h"
 #include "common/error.h"
 #include "compiler/chunk_dag.h"
 #include "compiler/compiler.h"
@@ -335,6 +338,35 @@ TEST(CompileStats, CountsAreCoherent)
     EXPECT_EQ(out.stats.totalInstructions,
               out.stats.instrsAfterFusion);
     EXPECT_EQ(ChunkDag(prog).criticalPathLength(), 6);
+}
+
+TEST(CompileStats, PhaseTimesFitInsideTheCompile)
+{
+    AlgoConfig config;
+    config.instances = 2;
+    std::unique_ptr<Program> prog = makeRingAllReduce(16, 2, config);
+    auto start = std::chrono::steady_clock::now();
+    Compiled out = compileProgram(*prog);
+    std::int64_t wall_ns = std::chrono::duration_cast<
+        std::chrono::nanoseconds>(std::chrono::steady_clock::now() - start)
+        .count();
+    const CompileStats &stats = out.stats;
+    for (std::int64_t phase : { stats.lowerNs, stats.fuseNs,
+                                stats.scheduleNs, stats.verifyNs }) {
+        EXPECT_GE(phase, 0);
+    }
+    EXPECT_GT(stats.scheduleNs, 0);
+    EXPECT_LE(stats.lowerNs + stats.fuseNs + stats.scheduleNs +
+                  stats.verifyNs,
+              wall_ns);
+
+    // Phases that do not run report zero.
+    CompileOptions bare;
+    bare.fuse = false;
+    bare.verify = false;
+    Compiled unfused = compileProgram(*prog, bare);
+    EXPECT_EQ(unfused.stats.fuseNs, 0);
+    EXPECT_EQ(unfused.stats.verifyNs, 0);
 }
 
 TEST(CompileStats, TopologyConnectivityEnforced)

@@ -600,6 +600,50 @@ TEST(Determinism, CompiledIrMatchesGoldenHashes)
     }
 }
 
+// The programs the end-to-end benchmark compiles: the four compile-big
+// programs (128-512 ranks) and the four sim-sweep plans, compiled
+// with default options as the benchmark does. They sit outside
+// goldenPrograms() so the compile-twice and concurrent loops above do
+// not pay for them again; hashes measured at the pre-dense-scheduler
+// compiler.
+TEST(Determinism, MeasuredProgramsMatchGoldenHashes)
+{
+    AlgoConfig simple;
+    AlgoConfig two;
+    two.instances = 2;
+    AlgoConfig ring;
+    ring.instances = 8;
+    ring.protocol = Protocol::LL128;
+    struct Measured
+    {
+        const char *name;
+        std::uint64_t xmlHash;
+        std::function<std::unique_ptr<Program>()> make;
+    };
+    const std::vector<Measured> measured = {
+        { "big_ring_allreduce_256", 0xd63c4533e3ee3720ull,
+          [=] { return makeRingAllReduce(256, 1, simple); } },
+        { "big_hierarchical_64x8", 0xf733e69710cec19dull,
+          [=] { return makeHierarchicalAllReduce(64, 8, 1, simple); } },
+        { "big_ring_allgather_256_ch2_r2", 0x595b6dbcb41d264cull,
+          [=] { return makeRingAllGather(256, 2, two); } },
+        { "big_twostep_alltoall_16x8", 0x4d424b92d06a5442ull,
+          [=] { return makeTwoStepAllToAll(16, 8, simple); } },
+        { "sweep_ring_allreduce_64x4_i8_ll128", 0x4a66204f6e31ce2dull,
+          [=] { return makeRingAllReduce(64, 4, ring); } },
+        { "sweep_hierarchical_8x8_i8", 0x8863d792d8334869ull,
+          [=] { return makeHierarchicalAllReduce(8, 8, 8, simple); } },
+        { "sweep_twostep_alltoall_8x8", 0x121c4868ecf76375ull,
+          [=] { return makeTwoStepAllToAll(8, 8, simple); } },
+        { "sweep_ring_allgather_64x2_i2", 0x8a135c04e64645a6ull,
+          [=] { return makeRingAllGather(64, 2, two); } },
+    };
+    for (const Measured &m : measured) {
+        SCOPED_TRACE(m.name);
+        EXPECT_EQ(fnv1a(compileProgram(*m.make()).ir.toXml()), m.xmlHash);
+    }
+}
+
 TEST(Determinism, CompilingTwiceYieldsIdenticalIr)
 {
     // Byte-equal XML means identical instruction order, channel, and

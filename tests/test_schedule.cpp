@@ -9,7 +9,9 @@
  */
 
 #include <map>
+#include <memory>
 #include <set>
+#include <string>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -232,22 +234,40 @@ TEST(Schedule, IbMergeFallbackUnderSmPressure)
 
 TEST(Schedule, SlotGateBoundsOutstandingSends)
 {
-    // Within every thread block's program order, the number of sends
-    // on a connection may exceed the matching receives already
-    // retired GLOBALLY by at most the slot count — approximated here
-    // per thread block: no more than `slots` consecutive sends on
-    // one connection before that block performs any receive is only
-    // valid if the peers drain; the verifier's success is the real
-    // check, so assert it explicitly at slots = 8 and 1 ... 8 must
-    // pass for naive exchange patterns.
-    Topology topo = makeGeneric(2, 4);
-    auto prog = makeNaiveAllToAll(8, {});
-    CompileOptions copts;
-    copts.topology = &topo;
-    Compiled out = compileProgram(*prog, copts);
-    // already verified at 8 slots inside compileProgram; nothing to
-    // add here beyond structure:
-    checkStructure(out.ir);
+    // compileProgram schedules with as many FIFO slots as it verifies
+    // against, so the emitted order is a witness execution that never
+    // has more than verifySlots unreceived sends on a connection; the
+    // verifier's deadlock check at that slot count is the real test.
+    // The two-step alltoalls deadlocked at 1 and 2 slots when the
+    // scheduler always assumed 8.
+    struct Case
+    {
+        const char *name;
+        std::unique_ptr<Program> program;
+        Topology topology;
+    };
+    std::vector<Case> cases;
+    cases.push_back({ "twostep_2x4", makeTwoStepAllToAll(2, 4, {}),
+                      makeGeneric(2, 4) });
+    cases.push_back({ "twostep_4x8", makeTwoStepAllToAll(4, 8, {}),
+                      makeGeneric(4, 8) });
+    cases.push_back({ "naive_8", makeNaiveAllToAll(8, {}),
+                      makeGeneric(2, 4) });
+    cases.push_back({ "naive_16", makeNaiveAllToAll(16, {}),
+                      makeGeneric(2, 8) });
+    for (const Case &c : cases) {
+        for (int slots : { 1, 2, 4, 8 }) {
+            SCOPED_TRACE(std::string(c.name) + " slots=" +
+                         std::to_string(slots));
+            CompileOptions copts;
+            copts.topology = &c.topology;
+            copts.verifySlots = slots;
+            Compiled out;
+            ASSERT_NO_THROW(out = compileProgram(*c.program, copts));
+            checkStructure(out.ir);
+            checkMessageBalance(out.ir);
+        }
+    }
 }
 
 TEST(Schedule, EmptyProgramYieldsEmptyIr)

@@ -249,13 +249,19 @@ main(int argc, char **argv)
                 "instrs pre-fusion  %6d\n"
                 "instrs post-fusion %6d (rcs=%d rrcs=%d rrs=%d)\n"
                 "channels           %6d\n"
-                "thread blocks/gpu  %6d\n",
+                "thread blocks/gpu  %6d\n"
+                "lower ms           %6.2f\n"
+                "fuse ms            %6.2f\n"
+                "schedule ms        %6.2f\n"
+                "verify ms          %6.2f\n",
                 args.algo.c_str(), topo.name().c_str(),
                 topo.numRanks(), out.stats.traceOps, critical_path,
                 out.stats.instrsBeforeFusion,
                 out.stats.instrsAfterFusion, out.stats.fusion.rcs,
                 out.stats.fusion.rrcs, out.stats.fusion.rrs,
-                out.stats.channels, out.stats.maxThreadBlocks);
+                out.stats.channels, out.stats.maxThreadBlocks,
+                out.stats.lowerNs / 1e6, out.stats.fuseNs / 1e6,
+                out.stats.scheduleNs / 1e6, out.stats.verifyNs / 1e6);
         }
         if (args.dot) {
             ChunkDag dag(*prog);

@@ -7,9 +7,11 @@
 # compiler's shared paths — the plan cache's locked LRU + disk spill
 # and the parallel race verifier's per-rank thread pool — plus the
 # workload replay engine (Workload|Replay|Slo), which multiplexes
-# live executions and recovery retries over one shared fabric. Also
-# registered as the "sanitize" ctest configuration (ctest -C sanitize)
-# next to the existing "perf" configuration.
+# live executions and recovery retries over one shared fabric, and
+# the compiler passes (Schedule|CompileStats|InstrGraph|Lowering|
+# Fusion|ChunkDag), whose dense index arrays are where off-by-ones
+# hide. Also registered as the "sanitize" ctest configuration
+# (ctest -C sanitize) next to the existing "perf" configuration.
 #
 # With --chaos-sweep, additionally builds the mscclang_chaos driver in
 # the sanitized tree and runs a small deterministic fault-matrix sweep
@@ -54,7 +56,7 @@ if [[ "$TSAN" == "1" ]]; then
 else
     BUILD_DIR="${BUILD_DIR:-build-asan}"
     SANITIZE_FLAG="-DMSCCLANG_SANITIZE=ON"
-    FILTER="${1:-Faults|Watchdog|Communicator|Interpreter|EventQueue|Flow|Recovery|Health|PlanCache|Determinism|Races|Search|Workload|Replay|Slo|Hierarchical|UnionFind}"
+    FILTER="${1:-Faults|Watchdog|Communicator|Interpreter|EventQueue|Flow|Recovery|Health|PlanCache|Determinism|Races|Search|Workload|Replay|Slo|Hierarchical|UnionFind|Schedule|CompileStats|InstrGraph|Lowering|Fusion|ChunkDag}"
 fi
 
 cmake -B "$BUILD_DIR" -S . "$SANITIZE_FLAG" \
@@ -62,7 +64,8 @@ cmake -B "$BUILD_DIR" -S . "$SANITIZE_FLAG" \
 cmake --build "$BUILD_DIR" --target test_faults test_interpreter \
     test_sim test_races test_recovery test_plan_cache \
     test_determinism test_search test_workload test_hierarchical \
-    test_unionfind test_tuner -j"$(nproc)"
+    test_unionfind test_tuner test_schedule test_compiler \
+    test_instr_graph -j"$(nproc)"
 
 if [[ "$TSAN" == "1" ]]; then
     export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
