@@ -18,7 +18,8 @@
  * in EXPERIMENTS.md.
  *
  * With --json PATH the numbers are written as BENCH_compile.json;
- * tools/run_benches.sh invokes it that way.
+ * tools/run_benches.sh invokes it that way. --reps must be a whole
+ * integer >= 1; anything else exits 2 before any compile runs.
  */
 
 #include <algorithm>
@@ -32,6 +33,8 @@
 #include <vector>
 
 #include "collectives/collectives.h"
+#include "common/error.h"
+#include "common/strings.h"
 #include "compiler/plan_cache.h"
 
 using namespace mscclang;
@@ -140,7 +143,7 @@ makeBigProgram(int collective, int ranks)
 
 int
 main(int argc, char **argv)
-{
+try {
     std::string json_path;
     int reps = 3;
     bool big_ranks = false;
@@ -148,7 +151,8 @@ main(int argc, char **argv)
         if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
             json_path = argv[++i];
         else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc)
-            reps = std::max(1, std::atoi(argv[++i]));
+            reps = static_cast<int>(parseCount(
+                "--reps", argv[++i], 1, std::numeric_limits<int>::max()));
         else if (std::strcmp(argv[i], "--big-ranks") == 0)
             big_ranks = true;
     }
@@ -340,4 +344,7 @@ main(int argc, char **argv)
         std::printf("wrote %s\n", json_path.c_str());
     }
     return 0;
+} catch (const BadValue &error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    return 2;
 }

@@ -59,6 +59,16 @@ class RuntimeError : public Error
     explicit RuntimeError(const std::string &what) : Error(what) {}
 };
 
+/**
+ * A malformed command-line option value (see parseCount). The tools
+ * report it as a usage error and exit 2 before doing any work.
+ */
+class BadValue : public Error
+{
+  public:
+    explicit BadValue(const std::string &what) : Error(what) {}
+};
+
 } // namespace mscclang
 
 #endif // MSCCLANG_COMMON_ERROR_H_

@@ -1,8 +1,10 @@
 #include "common/strings.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 #include "common/error.h"
 
@@ -23,6 +25,29 @@ formatBytes(std::uint64_t bytes)
                          static_cast<unsigned long long>(value),
                          suffixes[suffix]);
     return strprintf("%.1f%s", value, suffixes[suffix]);
+}
+
+std::uint64_t
+parseCount(const std::string &flag, const std::string &text,
+           std::uint64_t min, std::uint64_t max, int base)
+{
+    bool ok = !text.empty() &&
+        std::isdigit(static_cast<unsigned char>(text[0]));
+    std::uint64_t value = 0;
+    if (ok) {
+        char *end = nullptr;
+        errno = 0;
+        value = std::strtoull(text.c_str(), &end, base);
+        ok = *end == '\0' && errno != ERANGE && value >= min &&
+            value <= max;
+    }
+    if (!ok) {
+        throw BadValue(strprintf(
+            "%s: '%s' is not an integer in [%llu, %llu]", flag.c_str(),
+            text.c_str(), static_cast<unsigned long long>(min),
+            static_cast<unsigned long long>(max)));
+    }
+    return value;
 }
 
 std::uint64_t

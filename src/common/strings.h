@@ -24,6 +24,17 @@ std::string formatBytes(std::uint64_t bytes);
  */
 std::uint64_t parseBytes(const std::string &text);
 
+/**
+ * Parses the whole of @p text as an unsigned integer in
+ * [@p min, @p max] (base as for strtoull). A sign, a leading space,
+ * trailing junk ("3x"), an empty token or an out-of-range value
+ * throws BadValue naming @p flag — never a silent 0, a truncated
+ * prefix or a wrapped huge number.
+ */
+std::uint64_t parseCount(const std::string &flag, const std::string &text,
+                         std::uint64_t min, std::uint64_t max,
+                         int base = 10);
+
 /** printf-style formatting into a std::string. */
 std::string strprintf(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));

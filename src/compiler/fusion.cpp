@@ -103,16 +103,15 @@ fuseRecvSendPass(InstrGraph &graph, const std::vector<int> &candidates,
         // Gather fusable sends among true-dependence successors and
         // pick the one on the longest path (max rdepth).
         int best = -1;
-        for (int edge_idx : graph.succEdges(id)) {
-            const InstrEdge &edge = graph.edges()[edge_idx];
+        graph.forEachSuccEdge(id, [&](const InstrEdge &edge) {
             if (edge.kind != DepKind::True)
-                continue;
+                return;
             const InstrNode &cand = graph.node(edge.to);
             if (!canFuseSend(graph, recv, cand))
-                continue;
+                return;
             if (best == -1 || cand.rdepth > graph.node(best).rdepth)
                 best = cand.id;
-        }
+        });
         if (best >= 0) {
             fuseSendInto(graph, id, best, fused_op);
             rewrites++;
@@ -164,18 +163,15 @@ fuseRrsPass(InstrGraph &graph, const std::vector<int> &candidates)
             continue;
         bool has_reader = false;
         bool overwritten = false;
-        for (int edge_idx : graph.succEdges(id)) {
-            const InstrEdge &edge = graph.edges()[edge_idx];
+        graph.forEachSuccEdge(id, [&](const InstrEdge &edge) {
             const InstrNode &succ = graph.node(edge.to);
-            if (!succ.live)
-                continue;
-            if (edge.kind == DepKind::True) {
+            if (has_reader || !succ.live)
+                return;
+            if (edge.kind == DepKind::True)
                 has_reader = true;
-                break;
-            }
-            if (writeCovers(succ, node))
+            else if (writeCovers(succ, node))
                 overwritten = true;
-        }
+        });
         if (!has_reader && overwritten) {
             node.op = IrOp::RecvReduceSend;
             rewrites++;

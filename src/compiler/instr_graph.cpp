@@ -31,8 +31,7 @@ InstrGraph::addNode(InstrNode node)
 {
     node.id = numNodes();
     nodes_.push_back(std::move(node));
-    preds_.emplace_back();
-    succs_.emplace_back();
+    links_.emplace_back();
     return nodes_.back().id;
 }
 
@@ -42,8 +41,9 @@ InstrGraph::addEdge(int from, int to, DepKind kind)
     if (from == to)
         return;
     // Deduplicate; a True edge subsumes a false one on the same pair.
-    for (int edge_idx : succs_[from]) {
-        InstrEdge &edge = edges_[edge_idx];
+    EdgeLinks &out = links_[from];
+    for (int e = out.succHead; e >= 0; e = edges_[e].nextSucc) {
+        InstrEdge &edge = edges_[e];
         if (edge.to == to) {
             if (kind == DepKind::True)
                 edge.kind = DepKind::True;
@@ -51,20 +51,25 @@ InstrGraph::addEdge(int from, int to, DepKind kind)
         }
     }
     int idx = static_cast<int>(edges_.size());
-    edges_.push_back(InstrEdge{ from, to, kind });
-    succs_[from].push_back(idx);
-    preds_[to].push_back(idx);
+    edges_.push_back(InstrEdge{ from, to, kind, -1, -1 });
+    if (out.succTail >= 0)
+        edges_[out.succTail].nextSucc = idx;
+    else
+        out.succHead = idx;
+    out.succTail = idx;
+    EdgeLinks &in = links_[to];
+    if (in.predTail >= 0)
+        edges_[in.predTail].nextPred = idx;
+    else
+        in.predHead = idx;
+    in.predTail = idx;
 }
 
 int
 InstrGraph::countLivePreds(int id) const
 {
     int count = 0;
-    for (int edge_idx : preds_[id]) {
-        int from = edges_[edge_idx].from;
-        if (nodes_[from].live && from != id)
-            count++;
-    }
+    forEachLivePred(id, [&](int) { count++; });
     return count;
 }
 
@@ -72,11 +77,7 @@ std::vector<int>
 InstrGraph::livePreds(int id) const
 {
     std::vector<int> out;
-    for (int edge_idx : preds_[id]) {
-        int from = edges_[edge_idx].from;
-        if (nodes_[from].live && from != id)
-            out.push_back(from);
-    }
+    forEachLivePred(id, [&](int from) { out.push_back(from); });
     std::sort(out.begin(), out.end());
     out.erase(std::unique(out.begin(), out.end()), out.end());
     return out;
@@ -86,11 +87,7 @@ std::vector<int>
 InstrGraph::liveSuccs(int id) const
 {
     std::vector<int> out;
-    for (int edge_idx : succs_[id]) {
-        int to = edges_[edge_idx].to;
-        if (nodes_[to].live && to != id)
-            out.push_back(to);
-    }
+    forEachLiveSucc(id, [&](int to) { out.push_back(to); });
     std::sort(out.begin(), out.end());
     out.erase(std::unique(out.begin(), out.end()), out.end());
     return out;
@@ -99,15 +96,17 @@ InstrGraph::liveSuccs(int id) const
 void
 InstrGraph::replaceNode(int from, int to)
 {
-    // Move every edge endpoint of `from` onto `to`.
-    for (int edge_idx : preds_[from]) {
-        InstrEdge &edge = edges_[edge_idx];
+    // Move every edge endpoint of `from` onto `to`. addEdge never
+    // touches `from`'s own lists but may grow edges_, so walk by index
+    // and copy each record before the call.
+    for (int e = links_[from].predHead; e >= 0; e = edges_[e].nextPred) {
+        InstrEdge edge = edges_[e];
         if (edge.from == to)
             continue; // becomes a self-edge: drop by leaving it dead
         addEdge(edge.from, to, edge.kind);
     }
-    for (int edge_idx : succs_[from]) {
-        InstrEdge &edge = edges_[edge_idx];
+    for (int e = links_[from].succHead; e >= 0; e = edges_[e].nextSucc) {
+        InstrEdge edge = edges_[e];
         if (edge.to == to)
             continue;
         addEdge(to, edge.to, edge.kind);

@@ -22,12 +22,20 @@
 
 namespace mscclang {
 
-/** A processing edge between two instructions on the same rank. */
+/**
+ * A processing edge between two instructions on the same rank. Each
+ * edge is threaded onto two intrusive singly linked lists: the
+ * successor list of `from` (through nextSucc) and the predecessor
+ * list of `to` (through nextPred). Both lists are in insertion order.
+ */
 struct InstrEdge
 {
     int from = -1;
     int to = -1;
     DepKind kind = DepKind::True;
+    /** Next edge leaving `from` / entering `to`, or -1. */
+    int nextSucc = -1;
+    int nextPred = -1;
 };
 
 /** One node of the Instruction DAG. */
@@ -70,8 +78,11 @@ struct InstrNode
 };
 
 /**
- * The Instruction DAG plus side tables the passes need. Edges are
- * stored per node as predecessor/successor index lists into edges().
+ * The Instruction DAG plus side tables the passes need. Edges live in
+ * one flat edges() array; each node keeps the first and last index of
+ * its successor and predecessor lists, which are threaded through the
+ * edges themselves, so adding a node or an edge allocates nothing
+ * beyond amortized growth of the two arrays.
  */
 class InstrGraph
 {
@@ -93,9 +104,26 @@ class InstrGraph
     void addEdge(int from, int to, DepKind kind);
 
     const std::vector<InstrEdge> &edges() const { return edges_; }
-    /** Edge indexes entering / leaving a node. */
-    const std::vector<int> &predEdges(int id) const { return preds_[id]; }
-    const std::vector<int> &succEdges(int id) const { return succs_[id]; }
+
+    /**
+     * Visits every edge entering / leaving node @p id, dead endpoints
+     * included, in edge insertion order. @p fn must not add edges.
+     */
+    template <typename Fn>
+    void
+    forEachPredEdge(int id, Fn &&fn) const
+    {
+        for (int e = links_[id].predHead; e >= 0; e = edges_[e].nextPred)
+            fn(edges_[e]);
+    }
+
+    template <typename Fn>
+    void
+    forEachSuccEdge(int id, Fn &&fn) const
+    {
+        for (int e = links_[id].succHead; e >= 0; e = edges_[e].nextSucc)
+            fn(edges_[e]);
+    }
 
     /** Live predecessor/successor node ids through live edges. */
     std::vector<int> livePreds(int id) const;
@@ -116,22 +144,20 @@ class InstrGraph
     void
     forEachLivePred(int id, Fn &&fn) const
     {
-        for (int edge_idx : preds_[id]) {
-            int from = edges_[edge_idx].from;
-            if (nodes_[from].live && from != id)
-                fn(from);
-        }
+        forEachPredEdge(id, [&](const InstrEdge &edge) {
+            if (nodes_[edge.from].live && edge.from != id)
+                fn(edge.from);
+        });
     }
 
     template <typename Fn>
     void
     forEachLiveSucc(int id, Fn &&fn) const
     {
-        for (int edge_idx : succs_[id]) {
-            int to = edges_[edge_idx].to;
-            if (nodes_[to].live && to != id)
-                fn(to);
-        }
+        forEachSuccEdge(id, [&](const InstrEdge &edge) {
+            if (nodes_[edge.to].live && edge.to != id)
+                fn(edge.to);
+        });
     }
 
     /**
@@ -153,11 +179,19 @@ class InstrGraph
     std::string dump() const;
 
   private:
+    /** First and last edge index of a node's two lists (-1: empty). */
+    struct EdgeLinks
+    {
+        int predHead = -1;
+        int predTail = -1;
+        int succHead = -1;
+        int succTail = -1;
+    };
+
     int numRanks_;
     std::vector<InstrNode> nodes_;
     std::vector<InstrEdge> edges_;
-    std::vector<std::vector<int>> preds_;
-    std::vector<std::vector<int>> succs_;
+    std::vector<EdgeLinks> links_;
 };
 
 /**

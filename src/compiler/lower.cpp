@@ -6,6 +6,7 @@
  * precision plus communication edges between matched send/recv pairs.
  */
 
+#include <cstdint>
 #include <vector>
 
 #include "common/error.h"
@@ -15,19 +16,112 @@ namespace mscclang {
 
 namespace {
 
-struct RangeAccess
+/**
+ * Per-chunk access history for dependence analysis, laid out flat so
+ * that recording an access allocates nothing beyond amortized growth
+ * of two arrays.
+ *
+ * Every (rank, buffer, chunk) location owns one slot in heads_, the
+ * newest entry of an intrusive singly linked list threaded through
+ * pool_ (newest first). The slot offsets come from the program's
+ * per-rank chunk counts, computed once. A whole-range write shadows
+ * everything older — no later scan can see past it — so it resets
+ * the location's list to itself and recycles the old entries through
+ * a free list. In the common case (every access covers the whole
+ * chunk) a list is therefore exactly "last writer + readers since".
+ */
+class AccessHistory
 {
-    int node;
-    bool isWrite;
-    FracInterval range;
+  public:
+    /** One recorded access: the node, its split fraction and kind. */
+    struct Entry
+    {
+        int node;
+        int next; // older entry of the same location, or -1
+        int splitIdx;
+        int splitCount;
+        bool isWrite;
+    };
+
+    AccessHistory(const Program &program, bool in_place)
+    {
+        int num_ranks = program.numRanks();
+        const Collective &coll = program.collective();
+        base_.resize(static_cast<size_t>(num_ranks) * 3);
+        size_t total = 0;
+        for (Rank r = 0; r < num_ranks; r++) {
+            const int counts[3] = {
+                coll.inputChunkCount(r),
+                in_place ? 0 : coll.outputChunkCount(r),
+                program.scratchChunkCount(r),
+            };
+            for (int b = 0; b < 3; b++) {
+                base_[static_cast<size_t>(r) * 3 + b] = total;
+                total += static_cast<size_t>(counts[b]);
+            }
+        }
+        heads_.assign(total, -1);
+    }
+
+    /** Newest entry of chunk @p index of (rank, buffer), or -1. */
+    int
+    head(Rank rank, BufferKind buffer, int index) const
+    {
+        return heads_[slot(rank, buffer, index)];
+    }
+
+    const Entry &entry(int e) const { return pool_[e]; }
+
+    /** Appends an access as the location's newest entry. */
+    void
+    record(Rank rank, BufferKind buffer, int index, int node,
+           int split_idx, int split_count, bool is_write)
+    {
+        int &head = heads_[slot(rank, buffer, index)];
+        int next = head;
+        if (is_write && split_count == 1) {
+            // Shadows every older entry: recycle the whole list.
+            for (int e = head; e >= 0;) {
+                int older = pool_[e].next;
+                pool_[e].next = free_;
+                free_ = e;
+                e = older;
+            }
+            next = -1;
+        }
+        Entry fresh{ node, next, split_idx, split_count, is_write };
+        if (free_ >= 0) {
+            int e = free_;
+            free_ = pool_[e].next;
+            pool_[e] = fresh;
+            head = e;
+        } else {
+            head = static_cast<int>(pool_.size());
+            pool_.push_back(fresh);
+        }
+    }
+
+  private:
+    size_t
+    slot(Rank rank, BufferKind buffer, int index) const
+    {
+        return base_[static_cast<size_t>(rank) * 3 +
+                     static_cast<size_t>(buffer)] +
+            static_cast<size_t>(index);
+    }
+
+    std::vector<size_t> base_; // first slot of each (rank, buffer)
+    std::vector<int> heads_;
+    std::vector<Entry> pool_;
+    int free_ = -1;
 };
 
 class LoweringContext
 {
   public:
-    LoweringContext(InstrGraph &graph, bool in_place)
-        : graph_(graph), inPlace_(in_place),
-          history_(3 * graph.numRanks())
+    LoweringContext(InstrGraph &graph, const Program &program)
+        : graph_(graph), inPlace_(program.collective().inPlace()),
+          history_(program, inPlace_)
     {
     }
 
@@ -61,22 +155,32 @@ class LoweringContext
     }
 
   private:
-    /** Removes @p cut from every interval in @p set. */
-    static void
-    subtractRange(std::vector<FracInterval> &set, const FracInterval &cut)
+    /** Removes @p cut from the uncovered set, via the spare buffer. */
+    void
+    subtractRange(const FracInterval &cut)
     {
-        std::vector<FracInterval> next;
-        for (const FracInterval &part : set) {
+        spare_.clear();
+        for (const FracInterval &part : uncovered_) {
             if (!part.overlaps(cut)) {
-                next.push_back(part);
+                spare_.push_back(part);
                 continue;
             }
             if (part.lo < cut.lo)
-                next.push_back(FracInterval{ part.lo, cut.lo });
+                spare_.push_back(FracInterval{ part.lo, cut.lo });
             if (cut.hi < part.hi)
-                next.push_back(FracInterval{ cut.hi, part.hi });
+                spare_.push_back(FracInterval{ cut.hi, part.hi });
         }
-        set = std::move(next);
+        uncovered_.swap(spare_);
+    }
+
+    bool
+    uncoveredOverlaps(const FracInterval &range) const
+    {
+        for (const FracInterval &part : uncovered_) {
+            if (range.overlaps(part))
+                return true;
+        }
+        return false;
     }
 
     /**
@@ -87,66 +191,93 @@ class LoweringContext
      * already transitively ordered. This matters for fusion: a
      * forwarding send's sole predecessor must be the receive that
      * produced its data, not every historic writer of the location.
+     *
+     * While no visible writer has cut into the access's own fraction
+     * (always, in the common case where every access of a chunk uses
+     * one split count), the still-uncovered set is that fraction, and
+     * overlap and cover are integer tests on the split indexes. The
+     * first writer that covers only part of it switches to the exact
+     * interval walk, whose set lives in two reused buffers.
      */
     void
     accessSlice(int id, const BufferSlice &slice, int split_idx,
                 int split_count, bool is_write)
     {
-        FracInterval range = splitFraction(split_idx, split_count);
         for (int k = 0; k < slice.count; k++) {
-            std::vector<RangeAccess> &accesses =
-                historyOf(slice.rank, slice.buffer, slice.index + k);
-            std::vector<FracInterval> uncovered{ range };
-            for (auto it = accesses.rbegin();
-                 it != accesses.rend() && !uncovered.empty(); ++it) {
-                const RangeAccess &prev = *it;
+            int index = slice.index + k;
+            bool intact = true;
+            for (int e = history_.head(slice.rank, slice.buffer, index);
+                 e >= 0;) {
+                const AccessHistory::Entry &prev = history_.entry(e);
+                e = prev.next;
                 if (prev.node == id)
                     continue;
-                bool overlaps = false;
-                for (const FracInterval &part : uncovered) {
-                    if (prev.range.overlaps(part)) {
-                        overlaps = true;
-                        break;
-                    }
-                }
-                if (!overlaps)
+                if (intact) {
+                    if (!splitsOverlap(prev.splitIdx, prev.splitCount,
+                                       split_idx, split_count))
+                        continue;
+                } else if (!uncoveredOverlaps(fractionOf(
+                               prev.splitIdx, prev.splitCount))) {
                     continue;
+                }
                 if (is_write && prev.isWrite) {
                     graph_.addEdge(prev.node, id, DepKind::Output);
-                    subtractRange(uncovered, prev.range);
                 } else if (is_write) {
                     // Reader of the visible version: order after it,
                     // but it does not shadow older accesses.
                     graph_.addEdge(prev.node, id, DepKind::Anti);
+                    continue;
                 } else if (prev.isWrite) {
                     graph_.addEdge(prev.node, id, DepKind::True);
-                    subtractRange(uncovered, prev.range);
+                } else {
+                    continue;
                 }
+                // prev is a visible writer: it shadows its fraction.
+                if (intact) {
+                    if (splitCovers(prev.splitIdx, prev.splitCount,
+                                    split_idx, split_count))
+                        break; // nothing older is visible
+                    intact = false;
+                    uncovered_.clear();
+                    uncovered_.push_back(fractionOf(split_idx, split_count));
+                }
+                subtractRange(fractionOf(prev.splitIdx, prev.splitCount));
+                if (uncovered_.empty())
+                    break;
             }
-            accesses.push_back(RangeAccess{ id, is_write, range });
+            history_.record(slice.rank, slice.buffer, index, id,
+                            split_idx, split_count, is_write);
         }
     }
 
-    /**
-     * Access history per (rank, buffer) location, stored densely:
-     * history_[rank * 3 + buffer][chunkIndex]. The history is only
-     * ever looked up point-wise, never iterated, so the switch from
-     * an ordered map changes no edge order.
-     */
-    std::vector<RangeAccess> &
-    historyOf(Rank rank, BufferKind buffer, int index)
+    /** Split fraction [idx/count, (idx+1)/count), not normalized. */
+    static FracInterval
+    fractionOf(int idx, int count)
     {
-        std::vector<std::vector<RangeAccess>> &buf =
-            history_[static_cast<size_t>(rank) * 3 +
-                     static_cast<size_t>(buffer)];
-        if (index >= static_cast<int>(buf.size()))
-            buf.resize(index + 1);
-        return buf[index];
+        return FracInterval{ Frac{ idx, count }, Frac{ idx + 1, count } };
+    }
+
+    /** Whether fractions (a of n) and (b of m) overlap. */
+    static bool
+    splitsOverlap(std::int64_t a, std::int64_t n, std::int64_t b,
+                  std::int64_t m)
+    {
+        return a * m < (b + 1) * n && b * n < (a + 1) * m;
+    }
+
+    /** Whether fraction (a of n) contains fraction (b of m). */
+    static bool
+    splitCovers(std::int64_t a, std::int64_t n, std::int64_t b,
+                std::int64_t m)
+    {
+        return a * m <= b * n && (b + 1) * n <= (a + 1) * m;
     }
 
     InstrGraph &graph_;
     bool inPlace_;
-    std::vector<std::vector<std::vector<RangeAccess>>> history_;
+    AccessHistory history_;
+    std::vector<FracInterval> uncovered_;
+    std::vector<FracInterval> spare_;
 };
 
 } // namespace
@@ -155,7 +286,7 @@ InstrGraph
 lowerProgram(const Program &program)
 {
     InstrGraph graph(program.numRanks());
-    LoweringContext ctx(graph, program.collective().inPlace());
+    LoweringContext ctx(graph, program);
     int instances = program.options().instances;
 
     for (const TraceOp &op : program.ops()) {

@@ -82,13 +82,13 @@ buildLiveView(const InstrGraph &graph)
         view.succBegin[d] = static_cast<int>(view.succs.size());
         // forEachLiveSucc, with liveness read from the dense map
         // rather than the node slots.
-        for (int edge_idx : graph.succEdges(node.id)) {
-            int to = dense[graph.edges()[edge_idx].to];
+        graph.forEachSuccEdge(node.id, [&](const InstrEdge &edge) {
+            int to = dense[edge.to];
             if (to >= 0 && to != d) {
                 view.succs.push_back(to);
                 view.indegree[to]++;
             }
-        }
+        });
         view.commSucc[d] = dense_of(node.commSucc);
         view.commPred[d] = dense_of(node.commPred);
         if (view.commSucc[d] >= 0)

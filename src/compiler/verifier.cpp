@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <mutex>
-#include <optional>
+#include <string>
 #include <thread>
 #include <tuple>
-#include <unordered_map>
 #include <vector>
 
 #include "common/error.h"
@@ -20,107 +18,126 @@ namespace mscclang {
 
 namespace {
 
+/** A value id meaning "never written". */
+constexpr int kUninit = -1;
+/** A cell value meaning "split: read the cell's segment list". */
+constexpr int kSplit = -2;
+
 /**
- * A buffer location holding symbolic values per byte-fraction
- * segment. Parallelized instances write disjoint fractions that later
- * whole-chunk reads see as one value once every instance has landed.
+ * The values of one verification run, interned: buffer cells, FIFO
+ * parts and reductions carry int ids into this append-only table,
+ * so moving a value costs one word and no allocation. Ids are not
+ * canonical — two reductions with equal results get different ids —
+ * so equality compares ids first and falls back to the values.
  */
-class FractionalCell
+class ValueTable
 {
   public:
-    /** Writes @p value over @p range, splitting existing segments. */
-    void
-    write(const FracInterval &range, const ChunkValue &value)
+    int
+    intern(ChunkValue value)
     {
-        std::vector<Segment> next;
-        for (const Segment &seg : segments_) {
-            if (!seg.range.overlaps(range)) {
-                next.push_back(seg);
-                continue;
-            }
-            if (seg.range.lo < range.lo) {
-                next.push_back(
-                    Segment{ { seg.range.lo, range.lo }, seg.value });
-            }
-            if (range.hi < seg.range.hi) {
-                next.push_back(
-                    Segment{ { range.hi, seg.range.hi }, seg.value });
-            }
-        }
-        next.push_back(Segment{ range, value });
-        std::sort(next.begin(), next.end(),
-                  [](const Segment &a, const Segment &b) {
-                      return a.range.lo < b.range.lo;
-                  });
-        segments_ = std::move(next);
+        values_.push_back(std::move(value));
+        return static_cast<int>(values_.size()) - 1;
     }
 
-    /**
-     * Reads @p range; every byte must be initialized and hold the
-     * same value. Returns nullopt with @p why set otherwise.
-     */
-    std::optional<ChunkValue>
-    read(const FracInterval &range, std::string &why) const
-    {
-        std::optional<ChunkValue> value;
-        Frac cursor = range.lo;
-        for (const Segment &seg : segments_) {
-            if (!seg.range.overlaps(range))
-                continue;
-            if (cursor < seg.range.lo) {
-                why = "uninitialized bytes at fraction " +
-                    cursor.toString();
-                return std::nullopt;
-            }
-            if (value.has_value() && !(*value == seg.value)) {
-                why = "torn read: fractions hold different values (" +
-                    value->toString() + " vs " + seg.value.toString() +
-                    ")";
-                return std::nullopt;
-            }
-            value = seg.value;
-            if (cursor < seg.range.hi)
-                cursor = seg.range.hi;
-        }
-        if (cursor < range.hi) {
-            why = "uninitialized bytes at fraction " + cursor.toString();
-            return std::nullopt;
-        }
-        if (!value.has_value())
-            why = "empty read range";
-        return value;
-    }
+    const ChunkValue &operator[](int id) const { return values_[id]; }
 
-    /** Whole-location read convenience. */
-    std::optional<ChunkValue>
-    readAll(std::string &why) const
+    bool
+    same(int a, int b) const
     {
-        return read(FracInterval{ Frac::of(0, 1), Frac::of(1, 1) }, why);
+        return a == b || values_[a] == values_[b];
     }
 
   private:
-    struct Segment
-    {
-        FracInterval range;
-        ChunkValue value;
-    };
-
-    std::vector<Segment> segments_;
+    std::vector<ChunkValue> values_;
 };
 
-/** One fraction of one chunk in flight on a connection. */
-struct MessagePart
+/** One byte fraction of a split cell and the value it holds. */
+struct Segment
 {
-    int chunkRel = 0;
     FracInterval range;
-    ChunkValue value;
+    int value;
 };
-
-using Message = std::vector<MessagePart>;
 
 /**
- * Connection identity (src, dst, channel) packed into one integer so
- * the per-step queue lookups hash a word instead of comparing tuples.
+ * A buffer location. Parallelized instances write disjoint fractions
+ * that later whole-chunk reads see as one value once every instance
+ * has landed. A cell whose last write covered the whole chunk holds
+ * that value's id inline; only a split write moves it to a segment
+ * list (sorted by lo, disjoint), which the cell keeps for reuse.
+ */
+struct Cell
+{
+    int value = kUninit; // value id, kUninit or kSplit
+    int segments = -1;   // index of the cell's segment list, or -1
+};
+
+bool
+isWholeChunk(const FracInterval &range)
+{
+    return range.lo == Frac{ 0, 1 } && range.hi == Frac{ 1, 1 };
+}
+
+/**
+ * A FIFO ring buffer that only allocates when it grows past its
+ * largest size so far.
+ */
+template <typename T>
+class Ring
+{
+  public:
+    size_t size() const { return count_; }
+    bool empty() const { return count_ == 0; }
+    const T &front() const { return buf_[head_]; }
+
+    void
+    push_back(const T &item)
+    {
+        if (count_ == buf_.size()) {
+            std::vector<T> grown;
+            grown.reserve(std::max<size_t>(4, 2 * buf_.size()));
+            for (size_t i = 0; i < count_; i++)
+                grown.push_back(buf_[(head_ + i) % buf_.size()]);
+            grown.resize(grown.capacity());
+            buf_.swap(grown);
+            head_ = 0;
+        }
+        buf_[(head_ + count_) % buf_.size()] = item;
+        count_++;
+    }
+
+    void
+    pop_front()
+    {
+        head_ = (head_ + 1) % buf_.size();
+        count_--;
+    }
+
+  private:
+    std::vector<T> buf_;
+    size_t head_ = 0;
+    size_t count_ = 0;
+};
+
+/**
+ * One message in flight: instr.count parts, part k carrying chunk
+ * k of the sender's slice, all over the sender's byte fraction.
+ */
+struct MessageHeader
+{
+    int parts = 0;
+    FracInterval range;
+};
+
+/** One connection's FIFO: message headers and their parts' values. */
+struct Connection
+{
+    Ring<MessageHeader> messages;
+    Ring<int> parts;
+};
+
+/**
+ * Connection identity (src, dst, channel) packed into one integer.
  * Fields are packed most-significant-first, so sorting packed keys
  * reproduces tuple order for the deadlock report.
  */
@@ -147,17 +164,17 @@ class AbstractMachine
             if (gpu.rank < 0 || gpu.rank >= ir.numRanks)
                 throw VerificationError("IR names an out-of-range rank");
             RankBuffers &bufs = buffers_[gpu.rank];
-            bufs.input.resize(gpu.inputChunks);
+            bufs.input.assign(gpu.inputChunks, Cell{});
             if (!ir.inPlace)
-                bufs.output.resize(gpu.outputChunks);
-            bufs.scratch.resize(gpu.scratchChunks);
+                bufs.output.assign(gpu.outputChunks, Cell{});
+            bufs.scratch.assign(gpu.scratchChunks, Cell{});
             for (int i = 0; i < gpu.inputChunks; i++) {
-                bufs.input[i].write(
-                    FracInterval{ Frac::of(0, 1), Frac::of(1, 1) },
-                    ChunkValue::input(gpu.rank, i));
+                bufs.input[i].value =
+                    values_.intern(ChunkValue::input(gpu.rank, i));
             }
             cursors_[gpu.rank].assign(gpu.threadBlocks.size(), 0);
         }
+        indexConnections();
     }
 
     /** Runs to completion; throws on deadlock or semantic error. */
@@ -167,25 +184,25 @@ class AbstractMachine
         bool progress = true;
         while (progress) {
             progress = false;
+            const TbConns *conns = tbConns_.data();
             for (const IrGpu &gpu : ir_.gpus) {
                 for (const IrThreadBlock &tb : gpu.threadBlocks) {
-                    while (tryStep(gpu, tb))
+                    while (tryStep(gpu, tb, *conns))
                         progress = true;
+                    conns++;
                 }
             }
         }
         std::string blocked = blockedReport();
         if (!blocked.empty()) {
             // Report undelivered connections in (src, dst, channel)
-            // order; packed keys sort the same way as the tuples did.
-            std::vector<std::pair<ConnKey, size_t>> undelivered;
-            for (const auto &[key, queue] : connections_) {
-                if (!queue.empty())
-                    undelivered.push_back({ key, queue.size() });
-            }
-            std::sort(undelivered.begin(), undelivered.end());
+            // order: dense indexes follow sorted packed keys.
             std::string conns;
-            for (const auto &[key, count] : undelivered) {
+            for (size_t c = 0; c < connections_.size(); c++) {
+                size_t count = connections_[c].messages.size();
+                if (count == 0)
+                    continue;
+                ConnKey key = connKeys_[c];
                 conns += strprintf(
                     "  conn %d -> %d ch %d: %zu undelivered\n",
                     static_cast<int>(key >> 43),
@@ -202,12 +219,60 @@ class AbstractMachine
   private:
     struct RankBuffers
     {
-        std::vector<FractionalCell> input;
-        std::vector<FractionalCell> output;
-        std::vector<FractionalCell> scratch;
+        std::vector<Cell> input;
+        std::vector<Cell> output;
+        std::vector<Cell> scratch;
     };
 
-    std::vector<FractionalCell> &
+    /** Dense connection indexes of one thread block (-1: none). */
+    struct TbConns
+    {
+        int send = -1;
+        int recv = -1;
+    };
+
+    /**
+     * Maps every (src, dst, channel) a thread block names to a dense
+     * index, once: indexes follow sorted packed keys.
+     */
+    void
+    indexConnections()
+    {
+        for (const IrGpu &gpu : ir_.gpus) {
+            for (const IrThreadBlock &tb : gpu.threadBlocks) {
+                if (tb.sendPeer >= 0)
+                    connKeys_.push_back(
+                        connKeyOf(gpu.rank, tb.sendPeer, tb.channel));
+                if (tb.recvPeer >= 0)
+                    connKeys_.push_back(
+                        connKeyOf(tb.recvPeer, gpu.rank, tb.channel));
+            }
+        }
+        std::sort(connKeys_.begin(), connKeys_.end());
+        connKeys_.erase(std::unique(connKeys_.begin(), connKeys_.end()),
+                        connKeys_.end());
+        connections_.resize(connKeys_.size());
+        auto index_of = [&](ConnKey key) {
+            return static_cast<int>(
+                std::lower_bound(connKeys_.begin(), connKeys_.end(),
+                                 key) -
+                connKeys_.begin());
+        };
+        for (const IrGpu &gpu : ir_.gpus) {
+            for (const IrThreadBlock &tb : gpu.threadBlocks) {
+                TbConns conns;
+                if (tb.sendPeer >= 0)
+                    conns.send = index_of(
+                        connKeyOf(gpu.rank, tb.sendPeer, tb.channel));
+                if (tb.recvPeer >= 0)
+                    conns.recv = index_of(
+                        connKeyOf(tb.recvPeer, gpu.rank, tb.channel));
+                tbConns_.push_back(conns);
+            }
+        }
+    }
+
+    std::vector<Cell> &
     bufferOf(int rank, BufferKind kind)
     {
         RankBuffers &bufs = buffers_[rank];
@@ -222,38 +287,134 @@ class AbstractMachine
         throw VerificationError("bad buffer kind");
     }
 
-    ChunkValue
-    readPart(int rank, BufferKind buf, int index,
-             const FracInterval &range, const char *what)
+    Cell &
+    cellAt(int rank, BufferKind buf, int index, const char *what)
     {
-        std::vector<FractionalCell> &cells = bufferOf(rank, buf);
+        std::vector<Cell> &cells = bufferOf(rank, buf);
         if (index < 0 || static_cast<size_t>(index) >= cells.size()) {
             throw VerificationError(strprintf(
                 "%s: rank %d %s[%d] out of bounds (%zu chunks)", what,
                 rank, bufferKindName(buf), index, cells.size()));
         }
+        return cells[index];
+    }
+
+    /** Writes value @p id over @p range of @p cell. */
+    void
+    writeCell(Cell &cell, const FracInterval &range, int id)
+    {
+        if (isWholeChunk(range)) {
+            cell.value = id;
+            return;
+        }
+        if (cell.segments < 0) {
+            cell.segments = static_cast<int>(segmentLists_.size());
+            segmentLists_.emplace_back();
+        }
+        std::vector<Segment> &segs = segmentLists_[cell.segments];
+        if (cell.value >= 0)
+            segs.assign(1, Segment{ { Frac{ 0, 1 }, Frac{ 1, 1 } },
+                                    cell.value });
+        else if (cell.value == kUninit)
+            segs.clear();
+        cell.value = kSplit;
+
+        // Trim the segments the write overlaps, then insert it. The
+        // pieces are disjoint and non-empty, so their lo bounds are
+        // distinct and the sort is deterministic.
+        scratchSegments_.clear();
+        for (const Segment &seg : segs) {
+            if (!seg.range.overlaps(range)) {
+                scratchSegments_.push_back(seg);
+                continue;
+            }
+            if (seg.range.lo < range.lo) {
+                scratchSegments_.push_back(
+                    Segment{ { seg.range.lo, range.lo }, seg.value });
+            }
+            if (range.hi < seg.range.hi) {
+                scratchSegments_.push_back(
+                    Segment{ { range.hi, seg.range.hi }, seg.value });
+            }
+        }
+        scratchSegments_.push_back(Segment{ range, id });
+        std::sort(scratchSegments_.begin(), scratchSegments_.end(),
+                  [](const Segment &a, const Segment &b) {
+                      return a.range.lo < b.range.lo;
+                  });
+        segs.assign(scratchSegments_.begin(), scratchSegments_.end());
+    }
+
+    /**
+     * Reads @p range of @p cell; every byte must be initialized and
+     * hold the same value. Returns the value's id, or kUninit with
+     * @p why set.
+     */
+    int
+    readCell(const Cell &cell, const FracInterval &range,
+             std::string &why) const
+    {
+        if (cell.value >= 0)
+            return cell.value;
+        if (cell.value == kUninit) {
+            why = "uninitialized bytes at fraction " + range.lo.toString();
+            return kUninit;
+        }
+        int value = kUninit;
+        Frac cursor = range.lo;
+        for (const Segment &seg : segmentLists_[cell.segments]) {
+            if (!seg.range.overlaps(range))
+                continue;
+            if (cursor < seg.range.lo) {
+                why = "uninitialized bytes at fraction " +
+                    cursor.toString();
+                return kUninit;
+            }
+            if (value >= 0 && !values_.same(value, seg.value)) {
+                why = "torn read: fractions hold different values (" +
+                    values_[value].toString() + " vs " +
+                    values_[seg.value].toString() + ")";
+                return kUninit;
+            }
+            value = seg.value;
+            if (cursor < seg.range.hi)
+                cursor = seg.range.hi;
+        }
+        if (cursor < range.hi) {
+            why = "uninitialized bytes at fraction " + cursor.toString();
+            return kUninit;
+        }
+        if (value < 0)
+            why = "empty read range";
+        return value;
+    }
+
+    int
+    readPart(int rank, BufferKind buf, int index,
+             const FracInterval &range, const char *what)
+    {
+        const Cell &cell = cellAt(rank, buf, index, what);
         std::string why;
-        auto value = cells[index].read(range, why);
-        if (!value.has_value()) {
+        int value = readCell(cell, range, why);
+        if (value < 0) {
             throw VerificationError(strprintf(
                 "%s: rank %d %s[%d]: %s", what, rank,
                 bufferKindName(buf), index, why.c_str()));
         }
-        return *value;
+        return value;
     }
 
     void
     writePart(int rank, BufferKind buf, int index,
-              const FracInterval &range, const ChunkValue &value,
-              const char *what)
+              const FracInterval &range, int value, const char *what)
     {
-        std::vector<FractionalCell> &cells = bufferOf(rank, buf);
-        if (index < 0 || static_cast<size_t>(index) >= cells.size()) {
-            throw VerificationError(strprintf(
-                "%s: rank %d %s[%d] out of bounds (%zu chunks)", what,
-                rank, bufferKindName(buf), index, cells.size()));
-        }
-        cells[index].write(range, value);
+        writeCell(cellAt(rank, buf, index, what), range, value);
+    }
+
+    int
+    reduce(int a, int b)
+    {
+        return values_.intern(ChunkValue::reduce(values_[a], values_[b]));
     }
 
     bool
@@ -275,7 +436,8 @@ class AbstractMachine
 
     /** Attempts the thread block's next instruction. */
     bool
-    tryStep(const IrGpu &gpu, const IrThreadBlock &tb)
+    tryStep(const IrGpu &gpu, const IrThreadBlock &tb,
+            const TbConns &conns)
     {
         size_t tb_idx = static_cast<size_t>(tb.id);
         int &cursor = cursors_[gpu.rank][tb_idx];
@@ -297,19 +459,17 @@ class AbstractMachine
                 "rank %d tb %d: %s without a send peer", gpu.rank,
                 tb.id, irOpName(instr.op)));
 
-        std::deque<Message> *inbox = nullptr;
+        Connection *inbox = nullptr;
         if (receives) {
-            auto it = connections_.find(
-                connKeyOf(tb.recvPeer, gpu.rank, tb.channel));
-            if (it == connections_.end() || it->second.empty())
+            inbox = &connections_[conns.recv];
+            if (inbox->messages.empty())
                 return false; // waiting for data
-            inbox = &it->second;
         }
-        std::deque<Message> *outbox = nullptr;
+        Connection *outbox = nullptr;
         if (sends) {
-            outbox = &connections_[connKeyOf(gpu.rank, tb.sendPeer,
-                                             tb.channel)];
-            if (static_cast<int>(outbox->size()) >= options_.slots)
+            outbox = &connections_[conns.send];
+            if (static_cast<int>(outbox->messages.size()) >=
+                options_.slots)
                 return false; // waiting for a FIFO slot
         }
 
@@ -319,69 +479,66 @@ class AbstractMachine
             splitFraction(instr.splitIdx, instr.splitCount);
         size_t count = static_cast<size_t>(instr.count);
 
-        Message incoming;
+        // Incoming part values are copied out before any outgoing
+        // part is queued: a connection may loop back to its sender.
+        incoming_.clear();
         if (receives) {
-            incoming = std::move(inbox->front());
-            inbox->pop_front();
+            MessageHeader header = inbox->messages.front();
+            inbox->messages.pop_front();
+            for (int k = 0; k < header.parts; k++) {
+                incoming_.push_back(inbox->parts.front());
+                inbox->parts.pop_front();
+            }
             // Shape check: FIFO pairing must deliver exactly the
             // fractions this receive expects.
-            if (incoming.size() != count) {
+            if (incoming_.size() != count) {
                 throw VerificationError(strprintf(
                     "rank %d tb %d step %d: FIFO mismatch (message has "
                     "%zu parts, receive expects %zu)", gpu.rank, tb.id,
-                    cursor, incoming.size(), count));
+                    cursor, incoming_.size(), count));
             }
-            for (size_t i = 0; i < count; i++) {
-                if (incoming[i].chunkRel != static_cast<int>(i) ||
-                    !(incoming[i].range == range)) {
-                    throw VerificationError(strprintf(
-                        "rank %d tb %d step %d: FIFO mismatch (part %zu "
-                        "shape differs from the matched send)",
-                        gpu.rank, tb.id, cursor, i));
-                }
+            if (count > 0 && !(header.range == range)) {
+                throw VerificationError(strprintf(
+                    "rank %d tb %d step %d: FIFO mismatch (part %zu "
+                    "shape differs from the matched send)",
+                    gpu.rank, tb.id, cursor, size_t{ 0 }));
             }
         }
 
-        Message outgoing;
-        if (sends)
-            outgoing.reserve(count);
+        outgoing_.clear();
         switch (instr.op) {
           case IrOp::Nop:
             break;
           case IrOp::Send:
             for (int rel = 0; rel < instr.count; rel++) {
-                ChunkValue value = readPart(
-                    gpu.rank, instr.srcBuf, instr.srcOff + rel, range,
-                    "send");
-                outgoing.push_back(MessagePart{ rel, range, value });
+                outgoing_.push_back(readPart(gpu.rank, instr.srcBuf,
+                                             instr.srcOff + rel, range,
+                                             "send"));
             }
             break;
           case IrOp::Recv:
             for (size_t i = 0; i < count; i++) {
                 writePart(gpu.rank, instr.dstBuf,
                           instr.dstOff + static_cast<int>(i),
-                          range, incoming[i].value, "recv");
+                          range, incoming_[i], "recv");
             }
             break;
           case IrOp::Copy:
             for (int rel = 0; rel < instr.count; rel++) {
-                ChunkValue value = readPart(
-                    gpu.rank, instr.srcBuf, instr.srcOff + rel, range,
-                    "copy");
+                int value = readPart(gpu.rank, instr.srcBuf,
+                                     instr.srcOff + rel, range, "copy");
                 writePart(gpu.rank, instr.dstBuf, instr.dstOff + rel,
                           range, value, "copy");
             }
             break;
           case IrOp::Reduce:
             for (int rel = 0; rel < instr.count; rel++) {
-                ChunkValue a = readPart(gpu.rank, instr.srcBuf,
-                                        instr.srcOff + rel, range,
-                                        "reduce");
-                ChunkValue b = readPart(gpu.rank, instr.dstBuf,
-                                        instr.dstOff + rel, range,
-                                        "reduce");
+                int a = readPart(gpu.rank, instr.srcBuf,
+                                 instr.srcOff + rel, range, "reduce");
+                int b = readPart(gpu.rank, instr.dstBuf,
+                                 instr.dstOff + rel, range, "reduce");
                 writePart(gpu.rank, instr.dstBuf, instr.dstOff + rel,
-                          range, ChunkValue::reduce(a, b), "reduce");
+                          range, reduce(a, b), "reduce");
             }
             break;
           case IrOp::RecvReduceCopy:
@@ -389,35 +546,35 @@ class AbstractMachine
           case IrOp::RecvReduceCopySend:
             for (size_t i = 0; i < count; i++) {
                 int rel = static_cast<int>(i);
-                ChunkValue local = readPart(
-                    gpu.rank, instr.srcBuf, instr.srcOff + rel, range,
-                    irOpName(instr.op));
-                ChunkValue combined =
-                    ChunkValue::reduce(local, incoming[i].value);
+                int local = readPart(gpu.rank, instr.srcBuf,
+                                     instr.srcOff + rel, range,
+                                     irOpName(instr.op));
+                int combined = reduce(local, incoming_[i]);
                 if (irOpWritesDst(instr.op)) {
                     writePart(gpu.rank, instr.dstBuf,
                               instr.dstOff + rel, range, combined,
                               irOpName(instr.op));
                 }
-                if (sends) {
-                    outgoing.push_back(
-                        MessagePart{ rel, range, combined });
-                }
+                if (sends)
+                    outgoing_.push_back(combined);
             }
             break;
           case IrOp::RecvCopySend:
             for (size_t i = 0; i < count; i++) {
                 int rel = static_cast<int>(i);
                 writePart(gpu.rank, instr.dstBuf, instr.dstOff + rel,
-                          range, incoming[i].value, "rcs");
-                outgoing.push_back(
-                    MessagePart{ rel, range, incoming[i].value });
+                          range, incoming_[i], "rcs");
+                outgoing_.push_back(incoming_[i]);
             }
             break;
         }
 
-        if (sends)
-            outbox->push_back(std::move(outgoing));
+        if (sends) {
+            outbox->messages.push_back(MessageHeader{
+                static_cast<int>(outgoing_.size()), range });
+            for (int value : outgoing_)
+                outbox->parts.push_back(value);
+        }
 
         cursor++;
         return true;
@@ -427,27 +584,23 @@ class AbstractMachine
     blockedReport() const
     {
         std::string report;
+        const TbConns *conns = tbConns_.data();
         for (const IrGpu &gpu : ir_.gpus) {
             for (const IrThreadBlock &tb : gpu.threadBlocks) {
+                const TbConns &tb_conns = *conns++;
                 int cursor = cursors_[gpu.rank][tb.id];
                 if (cursor >= static_cast<int>(tb.steps.size()))
                     continue;
                 const IrInstruction &instr = tb.steps[cursor];
                 std::string reason = "dependency";
                 if (irOpReceives(instr.op)) {
-                    auto it = connections_.find(
-                        connKeyOf(tb.recvPeer, gpu.rank, tb.channel));
-                    size_t inbox =
-                        it == connections_.end() ? 0 : it->second.size();
                     reason = strprintf("data from %d (inbox=%zu) or "
-                                       "dependency", tb.recvPeer, inbox);
+                                       "dependency", tb.recvPeer,
+                                       queued(tb_conns.recv));
                 } else if (irOpSends(instr.op)) {
-                    auto it = connections_.find(
-                        connKeyOf(gpu.rank, tb.sendPeer, tb.channel));
-                    size_t queued =
-                        it == connections_.end() ? 0 : it->second.size();
                     reason = strprintf("FIFO slot to %d (queued=%zu) or "
-                                       "dependency", tb.sendPeer, queued);
+                                       "dependency", tb.sendPeer,
+                                       queued(tb_conns.send));
                 }
                 report += formatBlockedThreadBlock(gpu.rank, tb.id,
                                                    cursor, instr,
@@ -455,6 +608,13 @@ class AbstractMachine
             }
         }
         return report;
+    }
+
+    /** Messages queued on connection @p conn (0 for none). */
+    size_t
+    queued(int conn) const
+    {
+        return conn < 0 ? 0 : connections_[conn].messages.size();
     }
 
     void
@@ -466,7 +626,7 @@ class AbstractMachine
                     collective_.expectedOutput(gpu.rank, i);
                 if (!expected.has_value())
                     continue;
-                std::vector<FractionalCell> &cells =
+                std::vector<Cell> &cells =
                     bufferOf(gpu.rank, BufferKind::Output);
                 if (static_cast<size_t>(i) >= cells.size()) {
                     throw VerificationError(strprintf(
@@ -474,18 +634,20 @@ class AbstractMachine
                         i));
                 }
                 std::string why;
-                auto actual = cells[i].readAll(why);
-                if (!actual.has_value()) {
+                int actual = readCell(
+                    cells[i],
+                    FracInterval{ Frac::of(0, 1), Frac::of(1, 1) }, why);
+                if (actual < 0) {
                     throw VerificationError(strprintf(
                         "postcondition: rank %d output[%d]: %s",
                         gpu.rank, i, why.c_str()));
                 }
-                if (!(*actual == *expected)) {
+                if (!(values_[actual] == *expected)) {
                     throw VerificationError(strprintf(
                         "postcondition violated at rank %d output[%d]: "
                         "expected %s, got %s", gpu.rank, i,
                         expected->toString().c_str(),
-                        actual->toString().c_str()));
+                        values_[actual].toString().c_str()));
                 }
             }
         }
@@ -494,9 +656,17 @@ class AbstractMachine
     const IrProgram &ir_;
     const Collective &collective_;
     VerifyOptions options_;
+    ValueTable values_;
     std::vector<RankBuffers> buffers_;
+    std::vector<std::vector<Segment>> segmentLists_;
     std::vector<std::vector<int>> cursors_;
-    std::unordered_map<ConnKey, std::deque<Message>> connections_;
+    std::vector<ConnKey> connKeys_; // sorted; index = connection id
+    std::vector<Connection> connections_;
+    std::vector<TbConns> tbConns_; // per thread block, in IR order
+    // Per-step scratch, reused so a step allocates nothing.
+    std::vector<int> incoming_;
+    std::vector<int> outgoing_;
+    std::vector<Segment> scratchSegments_;
 };
 
 } // namespace

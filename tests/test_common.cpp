@@ -57,6 +57,25 @@ TEST(Strings, ParseBytesRejectsJunk)
     EXPECT_THROW(parseBytes("-5KB"), Error);
 }
 
+TEST(Strings, ParseCountIsStrict)
+{
+    EXPECT_EQ(parseCount("--n", "42", 0, 100), 42u);
+    EXPECT_EQ(parseCount("--n", "0x10", 0, 100, 0), 16u);
+    EXPECT_EQ(parseCount("--n", "1", 1, 1), 1u);
+    for (const char *bad : { "", "3x", "-1", " 4", "+4", "101", "0",
+                             "99999999999999999999999" }) {
+        SCOPED_TRACE(bad);
+        EXPECT_THROW(parseCount("--n", bad, 1, 100), BadValue);
+    }
+    try {
+        parseCount("--channels", "3x", 0, 7);
+        FAIL() << "3x accepted";
+    } catch (const BadValue &error) {
+        EXPECT_STREQ(error.what(),
+                     "--channels: '3x' is not an integer in [0, 7]");
+    }
+}
+
 TEST(Strings, SplitKeepsEmptyFields)
 {
     auto fields = splitString("a,,b", ',');

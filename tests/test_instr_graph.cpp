@@ -6,6 +6,9 @@
  * logging facility.
  */
 
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/error.h"
@@ -58,6 +61,63 @@ TEST(InstrGraph, ReplaceNodeRewiresEdges)
     ASSERT_EQ(succs.size(), 1u);
     EXPECT_EQ(succs[0], c);
     EXPECT_EQ(graph.livePreds(c), std::vector<int>{ a });
+}
+
+TEST(InstrGraph, EdgeIterationFollowsInsertionOrderAfterReplace)
+{
+    InstrGraph graph(1);
+    int a = graph.addNode(localNode(0));
+    int b = graph.addNode(localNode(0));
+    int x = graph.addNode(localNode(0));
+    int y = graph.addNode(localNode(0));
+    int c = graph.addNode(localNode(0));
+    int d = graph.addNode(localNode(0));
+    int e = graph.addNode(localNode(0));
+    graph.addEdge(a, y, DepKind::Anti);
+    graph.addEdge(y, e, DepKind::Output);
+    graph.addEdge(a, x, DepKind::True);
+    graph.addEdge(b, x, DepKind::Anti);
+    graph.addEdge(x, d, DepKind::Anti);
+    graph.addEdge(x, c, DepKind::True);
+    graph.addEdge(x, e, DepKind::Anti);
+    // Fuse x into y: a -> y already exists (upgraded to True, kept
+    // once), b -> y is new; y gains x's successors d and c after its
+    // own e, which is deduplicated.
+    graph.replaceNode(x, y);
+
+    auto preds = [&](int id) {
+        std::vector<std::pair<int, DepKind>> out;
+        graph.forEachPredEdge(id, [&](const InstrEdge &edge) {
+            out.push_back({ edge.from, edge.kind });
+        });
+        return out;
+    };
+    auto succs = [&](int id) {
+        std::vector<std::pair<int, DepKind>> out;
+        graph.forEachSuccEdge(id, [&](const InstrEdge &edge) {
+            out.push_back({ edge.to, edge.kind });
+        });
+        return out;
+    };
+    using Edges = std::vector<std::pair<int, DepKind>>;
+    EXPECT_EQ(preds(y),
+              (Edges{ { a, DepKind::True }, { b, DepKind::Anti } }));
+    EXPECT_EQ(succs(y), (Edges{ { e, DepKind::Output },
+                                { d, DepKind::Anti },
+                                { c, DepKind::True } }));
+    // The dead node's edges stay threaded in insertion order.
+    EXPECT_EQ(succs(a),
+              (Edges{ { y, DepKind::True }, { x, DepKind::True } }));
+    EXPECT_EQ(preds(e),
+              (Edges{ { y, DepKind::Output }, { x, DepKind::Anti } }));
+    // Live iteration skips x and visits y once.
+    std::vector<int> live;
+    graph.forEachLivePred(e, [&](int from) { live.push_back(from); });
+    EXPECT_EQ(live, std::vector<int>{ y });
+    live.clear();
+    graph.forEachLiveSucc(a, [&](int to) { live.push_back(to); });
+    EXPECT_EQ(live, std::vector<int>{ y });
+    EXPECT_EQ(graph.edges().size(), 10u); // 7 + b->y, y->d, y->c
 }
 
 TEST(InstrGraph, DepthsFollowLongestPath)

@@ -1,0 +1,334 @@
+/**
+ * @file
+ * Differential test of lowering's dependence analysis. The reference
+ * below is the straightforward per-chunk history walk: every access
+ * of every chunk is kept in a vector, scanned newest-first with an
+ * explicit "still uncovered" interval set. lowerProgram() must emit
+ * the same processing edges — same (from, to, kind), same order —
+ * on every golden program and on hand-built programs that mix split
+ * writes, split reads, whole overwrites, in-place aliasing and
+ * multi-chunk slices.
+ */
+
+#include <memory>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "collectives/classic.h"
+#include "collectives/collectives.h"
+#include "compiler/instr_graph.h"
+#include "topology/topology.h"
+
+namespace mscclang {
+namespace {
+
+struct RangeAccess
+{
+    int node;
+    bool isWrite;
+    FracInterval range;
+};
+
+/** The reference access history: one growing vector per chunk. */
+class ReferenceContext
+{
+  public:
+    ReferenceContext(InstrGraph &graph, bool in_place)
+        : graph_(graph), inPlace_(in_place),
+          history_(3 * graph.numRanks())
+    {
+    }
+
+    BufferSlice
+    canonical(BufferSlice slice) const
+    {
+        if (inPlace_ && slice.buffer == BufferKind::Output)
+            slice.buffer = BufferKind::Input;
+        return slice;
+    }
+
+    void
+    recordAccesses(int id)
+    {
+        const InstrNode &node = graph_.node(id);
+        if (irOpReadsSrc(node.op))
+            accessSlice(id, node.src, node.splitIdx, node.splitCount,
+                        false);
+        if (node.op == IrOp::Reduce || node.op == IrOp::RecvReduceCopy)
+            accessSlice(id, node.dst, node.splitIdx, node.splitCount,
+                        false);
+        if (irOpWritesDst(node.op))
+            accessSlice(id, node.dst, node.splitIdx, node.splitCount,
+                        true);
+    }
+
+  private:
+    static void
+    subtractRange(std::vector<FracInterval> &set, const FracInterval &cut)
+    {
+        std::vector<FracInterval> next;
+        for (const FracInterval &part : set) {
+            if (!part.overlaps(cut)) {
+                next.push_back(part);
+                continue;
+            }
+            if (part.lo < cut.lo)
+                next.push_back(FracInterval{ part.lo, cut.lo });
+            if (cut.hi < part.hi)
+                next.push_back(FracInterval{ cut.hi, part.hi });
+        }
+        set = std::move(next);
+    }
+
+    void
+    accessSlice(int id, const BufferSlice &slice, int split_idx,
+                int split_count, bool is_write)
+    {
+        FracInterval range = splitFraction(split_idx, split_count);
+        for (int k = 0; k < slice.count; k++) {
+            std::vector<RangeAccess> &accesses =
+                historyOf(slice.rank, slice.buffer, slice.index + k);
+            std::vector<FracInterval> uncovered{ range };
+            for (auto it = accesses.rbegin();
+                 it != accesses.rend() && !uncovered.empty(); ++it) {
+                const RangeAccess &prev = *it;
+                if (prev.node == id)
+                    continue;
+                bool overlaps = false;
+                for (const FracInterval &part : uncovered) {
+                    if (prev.range.overlaps(part)) {
+                        overlaps = true;
+                        break;
+                    }
+                }
+                if (!overlaps)
+                    continue;
+                if (is_write && prev.isWrite) {
+                    graph_.addEdge(prev.node, id, DepKind::Output);
+                    subtractRange(uncovered, prev.range);
+                } else if (is_write) {
+                    graph_.addEdge(prev.node, id, DepKind::Anti);
+                } else if (prev.isWrite) {
+                    graph_.addEdge(prev.node, id, DepKind::True);
+                    subtractRange(uncovered, prev.range);
+                }
+            }
+            accesses.push_back(RangeAccess{ id, is_write, range });
+        }
+    }
+
+    std::vector<RangeAccess> &
+    historyOf(Rank rank, BufferKind buffer, int index)
+    {
+        std::vector<std::vector<RangeAccess>> &buf =
+            history_[static_cast<size_t>(rank) * 3 +
+                     static_cast<size_t>(buffer)];
+        if (index >= static_cast<int>(buf.size()))
+            buf.resize(index + 1);
+        return buf[index];
+    }
+
+    InstrGraph &graph_;
+    bool inPlace_;
+    std::vector<std::vector<std::vector<RangeAccess>>> history_;
+};
+
+/** lowerProgram() with the reference history. */
+InstrGraph
+referenceLower(const Program &program)
+{
+    InstrGraph graph(program.numRanks());
+    ReferenceContext ctx(graph, program.collective().inPlace());
+    int instances = program.options().instances;
+    for (const TraceOp &op : program.ops()) {
+        BufferSlice src = ctx.canonical(op.src);
+        BufferSlice dst = ctx.canonical(op.dst);
+        bool local = src.rank == dst.rank;
+        if (op.kind == OpKind::Copy && local && src == dst)
+            continue;
+        int total_split = op.parFactor * instances;
+        for (int j = 0; j < total_split; j++) {
+            auto base = [&](IrOp ir_op, Rank rank) {
+                InstrNode node;
+                node.op = ir_op;
+                node.rank = rank;
+                node.splitIdx = j;
+                node.splitCount = total_split;
+                return node;
+            };
+            if (local) {
+                InstrNode node = base(op.kind == OpKind::Copy
+                                          ? IrOp::Copy
+                                          : IrOp::Reduce,
+                                      dst.rank);
+                node.src = src;
+                node.dst = dst;
+                ctx.recordAccesses(graph.addNode(std::move(node)));
+                continue;
+            }
+            InstrNode send = base(IrOp::Send, src.rank);
+            send.src = src;
+            ctx.recordAccesses(graph.addNode(std::move(send)));
+            InstrNode recv = base(op.kind == OpKind::Copy
+                                      ? IrOp::Recv
+                                      : IrOp::RecvReduceCopy,
+                                  dst.rank);
+            if (op.kind == OpKind::Reduce)
+                recv.src = dst;
+            recv.dst = dst;
+            ctx.recordAccesses(graph.addNode(std::move(recv)));
+        }
+    }
+    return graph;
+}
+
+/** Asserts both lowerings emit the same nodes and edge sequence. */
+void
+expectSameEdges(const Program &program)
+{
+    InstrGraph actual = lowerProgram(program);
+    InstrGraph expected = referenceLower(program);
+    ASSERT_EQ(actual.numNodes(), expected.numNodes());
+    for (int id = 0; id < actual.numNodes(); id++) {
+        ASSERT_EQ(actual.node(id).op, expected.node(id).op) << id;
+        ASSERT_EQ(actual.node(id).splitIdx, expected.node(id).splitIdx);
+    }
+    const std::vector<InstrEdge> &got = actual.edges();
+    const std::vector<InstrEdge> &want = expected.edges();
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); i++) {
+        ASSERT_EQ(got[i].from, want[i].from) << "edge " << i;
+        ASSERT_EQ(got[i].to, want[i].to) << "edge " << i;
+        ASSERT_EQ(got[i].kind, want[i].kind) << "edge " << i;
+    }
+}
+
+int
+countKind(const InstrGraph &graph, DepKind kind)
+{
+    int count = 0;
+    for (const InstrEdge &edge : graph.edges())
+        count += edge.kind == kind ? 1 : 0;
+    return count;
+}
+
+TEST(LoweringOracle, GoldenFactoriesMatchReference)
+{
+    AlgoConfig i2;
+    i2.instances = 2;
+    AlgoConfig i4;
+    i4.instances = 4;
+    i4.protocol = Protocol::LL128;
+    AlgoConfig i8;
+    i8.instances = 8;
+    AlgoConfig ll;
+    ll.protocol = Protocol::LL;
+    ll.instances = 2;
+    AlgoConfig plain;
+    AlgoConfig split;
+    split.hierSplit = 2;
+    Topology dgx1 = makeDgx1();
+    std::vector<std::unique_ptr<Program>> programs;
+    programs.push_back(makeRingAllReduce(8, 2, i2));
+    programs.push_back(makeRingAllReduce(16, 4, i4));
+    programs.push_back(makeRingAllReduce(64, 4, i8));
+    programs.push_back(makeRingAllReduceOutOfPlace(8, 2, i2));
+    programs.push_back(makeAllPairsAllReduce(8, ll));
+    programs.push_back(makeHierarchicalAllReduce(2, 4, 2, plain));
+    programs.push_back(makeHierarchicalAllReduce(2, 8, 1, plain));
+    programs.push_back(makeHierarchicalAllReduce(8, 8, 1, plain));
+    programs.push_back(makeHierarchicalAllReduce(8, 8, 8, plain));
+    programs.push_back(makeHierarchicalAllReduce(32, 8, 1, plain));
+    programs.push_back(makeHierarchicalAllReduce(2, 4, 2, split));
+    programs.push_back(makeTwoStepAllToAll(2, 4, plain));
+    programs.push_back(makeTwoStepAllToAll(8, 8, plain));
+    programs.push_back(makeNaiveAllToAll(8, plain));
+    programs.push_back(makeAllToNext(2, 4, plain));
+    programs.push_back(makeNaiveAllToNext(2, 4, plain));
+    programs.push_back(makeRingAllGather(8, 2, i2));
+    programs.push_back(makeRingAllGather(64, 2, i2));
+    programs.push_back(makeDoubleBinaryTreeAllReduce(16, ll));
+    programs.push_back(makeRabenseifnerAllReduce(8, plain));
+    programs.push_back(makeSccl122AllGather(dgx1, plain));
+    for (size_t i = 0; i < programs.size(); i++) {
+        SCOPED_TRACE(i);
+        expectSameEdges(*programs[i]);
+    }
+}
+
+/**
+ * Writes @p dst at split 2, reads it at split 3 (locally and through
+ * a send), overwrites it whole, then reads it whole and at split 2.
+ * @p read_as names the same location as @p dst — through the
+ * in-place Output -> Input alias when the buffers differ.
+ */
+void
+splitThenWholeSequence(Program &prog, BufferKind dst, BufferKind read_as,
+                       int index, int count)
+{
+    {
+        ParallelizeScope two = prog.parallelize(2);
+        prog.chunk(0, BufferKind::Input, 0, count)
+            .copy(1, dst, index);
+    }
+    {
+        ParallelizeScope three = prog.parallelize(3);
+        prog.chunk(1, read_as, index, count)
+            .copy(1, BufferKind::Scratch, 8);
+        prog.chunk(1, read_as, index + count - 1, 1)
+            .copy(0, BufferKind::Scratch, 0);
+    }
+    {
+        // A split-3 remote reduce reads and rewrites part of it.
+        ParallelizeScope three = prog.parallelize(3);
+        ChunkRef operand = prog.chunk(0, BufferKind::Input, 0, count);
+        prog.chunk(1, read_as, index, count).reduce(operand);
+    }
+    prog.chunk(0, BufferKind::Input, 1, count).copy(1, dst, index);
+    prog.chunk(1, read_as, index, count).copy(1, BufferKind::Scratch, 12);
+    {
+        ParallelizeScope two = prog.parallelize(2);
+        prog.chunk(1, read_as, index, 1).copy(0, BufferKind::Scratch, 1);
+    }
+    ChunkRef local = prog.chunk(1, BufferKind::Scratch, 12, count);
+    prog.chunk(1, read_as, index, count).reduce(local);
+}
+
+TEST(LoweringOracle, SplitReadsAndWholeOverwritesMatchReference)
+{
+    auto coll = std::make_shared<AllReduceCollective>(2, 4);
+    Program prog(coll);
+    splitThenWholeSequence(prog, BufferKind::Scratch, BufferKind::Scratch,
+                           0, 1);
+    expectSameEdges(prog);
+    InstrGraph graph = lowerProgram(prog);
+    EXPECT_GT(countKind(graph, DepKind::True), 0);
+    EXPECT_GT(countKind(graph, DepKind::Anti), 0);
+    EXPECT_GT(countKind(graph, DepKind::Output), 0);
+}
+
+TEST(LoweringOracle, InPlaceAliasMatchesReference)
+{
+    // Writes land in Output, reads name Input: the same location.
+    auto coll = std::make_shared<AllReduceCollective>(2, 4);
+    ASSERT_TRUE(coll->inPlace());
+    Program prog(coll);
+    splitThenWholeSequence(prog, BufferKind::Output, BufferKind::Input,
+                           2, 1);
+    expectSameEdges(prog);
+}
+
+TEST(LoweringOracle, MultiChunkSliceMatchesReference)
+{
+    auto coll = std::make_shared<AllReduceCollective>(2, 4);
+    ProgramOptions options;
+    options.instances = 2;
+    Program prog(coll, options);
+    splitThenWholeSequence(prog, BufferKind::Output, BufferKind::Input,
+                           1, 3);
+    expectSameEdges(prog);
+}
+
+} // namespace
+} // namespace mscclang

@@ -302,6 +302,189 @@ TEST(Verifier, ParallelInstancesComposeWhenConsistent)
     verifyIr(ir, coll);
 }
 
+/** The verifier's error text for @p ir, or "" if it verifies. */
+std::string
+verifyMessage(const IrProgram &ir, const Collective &coll,
+              const VerifyOptions &options = {})
+{
+    try {
+        verifyIr(ir, coll, options);
+    } catch (const VerificationError &error) {
+        return error.what();
+    }
+    return "";
+}
+
+/** A one-rank IR with 2 input, 2 scratch and 1 output chunk. */
+IrProgram
+singleRankScratch()
+{
+    IrProgram ir = skeleton(1);
+    ir.gpus[0].inputChunks = 2;
+    ir.gpus[0].scratchChunks = 2;
+    ir.gpus[0].outputChunks = 1;
+    return ir;
+}
+
+IrInstruction
+split(IrInstruction in, int idx, int count)
+{
+    in.splitIdx = idx;
+    in.splitCount = count;
+    return in;
+}
+
+CustomCollective
+oneOutput(ChunkValue expected)
+{
+    return CustomCollective(
+        "one", 1, 2, false, 2, 1,
+        [expected](Rank, int) -> std::optional<ChunkValue> {
+            return expected;
+        });
+}
+
+TEST(Verifier, EqualSplitValuesFromDifferentInstructionsAreNotTorn)
+{
+    // scratch[0] and scratch[1] each become in0 + in1 through their
+    // own reduce, so the two values are equal but produced by
+    // different instructions. Each lands on one half of output[0];
+    // the whole-chunk reads that follow must see one value.
+    IrProgram ir = singleRankScratch();
+    IrThreadBlock tb;
+    tb.id = 0;
+    for (int s = 0; s < 2; s++) {
+        tb.steps.push_back(instr(IrOp::Copy, BufferKind::Input, 0,
+                                 BufferKind::Scratch, s));
+        tb.steps.push_back(instr(IrOp::Reduce, BufferKind::Input, 1,
+                                 BufferKind::Scratch, s));
+    }
+    for (int s = 0; s < 2; s++) {
+        tb.steps.push_back(split(instr(IrOp::Copy, BufferKind::Scratch,
+                                       s, BufferKind::Output, 0),
+                                 s, 2));
+    }
+    // A whole read through an instruction, not only the postcondition.
+    tb.steps.push_back(instr(IrOp::Copy, BufferKind::Output, 0,
+                             BufferKind::Scratch, 0));
+    ir.gpus[0].threadBlocks.push_back(tb);
+    ChunkValue sum = ChunkValue::reductionOf({ { 0, 0 }, { 0, 1 } });
+    EXPECT_EQ(verifyMessage(ir, oneOutput(sum)), "");
+}
+
+TEST(Verifier, SplitWriteOverWholeWriteIsTorn)
+{
+    IrProgram ir = singleRankScratch();
+    IrThreadBlock tb;
+    tb.id = 0;
+    tb.steps.push_back(
+        instr(IrOp::Copy, BufferKind::Input, 0, BufferKind::Output, 0));
+    tb.steps.push_back(split(
+        instr(IrOp::Copy, BufferKind::Input, 1, BufferKind::Output, 0),
+        1, 2));
+    ir.gpus[0].threadBlocks.push_back(tb);
+    EXPECT_EQ(verifyMessage(ir, oneOutput(ChunkValue::input(0, 0))),
+              "postcondition: rank 0 output[0]: torn read: fractions hold "
+              "different values ((0,0) vs (0,1))");
+}
+
+TEST(Verifier, UninitializedFractionDetected)
+{
+    IrProgram ir = singleRankScratch();
+    IrThreadBlock tb;
+    tb.id = 0;
+    tb.steps.push_back(split(
+        instr(IrOp::Copy, BufferKind::Input, 0, BufferKind::Output, 0),
+        0, 2));
+    ir.gpus[0].threadBlocks.push_back(tb);
+    EXPECT_EQ(verifyMessage(ir, oneOutput(ChunkValue::input(0, 0))),
+              "postcondition: rank 0 output[0]: uninitialized bytes at "
+              "fraction 1/2");
+}
+
+TEST(Verifier, PostconditionMessageIsExact)
+{
+    // Rank 0 places its own chunk where rank 1's belongs.
+    IrProgram ir = skeleton(2);
+    for (int r = 0; r < 2; r++) {
+        IrThreadBlock tb;
+        tb.id = 0;
+        for (int i = 0; i < 2; i++) {
+            tb.steps.push_back(instr(IrOp::Copy, BufferKind::Input, 0,
+                                     BufferKind::Output, i));
+        }
+        ir.gpus[r].threadBlocks.push_back(tb);
+    }
+    EXPECT_EQ(verifyMessage(ir, AllGatherCollective(2, 1)),
+              "postcondition violated at rank 0 output[1]: expected (1,0), "
+              "got (0,0)");
+}
+
+TEST(Verifier, DeadlockReportIsExact)
+{
+    // The FIFO head-of-line wedge of DetectsFifoSlotDeadlock on two
+    // channels, a thread block stuck behind a dependency and one
+    // starved of data: the report lists blocked thread blocks, then
+    // undelivered connections in (src, dst, channel) order.
+    IrProgram ir = skeleton(2);
+    for (int r = 0; r < 2; r++) {
+        for (int ch = 0; ch < 2; ch++) {
+            IrThreadBlock tb;
+            tb.id = ch;
+            tb.channel = 1 - ch;
+            tb.sendPeer = 1 - r;
+            tb.recvPeer = 1 - r;
+            for (int i = 0; i < 3; i++) {
+                tb.steps.push_back(instr(IrOp::Send, BufferKind::Input,
+                                         0, BufferKind::Input, 0));
+            }
+            tb.steps.push_back(instr(IrOp::Recv, BufferKind::Output, 0,
+                                     BufferKind::Output, 0));
+            ir.gpus[r].threadBlocks.push_back(tb);
+        }
+        IrThreadBlock waiter;
+        waiter.id = 2;
+        IrInstruction copy =
+            instr(IrOp::Copy, BufferKind::Input, 0, BufferKind::Output,
+                  1);
+        copy.deps.push_back(IrDep{ 0, 3 });
+        copy.hasDep = true;
+        waiter.steps.push_back(copy);
+        ir.gpus[r].threadBlocks.push_back(waiter);
+    }
+    // A receiver on a connection nobody sends on.
+    IrThreadBlock orphan;
+    orphan.id = 3;
+    orphan.channel = 5;
+    orphan.recvPeer = 1;
+    orphan.steps.push_back(
+        instr(IrOp::Recv, BufferKind::Output, 1, BufferKind::Output, 1));
+    ir.gpus[0].threadBlocks.push_back(orphan);
+    VerifyOptions options;
+    options.checkPostcondition = false;
+    options.slots = 2;
+    EXPECT_EQ(verifyMessage(ir, AllGatherCollective(2, 1), options),
+              "deadlock detected:\n"
+              "  rank 0 tb 0 blocked at step 2 (s i[0] -> i[0] cnt=1) waiting "
+              "for FIFO slot to 1 (queued=2) or dependency\n"
+              "  rank 0 tb 1 blocked at step 2 (s i[0] -> i[0] cnt=1) waiting "
+              "for FIFO slot to 1 (queued=2) or dependency\n"
+              "  rank 0 tb 2 blocked at step 0 (cpy i[0] -> o[1] cnt=1 "
+              "dep=(tb0,3) sem) waiting for dependency\n"
+              "  rank 0 tb 3 blocked at step 0 (r o[1] -> o[1] cnt=1) waiting "
+              "for data from 1 (inbox=0) or dependency\n"
+              "  rank 1 tb 0 blocked at step 2 (s i[0] -> i[0] cnt=1) waiting "
+              "for FIFO slot to 0 (queued=2) or dependency\n"
+              "  rank 1 tb 1 blocked at step 2 (s i[0] -> i[0] cnt=1) waiting "
+              "for FIFO slot to 0 (queued=2) or dependency\n"
+              "  rank 1 tb 2 blocked at step 0 (cpy i[0] -> o[1] cnt=1 "
+              "dep=(tb0,3) sem) waiting for dependency\n"
+              "  conn 0 -> 1 ch 0: 2 undelivered\n"
+              "  conn 0 -> 1 ch 1: 2 undelivered\n"
+              "  conn 1 -> 0 ch 0: 2 undelivered\n"
+              "  conn 1 -> 0 ch 1: 2 undelivered\n");
+}
+
 TEST(Verifier, SlotOptionValidated)
 {
     IrProgram ir = skeleton(1);

@@ -9,18 +9,23 @@
  *       --channels 4 --instances 8 --proto LL128 -o ring.xml
  *   mscclang_compile --algo twostep_alltoall --machine ndv4:4 --dump
  *   mscclang_compile --list
+ *
+ * Numeric options must be whole non-negative integers: "3x" or "-1"
+ * is a usage error (exit 2), not 3 or a wrapped value.
  */
 
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
 #include <string>
 
 #include "collectives/classic.h"
 #include "collectives/collectives.h"
 #include "common/error.h"
+#include "common/strings.h"
 #include "compiler/chunk_dag.h"
 #include "compiler/compiler.h"
 
@@ -187,14 +192,18 @@ main(int argc, char **argv)
                 throw Error("missing value for " + flag);
             return argv[++i];
         };
+        auto intValue = [&] {
+            return static_cast<int>(parseCount(
+                flag, value(), 0, std::numeric_limits<int>::max()));
+        };
         try {
             if (flag == "--algo") args.algo = value();
             else if (flag == "--machine") args.machine = value();
             else if (flag == "--proto") args.proto = parseProto(value());
-            else if (flag == "--channels") args.channels = std::stoi(value());
-            else if (flag == "--instances") args.instances = std::stoi(value());
-            else if (flag == "--root") args.root = std::stoi(value());
-            else if (flag == "--chunks") args.chunks = std::stoi(value());
+            else if (flag == "--channels") args.channels = intValue();
+            else if (flag == "--instances") args.instances = intValue();
+            else if (flag == "--root") args.root = intValue();
+            else if (flag == "--chunks") args.chunks = intValue();
             else if (flag == "-o") args.output = value();
             else if (flag == "--dump") args.dump = true;
             else if (flag == "--dot") args.dot = true;

@@ -27,10 +27,7 @@
  * hand-written baseline.
  */
 
-#include <cctype>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -74,39 +71,6 @@ usage()
         "('-' for stdout)\n"
         "  --smoke               compact space + hand-tuned baseline "
         "gate\n");
-}
-
-/** A malformed option value: reported as a usage error (exit 2). */
-class BadValue : public Error
-{
-  public:
-    explicit BadValue(const std::string &what) : Error(what) {}
-};
-
-/**
- * Parses the whole of @p text as an unsigned integer in [0, @p max]
- * (base as for strtoull). A sign, a leading space, trailing junk, an
- * empty token or an out-of-range value throws BadValue naming @p flag.
- */
-std::uint64_t
-parseCount(const std::string &flag, const std::string &text,
-           std::uint64_t max, int base = 10)
-{
-    bool ok = !text.empty() &&
-        std::isdigit(static_cast<unsigned char>(text[0]));
-    std::uint64_t value = 0;
-    if (ok) {
-        char *end = nullptr;
-        errno = 0;
-        value = std::strtoull(text.c_str(), &end, base);
-        ok = *end == '\0' && errno != ERANGE && value <= max;
-    }
-    if (!ok) {
-        throw BadValue(strprintf(
-            "%s: '%s' is not an integer in [0, %llu]", flag.c_str(),
-            text.c_str(), static_cast<unsigned long long>(max)));
-    }
-    return value;
 }
 
 void
@@ -220,15 +184,15 @@ main(int argc, char **argv)
                 options.toBytes = parseBytes(value());
             } else if (arg == "--threads") {
                 options.threads = static_cast<int>(parseCount(
-                    arg, value(), std::numeric_limits<int>::max()));
+                    arg, value(), 0, std::numeric_limits<int>::max()));
             } else if (arg == "--seed") {
                 options.seed = parseCount(
-                    arg, value(),
+                    arg, value(), 0,
                     std::numeric_limits<std::uint64_t>::max(), 0);
             } else if (arg == "--max-candidates") {
                 options.maxCandidates =
                     static_cast<std::size_t>(parseCount(
-                        arg, value(),
+                        arg, value(), 0,
                         std::numeric_limits<std::size_t>::max()));
             } else if (arg == "--hier-splits") {
                 options.hierSplits.clear();
@@ -236,7 +200,7 @@ main(int argc, char **argv)
                      splitString(value(), ',')) {
                     options.hierSplits.push_back(
                         static_cast<int>(parseCount(
-                            arg, tok,
+                            arg, tok, 0,
                             std::numeric_limits<int>::max())));
                 }
             } else if (arg == "--json") {

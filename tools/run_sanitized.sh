@@ -10,7 +10,9 @@
 # live executions and recovery retries over one shared fabric, and
 # the compiler passes (Schedule|CompileStats|InstrGraph|Lowering|
 # Fusion|ChunkDag), whose dense index arrays are where off-by-ones
-# hide. Also registered as the "sanitize" ctest configuration
+# hide, and the IR verifier (Verifier), whose interned value ids,
+# pooled segment lists and ring-buffer FIFOs are where a
+# use-after-reuse would hide. Also registered as the "sanitize" ctest configuration
 # (ctest -C sanitize) next to the existing "perf" configuration.
 #
 # With --chaos-sweep, additionally builds the mscclang_chaos driver in
@@ -56,7 +58,7 @@ if [[ "$TSAN" == "1" ]]; then
 else
     BUILD_DIR="${BUILD_DIR:-build-asan}"
     SANITIZE_FLAG="-DMSCCLANG_SANITIZE=ON"
-    FILTER="${1:-Faults|Watchdog|Communicator|Interpreter|EventQueue|Flow|Recovery|Health|PlanCache|Determinism|Races|Search|Workload|Replay|Slo|Hierarchical|UnionFind|Schedule|CompileStats|InstrGraph|Lowering|Fusion|ChunkDag}"
+    FILTER="${1:-Faults|Watchdog|Communicator|Interpreter|EventQueue|Flow|Recovery|Health|PlanCache|Determinism|Races|Search|Workload|Replay|Slo|Hierarchical|UnionFind|Schedule|CompileStats|InstrGraph|Lowering|Fusion|ChunkDag|Verifier}"
 fi
 
 cmake -B "$BUILD_DIR" -S . "$SANITIZE_FLAG" \
@@ -65,7 +67,7 @@ cmake --build "$BUILD_DIR" --target test_faults test_interpreter \
     test_sim test_races test_recovery test_plan_cache \
     test_determinism test_search test_workload test_hierarchical \
     test_unionfind test_tuner test_schedule test_compiler \
-    test_instr_graph -j"$(nproc)"
+    test_instr_graph test_lowering test_verifier -j"$(nproc)"
 
 if [[ "$TSAN" == "1" ]]; then
     export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
