@@ -178,7 +178,8 @@ try {
                 });
 
                 // Warm: a primed cache answers the same request —
-                // key + lookup + plan copy. The program is traced
+                // key + lookup + a Compiled copy that shares the
+                // cached IR body. The program is traced
                 // once outside the loop, so every timed hit re-keys
                 // the same Program object and reads its memoized
                 // fingerprint; a newly traced program would also

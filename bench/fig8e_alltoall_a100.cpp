@@ -16,13 +16,17 @@
  * uses the same scale; pass --nodes to shrink for quick runs.
  */
 
+#include <cstdio>
 #include <cstring>
+#include <limits>
 
 #include <map>
 
 #include "baselines/baselines.h"
 #include "bench_util.h"
 #include "collectives/collectives.h"
+#include "common/error.h"
+#include "common/strings.h"
 #include "compiler/compiler.h"
 
 using namespace mscclang;
@@ -33,8 +37,15 @@ main(int argc, char **argv)
 {
     int nodes = 32;
     for (int i = 1; i + 1 < argc; i++) {
-        if (std::strcmp(argv[i], "--nodes") == 0)
-            nodes = std::atoi(argv[i + 1]);
+        if (std::strcmp(argv[i], "--nodes") != 0)
+            continue;
+        try {
+            nodes = static_cast<int>(parseCount(
+                "--nodes", argv[i + 1], 1, std::numeric_limits<int>::max()));
+        } catch (const BadValue &error) {
+            std::fprintf(stderr, "error: %s\n", error.what());
+            return 2;
+        }
     }
     Topology topo = makeNdv4(nodes);
     std::vector<std::uint64_t> sizes =

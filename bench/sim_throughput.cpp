@@ -47,6 +47,8 @@
 
 #include "collectives/classic.h"
 #include "collectives/collectives.h"
+#include "common/error.h"
+#include "common/strings.h"
 #include "compiler/compiler.h"
 #include "runtime/interpreter.h"
 #include "runtime/tuner.h"
@@ -141,23 +143,13 @@ parseIntList(const char *flag, const char *arg, int lo, int hi)
         std::string tok = s.substr(
             pos, comma == std::string::npos ? std::string::npos
                                             : comma - pos);
-        if (tok.empty() ||
-            tok.find_first_not_of("0123456789") != std::string::npos) {
-            std::fprintf(stderr,
-                         "sim_throughput: %s expects a comma-separated "
-                         "list of integers, got '%s'\n",
-                         flag, arg);
+        try {
+            out.push_back(static_cast<int>(parseCount(flag, tok, lo, hi)));
+        } catch (const BadValue &error) {
+            std::fprintf(stderr, "sim_throughput: %s (in '%s')\n",
+                         error.what(), arg);
             std::exit(2);
         }
-        long v = std::strtol(tok.c_str(), nullptr, 10);
-        if (v < lo || v > hi) {
-            std::fprintf(stderr,
-                         "sim_throughput: %s value %ld out of range "
-                         "[%d, %d]\n",
-                         flag, v, lo, hi);
-            std::exit(2);
-        }
-        out.push_back(static_cast<int>(v));
         if (comma == std::string::npos)
             break;
         pos = comma + 1;
@@ -409,7 +401,15 @@ main(int argc, char **argv)
             json_path = argv[++i];
         } else if (std::strcmp(argv[i], "--iters") == 0 &&
                    i + 1 < argc) {
-            iters = std::atoi(argv[++i]);
+            try {
+                iters = static_cast<int>(parseCount(
+                    "--iters", argv[++i], 1,
+                    std::numeric_limits<int>::max()));
+            } catch (const BadValue &error) {
+                std::fprintf(stderr, "sim_throughput: %s\n",
+                             error.what());
+                return 2;
+            }
         } else if (std::strcmp(argv[i], "--fingerprint") == 0) {
             return fingerprintBattery();
         } else if (std::strcmp(argv[i], "--ranks") == 0 &&

@@ -89,10 +89,10 @@ statsFromIr(const IrProgram &ir, const Program &program)
 std::uint64_t
 fingerprintProgram(const Program &program)
 {
-    // The memo only helps when the same Program object is keyed again:
-    // Communicator::replanProgram and searchSchedules call
-    // planCacheKey before compiling through the cache, and a caller
-    // may compile one traced program more than once. Every other
+    // The memo only helps when the same Program object is keyed again
+    // (a caller may compile one traced program more than once; the
+    // re-key sites, Communicator::replanProgram and searchSchedules,
+    // pass their key into PlanCache::compile instead). Every other
     // request traces a new Program and pays one full pass. A computed
     // fingerprint of 0 is indistinguishable from "not yet computed"
     // and is simply recomputed.
@@ -241,29 +241,28 @@ PlanCache::global()
     return cache;
 }
 
-bool
-PlanCache::lookup(std::uint64_t key, Compiled *out)
+std::shared_ptr<const Compiled>
+PlanCache::lookup(std::uint64_t key)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = entries_.find(key);
     if (it == entries_.end()) {
         misses_++;
-        return false;
+        return nullptr;
     }
     lru_.splice(lru_.begin(), lru_, it->second.lruPos);
     hits_++;
-    *out = it->second.plan;
-    return true;
+    return it->second.plan;
 }
 
 void
-PlanCache::insert(std::uint64_t key, const Compiled &plan)
+PlanCache::insert(std::uint64_t key, std::shared_ptr<const Compiled> plan)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     if (entries_.count(key) > 0)
         return; // a concurrent compile of the same key won
     lru_.push_front(key);
-    entries_.emplace(key, Entry{ plan, lru_.begin() });
+    entries_.emplace(key, Entry{ std::move(plan), lru_.begin() });
     while (entries_.size() > capacity_) {
         entries_.erase(lru_.back());
         lru_.pop_back();
@@ -273,10 +272,17 @@ PlanCache::insert(std::uint64_t key, const Compiled &plan)
 Compiled
 PlanCache::compile(const Program &program, const CompileOptions &options)
 {
-    std::uint64_t key = planCacheKey(program, options);
-    Compiled plan;
-    if (lookup(key, &plan))
-        return plan;
+    return compile(program, options, planCacheKey(program, options));
+}
+
+Compiled
+PlanCache::compile(const Program &program, const CompileOptions &options,
+                   std::uint64_t key)
+{
+    // Every copy below shares the IR body: a Compiled copy costs its
+    // header strings and stats, never the instructions.
+    if (std::shared_ptr<const Compiled> hit = lookup(key))
+        return *hit;
 
     // Try the on-disk spill before paying for a compile. Any parse
     // failure or shape mismatch (stale file, torn write, wrong
@@ -291,13 +297,14 @@ PlanCache::compile(const Program &program, const CompileOptions &options)
                 IrProgram ir = IrProgram::fromXml(text.str());
                 if (ir.numRanks == program.numRanks() &&
                     ir.collective == program.collective().name()) {
+                    Compiled plan;
+                    plan.stats = statsFromIr(ir, program);
                     plan.ir = std::move(ir);
-                    plan.stats = statsFromIr(plan.ir, program);
                     {
                         std::lock_guard<std::mutex> lock(mutex_);
                         diskHits_++;
                     }
-                    insert(key, plan);
+                    insert(key, std::make_shared<const Compiled>(plan));
                     return plan;
                 }
             } catch (const Error &) {
@@ -306,8 +313,8 @@ PlanCache::compile(const Program &program, const CompileOptions &options)
         }
     }
 
-    plan = compileProgram(program, options);
-    insert(key, plan);
+    Compiled plan = compileProgram(program, options);
+    insert(key, std::make_shared<const Compiled>(plan));
     if (dir != nullptr && dir[0] != '\0') {
         std::ofstream out(planFileName(dir, key),
                           std::ios::binary | std::ios::trunc);

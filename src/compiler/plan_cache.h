@@ -32,10 +32,15 @@
  *
  * The cache is an in-memory LRU guarded by a mutex; compilation runs
  * outside the lock so concurrent misses on distinct keys proceed in
- * parallel. When MSCCLANG_PLAN_CACHE_DIR names a directory, plans
- * additionally spill to `plan-<16 hex digits>.xml` in the MSCCL-IR
- * exchange format; a corrupt or mismatched on-disk entry silently
- * falls back to a fresh compile and is overwritten.
+ * parallel. An entry holds the compiled plan itself: the IR's
+ * per-rank body is immutable and shared (IrGpus), so a miss hands
+ * the freshly built body to the cache and a hit shares it with the
+ * caller. Neither copies an instruction, and the lock covers only
+ * the map lookup and the LRU splice. When MSCCLANG_PLAN_CACHE_DIR
+ * names a directory, plans additionally spill to
+ * `plan-<16 hex digits>.xml` in the MSCCL-IR exchange format; a
+ * corrupt or mismatched on-disk entry silently falls back to a fresh
+ * compile and is overwritten.
  */
 
 #ifndef MSCCLANG_COMPILER_PLAN_CACHE_H_
@@ -44,6 +49,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <unordered_map>
 
@@ -76,14 +82,22 @@ class PlanCache
 
     /**
      * Returns the cached plan for (program, options) or compiles,
-     * caches, and returns it. Hits return a copy whose IR is
-     * byte-identical (same toXml()) to what compileProgram() would
-     * produce; memory hits also return the original CompileStats,
-     * while disk hits reconstruct the stats fields derivable from
-     * the IR and zero the trace/fusion counters and phase times.
+     * caches, and returns it. A hit's IR shares the cached body and
+     * is byte-identical (same toXml()) to what compileProgram()
+     * would produce; the header fields (name, ...) are the caller's
+     * own, and gpus.edit() clones the body before any write. Memory
+     * hits also return the original CompileStats, while disk hits
+     * reconstruct the stats fields derivable from the IR and zero
+     * the trace/fusion counters and phase times.
      */
     Compiled compile(const Program &program,
                      const CompileOptions &options = {});
+
+    /** compile() for a caller that already holds the request's key;
+     *  @p key must equal planCacheKey(program, options). Spares a
+     *  second fingerprint of the options' topology. */
+    Compiled compile(const Program &program, const CompileOptions &options,
+                     std::uint64_t key);
 
     std::size_t hits() const;
     std::size_t misses() const;
@@ -97,13 +111,13 @@ class PlanCache
   private:
     struct Entry
     {
-        Compiled plan;
+        std::shared_ptr<const Compiled> plan;
         std::list<std::uint64_t>::iterator lruPos;
     };
 
-    /** Returns true and fills @p out on a memory hit. */
-    bool lookup(std::uint64_t key, Compiled *out);
-    void insert(std::uint64_t key, const Compiled &plan);
+    /** The cached plan on a memory hit, else null. */
+    std::shared_ptr<const Compiled> lookup(std::uint64_t key);
+    void insert(std::uint64_t key, std::shared_ptr<const Compiled> plan);
 
     mutable std::mutex mutex_;
     std::size_t capacity_;

@@ -941,10 +941,9 @@ scheduleProgram(const Program &program, InstrGraph &graph,
     ir.protocol = program.options().protocol;
     ir.reduceOp = program.options().reduceOp;
     ir.outputScale = coll.outputScale();
-    ir.gpus.resize(program.numRanks());
-
+    std::vector<IrGpu> gpus(program.numRanks());
     for (int r = 0; r < program.numRanks(); r++) {
-        IrGpu &gpu = ir.gpus[r];
+        IrGpu &gpu = gpus[r];
         gpu.rank = r;
         gpu.inputChunks = coll.inputChunkCount(r);
         gpu.outputChunks = coll.outputChunkCount(r);
@@ -990,6 +989,7 @@ scheduleProgram(const Program &program, InstrGraph &graph,
             gpu.threadBlocks.push_back(std::move(out));
         }
     }
+    ir.gpus = IrGpus(std::move(gpus));
     return ir;
 }
 

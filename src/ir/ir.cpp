@@ -1,6 +1,7 @@
 #include "ir/ir.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "common/error.h"
 #include "common/strings.h"
@@ -144,6 +145,35 @@ formatBlockedThreadBlock(Rank rank, int tb, int step,
     return strprintf(
         "  rank %d tb %d blocked at step %d (%s) waiting for %s\n",
         rank, tb, step, instr.toString().c_str(), reason.c_str());
+}
+
+IrGpus::IrGpus(std::vector<IrGpu> gpus)
+    : body_(std::make_shared<std::vector<IrGpu>>(std::move(gpus)))
+{
+}
+
+std::vector<IrGpu> &
+IrGpus::edit()
+{
+    if (body_ == nullptr) {
+        body_ = std::make_shared<std::vector<IrGpu>>();
+    } else if (body_.use_count() != 1) {
+        body_ = std::make_shared<std::vector<IrGpu>>(*body_);
+    } else {
+        // No other program holds the body. The fence orders these
+        // writes after the reads of a copy another thread just
+        // dropped (its release decrement is what this count saw).
+        std::atomic_thread_fence(std::memory_order_acquire);
+    }
+    return *body_;
+}
+
+bool
+IrGpus::operator==(const IrGpus &other) const
+{
+    if (body_ == other.body_)
+        return true;
+    return std::equal(begin(), end(), other.begin(), other.end());
 }
 
 int
@@ -345,6 +375,8 @@ IrProgram::fromXml(const std::string &xml)
     program.reduceOp = reduceOpFromAttr(root.attrOr("redop", "sum"));
     program.outputScale = root.hasAttr("outputscale")
         ? root.attrDouble("outputscale") : 1.0;
+    std::vector<IrGpu> gpus;
+    gpus.reserve(root.children.size());
     for (const XmlNode &gpu_node : root.children) {
         if (gpu_node.tag != "gpu")
             throw Error("MSCCL-IR: unexpected <" + gpu_node.tag + ">");
@@ -380,8 +412,9 @@ IrProgram::fromXml(const std::string &xml)
             }
             gpu.threadBlocks.push_back(std::move(tb));
         }
-        program.gpus.push_back(std::move(gpu));
+        gpus.push_back(std::move(gpu));
     }
+    program.gpus = IrGpus(std::move(gpus));
     return program;
 }
 

@@ -7,12 +7,18 @@
  * one receive connection (identified by peer + channel). The runtime
  * interprets this structure directly; it can also be serialized to an
  * XML format in the spirit of the open-source msccl runtime's.
+ *
+ * A compiled plan is made once and then handed around: the per-rank
+ * tree (IrGpus) is immutable and shared by every copy of a program,
+ * so copying an IrProgram costs its header fields only.
  */
 
 #ifndef MSCCLANG_IR_IR_H_
 #define MSCCLANG_IR_IR_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -130,6 +136,48 @@ struct IrGpu
     bool operator==(const IrGpu &) const = default;
 };
 
+/**
+ * The per-rank body of an IrProgram: one IrGpu per rank, with all of
+ * its thread blocks, instructions and deps. The body is immutable
+ * once built and shared by reference count, so copying an IrProgram
+ * (a plan-cache hit, a communicator registration, a PlanChoice, a
+ * replayed op) copies a pointer, not the instructions. Copies may be
+ * read and dropped from any thread.
+ *
+ * Reads use vector syntax: gpus[r], gpus.size(), range-for. The one
+ * way to write is edit(), which first clones the body when another
+ * program still shares it; the returned vector is this program's
+ * alone until the program is next copied.
+ */
+class IrGpus
+{
+  public:
+    IrGpus() = default;
+    /** Takes over a freshly built body (the scheduler, fromXml). */
+    explicit IrGpus(std::vector<IrGpu> gpus);
+
+    const IrGpu &operator[](std::size_t rank) const
+    {
+        return (*body_)[rank];
+    }
+    std::size_t size() const { return body_ ? body_->size() : 0; }
+    const IrGpu *begin() const { return body_ ? body_->data() : nullptr; }
+    const IrGpu *end() const { return begin() + size(); }
+
+    /** The body, cloned first if another program shares it. */
+    std::vector<IrGpu> &edit();
+
+    /** Identifies the body: equal ids mean one shared body. */
+    const void *bodyId() const { return body_.get(); }
+
+    /** True at once when both share one body; otherwise compares
+     *  contents. */
+    bool operator==(const IrGpus &other) const;
+
+  private:
+    std::shared_ptr<std::vector<IrGpu>> body_;
+};
+
 /** A complete compiled program. */
 struct IrProgram
 {
@@ -141,7 +189,8 @@ struct IrProgram
     ReduceOp reduceOp = ReduceOp::Sum;
     /** Output bytes / input bytes of the collective (runtime sizing). */
     double outputScale = 1.0;
-    std::vector<IrGpu> gpus;
+    /** Immutable and shared between copies; write via gpus.edit(). */
+    IrGpus gpus;
 
     bool operator==(const IrProgram &) const = default;
 

@@ -179,30 +179,30 @@ Communicator::selectWindow(const std::string &collective,
     return best;
 }
 
-const IrProgram *
+std::optional<IrProgram>
 Communicator::replanProgram(const std::string &collective,
                             const std::vector<Link> &quarantine,
                             std::uint64_t bytes)
 {
     if (quarantine.empty())
-        return nullptr;
+        return std::nullopt;
     auto replanner = replanners_.find(collective);
     if (replanner == replanners_.end())
-        return nullptr;
+        return std::nullopt;
     std::string memo_key = collective + "|" + linkSetName(quarantine);
     auto memo = replanMemo_.find(memo_key);
     if (memo != replanMemo_.end())
-        return &replanIr_.at(memo->second);
+        return replanIr_.at(memo->second);
 
     Topology degraded = topology_.degraded(quarantine);
     std::unique_ptr<Program> plan;
     try {
         plan = replanner->second(degraded, bytes);
     } catch (const Error &) {
-        return nullptr;
+        return std::nullopt;
     }
     if (plan == nullptr)
-        return nullptr;
+        return std::nullopt;
 
     // The repair plan goes through the full pipeline: fusion, thread
     // block scheduling, and the verifier's postcondition + deadlock
@@ -211,7 +211,8 @@ Communicator::replanProgram(const std::string &collective,
     // different dead-link set that degrades to the same traced
     // program reuses the already-verified IR, and the process-wide
     // PlanCache (plus its optional disk spill) answers repeats
-    // across communicators.
+    // across communicators; it takes the content key as computed
+    // here rather than fingerprinting the degraded routes again.
     CompileOptions copts;
     copts.verify = true;
     copts.topology = &degraded;
@@ -219,18 +220,18 @@ Communicator::replanProgram(const std::string &collective,
     auto known = replanIr_.find(content_key);
     if (known != replanIr_.end()) {
         replanMemo_.emplace(memo_key, content_key);
-        return &known->second;
+        return known->second;
     }
     IrProgram ir;
     try {
-        ir = compileProgramCached(*plan, copts).ir;
+        ir = PlanCache::global().compile(*plan, copts, content_key).ir;
     } catch (const Error &) {
-        return nullptr;
+        return std::nullopt;
     }
     replanCompiles_++;
-    auto [pos, inserted] = replanIr_.emplace(content_key, std::move(ir));
+    replanIr_.emplace(content_key, ir);
     replanMemo_.emplace(memo_key, content_key);
-    return &pos->second;
+    return ir;
 }
 
 void
@@ -253,24 +254,23 @@ Communicator::selectPlan(const std::string &collective,
     PlanChoice choice;
     const Registered *picked = selectWindow(collective, bytes);
     if (picked != nullptr) {
-        choice.program = &picked->ir;
+        choice.program = picked->ir;
         choice.source = PlanSource::Window;
         return choice;
     }
-    choice.program =
-        replanProgram(collective, health_.quarantined(), bytes);
-    choice.source = PlanSource::Replan;
-    if (choice.program != nullptr)
+    if (std::optional<IrProgram> replan =
+            replanProgram(collective, health_.quarantined(), bytes)) {
+        choice.program = std::move(*replan);
+        choice.source = PlanSource::Replan;
         return choice;
+    }
     auto fallback = fallbacks_.find(collective);
     if (fallback == fallbacks_.end()) {
         throw RuntimeError("no algorithm or fallback registered "
                            "for '" + collective + "' at " +
                            formatBytes(bytes));
     }
-    choice.owned = std::make_shared<const IrProgram>(
-        fallback->second(bytes));
-    choice.program = choice.owned.get();
+    choice.program = fallback->second(bytes);
     choice.source = PlanSource::Fallback;
     return choice;
 }
@@ -294,15 +294,14 @@ Communicator::decideRecovery(const std::string &collective,
         const Registered *rewin = selectWindow(collective, bytes);
         if (rewin != nullptr) {
             decision.action = RecoveryAction::Switch;
-            decision.plan.program = &rewin->ir;
+            decision.plan.program = rewin->ir;
             decision.plan.source = PlanSource::Window;
             return decision;
         }
-        const IrProgram *replan =
-            replanProgram(collective, lastQuarantine_, bytes);
-        if (replan != nullptr) {
+        if (std::optional<IrProgram> replan =
+                replanProgram(collective, lastQuarantine_, bytes)) {
             decision.action = RecoveryAction::Switch;
-            decision.plan.program = replan;
+            decision.plan.program = std::move(*replan);
             decision.plan.source = PlanSource::Replan;
             return decision;
         }
@@ -317,9 +316,7 @@ Communicator::decideRecovery(const std::string &collective,
         return decision;
     }
     decision.action = RecoveryAction::Switch;
-    decision.plan.owned =
-        std::make_shared<const IrProgram>(fallback->second(bytes));
-    decision.plan.program = decision.plan.owned.get();
+    decision.plan.program = fallback->second(bytes);
     decision.plan.source = PlanSource::Fallback;
     return decision;
 }
@@ -354,13 +351,13 @@ Communicator::run(const std::string &collective,
     int max_attempts = std::max(1, options.maxAttempts);
     for (;;) {
         if (options.dataMode && !have_snapshot &&
-            choice.program->mutatesInput()) {
+            choice.program.mutatesInput()) {
             snapshot = store_.snapshot();
             have_snapshot = true;
         }
         attempts = saturatingIncrement(attempts);
         RunResult result =
-            runAttempt(*choice.program, options, &working);
+            runAttempt(choice.program, options, &working);
         faults_total += result.stats.faultsSeen;
         total_time = saturatingAddUs(total_time, result.timeUs);
 
@@ -374,7 +371,7 @@ Communicator::run(const std::string &collective,
         }
 
         if (!result.stats.aborted) {
-            health_.noteSuccess(programLinks(*choice.program));
+            health_.noteSuccess(programLinks(choice.program));
             result.attempts = attempts;
             result.faultsSeen = faults_total;
             result.degraded = attempts > 1;

@@ -31,7 +31,9 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "dsl/program.h"
@@ -101,17 +103,15 @@ enum class PlanSource {
 const char *planSourceName(PlanSource source);
 
 /**
- * A selected plan plus its provenance. Window and replan programs
- * point into communicator-owned storage (stable for the
- * communicator's lifetime unless the window table is re-registered);
- * fallback programs are owned by the choice itself.
+ * A selected plan plus its provenance. The choice holds its program
+ * by value; the per-rank body is shared with the communicator's copy
+ * (IrGpus), so a choice copies no instruction and stays valid after
+ * the window table is re-registered or the communicator is gone.
  */
 struct PlanChoice
 {
-    const IrProgram *program = nullptr;
+    IrProgram program;
     PlanSource source = PlanSource::Window;
-    /** Owns the program when source == Fallback. */
-    std::shared_ptr<const IrProgram> owned;
 };
 
 /** What to do after an aborted attempt (see decideRecovery). */
@@ -336,14 +336,13 @@ class Communicator
 
     /**
      * The compiled degraded-topology plan for the current
-     * quarantine, from cache or a fresh compile+verify; null when no
-     * replanner is registered, the replanner finds no plan, or the
-     * plan fails to compile/verify. The returned pointer stays valid
-     * for the communicator's lifetime (map-backed cache).
+     * quarantine, from cache or a fresh compile+verify; nullopt when
+     * no replanner is registered, the replanner finds no plan, or
+     * the plan fails to compile/verify.
      */
-    const IrProgram *replanProgram(const std::string &collective,
-                                   const std::vector<Link> &quarantine,
-                                   std::uint64_t bytes);
+    std::optional<IrProgram> replanProgram(
+        const std::string &collective,
+        const std::vector<Link> &quarantine, std::uint64_t bytes);
 
     /** Fires the retune hook if the quarantine set changed. */
     void syncQuarantine();
@@ -363,10 +362,8 @@ class Communicator
      *  sets often trace the same repair plan; memoizing through the
      *  content key lets them share one compiled IR. */
     std::map<std::string, std::uint64_t> replanMemo_;
-    /** Content key → compiled+verified repair plan. A node-based map
-     *  keeps the IrProgram pointers handed out by replanProgram()
-     *  stable while later replans insert. */
-    std::map<std::uint64_t, IrProgram> replanIr_;
+    /** Content key → compiled+verified repair plan. */
+    std::unordered_map<std::uint64_t, IrProgram> replanIr_;
     int replanCompiles_ = 0;
     std::function<void(const std::vector<Link> &)> retuneHook_;
     /** Quarantine set at the last syncQuarantine(). */

@@ -252,7 +252,9 @@ struct IrExecution::Impl
     };
 
     const Topology &topology;
-    const IrProgram &ir;
+    /** The execution's own copy: it shares the caller's body and
+     *  keeps it alive while aborted flows still call back. */
+    const IrProgram ir;
     EventQueue &events;
     FlowNetwork &network;
     ExecOptions options;

@@ -35,7 +35,8 @@ linksCross(const IrProgram &ir, const std::vector<Link> &quarantine)
 }
 
 /** True when two programs are indistinguishable to the simulator
- *  (identical up to their display names). */
+ *  (identical up to their display names). Copies of one plan share
+ *  one body, and their gpus compare equal without a walk. */
 bool
 sameProgram(const IrProgram &a, const IrProgram &b)
 {

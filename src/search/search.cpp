@@ -329,7 +329,8 @@ searchSchedules(const Topology &topology, const std::string &collective,
         }
         Compiled compiled;
         try {
-            compiled = PlanCache::global().compile(*program, copts);
+            compiled =
+                PlanCache::global().compile(*program, copts, key);
         } catch (const Error &) {
             result.skipped++;
             continue;

@@ -55,9 +55,9 @@ struct OpState
     std::vector<int> dependents;
     bool dispatched = false;
     bool resolved = false;
-    /** The plan the current attempt runs (a private copy: the retune
-     *  hook may re-register windows mid-replay). */
-    std::shared_ptr<const IrProgram> plan;
+    /** The plan the current attempt runs (the choice's own program,
+     *  unaffected by a retune hook that re-registers windows). */
+    IrProgram plan;
     PlanSource source = PlanSource::Window;
     int attempts = 0;
     /** network.faultsFired() at dispatch: the base of this op's
@@ -208,12 +208,9 @@ class Replayer
     }
 
     void
-    adoptPlan(OpState &st, const PlanChoice &choice)
+    adoptPlan(OpState &st, PlanChoice choice)
     {
-        st.plan = choice.owned != nullptr
-                      ? choice.owned
-                      : std::make_shared<const IrProgram>(
-                            *choice.program);
+        st.plan = std::move(choice.program);
         st.source = choice.source;
     }
 
@@ -234,7 +231,7 @@ class Replayer
             fail(id, std::string("no plan: ") + error.what());
             return;
         }
-        adoptPlan(st, choice);
+        adoptPlan(st, std::move(choice));
         beginAttempt(id);
     }
 
@@ -248,14 +245,14 @@ class Replayer
         if (options_.dataMode) {
             DataStore &store = stores_[st.stream];
             try {
-                store.configure(*st.plan, st.spec->bytes);
+                store.configure(st.plan, st.spec->bytes);
             } catch (const Error &error) {
                 fail(id, std::string("store: ") + error.what());
                 return;
             }
             if (st.attempts == 1)
                 fillInput(store, id);
-            if (!st.haveSnapshot && st.plan->mutatesInput()) {
+            if (!st.haveSnapshot && st.plan.mutatesInput()) {
                 st.snapshot = store.snapshot();
                 st.haveSnapshot = true;
             }
@@ -275,7 +272,7 @@ class Replayer
         // Executions stay alive until the fabric drains: an aborted
         // kernel's frozen flows still hold callbacks into it.
         executions_.push_back(std::make_unique<IrExecution>(
-            topology_, *st.plan, events_, network_, exec, data));
+            topology_, st.plan, events_, network_, exec, data));
         executions_.back()->start([this, id](const ExecStats &stats) {
             onAttemptDone(id, stats);
         });
@@ -317,11 +314,11 @@ class Replayer
             if (stats.aborted)
                 comm_.health().noteBlocked(stats.blockedLinks);
             else
-                comm_.health().noteSuccess(programLinks(*st.plan));
+                comm_.health().noteSuccess(programLinks(st.plan));
         }
 
         if (!stats.aborted) {
-            st.record.algorithm = st.plan->name;
+            st.record.algorithm = st.plan.name;
             if (st.source == PlanSource::Fallback)
                 st.record.algorithm += " (fallback)";
             else if (st.source == PlanSource::Replan)
@@ -374,7 +371,7 @@ class Replayer
                                   [this, id] { beginAttempt(id); });
             break;
           case RecoveryAction::Switch:
-            adoptPlan(st, decision.plan);
+            adoptPlan(st, std::move(decision.plan));
             beginAttempt(id);
             break;
           case RecoveryAction::GiveUp:
@@ -390,8 +387,8 @@ class Replayer
     {
         OpState &st = states_[id];
         st.record.failReason = std::move(reason);
-        if (st.plan != nullptr && st.record.algorithm.empty())
-            st.record.algorithm = st.plan->name;
+        if (st.record.algorithm.empty())
+            st.record.algorithm = st.plan.name;
         resolve(id);
     }
 

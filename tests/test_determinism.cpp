@@ -680,10 +680,11 @@ racyWriteWriteIr()
 {
     IrProgram ir;
     ir.numRanks = 1;
-    ir.gpus.resize(1);
-    ir.gpus[0].rank = 0;
-    ir.gpus[0].inputChunks = 2;
-    ir.gpus[0].outputChunks = 1;
+    std::vector<IrGpu> &gpus = ir.gpus.edit();
+    gpus.resize(1);
+    gpus[0].rank = 0;
+    gpus[0].inputChunks = 2;
+    gpus[0].outputChunks = 1;
     for (int t = 0; t < 2; t++) {
         IrThreadBlock tb;
         tb.id = t;
@@ -694,7 +695,7 @@ racyWriteWriteIr()
         copy.dstBuf = BufferKind::Output;
         copy.dstOff = 0;
         tb.steps.push_back(copy);
-        ir.gpus[0].threadBlocks.push_back(tb);
+        gpus[0].threadBlocks.push_back(tb);
     }
     return ir;
 }
@@ -705,11 +706,12 @@ racyReadWriteIr()
 {
     IrProgram ir;
     ir.numRanks = 1;
-    ir.gpus.resize(1);
-    ir.gpus[0].rank = 0;
-    ir.gpus[0].inputChunks = 1;
-    ir.gpus[0].outputChunks = 1;
-    ir.gpus[0].scratchChunks = 1;
+    std::vector<IrGpu> &gpus = ir.gpus.edit();
+    gpus.resize(1);
+    gpus[0].rank = 0;
+    gpus[0].inputChunks = 1;
+    gpus[0].outputChunks = 1;
+    gpus[0].scratchChunks = 1;
     IrThreadBlock tb0;
     tb0.id = 0;
     IrInstruction w;
@@ -717,7 +719,7 @@ racyReadWriteIr()
     w.srcBuf = BufferKind::Input;
     w.dstBuf = BufferKind::Scratch;
     tb0.steps.push_back(w);
-    ir.gpus[0].threadBlocks.push_back(tb0);
+    gpus[0].threadBlocks.push_back(tb0);
     IrThreadBlock tb1;
     tb1.id = 1;
     IrInstruction r;
@@ -725,7 +727,7 @@ racyReadWriteIr()
     r.srcBuf = BufferKind::Scratch;
     r.dstBuf = BufferKind::Output;
     tb1.steps.push_back(r);
-    ir.gpus[0].threadBlocks.push_back(tb1);
+    gpus[0].threadBlocks.push_back(tb1);
     return ir;
 }
 

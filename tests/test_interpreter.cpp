@@ -121,11 +121,12 @@ TEST(Interpreter, EmptyProgramFinishesAtLaunch)
     Topology topo = makeGeneric(1, 2);
     IrProgram ir;
     ir.numRanks = 2;
-    ir.gpus.resize(2);
-    ir.gpus[0].rank = 0;
-    ir.gpus[1].rank = 1;
-    ir.gpus[0].inputChunks = ir.gpus[1].inputChunks = 1;
-    ir.gpus[0].outputChunks = ir.gpus[1].outputChunks = 1;
+    std::vector<IrGpu> &gpus = ir.gpus.edit();
+    gpus.resize(2);
+    gpus[0].rank = 0;
+    gpus[1].rank = 1;
+    gpus[0].inputChunks = gpus[1].inputChunks = 1;
+    gpus[0].outputChunks = gpus[1].outputChunks = 1;
     ExecOptions options;
     ExecStats stats = runIr(topo, ir, options);
     EXPECT_EQ(stats.messages, 0u);
@@ -138,11 +139,12 @@ TEST(Interpreter, RuntimeDetectsWedgedIr)
     Topology topo = makeGeneric(1, 2);
     IrProgram ir;
     ir.numRanks = 2;
-    ir.gpus.resize(2);
+    std::vector<IrGpu> &gpus = ir.gpus.edit();
+    gpus.resize(2);
     for (int r = 0; r < 2; r++) {
-        ir.gpus[r].rank = r;
-        ir.gpus[r].inputChunks = 1;
-        ir.gpus[r].outputChunks = 1;
+        gpus[r].rank = r;
+        gpus[r].inputChunks = 1;
+        gpus[r].outputChunks = 1;
     }
     IrThreadBlock tb;
     tb.id = 0;
@@ -151,7 +153,7 @@ TEST(Interpreter, RuntimeDetectsWedgedIr)
     recv.op = IrOp::Recv;
     recv.dstBuf = BufferKind::Output;
     tb.steps.push_back(recv);
-    ir.gpus[0].threadBlocks.push_back(tb);
+    gpus[0].threadBlocks.push_back(tb);
     ExecOptions options;
     EXPECT_THROW(runIr(topo, ir, options), RuntimeError);
 }

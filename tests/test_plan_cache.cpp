@@ -8,6 +8,7 @@
  * entries by recompiling, and never change observable results.
  */
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -188,6 +189,76 @@ TEST(PlanCache, HitReturnsAnIsolatedCopy)
     Compiled b = cache.compile(*makeNaiveAllToAll(4, plain));
     EXPECT_EQ(cache.hits(), 1u);
     EXPECT_EQ(b.ir.name, original_name);
+}
+
+TEST(PlanCache, HitSharesTheCachedBody)
+{
+    PlanCache cache(8);
+    AlgoConfig i2;
+    i2.instances = 2;
+    Compiled miss = cache.compile(*makeRingAllReduce(8, 2, i2));
+    Compiled hit = cache.compile(*makeRingAllReduce(8, 2, i2));
+    EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_EQ(cache.hits(), 1u);
+    ASSERT_NE(hit.ir.gpus.bodyId(), nullptr);
+    EXPECT_EQ(hit.ir.gpus.bodyId(), miss.ir.gpus.bodyId());
+}
+
+TEST(PlanCache, EditingAHitLeavesTheCachedPlanUnchanged)
+{
+    // The race and verifier tests seed bugs by editing compiled IR;
+    // through gpus.edit() that must never reach the cached plan.
+    PlanCache cache(8);
+    AlgoConfig i2;
+    i2.instances = 2;
+    auto make = [&] { return makeHierarchicalAllReduce(2, 4, 2, i2); };
+    Compiled first = cache.compile(*make());
+    std::string xml = first.ir.toXml();
+    const void *cached = first.ir.gpus.bodyId();
+
+    Compiled mutated = cache.compile(*make());
+    for (IrGpu &gpu : mutated.ir.gpus.edit()) {
+        for (IrThreadBlock &tb : gpu.threadBlocks) {
+            for (IrInstruction &instr : tb.steps)
+                instr.deps.clear();
+        }
+    }
+    EXPECT_NE(mutated.ir.gpus.bodyId(), cached);
+    EXPECT_NE(mutated.ir.toXml(), xml);
+
+    Compiled again = cache.compile(*make());
+    EXPECT_EQ(cache.hits(), 2u);
+    EXPECT_EQ(again.ir.gpus.bodyId(), cached);
+    EXPECT_EQ(again.ir.toXml(), xml);
+}
+
+TEST(PlanCache, KeyedAndUnkeyedCompilesShareOneEntry)
+{
+    // The re-key sites pass the key they already computed; the entry
+    // it names must be the one an unkeyed request finds.
+    Topology topo = makeGeneric(2, 4);
+    CompileOptions copts;
+    copts.topology = &topo;
+    PlanCache cache(8);
+    auto keyed = makeRingAllReduce(8, 1, {});
+    Compiled a =
+        cache.compile(*keyed, copts, planCacheKey(*keyed, copts));
+    Compiled b = cache.compile(*makeRingAllReduce(8, 1, {}), copts);
+    EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(a.ir.toXml(), b.ir.toXml());
+    EXPECT_EQ(a.ir.toXml(),
+              compileProgram(*makeRingAllReduce(8, 1, {}), copts)
+                  .ir.toXml());
+
+    // And the other way round: an unkeyed miss, then a keyed hit.
+    auto other = makeRingAllGather(8, 1, {});
+    Compiled c = cache.compile(*other, copts);
+    Compiled d =
+        cache.compile(*other, copts, planCacheKey(*other, copts));
+    EXPECT_EQ(cache.misses(), 2u);
+    EXPECT_EQ(cache.hits(), 2u);
+    EXPECT_EQ(c.ir.toXml(), d.ir.toXml());
 }
 
 TEST(PlanCache, KeySeparatesAlgoConfig)
@@ -545,6 +616,44 @@ TEST(PlanCache, ConcurrentKeyingOfOneProgramAgrees)
     }
     EXPECT_EQ(cache.hits() + cache.misses(),
               static_cast<std::size_t>(kThreads));
+}
+
+TEST(PlanCache, ConcurrentHitsOfOneKeyShareOneBody)
+{
+    // Eight threads hit one primed key at once: every hit shares the
+    // cached body, and every reader sees the same bytes.
+    AlgoConfig i2;
+    i2.instances = 2;
+    PlanCache cache(4);
+    Compiled primed = cache.compile(*makeRingAllReduce(8, 2, i2));
+    std::string expect_xml = primed.ir.toXml();
+
+    constexpr int kThreads = 8;
+    std::vector<std::unique_ptr<Program>> programs;
+    for (int t = 0; t < kThreads; t++)
+        programs.push_back(makeRingAllReduce(8, 2, i2));
+    std::atomic<int> ready{ 0 };
+    std::vector<const void *> bodies(kThreads);
+    std::vector<std::string> xmls(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; t++) {
+        threads.emplace_back([&, t] {
+            ready.fetch_add(1);
+            while (ready.load() < kThreads)
+                std::this_thread::yield();
+            Compiled hit = cache.compile(*programs[t]);
+            bodies[t] = hit.ir.gpus.bodyId();
+            xmls[t] = hit.ir.toXml();
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    for (int t = 0; t < kThreads; t++) {
+        EXPECT_EQ(bodies[t], primed.ir.gpus.bodyId()) << "thread " << t;
+        EXPECT_EQ(xmls[t], expect_xml) << "thread " << t;
+    }
+    EXPECT_EQ(cache.hits(), static_cast<std::size_t>(kThreads));
+    EXPECT_EQ(cache.misses(), 1u);
 }
 
 TEST(PlanCache, KeySeparatesEveryTraceOpField)

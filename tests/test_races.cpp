@@ -37,10 +37,11 @@ TEST(RaceChecker, DetectsMissingCrossTbDependency)
     // no ordering between them.
     IrProgram ir;
     ir.numRanks = 1;
-    ir.gpus.resize(1);
-    ir.gpus[0].rank = 0;
-    ir.gpus[0].inputChunks = 2;
-    ir.gpus[0].outputChunks = 1;
+    std::vector<IrGpu> &gpus = ir.gpus.edit();
+    gpus.resize(1);
+    gpus[0].rank = 0;
+    gpus[0].inputChunks = 2;
+    gpus[0].outputChunks = 1;
     for (int t = 0; t < 2; t++) {
         IrThreadBlock tb;
         tb.id = t;
@@ -51,7 +52,7 @@ TEST(RaceChecker, DetectsMissingCrossTbDependency)
         copy.dstBuf = BufferKind::Output;
         copy.dstOff = 0;
         tb.steps.push_back(copy);
-        ir.gpus[0].threadBlocks.push_back(tb);
+        gpus[0].threadBlocks.push_back(tb);
     }
     try {
         verifyRaceFree(ir);
@@ -66,10 +67,11 @@ TEST(RaceChecker, DependencyMakesItOrdered)
 {
     IrProgram ir;
     ir.numRanks = 1;
-    ir.gpus.resize(1);
-    ir.gpus[0].rank = 0;
-    ir.gpus[0].inputChunks = 2;
-    ir.gpus[0].outputChunks = 1;
+    std::vector<IrGpu> &gpus = ir.gpus.edit();
+    gpus.resize(1);
+    gpus[0].rank = 0;
+    gpus[0].inputChunks = 2;
+    gpus[0].outputChunks = 1;
     for (int t = 0; t < 2; t++) {
         IrThreadBlock tb;
         tb.id = t;
@@ -82,9 +84,9 @@ TEST(RaceChecker, DependencyMakesItOrdered)
         if (t == 1)
             copy.deps.push_back(IrDep{ 0, 0 });
         tb.steps.push_back(copy);
-        ir.gpus[0].threadBlocks.push_back(tb);
+        gpus[0].threadBlocks.push_back(tb);
     }
-    ir.gpus[0].threadBlocks[0].steps[0].hasDep = true;
+    gpus[0].threadBlocks[0].steps[0].hasDep = true;
     verifyRaceFree(ir);
 }
 
@@ -93,10 +95,11 @@ TEST(RaceChecker, DisjointFractionsDoNotConflict)
     // Two unordered thread blocks write complementary halves.
     IrProgram ir;
     ir.numRanks = 1;
-    ir.gpus.resize(1);
-    ir.gpus[0].rank = 0;
-    ir.gpus[0].inputChunks = 1;
-    ir.gpus[0].outputChunks = 1;
+    std::vector<IrGpu> &gpus = ir.gpus.edit();
+    gpus.resize(1);
+    gpus[0].rank = 0;
+    gpus[0].inputChunks = 1;
+    gpus[0].outputChunks = 1;
     for (int t = 0; t < 2; t++) {
         IrThreadBlock tb;
         tb.id = t;
@@ -107,7 +110,7 @@ TEST(RaceChecker, DisjointFractionsDoNotConflict)
         copy.splitIdx = t;
         copy.splitCount = 2;
         tb.steps.push_back(copy);
-        ir.gpus[0].threadBlocks.push_back(tb);
+        gpus[0].threadBlocks.push_back(tb);
     }
     verifyRaceFree(ir);
 }
@@ -118,12 +121,13 @@ TEST(RaceChecker, CommunicationEdgesProvideOrder)
     // ordered through the communication edge, not a semaphore.
     IrProgram ir;
     ir.numRanks = 2;
-    ir.gpus.resize(2);
+    std::vector<IrGpu> &gpus = ir.gpus.edit();
+    gpus.resize(2);
     for (int r = 0; r < 2; r++) {
-        ir.gpus[r].rank = r;
-        ir.gpus[r].inputChunks = 1;
-        ir.gpus[r].outputChunks = 1;
-        ir.gpus[r].scratchChunks = 1;
+        gpus[r].rank = r;
+        gpus[r].inputChunks = 1;
+        gpus[r].outputChunks = 1;
+        gpus[r].scratchChunks = 1;
     }
     IrThreadBlock sender;
     sender.id = 0;
@@ -132,7 +136,7 @@ TEST(RaceChecker, CommunicationEdgesProvideOrder)
     send.op = IrOp::Send;
     send.srcBuf = BufferKind::Input;
     sender.steps.push_back(send);
-    ir.gpus[0].threadBlocks.push_back(sender);
+    gpus[0].threadBlocks.push_back(sender);
 
     IrThreadBlock receiver;
     receiver.id = 0;
@@ -146,7 +150,7 @@ TEST(RaceChecker, CommunicationEdgesProvideOrder)
     use.srcBuf = BufferKind::Scratch;
     use.dstBuf = BufferKind::Output;
     receiver.steps.push_back(use);
-    ir.gpus[1].threadBlocks.push_back(receiver);
+    gpus[1].threadBlocks.push_back(receiver);
 
     verifyRaceFree(ir);
 }
@@ -155,10 +159,11 @@ TEST(RaceChecker, CyclicDependenciesRejected)
 {
     IrProgram ir;
     ir.numRanks = 1;
-    ir.gpus.resize(1);
-    ir.gpus[0].rank = 0;
-    ir.gpus[0].inputChunks = 1;
-    ir.gpus[0].outputChunks = 1;
+    std::vector<IrGpu> &gpus = ir.gpus.edit();
+    gpus.resize(1);
+    gpus[0].rank = 0;
+    gpus[0].inputChunks = 1;
+    gpus[0].outputChunks = 1;
     for (int t = 0; t < 2; t++) {
         IrThreadBlock tb;
         tb.id = t;
@@ -166,7 +171,7 @@ TEST(RaceChecker, CyclicDependenciesRejected)
         nop.op = IrOp::Nop;
         nop.deps.push_back(IrDep{ 1 - t, 0 });
         tb.steps.push_back(nop);
-        ir.gpus[0].threadBlocks.push_back(tb);
+        gpus[0].threadBlocks.push_back(tb);
     }
     EXPECT_THROW(verifyRaceFree(ir), VerificationError);
 }

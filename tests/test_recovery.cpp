@@ -381,6 +381,51 @@ TEST(Recovery, ReplanCacheHitsOnRepeatedRuns)
     EXPECT_EQ(comm.replanCompiles(), 1);
 }
 
+TEST(Recovery, PlanChoicesOutliveTheCommunicator)
+{
+    // A choice holds its program by value, sharing the plan's body:
+    // replan and fallback choices stay whole after the communicator
+    // that produced them is gone.
+    ReplanHarness harness;
+    double healthy_us = harness.healthyUs();
+    harness.topo.setFaultSchedule(FaultSchedule{
+        { makeFault(resourceNamed(harness.topo, "ib-send[0.3]"),
+                    FaultKind::LinkDown, healthy_us * 0.3) } });
+    RunOptions run;
+    run.bytes = 1 << 20;
+    run.watchdogNoProgressUs = healthy_us;
+
+    PlanChoice replan;
+    PlanChoice fallback;
+    std::string replan_xml;
+    {
+        Communicator comm = harness.makeComm();
+        ASSERT_TRUE(comm.run("allreduce", run).recoveredViaReplan);
+        replan = comm.selectPlan("allreduce", run.bytes);
+        replan_xml = replan.program.toXml();
+
+        Communicator blind(harness.topo);
+        IrProgram fb = harness.fallback;
+        blind.registerFallback("allreduce", [fb](std::uint64_t) {
+            return fb;
+        });
+        fallback = blind.selectPlan("allreduce", run.bytes);
+    }
+    EXPECT_EQ(replan.source, PlanSource::Replan);
+    EXPECT_EQ(replan.program.name, "ring_allreduce_reformed_ch1");
+    EXPECT_EQ(replan.program.toXml(), replan_xml);
+    EXPECT_EQ(fallback.source, PlanSource::Fallback);
+    EXPECT_EQ(fallback.program.gpus.bodyId(),
+              harness.fallback.gpus.bodyId());
+
+    // Both still run to completion on a healthy machine.
+    Topology healthy = makeGeneric(2, 4);
+    ExecOptions exec;
+    exec.bytesPerRank = run.bytes;
+    EXPECT_FALSE(runIr(healthy, replan.program, exec).aborted);
+    EXPECT_FALSE(runIr(healthy, fallback.program, exec).aborted);
+}
+
 TEST(Recovery, RecoveryIsDeterministicAcrossRuns)
 {
     ReplanHarness harness;

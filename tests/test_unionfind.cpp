@@ -179,7 +179,7 @@ TEST(UnionFind, DifferentialVerdictsOnRacyPrograms)
     config.instances = 2;
     IrProgram ir =
         compileProgram(*makeHierarchicalAllReduce(2, 4, 2, config)).ir;
-    for (IrGpu &gpu : ir.gpus) {
+    for (IrGpu &gpu : ir.gpus.edit()) {
         for (IrThreadBlock &tb : gpu.threadBlocks) {
             for (IrInstruction &instr : tb.steps)
                 instr.deps.clear();
@@ -192,10 +192,11 @@ TEST(UnionFind, DifferentialVerdictsOnRacyPrograms)
     // suite, with the exact message pinned.
     IrProgram racy;
     racy.numRanks = 1;
-    racy.gpus.resize(1);
-    racy.gpus[0].rank = 0;
-    racy.gpus[0].inputChunks = 2;
-    racy.gpus[0].outputChunks = 1;
+    std::vector<IrGpu> &gpus = racy.gpus.edit();
+    gpus.resize(1);
+    gpus[0].rank = 0;
+    gpus[0].inputChunks = 2;
+    gpus[0].outputChunks = 1;
     for (int t = 0; t < 2; t++) {
         IrThreadBlock tb;
         tb.id = t;
@@ -206,7 +207,7 @@ TEST(UnionFind, DifferentialVerdictsOnRacyPrograms)
         copy.dstBuf = BufferKind::Output;
         copy.dstOff = 0;
         tb.steps.push_back(copy);
-        racy.gpus[0].threadBlocks.push_back(tb);
+        gpus[0].threadBlocks.push_back(tb);
     }
     EXPECT_EQ(verdictOf(racy),
               "data race: rank 0 tb 0 step 0 and tb 1 step 0 access "
@@ -219,11 +220,12 @@ TEST(UnionFind, FifoImbalanceReportedIdentically)
     // same connection named.
     IrProgram ir;
     ir.numRanks = 2;
-    ir.gpus.resize(2);
+    std::vector<IrGpu> &gpus = ir.gpus.edit();
+    gpus.resize(2);
     for (int r = 0; r < 2; r++) {
-        ir.gpus[r].rank = r;
-        ir.gpus[r].inputChunks = 1;
-        ir.gpus[r].outputChunks = 1;
+        gpus[r].rank = r;
+        gpus[r].inputChunks = 1;
+        gpus[r].outputChunks = 1;
     }
     IrThreadBlock sender;
     sender.id = 0;
@@ -232,7 +234,7 @@ TEST(UnionFind, FifoImbalanceReportedIdentically)
     send.op = IrOp::Send;
     send.srcBuf = BufferKind::Input;
     sender.steps.push_back(send);
-    ir.gpus[0].threadBlocks.push_back(sender);
+    gpus[0].threadBlocks.push_back(sender);
     EXPECT_EQ(verdictOf(ir),
               "race check: connection 0 -> 1 channel 0 has 1 sends "
               "but 0 receives; FIFO pairing requires equal counts");

@@ -25,12 +25,13 @@ skeleton(int ranks, const char *collective = "allgather")
     ir.collective = collective;
     ir.numRanks = ranks;
     ir.protocol = Protocol::Simple;
-    ir.gpus.resize(ranks);
+    std::vector<IrGpu> &gpus = ir.gpus.edit();
+    gpus.resize(ranks);
     for (int r = 0; r < ranks; r++) {
-        ir.gpus[r].rank = r;
-        ir.gpus[r].inputChunks = 1;
-        ir.gpus[r].outputChunks = ranks;
-        ir.gpus[r].scratchChunks = 0;
+        gpus[r].rank = r;
+        gpus[r].inputChunks = 1;
+        gpus[r].outputChunks = ranks;
+        gpus[r].scratchChunks = 0;
     }
     return ir;
 }
@@ -59,7 +60,7 @@ TEST(Verifier, AcceptsHandWrittenBroadcastPair)
         instr(IrOp::Copy, BufferKind::Input, 0, BufferKind::Output, 0));
     tb0.steps.push_back(
         instr(IrOp::Send, BufferKind::Input, 0, BufferKind::Input, 0));
-    ir.gpus[0].threadBlocks.push_back(tb0);
+    ir.gpus.edit()[0].threadBlocks.push_back(tb0);
 
     IrThreadBlock tb1;
     tb1.id = 0;
@@ -68,7 +69,7 @@ TEST(Verifier, AcceptsHandWrittenBroadcastPair)
         instr(IrOp::Copy, BufferKind::Input, 0, BufferKind::Output, 1));
     tb1.steps.push_back(
         instr(IrOp::Recv, BufferKind::Output, 0, BufferKind::Output, 0));
-    ir.gpus[1].threadBlocks.push_back(tb1);
+    ir.gpus.edit()[1].threadBlocks.push_back(tb1);
 
     // Postcondition: this is rank-1-only gather, so use a custom
     // collective that only constrains what the IR provides.
@@ -110,8 +111,8 @@ TEST(Verifier, DetectsCrossTbDependencyDeadlock)
     ib.hasDep = true;
     a.steps.push_back(ia);
     b.steps.push_back(ib);
-    ir.gpus[0].threadBlocks.push_back(a);
-    ir.gpus[0].threadBlocks.push_back(b);
+    ir.gpus.edit()[0].threadBlocks.push_back(a);
+    ir.gpus.edit()[0].threadBlocks.push_back(b);
     VerifyOptions options;
     options.checkPostcondition = false;
     try {
@@ -142,7 +143,7 @@ TEST(Verifier, DetectsFifoSlotDeadlock)
             tb.steps.push_back(instr(IrOp::Recv, BufferKind::Output,
                                      0, BufferKind::Output, 0));
         }
-        ir.gpus[r].threadBlocks.push_back(tb);
+        ir.gpus.edit()[r].threadBlocks.push_back(tb);
     }
     VerifyOptions options;
     options.checkPostcondition = false;
@@ -161,7 +162,7 @@ TEST(Verifier, DetectsUninitializedRead)
     tb.id = 0;
     tb.steps.push_back(
         instr(IrOp::Copy, BufferKind::Output, 0, BufferKind::Output, 0));
-    ir.gpus[0].threadBlocks.push_back(tb);
+    ir.gpus.edit()[0].threadBlocks.push_back(tb);
     VerifyOptions options;
     options.checkPostcondition = false;
     try {
@@ -180,7 +181,7 @@ TEST(Verifier, DetectsOutOfBoundsAccess)
     tb.id = 0;
     tb.steps.push_back(
         instr(IrOp::Copy, BufferKind::Input, 5, BufferKind::Output, 0));
-    ir.gpus[0].threadBlocks.push_back(tb);
+    ir.gpus.edit()[0].threadBlocks.push_back(tb);
     VerifyOptions options;
     options.checkPostcondition = false;
     EXPECT_THROW(verifyIr(ir, AllGatherCollective(1, 1), options),
@@ -191,14 +192,14 @@ TEST(Verifier, DetectsFifoShapeMismatch)
 {
     // Sender ships 1 chunk, receiver expects 2: FIFO pairing breaks.
     IrProgram ir = skeleton(2);
-    ir.gpus[0].inputChunks = 2;
-    ir.gpus[1].inputChunks = 2;
+    ir.gpus.edit()[0].inputChunks = 2;
+    ir.gpus.edit()[1].inputChunks = 2;
     IrThreadBlock tb0;
     tb0.id = 0;
     tb0.sendPeer = 1;
     tb0.steps.push_back(
         instr(IrOp::Send, BufferKind::Input, 0, BufferKind::Input, 0));
-    ir.gpus[0].threadBlocks.push_back(tb0);
+    ir.gpus.edit()[0].threadBlocks.push_back(tb0);
     IrThreadBlock tb1;
     tb1.id = 0;
     tb1.recvPeer = 0;
@@ -206,7 +207,7 @@ TEST(Verifier, DetectsFifoShapeMismatch)
         instr(IrOp::Recv, BufferKind::Output, 0, BufferKind::Output, 0);
     recv.count = 2;
     tb1.steps.push_back(recv);
-    ir.gpus[1].threadBlocks.push_back(tb1);
+    ir.gpus.edit()[1].threadBlocks.push_back(tb1);
     VerifyOptions options;
     options.checkPostcondition = false;
     try {
@@ -225,7 +226,7 @@ TEST(Verifier, DetectsSendWithoutPeer)
     tb.id = 0; // no sendPeer
     tb.steps.push_back(
         instr(IrOp::Send, BufferKind::Input, 0, BufferKind::Input, 0));
-    ir.gpus[0].threadBlocks.push_back(tb);
+    ir.gpus.edit()[0].threadBlocks.push_back(tb);
     VerifyOptions options;
     options.checkPostcondition = false;
     EXPECT_THROW(verifyIr(ir, AllGatherCollective(1, 1), options),
@@ -241,7 +242,7 @@ TEST(Verifier, DetectsUnknownDependencyTarget)
         instr(IrOp::Copy, BufferKind::Input, 0, BufferKind::Output, 0);
     bad.deps.push_back(IrDep{ 7, 0 });
     tb.steps.push_back(bad);
-    ir.gpus[0].threadBlocks.push_back(tb);
+    ir.gpus.edit()[0].threadBlocks.push_back(tb);
     VerifyOptions options;
     options.checkPostcondition = false;
     EXPECT_THROW(verifyIr(ir, AllGatherCollective(1, 1), options),
@@ -254,8 +255,8 @@ TEST(Verifier, TornChunkDetected)
     // DIFFERENT values; reading the whole chunk must report a torn
     // value (postcondition failure rather than silent acceptance).
     IrProgram ir = skeleton(1);
-    ir.gpus[0].inputChunks = 2;
-    ir.gpus[0].outputChunks = 1;
+    ir.gpus.edit()[0].inputChunks = 2;
+    ir.gpus.edit()[0].outputChunks = 1;
     IrThreadBlock tb;
     tb.id = 0;
     IrInstruction lo =
@@ -268,7 +269,7 @@ TEST(Verifier, TornChunkDetected)
     hi.splitCount = 2;
     tb.steps.push_back(lo);
     tb.steps.push_back(hi);
-    ir.gpus[0].threadBlocks.push_back(tb);
+    ir.gpus.edit()[0].threadBlocks.push_back(tb);
 
     CustomCollective coll(
         "torn", 1, 2, false, 2, 1,
@@ -283,7 +284,7 @@ TEST(Verifier, ParallelInstancesComposeWhenConsistent)
     // Same as above but both halves carry the same source chunk:
     // the whole-chunk read sees one uniform value.
     IrProgram ir = skeleton(1);
-    ir.gpus[0].outputChunks = 1;
+    ir.gpus.edit()[0].outputChunks = 1;
     IrThreadBlock tb;
     tb.id = 0;
     for (int i = 0; i < 2; i++) {
@@ -293,7 +294,7 @@ TEST(Verifier, ParallelInstancesComposeWhenConsistent)
         half.splitCount = 2;
         tb.steps.push_back(half);
     }
-    ir.gpus[0].threadBlocks.push_back(tb);
+    ir.gpus.edit()[0].threadBlocks.push_back(tb);
     CustomCollective coll(
         "whole", 1, 1, false, 1, 1,
         [](Rank, int) -> std::optional<ChunkValue> {
@@ -320,9 +321,9 @@ IrProgram
 singleRankScratch()
 {
     IrProgram ir = skeleton(1);
-    ir.gpus[0].inputChunks = 2;
-    ir.gpus[0].scratchChunks = 2;
-    ir.gpus[0].outputChunks = 1;
+    ir.gpus.edit()[0].inputChunks = 2;
+    ir.gpus.edit()[0].scratchChunks = 2;
+    ir.gpus.edit()[0].outputChunks = 1;
     return ir;
 }
 
@@ -367,7 +368,7 @@ TEST(Verifier, EqualSplitValuesFromDifferentInstructionsAreNotTorn)
     // A whole read through an instruction, not only the postcondition.
     tb.steps.push_back(instr(IrOp::Copy, BufferKind::Output, 0,
                              BufferKind::Scratch, 0));
-    ir.gpus[0].threadBlocks.push_back(tb);
+    ir.gpus.edit()[0].threadBlocks.push_back(tb);
     ChunkValue sum = ChunkValue::reductionOf({ { 0, 0 }, { 0, 1 } });
     EXPECT_EQ(verifyMessage(ir, oneOutput(sum)), "");
 }
@@ -382,7 +383,7 @@ TEST(Verifier, SplitWriteOverWholeWriteIsTorn)
     tb.steps.push_back(split(
         instr(IrOp::Copy, BufferKind::Input, 1, BufferKind::Output, 0),
         1, 2));
-    ir.gpus[0].threadBlocks.push_back(tb);
+    ir.gpus.edit()[0].threadBlocks.push_back(tb);
     EXPECT_EQ(verifyMessage(ir, oneOutput(ChunkValue::input(0, 0))),
               "postcondition: rank 0 output[0]: torn read: fractions hold "
               "different values ((0,0) vs (0,1))");
@@ -396,7 +397,7 @@ TEST(Verifier, UninitializedFractionDetected)
     tb.steps.push_back(split(
         instr(IrOp::Copy, BufferKind::Input, 0, BufferKind::Output, 0),
         0, 2));
-    ir.gpus[0].threadBlocks.push_back(tb);
+    ir.gpus.edit()[0].threadBlocks.push_back(tb);
     EXPECT_EQ(verifyMessage(ir, oneOutput(ChunkValue::input(0, 0))),
               "postcondition: rank 0 output[0]: uninitialized bytes at "
               "fraction 1/2");
@@ -413,7 +414,7 @@ TEST(Verifier, PostconditionMessageIsExact)
             tb.steps.push_back(instr(IrOp::Copy, BufferKind::Input, 0,
                                      BufferKind::Output, i));
         }
-        ir.gpus[r].threadBlocks.push_back(tb);
+        ir.gpus.edit()[r].threadBlocks.push_back(tb);
     }
     EXPECT_EQ(verifyMessage(ir, AllGatherCollective(2, 1)),
               "postcondition violated at rank 0 output[1]: expected (1,0), "
@@ -440,7 +441,7 @@ TEST(Verifier, DeadlockReportIsExact)
             }
             tb.steps.push_back(instr(IrOp::Recv, BufferKind::Output, 0,
                                      BufferKind::Output, 0));
-            ir.gpus[r].threadBlocks.push_back(tb);
+            ir.gpus.edit()[r].threadBlocks.push_back(tb);
         }
         IrThreadBlock waiter;
         waiter.id = 2;
@@ -450,7 +451,7 @@ TEST(Verifier, DeadlockReportIsExact)
         copy.deps.push_back(IrDep{ 0, 3 });
         copy.hasDep = true;
         waiter.steps.push_back(copy);
-        ir.gpus[r].threadBlocks.push_back(waiter);
+        ir.gpus.edit()[r].threadBlocks.push_back(waiter);
     }
     // A receiver on a connection nobody sends on.
     IrThreadBlock orphan;
@@ -459,7 +460,7 @@ TEST(Verifier, DeadlockReportIsExact)
     orphan.recvPeer = 1;
     orphan.steps.push_back(
         instr(IrOp::Recv, BufferKind::Output, 1, BufferKind::Output, 1));
-    ir.gpus[0].threadBlocks.push_back(orphan);
+    ir.gpus.edit()[0].threadBlocks.push_back(orphan);
     VerifyOptions options;
     options.checkPostcondition = false;
     options.slots = 2;

@@ -179,6 +179,57 @@ TEST(IrXml, DumpMentionsEveryThreadBlock)
     }
 }
 
+TEST(IrXml, CopiesShareOneImmutableBody)
+{
+    Compiled out = compileProgram(*makeRingAllReduce(4, 2, {}));
+    IrProgram copy = out.ir;
+    EXPECT_EQ(copy.gpus.bodyId(), out.ir.gpus.bodyId());
+    EXPECT_EQ(copy, out.ir);
+
+    // Editing the copy clones the body first; the original keeps its
+    // body and its bytes.
+    std::string before = out.ir.toXml();
+    copy.gpus.edit()[0].threadBlocks[0].steps[0].hasDep ^= true;
+    EXPECT_NE(copy.gpus.bodyId(), out.ir.gpus.bodyId());
+    EXPECT_EQ(out.ir.toXml(), before);
+    EXPECT_NE(copy, out.ir);
+
+    // An unshared body is edited in place.
+    const void *own = copy.gpus.bodyId();
+    copy.gpus.edit()[0].rank = 0;
+    EXPECT_EQ(copy.gpus.bodyId(), own);
+}
+
+TEST(IrXml, DistinctBodiesCompareByContent)
+{
+    Compiled out = compileProgram(*makeHierarchicalAllReduce(2, 3, 2, {}));
+    IrProgram reloaded = IrProgram::fromXml(out.ir.toXml());
+    ASSERT_NE(reloaded.gpus.bodyId(), out.ir.gpus.bodyId());
+    EXPECT_EQ(reloaded.gpus, out.ir.gpus);
+
+    // One changed dep anywhere makes the bodies unequal.
+    IrInstruction *with_dep = nullptr;
+    for (IrGpu &gpu : reloaded.gpus.edit()) {
+        for (IrThreadBlock &tb : gpu.threadBlocks) {
+            for (IrInstruction &instr : tb.steps) {
+                if (with_dep == nullptr && !instr.deps.empty())
+                    with_dep = &instr;
+            }
+        }
+    }
+    ASSERT_NE(with_dep, nullptr);
+    with_dep->deps.back().step++;
+    EXPECT_FALSE(reloaded.gpus == out.ir.gpus);
+    EXPECT_NE(reloaded, out.ir);
+
+    // Empty bodies are equal however they were made.
+    IrProgram blank;
+    IrProgram edited;
+    edited.gpus.edit();
+    EXPECT_EQ(blank.gpus, edited.gpus);
+    EXPECT_EQ(blank.gpus.size(), 0u);
+}
+
 TEST(IrOps, NameTableRoundTrips)
 {
     for (IrOp op : { IrOp::Nop, IrOp::Send, IrOp::Recv, IrOp::Copy,

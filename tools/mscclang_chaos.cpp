@@ -23,6 +23,7 @@
  */
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <limits>
 #include <string>
@@ -129,18 +130,20 @@ main(int argc, char **argv)
             else if (flag == "--bytes") bytes = parseBytes(value());
             else if (flag == "--at-frac") at_frac = std::stod(value());
             else if (flag == "--resource") {
+                // Resource names start with a letter; a leading digit
+                // means an id, and the whole token must be one.
                 std::string spec = value();
-                try {
-                    size_t used = 0;
-                    resource = std::stoi(spec, &used);
-                    if (used != spec.size())
-                        throw std::invalid_argument(spec);
-                } catch (const std::logic_error &) {
+                if (!spec.empty() && std::isdigit(
+                        static_cast<unsigned char>(spec[0]))) {
+                    resource = static_cast<int>(parseCount(
+                        flag, spec, 0, std::numeric_limits<int>::max()));
+                } else {
                     resource_name = spec; // resolve by name later
                 }
             }
             else if (flag == "--seed")
-                seed = std::stoull(value());
+                seed = parseCount(flag, value(), 0,
+                                  std::numeric_limits<std::uint64_t>::max());
             else if (flag == "--csv") csv_path = value();
             else if (flag == "--data") data_mode = true;
             else if (flag == "--profile") profile_on = true;

@@ -22,6 +22,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -323,11 +324,14 @@ main(int argc, char **argv)
             if (flag == "--machine") machine = value();
             else if (flag == "--workload") workload = value();
             else if (flag == "--storm") storm_kind = value();
-            else if (flag == "--seed") seed = std::stoull(value());
+            else if (flag == "--seed")
+                seed = parseCount(flag, value(), 0,
+                                  std::numeric_limits<std::uint64_t>::max());
             else if (flag == "--slo")
                 options.sloMultiplier = std::stod(value());
             else if (flag == "--max-attempts")
-                options.maxAttempts = std::stoi(value());
+                options.maxAttempts = static_cast<int>(parseCount(
+                    flag, value(), 1, std::numeric_limits<int>::max()));
             else if (flag == "--watchdog-us")
                 options.watchdogNoProgressUs = std::stod(value());
             else if (flag == "--healing") healing = value();

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/error.h"
@@ -56,7 +57,9 @@ main(int argc, char **argv)
             else if (flag == "--machine") machine = value();
             else if (flag == "--bytes") bytes = parseBytes(value());
             else if (flag == "--sweep") sweep = value();
-            else if (flag == "--tiles") tiles = std::stoi(value());
+            else if (flag == "--tiles")
+                tiles = static_cast<int>(parseCount(
+                    flag, value(), 1, std::numeric_limits<int>::max()));
             else if (flag == "--help" || flag == "-h") {
                 usage();
                 return 0;

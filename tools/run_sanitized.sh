@@ -12,8 +12,11 @@
 # Fusion|ChunkDag), whose dense index arrays are where off-by-ones
 # hide, and the IR verifier (Verifier), whose interned value ids,
 # pooled segment lists and ring-buffer FIFOs are where a
-# use-after-reuse would hide. Also registered as the "sanitize" ctest configuration
-# (ctest -C sanitize) next to the existing "perf" configuration.
+# use-after-reuse would hide, and the shared IR body (IrXml|Xml|
+# Tuner): copies of one plan share a reference-counted body that
+# edit() clones, so a dangling or aliased body would surface there.
+# Also registered as the "sanitize" ctest configuration (ctest -C
+# sanitize) next to the existing "perf" configuration.
 #
 # With --chaos-sweep, additionally builds the mscclang_chaos driver in
 # the sanitized tree and runs a small deterministic fault-matrix sweep
@@ -29,7 +32,8 @@
 # race verifier's thread pool (Races), its lock-free union-find
 # contraction plus its differential engine sweeps (UnionFind,
 # Hierarchical), and the plan cache's memoized program fingerprint
-# under concurrent compiles of one program (PlanCache).
+# under concurrent compiles of one program and the shared plan body
+# under concurrent hits of one key (PlanCache).
 # Registered as the "tsan" ctest configuration (ctest -C tsan).
 #
 # Every mode finishes with a flake check: the suites that write
@@ -58,7 +62,7 @@ if [[ "$TSAN" == "1" ]]; then
 else
     BUILD_DIR="${BUILD_DIR:-build-asan}"
     SANITIZE_FLAG="-DMSCCLANG_SANITIZE=ON"
-    FILTER="${1:-Faults|Watchdog|Communicator|Interpreter|EventQueue|Flow|Recovery|Health|PlanCache|Determinism|Races|Search|Workload|Replay|Slo|Hierarchical|UnionFind|Schedule|CompileStats|InstrGraph|Lowering|Fusion|ChunkDag|Verifier}"
+    FILTER="${1:-Faults|Watchdog|Communicator|Interpreter|EventQueue|Flow|Recovery|Health|PlanCache|Determinism|Races|Search|Workload|Replay|Slo|Hierarchical|UnionFind|Schedule|CompileStats|InstrGraph|Lowering|Fusion|ChunkDag|Verifier|IrXml|Xml|Tuner}"
 fi
 
 cmake -B "$BUILD_DIR" -S . "$SANITIZE_FLAG" \
@@ -67,7 +71,7 @@ cmake --build "$BUILD_DIR" --target test_faults test_interpreter \
     test_sim test_races test_recovery test_plan_cache \
     test_determinism test_search test_workload test_hierarchical \
     test_unionfind test_tuner test_schedule test_compiler \
-    test_instr_graph test_lowering test_verifier -j"$(nproc)"
+    test_instr_graph test_lowering test_verifier test_xml -j"$(nproc)"
 
 if [[ "$TSAN" == "1" ]]; then
     export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
