@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -46,6 +47,30 @@ parseCount(const std::string &flag, const std::string &text,
             "%s: '%s' is not an integer in [%llu, %llu]", flag.c_str(),
             text.c_str(), static_cast<unsigned long long>(min),
             static_cast<unsigned long long>(max)));
+    }
+    return value;
+}
+
+double
+parseReal(const std::string &flag, const std::string &text, double min,
+          double max)
+{
+    // A number starts with a digit, a point or a sign: this turns
+    // away " 4" and the "inf"/"nan" spellings strtod would accept.
+    char first = text.empty() ? '\0' : text[0];
+    bool ok = std::isdigit(static_cast<unsigned char>(first)) ||
+        first == '.' || first == '-' || first == '+';
+    double value = 0.0;
+    if (ok) {
+        char *end = nullptr;
+        errno = 0;
+        value = std::strtod(text.c_str(), &end);
+        ok = end != text.c_str() && *end == '\0' && errno != ERANGE &&
+            std::isfinite(value) && value >= min && value <= max;
+    }
+    if (!ok) {
+        throw BadValue(strprintf("%s: '%s' is not a number in [%g, %g]",
+                                 flag.c_str(), text.c_str(), min, max));
     }
     return value;
 }

@@ -35,6 +35,16 @@ std::uint64_t parseCount(const std::string &flag, const std::string &text,
                          std::uint64_t min, std::uint64_t max,
                          int base = 10);
 
+/**
+ * Parses the whole of @p text as a finite real number in
+ * [@p min, @p max] (decimal or hex, as for strtod). An empty token, a
+ * leading space, trailing junk ("1.5x"), NaN, infinity, an overflow
+ * or underflow, or an out-of-range value throws BadValue naming
+ * @p flag.
+ */
+double parseReal(const std::string &flag, const std::string &text,
+                 double min, double max);
+
 /** printf-style formatting into a std::string. */
 std::string strprintf(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));

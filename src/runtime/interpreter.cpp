@@ -174,82 +174,44 @@ struct IrExecution::Impl
     };
 
     // ------------------------------------------------------------------
-    // Rank shards (DESIGN.md §13): each rank is a shard. Interpreter
-    // steps are *actions* in per-rank queues ordered by (due,
-    // per-rank seq); one coalesced shard event per rank marks its
-    // earliest due time. A batch of same-time rank events runs a
-    // per-rank phase (ranks advance independently: ConnState fields
-    // are ownership-partitioned — ring/head/count/waitingReceiver
-    // belong to the destination rank, occupied/waitingSender to the
-    // source — and dependencies and semaphores are same-rank by
-    // construction) followed by a merge phase in the queue's
-    // deterministic (time, domain, rank, seq) order that applies
-    // every cross-rank or global effect.
+    // Per-instant buckets (DESIGN.md §13): interpreter steps are
+    // *actions* queued in the bucket of the instant they are due,
+    // in staging order, and the execution keeps exactly one shard
+    // event pending, at its earliest instant. A batch sorts its
+    // bucket stably by rank and runs a per-rank phase (ranks advance
+    // independently: ConnState fields are ownership-partitioned —
+    // ring/head/count/waitingReceiver belong to the destination rank,
+    // occupied/waitingSender to the source — and dependencies and
+    // semaphores are same-rank by construction) followed by a merge
+    // phase that applies the FIFO slot releases, the only cross-rank
+    // effect, in rank order.
 
-    enum ActionKind
+    enum ActionKind : std::uint8_t
     {
         kActAdvance = 0,  ///< tryAdvance(flat)
         kActComplete = 1, ///< completeInstr(flat, received)
         kActDeliver = 2,  ///< deliver(send-op index)
+        kActLaunch = 3,   ///< launch(send-op index): flow enters wire
     };
 
-    struct RankAction
+    struct Action
     {
-        TimeNs due;
-        std::uint64_t seq; // per-rank staging order
-        int kind;
+        Rank rank;
         int arg;
+        ActionKind kind;
         bool received;
     };
 
-    static bool
-    actionAfter(const RankAction &a, const RankAction &b)
+    /** One pending instant: its actions in staging order. */
+    struct Instant
     {
-        if (a.due != b.due)
-            return a.due > b.due;
-        return a.seq > b.seq;
-    }
-
-    /** A send computed in the per-rank phase; the merge phase
-     *  allocates its pooled SendOp and schedules the launch, so
-     *  arena indices and event sequence follow the batch order. */
-    struct StagedSend
-    {
-        Message msg;
-        int flat = 0;
-        int conn = 0;
-        bool receives = false;
-        TimeNs issueNs = 0;
-        TimeNs alphaNs = 0;
-        double wireBytes = 0.0;
-        double capGBps = 0.0;
-        const std::vector<ResourceId> *resources = nullptr;
+        TimeNs at;
+        std::vector<Action> actions;
     };
 
-    /**
-     * Per-rank shard state. The delta/output fields are per-rank
-     * phase products folded into the global totals by the merge.
-     */
-    struct RankCtx
-    {
-        std::vector<RankAction> actions; // min-heap by (due, seq)
-        std::uint64_t nextSeq = 1;
-        EventId pendingEvent = 0;
-        TimeNs pendingAt = 0;
-
-        std::uint64_t messagesDelta = 0;
-        double wireBytesDelta = 0.0;
-        std::uint64_t progressDelta = 0;
-        int finishedDelta = 0;
-        std::vector<TraceEvent> trace;
-        std::vector<std::string> logs;
-        /** Connections whose FIFO slot this rank's receives freed
-         *  (the sender-side release is cross-rank: merge applies). */
-        std::vector<int> slotFreed;
-        /** Consumed send-op arena indices (arena is global). */
-        std::vector<int> freedSends;
-        std::vector<StagedSend> sends;
-    };
+    /** Buckets up to this size sort by insertion, larger ones by a
+     *  counting sort over ranks. */
+    static constexpr size_t kInsertionSortMax = 32;
 
     const Topology &topology;
     /** The execution's own copy: it shares the caller's body and
@@ -265,13 +227,28 @@ struct IrExecution::Impl
     /** flat tb id = tbBase[rank] + tb index */
     std::vector<int> tbBase;
     std::vector<ConnState> conns;
-    /** Destination rank per connection: the delivery shard. */
+    /** Destination rank per connection: the delivery rank. */
     std::vector<Rank> connDst;
     std::vector<SendOp> sendPool;
     int freeSend = -1;
 
     int interpDomain = -1;
-    std::vector<RankCtx> rankCtx;
+    /** Pending instants, latest first: the earliest is at the back. */
+    std::vector<Instant> instants;
+    /** Recycled bucket storage (cleared, capacity kept). */
+    std::vector<std::vector<Action>> spareBuckets;
+    /** Counting-sort scratch: per-rank offsets and the output. */
+    std::vector<int> rankStart;
+    std::vector<Action> sortScratch;
+    /** The execution's one pending shard event and its instant. */
+    EventId pendingEvent = 0;
+    TimeNs pendingAt = 0;
+    /** Wire bytes of the rank the per-rank phase is on, folded into
+     *  stats per (batch, rank): the goldens pin the bits of that
+     *  summation order. */
+    double rankWireBytes = 0.0;
+    /** Connections whose FIFO slot this batch's receives freed. */
+    std::vector<int> slotFreed;
     /** semaphore waiters per flat tb: (threshold units, waiter). */
     std::vector<std::vector<std::pair<long, int>>> semWaiters;
 
@@ -289,7 +266,6 @@ struct IrExecution::Impl
     // Watchdog state: `progress` counts completed instructions and
     // delivered messages; the no-progress tick compares it against
     // the previous tick's snapshot.
-    bool aborted = false;
     bool done = false;
     std::uint64_t progress = 0;
     std::uint64_t lastProgress = 0;
@@ -436,11 +412,8 @@ struct IrExecution::Impl
             }
         }
 
-        rankCtx.resize(ir.numRanks);
         interpDomain = events.addShardDomain(
-            [this](const std::vector<int> &batch) {
-                runRankBatch(batch);
-            });
+            [this](const std::vector<int> &) { runBatch(); });
     }
 
     int
@@ -499,218 +472,164 @@ struct IrExecution::Impl
     }
 
     // ------------------------------------------------------------------
-    // Rank-shard action queues and the batch runner.
+    // Instant buckets and the batch runner.
 
+    /** Queues an action at @p at, after everything already staged
+     *  there. The caller syncs the pending event (syncEvent). */
     void
-    pushAction(RankCtx &ctx, TimeNs due, int kind, int arg,
-               bool received)
+    stage(TimeNs at, Rank rank, ActionKind kind, int arg,
+          bool received = false)
     {
-        ctx.actions.push_back(
-            RankAction{ due, ctx.nextSeq++, kind, arg, received });
-        std::push_heap(ctx.actions.begin(), ctx.actions.end(),
-                       actionAfter);
+        auto it = std::lower_bound(
+            instants.begin(), instants.end(), at,
+            [](const Instant &inst, TimeNs t) { return inst.at > t; });
+        if (it == instants.end() || it->at != at) {
+            std::vector<Action> bucket;
+            if (!spareBuckets.empty()) {
+                bucket = std::move(spareBuckets.back());
+                spareBuckets.pop_back();
+            }
+            it = instants.insert(it, Instant{ at, std::move(bucket) });
+        }
+        it->actions.push_back(Action{ rank, arg, kind, received });
     }
 
-    RankAction
-    popAction(RankCtx &ctx)
+    /** Keeps the one pending shard event at the earliest instant
+     *  (cancel + reschedule when that instant moves). */
+    void
+    syncEvent()
     {
-        std::pop_heap(ctx.actions.begin(), ctx.actions.end(),
-                      actionAfter);
-        RankAction act = ctx.actions.back();
-        ctx.actions.pop_back();
-        return act;
+        if (instants.empty()) {
+            if (pendingEvent != 0)
+                events.cancel(pendingEvent);
+            pendingEvent = 0;
+            return;
+        }
+        TimeNs at = instants.back().at;
+        if (pendingEvent != 0) {
+            if (pendingAt == at)
+                return;
+            events.cancel(pendingEvent);
+        }
+        pendingAt = at;
+        pendingEvent = events.scheduleShard(at, 0, interpDomain);
     }
 
-    /**
-     * Keeps the rank's single coalesced shard event at its earliest
-     * due time (cancel + reschedule, like the flow network's
-     * scheduleShardUpdate). Driving thread only.
-     */
+    /** Stable sort by rank: insertion for small buckets, counting
+     *  sort for large ones (a 512-rank instant holds thousands). */
     void
-    syncRankEvent(int rank)
+    sortByRank(std::vector<Action> &acts)
     {
-        RankCtx &ctx = rankCtx[rank];
-        if (ctx.actions.empty()) {
-            if (ctx.pendingEvent != 0) {
-                events.cancel(ctx.pendingEvent);
-                ctx.pendingEvent = 0;
+        size_t n = acts.size();
+        if (n <= kInsertionSortMax) {
+            for (size_t i = 1; i < n; i++) {
+                Action act = acts[i];
+                size_t j = i;
+                for (; j > 0 && acts[j - 1].rank > act.rank; j--)
+                    acts[j] = acts[j - 1];
+                acts[j] = act;
             }
             return;
         }
-        TimeNs due = ctx.actions.front().due;
-        if (ctx.pendingEvent != 0) {
-            if (ctx.pendingAt == due)
-                return;
-            events.cancel(ctx.pendingEvent);
-        }
-        ctx.pendingAt = due;
-        ctx.pendingEvent = events.scheduleShard(due, rank,
-                                                interpDomain);
-    }
-
-    /** Stages an action from outside a per-rank phase (flow
-     *  completions, cross-rank wakes, kickoff) and syncs the rank's
-     *  event. */
-    void
-    stageSerial(int rank, TimeNs due, int kind, int arg, bool received)
-    {
-        pushAction(rankCtx[rank], due, kind, arg, received);
-        syncRankEvent(rank);
+        rankStart.assign(ir.numRanks + 1, 0);
+        for (const Action &act : acts)
+            rankStart[act.rank + 1]++;
+        for (int r = 0; r < ir.numRanks; r++)
+            rankStart[r + 1] += rankStart[r];
+        sortScratch.resize(n);
+        for (const Action &act : acts)
+            sortScratch[rankStart[act.rank]++] = act;
+        acts.swap(sortScratch);
     }
 
     /**
-     * After finishAll (abort or completion) the remaining rank
-     * events just drain their queues so in-flight pooled sends
-     * return to the arena, as the aborted checks in launchFlow and
-     * flowDrained do for sends still on the wire.
+     * Frees every queued action, the send arena and their storage
+     * once the run is over (an execution may outlive its run by a
+     * long way: the workload replayer keeps every attempt until the
+     * shared fabric drains). Flows an abort left on the wire still
+     * call flowDrained, which then touches nothing.
      */
     void
-    drainRank(int rank)
+    releaseRunState()
     {
-        RankCtx &ctx = rankCtx[rank];
-        ctx.pendingEvent = 0;
-        ctx.pendingAt = 0;
-        while (!ctx.actions.empty()) {
-            RankAction act = popAction(ctx);
-            if (act.kind == kActDeliver)
-                freeSendOp(act.arg);
-        }
+        if (pendingEvent != 0)
+            events.cancel(pendingEvent);
+        pendingEvent = 0;
+        std::vector<Instant>().swap(instants);
+        std::vector<std::vector<Action>>().swap(spareBuckets);
+        std::vector<int>().swap(rankStart);
+        std::vector<Action>().swap(sortScratch);
+        std::vector<int>().swap(slotFreed);
+        std::vector<SendOp>().swap(sendPool);
+        freeSend = -1;
     }
 
     /**
-     * Per-rank phase for one rank: pop every action due now, in
-     * (due, seq) order, and run it against rank-owned state only.
-     * Cross-rank and global effects land in the rank's ctx for the
-     * merge phase.
+     * EventQueue batch entry point for the interpreter domain: runs
+     * the earliest instant's bucket. The per-rank phase takes the
+     * ranks in ascending order and each rank's actions in staging
+     * order; the merge then releases the FIFO slots the receives
+     * freed and restages their blocked (cross-rank) senders at this
+     * instant, as a new batch.
      */
     void
-    rankLocal(int rank)
+    runBatch()
     {
-        RankCtx &ctx = rankCtx[rank];
-        ctx.pendingEvent = 0; // consumed by the queue
-        ctx.pendingAt = 0;
-        TimeNs now = events.now();
-        while (!ctx.actions.empty() &&
-               ctx.actions.front().due == now) {
-            RankAction act = popAction(ctx);
-            switch (act.kind) {
-              case kActAdvance:
-                tryAdvance(act.arg, ctx);
-                break;
-              case kActComplete:
-                completeInstr(act.arg, act.received, ctx);
-                break;
-              case kActDeliver:
-                deliver(act.arg, ctx);
-                break;
-            }
-        }
-    }
-
-    /**
-     * Merge phase for one rank, in deterministic batch order: fold
-     * stats/trace/progress, release FIFO slots and restage their
-     * (cross-rank) blocked senders at this instant, recycle and
-     * allocate pooled sends, and re-arm the rank's shard event.
-     */
-    void
-    rankMerge(int rank)
-    {
-        RankCtx &ctx = rankCtx[rank];
-        TimeNs now = events.now();
-        stats.messages += ctx.messagesDelta;
-        ctx.messagesDelta = 0;
-        stats.wireBytes += ctx.wireBytesDelta;
-        ctx.wireBytesDelta = 0.0;
-        progress += ctx.progressDelta;
-        ctx.progressDelta = 0;
-        finishedTbs += ctx.finishedDelta;
-        ctx.finishedDelta = 0;
-        for (TraceEvent &ev : ctx.trace)
-            trace.push_back(ev); // writeTrace sorts canonically
-        ctx.trace.clear();
-        for (const std::string &line : ctx.logs)
-            logDebug(line);
-        ctx.logs.clear();
-        for (int conn : ctx.slotFreed) {
-            ConnState &in = conns[conn];
-            in.occupied--;
-            int waiter = in.waitingSender;
-            in.waitingSender = -1;
-            if (waiter >= 0) {
-                stageSerial(tbs[waiter].rank, now, kActAdvance,
-                            waiter, false);
-            }
-        }
-        ctx.slotFreed.clear();
-        for (int idx : ctx.freedSends)
-            freeSendOp(idx);
-        ctx.freedSends.clear();
-        for (StagedSend &send : ctx.sends) {
-            int idx = allocSendOp();
-            SendOp &op = sendPool[idx];
-            op.msg = std::move(send.msg);
-            op.flat = send.flat;
-            op.conn = send.conn;
-            op.receives = send.receives;
-            op.alphaNs = send.alphaNs;
-            op.wireBytes = send.wireBytes;
-            op.capGBps = send.capGBps;
-            op.resources = send.resources;
-            events.scheduleAfter(send.issueNs,
-                                 [this, idx] { launchFlow(idx); });
-        }
-        ctx.sends.clear();
-        syncRankEvent(rank);
-    }
-
-    /**
-     * Drops the per-rank queues and staging buffers once the run is
-     * over: an execution may outlive its run by a long way (the
-     * workload replayer keeps every attempt until the shared fabric
-     * drains). A rank event is pending exactly while its rank has
-     * queued actions, so with every queue empty no batch can reach
-     * rankCtx again; an aborted run with queued deliveries keeps
-     * its state for drainRank.
-     */
-    void
-    releaseRankState()
-    {
-        for (const RankCtx &ctx : rankCtx) {
-            if (!ctx.actions.empty())
-                return;
-        }
-        std::vector<RankCtx>().swap(rankCtx);
-    }
-
-    /** EventQueue batch entry point for the interpreter domain. */
-    void
-    runRankBatch(const std::vector<int> &batch)
-    {
-        // The only way into tryAdvance/execute/deliver/completeInstr:
-        // once the run is over they never see another action.
-        if (aborted || done) {
-            for (int rank : batch)
-                drainRank(rank);
-            return;
-        }
+        pendingEvent = 0; // consumed by the queue
+        std::vector<Action> batch = std::move(instants.back().actions);
+        instants.pop_back();
         SimProfile *prof = options.profile;
         if (prof)
             prof->interpBatches++;
         {
             SimProfileTimer timer(prof ? &prof->interpParallelNs
                                        : nullptr);
-            for (int rank : batch)
-                rankLocal(rank);
+            sortByRank(batch);
+            for (size_t i = 0; i < batch.size();) {
+                Rank rank = batch[i].rank;
+                rankWireBytes = 0.0;
+                for (; i < batch.size() && batch[i].rank == rank; i++)
+                    runAction(batch[i]);
+                stats.wireBytes += rankWireBytes;
+            }
         }
         SimProfileTimer timer(prof ? &prof->interpMergeNs : nullptr);
-        for (int rank : batch)
-            rankMerge(rank);
-        // Completion is detected here, not inside tryAdvance: the
-        // finished counts arrive as per-rank deltas.
-        if (!done &&
-            finishedTbs == static_cast<int>(tbs.size())) {
+        TimeNs now = events.now();
+        for (int conn : slotFreed) {
+            ConnState &in = conns[conn];
+            in.occupied--;
+            int waiter = in.waitingSender;
+            in.waitingSender = -1;
+            if (waiter >= 0)
+                stage(now, tbs[waiter].rank, kActAdvance, waiter);
+        }
+        slotFreed.clear();
+        batch.clear();
+        spareBuckets.push_back(std::move(batch));
+        // Completion is detected here, not inside tryAdvance, so a
+        // finished run never sees another action.
+        if (finishedTbs == static_cast<int>(tbs.size()))
             finishAll();
+        else
+            syncEvent();
+    }
+
+    void
+    runAction(const Action &act)
+    {
+        switch (act.kind) {
+          case kActAdvance:
+            tryAdvance(act.arg);
+            break;
+          case kActComplete:
+            completeInstr(act.arg, act.received);
+            break;
+          case kActDeliver:
+            deliver(act.arg);
+            break;
+          case kActLaunch:
+            launch(act.arg);
+            break;
         }
     }
 
@@ -868,7 +787,8 @@ struct IrExecution::Impl
             }
             TimeNs now = events.now();
             for (TbState &tb : tbs)
-                stageSerial(tb.rank, now, kActAdvance, tb.flatId, false);
+                stage(now, tb.rank, kActAdvance, tb.flatId);
+            syncEvent();
         });
     }
 
@@ -891,8 +811,8 @@ struct IrExecution::Impl
 
     /**
      * Clean watchdog abort: no further instruction makes progress,
-     * in-flight pooled sends drain back to the arena as their events
-     * fire, the trace file is flushed, and the completion callback
+     * queued actions and the send arena are freed at once, the trace
+     * file is flushed, and the completion callback
      * receives aborted stats carrying the blocked-set diagnosis.
      * DataStore contents are whatever the executed prefix wrote —
      * rollback is the caller's policy (see Communicator::run).
@@ -902,7 +822,6 @@ struct IrExecution::Impl
     {
         if (done)
             return;
-        aborted = true;
         stats.aborted = true;
         stats.abortReason = why + ":\n" + blockedReport();
         stats.blockedLinks = blockedLinks();
@@ -1008,7 +927,7 @@ struct IrExecution::Impl
         stats.firedFaults = network.firedFaults();
         if (!options.traceFile.empty())
             writeTrace();
-        releaseRankState();
+        releaseRunState();
         if (onComplete)
             onComplete(stats);
     }
@@ -1051,20 +970,20 @@ struct IrExecution::Impl
     }
 
     /** Same-rank wake: the waiter's rank owns the waiting slot, so
-     *  the per-rank phase may advance it inline under its own ctx. */
+     *  the per-rank phase may advance it inline. */
     void
-    wake(int &slot_ref, RankCtx &ctx)
+    wake(int &slot_ref)
     {
         int id = slot_ref;
         slot_ref = -1;
         if (id >= 0)
-            tryAdvance(id, ctx);
+            tryAdvance(id);
     }
 
     /** Semaphore waiters are same-rank by construction (IrDep names
      *  a thread block on the publishing rank). */
     void
-    bumpUnits(TbState &tb, RankCtx &ctx)
+    bumpUnits(TbState &tb)
     {
         tb.units++;
         std::vector<std::pair<long, int>> &waiters =
@@ -1074,7 +993,7 @@ struct IrExecution::Impl
                 int waiter = waiters[i].second;
                 waiters[i] = waiters.back();
                 waiters.pop_back();
-                tryAdvance(waiter, ctx);
+                tryAdvance(waiter);
             } else {
                 i++;
             }
@@ -1082,16 +1001,15 @@ struct IrExecution::Impl
     }
 
     void
-    tryAdvance(int flat, RankCtx &ctx)
+    tryAdvance(int flat)
     {
         TbState &tb = tbs[flat];
         if (tb.busy || tb.finished)
             return;
         if (tb.numSteps == 0 || tb.tile >= numTiles) {
             tb.finished = true;
-            // Completion detection is the merge phase's: the global
-            // count folds per-rank deltas.
-            ctx.finishedDelta++;
+            finishedTbs++; // runBatch detects completion
+
             return;
         }
         const IrInstruction &instr = tb.tb->steps[tb.step];
@@ -1137,13 +1055,12 @@ struct IrExecution::Impl
             }
         }
 
-        execute(tb, instr, payload, receives, sends, ctx);
+        execute(tb, instr, payload, receives, sends);
     }
 
     void
     execute(TbState &tb, const IrInstruction &instr,
-            std::uint64_t payload, bool receives, bool sends,
-            RankCtx &ctx)
+            std::uint64_t payload, bool receives, bool sends)
     {
         tb.busy = true;
         tb.busyStartNs = events.now();
@@ -1202,86 +1119,87 @@ struct IrExecution::Impl
             TimeNs alpha_ns =
                 tb.tile == 0 ? tb.sendAlpha0Ns : tb.sendAlphaNNs;
 
-            // Arena allocation and event scheduling are global: the
-            // merge phase performs them in batch order.
-            ctx.messagesDelta++;
-            ctx.wireBytesDelta += wire_bytes;
-            ctx.sends.push_back(StagedSend{
-                std::move(outgoing), tb.flatId, tb.sendConn, receives,
-                usToNs(issue_us), alpha_ns, wire_bytes, tb.sendCapGBps,
-                tb.sendResources });
+            int idx = allocSendOp();
+            SendOp &op = sendPool[idx];
+            op.msg = std::move(outgoing);
+            op.flat = tb.flatId;
+            op.conn = tb.sendConn;
+            op.receives = receives;
+            op.alphaNs = alpha_ns;
+            op.wireBytes = wire_bytes;
+            op.capGBps = tb.sendCapGBps;
+            op.resources = tb.sendResources;
+            stats.messages++;
+            rankWireBytes += wire_bytes;
+            // Only launches touch the network, so a launch commutes
+            // with its rank's other actions at its instant: staging
+            // it here instead of in the merge keeps the order of
+            // network calls (ranks ascending, then staging order).
+            stage(events.now() + usToNs(issue_us), tb.rank, kActLaunch,
+                  idx);
         } else {
             // All local costs are strictly positive, so the
             // completion lands in a strictly later batch — no
             // same-instant self-cascade inside the per-rank phase.
             double cost_us = localCostUs(instr, payload, tb.tile);
-            pushAction(ctx, events.now() + usToNs(cost_us),
-                       kActComplete, tb.flatId, receives);
+            stage(events.now() + usToNs(cost_us), tb.rank,
+                  kActComplete, tb.flatId, receives);
         }
     }
 
     /** Issue done: the send's flow enters the network. */
     void
-    launchFlow(int idx)
+    launch(int idx)
     {
-        if (aborted) {
-            freeSendOp(idx); // drain the arena on abort
-            return;
-        }
-        SendOp &op = sendPool[idx];
+        const SendOp &op = sendPool[idx];
         network.startFlow(*op.resources, op.capGBps, op.wireBytes,
                           [this, idx] { flowDrained(idx); });
     }
 
     /**
-     * The wire drained: restage on the owning rank shards. The
-     * sender's completion is its rank's work at this instant, the
-     * delivery is the destination rank's an alpha later.
+     * The wire drained: the sender's completion is its rank's work at
+     * this instant, the delivery is the destination rank's an alpha
+     * later.
      */
     void
     flowDrained(int idx)
     {
-        if (aborted) {
-            freeSendOp(idx);
-            return;
-        }
+        if (done)
+            return; // aborted: releaseRunState freed the arena
         const SendOp &op = sendPool[idx];
         TimeNs now = events.now();
-        stageSerial(tbs[op.flat].rank, now, kActComplete, op.flat,
-                    op.receives);
-        stageSerial(connDst[op.conn], now + op.alphaNs, kActDeliver,
-                    idx, false);
+        stage(now, tbs[op.flat].rank, kActComplete, op.flat, op.receives);
+        stage(now + op.alphaNs, connDst[op.conn], kActDeliver, idx);
+        syncEvent();
     }
 
     /** A sent tile arrived at the destination rank. */
     void
-    deliver(int idx, RankCtx &ctx)
+    deliver(int idx)
     {
-        SendOp &op = sendPool[idx];
-        ConnState &conn = conns[op.conn];
-        pushInbox(conn, std::move(op.msg));
-        ctx.freedSends.push_back(idx); // arena is global
-        ctx.progressDelta++;
-        wake(conn.waitingReceiver, ctx);
+        ConnState &conn = conns[sendPool[idx].conn];
+        pushInbox(conn, std::move(sendPool[idx].msg));
+        freeSendOp(idx);
+        progress++;
+        wake(conn.waitingReceiver);
     }
 
     /** Wraps up the current instruction of a thread block. */
     void
-    completeInstr(int flat, bool received, RankCtx &ctx)
+    completeInstr(int flat, bool received)
     {
-        ctx.progressDelta++;
+        progress++;
         TbState &tb = tbs[flat];
         if (traceEnabled) {
-            // Per-rank buffers merge in batch order; writeTrace's
-            // canonical sort makes the file bytes independent of the
-            // append order anyway.
-            ctx.trace.push_back(TraceEvent{
+            // writeTrace's canonical sort makes the file bytes
+            // independent of the append order.
+            trace.push_back(TraceEvent{
                 tb.rank, tb.tb->id, tb.tile, tb.step,
                 tb.tb->steps[tb.step].op, tb.busyStartNs,
                 events.now() });
         }
         if (debugLog) {
-            ctx.logs.push_back(strprintf(
+            logDebug(strprintf(
                 "t=%8.2fus rank %d tb %d tile %d step %d done: %s",
                 static_cast<double>(events.now()) / 1000.0, tb.rank,
                 tb.tb->id, tb.tile, tb.step,
@@ -1291,16 +1209,16 @@ struct IrExecution::Impl
             // Consuming the message frees the sender's FIFO slot —
             // sender-side state, owned by the peer rank: the merge
             // phase applies it and restages the blocked sender.
-            ctx.slotFreed.push_back(tb.recvConn);
+            slotFreed.push_back(tb.recvConn);
         }
-        bumpUnits(tb, ctx);
+        bumpUnits(tb);
         tb.busy = false;
         tb.step++;
         if (tb.step >= tb.numSteps) {
             tb.step = 0;
             tb.tile++;
         }
-        tryAdvance(flat, ctx);
+        tryAdvance(flat);
     }
 
     /** Applies the instruction's data transformation (data mode). */

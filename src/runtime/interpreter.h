@@ -16,13 +16,15 @@
  *    protocol's per-message latency; local copies and reductions are
  *    charged at per-thread-block memory throughput.
  *
- * Rank-shard batches (DESIGN.md §13): thread-block state is
- * partitioned by rank, and same-timestamp interpreter work drains as
- * conservative rank-shard batches — a per-rank phase advances ready
- * thread blocks rank by rank against rank-owned state, then a merge
- * phase applies cross-rank effects (FIFO slot releases, send
- * launches, trace/stats/progress folds) in deterministic batch
- * order. The whole simulation runs on the caller's thread.
+ * Per-instant batches (DESIGN.md §13): thread-block state is
+ * partitioned by rank, and interpreter work is queued as actions
+ * (advance, complete, deliver, launch) in per-instant buckets, with
+ * one pending event per execution at its earliest instant. A batch
+ * sorts its bucket by rank, advances ready thread blocks rank by
+ * rank against rank-owned state — sends stage a Launch action that
+ * starts their flow once the issue time has passed — and then a
+ * merge applies the FIFO slot releases, the only cross-rank effect,
+ * in rank order. The whole simulation runs on the caller's thread.
  *
  * The interpreter runs in one of two modes: data mode moves real
  * float elements (so collectives can be validated against an oracle
@@ -35,10 +37,11 @@
  * protocol's FIFO depth, and each thread block's send path (route,
  * rate cap, per-message NIC occupancy, protocol alphas) is folded
  * into flat per-block constants — so the per-message path is array
- * indexing only. In-flight sends live in a pooled arena and every
- * hot-path callback captures just {interpreter, pool index}, small
- * enough for std::function's inline buffer: steady-state execution
- * does not allocate.
+ * indexing only. In-flight sends live in a pooled arena, bucket
+ * storage is recycled, and the one per-message callback (the flow's
+ * completion) captures just {interpreter, pool index}, small enough
+ * for std::function's inline buffer: steady-state execution does
+ * not allocate.
  */
 
 #ifndef MSCCLANG_RUNTIME_INTERPRETER_H_

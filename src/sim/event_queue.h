@@ -20,10 +20,11 @@
  * let a stale EventId cancel an unrelated event (ABA).
  *
  * Sharded events (conservative batches, DESIGN.md §11, §13): a
- * producer that partitions its state into independent shards
- * — the flow network's coupled-flow components, the interpreter's
- * per-rank thread blocks — schedules *shard events* instead of
- * callbacks. Each producer registers a *domain* (a batch runner);
+ * producer that batches its own same-instant work schedules *shard
+ * events* instead of callbacks — the flow network one per
+ * coupled-flow component, each interpreter execution exactly one,
+ * at its earliest pending instant (it buckets its per-rank actions
+ * itself). Each producer registers a *domain* (a batch runner);
  * shard events live in their own heap, ordered by the deterministic
  * merge key (time, domain, shard, sequence), and are drained in
  * batches: when the earliest pending event is a shard event at time

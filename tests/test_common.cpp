@@ -76,6 +76,28 @@ TEST(Strings, ParseCountIsStrict)
     }
 }
 
+TEST(Strings, ParseRealIsStrict)
+{
+    EXPECT_EQ(parseReal("--x", "0.25", 0.0, 1.0), 0.25);
+    EXPECT_EQ(parseReal("--x", "1", 0.0, 1.0), 1.0);
+    EXPECT_EQ(parseReal("--x", "0", 0.0, 1.0), 0.0);
+    EXPECT_EQ(parseReal("--x", "-2.5e1", -100.0, 0.0), -25.0);
+    EXPECT_EQ(parseReal("--x", ".5", 0.0, 1.0), 0.5);
+    for (const char *bad : { "", "1.5x", " 0.5", "0.5 ", "nan", "inf",
+                             "-inf", "1.01", "-0.1", "1e999", "1e-999",
+                             "x", "." }) {
+        SCOPED_TRACE(bad);
+        EXPECT_THROW(parseReal("--x", bad, 0.0, 1.0), BadValue);
+    }
+    try {
+        parseReal("--at-frac", "1.5x", 0.0, 1.0);
+        FAIL() << "1.5x accepted";
+    } catch (const BadValue &error) {
+        EXPECT_STREQ(error.what(),
+                     "--at-frac: '1.5x' is not a number in [0, 1]");
+    }
+}
+
 TEST(Strings, SplitKeepsEmptyFields)
 {
     auto fields = splitString("a,,b", ',');

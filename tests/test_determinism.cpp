@@ -297,6 +297,47 @@ TEST(Determinism, SimulatedFingerprintsMatchGoldens)
     }
 }
 
+TEST(Determinism, WideInstantFingerprintsMatchParent)
+{
+    // 128-rank rings on ndv4:16: every rank acts at the same instants,
+    // so each interpreter batch carries hundreds of actions and takes
+    // the large-bucket sort path. The allreduce's wireBytes bits move
+    // if that sort drops or reorders a rank's actions. Values recorded
+    // at the per-rank-heap interpreter that the per-instant buckets
+    // replaced.
+    AlgoConfig simple;
+    simple.protocol = Protocol::Simple;
+    simple.instances = 1;
+    AlgoConfig simplex2;
+    simplex2.protocol = Protocol::Simple;
+    simplex2.instances = 2;
+    Topology topo = makeNdv4(16);
+    struct Golden
+    {
+        const char *name;
+        IrProgram ir;
+        std::uint64_t bytes;
+        TimeNs endNs;
+        std::uint64_t messages;
+        std::uint64_t wireBytesBits;
+    };
+    std::vector<Golden> goldens;
+    goldens.push_back({ "ring_allreduce_128",
+                        compileProgram(*makeRingAllReduce(128, 2, simplex2)).ir,
+                        128 << 10, 803166, 65024, 0x41a0c7e14b4b507bull });
+    goldens.push_back({ "ring_allgather_128",
+                        compileProgram(*makeRingAllGather(128, 1, simple)).ir,
+                        128 << 10, 1352017, 16256, 0x41e2c08e1d2d2f29ull });
+    for (const Golden &gold : goldens) {
+        SCOPED_TRACE(gold.name);
+        ExecStats stats = runTiming(topo, gold.ir, gold.bytes);
+        EXPECT_EQ(stats.endNs, gold.endNs);
+        EXPECT_EQ(stats.messages, gold.messages);
+        EXPECT_EQ(doubleBits(stats.wireBytes), gold.wireBytesBits)
+            << "wireBytes " << std::hexfloat << stats.wireBytes;
+    }
+}
+
 /**
  * Fingerprint of the retired serial interpreter, recorded for each
  * program of the rank-batched interpreter checks below.

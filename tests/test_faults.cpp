@@ -327,6 +327,39 @@ TEST(Watchdog, TraceFlushedOnAbort)
     std::remove(path.c_str());
 }
 
+TEST(Watchdog, AbortWithPendingLaunchesDrains)
+{
+    // The absolute timeout fires before the first send's issue time
+    // is over, so every send the kickoff issued still waits in a
+    // queued Launch action. The abort must drop those actions with
+    // their pooled sends and cancel the execution's pending event:
+    // nothing is left in the queue and no flow ever reaches the wire.
+    IrProgram ir = compileProgram(*makeRingAllReduce(4, 1, {})).ir;
+    Topology topo = makeGeneric(1, 4);
+    EventQueue events;
+    FlowNetwork network(topo, events);
+    ExecOptions exec;
+    exec.bytesPerRank = 1 << 20;
+    exec.watchdogTimeoutUs = topo.params().instrOverheadUs / 2;
+    IrExecution run(topo, ir, events, network, exec, nullptr);
+    ExecStats stats;
+    bool completed = false;
+    run.start([&](const ExecStats &s) {
+        stats = s;
+        completed = true;
+    });
+    events.run();
+
+    ASSERT_TRUE(completed);
+    EXPECT_TRUE(stats.aborted);
+    EXPECT_NE(stats.abortReason.find("exceeded"), std::string::npos);
+    EXPECT_EQ(stats.endNs, usToNs(exec.watchdogTimeoutUs));
+    EXPECT_GT(stats.messages, 0u); // sends were issued, not launched
+    EXPECT_EQ(network.activeFlows(), 0);
+    EXPECT_TRUE(events.empty());
+    EXPECT_EQ(events.heapEntries(), 0u);
+}
+
 TEST(Watchdog, CleanRunUnaffected)
 {
     IrProgram ir = compileProgram(*makeRingAllReduce(4, 1, {})).ir;

@@ -128,7 +128,8 @@ main(int argc, char **argv)
         try {
             if (flag == "--machine") machine = value();
             else if (flag == "--bytes") bytes = parseBytes(value());
-            else if (flag == "--at-frac") at_frac = std::stod(value());
+            else if (flag == "--at-frac")
+                at_frac = parseReal(flag, value(), 0.0, 1.0);
             else if (flag == "--resource") {
                 // Resource names start with a letter; a leading digit
                 // means an id, and the whole token must be one.

@@ -328,12 +328,15 @@ main(int argc, char **argv)
                 seed = parseCount(flag, value(), 0,
                                   std::numeric_limits<std::uint64_t>::max());
             else if (flag == "--slo")
-                options.sloMultiplier = std::stod(value());
+                options.sloMultiplier = parseReal(
+                    flag, value(), std::numeric_limits<double>::min(),
+                    std::numeric_limits<double>::max());
             else if (flag == "--max-attempts")
                 options.maxAttempts = static_cast<int>(parseCount(
                     flag, value(), 1, std::numeric_limits<int>::max()));
             else if (flag == "--watchdog-us")
-                options.watchdogNoProgressUs = std::stod(value());
+                options.watchdogNoProgressUs = parseReal(
+                    flag, value(), 0.0, std::numeric_limits<double>::max());
             else if (flag == "--healing") healing = value();
             else if (flag == "--data") options.dataMode = true;
             else if (flag == "--json") json_path = value();

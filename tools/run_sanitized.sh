@@ -2,8 +2,11 @@
 # Builds the test suite in a separate tree with AddressSanitizer and
 # UBSan enabled (-DMSCCLANG_SANITIZE=ON) and runs the suites that
 # exercise the pooled hot paths hardest: the interpreter's send-op
-# arena and ring inboxes, the event queue's callback slots, the
-# fault/watchdog abort paths that recycle both mid-kernel, and the
+# arena, ring inboxes and pooled per-instant action buckets, the event
+# queue's callback slots, the fault/watchdog abort paths that recycle
+# them mid-kernel (Watchdog covers an abort with every send still a
+# queued Launch action: the bucket queue and the send arena must be
+# freed while flows may still call back), and the
 # compiler's shared paths — the plan cache's locked LRU + disk spill
 # and the parallel race verifier's per-rank thread pool — plus the
 # workload replay engine (Workload|Replay|Slo), which multiplexes
