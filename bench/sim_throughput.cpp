@@ -6,7 +6,10 @@
  *
  *  1. a 16-rank (2-node NDv4) timing-mode Ring AllReduce run
  *     repeatedly across three buffer sizes, reporting wall-clock per
- *     run and simulator events/second;
+ *     run and simulator events/second, where an event is one
+ *     EventQueue dispatch (EventQueue::executed): a serial callback
+ *     or one producer run — a flow-network run over every shard due
+ *     at an instant, or one interpreter batch;
  *  2. a tuner sweep (four AllReduce candidates x a 1KB..16MB
  *     geometric size ladder), reporting wall-clock.
  *

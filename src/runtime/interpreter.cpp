@@ -176,8 +176,8 @@ struct IrExecution::Impl
     // ------------------------------------------------------------------
     // Per-instant buckets (DESIGN.md §13): interpreter steps are
     // *actions* queued in the bucket of the instant they are due,
-    // in staging order, and the execution keeps exactly one shard
-    // event pending, at its earliest instant. A batch sorts its
+    // in staging order, and the execution, an event-queue producer,
+    // is due at its earliest instant. A batch sorts its
     // bucket stably by rank and runs a per-rank phase (ranks advance
     // independently: ConnState fields are ownership-partitioned —
     // ring/head/count/waitingReceiver belong to the destination rank,
@@ -232,7 +232,8 @@ struct IrExecution::Impl
     std::vector<SendOp> sendPool;
     int freeSend = -1;
 
-    int interpDomain = -1;
+    /** The execution's producer id in the event queue. */
+    int producer = -1;
     /** Pending instants, latest first: the earliest is at the back. */
     std::vector<Instant> instants;
     /** Recycled bucket storage (cleared, capacity kept). */
@@ -240,9 +241,6 @@ struct IrExecution::Impl
     /** Counting-sort scratch: per-rank offsets and the output. */
     std::vector<int> rankStart;
     std::vector<Action> sortScratch;
-    /** The execution's one pending shard event and its instant. */
-    EventId pendingEvent = 0;
-    TimeNs pendingAt = 0;
     /** Wire bytes of the rank the per-rank phase is on, folded into
      *  stats per (batch, rank): the goldens pin the bits of that
      *  summation order. */
@@ -412,8 +410,7 @@ struct IrExecution::Impl
             }
         }
 
-        interpDomain = events.addShardDomain(
-            [this](const std::vector<int> &) { runBatch(); });
+        producer = events.addProducer([this] { runBatch(); });
     }
 
     int
@@ -475,7 +472,7 @@ struct IrExecution::Impl
     // Instant buckets and the batch runner.
 
     /** Queues an action at @p at, after everything already staged
-     *  there. The caller syncs the pending event (syncEvent). */
+     *  there. The caller syncs the due instant (syncDue). */
     void
     stage(TimeNs at, Rank rank, ActionKind kind, int arg,
           bool received = false)
@@ -494,25 +491,15 @@ struct IrExecution::Impl
         it->actions.push_back(Action{ rank, arg, kind, received });
     }
 
-    /** Keeps the one pending shard event at the earliest instant
-     *  (cancel + reschedule when that instant moves). */
+    /** Keeps the producer due at the earliest instant (a fresh
+     *  stamp only when that instant moves). */
     void
-    syncEvent()
+    syncDue()
     {
-        if (instants.empty()) {
-            if (pendingEvent != 0)
-                events.cancel(pendingEvent);
-            pendingEvent = 0;
-            return;
-        }
-        TimeNs at = instants.back().at;
-        if (pendingEvent != 0) {
-            if (pendingAt == at)
-                return;
-            events.cancel(pendingEvent);
-        }
-        pendingAt = at;
-        pendingEvent = events.scheduleShard(at, 0, interpDomain);
+        if (instants.empty())
+            events.clearDue(producer);
+        else
+            events.setDue(producer, instants.back().at);
     }
 
     /** Stable sort by rank: insertion for small buckets, counting
@@ -552,9 +539,7 @@ struct IrExecution::Impl
     void
     releaseRunState()
     {
-        if (pendingEvent != 0)
-            events.cancel(pendingEvent);
-        pendingEvent = 0;
+        events.clearDue(producer);
         std::vector<Instant>().swap(instants);
         std::vector<std::vector<Action>>().swap(spareBuckets);
         std::vector<int>().swap(rankStart);
@@ -565,17 +550,15 @@ struct IrExecution::Impl
     }
 
     /**
-     * EventQueue batch entry point for the interpreter domain: runs
-     * the earliest instant's bucket. The per-rank phase takes the
-     * ranks in ascending order and each rank's actions in staging
-     * order; the merge then releases the FIFO slots the receives
-     * freed and restages their blocked (cross-rank) senders at this
-     * instant, as a new batch.
+     * The producer's runner: runs the earliest instant's bucket.
+     * The per-rank phase takes the ranks in ascending order and each
+     * rank's actions in staging order; the merge then releases the
+     * FIFO slots the receives freed and restages their blocked
+     * (cross-rank) senders at this instant, as a new batch.
      */
     void
     runBatch()
     {
-        pendingEvent = 0; // consumed by the queue
         std::vector<Action> batch = std::move(instants.back().actions);
         instants.pop_back();
         SimProfile *prof = options.profile;
@@ -611,7 +594,7 @@ struct IrExecution::Impl
         if (finishedTbs == static_cast<int>(tbs.size()))
             finishAll();
         else
-            syncEvent();
+            syncDue();
     }
 
     void
@@ -788,7 +771,7 @@ struct IrExecution::Impl
             TimeNs now = events.now();
             for (TbState &tb : tbs)
                 stage(now, tb.rank, kActAdvance, tb.flatId);
-            syncEvent();
+            syncDue();
         });
     }
 
@@ -1170,7 +1153,7 @@ struct IrExecution::Impl
         TimeNs now = events.now();
         stage(now, tbs[op.flat].rank, kActComplete, op.flat, op.receives);
         stage(now + op.alphaNs, connDst[op.conn], kActDeliver, idx);
-        syncEvent();
+        syncDue();
     }
 
     /** A sent tile arrived at the destination rank. */

@@ -18,8 +18,10 @@
  *
  * Per-instant batches (DESIGN.md §13): thread-block state is
  * partitioned by rank, and interpreter work is queued as actions
- * (advance, complete, deliver, launch) in per-instant buckets, with
- * one pending event per execution at its earliest instant. A batch
+ * (advance, complete, deliver, launch) in per-instant buckets. Each
+ * execution is an event-queue producer with one due instant, its
+ * earliest bucket's, moved with setDue / clearDue (a fresh stamp
+ * only when the instant changes). A batch
  * sorts its bucket by rank, advances ready thread blocks rank by
  * rank against rank-owned state — sends stage a Launch action that
  * starts their flow once the issue time has passed — and then a

@@ -38,41 +38,11 @@ EventQueue::schedule(TimeNs when, Callback cb)
     Slot &slot = slots_[index];
     slot.cb = std::move(cb);
     slot.live = true;
-    slot.shard = -1;
 
     heap_.push_back(Entry{ when, nextSeq_++, index, slot.gen });
     std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
     liveEvents_++;
     // EventId 0 is reserved as "none": slot is offset by one.
-    return (static_cast<EventId>(slot.gen) << 32) |
-        static_cast<EventId>(index + 1);
-}
-
-EventId
-EventQueue::scheduleShard(TimeNs when, int shard, int domain)
-{
-    if (when < now_)
-        throw RuntimeError("EventQueue: scheduling into the past");
-    if (shard < 0)
-        throw RuntimeError("EventQueue: negative shard id");
-    if (domain < 0 ||
-        static_cast<std::size_t>(domain) >= shardRunners_.size() ||
-        !shardRunners_[domain])
-        throw RuntimeError(
-            "EventQueue: no shard batch runner for domain");
-
-    std::uint32_t index = allocSlot();
-    Slot &slot = slots_[index];
-    slot.cb = nullptr; // the batch runner is the callback
-    slot.live = true;
-    slot.shard = shard;
-
-    shardHeap_.push_back(
-        ShardEntry{ when, nextSeq_++, index, slot.gen, shard,
-                    domain });
-    std::push_heap(shardHeap_.begin(), shardHeap_.end(),
-                   std::greater<>{});
-    liveEvents_++;
     return (static_cast<EventId>(slot.gen) << 32) |
         static_cast<EventId>(index + 1);
 }
@@ -83,7 +53,6 @@ EventQueue::releaseSlot(std::uint32_t index)
     Slot &slot = slots_[index];
     slot.cb = nullptr; // drop captured state now, not at pop time
     slot.live = false;
-    slot.shard = -1;
     // The generation is the ABA guard: a recycled slot must never be
     // addressable through a stale EventId. Rather than silently
     // wrapping to a generation an ancient id might still carry,
@@ -107,24 +76,59 @@ EventQueue::cancel(EventId id)
     std::uint32_t gen = static_cast<std::uint32_t>(id >> 32);
     if (!slot.live || slot.gen != gen)
         return; // already fired or already cancelled
-    bool shard_event = slot.shard >= 0;
     releaseSlot(index);
     liveEvents_--;
-    if (shard_event) {
-        deadInShardHeap_++;
-        if (deadInShardHeap_ > kCompactFloor &&
-            deadInShardHeap_ * 2 > shardHeap_.size())
-            compactShard();
-    } else {
-        deadInHeap_++;
-        if (deadInHeap_ > kCompactFloor &&
-            deadInHeap_ * 2 > heap_.size())
-            compactSerial();
-    }
+    deadInHeap_++;
+    if (deadInHeap_ > kCompactFloor && deadInHeap_ * 2 > heap_.size())
+        compact();
+}
+
+int
+EventQueue::addProducer(ProducerRunner runner)
+{
+    if (!runner)
+        throw RuntimeError("EventQueue: empty producer runner");
+    producers_.push_back(Producer{ std::move(runner), 0 });
+    return static_cast<int>(producers_.size()) - 1;
 }
 
 void
-EventQueue::compactSerial()
+EventQueue::checkDue(int id, TimeNs when) const
+{
+    if (id < 0 || static_cast<std::size_t>(id) >= producers_.size())
+        throw RuntimeError("EventQueue: unknown producer");
+    if (when < now_)
+        throw RuntimeError("EventQueue: producer due in the past");
+}
+
+void
+EventQueue::setDue(int id, TimeNs when)
+{
+    checkDue(id, when);
+    if (due_.contains(id) && due_.when(id) == when)
+        return; // same instant: the stamp stays
+    producers_[id].stamp = nextSeq_++;
+    due_.set(id, when);
+}
+
+void
+EventQueue::setDue(int id, TimeNs when, std::uint64_t stamp)
+{
+    checkDue(id, when);
+    producers_[id].stamp = stamp;
+    due_.set(id, when);
+}
+
+void
+EventQueue::clearDue(int id)
+{
+    if (id < 0 || static_cast<std::size_t>(id) >= producers_.size())
+        throw RuntimeError("EventQueue: unknown producer");
+    due_.erase(id);
+}
+
+void
+EventQueue::compact()
 {
     heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
                                [this](const Entry &entry) {
@@ -136,59 +140,40 @@ EventQueue::compactSerial()
 }
 
 void
-EventQueue::compactShard()
-{
-    shardHeap_.erase(
-        std::remove_if(shardHeap_.begin(), shardHeap_.end(),
-                       [this](const ShardEntry &entry) {
-                           return dead(entry);
-                       }),
-        shardHeap_.end());
-    std::make_heap(shardHeap_.begin(), shardHeap_.end(),
-                   std::greater<>{});
-    deadInShardHeap_ = 0;
-}
-
-void
-EventQueue::purgeTops()
+EventQueue::purgeTop()
 {
     while (!heap_.empty() && dead(heap_.front())) {
         std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
         heap_.pop_back();
         deadInHeap_--;
     }
-    while (!shardHeap_.empty() && dead(shardHeap_.front())) {
-        std::pop_heap(shardHeap_.begin(), shardHeap_.end(),
-                      std::greater<>{});
-        shardHeap_.pop_back();
-        deadInShardHeap_--;
-    }
 }
 
 bool
 EventQueue::runOne()
 {
-    purgeTops();
-    if (heap_.empty() && shardHeap_.empty())
+    purgeTop();
+    if (heap_.empty() && due_.empty())
         return false;
 
-    // Serial vs shard tie-break is the global schedule order (seq),
-    // preserving the pre-sharding FIFO semantics for same-time
-    // events scheduled earlier than the shard batch.
+    // A serial event and a producer due at the same instant run in
+    // stamp order: the global schedule order, FIFO across both.
     bool serial;
-    if (shardHeap_.empty()) {
+    if (due_.empty()) {
         serial = true;
     } else if (heap_.empty()) {
         serial = false;
     } else {
         const Entry &s = heap_.front();
-        const ShardEntry &h = shardHeap_.front();
-        serial = s.when != h.when ? s.when < h.when : s.seq < h.seq;
+        TimeNs due = due_.topWhen();
+        serial = s.when != due
+            ? s.when < due
+            : s.seq < producers_[due_.topId()].stamp;
     }
 
+    SimProfileTimer timer(profile_ ? &profile_->eventQueueNs
+                                   : nullptr);
     if (serial) {
-        SimProfileTimer timer(profile_ ? &profile_->eventQueueNs
-                                       : nullptr);
         std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
         Entry entry = heap_.back();
         heap_.pop_back();
@@ -203,40 +188,14 @@ EventQueue::runOne()
         return true;
     }
 
-    // Extract the whole same-(time, domain) batch of shard events.
-    // The heap's (when, domain, shard, seq) order makes the batch
-    // sequence — and with it the serial merge phase the runner
-    // performs — a deterministic function of the schedule alone.
-    // The runner attributes its own phase time; only the extraction
-    // counts against the event queue here.
-    SimProfileTimer timer(profile_ ? &profile_->eventQueueNs
-                                   : nullptr);
-    TimeNs when = shardHeap_.front().when;
-    int domain = shardHeap_.front().domain;
-    batchScratch_.clear();
-    while (!shardHeap_.empty() && shardHeap_.front().when == when &&
-           shardHeap_.front().domain == domain) {
-        std::pop_heap(shardHeap_.begin(), shardHeap_.end(),
-                      std::greater<>{});
-        ShardEntry entry = shardHeap_.back();
-        shardHeap_.pop_back();
-        if (dead(entry)) {
-            deadInShardHeap_--;
-            continue;
-        }
-        releaseSlot(entry.slot);
-        liveEvents_--;
-        executed_++;
-        batchScratch_.push_back(entry.shard);
-    }
-    if (batchScratch_.empty()) {
-        timer.stop();
-        return runOne(); // the batch was all tombstones
-    }
-    now_ = when;
-    shardBatches_++;
+    // The producer's due is consumed before it runs; the runner
+    // publishes its next instant. It attributes its own phase time:
+    // only the dispatch counts against the event queue.
+    now_ = due_.topWhen();
+    int id = due_.pop();
+    executed_++;
     timer.stop();
-    shardRunners_[domain](batchScratch_);
+    producers_[id].runner();
     return true;
 }
 

@@ -19,34 +19,36 @@
  * error instead of silently recycling — a wrapped generation would
  * let a stale EventId cancel an unrelated event (ABA).
  *
- * Sharded events (conservative batches, DESIGN.md §11, §13): a
- * producer that batches its own same-instant work schedules *shard
- * events* instead of callbacks — the flow network one per
- * coupled-flow component, each interpreter execution exactly one,
- * at its earliest pending instant (it buckets its per-rank actions
- * itself). Each producer registers a *domain* (a batch runner);
- * shard events live in their own heap, ordered by the deterministic
- * merge key (time, domain, shard, sequence), and are drained in
- * batches: when the earliest pending event is a shard event at time
- * T, every shard event at exactly (T, domain) is popped as one batch
- * and handed to that domain's runner, which advances each shard on
- * its own state before merging cross-shard effects in batch order:
- * same-instant shards of one domain are independent by construction
- * (any cross-shard influence needs an ordinary event or a merge-phase
- * restage, and none can exist between equal timestamps). Batching
- * amortizes heap traffic; the batch order fixes the deterministic
- * event order the simulated results depend on. Ordinary events interleave with shard
- * events by (time, sequence) against the front of the shard heap, so
- * a serial event scheduled before a same-time shard batch still runs
- * first.
+ * Producers (conservative batches, DESIGN.md §11, §13): a component
+ * that batches its own same-instant work registers as a *producer*
+ * instead of scheduling callbacks. A producer keeps at most one due
+ * instant in the queue — the flow network (producer 0) the earliest
+ * instant any of its shards is due, each interpreter execution its
+ * earliest pending instant — and moves it with setDue / clearDue.
+ * Due producers live in an indexed min-heap keyed (when, producer
+ * id), so a move is a sift in place: producers take no callback
+ * slot, get no EventId and leave no tombstone. When a producer's
+ * instant comes up the queue clears it and calls the producer's
+ * runner, which handles everything it has due then and publishes
+ * its next instant. Three rules make the order deterministic:
+ * equal instants run in producer-id order (ids are registration
+ * order and never recycled); a serial event and a producer due at
+ * the same instant run in the order of their *stamps*, drawn from
+ * the one counter that also sequences serial events; and a
+ * producer's stamp is fresh whenever its instant changes (setDue to
+ * the instant it already holds keeps the old stamp, and a producer
+ * may publish an explicit stamp of its own).
  */
 
 #ifndef MSCCLANG_SIM_EVENT_QUEUE_H_
 #define MSCCLANG_SIM_EVENT_QUEUE_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <vector>
+
+#include "sim/indexed_heap.h"
 
 namespace mscclang {
 
@@ -69,17 +71,16 @@ usToNs(double us)
 using EventId = std::uint64_t;
 
 /**
- * The event queue. Single-threaded: events, shard batches and their
- * callbacks all run on the caller of run(). Callbacks may schedule
- * more events.
+ * The event queue. Single-threaded: events, producer runs and their
+ * callbacks all run on the caller of run(). Callbacks and runners
+ * may schedule more events and move any producer's due instant.
  */
 class EventQueue
 {
   public:
     using Callback = std::function<void()>;
-    /** Handles one batch of same-time shard events (shard ids). */
-    using ShardBatchRunner =
-        std::function<void(const std::vector<int> &)>;
+    /** Runs a producer's work due at now(). */
+    using ProducerRunner = std::function<void()>;
 
     /** Current simulated time. */
     TimeNs now() const { return now_; }
@@ -94,37 +95,31 @@ class EventQueue
     }
 
     /**
-     * Schedules a shard event for @p shard of @p domain at @p when.
-     * Requires the domain's batch runner to be installed
-     * (setShardBatchRunner / addShardDomain). The producer should
-     * keep at most one pending shard event per shard (cancel +
-     * reschedule to move it); the batch extraction assumes same-time
-     * shard events of one domain name distinct shards.
+     * Registers a producer and returns its id: registration order,
+     * never recycled. At equal instants lower ids run first (the
+     * flow network, registered first, settles before the
+     * interpreter steps).
      */
-    EventId scheduleShard(TimeNs when, int shard, int domain = 0);
-
-    /** Installs the executor for domain-0 shard-event batches. */
-    void setShardBatchRunner(ShardBatchRunner runner)
-    {
-        if (shardRunners_.empty())
-            shardRunners_.push_back(std::move(runner));
-        else
-            shardRunners_[0] = std::move(runner);
-    }
+    int addProducer(ProducerRunner runner);
 
     /**
-     * Registers a new shard domain and returns its id. Domains
-     * partition shard events by producer: batches never mix domains,
-     * and at equal timestamps lower domains drain first (the flow
-     * network, domain 0, settles before the interpreter steps).
+     * Draws the next stamp from the counter that sequences serial
+     * events, for producers that publish stamps of their own.
      */
-    int addShardDomain(ShardBatchRunner runner)
-    {
-        if (shardRunners_.empty())
-            shardRunners_.emplace_back(); // reserve domain 0
-        shardRunners_.push_back(std::move(runner));
-        return static_cast<int>(shardRunners_.size()) - 1;
-    }
+    std::uint64_t stamp() { return nextSeq_++; }
+
+    /**
+     * Makes producer @p id due at @p when (>= now). A producer
+     * already due at @p when keeps its stamp; otherwise it gets a
+     * fresh one.
+     */
+    void setDue(int id, TimeNs when);
+
+    /** Makes producer @p id due at @p when with stamp @p stamp. */
+    void setDue(int id, TimeNs when, std::uint64_t stamp);
+
+    /** Drops producer @p id's due instant, if it has one. */
+    void clearDue(int id);
 
     /** Installs wall-clock phase accounting (null disables). */
     void setProfile(SimProfile *profile) { profile_ = profile; }
@@ -132,39 +127,35 @@ class EventQueue
     /** Cancels a pending event; cancelling a fired event is a no-op. */
     void cancel(EventId id);
 
-    /** True if no live events remain. */
-    bool empty() const { return liveEvents_ == 0; }
+    /** True if no live event and no due producer remains. */
+    bool empty() const { return liveEvents_ == 0 && due_.empty(); }
 
     /**
-     * Pops and runs the earliest event — or, when that event is a
-     * shard event, the whole batch of shard events sharing its
-     * timestamp. Returns false when empty.
+     * Runs the earliest serial event or due producer. Returns false
+     * when empty.
      */
     bool runOne();
 
     /** Runs until the queue is drained. Returns final time. */
     TimeNs run();
 
-    /** Number of events executed so far (diagnostics). */
+    /** Serial events plus producer runs executed so far. */
     std::uint64_t executed() const { return executed_; }
-
-    /** Shard-event batches executed so far (diagnostics). */
-    std::uint64_t shardBatches() const { return shardBatches_; }
 
     /**
      * Allocated callback-arena slots (diagnostics). Bounded by the
-     * peak number of simultaneously pending events.
+     * peak number of simultaneously pending serial events.
      */
     std::size_t poolSlots() const { return slots_.size(); }
 
     /**
-     * Heap entries including cancellation tombstones (diagnostics).
-     * Compaction keeps this within a constant factor of the live
-     * event count.
+     * Heap entries: serial events including cancellation tombstones,
+     * plus due producers (diagnostics). Compaction keeps the serial
+     * part within a constant factor of the live event count.
      */
     std::size_t heapEntries() const
     {
-        return heap_.size() + shardHeap_.size();
+        return heap_.size() + due_.size();
     }
 
   private:
@@ -185,42 +176,23 @@ class EventQueue
         }
     };
 
-    /** Shard-heap entry, ordered by (when, domain, shard, seq). */
-    struct ShardEntry
-    {
-        TimeNs when;
-        std::uint64_t seq;
-        std::uint32_t slot;
-        std::uint32_t gen;
-        int shard;
-        int domain;
-
-        bool
-        operator>(const ShardEntry &other) const
-        {
-            if (when != other.when)
-                return when > other.when;
-            if (domain != other.domain)
-                return domain > other.domain;
-            if (shard != other.shard)
-                return shard > other.shard;
-            return seq > other.seq;
-        }
-    };
-
     /** One pooled callback slot. */
     struct Slot
     {
         Callback cb;
         std::uint32_t gen = 0;
         bool live = false;
-        /** Shard id for shard events, -1 for callback events. */
-        int shard = -1;
     };
 
-    template <typename E>
+    struct Producer
+    {
+        ProducerRunner runner;
+        /** Orders the producer against same-instant serial events. */
+        std::uint64_t stamp = 0;
+    };
+
     bool
-    dead(const E &entry) const
+    dead(const Entry &entry) const
     {
         const Slot &slot = slots_[entry.slot];
         return !slot.live || slot.gen != entry.gen;
@@ -232,26 +204,26 @@ class EventQueue
     /** Frees a slot's callback storage and recycles the slot. */
     void releaseSlot(std::uint32_t index);
 
-    /** Drops dead entries when tombstones dominate a heap. */
-    void compactSerial();
-    void compactShard();
+    /** Drops dead entries when tombstones dominate the heap. */
+    void compact();
 
-    /** Discards dead entries at the top of each heap. */
-    void purgeTops();
+    /** Discards dead entries at the top of the heap. */
+    void purgeTop();
+
+    /** Validates a producer id and a due instant. */
+    void checkDue(int id, TimeNs when) const;
 
     TimeNs now_ = 0;
     std::uint64_t nextSeq_ = 1;
     std::uint64_t executed_ = 0;
-    std::uint64_t shardBatches_ = 0;
     std::size_t liveEvents_ = 0;
     std::size_t deadInHeap_ = 0;
-    std::size_t deadInShardHeap_ = 0;
-    std::vector<Entry> heap_;           // min-heap by (when, seq)
-    std::vector<ShardEntry> shardHeap_; // min-heap by (when, shard, seq)
+    std::vector<Entry> heap_; // min-heap by (when, seq)
     std::vector<Slot> slots_;
     std::vector<std::uint32_t> freeSlots_;
-    std::vector<int> batchScratch_;
-    std::vector<ShardBatchRunner> shardRunners_; // indexed by domain
+    /** A deque: a runner may register producers while it runs. */
+    std::deque<Producer> producers_;
+    IndexedHeap due_; // due producers by (when, id)
     SimProfile *profile_ = nullptr;
 };
 

@@ -47,8 +47,7 @@ FlowNetwork::FlowNetwork(const Topology &topology, EventQueue &events)
     for (int r = 0; r < n; r++)
         capacity_[r] = topology_.resourceCapacityGBps(r);
     baseCapacity_ = capacity_;
-    events_.setShardBatchRunner(
-        [this](const std::vector<int> &batch) { runShardBatch(batch); });
+    producer_ = events_.addProducer([this] { runDue(); });
 }
 
 FlowNetwork::~FlowNetwork() = default;
@@ -92,10 +91,7 @@ FlowNetwork::allocShard()
     Shard &s = shards_[shard];
     s.live = true;
     s.membershipDirty = false;
-    s.pendingEvent = 0;
-    s.pendingAt = 0;
     s.lastSettled = events_.now();
-    s.settledBytes = 0.0;
     s.nextDelayNs = -1;
     s.starved = false;
     activeShards_++;
@@ -106,14 +102,9 @@ void
 FlowNetwork::freeShard(int shard)
 {
     Shard &s = shards_[shard];
-    if (s.pendingEvent != 0) {
-        events_.cancel(s.pendingEvent);
-        s.pendingEvent = 0;
-    }
+    due_.erase(shard);
     s.flows.clear();
     s.touched.clear();
-    s.done.clear();
-    s.doneFlows.clear();
     s.live = false;
     activeShards_--;
     freeShards_.push_back(shard);
@@ -157,11 +148,8 @@ FlowNetwork::activateFault(int index)
     // unowned resource has no flows to disturb — the new capacity
     // simply greets the next flow that routes across it.
     int shard = resourceShard_[r];
-    if (shard >= 0) {
-        Shard &s = shards_[shard];
-        settleShard(s);
-        foldDelivered(s);
-    }
+    if (shard >= 0)
+        settleShard(shards_[shard]);
     firedFaults_.push_back(index);
     bool bounded = event.durationUs > 0.0;
     switch (event.kind) {
@@ -183,23 +171,24 @@ FlowNetwork::activateFault(int index)
             // Ownership may have changed since activation: resolve
             // the owning shard at recovery time.
             int owner = resourceShard_[r];
-            if (owner >= 0) {
-                Shard &s = shards_[owner];
-                settleShard(s);
-                foldDelivered(s);
-            }
+            if (owner >= 0)
+                settleShard(shards_[owner]);
             if (kind == FaultKind::Degrade) {
                 degradeFactor_[r] /= factor;
             } else if (--zeroCount_[r] == 0) {
                 zeroedResources_--;
             }
             refreshCapacity(r);
-            if (owner >= 0)
+            if (owner >= 0) {
                 scheduleShardUpdate(owner, events_.now());
+                publish();
+            }
         });
     }
-    if (shard >= 0)
+    if (shard >= 0) {
         scheduleShardUpdate(shard, events_.now());
+        publish();
+    }
 }
 
 FlowId
@@ -238,15 +227,9 @@ FlowNetwork::startFlow(const std::vector<ResourceId> &resources,
         target = allocShard();
     } else {
         target = mergeScratch_[0];
-        {
-            Shard &t = shards_[target];
-            settleShard(t);
-            foldDelivered(t);
-        }
+        settleShard(shards_[target]);
         for (size_t i = 1; i < mergeScratch_.size(); i++) {
-            Shard &src = shards_[mergeScratch_[i]];
-            settleShard(src);
-            foldDelivered(src);
+            settleShard(shards_[mergeScratch_[i]]);
             mergeShardInto(mergeScratch_[i], target);
         }
     }
@@ -276,6 +259,7 @@ FlowNetwork::startFlow(const std::vector<ResourceId> &resources,
     // Batch rate recomputation: many flows typically start at the
     // same instant (a phase boundary); one recomputation serves all.
     scheduleShardUpdate(target, events_.now());
+    publish();
     return id;
 }
 
@@ -284,10 +268,6 @@ FlowNetwork::mergeShardInto(int from, int into)
 {
     Shard &src = shards_[from];
     Shard &dst = shards_[into];
-    if (src.pendingEvent != 0) {
-        events_.cancel(src.pendingEvent);
-        src.pendingEvent = 0;
-    }
     flowMergeScratch_.clear();
     flowMergeScratch_.reserve(dst.flows.size() + src.flows.size());
     std::merge(dst.flows.begin(), dst.flows.end(), src.flows.begin(),
@@ -332,81 +312,84 @@ FlowNetwork::settleShard(Shard &shard)
     shard.lastSettled = now;
     if (elapsed_ns <= 0.0)
         return;
+    double settled = 0.0;
     for (int index : shard.flows) {
         Flow &flow = flowArena_[index];
         // 1 GB/s == 1 byte/ns, so rate converts directly.
         double moved = flow.rateGBps * elapsed_ns;
         moved = std::min(moved, flow.remaining);
         flow.remaining -= moved;
-        shard.settledBytes += moved;
+        settled += moved;
         for (ResourceId r : flow.resources)
             resourceBytes_[r] += moved;
     }
-}
-
-void
-FlowNetwork::foldDelivered(Shard &shard)
-{
-    delivered_ += shard.settledBytes;
-    shard.settledBytes = 0.0;
+    delivered_ += settled;
 }
 
 void
 FlowNetwork::scheduleShardUpdate(int shard, TimeNs when)
 {
-    Shard &s = shards_[shard];
-    if (s.pendingEvent != 0) {
-        if (when >= s.pendingAt)
-            return; // an earlier or equal update is already queued
-        events_.cancel(s.pendingEvent);
-    }
-    s.pendingAt = when;
-    s.pendingEvent = events_.scheduleShard(when, shard);
+    if (due_.contains(shard) && when >= due_.when(shard))
+        return; // an earlier or equal update is already due
+    shards_[shard].stamp = events_.stamp();
+    due_.set(shard, when);
 }
 
 void
-FlowNetwork::runShardBatch(const std::vector<int> &batch)
+FlowNetwork::publish()
+{
+    if (due_.empty())
+        events_.clearDue(producer_);
+    else
+        events_.setDue(producer_, due_.topWhen(),
+                       shards_[due_.topId()].stamp);
+}
+
+void
+FlowNetwork::runDue()
 {
     SimProfileTimer timer(profile_ ? &profile_->flowNetworkNs
                                    : nullptr);
     if (profile_)
         profile_->flowBatches++;
 
-    // Per-shard phase: each shard settles, completes, and recomputes
-    // against its own state only, so no shard's result depends on
-    // the others' order within the batch.
-    for (int shard : batch)
-        shardLocal(shard);
-
-    // Merge phase, in the queue's deterministic (time, shard, seq)
-    // batch order: fold totals, recycle flows, re-partition, requeue.
+    // Take every shard due now before handling any: a shard a
+    // completion callback requeues at now forms the next run. Shards
+    // due at one instant are independent — any influence between
+    // them needs a callback or a fault, neither of which runs inside
+    // this loop — so one pass per shard, in ascending shard order,
+    // fixes the deterministic order of totals, frees and requeues.
+    TimeNs now = events_.now();
+    batch_.clear();
+    while (!due_.empty() && due_.topWhen() == now)
+        batch_.push_back(due_.pop());
     batchCallbacks_.clear();
-    for (int shard : batch)
-        shardMerge(shard);
+    for (int shard : batch_)
+        runShard(shard);
 
     // Completion callbacks run last — they may start new flows, and
     // flow starts mutate shard structure (merges), which must not
-    // overlap the batch bookkeeping above. They restage interpreter
-    // work on its rank shards, so their time is booked separately.
+    // overlap the pass above. They restage interpreter work, so
+    // their time is booked separately.
     timer.stop();
     SimProfileTimer cbTimer(profile_ ? &profile_->flowCallbacksNs
                                      : nullptr);
     for (std::size_t i = 0; i < batchCallbacks_.size(); i++)
         batchCallbacks_[i]();
     batchCallbacks_.clear();
+    publish();
 }
 
 void
-FlowNetwork::shardLocal(int shard)
+FlowNetwork::runShard(int shard)
 {
     Shard &s = shards_[shard];
-    s.pendingEvent = 0; // consumed by the queue
-    s.pendingAt = 0;
     settleShard(s);
 
-    // Complete drained flows. Their callbacks run after the batch so
-    // new flows see a consistent network; completion order within the
-    // shard is flow start order (the list is FlowId-sorted).
+    // Complete drained flows. Their callbacks run after the whole
+    // run so new flows see a consistent network; completion order
+    // within the shard is flow start order (the list is
+    // FlowId-sorted).
     size_t kept = 0;
     for (size_t i = 0; i < s.flows.size(); i++) {
         int index = s.flows[i];
@@ -414,9 +397,8 @@ FlowNetwork::shardLocal(int shard)
         if (flow.remaining <= kDoneEpsilon) {
             for (ResourceId r : flow.resources)
                 flowCount_[r]--; // every r is owned by this shard
-            s.done.push_back(std::move(flow.onDone));
-            flow.onDone = nullptr;
-            s.doneFlows.push_back(index);
+            batchCallbacks_.push_back(std::move(flow.onDone));
+            freeFlow(index);
             s.membershipDirty = true;
         } else {
             s.flows[kept++] = index;
@@ -425,19 +407,6 @@ FlowNetwork::shardLocal(int shard)
     s.flows.resize(kept);
 
     recomputeShard(s);
-}
-
-void
-FlowNetwork::shardMerge(int shard)
-{
-    Shard &s = shards_[shard];
-    foldDelivered(s);
-    for (int index : s.doneFlows)
-        freeFlow(index);
-    s.doneFlows.clear();
-    for (auto &cb : s.done)
-        batchCallbacks_.push_back(std::move(cb));
-    s.done.clear();
     if (s.starved)
         throw RuntimeError(
             "FlowNetwork: flow starved (zero-capacity route?)");
@@ -528,8 +497,8 @@ FlowNetwork::recomputeShard(Shard &s)
     // active fault simply make no progress (their completion is
     // rescheduled when the fault recovers — or never, for a hard
     // link-down, which the interpreter's watchdog detects). A flow
-    // starved with no fault in sight is an error — raised from the
-    // merge phase, in batch order.
+    // starved with no fault in sight is an error — raised by
+    // runShard once the recompute is done.
     s.starved = false;
     double earliest_ns = std::numeric_limits<double>::infinity();
     for (int index : s.flows) {
@@ -559,13 +528,10 @@ FlowNetwork::partitionShard(int shard)
     // resources. Rates computed on the merged set are already the
     // per-component fixed points (components share nothing), so the
     // split only redistributes bookkeeping — no recompute needed.
-    std::vector<int> flows;
-    flows.swap(shards_[shard].flows);
-    std::vector<ResourceId> oldTouched;
-    oldTouched.swap(shards_[shard].touched);
-    shards_[shard].membershipDirty = false;
-
-    const size_t n = flows.size();
+    Shard &whole = shards_[shard];
+    whole.membershipDirty = false;
+    const std::vector<int> &survivors = whole.flows;
+    const size_t n = survivors.size();
     ufParent_.resize(n);
     std::iota(ufParent_.begin(), ufParent_.end(), 0);
     if (epoch_ == std::numeric_limits<std::uint32_t>::max()) {
@@ -574,7 +540,7 @@ FlowNetwork::partitionShard(int shard)
     }
     epoch_++;
     for (size_t i = 0; i < n; i++) {
-        for (ResourceId r : flowArena_[flows[i]].resources) {
+        for (ResourceId r : flowArena_[survivors[i]].resources) {
             if (resEpoch_[r] == epoch_) {
                 int a = findRoot(ufParent_, static_cast<int>(i));
                 int b = findRoot(ufParent_, resOwner_[r]);
@@ -587,10 +553,28 @@ FlowNetwork::partitionShard(int shard)
         }
     }
 
+    // Almost every check finds one component (on a flapping
+    // inference mix, 99% of them): keep the lists as they are.
+    TimeNs now = events_.now();
+    int root0 = findRoot(ufParent_, 0);
+    size_t first_other = 1;
+    while (first_other < n &&
+           findRoot(ufParent_, static_cast<int>(first_other)) == root0)
+        first_other++;
+    if (first_other == n) {
+        if (whole.nextDelayNs >= 0)
+            scheduleShardUpdate(shard, now + whole.nextDelayNs);
+        return;
+    }
+
     // Number groups by first appearance so the split is a
     // deterministic function of membership alone. (A root may have a
     // higher index than other members of its group, so the mapping is
     // keyed on the root, not discovered in index order.)
+    std::vector<int> flows;
+    flows.swap(whole.flows);
+    std::vector<ResourceId> oldTouched;
+    oldTouched.swap(whole.touched);
     std::vector<int> rootGroup(n, -1);
     std::vector<std::vector<int>> members;
     for (size_t i = 0; i < n; i++) {
@@ -600,16 +584,6 @@ FlowNetwork::partitionShard(int shard)
             members.emplace_back();
         }
         members[rootGroup[root]].push_back(flows[i]);
-    }
-
-    TimeNs now = events_.now();
-    if (members.size() == 1) {
-        Shard &s = shards_[shard];
-        s.flows.swap(flows);
-        s.touched.swap(oldTouched);
-        if (s.nextDelayNs >= 0)
-            scheduleShardUpdate(shard, now + s.nextDelayNs);
-        return;
     }
 
     // Real split: the first group keeps this shard id; the rest get

@@ -12,9 +12,9 @@
  * Sharded layout (DESIGN.md §11): active flows are partitioned into
  * *shards* — the connected components of the flow/resource sharing
  * graph, maintained incrementally. Each shard owns its member flows,
- * the resources they draw from, a private settle clock, and its own
- * coalesced update event in the EventQueue. A rate-relevant change
- * (flow start or completion, fault capacity change) settles and
+ * the resources they draw from, a private settle clock, and at most
+ * one due instant for its next update. A rate-relevant change (flow
+ * start or completion, fault capacity change) settles and
  * recomputes only the shard it lands in; a flow whose route spans
  * several shards merges them ("crossing the cut"), and a shard that
  * lost flows is re-partitioned at its next update so independent
@@ -23,13 +23,15 @@
  * restricted to the shard — mathematically the same fixed point,
  * since components share no resources.
  *
- * Batched execution: same-instant shard updates arrive from the
- * EventQueue as one batch. The batch's per-shard phase (settle,
- * completion detection, recompute) runs shard by shard against
- * disjoint state, followed by a merge phase in deterministic (time,
- * shard, seq) batch order that folds per-shard byte counts into the
- * global totals, re-partitions, reschedules, and finally fires
- * completion callbacks in shard-then-start order.
+ * Self-scheduling: the network is the event queue's producer 0. It
+ * keeps its shards' due instants in its own indexed heap, ordered by
+ * (when, shard), and publishes only the earliest to the queue, with
+ * the stamp of the lowest-id shard due then; a shard is stamped from
+ * the queue's counter whenever its instant moves earlier. A run
+ * takes every shard due at now and handles each in ascending shard
+ * order in one pass — settle, completion detection, recompute, fold
+ * the totals, free completed flows, re-partition, requeue — and
+ * finally fires the completion callbacks in shard-then-start order.
  */
 
 #ifndef MSCCLANG_SIM_FLOW_NETWORK_H_
@@ -40,6 +42,7 @@
 #include <vector>
 
 #include "sim/event_queue.h"
+#include "sim/indexed_heap.h"
 #include "topology/topology.h"
 
 namespace mscclang {
@@ -131,17 +134,15 @@ class FlowNetwork
         std::vector<int> flows;
         /** Resources owned by this shard (lazily swept). */
         std::vector<ResourceId> touched;
-        EventId pendingEvent = 0;
-        TimeNs pendingAt = 0;
+        /** Orders the shard's due instant against serial events. */
+        std::uint64_t stamp = 0;
         /** Private settle clock: progress is booked shard-locally. */
         TimeNs lastSettled = 0;
         bool live = false;
         /** Lost flows since the last partition check. */
         bool membershipDirty = false;
-        /** Per-shard phase outputs, folded in by the merge phase: */
-        double settledBytes = 0.0;
-        std::vector<std::function<void()>> done;
-        std::vector<int> doneFlows;
+        /** Recompute outputs: next completion delay (-1: none)
+         *  and whether a flow starved with no fault in sight. */
         TimeNs nextDelayNs = -1;
         bool starved = false;
         /** Recompute scratch (kept warm per shard). */
@@ -153,29 +154,28 @@ class FlowNetwork
     int allocShard();
     void freeShard(int shard);
 
-    /** Books progress since the shard's last settle (shard-local). */
+    /** Books progress since the shard's last settle. */
     void settleShard(Shard &shard);
-    /** Folds a shard's settled bytes into the global total. */
-    void foldDelivered(Shard &shard);
 
     /** Moves every flow and resource of @p from into @p into. */
     void mergeShardInto(int from, int into);
 
     /**
      * Splits a shard that lost flows back into connected components;
-     * reschedules each component's next update. Merge phase only.
+     * reschedules each component's next update.
      */
     void partitionShard(int shard);
 
-    /** Coalesces the shard's pending update event to @p when. */
+    /** Moves the shard's due instant to @p when if that is earlier. */
     void scheduleShardUpdate(int shard, TimeNs when);
 
-    /** Per-shard phase: settle, complete, recompute one shard. */
-    void shardLocal(int shard);
-    /** Merge phase: fold totals, free flows, repartition, requeue. */
-    void shardMerge(int shard);
-    /** EventQueue batch entry point. */
-    void runShardBatch(const std::vector<int> &batch);
+    /** Publishes the earliest due shard to the event queue. */
+    void publish();
+
+    /** Settles, completes, recomputes and requeues one due shard. */
+    void runShard(int shard);
+    /** Producer runner: every shard due at now, ascending. */
+    void runDue();
 
     /** Max-min progressive filling over one shard's flows. */
     void recomputeShard(Shard &shard);
@@ -202,6 +202,12 @@ class FlowNetwork
     std::vector<Shard> shards_;
     std::vector<int> freeShards_;
     int activeShards_ = 0;
+
+    /** The network's producer id and its due shards, (when, shard). */
+    int producer_ = -1;
+    IndexedHeap due_;
+    /** Shards taken by the current run. */
+    std::vector<int> batch_;
 
     SimProfile *profile_ = nullptr;
 
@@ -235,7 +241,7 @@ class FlowNetwork
     std::vector<double> remCap_;
     std::vector<int> usage_;
 
-    // Partition scratch (merge phase only).
+    // Partition scratch.
     std::vector<std::uint32_t> resEpoch_;
     std::vector<int> resOwner_;
     std::uint32_t epoch_ = 0;

@@ -5,9 +5,9 @@
  * queue, the flow network, and the interpreter; each component
  * accumulates the host nanoseconds it spends in its phase so a bench
  * can print where a run's wall clock went: event dispatch, per-shard
- * work, or the merge phases between them. The simulation runs on one
- * thread, so plain fields suffice. When no profile is installed the
- * hot paths skip the clock reads entirely.
+ * work, or the interpreter's per-rank and merge phases. The
+ * simulation runs on one thread, so plain fields suffice. When no
+ * profile is installed the hot paths skip the clock reads entirely.
  */
 
 #ifndef MSCCLANG_SIM_PROFILE_H_
@@ -21,9 +21,9 @@ namespace mscclang {
 /** Per-phase wall-clock accumulators, in host nanoseconds. */
 struct SimProfile
 {
-    /** Serial event dispatch + shard-batch extraction (EventQueue). */
+    /** Serial event dispatch + producer dispatch (EventQueue). */
     std::int64_t eventQueueNs = 0;
-    /** Flow-network shard batches: per-shard settle/recompute + merge. */
+    /** Flow-network runs: per-shard settle, recompute and requeue. */
     std::int64_t flowNetworkNs = 0;
     /** Flow-completion callbacks (restaging interpreter work). */
     std::int64_t flowCallbacksNs = 0;

@@ -877,5 +877,40 @@ TEST(Determinism, WorkloadReplayInvariantAcrossThreads)
     }
 }
 
+TEST(Determinism, StormedReplayFingerprintMatchesParent)
+{
+    // The replay above only compares a replay with itself, so an
+    // event-order change (a same-instant tie-break between a replay
+    // dispatch, a flow-network batch and an interpreter batch) would
+    // pass it. This pins the op-level fingerprint against values
+    // recorded at the shard-heap event queue that per-producer due
+    // slots replaced. Two identical bursty streams dispatch their ops
+    // at the same instants, beside decode and MoE traffic, while a
+    // flap storm stalls the inter-node NICs mid-traffic. The tight
+    // no-progress watchdog makes the run order-sensitive: its ticks
+    // land on instants where interpreter batches are due, and running
+    // serial events after same-instant producers (instead of in stamp
+    // order) changes which attempts abort, and so the fingerprint.
+    Topology topo = parseTopology("generic:2:8");
+    WorkloadSpec spec = mergeSpecs(
+        "pinned", { makeBurstyWorkload(3, 4, 256 * 1024, 400.0, 3),
+                    makeBurstyWorkload(3, 4, 256 * 1024, 400.0, 3),
+                    makeDecodeWorkload(6, 512 * 1024, 250.0, 3),
+                    makeMoeWorkload(4, 1 << 20, 350.0, 3) });
+    FaultSchedule storm = makeLinkFlapStorm(
+        resourcesMatching(topo, "ib-send"), 4, 450.0, 300.0, 100.0);
+    Communicator comm(topo);
+    registerWorkloadPlans(comm, spec);
+    ReplayOptions options;
+    options.watchdogNoProgressUs = 100.0;
+    ReplayResult replay = replayWorkload(comm, spec, storm, options);
+    int retried = 0;
+    for (const OpRecord &op : replay.ops)
+        retried += op.attempts > 1 ? 1 : 0;
+    EXPECT_GT(retried, 0) << "the storm must force recoveries";
+    EXPECT_EQ(replay.fingerprint(), 3740928916910341309ull);
+    EXPECT_EQ(replay.faultsFired, 64);
+}
+
 } // namespace
 } // namespace mscclang

@@ -1,20 +1,26 @@
 /**
  * @file
  * Unit tests for the simulation substrate: the discrete-event queue
- * (ordering, same-time FIFO, cancellation) and the flow-level
- * network model (rate caps, max-min fair sharing, conservation,
- * completion timing).
+ * (ordering, same-time FIFO, cancellation, producer due slots), its
+ * indexed heap, and the flow-level network model (rate caps, max-min
+ * fair sharing, conservation, completion timing).
  */
 
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "sim/event_queue.h"
 #include "sim/flow_network.h"
+#include "sim/indexed_heap.h"
 
 namespace mscclang {
 namespace {
@@ -129,6 +135,190 @@ TEST(EventQueue, UsToNsRounds)
     EXPECT_EQ(usToNs(1.0), 1000);
     EXPECT_EQ(usToNs(0.0004), 0); // below resolution
     EXPECT_EQ(usToNs(2.5), 2500);
+}
+
+TEST(EventQueue, ProducerOrderedAgainstSerialEventsByStamp)
+{
+    // A serial event scheduled before a producer's setDue runs first
+    // at the shared instant; one scheduled after runs second.
+    EventQueue events;
+    std::string order;
+    int p = events.addProducer([&] { order += 'p'; });
+    events.schedule(10, [&] { order += 'a'; });
+    events.setDue(p, 10);
+    events.schedule(10, [&] { order += 'b'; });
+    events.run();
+    EXPECT_EQ(order, "apb");
+    EXPECT_EQ(events.executed(), 3u);
+}
+
+TEST(EventQueue, LowerProducerIdRunsFirstAtEqualInstant)
+{
+    // Ids, not stamps, order producers due at one instant: p1 is
+    // stamped before p0, yet p0 runs first. A serial event stamped
+    // between them sees only the first producer in line (p0), so it
+    // runs before both.
+    EventQueue events;
+    std::string order;
+    int p0 = events.addProducer([&] { order += '0'; });
+    int p1 = events.addProducer([&] { order += '1'; });
+    EXPECT_EQ(p0, 0);
+    EXPECT_EQ(p1, 1);
+    events.setDue(p1, 7);
+    events.schedule(7, [&] { order += 's'; });
+    events.setDue(p0, 7);
+    events.run();
+    EXPECT_EQ(order, "s01");
+}
+
+TEST(EventQueue, SetDueToSameInstantKeepsStamp)
+{
+    EventQueue events;
+    std::string order;
+    int p = events.addProducer([&] { order += 'p'; });
+    events.setDue(p, 10);
+    events.schedule(10, [&] { order += 's'; });
+    events.setDue(p, 10); // unchanged: keeps the stamp older than s
+    events.run();
+    EXPECT_EQ(order, "ps");
+
+    // Moving the instant away and back draws a fresh stamp.
+    order.clear();
+    events.setDue(p, 20);
+    events.schedule(20, [&] { order += 's'; });
+    events.setDue(p, 30);
+    events.setDue(p, 20);
+    events.run();
+    EXPECT_EQ(order, "sp");
+}
+
+TEST(EventQueue, ExplicitStampOrdersProducer)
+{
+    EventQueue events;
+    std::string order;
+    int p = events.addProducer([&] { order += 'p'; });
+    std::uint64_t early = events.stamp();
+    events.schedule(5, [&] { order += 's'; });
+    events.setDue(p, 5, early);
+    events.run();
+    EXPECT_EQ(order, "ps");
+}
+
+TEST(EventQueue, ProducerRunnerRearmsAtNow)
+{
+    // The due instant is consumed before the runner runs, so a
+    // runner may publish the same instant again: a second run.
+    EventQueue events;
+    int runs = 0;
+    int p = -1;
+    p = events.addProducer([&] {
+        if (++runs < 3)
+            events.setDue(p, events.now());
+    });
+    events.setDue(p, 4);
+    events.run();
+    EXPECT_EQ(runs, 3);
+    EXPECT_EQ(events.now(), 4);
+    EXPECT_EQ(events.executed(), 3u);
+}
+
+TEST(EventQueue, ClearDueAndRejections)
+{
+    EventQueue events;
+    int runs = 0;
+    int p = events.addProducer([&] { runs++; });
+    events.setDue(p, 10);
+    events.clearDue(p);
+    events.clearDue(p); // nothing due: a no-op
+    events.run();
+    EXPECT_EQ(runs, 0);
+    EXPECT_EQ(events.executed(), 0u);
+
+    events.schedule(10, [] {});
+    events.run();
+    EXPECT_THROW(events.setDue(p, 5), RuntimeError);     // past
+    EXPECT_THROW(events.setDue(p, 5, 1), RuntimeError);
+    EXPECT_THROW(events.setDue(p + 1, 20), RuntimeError); // unknown
+    EXPECT_THROW(events.setDue(-1, 20), RuntimeError);
+    EXPECT_THROW(events.clearDue(p + 1), RuntimeError);
+    EXPECT_THROW(events.addProducer(nullptr), RuntimeError);
+}
+
+TEST(EventQueue, DueProducersCountAsEntries)
+{
+    EventQueue events;
+    int p = events.addProducer([] {});
+    EXPECT_TRUE(events.empty()); // registered, not due
+    EXPECT_EQ(events.heapEntries(), 0u);
+    events.setDue(p, 50);
+    EXPECT_FALSE(events.empty());
+    EXPECT_EQ(events.heapEntries(), 1u);
+    // Moving a due instant is a sift in place: no second entry, no
+    // tombstone, no callback slot.
+    for (TimeNs t = 49; t > 0; t--)
+        events.setDue(p, t);
+    EXPECT_EQ(events.heapEntries(), 1u);
+    EXPECT_EQ(events.poolSlots(), 0u);
+    events.clearDue(p);
+    EXPECT_TRUE(events.empty());
+    EXPECT_EQ(events.heapEntries(), 0u);
+    events.setDue(p, 3);
+    events.run();
+    EXPECT_TRUE(events.empty());
+    EXPECT_EQ(events.heapEntries(), 0u);
+}
+
+TEST(IndexedHeap, MatchesOrderedSetOracle)
+{
+    // Seeded random set / erase / pop traffic over a small id space
+    // (so ids are moved, re-inserted and erased often), checked
+    // after every operation against a std::set of (when, id).
+    for (std::uint64_t seed : { 1ULL, 2ULL, 0x5eedULL }) {
+        SCOPED_TRACE(seed);
+        Rng rng(seed);
+        IndexedHeap heap;
+        std::set<std::pair<std::int64_t, int>> oracle;
+        std::vector<std::int64_t> whenOf(40, -1);
+        for (int step = 0; step < 20000; step++) {
+            int id = static_cast<int>(rng.nextBelow(whenOf.size()));
+            std::uint64_t op = rng.nextBelow(10);
+            if (op < 6) {
+                // Narrow instant range: plenty of equal-key ties.
+                std::int64_t when = rng.nextRange(0, 30);
+                if (whenOf[id] >= 0)
+                    oracle.erase({ whenOf[id], id });
+                heap.set(id, when);
+                oracle.insert({ when, id });
+                whenOf[id] = when;
+            } else if (op < 8) {
+                heap.erase(id);
+                if (whenOf[id] >= 0)
+                    oracle.erase({ whenOf[id], id });
+                whenOf[id] = -1;
+            } else if (!oracle.empty()) {
+                auto first = *oracle.begin();
+                ASSERT_EQ(heap.pop(), first.second);
+                oracle.erase(oracle.begin());
+                whenOf[first.second] = -1;
+            }
+            ASSERT_EQ(heap.size(), oracle.size());
+            ASSERT_EQ(heap.empty(), oracle.empty());
+            ASSERT_EQ(heap.contains(id), whenOf[id] >= 0);
+            if (whenOf[id] >= 0) {
+                ASSERT_EQ(heap.when(id), whenOf[id]);
+            }
+            if (!oracle.empty()) {
+                ASSERT_EQ(heap.topWhen(), oracle.begin()->first);
+                ASSERT_EQ(heap.topId(), oracle.begin()->second);
+            }
+        }
+        // Drain: pops come out in oracle order.
+        while (!oracle.empty()) {
+            ASSERT_EQ(heap.pop(), oracle.begin()->second);
+            oracle.erase(oracle.begin());
+        }
+        EXPECT_TRUE(heap.empty());
+    }
 }
 
 // ------------------------------------------------------------------
@@ -339,6 +529,30 @@ TEST(FlowNetwork, ResourcesLeftIdleStayClean)
     // Each leg runs alone at the 10 GB/s resource cap: 100ns each.
     EXPECT_NEAR(static_cast<double>(second_done), 200.0, 4.0);
     EXPECT_NEAR(net.deliveredBytes(), 2000.0, 1e-2);
+}
+
+TEST(FlowNetwork, HoldsOneQueueEntry)
+{
+    // Four disjoint shards, each with its own completion instant:
+    // the network publishes only the earliest, so the queue holds a
+    // single entry for all of them throughout the run.
+    Topology topo = makeGeneric(1, 8, MachineParams{});
+    EventQueue events;
+    FlowNetwork net(topo, events);
+    std::vector<TimeNs> done;
+    for (int pair = 0; pair < 4; pair++) {
+        net.startFlow(topo.route(2 * pair, 2 * pair + 1).resources, 5.0,
+                      1000.0 * (pair + 1),
+                      [&] { done.push_back(events.now()); });
+    }
+    EXPECT_EQ(net.activeShards(), 4);
+    EXPECT_EQ(events.heapEntries(), 1u);
+    while (events.runOne())
+        EXPECT_LE(events.heapEntries(), 1u);
+    ASSERT_EQ(done.size(), 4u);
+    for (size_t i = 1; i < done.size(); i++)
+        EXPECT_LT(done[i - 1], done[i]);
+    EXPECT_EQ(events.heapEntries(), 0u);
 }
 
 } // namespace

@@ -3,7 +3,9 @@
 # UBSan enabled (-DMSCCLANG_SANITIZE=ON) and runs the suites that
 # exercise the pooled hot paths hardest: the interpreter's send-op
 # arena, ring inboxes and pooled per-instant action buckets, the event
-# queue's callback slots, the fault/watchdog abort paths that recycle
+# queue's callback slots and the indexed heaps of due producers and
+# due shards (IndexedHeap: a stale position index is a wild write
+# there), the fault/watchdog abort paths that recycle
 # them mid-kernel (Watchdog covers an abort with every send still a
 # queued Launch action: the bucket queue and the send arena must be
 # freed while flows may still call back), and the
@@ -65,7 +67,7 @@ if [[ "$TSAN" == "1" ]]; then
 else
     BUILD_DIR="${BUILD_DIR:-build-asan}"
     SANITIZE_FLAG="-DMSCCLANG_SANITIZE=ON"
-    FILTER="${1:-Faults|Watchdog|Communicator|Interpreter|EventQueue|Flow|Recovery|Health|PlanCache|Determinism|Races|Search|Workload|Replay|Slo|Hierarchical|UnionFind|Schedule|CompileStats|InstrGraph|Lowering|Fusion|ChunkDag|Verifier|IrXml|Xml|Tuner}"
+    FILTER="${1:-Faults|Watchdog|Communicator|Interpreter|EventQueue|IndexedHeap|Flow|Recovery|Health|PlanCache|Determinism|Races|Search|Workload|Replay|Slo|Hierarchical|UnionFind|Schedule|CompileStats|InstrGraph|Lowering|Fusion|ChunkDag|Verifier|IrXml|Xml|Tuner}"
 fi
 
 cmake -B "$BUILD_DIR" -S . "$SANITIZE_FLAG" \
