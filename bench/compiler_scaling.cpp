@@ -119,6 +119,8 @@ struct Cell
     double seedColdMs;
     /** Per-phase times of the cold compile (big cells only). */
     CompileStats coldStats = {};
+    /** Tracing time of the cold compile (big cells only). */
+    double traceMs = 0.0;
 };
 
 /**
@@ -126,7 +128,7 @@ struct Cell
  * compiles at 64..1024 ranks for the flat ring and the hierarchical
  * allreduce (8-GPU nodes). No frozen seed here — the seed compiler
  * rejected these sizes outright — so the cells carry raw latencies,
- * plus the lower/fuse/schedule/verify split of the cold compile.
+ * plus the trace/lower/fuse/schedule/verify split of the cold compile.
  */
 constexpr int kBigRankSteps[5] = { 64, 128, 256, 512, 1024 };
 
@@ -222,15 +224,19 @@ try {
                                      "hierarchical_allreduce" };
         std::printf("# --big-ranks — verify-on compiles at scale "
                     "(single samples)\n");
-        std::printf("%-22s %5s %10s %10s %9s %9s %9s %9s\n",
+        std::printf("%-22s %5s %10s %10s %9s %9s %9s %9s %9s\n",
                     "collective", "ranks", "cold_ms", "warm_ms",
-                    "lower_ms", "fuse_ms", "sched_ms", "verify_ms");
+                    "trace_ms", "lower_ms", "fuse_ms", "sched_ms",
+                    "verify_ms");
         for (int c = 0; c < 2; c++) {
             for (int ranks : kBigRankSteps) {
                 CompileOptions copts; // verify defaults on
                 CompileStats phases;
+                double trace_ms = 0.0;
                 double cold = minBatchMs(1, 1, [&] {
+                    auto t0 = std::chrono::steady_clock::now();
                     auto prog = makeBigProgram(c, ranks);
+                    trace_ms = wallMs(t0);
                     Compiled out = compileProgram(*prog, copts);
                     if (out.ir.numRanks != ranks)
                         std::abort();
@@ -247,10 +253,12 @@ try {
                 if (cache.hits() == 0)
                     std::abort();
                 big_cells.push_back(Cell{ big_names[c], ranks, true,
-                                          cold, warm, 0.0, phases });
+                                          cold, warm, 0.0, phases,
+                                          trace_ms });
                 std::printf("%-22s %5d %10.1f %10.4f %9.1f %9.1f %9.1f "
-                            "%9.1f\n", big_names[c], ranks, cold, warm,
-                            phases.lowerNs / 1e6, phases.fuseNs / 1e6,
+                            "%9.1f %9.1f\n", big_names[c], ranks, cold,
+                            warm, trace_ms, phases.lowerNs / 1e6,
+                            phases.fuseNs / 1e6,
                             phases.scheduleNs / 1e6,
                             phases.verifyNs / 1e6);
             }
@@ -325,11 +333,12 @@ try {
             std::fprintf(f,
                 "    {\"collective\": \"%s\", \"ranks\": %d, "
                 "\"verify\": true, \"cold_ms\": %.4f, "
-                "\"warm_ms\": %.4f, \"lower_ms\": %.2f, "
+                "\"warm_ms\": %.4f, \"trace_ms\": %.2f, "
+                "\"lower_ms\": %.2f, "
                 "\"fuse_ms\": %.2f, \"schedule_ms\": %.2f, "
                 "\"verify_ms\": %.2f}%s\n",
                 cell.collective, cell.ranks, cell.coldMs, cell.warmMs,
-                phases.lowerNs / 1e6, phases.fuseNs / 1e6,
+                cell.traceMs, phases.lowerNs / 1e6, phases.fuseNs / 1e6,
                 phases.scheduleNs / 1e6, phases.verifyNs / 1e6,
                 i + 1 < big_cells.size() ? "," : "");
         }

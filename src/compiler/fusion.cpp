@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/strings.h"
 #include "compiler/instr_graph.h"
 
 namespace mscclang {
@@ -86,14 +87,15 @@ fuseSendInto(InstrGraph &graph, int recv_id, int send_id, IrOp fused_op)
 /**
  * One pass combining a receive-like opcode with a dependent send.
  * @p candidates lists the ids to consider, in ascending order; nodes
- * whose opcode no longer matches are skipped. Rewritten receive ids
+ * whose opcode no longer matches are skipped; @p rdepth holds
+ * computeRdepths of the graph before fusion. Rewritten receive ids
  * are appended to @p rewritten when non-null. Returns the number of
  * rewrites performed.
  */
 int
 fuseRecvSendPass(InstrGraph &graph, const std::vector<int> &candidates,
-                 IrOp recv_op, IrOp fused_op,
-                 std::vector<int> *rewritten)
+                 const std::vector<int> &rdepth, IrOp recv_op,
+                 IrOp fused_op, std::vector<int> *rewritten)
 {
     int rewrites = 0;
     for (int id : candidates) {
@@ -109,7 +111,7 @@ fuseRecvSendPass(InstrGraph &graph, const std::vector<int> &candidates,
             const InstrNode &cand = graph.node(edge.to);
             if (!canFuseSend(graph, recv, cand))
                 return;
-            if (best == -1 || cand.rdepth > graph.node(best).rdepth)
+            if (best == -1 || rdepth[cand.id] > rdepth[best])
                 best = cand.id;
         });
         if (best >= 0) {
@@ -182,11 +184,37 @@ fuseRrsPass(InstrGraph &graph, const std::vector<int> &candidates)
 
 } // namespace
 
+std::vector<int>
+computeRdepths(const InstrGraph &graph)
+{
+    int n = graph.numNodes();
+    std::vector<int> rdepth(n, 0);
+    for (int id = n - 1; id >= 0; id--) {
+        const InstrNode &node = graph.node(id);
+        if (!node.live)
+            continue;
+        auto visit = [&](int succ) {
+            if (succ <= id) {
+                throw CompileError(strprintf(
+                    "instruction DAG edge #%d -> #%d runs against id "
+                    "order (a cycle, or a graph not built by lowering)",
+                    id, succ));
+            }
+            rdepth[id] = std::max(rdepth[id], rdepth[succ] + 1);
+        };
+        graph.forEachLiveSucc(id, visit);
+        if (node.commSucc >= 0 && graph.node(node.commSucc).live)
+            visit(node.commSucc);
+    }
+    return rdepth;
+}
+
 FusionStats
 fuseInstructions(InstrGraph &graph)
 {
-    // rdepth is used to break ties between candidate sends.
-    graph.computeDepths();
+    // rdepth breaks ties between candidate sends. It is computed once,
+    // before any rewrite, and the passes read only those values.
+    std::vector<int> rdepth = computeRdepths(graph);
 
     // One scan seeds every pass's worklist. The rcs pass cannot
     // create RecvReduceCopy nodes and neither recv/send pass kills
@@ -216,20 +244,18 @@ fuseInstructions(InstrGraph &graph)
     }
 
     FusionStats stats;
-    stats.rcs = fuseRecvSendPass(graph, recvs, IrOp::Recv,
+    stats.rcs = fuseRecvSendPass(graph, recvs, rdepth, IrOp::Recv,
                                  IrOp::RecvCopySend, nullptr);
     std::vector<int> new_rrcss;
-    stats.rrcs = fuseRecvSendPass(graph, rrcs, IrOp::RecvReduceCopy,
-                                  IrOp::RecvReduceCopySend, &new_rrcss);
+    stats.rrcs =
+        fuseRecvSendPass(graph, rrcs, rdepth, IrOp::RecvReduceCopy,
+                         IrOp::RecvReduceCopySend, &new_rrcss);
     // rrs candidates must be visited in ascending id order: rewriting
     // an rrcs into an rrs removes its destination write, which changes
     // the covering-overwriter answer for a later candidate.
     rrcss.insert(rrcss.end(), new_rrcss.begin(), new_rrcss.end());
     std::sort(rrcss.begin(), rrcss.end());
     stats.rrs = fuseRrsPass(graph, rrcss);
-    // No trailing computeDepths: scheduling recomputes depths before
-    // using them, and fusion's own tie-breaks only need the pre-pass
-    // values.
     return stats;
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/error.h"
 #include "common/strings.h"
 
 namespace mscclang {
@@ -30,6 +29,8 @@ int
 InstrGraph::addNode(InstrNode node)
 {
     node.id = numNodes();
+    if (node.live)
+        numLive_++;
     nodes_.push_back(std::move(node));
     links_.emplace_back();
     return nodes_.back().id;
@@ -40,18 +41,22 @@ InstrGraph::addEdge(int from, int to, DepKind kind)
 {
     if (from == to)
         return;
-    // Deduplicate; a True edge subsumes a false one on the same pair.
-    EdgeLinks &out = links_[from];
-    for (int e = out.succHead; e >= 0; e = edges_[e].nextSucc) {
-        InstrEdge &edge = edges_[e];
-        if (edge.to == to) {
-            if (kind == DepKind::True)
-                edge.kind = DepKind::True;
-            return;
-        }
+    int tail = links_[from].succTail;
+    if (tail >= 0 && edges_[tail].to == to) {
+        // A True edge subsumes a false one on the same pair.
+        if (kind == DepKind::True)
+            edges_[tail].kind = DepKind::True;
+        return;
     }
+    appendEdge(from, to, kind);
+}
+
+void
+InstrGraph::appendEdge(int from, int to, DepKind kind)
+{
     int idx = static_cast<int>(edges_.size());
     edges_.push_back(InstrEdge{ from, to, kind, -1, -1 });
+    EdgeLinks &out = links_[from];
     if (out.succTail >= 0)
         edges_[out.succTail].nextSucc = idx;
     else
@@ -96,85 +101,37 @@ InstrGraph::liveSuccs(int id) const
 void
 InstrGraph::replaceNode(int from, int to)
 {
-    // Move every edge endpoint of `from` onto `to`. addEdge never
-    // touches `from`'s own lists but may grow edges_, so walk by index
-    // and copy each record before the call.
+    // Move every edge endpoint of `from` onto `to`. These edges do
+    // not enter the newest node, so addEdge's tail check does not
+    // apply: each pair is looked up in its source's whole successor
+    // list. Appending never touches `from`'s own lists but may grow
+    // edges_, so walk by index and copy each record first.
+    auto merge = [&](int src, int dst, DepKind kind) {
+        for (int e = links_[src].succHead; e >= 0; e = edges_[e].nextSucc) {
+            InstrEdge &edge = edges_[e];
+            if (edge.to == dst) {
+                if (kind == DepKind::True)
+                    edge.kind = DepKind::True;
+                return;
+            }
+        }
+        appendEdge(src, dst, kind);
+    };
     for (int e = links_[from].predHead; e >= 0; e = edges_[e].nextPred) {
         InstrEdge edge = edges_[e];
         if (edge.from == to)
             continue; // becomes a self-edge: drop by leaving it dead
-        addEdge(edge.from, to, edge.kind);
+        merge(edge.from, to, edge.kind);
     }
     for (int e = links_[from].succHead; e >= 0; e = edges_[e].nextSucc) {
         InstrEdge edge = edges_[e];
         if (edge.to == to)
             continue;
-        addEdge(to, edge.to, edge.kind);
+        merge(to, edge.to, edge.kind);
     }
-    nodes_[from].live = false;
-}
-
-int
-InstrGraph::numLive() const
-{
-    int live = 0;
-    for (const InstrNode &node : nodes_) {
-        if (node.live)
-            live++;
-    }
-    return live;
-}
-
-void
-InstrGraph::computeDepths()
-{
-    // Kahn's algorithm over live nodes with processing + comm edges.
-    // depth/rdepth are max-folds, so edge visitation order does not
-    // affect the result and the unsorted forEachLive* walks suffice.
-    int n = numNodes();
-    std::vector<int> indeg(n, 0);
-    auto for_each_succ = [&](int id, auto &&fn) {
-        forEachLiveSucc(id, fn);
-        const InstrNode &node = nodes_[id];
-        if (node.commSucc >= 0 && nodes_[node.commSucc].live)
-            fn(node.commSucc);
-    };
-
-    for (int id = 0; id < n; id++) {
-        if (!nodes_[id].live)
-            continue;
-        indeg[id] = countLivePreds(id);
-        const InstrNode &node = nodes_[id];
-        if (node.commPred >= 0 && nodes_[node.commPred].live)
-            indeg[id]++;
-        nodes_[id].depth = 0;
-        nodes_[id].rdepth = 0;
-    }
-
-    std::vector<int> topo;
-    topo.reserve(n);
-    for (int id = 0; id < n; id++) {
-        if (nodes_[id].live && indeg[id] == 0)
-            topo.push_back(id);
-    }
-    // The ready "queue" is the unprocessed tail of topo itself.
-    for (size_t head = 0; head < topo.size(); head++) {
-        int id = topo[head];
-        for_each_succ(id, [&](int succ) {
-            nodes_[succ].depth =
-                std::max(nodes_[succ].depth, nodes_[id].depth + 1);
-            if (--indeg[succ] == 0)
-                topo.push_back(succ);
-        });
-    }
-    if (static_cast<int>(topo.size()) != numLive())
-        throw CompileError("instruction DAG contains a cycle");
-
-    for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-        for_each_succ(*it, [&](int succ) {
-            nodes_[*it].rdepth =
-                std::max(nodes_[*it].rdepth, nodes_[succ].rdepth + 1);
-        });
+    if (nodes_[from].live) {
+        nodes_[from].live = false;
+        numLive_--;
     }
 }
 

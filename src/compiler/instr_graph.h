@@ -64,12 +64,9 @@ struct InstrNode
     int commSucc = -1;
     /** Originating TraceOp id (instances of one op share it). */
     int opId = -1;
-    /** False after the node is absorbed by instruction fusion. */
+    /** False after the node is absorbed by instruction fusion
+     *  (InstrGraph::replaceNode is the only place a node dies). */
     bool live = true;
-
-    /** Longest path from a root / to a leaf (computeDepths). */
-    int depth = 0;
-    int rdepth = 0;
 
     bool receives() const { return irOpReceives(op); }
     bool sends() const { return irOpSends(op); }
@@ -100,7 +97,14 @@ class InstrGraph
     /** Appends a node, returning its id. */
     int addNode(InstrNode node);
 
-    /** Adds a processing edge (deduplicated; True subsumes false). */
+    /**
+     * Adds a processing edge, deduplicated per (from, to) pair; True
+     * subsumes a false dependence. The check looks only at the tail
+     * of @p from's successor list, so an earlier edge of the same
+     * pair must be that tail. That holds whenever every edge enters
+     * the newest node, as in lowering: nothing leaves @p from towards
+     * another node while @p to is being recorded.
+     */
     void addEdge(int from, int to, DepKind kind);
 
     const std::vector<InstrEdge> &edges() const { return edges_; }
@@ -134,11 +138,12 @@ class InstrGraph
 
     /**
      * Visits every live predecessor/successor node id exactly once,
-     * without allocating. addEdge deduplicates edge records per
-     * (from, to) pair, so each live neighbor appears behind at most
-     * one edge record; iteration follows edge insertion order, which
-     * is only safe for consumers whose result is order-independent
-     * (counts, max-folds, pushes into a totally ordered heap).
+     * without allocating. addEdge and replaceNode deduplicate edge
+     * records per (from, to) pair, so each live neighbor appears
+     * behind at most one edge record; iteration follows edge
+     * insertion order, which is only safe for consumers whose result
+     * is order-independent (counts, max-folds, pushes into a totally
+     * ordered heap).
      */
     template <typename Fn>
     void
@@ -166,15 +171,8 @@ class InstrGraph
      */
     void replaceNode(int from, int to);
 
-    /** Number of live nodes. */
-    int numLive() const;
-
-    /**
-     * Computes depth (longest path from a root) and rdepth (longest
-     * path to a leaf) over live nodes, following processing and
-     * communication edges.
-     */
-    void computeDepths();
+    /** Number of live nodes, kept as a counter. */
+    int numLive() const { return numLive_; }
 
     std::string dump() const;
 
@@ -188,7 +186,11 @@ class InstrGraph
         int succTail = -1;
     };
 
+    /** Appends edge (from, to) to both lists without deduplicating. */
+    void appendEdge(int from, int to, DepKind kind);
+
     int numRanks_;
+    int numLive_ = 0;
     std::vector<InstrNode> nodes_;
     std::vector<InstrEdge> edges_;
     std::vector<EdgeLinks> links_;
@@ -200,6 +202,16 @@ class InstrGraph
  * @p instances is the program-wide factor (options().instances).
  */
 InstrGraph lowerProgram(const Program &program);
+
+/**
+ * Longest path from each node to a leaf over live processing and
+ * communication edges (0 for dead nodes): fusion's "longest path"
+ * tie-break. Lowering adds edges only into the newest node, so every
+ * edge runs from a lower id to a higher one and one reverse id-order
+ * sweep suffices. Throws CompileError on an edge that runs backward
+ * in id order; every cycle has one.
+ */
+std::vector<int> computeRdepths(const InstrGraph &graph);
 
 /** Applies the rcs/rrcs/rrs peephole fusion passes (paper §4.3). */
 struct FusionStats

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <span>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -131,7 +132,7 @@ fingerprintProgram(const Program &program)
             // Hash the canonical run-length encoding: equal multisets
             // have equal run lists, and an AllReduce postcondition
             // hashes in O(1) instead of O(ranks).
-            const std::vector<PartRun> &runs = expect->runs();
+            std::span<const PartRun> runs = expect->runs();
             f.u64(runs.size());
             for (const PartRun &run : runs) {
                 f.pair(run.rank, run.index);

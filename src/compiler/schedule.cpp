@@ -623,7 +623,7 @@ createThreadBlocks(const InstrGraph &graph, const LiveView &view,
 }
 
 /**
- * FIFO gate and slot-accounting plan for the second scheduling sweep,
+ * FIFO gate and slot-accounting plan for the scheduling sweep,
  * indexed by dense node. Every connection is owned by exactly one
  * sending and one receiving thread block, and a block has at most one
  * send and one recv peer, so global thread block t's send connection
@@ -642,13 +642,14 @@ struct GatePlan
 };
 
 /**
- * One heap-driven topological sweep over the live view in priority
- * order. @p plan, when non-null, holds per-gate required orders; a
- * node with a gate must wait for its turn in that gate's list.
+ * The FIFO-gated, slot-accounted sweep over the live view in priority
+ * order (paper §5.2 with the §6.1 FIFO rules). A node with a gate
+ * waits for its turn in that gate's list. Returns the emitted order;
+ * it is shorter than the view when the gates wedge.
  */
 std::vector<int>
-topoSweep(const LiveView &view, const Priority &prio, const GatePlan *plan,
-          int slots = 0)
+topoSweep(const LiveView &view, const Priority &prio, const GatePlan &plan,
+          int slots)
 {
     int n = view.size();
     std::vector<int> remaining = view.indegree;
@@ -661,9 +662,8 @@ topoSweep(const LiveView &view, const Priority &prio, const GatePlan *plan,
     // Per-gate progress; a node out of turn parks on the gate that
     // blocked it (it can wait on at most one at a time) and is woken
     // when that gate reaches it.
-    int num_gates = plan ? static_cast<int>(plan->gateOrder.size()) : 0;
-    std::vector<size_t> gate_pos(num_gates, 0);
-    std::vector<int> parked_gate(plan ? n : 0, -1);
+    std::vector<size_t> gate_pos(plan.gateOrder.size(), 0);
+    std::vector<int> parked_gate(n, -1);
 
     // Slot accounting (paper §6.1: the compiler must not emit
     // schedules with more than s outstanding sends). The emitted
@@ -671,65 +671,59 @@ topoSweep(const LiveView &view, const Priority &prio, const GatePlan *plan,
     // than `slots` of its connection's sends are unreceived at this
     // point of the order, so the runtime can always follow the
     // schedule without wedging on FIFO backpressure.
-    int num_conns = plan ? plan->numConns : 0;
-    std::vector<int> outstanding(num_conns, 0);
-    std::vector<std::vector<int>> slot_blocked(num_conns);
+    std::vector<int> outstanding(plan.numConns, 0);
+    std::vector<std::vector<int>> slot_blocked(plan.numConns);
 
     std::vector<int> order;
     order.reserve(n);
     while (!heap.empty()) {
         int d = prio.byRank[heap.top()];
         heap.pop();
-        if (plan) {
-            int gates[2] = { plan->sendGate[d], plan->recvGate[d] };
+        int gates[2] = { plan.sendGate[d], plan.recvGate[d] };
 
-            // FIFO gate: the node must be next in line on each of its
-            // connections (send side checked first).
-            bool gated = false;
-            for (int g : gates) {
-                if (g < 0)
-                    continue;
-                const std::vector<int> &seq = plan->gateOrder[g];
-                if (gate_pos[g] < seq.size() && seq[gate_pos[g]] != d) {
-                    parked_gate[d] = g;
-                    gated = true;
-                    break;
-                }
-            }
-            if (gated)
+        // FIFO gate: the node must be next in line on each of its
+        // connections (send side checked first).
+        bool gated = false;
+        for (int g : gates) {
+            if (g < 0)
                 continue;
+            const std::vector<int> &seq = plan.gateOrder[g];
+            if (gate_pos[g] < seq.size() && seq[gate_pos[g]] != d) {
+                parked_gate[d] = g;
+                gated = true;
+                break;
+            }
+        }
+        if (gated)
+            continue;
 
-            // Slot gate: sending with all FIFO slots full would wedge.
-            int send_conn = plan->sendConn[d];
-            if (slots > 0 && send_conn >= 0 &&
-                outstanding[send_conn] >= slots) {
-                slot_blocked[send_conn].push_back(d);
+        // Slot gate: sending with all FIFO slots full would wedge.
+        int send_conn = plan.sendConn[d];
+        if (send_conn >= 0 && outstanding[send_conn] >= slots) {
+            slot_blocked[send_conn].push_back(d);
+            continue;
+        }
+        if (send_conn >= 0)
+            outstanding[send_conn]++;
+        int recv_conn = plan.recvConn[d];
+        if (recv_conn >= 0) {
+            outstanding[recv_conn]--;
+            // Wake every blocked sender; the heap re-ranks them.
+            for (int waiter : slot_blocked[recv_conn])
+                heap.push(prio.rankOf[waiter]);
+            slot_blocked[recv_conn].clear();
+        }
+
+        for (int g : gates) {
+            if (g < 0)
                 continue;
-            }
-            if (slots > 0) {
-                if (send_conn >= 0)
-                    outstanding[send_conn]++;
-                int recv_conn = plan->recvConn[d];
-                if (recv_conn >= 0) {
-                    outstanding[recv_conn]--;
-                    // Wake every blocked sender; the heap re-ranks them.
-                    for (int waiter : slot_blocked[recv_conn])
-                        heap.push(prio.rankOf[waiter]);
-                    slot_blocked[recv_conn].clear();
-                }
-            }
-
-            for (int g : gates) {
-                if (g < 0)
-                    continue;
-                size_t pos = ++gate_pos[g];
-                const std::vector<int> &seq = plan->gateOrder[g];
-                if (pos < seq.size()) {
-                    int next = seq[pos];
-                    if (parked_gate[next] == g) {
-                        parked_gate[next] = -1;
-                        heap.push(prio.rankOf[next]);
-                    }
+            size_t pos = ++gate_pos[g];
+            const std::vector<int> &seq = plan.gateOrder[g];
+            if (pos < seq.size()) {
+                int next = seq[pos];
+                if (parked_gate[next] == g) {
+                    parked_gate[next] = -1;
+                    heap.push(prio.rankOf[next]);
                 }
             }
         }
@@ -740,14 +734,39 @@ topoSweep(const LiveView &view, const Priority &prio, const GatePlan *plan,
                 heap.push(prio.rankOf[succ]);
         });
     }
-
-    if (static_cast<int>(order.size()) != n) {
-        throw CompileError(strprintf(
-            "scheduler: only %zu of %d instructions could be ordered; "
-            "the program needs explicit channel directives to avoid a "
-            "FIFO ordering conflict", order.size(), n));
-    }
     return order;
+}
+
+/** The slot counts probed when a sweep wedges: up to the default
+ *  FIFO depth (CompileOptions::verifySlots). */
+constexpr int kMaxProbeSlots = 8;
+
+/**
+ * The error for a gated sweep that ordered only @p ordered of the
+ * view's nodes at @p slots. Re-runs the sweep at each larger slot
+ * count up to kMaxProbeSlots and names the smallest that orders every
+ * node, so a caller learns what slot count the program needs. Runs
+ * only on this error path.
+ */
+CompileError
+sweepFailure(const LiveView &view, const Priority &prio,
+             const GatePlan &plan, int slots, size_t ordered)
+{
+    int n = view.size();
+    for (int more = slots + 1; more <= kMaxProbeSlots; more++) {
+        if (static_cast<int>(topoSweep(view, prio, plan, more).size()) ==
+            n) {
+            return CompileError(strprintf(
+                "scheduler: only %zu of %d instructions could be "
+                "ordered at %d FIFO slot%s; the program needs at least "
+                "%d slots", ordered, n, slots, slots == 1 ? "" : "s",
+                more));
+        }
+    }
+    return CompileError(strprintf(
+        "scheduler: only %zu of %d instructions could be ordered; "
+        "the program needs explicit channel directives to avoid a "
+        "FIFO ordering conflict", ordered, n));
 }
 
 /**
@@ -764,11 +783,12 @@ assignInstructions(const LiveView &view, std::vector<RankTbs> &ranks,
 {
     Priority prio = rankByPriority(view);
 
-    // Pass 1: unconstrained priority order; it fixes, for every
-    // connection, the order in which sends (and therefore their
-    // matched FIFO receives, paper §6.1) will happen.
-    std::vector<int> ideal = topoSweep(view, prio, nullptr);
-
+    // The unconstrained priority order fixes, for every connection,
+    // the order in which sends (and therefore their matched FIFO
+    // receives, paper §6.1) will happen. Depth strictly increases
+    // along every edge and is the primary key, so that order is
+    // itself topological: an ungated sweep would pop exactly
+    // prio.byRank.
     int n = view.size();
     GatePlan plan;
     plan.numConns = tb_base.back();
@@ -777,7 +797,7 @@ assignInstructions(const LiveView &view, std::vector<RankTbs> &ranks,
     plan.sendConn.assign(n, -1);
     plan.recvConn.assign(n, -1);
     plan.gateOrder.resize(2 * size_t(plan.numConns));
-    for (int d : ideal) {
+    for (int d : prio.byRank) {
         if (!view.sends(d))
             continue;
         int recv = view.commSucc[d];
@@ -789,10 +809,12 @@ assignInstructions(const LiveView &view, std::vector<RankTbs> &ranks,
         plan.gateOrder[plan.recvGate[recv]].push_back(recv);
     }
 
-    // Pass 2: the same priority sweep, now honoring FIFO turns on
-    // both ends of every connection so the k-th receive always pairs
-    // with the k-th send.
-    std::vector<int> order = topoSweep(view, prio, &plan, slots);
+    // The same priority sweep, now honoring FIFO turns on both ends
+    // of every connection so the k-th receive always pairs with the
+    // k-th send.
+    std::vector<int> order = topoSweep(view, prio, plan, slots);
+    if (static_cast<int>(order.size()) != n)
+        throw sweepFailure(view, prio, plan, slots, order.size());
 
     tb_of.assign(n, -1);
     step_of.assign(n, -1);

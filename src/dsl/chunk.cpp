@@ -7,35 +7,101 @@
 
 namespace mscclang {
 
-namespace {
-
 /**
  * Appends the run {(rank+k, index) : k < len} to a run list under
  * construction, keeping the canonical form: runs are emitted in
  * sorted-element order and a new element extends the previous run iff
  * it continues its rank sequence at the same index. Canonicalizing
- * greedily over the sorted multiset makes the encoding unique, so the
- * defaulted operator== on run lists is multiset equality.
+ * greedily over the sorted multiset makes the encoding unique, so
+ * comparing run lists is multiset equality.
  */
 void
-appendRun(std::vector<PartRun> &runs, Rank rank, int index, int len)
+ChunkValue::appendRun(Rank rank, int index, int len)
 {
-    if (!runs.empty() && runs.back().index == index &&
-        runs.back().rank + runs.back().len == rank) {
-        runs.back().len += len;
+    PartRun *runs = data();
+    if (size_ > 0 && runs[size_ - 1].index == index &&
+        runs[size_ - 1].rank + runs[size_ - 1].len == rank) {
+        runs[size_ - 1].len += len;
         return;
     }
-    runs.push_back(PartRun{ rank, index, len });
+    if (size_ == capacity_) {
+        std::uint32_t grown = 2 * capacity_;
+        PartRun *bigger = new PartRun[grown];
+        std::copy(runs, runs + size_, bigger);
+        if (onHeap())
+            delete[] heap_;
+        heap_ = bigger;
+        capacity_ = grown;
+        runs = bigger;
+    }
+    runs[size_++] = PartRun{ rank, index, len };
 }
 
-} // namespace
+void
+ChunkValue::copyFrom(const ChunkValue &other)
+{
+    if (other.size_ > kInlineRuns) {
+        heap_ = new PartRun[other.size_];
+        capacity_ = other.size_;
+    }
+    size_ = other.size_;
+    std::copy(other.data(), other.data() + size_, data());
+}
+
+void
+ChunkValue::stealFrom(ChunkValue &other)
+{
+    size_ = other.size_;
+    capacity_ = other.capacity_;
+    if (other.onHeap())
+        heap_ = other.heap_;
+    else
+        std::copy(other.inline_, other.inline_ + size_, inline_);
+    other.size_ = 0;
+    other.capacity_ = kInlineRuns;
+}
+
+void
+ChunkValue::release()
+{
+    if (onHeap())
+        delete[] heap_;
+    size_ = 0;
+    capacity_ = kInlineRuns;
+}
+
+ChunkValue &
+ChunkValue::operator=(const ChunkValue &other)
+{
+    if (this != &other) {
+        release();
+        copyFrom(other);
+    }
+    return *this;
+}
+
+ChunkValue &
+ChunkValue::operator=(ChunkValue &&other) noexcept
+{
+    if (this != &other) {
+        release();
+        stealFrom(other);
+    }
+    return *this;
+}
+
+bool
+ChunkValue::operator==(const ChunkValue &other) const
+{
+    return size_ == other.size_ &&
+        std::equal(data(), data() + size_, other.data());
+}
 
 ChunkValue
 ChunkValue::input(Rank rank, int index)
 {
     ChunkValue value;
-    value.initialized_ = true;
-    value.runs_ = { PartRun{ rank, index, 1 } };
+    value.appendRun(rank, index, 1);
     return value;
 }
 
@@ -45,8 +111,7 @@ ChunkValue::reducedRange(Rank first, int count, int index)
     if (count < 1)
         throw Error("ChunkValue: reduction of an empty rank range");
     ChunkValue value;
-    value.initialized_ = true;
-    value.runs_ = { PartRun{ first, index, count } };
+    value.appendRun(first, index, count);
     return value;
 }
 
@@ -57,9 +122,8 @@ ChunkValue::reductionOf(std::vector<InputChunkId> parts)
         throw Error("ChunkValue: reduction of an empty multiset");
     std::sort(parts.begin(), parts.end());
     ChunkValue value;
-    value.initialized_ = true;
     for (const InputChunkId &part : parts)
-        appendRun(value.runs_, part.rank, part.index, 1);
+        value.appendRun(part.rank, part.index, 1);
     return value;
 }
 
@@ -69,18 +133,17 @@ ChunkValue::reduce(const ChunkValue &a, const ChunkValue &b)
     if (!a.initialized() || !b.initialized())
         throw Error("ChunkValue: reduce of an uninitialized chunk");
     ChunkValue value;
-    value.initialized_ = true;
-    value.runs_.reserve(a.runs_.size() + b.runs_.size());
     // Each operand's run list, read left to right, already yields its
     // elements in sorted order, so this is a two-cursor merge of two
     // sorted sequences — but it advances whole run prefixes at a time
     // instead of single elements, keeping the merge O(runs) for the
     // rank-contiguous values collectives produce.
+    std::span<const PartRun> as = a.runs(), bs = b.runs();
     size_t ai = 0, bi = 0;
     int aoff = 0, boff = 0; // elements consumed from the current run
-    while (ai < a.runs_.size() && bi < b.runs_.size()) {
-        const PartRun &ra = a.runs_[ai];
-        const PartRun &rb = b.runs_[bi];
+    while (ai < as.size() && bi < bs.size()) {
+        const PartRun &ra = as[ai];
+        const PartRun &rb = bs[bi];
         InputChunkId ha{ ra.rank + aoff, ra.index };
         InputChunkId hb{ rb.rank + boff, rb.index };
         if (ha <= hb) {
@@ -95,7 +158,7 @@ ChunkValue::reduce(const ChunkValue &a, const ChunkValue &b)
                 if (ra.index <= hb.index)
                     take++;
             }
-            appendRun(value.runs_, ha.rank, ra.index, take);
+            value.appendRun(ha.rank, ra.index, take);
             aoff += take;
             if (aoff == ra.len) {
                 ai++;
@@ -109,7 +172,7 @@ ChunkValue::reduce(const ChunkValue &a, const ChunkValue &b)
                 if (rb.index <= ha.index)
                     take++;
             }
-            appendRun(value.runs_, hb.rank, rb.index, take);
+            value.appendRun(hb.rank, rb.index, take);
             boff += take;
             if (boff == rb.len) {
                 bi++;
@@ -117,13 +180,13 @@ ChunkValue::reduce(const ChunkValue &a, const ChunkValue &b)
             }
         }
     }
-    for (; ai < a.runs_.size(); ai++, aoff = 0) {
-        const PartRun &ra = a.runs_[ai];
-        appendRun(value.runs_, ra.rank + aoff, ra.index, ra.len - aoff);
+    for (; ai < as.size(); ai++, aoff = 0) {
+        const PartRun &ra = as[ai];
+        value.appendRun(ra.rank + aoff, ra.index, ra.len - aoff);
     }
-    for (; bi < b.runs_.size(); bi++, boff = 0) {
-        const PartRun &rb = b.runs_[bi];
-        appendRun(value.runs_, rb.rank + boff, rb.index, rb.len - boff);
+    for (; bi < bs.size(); bi++, boff = 0) {
+        const PartRun &rb = bs[bi];
+        value.appendRun(rb.rank + boff, rb.index, rb.len - boff);
     }
     return value;
 }
@@ -133,7 +196,7 @@ ChunkValue::parts() const
 {
     std::vector<InputChunkId> out;
     out.reserve(partCount());
-    for (const PartRun &run : runs_) {
+    for (const PartRun &run : runs()) {
         for (int k = 0; k < run.len; k++)
             out.push_back(InputChunkId{ run.rank + k, run.index });
     }
@@ -144,7 +207,7 @@ std::size_t
 ChunkValue::partCount() const
 {
     std::size_t total = 0;
-    for (const PartRun &run : runs_)
+    for (const PartRun &run : runs())
         total += static_cast<std::size_t>(run.len);
     return total;
 }
@@ -152,11 +215,11 @@ ChunkValue::partCount() const
 std::string
 ChunkValue::toString() const
 {
-    if (!initialized_)
+    if (!initialized())
         return "\xe2\x8a\xa5"; // ⊥
     std::string out;
     bool first = true;
-    for (const PartRun &run : runs_) {
+    for (const PartRun &run : runs()) {
         for (int k = 0; k < run.len; k++) {
             if (!first)
                 out += "+";

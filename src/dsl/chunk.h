@@ -14,6 +14,7 @@
 #include <compare>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,13 +55,22 @@ struct PartRun
  * The multiset is stored run-length encoded over consecutive ranks in
  * a canonical form (greedy maximal runs over the sorted multiset), so
  * equality of values is equality of their run lists. Values are small
- * and copied freely.
+ * and copied freely: up to kInlineRuns runs live inside the value, and
+ * only a longer list moves to the heap.
  */
 class ChunkValue
 {
   public:
+    /** Runs stored inside the value; longer lists use the heap. */
+    static constexpr std::uint32_t kInlineRuns = 2;
+
     /** Constructs the uninitialized value. */
-    ChunkValue() = default;
+    ChunkValue() noexcept {}
+    ChunkValue(const ChunkValue &other) { copyFrom(other); }
+    ChunkValue(ChunkValue &&other) noexcept { stealFrom(other); }
+    ChunkValue &operator=(const ChunkValue &other);
+    ChunkValue &operator=(ChunkValue &&other) noexcept;
+    ~ChunkValue() { release(); }
 
     /** Constructs the pure input chunk (rank, index). */
     static ChunkValue input(Rank rank, int index);
@@ -75,14 +85,15 @@ class ChunkValue
      */
     static ChunkValue reducedRange(Rank first, int count, int index);
 
-    bool initialized() const { return initialized_; }
+    /** Every initialized value has at least one run. */
+    bool initialized() const { return size_ != 0; }
 
     /** The multiset of combined input chunks, expanded (empty if
      *  uninit). O(parts); prefer runs() on hot paths. */
     std::vector<InputChunkId> parts() const;
 
     /** The canonical run-length encoding of the multiset. */
-    const std::vector<PartRun> &runs() const { return runs_; }
+    std::span<const PartRun> runs() const { return { data(), size_ }; }
 
     /** Total multiset size, without expanding. */
     std::size_t partCount() const;
@@ -90,7 +101,7 @@ class ChunkValue
     /** True if this is a single un-reduced input chunk. */
     bool isPureInput() const
     {
-        return initialized_ && runs_.size() == 1 && runs_[0].len == 1;
+        return size_ == 1 && data()[0].len == 1;
     }
 
     /**
@@ -101,14 +112,29 @@ class ChunkValue
      */
     static ChunkValue reduce(const ChunkValue &a, const ChunkValue &b);
 
-    bool operator==(const ChunkValue &other) const = default;
+    bool operator==(const ChunkValue &other) const;
 
     /** "⊥", "(2,3)" or "(0,1)+(1,1)+(2,1)" for diagnostics. */
     std::string toString() const;
 
   private:
-    bool initialized_ = false;
-    std::vector<PartRun> runs_; // canonical: see appendRun
+    bool onHeap() const { return capacity_ > kInlineRuns; }
+    const PartRun *data() const { return onHeap() ? heap_ : inline_; }
+    PartRun *data() { return onHeap() ? heap_ : inline_; }
+
+    /** Appends to the canonical run list (see chunk.cpp). */
+    void appendRun(Rank rank, int index, int len);
+    void copyFrom(const ChunkValue &other);
+    void stealFrom(ChunkValue &other);
+    void release();
+
+    std::uint32_t size_ = 0; // number of runs; 0 = uninitialized
+    std::uint32_t capacity_ = kInlineRuns;
+    union
+    {
+        PartRun *heap_ = nullptr; // when onHeap()
+        PartRun inline_[kInlineRuns];
+    };
 };
 
 /** A reference to `count` contiguous chunk locations in one buffer. */

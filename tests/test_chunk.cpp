@@ -6,6 +6,9 @@
  * sub-chunk dependence analysis.
  */
 
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/error.h"
@@ -87,6 +90,52 @@ TEST(ChunkValue, ToStringFormats)
     ChunkValue sum = ChunkValue::reduce(ChunkValue::input(0, 0),
                                         ChunkValue::input(1, 0));
     EXPECT_EQ(sum.toString(), "(0,0)+(1,0)");
+}
+
+TEST(ChunkValue, RunsMoveBetweenInlineAndHeapStorage)
+{
+    // Input chunks of ranks 0, 2, 4, ... never merge into one run, so
+    // the value outgrows its inline runs and moves to the heap.
+    ChunkValue small = ChunkValue::reduce(ChunkValue::input(0, 1),
+                                          ChunkValue::input(2, 1));
+    ASSERT_EQ(small.runs().size(), ChunkValue::kInlineRuns);
+    ChunkValue big = small;
+    std::vector<InputChunkId> parts = small.parts();
+    for (int rank = 4; rank < 40; rank += 2) {
+        big = ChunkValue::reduce(big, ChunkValue::input(rank, 1));
+        parts.push_back(InputChunkId{ rank, 1 });
+    }
+    ASSERT_EQ(big.runs().size(), 20u);
+    EXPECT_EQ(big.parts(), parts);
+    EXPECT_EQ(big, ChunkValue::reductionOf(parts));
+    EXPECT_NE(big, small);
+
+    // Copies and moves in each direction keep the value.
+    ChunkValue copy = big;
+    EXPECT_EQ(copy, big);
+    ChunkValue moved = std::move(copy);
+    EXPECT_EQ(moved, big);
+    EXPECT_FALSE(copy.initialized()); // NOLINT: moved-from is uninit
+    copy = small;
+    EXPECT_EQ(copy, small);
+    copy = big;
+    EXPECT_EQ(copy, big);
+    copy = std::move(moved);
+    EXPECT_EQ(copy, big);
+    ChunkValue &self = copy;
+    copy = self;
+    EXPECT_EQ(copy, big);
+    moved = small;
+    moved = ChunkValue::input(5, 5);
+    EXPECT_TRUE(moved.isPureInput());
+
+    // The same multiset built in another order is equal, so equality
+    // and fingerprints do not depend on where the runs live.
+    ChunkValue reversed = ChunkValue::input(38, 1);
+    for (int rank = 36; rank >= 0; rank -= 2)
+        reversed = ChunkValue::reduce(ChunkValue::input(rank, 1), reversed);
+    EXPECT_EQ(reversed, big);
+    EXPECT_EQ(reversed.toString(), big.toString());
 }
 
 TEST(BufferSlice, OverlapRules)

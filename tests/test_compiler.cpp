@@ -6,7 +6,9 @@
  * dependence analysis that enables cross-phase fusion.
  */
 
+#include <algorithm>
 #include <chrono>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,7 @@
 #include "common/error.h"
 #include "compiler/chunk_dag.h"
 #include "compiler/compiler.h"
+#include "compiler/instr_graph.h"
 
 namespace mscclang {
 namespace {
@@ -305,14 +308,33 @@ TEST(Fusion, LongestPathSendWins)
 
 TEST(Fusion, DepthsAreConsistentAfterFusion)
 {
-    auto prog = [] {
-        Program p(allreduce(4, 1));
-        ChunkRef c = p.chunk(0, BufferKind::Input, 0);
-        for (int r = 1; r < 4; r++)
-            c = p.chunk(r, BufferKind::Input, 0).reduce(c);
-        return p.ops().size();
-    };
-    EXPECT_EQ(prog(), 3u);
+    // A reduce chain 0 -> 1 -> 2 -> 3 fuses into rrcs links. Fusion
+    // folds a send into the receive before it, so every live edge
+    // still runs forward in id order and rdepth stays a longest path:
+    // it drops by at least one along every live edge.
+    Program prog(allreduce(4, 1));
+    ChunkRef c = prog.chunk(0, BufferKind::Input, 0);
+    for (int r = 1; r < 4; r++)
+        c = prog.chunk(r, BufferKind::Input, 0).reduce(c);
+    EXPECT_EQ(prog.ops().size(), 3u);
+    InstrGraph graph = lowerProgram(prog);
+    FusionStats stats = fuseInstructions(graph);
+    EXPECT_EQ(stats.rrcs, 2);
+    std::vector<int> rdepth = computeRdepths(graph);
+    int longest = 0;
+    for (const InstrNode &node : graph.nodes()) {
+        if (!node.live)
+            continue;
+        longest = std::max(longest, rdepth[node.id]);
+        graph.forEachLiveSucc(node.id, [&](int succ) {
+            EXPECT_GT(rdepth[node.id], rdepth[succ]);
+        });
+        if (node.commSucc >= 0) {
+            EXPECT_GT(rdepth[node.id], rdepth[node.commSucc]);
+        }
+    }
+    // send, two rrcs and the last rrc: one hop per rank.
+    EXPECT_EQ(longest, 3);
 }
 
 // ---------------------------------------------------------------

@@ -2,7 +2,8 @@
  * @file
  * Direct tests of the InstrGraph container mechanics: edge
  * deduplication and True-subsumption, node replacement (the fusion
- * primitive), depth computation, and cycle detection — plus the
+ * primitive), fusion's rdepth sweep and its rejection of edges
+ * against id order (so of every cycle) — plus the
  * logging facility.
  */
 
@@ -130,12 +131,11 @@ TEST(InstrGraph, DepthsFollowLongestPath)
     graph.addEdge(a, b, DepKind::True);
     graph.addEdge(b, c, DepKind::True);
     graph.addEdge(a, d, DepKind::True);
-    graph.computeDepths();
-    EXPECT_EQ(graph.node(a).depth, 0);
-    EXPECT_EQ(graph.node(c).depth, 2);
-    EXPECT_EQ(graph.node(d).depth, 1);
-    EXPECT_EQ(graph.node(a).rdepth, 2);
-    EXPECT_EQ(graph.node(c).rdepth, 0);
+    std::vector<int> rdepth = computeRdepths(graph);
+    EXPECT_EQ(rdepth[a], 2);
+    EXPECT_EQ(rdepth[b], 1);
+    EXPECT_EQ(rdepth[c], 0);
+    EXPECT_EQ(rdepth[d], 0);
 }
 
 TEST(InstrGraph, DepthFollowsCommEdges)
@@ -155,9 +155,9 @@ TEST(InstrGraph, DepthFollowsCommEdges)
     int r = graph.addNode(recv);
     graph.node(s).commSucc = r;
     graph.node(r).commPred = s;
-    graph.computeDepths();
-    EXPECT_EQ(graph.node(r).depth, 1);
-    EXPECT_EQ(graph.node(s).rdepth, 1);
+    std::vector<int> rdepth = computeRdepths(graph);
+    EXPECT_EQ(rdepth[s], 1);
+    EXPECT_EQ(rdepth[r], 0);
 }
 
 TEST(InstrGraph, CycleDetected)
@@ -167,7 +167,35 @@ TEST(InstrGraph, CycleDetected)
     int b = graph.addNode(localNode(0));
     graph.addEdge(a, b, DepKind::True);
     graph.addEdge(b, a, DepKind::Anti);
-    EXPECT_THROW(graph.computeDepths(), CompileError);
+    EXPECT_THROW(computeRdepths(graph), CompileError);
+}
+
+TEST(InstrGraph, EdgeAgainstIdOrderRejected)
+{
+    // Acyclic, but b -> a runs backward in id order: lowering never
+    // builds such a graph, and the rdepth sweep cannot order it.
+    InstrGraph graph(1);
+    int a = graph.addNode(localNode(0));
+    int b = graph.addNode(localNode(0));
+    graph.addEdge(b, a, DepKind::True);
+    EXPECT_THROW(computeRdepths(graph), CompileError);
+}
+
+TEST(InstrGraph, LiveCountFollowsReplace)
+{
+    InstrGraph graph(1);
+    int a = graph.addNode(localNode(0));
+    int b = graph.addNode(localNode(0));
+    int c = graph.addNode(localNode(0));
+    graph.addEdge(a, b, DepKind::True);
+    graph.addEdge(b, c, DepKind::True);
+    EXPECT_EQ(graph.numLive(), 3);
+    graph.replaceNode(b, a);
+    EXPECT_EQ(graph.numLive(), 2);
+    graph.replaceNode(c, a);
+    EXPECT_EQ(graph.numLive(), 1);
+    // The dead node's rdepth is 0 and the survivor has no successor.
+    EXPECT_EQ(computeRdepths(graph), (std::vector<int>{ 0, 0, 0 }));
 }
 
 TEST(InstrGraph, DumpAndToStringAreInformative)

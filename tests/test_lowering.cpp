@@ -7,9 +7,11 @@
  * the same processing edges — same (from, to, kind), same order —
  * on every golden program and on hand-built programs that mix split
  * writes, split reads, whole overwrites, in-place aliasing and
- * multi-chunk slices.
+ * multi-chunk slices. Also pins lowering's id-order invariant and
+ * checks fusion's id-order rdepth sweep against a Kahn-walk oracle.
  */
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -213,7 +215,12 @@ countKind(const InstrGraph &graph, DepKind kind)
     return count;
 }
 
-TEST(LoweringOracle, GoldenFactoriesMatchReference)
+/**
+ * Every factory of the determinism goldens (the same parameters),
+ * plus larger instances of the ring and hierarchical factories.
+ */
+std::vector<std::unique_ptr<Program>>
+goldenFactoryPrograms()
 {
     AlgoConfig i2;
     i2.instances = 2;
@@ -251,10 +258,100 @@ TEST(LoweringOracle, GoldenFactoriesMatchReference)
     programs.push_back(makeDoubleBinaryTreeAllReduce(16, ll));
     programs.push_back(makeRabenseifnerAllReduce(8, plain));
     programs.push_back(makeSccl122AllGather(dgx1, plain));
+    return programs;
+}
+
+TEST(LoweringOracle, GoldenFactoriesMatchReference)
+{
+    std::vector<std::unique_ptr<Program>> programs =
+        goldenFactoryPrograms();
     for (size_t i = 0; i < programs.size(); i++) {
         SCOPED_TRACE(i);
         expectSameEdges(*programs[i]);
     }
+}
+
+TEST(Lowering, EdgesFollowIdOrder)
+{
+    // Lowering adds edges only into the node it is recording, the
+    // newest one, so every edge runs from a lower id to a higher one.
+    // Fusion's reverse id-order rdepth sweep and addEdge's tail-only
+    // dedup both rely on it.
+    std::vector<std::unique_ptr<Program>> programs =
+        goldenFactoryPrograms();
+    size_t edges = 0, comm = 0;
+    for (size_t i = 0; i < programs.size(); i++) {
+        SCOPED_TRACE(i);
+        InstrGraph graph = lowerProgram(*programs[i]);
+        for (const InstrEdge &edge : graph.edges())
+            ASSERT_LT(edge.from, edge.to);
+        edges += graph.edges().size();
+        for (const InstrNode &node : graph.nodes()) {
+            if (node.commSucc < 0)
+                continue;
+            ASSERT_LT(node.id, node.commSucc);
+            ASSERT_EQ(graph.node(node.commSucc).commPred, node.id);
+            comm++;
+        }
+    }
+    EXPECT_GT(edges, 0u);
+    EXPECT_GT(comm, 0u);
+}
+
+/**
+ * The longest path to a leaf by Kahn's algorithm over live nodes,
+ * processing and communication edges: the general walk fusion used
+ * before it relied on lowering's id order.
+ */
+std::vector<int>
+kahnRdepths(const InstrGraph &graph)
+{
+    int n = graph.numNodes();
+    std::vector<int> indeg(n, 0), rdepth(n, 0);
+    auto for_each_succ = [&](int id, auto &&fn) {
+        graph.forEachLiveSucc(id, fn);
+        const InstrNode &node = graph.node(id);
+        if (node.commSucc >= 0 && graph.node(node.commSucc).live)
+            fn(node.commSucc);
+    };
+    for (int id = 0; id < n; id++) {
+        if (graph.node(id).live)
+            for_each_succ(id, [&](int succ) { indeg[succ]++; });
+    }
+    std::vector<int> topo;
+    for (int id = 0; id < n; id++) {
+        if (graph.node(id).live && indeg[id] == 0)
+            topo.push_back(id);
+    }
+    for (size_t head = 0; head < topo.size(); head++) {
+        for_each_succ(topo[head], [&](int succ) {
+            if (--indeg[succ] == 0)
+                topo.push_back(succ);
+        });
+    }
+    EXPECT_EQ(static_cast<int>(topo.size()), graph.numLive());
+    for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+        for_each_succ(*it, [&](int succ) {
+            rdepth[*it] = std::max(rdepth[*it], rdepth[succ] + 1);
+        });
+    }
+    return rdepth;
+}
+
+TEST(Fusion, RdepthMatchesKahnOracle)
+{
+    std::vector<std::unique_ptr<Program>> programs =
+        goldenFactoryPrograms();
+    int longest = 0;
+    for (size_t i = 0; i < programs.size(); i++) {
+        SCOPED_TRACE(i);
+        InstrGraph graph = lowerProgram(*programs[i]);
+        std::vector<int> want = kahnRdepths(graph);
+        ASSERT_EQ(computeRdepths(graph), want);
+        longest = std::max(longest,
+                           *std::max_element(want.begin(), want.end()));
+    }
+    EXPECT_GT(longest, 100);
 }
 
 /**

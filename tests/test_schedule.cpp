@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "collectives/classic.h"
 #include "collectives/collectives.h"
 #include "common/error.h"
 #include "compiler/compiler.h"
@@ -268,6 +269,46 @@ TEST(Schedule, SlotGateBoundsOutstandingSends)
             checkMessageBalance(out.ir);
         }
     }
+}
+
+/**
+ * Compiles @p program at one FIFO slot, expecting the scheduler to
+ * reject it by naming @p needed as the smallest slot count, and then
+ * at that count, expecting it to compile and verify.
+ */
+void
+expectMinimumSlots(const Program &program, int needed)
+{
+    CompileOptions one;
+    one.verifySlots = 1;
+    try {
+        compileProgram(program, one);
+        ADD_FAILURE() << "compiled at 1 slot";
+    } catch (const CompileError &error) {
+        std::string what = error.what();
+        EXPECT_NE(what.find("at 1 FIFO slot;"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("needs at least " + std::to_string(needed) +
+                            " slots"),
+                  std::string::npos)
+            << what;
+    }
+    CompileOptions enough;
+    enough.verifySlots = needed;
+    Compiled out;
+    ASSERT_NO_THROW(out = compileProgram(program, enough));
+    checkStructure(out.ir);
+    checkMessageBalance(out.ir);
+}
+
+TEST(Schedule, OneSlotNamesMinimumSlotsHierarchical2x4i2)
+{
+    expectMinimumSlots(*makeHierarchicalAllReduce(2, 4, 2, {}), 2);
+}
+
+TEST(Schedule, OneSlotNamesMinimumSlotsRabenseifner8)
+{
+    expectMinimumSlots(*makeRabenseifnerAllReduce(8, {}), 2);
 }
 
 TEST(Schedule, EmptyProgramYieldsEmptyIr)

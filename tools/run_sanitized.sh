@@ -19,7 +19,11 @@
 # pooled segment lists and ring-buffer FIFOs are where a
 # use-after-reuse would hide, and the shared IR body (IrXml|Xml|
 # Tuner): copies of one plan share a reference-counted body that
-# edit() clones, so a dangling or aliased body would surface there.
+# edit() clones, so a dangling or aliased body would surface there,
+# and the chunk value algebra (ChunkValue|Program): a value keeps up
+# to two runs inline and moves longer run lists to the heap, so a
+# copy, move or growth across that switch is where a double free or
+# stale read would hide.
 # Also registered as the "sanitize" ctest configuration (ctest -C
 # sanitize) next to the existing "perf" configuration.
 #
@@ -67,7 +71,7 @@ if [[ "$TSAN" == "1" ]]; then
 else
     BUILD_DIR="${BUILD_DIR:-build-asan}"
     SANITIZE_FLAG="-DMSCCLANG_SANITIZE=ON"
-    FILTER="${1:-Faults|Watchdog|Communicator|Interpreter|EventQueue|IndexedHeap|Flow|Recovery|Health|PlanCache|Determinism|Races|Search|Workload|Replay|Slo|Hierarchical|UnionFind|Schedule|CompileStats|InstrGraph|Lowering|Fusion|ChunkDag|Verifier|IrXml|Xml|Tuner}"
+    FILTER="${1:-Faults|Watchdog|Communicator|Interpreter|EventQueue|IndexedHeap|Flow|Recovery|Health|PlanCache|Determinism|Races|Search|Workload|Replay|Slo|Hierarchical|UnionFind|Schedule|CompileStats|InstrGraph|Lowering|Fusion|ChunkDag|Verifier|IrXml|Xml|Tuner|ChunkValue|Program}"
 fi
 
 cmake -B "$BUILD_DIR" -S . "$SANITIZE_FLAG" \
@@ -76,7 +80,8 @@ cmake --build "$BUILD_DIR" --target test_faults test_interpreter \
     test_sim test_races test_recovery test_plan_cache \
     test_determinism test_search test_workload test_hierarchical \
     test_unionfind test_tuner test_schedule test_compiler \
-    test_instr_graph test_lowering test_verifier test_xml -j"$(nproc)"
+    test_instr_graph test_lowering test_verifier test_xml test_chunk \
+    test_dsl -j"$(nproc)"
 
 if [[ "$TSAN" == "1" ]]; then
     export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
