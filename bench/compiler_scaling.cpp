@@ -36,6 +36,7 @@
 #include "common/error.h"
 #include "common/strings.h"
 #include "compiler/plan_cache.h"
+#include "compiler/verifier.h"
 
 using namespace mscclang;
 
@@ -121,6 +122,8 @@ struct Cell
     CompileStats coldStats = {};
     /** Tracing time of the cold compile (big cells only). */
     double traceMs = 0.0;
+    /** verifyRaceFree on the cold compile's IR (big cells only). */
+    double raceMs = 0.0;
 };
 
 /**
@@ -128,7 +131,8 @@ struct Cell
  * compiles at 64..1024 ranks for the flat ring and the hierarchical
  * allreduce (8-GPU nodes). No frozen seed here — the seed compiler
  * rejected these sizes outright — so the cells carry raw latencies,
- * plus the trace/lower/fuse/schedule/verify split of the cold compile.
+ * plus the trace/lower/fuse/schedule/verify split of the cold compile
+ * and, timed apart from it, the race check of the compiled IR.
  */
 constexpr int kBigRankSteps[5] = { 64, 128, 256, 512, 1024 };
 
@@ -224,15 +228,16 @@ try {
                                      "hierarchical_allreduce" };
         std::printf("# --big-ranks — verify-on compiles at scale "
                     "(single samples)\n");
-        std::printf("%-22s %5s %10s %10s %9s %9s %9s %9s %9s\n",
+        std::printf("%-22s %5s %10s %10s %9s %9s %9s %9s %9s %9s\n",
                     "collective", "ranks", "cold_ms", "warm_ms",
                     "trace_ms", "lower_ms", "fuse_ms", "sched_ms",
-                    "verify_ms");
+                    "verify_ms", "race_ms");
         for (int c = 0; c < 2; c++) {
             for (int ranks : kBigRankSteps) {
                 CompileOptions copts; // verify defaults on
                 CompileStats phases;
                 double trace_ms = 0.0;
+                IrProgram cold_ir;
                 double cold = minBatchMs(1, 1, [&] {
                     auto t0 = std::chrono::steady_clock::now();
                     auto prog = makeBigProgram(c, ranks);
@@ -241,6 +246,10 @@ try {
                     if (out.ir.numRanks != ranks)
                         std::abort();
                     phases = out.stats;
+                    cold_ir = out.ir;
+                });
+                double race_ms = minBatchMs(1, 1, [&] {
+                    verifyRaceFree(cold_ir);
                 });
                 PlanCache cache(4);
                 auto warm_prog = makeBigProgram(c, ranks);
@@ -254,13 +263,13 @@ try {
                     std::abort();
                 big_cells.push_back(Cell{ big_names[c], ranks, true,
                                           cold, warm, 0.0, phases,
-                                          trace_ms });
+                                          trace_ms, race_ms });
                 std::printf("%-22s %5d %10.1f %10.4f %9.1f %9.1f %9.1f "
-                            "%9.1f %9.1f\n", big_names[c], ranks, cold,
-                            warm, trace_ms, phases.lowerNs / 1e6,
+                            "%9.1f %9.1f %9.1f\n", big_names[c], ranks,
+                            cold, warm, trace_ms, phases.lowerNs / 1e6,
                             phases.fuseNs / 1e6,
                             phases.scheduleNs / 1e6,
-                            phases.verifyNs / 1e6);
+                            phases.verifyNs / 1e6, race_ms);
             }
         }
     }
@@ -336,11 +345,11 @@ try {
                 "\"warm_ms\": %.4f, \"trace_ms\": %.2f, "
                 "\"lower_ms\": %.2f, "
                 "\"fuse_ms\": %.2f, \"schedule_ms\": %.2f, "
-                "\"verify_ms\": %.2f}%s\n",
+                "\"verify_ms\": %.2f, \"race_ms\": %.2f}%s\n",
                 cell.collective, cell.ranks, cell.coldMs, cell.warmMs,
                 cell.traceMs, phases.lowerNs / 1e6, phases.fuseNs / 1e6,
                 phases.scheduleNs / 1e6, phases.verifyNs / 1e6,
-                i + 1 < big_cells.size() ? "," : "");
+                cell.raceMs, i + 1 < big_cells.size() ? "," : "");
         }
         std::fprintf(f,
             "  ],\n"

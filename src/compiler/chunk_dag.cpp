@@ -7,17 +7,6 @@
 
 namespace mscclang {
 
-const char *
-depKindName(DepKind kind)
-{
-    switch (kind) {
-      case DepKind::True: return "true";
-      case DepKind::Anti: return "anti";
-      case DepKind::Output: return "output";
-    }
-    return "?";
-}
-
 namespace {
 
 using LocationKey = std::tuple<Rank, BufferKind, int>;

@@ -15,18 +15,10 @@
 #include <string>
 #include <vector>
 
+#include "compiler/access_history.h"
 #include "dsl/program.h"
 
 namespace mscclang {
-
-/** Dependence classes between chunk operations. */
-enum class DepKind {
-    True,   ///< read-after-write: chunk movement
-    Anti,   ///< write-after-read: buffer index reuse
-    Output, ///< write-after-write: buffer index reuse
-};
-
-const char *depKindName(DepKind kind);
 
 /** One dependence edge between two traced operations. */
 struct ChunkDep

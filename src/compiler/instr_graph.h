@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "compiler/chunk_dag.h"
+#include "compiler/access_history.h"
 #include "compiler/frac.h"
 #include "dsl/program.h"
 #include "ir/ir.h"

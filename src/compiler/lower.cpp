@@ -6,10 +6,10 @@
  * precision plus communication edges between matched send/recv pairs.
  */
 
-#include <cstdint>
 #include <vector>
 
 #include "common/error.h"
+#include "compiler/access_history.h"
 #include "compiler/instr_graph.h"
 
 namespace mscclang {
@@ -17,111 +17,29 @@ namespace mscclang {
 namespace {
 
 /**
- * Per-chunk access history for dependence analysis, laid out flat so
- * that recording an access allocates nothing beyond amortized growth
- * of two arrays.
- *
- * Every (rank, buffer, chunk) location owns one slot in heads_, the
- * newest entry of an intrusive singly linked list threaded through
- * pool_ (newest first). The slot offsets come from the program's
- * per-rank chunk counts, computed once. A whole-range write shadows
- * everything older — no later scan can see past it — so it resets
- * the location's list to itself and recycles the old entries through
- * a free list. In the common case (every access covers the whole
- * chunk) a list is therefore exactly "last writer + readers since".
+ * Per-(rank, buffer) chunk counts of @p program, in AccessHistory's
+ * layout; in-place programs fold Output into Input.
  */
-class AccessHistory
+std::vector<int>
+chunkCounts(const Program &program, bool in_place)
 {
-  public:
-    /** One recorded access: the node, its split fraction and kind. */
-    struct Entry
-    {
-        int node;
-        int next; // older entry of the same location, or -1
-        int splitIdx;
-        int splitCount;
-        bool isWrite;
-    };
-
-    AccessHistory(const Program &program, bool in_place)
-    {
-        int num_ranks = program.numRanks();
-        const Collective &coll = program.collective();
-        base_.resize(static_cast<size_t>(num_ranks) * 3);
-        size_t total = 0;
-        for (Rank r = 0; r < num_ranks; r++) {
-            const int counts[3] = {
-                coll.inputChunkCount(r),
-                in_place ? 0 : coll.outputChunkCount(r),
-                program.scratchChunkCount(r),
-            };
-            for (int b = 0; b < 3; b++) {
-                base_[static_cast<size_t>(r) * 3 + b] = total;
-                total += static_cast<size_t>(counts[b]);
-            }
-        }
-        heads_.assign(total, -1);
+    const Collective &coll = program.collective();
+    std::vector<int> counts;
+    counts.reserve(static_cast<size_t>(program.numRanks()) * 3);
+    for (Rank r = 0; r < program.numRanks(); r++) {
+        counts.push_back(coll.inputChunkCount(r));
+        counts.push_back(in_place ? 0 : coll.outputChunkCount(r));
+        counts.push_back(program.scratchChunkCount(r));
     }
-
-    /** Newest entry of chunk @p index of (rank, buffer), or -1. */
-    int
-    head(Rank rank, BufferKind buffer, int index) const
-    {
-        return heads_[slot(rank, buffer, index)];
-    }
-
-    const Entry &entry(int e) const { return pool_[e]; }
-
-    /** Appends an access as the location's newest entry. */
-    void
-    record(Rank rank, BufferKind buffer, int index, int node,
-           int split_idx, int split_count, bool is_write)
-    {
-        int &head = heads_[slot(rank, buffer, index)];
-        int next = head;
-        if (is_write && split_count == 1) {
-            // Shadows every older entry: recycle the whole list.
-            for (int e = head; e >= 0;) {
-                int older = pool_[e].next;
-                pool_[e].next = free_;
-                free_ = e;
-                e = older;
-            }
-            next = -1;
-        }
-        Entry fresh{ node, next, split_idx, split_count, is_write };
-        if (free_ >= 0) {
-            int e = free_;
-            free_ = pool_[e].next;
-            pool_[e] = fresh;
-            head = e;
-        } else {
-            head = static_cast<int>(pool_.size());
-            pool_.push_back(fresh);
-        }
-    }
-
-  private:
-    size_t
-    slot(Rank rank, BufferKind buffer, int index) const
-    {
-        return base_[static_cast<size_t>(rank) * 3 +
-                     static_cast<size_t>(buffer)] +
-            static_cast<size_t>(index);
-    }
-
-    std::vector<size_t> base_; // first slot of each (rank, buffer)
-    std::vector<int> heads_;
-    std::vector<Entry> pool_;
-    int free_ = -1;
-};
+    return counts;
+}
 
 class LoweringContext
 {
   public:
     LoweringContext(InstrGraph &graph, const Program &program)
         : graph_(graph), inPlace_(program.collective().inPlace()),
-          history_(program, inPlace_)
+          history_(chunkCounts(program, inPlace_))
     {
     }
 
@@ -255,22 +173,6 @@ class LoweringContext
     fractionOf(int idx, int count)
     {
         return FracInterval{ Frac{ idx, count }, Frac{ idx + 1, count } };
-    }
-
-    /** Whether fractions (a of n) and (b of m) overlap. */
-    static bool
-    splitsOverlap(std::int64_t a, std::int64_t n, std::int64_t b,
-                  std::int64_t m)
-    {
-        return a * m < (b + 1) * n && b * n < (a + 1) * m;
-    }
-
-    /** Whether fraction (a of n) contains fraction (b of m). */
-    static bool
-    splitCovers(std::int64_t a, std::int64_t n, std::int64_t b,
-                std::int64_t m)
-    {
-        return a * m <= b * n && (b + 1) * n <= (a + 1) * m;
     }
 
     InstrGraph &graph_;

@@ -1,18 +1,14 @@
 #include "compiler/verifier.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <tuple>
 #include <vector>
 
 #include "common/error.h"
 #include "common/strings.h"
+#include "compiler/access_history.h"
 #include "compiler/frac.h"
-#include "compiler/unionfind.h"
 
 namespace mscclang {
 
@@ -692,6 +688,7 @@ struct HbNode
     Rank rank;
     int tb;
     int step;
+    int tbIdx; // dense thread block index over the whole program
     const IrInstruction *instr;
     const IrThreadBlock *block;
 };
@@ -706,12 +703,30 @@ struct HbGraph
 {
     std::vector<HbNode> nodes;
     int numRanks = 0;
+    int numTbs = 0;
     std::vector<int> succOff; // successors of v: succ[succOff[v]..succOff[v+1])
     std::vector<int> succ;
     std::vector<int> indeg;
+    std::vector<std::vector<int>> tbBase; // [rank][tb id] -> step 0's node
+    std::vector<std::vector<int>> tbLen;
 
     int n() const { return static_cast<int>(nodes.size()); }
-    int outdeg(int v) const { return succOff[v + 1] - succOff[v]; }
+
+    /** The node of (rank, tb, step), or -1 if there is none. */
+    int
+    lookup(Rank rank, int tb, int step) const
+    {
+        if (rank < 0 || rank >= numRanks)
+            return -1;
+        const std::vector<int> &base = tbBase[rank];
+        if (tb < 0 || tb >= static_cast<int>(base.size()) ||
+            base[tb] < 0) {
+            return -1;
+        }
+        if (step < 0 || step >= tbLen[rank][tb])
+            return -1;
+        return base[tb] + step;
+    }
 };
 
 HbGraph
@@ -726,11 +741,12 @@ buildHbGraph(const IrProgram &ir)
         num_ranks = std::max(num_ranks, gpu.rank + 1);
     }
     g.numRanks = num_ranks;
-    std::vector<std::vector<int>> tb_base(num_ranks);
-    std::vector<std::vector<int>> tb_len(num_ranks);
+    g.tbBase.resize(num_ranks);
+    g.tbLen.resize(num_ranks);
+    std::vector<ConnKey> send_key, recv_key; // per thread block
     for (const IrGpu &gpu : ir.gpus) {
-        std::vector<int> &base = tb_base[gpu.rank];
-        std::vector<int> &len = tb_len[gpu.rank];
+        std::vector<int> &base = g.tbBase[gpu.rank];
+        std::vector<int> &len = g.tbLen[gpu.rank];
         for (const IrThreadBlock &tb : gpu.threadBlocks) {
             if (tb.id < 0)
                 throw VerificationError(
@@ -743,38 +759,31 @@ buildHbGraph(const IrProgram &ir)
             len[tb.id] = static_cast<int>(tb.steps.size());
             for (size_t s = 0; s < tb.steps.size(); s++) {
                 g.nodes.push_back(HbNode{ gpu.rank, tb.id,
-                                          static_cast<int>(s),
+                                          static_cast<int>(s), g.numTbs,
                                           &tb.steps[s], &tb });
             }
+            send_key.push_back(
+                connKeyOf(gpu.rank, tb.sendPeer, tb.channel));
+            recv_key.push_back(
+                connKeyOf(tb.recvPeer, gpu.rank, tb.channel));
+            g.numTbs++;
         }
     }
     int n = g.n();
-    auto lookup = [&](Rank rank, int tb, int step) {
-        if (rank < 0 || rank >= num_ranks)
-            return -1;
-        const std::vector<int> &base = tb_base[rank];
-        if (tb < 0 || tb >= static_cast<int>(base.size()) ||
-            base[tb] < 0) {
-            return -1;
-        }
-        if (step < 0 || step >= tb_len[rank][tb])
-            return -1;
-        return base[tb] + step;
-    };
 
     std::vector<std::pair<int, int>> edges;
     // (a) thread block program order
     for (int i = 0; i < n; i++) {
         if (g.nodes[i].step + 1 < static_cast<int>(
                 g.nodes[i].block->steps.size())) {
-            edges.push_back({ i, lookup(g.nodes[i].rank, g.nodes[i].tb,
-                                        g.nodes[i].step + 1) });
+            edges.push_back({ i, g.lookup(g.nodes[i].rank, g.nodes[i].tb,
+                                          g.nodes[i].step + 1) });
         }
     }
     // (b) cross thread block dependencies
     for (int i = 0; i < n; i++) {
         for (const IrDep &dep : g.nodes[i].instr->deps) {
-            int from = lookup(g.nodes[i].rank, dep.tb, dep.step);
+            int from = g.lookup(g.nodes[i].rank, dep.tb, dep.step);
             if (from < 0)
                 throw VerificationError(
                     "race check: dependency on unknown instruction");
@@ -786,58 +795,66 @@ buildHbGraph(const IrProgram &ir)
     //     must have a matched receive and vice versa — an imbalance
     //     would leave the surplus operations with no happens-before
     //     edge and silently weaken the analysis, so it is rejected.
-    //     Sort-based pairing: connection keys pack (src, dst,
-    //     channel) most-significant-first, so sorted key order is the
-    //     tuple order the ordered-map implementation reported in.
-    struct ConnEnd
-    {
-        ConnKey key;
-        int node;
+    //     A thread block has one send and one receive connection, so
+    //     connections are numbered per block, densely in key order —
+    //     keys pack (src, dst, channel) most-significant-first, so
+    //     that is (src, dst, channel) tuple order — and each
+    //     connection's ends are bucketed in node order.
+    std::vector<ConnKey> keys(send_key);
+    keys.insert(keys.end(), recv_key.begin(), recv_key.end());
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    auto conn_of = [&](ConnKey key) {
+        return static_cast<int>(
+            std::lower_bound(keys.begin(), keys.end(), key) -
+            keys.begin());
     };
-    std::vector<ConnEnd> sends, recvs;
-    for (int i = 0; i < n; i++) {
-        if (irOpSends(g.nodes[i].instr->op)) {
-            sends.push_back(ConnEnd{
-                connKeyOf(g.nodes[i].rank, g.nodes[i].block->sendPeer,
-                          g.nodes[i].block->channel), i });
-        }
-        if (irOpReceives(g.nodes[i].instr->op)) {
-            recvs.push_back(ConnEnd{
-                connKeyOf(g.nodes[i].block->recvPeer, g.nodes[i].rank,
-                          g.nodes[i].block->channel), i });
+    std::vector<int> send_conn(g.numTbs), recv_conn(g.numTbs);
+    for (int t = 0; t < g.numTbs; t++) {
+        send_conn[t] = conn_of(send_key[t]);
+        recv_conn[t] = conn_of(recv_key[t]);
+    }
+    size_t num_conns = keys.size();
+    std::vector<int> send_off(num_conns + 1, 0);
+    std::vector<int> recv_off(num_conns + 1, 0);
+    for (const HbNode &node : g.nodes) {
+        if (irOpSends(node.instr->op))
+            send_off[send_conn[node.tbIdx] + 1]++;
+        if (irOpReceives(node.instr->op))
+            recv_off[recv_conn[node.tbIdx] + 1]++;
+    }
+    for (size_t c = 0; c < num_conns; c++) {
+        send_off[c + 1] += send_off[c];
+        recv_off[c + 1] += recv_off[c];
+    }
+    std::vector<int> sends(send_off[num_conns]);
+    std::vector<int> recvs(recv_off[num_conns]);
+    {
+        std::vector<int> send_at(send_off.begin(), send_off.end() - 1);
+        std::vector<int> recv_at(recv_off.begin(), recv_off.end() - 1);
+        for (int i = 0; i < n; i++) {
+            const HbNode &node = g.nodes[i];
+            if (irOpSends(node.instr->op))
+                sends[send_at[send_conn[node.tbIdx]]++] = i;
+            if (irOpReceives(node.instr->op))
+                recvs[recv_at[recv_conn[node.tbIdx]]++] = i;
         }
     }
-    auto by_key_node = [](const ConnEnd &a, const ConnEnd &b) {
-        return std::tie(a.key, a.node) < std::tie(b.key, b.node);
-    };
-    std::sort(sends.begin(), sends.end(), by_key_node);
-    std::sort(recvs.begin(), recvs.end(), by_key_node);
-    size_t si = 0, ri = 0;
-    while (si < sends.size() || ri < recvs.size()) {
-        ConnKey key;
-        if (ri >= recvs.size() ||
-            (si < sends.size() && sends[si].key <= recvs[ri].key)) {
-            key = sends[si].key;
-        } else {
-            key = recvs[ri].key;
-        }
-        size_t se = si, re = ri;
-        while (se < sends.size() && sends[se].key == key)
-            se++;
-        while (re < recvs.size() && recvs[re].key == key)
-            re++;
-        if (se - si != re - ri) {
+    for (size_t c = 0; c < num_conns; c++) {
+        int num_sends = send_off[c + 1] - send_off[c];
+        int num_recvs = recv_off[c + 1] - recv_off[c];
+        if (num_sends != num_recvs) {
+            ConnKey key = keys[c];
             throw VerificationError(strprintf(
-                "race check: connection %d -> %d channel %d has %zu "
-                "sends but %zu receives; FIFO pairing requires equal "
+                "race check: connection %d -> %d channel %d has %d "
+                "sends but %d receives; FIFO pairing requires equal "
                 "counts", static_cast<int>(key >> 43),
                 static_cast<int>((key >> 22) & 0x1FFFFF),
-                static_cast<int>(key & 0x3FFFFF), se - si, re - ri));
+                static_cast<int>(key & 0x3FFFFF), num_sends, num_recvs));
         }
-        for (size_t k = 0; si + k < se; k++)
-            edges.push_back({ sends[si + k].node, recvs[ri + k].node });
-        si = se;
-        ri = re;
+        for (int k = 0; k < num_sends; k++)
+            edges.push_back(
+                { sends[send_off[c] + k], recvs[recv_off[c] + k] });
     }
 
     g.succOff.assign(n + 1, 0);
@@ -883,428 +900,261 @@ topoOrderOf(const HbGraph &g)
     return order;
 }
 
-/** One recorded buffer access of one instruction. */
-struct LocEntry
+/**
+ * The latest step of each thread block that each other thread block
+ * of its rank has waited on so far, through one direct cross-TB
+ * dependency: the race walk's local happens-before facts. Stored as
+ * one slot per distinct (waiter, source) thread block pair that some
+ * dependency names, so its size follows the dependency count.
+ */
+class DepFrontier
 {
-    int buffer; // canonical BufferKind as int
-    int chunk;
-    int node;
-    bool isWrite;
-    FracInterval range;
+  public:
+    explicit DepFrontier(const HbGraph &g) : off_(g.numTbs + 1, 0)
+    {
+        std::vector<std::pair<int, int>> pairs; // (waiter, source)
+        for (const HbNode &node : g.nodes) {
+            for (const IrDep &dep : node.instr->deps) {
+                int from = g.lookup(node.rank, dep.tb, dep.step);
+                pairs.push_back({ node.tbIdx, g.nodes[from].tbIdx });
+            }
+        }
+        std::sort(pairs.begin(), pairs.end());
+        pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+        for (const auto &[waiter, source] : pairs) {
+            off_[waiter + 1]++;
+            source_.push_back(source);
+        }
+        for (int t = 0; t < g.numTbs; t++)
+            off_[t + 1] += off_[t];
+        latest_.assign(source_.size(), -1);
+    }
+
+    /** Latest step of @p source that @p waiter has waited on, or -1. */
+    int
+    latest(int waiter, int source) const
+    {
+        int slot = slotOf(waiter, source);
+        return slot < 0 ? -1 : latest_[slot];
+    }
+
+    /** Records that @p waiter now waits on step @p step of @p source. */
+    void
+    wait(int waiter, int source, int step)
+    {
+        int &latest = latest_[slotOf(waiter, source)];
+        latest = std::max(latest, step);
+    }
+
+  private:
+    int
+    slotOf(int waiter, int source) const
+    {
+        auto lo = source_.begin() + off_[waiter];
+        auto hi = source_.begin() + off_[waiter + 1];
+        auto it = std::lower_bound(lo, hi, source);
+        if (it == hi || *it != source)
+            return -1;
+        return static_cast<int>(it - source_.begin());
+    }
+
+    std::vector<int> off_;    // sources of waiter t: [off_[t], off_[t+1])
+    std::vector<int> source_; // ascending within each waiter
+    std::vector<int> latest_;
 };
 
 /**
- * Every buffer access, partitioned by rank: conflicts always live on
- * one rank, so each rank's accesses are checked independently.
+ * The race check proper: a last-writer walk over the accesses of
+ * every rank, in ascending rank order, each rank's instructions in
+ * the order of one linear extension of happens-before. Each access is
+ * checked only against its location's AccessHistory list — the last
+ * whole-chunk writer and the accesses since — and a conflict with an
+ * entry must be ordered after it. Transitivity through the shadowing
+ * writer orders every older conflicting access too, and the linear
+ * extension rules out the reverse order, so the first unordered pair
+ * the walk meets is a real race, on the lowest racy rank.
  */
-std::vector<std::vector<LocEntry>>
-recordAccesses(const HbGraph &g, const IrProgram &ir)
+class RaceWalk
 {
-    std::vector<std::vector<LocEntry>> rank_accesses(g.numRanks);
-    auto record = [&](int node, BufferKind buf, int off, bool write) {
-        const IrInstruction &instr = *g.nodes[node].instr;
-        FracInterval range =
-            splitFraction(instr.splitIdx, instr.splitCount);
-        BufferKind canonical = buf;
-        if (ir.inPlace && buf == BufferKind::Output)
-            canonical = BufferKind::Input;
-        for (int k = 0; k < instr.count; k++) {
-            rank_accesses[g.nodes[node].rank].push_back(
-                LocEntry{ static_cast<int>(canonical), off + k, node,
-                          write, range });
+  public:
+    RaceWalk(const HbGraph &g, const IrProgram &ir,
+             const std::vector<int> &order)
+        : g_(g), order_(order), inPlace_(ir.inPlace), frontier_(g),
+          history_(chunkCounts(g, ir)), pos_(g.n())
+    {
+        for (int i = 0; i < g.n(); i++)
+            pos_[order[i]] = i;
+    }
+
+    /** @throws VerificationError naming the first unordered pair. */
+    void
+    run()
+    {
+        // Stable counting sort of the linear extension by rank.
+        std::vector<int> start(g_.numRanks + 1, 0);
+        for (const HbNode &node : g_.nodes)
+            start[node.rank + 1]++;
+        for (int r = 0; r < g_.numRanks; r++)
+            start[r + 1] += start[r];
+        std::vector<int> by_rank(g_.n());
+        for (int v : order_)
+            by_rank[start[g_.nodes[v].rank]++] = v;
+        for (int v : by_rank)
+            visit(v);
+    }
+
+  private:
+    /**
+     * Per-(rank, buffer) chunk counts in AccessHistory's layout; a
+     * negative declared count holds no chunks.
+     */
+    static std::vector<int>
+    chunkCounts(const HbGraph &g, const IrProgram &ir)
+    {
+        std::vector<int> counts(static_cast<size_t>(g.numRanks) * 3, 0);
+        for (const IrGpu &gpu : ir.gpus) {
+            int *rank_counts = &counts[static_cast<size_t>(gpu.rank) * 3];
+            rank_counts[0] = std::max(0, gpu.inputChunks);
+            rank_counts[1] = ir.inPlace ? 0 : std::max(0, gpu.outputChunks);
+            rank_counts[2] = std::max(0, gpu.scratchChunks);
         }
-    };
-    for (int i = 0; i < g.n(); i++) {
-        const IrInstruction &instr = *g.nodes[i].instr;
+        return counts;
+    }
+
+    void
+    visit(int b)
+    {
+        const HbNode &nb = g_.nodes[b];
+        const IrInstruction &instr = *nb.instr;
+        for (const IrDep &dep : instr.deps) {
+            int from = g_.lookup(nb.rank, dep.tb, dep.step);
+            frontier_.wait(nb.tbIdx, g_.nodes[from].tbIdx, dep.step);
+        }
         if (irOpReadsSrc(instr.op))
-            record(i, instr.srcBuf, instr.srcOff, false);
-        if (instr.op == IrOp::Reduce ||
-            instr.op == IrOp::RecvReduceCopy) {
-            record(i, instr.dstBuf, instr.dstOff, false);
-        }
+            access(b, instr.srcBuf, instr.srcOff, false);
+        if (instr.op == IrOp::Reduce || instr.op == IrOp::RecvReduceCopy)
+            access(b, instr.dstBuf, instr.dstOff, false);
         if (irOpWritesDst(instr.op))
-            record(i, instr.dstBuf, instr.dstOff, true);
+            access(b, instr.dstBuf, instr.dstOff, true);
     }
-    return rank_accesses;
-}
 
-/** A conflicting access pair whose ordering must be proven. */
-struct ConflictPair
-{
-    int a, b;
-    int buffer, chunk;
-};
-
-/**
- * Enumerates one rank's conflict pairs — same location, overlapping
- * fractions, at least one write, different thread blocks — in
- * (buffer, chunk, first access, second access) order. Both engines
- * derive candidates from this list in identical order, which is what
- * keeps their verdicts and error messages interchangeable.
- */
-std::vector<ConflictPair>
-conflictPairs(const HbGraph &g, std::vector<LocEntry> &entries)
-{
-    // Group by location, keeping node order within each group
-    // (entries were recorded in ascending node order).
-    std::stable_sort(entries.begin(), entries.end(),
-                     [](const LocEntry &a, const LocEntry &b) {
-                         return std::tie(a.buffer, a.chunk) <
-                             std::tie(b.buffer, b.chunk);
-                     });
-    std::vector<ConflictPair> pairs;
-    for (size_t lo = 0; lo < entries.size();) {
-        size_t hi = lo;
-        while (hi < entries.size() &&
-               entries[hi].buffer == entries[lo].buffer &&
-               entries[hi].chunk == entries[lo].chunk) {
-            hi++;
-        }
-        for (size_t a = lo; a < hi; a++) {
-            for (size_t b = a + 1; b < hi; b++) {
-                if (entries[a].node == entries[b].node)
+    /** Checks and records one buffer access of node @p b. */
+    void
+    access(int b, BufferKind buf, int off, bool is_write)
+    {
+        const HbNode &nb = g_.nodes[b];
+        const IrInstruction &instr = *nb.instr;
+        BufferKind canonical = buf;
+        if (inPlace_ && buf == BufferKind::Output)
+            canonical = BufferKind::Input;
+        int chunks = history_.chunks(nb.rank, canonical);
+        for (int k = 0; k < instr.count; k++) {
+            int index = off + k;
+            if (index < 0 || index >= chunks) {
+                throw VerificationError(strprintf(
+                    "race check: rank %d %s[%d] out of bounds (%d chunks)",
+                    nb.rank, bufferKindName(buf), index, chunks));
+            }
+            for (int e = history_.head(nb.rank, canonical, index);
+                 e >= 0;) {
+                const AccessHistory::Entry &prev = history_.entry(e);
+                e = prev.next;
+                if (!(is_write || prev.isWrite) || prev.node == b)
                     continue;
-                if (!entries[a].isWrite && !entries[b].isWrite)
+                if (!splitsOverlap(prev.splitIdx, prev.splitCount,
+                                   instr.splitIdx, instr.splitCount))
                     continue;
-                if (!entries[a].range.overlaps(entries[b].range))
-                    continue;
-                if (g.nodes[entries[a].node].tb ==
-                    g.nodes[entries[b].node].tb) {
-                    continue; // ordered by program order
+                if (!happensBefore(prev.node, b)) {
+                    throw VerificationError(
+                        raceMessage(prev.node, b, canonical, index));
                 }
-                pairs.push_back(ConflictPair{ entries[a].node,
-                                              entries[b].node,
-                                              entries[a].buffer,
-                                              entries[a].chunk });
+            }
+            history_.record(nb.rank, canonical, index, b,
+                            instr.splitIdx, instr.splitCount, is_write);
+        }
+    }
+
+    /**
+     * Whether @p a, earlier in the linear extension, happens before
+     * @p b, the node being visited, from local facts: both in one
+     * thread block (so a is at an earlier step), or b's thread block
+     * has waited, at or before b's step, on a's at or after a's step.
+     */
+    bool
+    locallyBefore(int a, int b) const
+    {
+        const HbNode &na = g_.nodes[a];
+        const HbNode &nb = g_.nodes[b];
+        return na.tbIdx == nb.tbIdx ||
+            frontier_.latest(nb.tbIdx, na.tbIdx) >= na.step;
+    }
+
+    /**
+     * Whether @p a happens before @p b, which follows it in the linear
+     * extension. A local miss falls back to a search of the graph from
+     * a, pruned to nodes before b in the linear extension (no later
+     * node reaches b) and cut short by any node locally before b.
+     */
+    bool
+    happensBefore(int a, int b)
+    {
+        if (locallyBefore(a, b))
+            return true;
+        if (stamp_.empty())
+            stamp_.assign(g_.n(), 0);
+        epoch_++;
+        stamp_[a] = epoch_;
+        stack_.assign(1, a);
+        while (!stack_.empty()) {
+            int v = stack_.back();
+            stack_.pop_back();
+            for (int e = g_.succOff[v]; e < g_.succOff[v + 1]; e++) {
+                int w = g_.succ[e];
+                if (w == b)
+                    return true;
+                if (stamp_[w] == epoch_ || pos_[w] > pos_[b])
+                    continue;
+                stamp_[w] = epoch_;
+                if (locallyBefore(w, b))
+                    return true;
+                stack_.push_back(w);
             }
         }
-        lo = hi;
+        return false;
     }
-    return pairs;
-}
 
-std::string
-raceMessage(const HbGraph &g, const ConflictPair &pair)
-{
-    const HbNode &na = g.nodes[pair.a];
-    const HbNode &nb = g.nodes[pair.b];
-    return strprintf(
-        "data race: rank %d tb %d step %d and tb %d "
-        "step %d access %s[%d] unordered",
-        na.rank, na.tb, na.step, nb.tb, nb.step,
-        bufferKindName(static_cast<BufferKind>(pair.buffer)),
-        pair.chunk);
-}
+    /** Names the pair with the lower node index first. */
+    std::string
+    raceMessage(int a, int b, BufferKind buffer, int chunk) const
+    {
+        const HbNode &na = g_.nodes[std::min(a, b)];
+        const HbNode &nb = g_.nodes[std::max(a, b)];
+        return strprintf(
+            "data race: rank %d tb %d step %d and tb %d "
+            "step %d access %s[%d] unordered",
+            na.rank, na.tb, na.step, nb.tb, nb.step,
+            bufferKindName(buffer), chunk);
+    }
 
-/**
- * The happens-before graph condensed to chains: runs of nodes linked
- * by edges (u, v) with outdeg(u) == 1 and indeg(v) == 1 (program
- * order, dependency and communication edges alike) collapse into one
- * class. The contraction criterion makes every class a path, and it
- * confines cross-class edges to chain endpoints — a cross edge
- * leaves only a chain's last node (any node with another outgoing
- * edge was never merged with a successor) and enters only a chain's
- * first node. Two exactness consequences the verifier relies on:
- * nodes sharing a chain are totally ordered, and for a != b in
- * different chains, a reaches b iff a's chain reaches b's chain in
- * the condensed DAG. Compiled collectives are dominated by long
- * dependency chains, so the condensed graph is typically orders of
- * magnitude smaller than the instruction graph.
- */
-struct ChainGraph
-{
-    int numChains = 0;
-    std::vector<int> chainOf; // node -> chain id, ids in topo order
-    std::vector<int> succOff; // condensed CSR, deduplicated
-    std::vector<int> succ;
+    const HbGraph &g_;
+    const std::vector<int> &order_;
+    bool inPlace_;
+    DepFrontier frontier_;
+    AccessHistory history_;
+    std::vector<int> pos_; // node -> position in the linear extension
+    std::vector<int> stamp_; // search visit marks, allocated on demand
+    int epoch_ = 0;
+    std::vector<int> stack_;
 };
-
-ChainGraph
-condenseChains(const HbGraph &g, const std::vector<int> &order,
-               int threads)
-{
-    int n = g.n();
-    ConcurrentUnionFind uf(static_cast<size_t>(n));
-    // The contraction is a single scan over nodes: each worker takes
-    // a static slice and unions its contractible out-edges. The final
-    // partition depends only on the edge set, not the interleaving,
-    // so any thread count produces the same chains.
-    auto contract = [&](int lo, int hi) {
-        for (int u = lo; u < hi; u++) {
-            if (g.outdeg(u) != 1)
-                continue;
-            int v = g.succ[g.succOff[u]];
-            if (g.indeg[v] == 1)
-                uf.unite(static_cast<size_t>(u),
-                         static_cast<size_t>(v));
-        }
-    };
-    if (threads > 1 && n >= 1 << 16) {
-        std::vector<std::thread> pool;
-        pool.reserve(threads);
-        int stride = (n + threads - 1) / threads;
-        for (int t = 0; t < threads; t++) {
-            int lo = t * stride;
-            pool.emplace_back(contract, lo,
-                              std::min(n, lo + stride));
-        }
-        for (std::thread &t : pool)
-            t.join();
-    } else {
-        contract(0, n);
-    }
-
-    ChainGraph c;
-    c.chainOf.assign(n, -1);
-    // Number chains by the topological position of their first node:
-    // every other member is a descendant, so the first member of a
-    // chain reached in topo order is its head, and ascending chain
-    // ids are automatically a topological order of the condensed DAG.
-    std::vector<int> id_of_root(n, -1);
-    for (int v : order) {
-        int root = static_cast<int>(uf.find(static_cast<size_t>(v)));
-        if (id_of_root[root] < 0)
-            id_of_root[root] = c.numChains++;
-        c.chainOf[v] = id_of_root[root];
-    }
-
-    std::vector<std::pair<int, int>> cedges;
-    for (int u = 0; u < n; u++) {
-        for (int e = g.succOff[u]; e < g.succOff[u + 1]; e++) {
-            int cu = c.chainOf[u], cv = c.chainOf[g.succ[e]];
-            if (cu != cv)
-                cedges.push_back({ cu, cv });
-        }
-    }
-    std::sort(cedges.begin(), cedges.end());
-    cedges.erase(std::unique(cedges.begin(), cedges.end()),
-                 cedges.end());
-    c.succOff.assign(c.numChains + 1, 0);
-    for (const auto &[from, to] : cedges)
-        c.succOff[from + 1]++;
-    for (int v = 0; v < c.numChains; v++)
-        c.succOff[v + 1] += c.succOff[v];
-    c.succ.resize(cedges.size());
-    std::vector<int> cursor(c.succOff.begin(), c.succOff.end() - 1);
-    for (const auto &[from, to] : cedges)
-        c.succ[cursor[from]++] = to;
-    return c;
-}
-
-/**
- * Chain-condensed per-rank check: candidate columns are chains, and
- * ancestor bits propagate over the condensed DAG (chain ids are
- * already a topological order). Same-chain pairs are ordered by
- * construction.
- */
-std::string
-checkRankChains(const HbGraph &g, const ChainGraph &c,
-                std::vector<LocEntry> &entries)
-{
-    std::vector<ConflictPair> pairs = conflictPairs(g, entries);
-    if (pairs.empty())
-        return std::string();
-
-    std::vector<int> cols(c.numChains, -1);
-    std::vector<int> cand;
-    for (const ConflictPair &pair : pairs) {
-        for (int v : { pair.a, pair.b }) {
-            int chain = c.chainOf[v];
-            if (cols[chain] < 0) {
-                cols[chain] = static_cast<int>(cand.size());
-                cand.push_back(chain);
-            }
-        }
-    }
-
-    size_t words = (cand.size() + 63) / 64;
-    std::vector<std::uint64_t> anc(
-        static_cast<size_t>(c.numChains) * words, 0);
-    for (int v = 0; v < c.numChains; v++) {
-        const std::uint64_t *src = &anc[v * words];
-        int vcol = cols[v];
-        for (int e = c.succOff[v]; e < c.succOff[v + 1]; e++) {
-            std::uint64_t *dst =
-                &anc[static_cast<size_t>(c.succ[e]) * words];
-            for (size_t w = 0; w < words; w++)
-                dst[w] |= src[w];
-            if (vcol >= 0) {
-                dst[static_cast<size_t>(vcol) / 64] |= 1ULL
-                    << (static_cast<size_t>(vcol) % 64);
-            }
-        }
-    }
-    auto bit = [&](int of_chain, int anc_chain) {
-        int col = cols[anc_chain];
-        return (anc[static_cast<size_t>(of_chain) * words +
-                    static_cast<size_t>(col) / 64] >>
-                    (static_cast<size_t>(col) % 64) &
-                1) != 0;
-    };
-    for (const ConflictPair &pair : pairs) {
-        int ca = c.chainOf[pair.a], cb = c.chainOf[pair.b];
-        if (ca == cb)
-            continue; // a chain is a path: totally ordered
-        if (bit(cb, ca) || bit(ca, cb))
-            continue;
-        return raceMessage(g, pair);
-    }
-    return std::string();
-}
-
-/**
- * Reference per-rank check: candidate columns are instructions and
- * ancestor bits propagate over the full graph — the engine the
- * chain-condensed one must agree with verdict-for-verdict.
- */
-std::string
-checkRankReference(const HbGraph &g, const std::vector<int> &order,
-                   std::vector<LocEntry> &entries)
-{
-    std::vector<ConflictPair> pairs = conflictPairs(g, entries);
-    if (pairs.empty())
-        return std::string();
-
-    int n = g.n();
-    std::vector<int> cols(n, -1);
-    std::vector<int> cand;
-    for (const ConflictPair &pair : pairs) {
-        for (int v : { pair.a, pair.b }) {
-            if (cols[v] < 0) {
-                cols[v] = static_cast<int>(cand.size());
-                cand.push_back(v);
-            }
-        }
-    }
-
-    size_t words = (cand.size() + 63) / 64;
-    std::vector<std::uint64_t> anc(static_cast<size_t>(n) * words, 0);
-    for (int v : order) {
-        const std::uint64_t *src = &anc[v * words];
-        int vcol = cols[v];
-        for (int e = g.succOff[v]; e < g.succOff[v + 1]; e++) {
-            std::uint64_t *dst =
-                &anc[static_cast<size_t>(g.succ[e]) * words];
-            for (size_t w = 0; w < words; w++)
-                dst[w] |= src[w];
-            if (vcol >= 0) {
-                dst[static_cast<size_t>(vcol) / 64] |= 1ULL
-                    << (static_cast<size_t>(vcol) % 64);
-            }
-        }
-    }
-    auto bit = [&](int of, int ancestor) {
-        int col = cols[ancestor];
-        return (anc[static_cast<size_t>(of) * words +
-                    static_cast<size_t>(col) / 64] >>
-                    (static_cast<size_t>(col) % 64) &
-                1) != 0;
-    };
-    for (const ConflictPair &pair : pairs) {
-        if (bit(pair.b, pair.a) || bit(pair.a, pair.b))
-            continue;
-        return raceMessage(g, pair);
-    }
-    return std::string();
-}
-
-/** Worker-count resolution shared by both engines. */
-int
-resolveThreads(int threads)
-{
-    if (threads > 0)
-        return threads;
-    return static_cast<int>(std::min(
-        16u, std::max(1u, std::thread::hardware_concurrency())));
-}
-
-/**
- * Per-rank parallel driver: ranks with conflict candidates drain
- * from a shared work list, and the lowest failing rank's message
- * wins, matching the serial whole-map sweep that visited locations
- * in (rank, buffer, chunk) order.
- */
-template <typename CheckRank>
-void
-driveRankChecks(const HbGraph &g,
-                std::vector<std::vector<LocEntry>> &rank_accesses,
-                int resolved, const CheckRank &check_rank)
-{
-    std::vector<int> work;
-    for (int r = 0; r < g.numRanks; r++) {
-        if (rank_accesses[r].size() > 1)
-            work.push_back(r);
-    }
-    std::vector<std::string> errors(g.numRanks);
-    resolved = std::min<int>(resolved, static_cast<int>(work.size()));
-    // Small programs aren't worth the thread spawns.
-    if (g.n() < 4096)
-        resolved = 1;
-
-    std::atomic<size_t> next{ 0 };
-    std::exception_ptr first_error;
-    std::mutex error_mu;
-    auto drain = [&]() {
-        for (;;) {
-            size_t w = next.fetch_add(1);
-            if (w >= work.size())
-                return;
-            try {
-                errors[work[w]] = check_rank(rank_accesses[work[w]]);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(error_mu);
-                if (!first_error)
-                    first_error = std::current_exception();
-                return;
-            }
-        }
-    };
-    if (resolved > 1) {
-        std::vector<std::thread> pool;
-        pool.reserve(resolved);
-        for (int t = 0; t < resolved; t++)
-            pool.emplace_back(drain);
-        for (std::thread &t : pool)
-            t.join();
-    } else {
-        drain();
-    }
-    if (first_error)
-        std::rethrow_exception(first_error);
-    for (int r = 0; r < g.numRanks; r++) {
-        if (!errors[r].empty())
-            throw VerificationError(errors[r]);
-    }
-}
 
 } // namespace
 
 void
-verifyRaceFree(const IrProgram &ir, int threads)
+verifyRaceFree(const IrProgram &ir)
 {
     HbGraph g = buildHbGraph(ir);
     std::vector<int> order = topoOrderOf(g);
-    int resolved = resolveThreads(threads);
-    ChainGraph chains = condenseChains(g, order, resolved);
-    std::vector<std::vector<LocEntry>> rank_accesses =
-        recordAccesses(g, ir);
-    driveRankChecks(g, rank_accesses, resolved,
-                    [&](std::vector<LocEntry> &entries) {
-                        return checkRankChains(g, chains, entries);
-                    });
-}
-
-void
-verifyRaceFreeReference(const IrProgram &ir, int threads)
-{
-    HbGraph g = buildHbGraph(ir);
-    std::vector<int> order = topoOrderOf(g);
-    std::vector<std::vector<LocEntry>> rank_accesses =
-        recordAccesses(g, ir);
-    driveRankChecks(g, rank_accesses, resolveThreads(threads),
-                    [&](std::vector<LocEntry> &entries) {
-                        return checkRankReference(g, order, entries);
-                    });
+    RaceWalk(g, ir, order).run();
 }
 
 } // namespace mscclang

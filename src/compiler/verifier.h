@@ -56,44 +56,33 @@ void verifyIr(const IrProgram &ir, const Collective &collective,
 
 /**
  * Structural data-race check (paper §5.2: processing edges between
- * thread blocks must be preserved as explicit dependencies): builds
- * the happens-before relation from thread block program order, cross
- * thread block dependencies, and FIFO-matched communication edges,
- * then demands every pair of conflicting accesses (same location,
- * overlapping byte fractions, at least one write) be ordered.
+ * thread blocks must be preserved as explicit dependencies). The
+ * happens-before relation is thread block program order, cross
+ * thread block dependencies, and FIFO-matched communication edges
+ * (the k-th send on a connection before its k-th receive); every
+ * pair of conflicting accesses — same rank, buffer and chunk,
+ * overlapping split fractions, at least one write — must be ordered
+ * by it.
  *
- * The graph is first condensed to chains with a lock-free concurrent
- * union-find (compiler/unionfind.h): edges whose tail has out-degree
- * 1 and whose head has in-degree 1 contract, so the long dependency
- * runs a compiled collective is made of collapse to single classes.
- * The contraction is exact, not conservative — cross-chain edges only
- * leave chain tails and enter chain heads, so chain-level
- * reachability coincides with instruction-level reachability, and
- * nodes sharing a chain are totally ordered. Conflicting accesses
- * always live on one rank, so reachability is then computed per rank
- * over only that rank's candidate chains (bitset columns restricted
- * to the candidate set, propagated over the condensed DAG); ranks
- * with no cross-thread-block conflict pairs are skipped outright, and
- * the per-rank checks run on a small thread pool for large programs.
- * The union-find partition depends only on the edge set, never on
- * thread interleaving, so verdicts and error messages are identical
- * to the serial whole-graph analysis for every thread count.
+ * One serial last-writer walk decides this exactly in near-linear
+ * time. It visits each rank's instructions, ranks in ascending order,
+ * in a linear extension of happens-before. Per location it keeps the
+ * last whole-chunk writer plus the readers and split writes since
+ * (AccessHistory, shared with lowering), and checks each access only
+ * against those entries: by transitivity through the shadowing
+ * writer, that orders every older conflicting access too. Each "a
+ * before b" query is first answered locally — same thread block, or
+ * b's thread block waited (at or before b's step) on a's at or after
+ * a's step through one direct dependency — and only on a miss by a
+ * search of the graph, pruned to the nodes between a and b in the
+ * linear extension.
  *
- * @param threads worker count for the contraction scan and the
- *        per-rank checks; 0 picks a hardware-sized default, 1 forces
- *        the serial path.
- * @throws VerificationError naming the first unordered conflict.
+ * @throws VerificationError naming the first unordered pair found, on
+ *         the lowest racy rank (lower instruction index first); a
+ *         connection whose send and receive counts differ; a cycle;
+ *         or an access outside its buffer's declared chunk count.
  */
-void verifyRaceFree(const IrProgram &ir, int threads = 0);
-
-/**
- * The pre-condensation race check — candidate columns are individual
- * instructions propagated over the full happens-before graph. Kept as
- * the differential-testing oracle for verifyRaceFree(): both engines
- * must agree verdict-for-verdict and message-for-message on every
- * program at every thread count.
- */
-void verifyRaceFreeReference(const IrProgram &ir, int threads = 0);
+void verifyRaceFree(const IrProgram &ir);
 
 } // namespace mscclang
 

@@ -773,10 +773,10 @@ racyReadWriteIr()
 }
 
 std::string
-raceVerdict(const IrProgram &ir, int threads)
+raceVerdict(const IrProgram &ir)
 {
     try {
-        verifyRaceFree(ir, threads);
+        verifyRaceFree(ir);
     } catch (const VerificationError &e) {
         return e.what();
     }
@@ -786,31 +786,14 @@ raceVerdict(const IrProgram &ir, int threads)
 TEST(Determinism, RaceVerdictsMatchGoldenMessages)
 {
     // Exact messages measured at the pre-overhaul whole-graph
-    // analysis; the partitioned parallel verifier must reproduce the
-    // same first error.
-    EXPECT_EQ(raceVerdict(racyWriteWriteIr(), 0),
+    // analysis; the last-writer walk must reproduce the same first
+    // error.
+    EXPECT_EQ(raceVerdict(racyWriteWriteIr()),
               "data race: rank 0 tb 0 step 0 and tb 1 step 0 "
               "access o[0] unordered");
-    EXPECT_EQ(raceVerdict(racyReadWriteIr(), 0),
+    EXPECT_EQ(raceVerdict(racyReadWriteIr()),
               "data race: rank 0 tb 0 step 0 and tb 1 step 0 "
               "access s[0] unordered");
-}
-
-TEST(Determinism, RaceVerdictsIndependentOfThreadCount)
-{
-    std::vector<IrProgram> cases = { racyWriteWriteIr(),
-                                     racyReadWriteIr() };
-    // A clean program too: every golden collective passes the race
-    // check at any worker count.
-    AlgoConfig i2;
-    i2.instances = 2;
-    cases.push_back(compileProgram(*makeRingAllReduce(8, 2, i2)).ir);
-    for (size_t i = 0; i < cases.size(); i++) {
-        SCOPED_TRACE(i);
-        std::string serial = raceVerdict(cases[i], 1);
-        for (int threads : { 2, 4, 8 })
-            EXPECT_EQ(raceVerdict(cases[i], threads), serial);
-    }
 }
 
 TEST(Determinism, SeededWorkloadSpecsAreByteIdentical)

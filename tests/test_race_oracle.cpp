@@ -1,0 +1,225 @@
+/**
+ * @file
+ * Differential tests of the race check against the reference oracle
+ * (race_oracle.h): on every program both must agree whether it is
+ * race free; on a racy one, the pair the check names must be on the
+ * oracle's lowest racy rank and the oracle must confirm it conflicting
+ * and unordered; FIFO-imbalance and cycle errors must match word for
+ * word.
+ */
+
+#include <gtest/gtest.h>
+
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "collectives/classic.h"
+#include "collectives/collectives.h"
+#include "common/error.h"
+#include "compiler/compiler.h"
+#include "compiler/verifier.h"
+#include "race_oracle.h"
+
+namespace mscclang {
+namespace {
+
+std::string
+verdictOf(void (*check)(const IrProgram &), const IrProgram &ir)
+{
+    try {
+        check(ir);
+        return std::string();
+    } catch (const VerificationError &error) {
+        return error.what();
+    }
+}
+
+/**
+ * Runs the race check and the oracle on @p ir, failing the test if
+ * they disagree, and returns the check's verdict ("" = race free).
+ */
+std::string
+checkedVerdict(const IrProgram &ir)
+{
+    std::string walk = verdictOf(&verifyRaceFree, ir);
+    std::string reference = verdictOf(&verifyRaceFreeReference, ir);
+    std::optional<ReportedRace> race = parseRaceMessage(walk);
+    std::optional<ReportedRace> expected = parseRaceMessage(reference);
+    if (!race || !expected) {
+        EXPECT_EQ(walk, reference);
+        return walk;
+    }
+    EXPECT_EQ(race->rank, expected->rank)
+        << walk << "\nreference: " << reference;
+    EXPECT_TRUE(confirmsRace(ir, *race)) << walk;
+    return walk;
+}
+
+/** Every cross-thread-block dependency of @p ir removed. */
+IrProgram
+stripDeps(IrProgram ir)
+{
+    for (IrGpu &gpu : ir.gpus.edit()) {
+        for (IrThreadBlock &tb : gpu.threadBlocks) {
+            for (IrInstruction &instr : tb.steps) {
+                instr.deps.clear();
+                instr.hasDep = false;
+            }
+        }
+    }
+    return ir;
+}
+
+std::vector<IrProgram>
+factorySuite()
+{
+    AlgoConfig config;
+    config.instances = 2;
+    AlgoConfig split;
+    split.hierSplit = 2;
+    std::vector<IrProgram> irs;
+    irs.push_back(compileProgram(*makeRingAllReduce(6, 3, config)).ir);
+    irs.push_back(compileProgram(*makeAllPairsAllReduce(6, config)).ir);
+    irs.push_back(
+        compileProgram(*makeHierarchicalAllReduce(2, 4, 2, config)).ir);
+    irs.push_back(
+        compileProgram(*makeTwoStepAllToAll(2, 3, config)).ir);
+    irs.push_back(compileProgram(*makeAllToNext(2, 4, config)).ir);
+    irs.push_back(
+        compileProgram(*makeRabenseifnerAllReduce(8, config)).ir);
+    irs.push_back(
+        compileProgram(*makeHierarchicalAllGather(2, 4, config)).ir);
+    irs.push_back(
+        compileProgram(*makeHierarchicalAllReduce(2, 4, 2, split)).ir);
+    return irs;
+}
+
+/** A rank-0 program of one-step thread blocks, one per instruction. */
+IrProgram
+oneStepBlocks(const std::vector<IrInstruction> &steps)
+{
+    IrProgram ir;
+    ir.numRanks = 1;
+    std::vector<IrGpu> &gpus = ir.gpus.edit();
+    gpus.resize(1);
+    gpus[0].inputChunks = 2;
+    gpus[0].outputChunks = 1;
+    for (size_t t = 0; t < steps.size(); t++) {
+        IrThreadBlock tb;
+        tb.id = static_cast<int>(t);
+        tb.steps.push_back(steps[t]);
+        gpus[0].threadBlocks.push_back(tb);
+    }
+    return ir;
+}
+
+TEST(RaceOracle, DifferentialVerdictsOnFactorySuite)
+{
+    std::vector<IrProgram> irs = factorySuite();
+    for (size_t i = 0; i < irs.size(); i++)
+        EXPECT_EQ(checkedVerdict(irs[i]), "") << "program " << i;
+}
+
+TEST(RaceOracle, DifferentialVerdictsOnStrippedFactorySuite)
+{
+    // Without their dependencies, the programs whose same-rank phase
+    // handoffs rely on them race; the others stay race free. Either
+    // way the two checks must agree.
+    int racy = 0;
+    std::vector<IrProgram> irs = factorySuite();
+    for (size_t i = 0; i < irs.size(); i++) {
+        std::string verdict = checkedVerdict(stripDeps(irs[i]));
+        if (!verdict.empty()) {
+            EXPECT_NE(verdict.find("data race"), std::string::npos)
+                << "program " << i << ": " << verdict;
+            racy++;
+        }
+    }
+    EXPECT_GT(racy, 0);
+}
+
+TEST(RaceOracle, DifferentialVerdictsOnLargeProgram)
+{
+    // Above 4096 instructions, clean and stripped of dependencies.
+    AlgoConfig config;
+    config.instances = 4;
+    IrProgram ir =
+        compileProgram(*makeRingAllReduce(32, 2, config)).ir;
+    EXPECT_GT(ir.totalInstructions(), 4096);
+    EXPECT_EQ(checkedVerdict(ir), "");
+    checkedVerdict(stripDeps(ir));
+}
+
+TEST(RaceOracle, DifferentialVerdictsOnRacyPrograms)
+{
+    // Stripped of its dependencies, a compiled hierarchical program
+    // (whose phase handoffs on a rank are ordered by deps, not FIFO
+    // edges) races.
+    AlgoConfig config;
+    config.instances = 2;
+    IrProgram ir = stripDeps(
+        compileProgram(*makeHierarchicalAllReduce(2, 4, 2, config)).ir);
+    std::string verdict = checkedVerdict(ir);
+    EXPECT_NE(verdict.find("data race"), std::string::npos) << verdict;
+
+    // The two-thread-block write-write race from the race checker
+    // suite, with the exact message pinned.
+    std::vector<IrInstruction> copies(2);
+    for (int t = 0; t < 2; t++) {
+        copies[t].op = IrOp::Copy;
+        copies[t].srcBuf = BufferKind::Input;
+        copies[t].srcOff = t;
+        copies[t].dstBuf = BufferKind::Output;
+    }
+    IrProgram racy = oneStepBlocks(copies);
+    EXPECT_EQ(checkedVerdict(racy),
+              "data race: rank 0 tb 0 step 0 and tb 1 step 0 access "
+              "o[0] unordered");
+
+    // One dependency orders the pair: the oracle no longer confirms
+    // it, and both checks accept the program.
+    ReportedRace pair = *parseRaceMessage(checkedVerdict(racy));
+    copies[1].deps.push_back(IrDep{ 0, 0 });
+    IrProgram ordered = oneStepBlocks(copies);
+    EXPECT_FALSE(confirmsRace(ordered, pair));
+    EXPECT_EQ(checkedVerdict(ordered), "");
+}
+
+TEST(RaceOracle, FifoImbalanceReportedIdentically)
+{
+    // An unmatched send must be rejected by both checks with the
+    // same connection named.
+    IrProgram ir;
+    ir.numRanks = 2;
+    std::vector<IrGpu> &gpus = ir.gpus.edit();
+    gpus.resize(2);
+    for (int r = 0; r < 2; r++) {
+        gpus[r].rank = r;
+        gpus[r].inputChunks = 1;
+        gpus[r].outputChunks = 1;
+    }
+    IrThreadBlock sender;
+    sender.id = 0;
+    sender.sendPeer = 1;
+    IrInstruction send;
+    send.op = IrOp::Send;
+    send.srcBuf = BufferKind::Input;
+    sender.steps.push_back(send);
+    gpus[0].threadBlocks.push_back(sender);
+    EXPECT_EQ(checkedVerdict(ir),
+              "race check: connection 0 -> 1 channel 0 has 1 sends "
+              "but 0 receives; FIFO pairing requires equal counts");
+}
+
+TEST(RaceOracle, CycleReportedIdentically)
+{
+    std::vector<IrInstruction> nops(2);
+    for (int t = 0; t < 2; t++)
+        nops[t].deps.push_back(IrDep{ 1 - t, 0 });
+    EXPECT_EQ(checkedVerdict(oneStepBlocks(nops)),
+              "race check: happens-before relation has a cycle");
+}
+
+} // namespace
+} // namespace mscclang

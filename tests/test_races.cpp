@@ -3,16 +3,23 @@
  * Tests for the structural data-race checker: compiler output must
  * always pass (races are prevented by construction, paper §5.2),
  * while hand-built IR with missing cross-thread-block dependencies
- * must be flagged with the offending pair.
+ * must be flagged with the offending pair, confirmed unordered by the
+ * reference oracle where the walk's own behaviour is at stake.
  */
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "collectives/classic.h"
 #include "collectives/collectives.h"
 #include "common/error.h"
+#include "compiler/access_history.h"
 #include "compiler/compiler.h"
 #include "compiler/verifier.h"
+#include "race_oracle.h"
 
 namespace mscclang {
 namespace {
@@ -174,6 +181,213 @@ TEST(RaceChecker, CyclicDependenciesRejected)
         gpus[0].threadBlocks.push_back(tb);
     }
     EXPECT_THROW(verifyRaceFree(ir), VerificationError);
+}
+
+/** Runs the race check; returns its message, or "" if it passes. */
+std::string
+raceVerdict(const IrProgram &ir)
+{
+    try {
+        verifyRaceFree(ir);
+    } catch (const VerificationError &error) {
+        return error.what();
+    }
+    return "";
+}
+
+IrInstruction
+copyOf(BufferKind src, int src_off, BufferKind dst, int dst_off)
+{
+    IrInstruction copy;
+    copy.op = IrOp::Copy;
+    copy.srcBuf = src;
+    copy.srcOff = src_off;
+    copy.dstBuf = dst;
+    copy.dstOff = dst_off;
+    return copy;
+}
+
+TEST(RaceChecker, SplitWritesDoNotShadowWholeRead)
+{
+    // Only a whole-chunk write starts a location's history over; a
+    // half write is appended after the entries it does not cover.
+    AccessHistory history({ 0, 0, 1 });
+    history.record(0, BufferKind::Scratch, 0, 7, 0, 1, false);
+    history.record(0, BufferKind::Scratch, 0, 8, 0, 2, true);
+    history.record(0, BufferKind::Scratch, 0, 9, 1, 2, true);
+    std::vector<int> nodes;
+    for (int e = history.head(0, BufferKind::Scratch, 0); e >= 0;
+         e = history.entry(e).next) {
+        nodes.push_back(history.entry(e).node);
+    }
+    EXPECT_EQ(nodes, (std::vector<int>{ 9, 8, 7 }));
+
+    // tb 2 reads all of s[0]; tb 0 writes its first half after that
+    // read (a dependency), tb 1 its second half with no ordering.
+    // The walk visits tb 2, then tb 0, then tb 1 (the Kahn order), so
+    // had tb 0's half write dropped the read, tb 1's race with it
+    // would go unseen.
+    IrProgram ir;
+    ir.numRanks = 1;
+    std::vector<IrGpu> &gpus = ir.gpus.edit();
+    gpus.resize(1);
+    gpus[0].inputChunks = 1;
+    gpus[0].outputChunks = 1;
+    gpus[0].scratchChunks = 1;
+    for (int t = 0; t < 3; t++) {
+        IrThreadBlock tb;
+        tb.id = t;
+        IrInstruction step =
+            t == 2 ? copyOf(BufferKind::Scratch, 0, BufferKind::Output, 0)
+                   : copyOf(BufferKind::Input, 0, BufferKind::Scratch, 0);
+        if (t < 2) {
+            step.splitIdx = t;
+            step.splitCount = 2;
+        }
+        if (t == 0)
+            step.deps.push_back(IrDep{ 2, 0 });
+        tb.steps.push_back(step);
+        gpus[0].threadBlocks.push_back(tb);
+    }
+    std::string verdict = raceVerdict(ir);
+    EXPECT_EQ(verdict, "data race: rank 0 tb 1 step 0 and tb 2 step 0 "
+                       "access s[0] unordered");
+    std::optional<ReportedRace> race = parseRaceMessage(verdict);
+    ASSERT_TRUE(race.has_value());
+    EXPECT_TRUE(confirmsRace(ir, *race));
+}
+
+/**
+ * Rank 0's tb 0 writes s[0] and then sends; rank 1 forwards the
+ * message back; rank 0's tb 1 receives it and then reads s[0]. With
+ * @p one_forwarder, rank 1 receives and sends on one thread block, so
+ * the write happens before the read through rank 1's FIFO chain;
+ * otherwise rank 1 splits the two across unordered thread blocks.
+ */
+IrProgram
+roundTripIr(bool one_forwarder)
+{
+    IrProgram ir;
+    ir.numRanks = 2;
+    std::vector<IrGpu> &gpus = ir.gpus.edit();
+    gpus.resize(2);
+    for (int r = 0; r < 2; r++) {
+        gpus[r].rank = r;
+        gpus[r].inputChunks = 1;
+        gpus[r].outputChunks = 1;
+        gpus[r].scratchChunks = 2;
+    }
+    IrInstruction send;
+    send.op = IrOp::Send;
+    send.srcBuf = BufferKind::Input;
+    IrInstruction recv;
+    recv.op = IrOp::Recv;
+    recv.dstBuf = BufferKind::Scratch;
+    recv.dstOff = 1;
+
+    IrThreadBlock writer;
+    writer.id = 0;
+    writer.sendPeer = 1;
+    writer.steps.push_back(
+        copyOf(BufferKind::Input, 0, BufferKind::Scratch, 0));
+    writer.steps.push_back(send);
+    IrThreadBlock reader;
+    reader.id = 1;
+    reader.recvPeer = 1;
+    reader.steps.push_back(recv);
+    reader.steps.push_back(
+        copyOf(BufferKind::Scratch, 0, BufferKind::Output, 0));
+    gpus[0].threadBlocks = { writer, reader };
+
+    IrThreadBlock in;
+    in.id = 0;
+    in.recvPeer = 0;
+    in.steps.push_back(recv);
+    IrThreadBlock out;
+    out.id = 1;
+    out.sendPeer = 0;
+    out.steps.push_back(send);
+    if (one_forwarder) {
+        in.sendPeer = 0;
+        in.steps.push_back(send);
+        gpus[1].threadBlocks = { in };
+    } else {
+        gpus[1].threadBlocks = { in, out };
+    }
+    return ir;
+}
+
+TEST(RaceChecker, OrderedOnlyThroughAnotherRanksFifoChain)
+{
+    // No dependency orders rank 0's two thread blocks, so the local
+    // check misses and the graph search must find the round trip.
+    EXPECT_EQ(raceVerdict(roundTripIr(true)), "");
+
+    // Break rank 1's chain and the same pair is a race.
+    IrProgram broken = roundTripIr(false);
+    std::string verdict = raceVerdict(broken);
+    EXPECT_EQ(verdict, "data race: rank 0 tb 0 step 0 and tb 1 step 1 "
+                       "access s[0] unordered");
+    std::optional<ReportedRace> race = parseRaceMessage(verdict);
+    ASSERT_TRUE(race.has_value());
+    EXPECT_TRUE(confirmsRace(broken, *race));
+}
+
+TEST(RaceChecker, DependencyOrdersOnlyUpToItsStep)
+{
+    // tb 1 waits on tb 0's step 0, but tb 0 writes s[0] at step 1:
+    // the read is ordered after the dependency's step only.
+    auto program = [](int dep_step) {
+        IrProgram ir;
+        ir.numRanks = 1;
+        std::vector<IrGpu> &gpus = ir.gpus.edit();
+        gpus.resize(1);
+        gpus[0].inputChunks = 1;
+        gpus[0].outputChunks = 1;
+        gpus[0].scratchChunks = 2;
+        IrThreadBlock writer;
+        writer.id = 0;
+        writer.steps.push_back(
+            copyOf(BufferKind::Input, 0, BufferKind::Scratch, 1));
+        writer.steps.push_back(
+            copyOf(BufferKind::Input, 0, BufferKind::Scratch, 0));
+        IrThreadBlock reader;
+        reader.id = 1;
+        reader.steps.push_back(
+            copyOf(BufferKind::Scratch, 0, BufferKind::Output, 0));
+        reader.steps[0].deps.push_back(IrDep{ 0, dep_step });
+        gpus[0].threadBlocks = { writer, reader };
+        return ir;
+    };
+    EXPECT_EQ(raceVerdict(program(0)),
+              "data race: rank 0 tb 0 step 1 and tb 1 step 0 access "
+              "s[0] unordered");
+    EXPECT_EQ(raceVerdict(program(1)), "");
+}
+
+TEST(RaceChecker, OutOfBoundsAccessIsNamed)
+{
+    // A two-chunk copy out of a one-chunk input buffer.
+    IrProgram ir;
+    ir.numRanks = 1;
+    std::vector<IrGpu> &gpus = ir.gpus.edit();
+    gpus.resize(1);
+    gpus[0].inputChunks = 1;
+    gpus[0].outputChunks = 2;
+    IrThreadBlock tb;
+    tb.id = 0;
+    IrInstruction copy =
+        copyOf(BufferKind::Input, 0, BufferKind::Output, 0);
+    copy.count = 2;
+    tb.steps.push_back(copy);
+    gpus[0].threadBlocks.push_back(tb);
+    EXPECT_EQ(raceVerdict(ir),
+              "race check: rank 0 i[1] out of bounds (1 chunks)");
+
+    // A negative declared count holds no chunks at all.
+    ir.gpus.edit()[0].inputChunks = -1;
+    EXPECT_EQ(raceVerdict(ir),
+              "race check: rank 0 i[0] out of bounds (0 chunks)");
 }
 
 } // namespace

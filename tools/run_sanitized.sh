@@ -10,8 +10,9 @@
 # queued Launch action: the bucket queue and the send arena must be
 # freed while flows may still call back), and the
 # compiler's shared paths — the plan cache's locked LRU + disk spill
-# and the parallel race verifier's per-rank thread pool — plus the
-# workload replay engine (Workload|Replay|Slo), which multiplexes
+# and the race check's flat access history, checked against its
+# reference oracle (RaceChecker|RaceOracle) — plus the workload replay
+# engine (Workload|Replay|Slo), which multiplexes
 # live executions and recovery retries over one shared fabric, and
 # the compiler passes (Schedule|CompileStats|InstrGraph|Lowering|
 # Fusion|ChunkDag), whose dense index arrays are where off-by-ones
@@ -35,14 +36,12 @@
 #
 # With --tsan, builds a third tree with ThreadSanitizer instead
 # (-DMSCCLANG_TSAN=ON; TSan cannot link with ASan) and runs the
-# suites that still start threads (the simulator itself is
-# single-threaded): the schedule search's and the tuner's sweep
-# workers, each running independent simulations (Search, Tuner), the
-# race verifier's thread pool (Races), its lock-free union-find
-# contraction plus its differential engine sweeps (UnionFind,
-# Hierarchical), and the plan cache's memoized program fingerprint
-# under concurrent compiles of one program and the shared plan body
-# under concurrent hits of one key (PlanCache).
+# suites that still start threads (the simulator and the compiler,
+# race check included, are single-threaded): the schedule search's
+# and the tuner's sweep workers, each running independent
+# simulations (Search, Tuner), and the plan cache's memoized program
+# fingerprint under concurrent compiles of one program and the shared
+# plan body under concurrent hits of one key (PlanCache).
 # Registered as the "tsan" ctest configuration (ctest -C tsan).
 #
 # Every mode finishes with a flake check: the suites that write
@@ -67,11 +66,11 @@ fi
 if [[ "$TSAN" == "1" ]]; then
     BUILD_DIR="${BUILD_DIR:-build-tsan}"
     SANITIZE_FLAG="-DMSCCLANG_TSAN=ON"
-    FILTER="${1:-Search|Tuner|Races|UnionFind|Hierarchical|PlanCache}"
+    FILTER="${1:-Search|Tuner|PlanCache}"
 else
     BUILD_DIR="${BUILD_DIR:-build-asan}"
     SANITIZE_FLAG="-DMSCCLANG_SANITIZE=ON"
-    FILTER="${1:-Faults|Watchdog|Communicator|Interpreter|EventQueue|IndexedHeap|Flow|Recovery|Health|PlanCache|Determinism|Races|Search|Workload|Replay|Slo|Hierarchical|UnionFind|Schedule|CompileStats|InstrGraph|Lowering|Fusion|ChunkDag|Verifier|IrXml|Xml|Tuner|ChunkValue|Program}"
+    FILTER="${1:-Faults|Watchdog|Communicator|Interpreter|EventQueue|IndexedHeap|Flow|Recovery|Health|PlanCache|Determinism|RaceChecker|Search|Workload|Replay|Slo|Hierarchical|RaceOracle|Schedule|CompileStats|InstrGraph|Lowering|Fusion|ChunkDag|Verifier|IrXml|Xml|Tuner|ChunkValue|Program}"
 fi
 
 cmake -B "$BUILD_DIR" -S . "$SANITIZE_FLAG" \
@@ -79,7 +78,7 @@ cmake -B "$BUILD_DIR" -S . "$SANITIZE_FLAG" \
 cmake --build "$BUILD_DIR" --target test_faults test_interpreter \
     test_sim test_races test_recovery test_plan_cache \
     test_determinism test_search test_workload test_hierarchical \
-    test_unionfind test_tuner test_schedule test_compiler \
+    test_race_oracle test_tuner test_schedule test_compiler \
     test_instr_graph test_lowering test_verifier test_xml test_chunk \
     test_dsl -j"$(nproc)"
 
