@@ -1,8 +1,8 @@
 /**
  * @file
  * The paper's programmability claim (§7): "All our programs require
- * less than 30 lines of code". This table reports each collective
- * builder's DSL statement count together with what the compiler
+ * less than 30 lines of code". This table reports each catalogued
+ * algorithm's DSL statement count together with what the compiler
  * expands it into — traced operations, instructions before/after
  * fusion, channels and thread blocks — the quantitative version of
  * the paper's 15-vs-70-line Two-Step comparison.
@@ -23,8 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "collectives/classic.h"
-#include "collectives/collectives.h"
+#include "collectives/catalog.h"
 #include "compiler/compiler.h"
 
 using namespace mscclang;
@@ -131,74 +130,25 @@ main(int argc, char **argv)
         }
     }
 
+    // Every catalogue entry, built as mscclang_compile builds it with
+    // default flags: on ndv4:2, or on the DGX-1 when the entry's
+    // shape check needs it.
     Topology ndv4 = makeNdv4(2);
     Topology dgx1 = makeDgx1();
-
-    struct Row
-    {
-        const char *name;
-        std::unique_ptr<Program> prog;
-        const Topology *topo;
-    };
-    std::vector<Row> rows;
-    AlgoConfig config;
-    rows.push_back({ "ring_allreduce",
-                     makeRingAllReduce(16, 4, config), nullptr });
-    rows.push_back({ "allpairs_allreduce",
-                     makeAllPairsAllReduce(8, config), nullptr });
-    rows.push_back({ "hierarchical_allreduce",
-                     makeHierarchicalAllReduce(2, 8, 2, config),
-                     nullptr });
-    rows.push_back({ "twostep_alltoall",
-                     makeTwoStepAllToAll(2, 8, config), nullptr });
-    rows.push_back({ "naive_alltoall", makeNaiveAllToAll(16, config),
-                     nullptr });
-    rows.push_back({ "alltonext", makeAllToNext(2, 8, config),
-                     nullptr });
-    rows.push_back({ "ring_allgather", makeRingAllGather(8, 2, config),
-                     nullptr });
-    rows.push_back({ "sccl_allgather_122",
-                     makeSccl122AllGather(dgx1, config), &dgx1 });
-    rows.push_back({ "tree_allreduce",
-                     makeDoubleBinaryTreeAllReduce(8, config),
-                     nullptr });
-    rows.push_back({ "rhalving_reducescatter",
-                     makeRecursiveHalvingReduceScatter(8, config),
-                     nullptr });
-    rows.push_back({ "rdoubling_allgather",
-                     makeRecursiveDoublingAllGather(8, config),
-                     nullptr });
-    rows.push_back({ "rabenseifner_allreduce",
-                     makeRabenseifnerAllReduce(8, config), nullptr });
-    rows.push_back({ "ring_broadcast",
-                     makeRingBroadcast(8, 0, 4, config), nullptr });
-    rows.push_back({ "binomial_broadcast",
-                     makeBinomialBroadcast(8, 0, config), nullptr });
-    rows.push_back({ "hierarchical_allgather",
-                     makeHierarchicalAllGather(2, 8, config),
-                     nullptr });
-
-    std::vector<ProgramLoc> loc = collectiveProgramLoc();
-    auto loc_of = [&](const char *name) {
-        for (const ProgramLoc &entry : loc) {
-            if (std::string(entry.name) == name)
-                return entry.loc;
-        }
-        return 0;
-    };
-
     std::printf("# Program size table (paper §7: every program < 30 "
                 "DSL lines)\n");
     std::printf("%-24s %6s %9s %10s %9s %6s %5s %5s %5s %5s\n",
                 "program", "LoC", "trace-ops", "instr-pre",
                 "instr-post", "chans", "tbs", "rcs", "rrcs", "rrs");
-    for (Row &row : rows) {
+    for (const AlgoEntry &entry : algoCatalog()) {
+        const Topology &topo = entry.fits(ndv4) ? ndv4 : dgx1;
+        std::unique_ptr<Program> prog = entry.build(
+            topo, AlgoConfig{}, /*channels=*/1, /*root=*/0, /*chunks=*/4);
         CompileOptions copts;
-        if (row.topo != nullptr)
-            copts.topology = row.topo;
-        Compiled out = compileProgram(*row.prog, copts);
+        copts.topology = &topo;
+        Compiled out = compileProgram(*prog, copts);
         std::printf("%-24s %6d %9d %10d %9d %6d %5d %5d %5d %5d\n",
-                    row.name, loc_of(row.name), out.stats.traceOps,
+                    entry.name, entry.loc, out.stats.traceOps,
                     out.stats.instrsBeforeFusion,
                     out.stats.instrsAfterFusion, out.stats.channels,
                     out.stats.maxThreadBlocks, out.stats.fusion.rcs,

@@ -2,29 +2,13 @@
 
 #include <functional>
 
+#include "collectives/catalog.h"
 #include "common/error.h"
 #include "common/strings.h"
 
 namespace mscclang {
 
 namespace {
-
-ProgramOptions
-baseOptions(std::string name, const AlgoConfig &config)
-{
-    ProgramOptions options;
-    options.name = std::move(name);
-    options.protocol = config.protocol;
-    options.instances = config.instances;
-    options.reduceOp = config.reduceOp;
-    return options;
-}
-
-bool
-isPowerOfTwo(int n)
-{
-    return n > 0 && (n & (n - 1)) == 0;
-}
 
 void
 requirePowerOfTwo(const char *what, int n)
@@ -43,10 +27,9 @@ makeDoubleBinaryTreeAllReduce(int num_ranks, const AlgoConfig &config)
         throw Error("tree allreduce needs at least 2 ranks");
     auto coll = std::make_shared<AllReduceCollective>(num_ranks, 2);
     checkAlgoConfig("tree allreduce", config,
-                    /*allows_aggregate=*/false);
+                    algoEntry("tree_allreduce").knobs);
     auto prog = std::make_unique<Program>(
-        coll,
-        baseOptions(algoKnobName("tree_allreduce", config), config));
+        coll, algoProgramOptions("tree_allreduce", config));
     ParallelizeScope scope = prog->parallelize(config.parallelize);
 
     // Tree 0 is the binary heap over 0..R-1; tree 1 is its mirror,
@@ -98,10 +81,9 @@ makeRecursiveHalvingReduceScatter(int num_ranks,
     auto coll =
         std::make_shared<ReduceScatterCollective>(num_ranks, 1);
     checkAlgoConfig("recursive-halving reducescatter", config,
-                    /*allows_aggregate=*/false);
+                    algoEntry("rhalving_reducescatter").knobs);
     auto prog = std::make_unique<Program>(
-        coll,
-        baseOptions(algoKnobName("rhalving_reducescatter", config), config));
+        coll, algoProgramOptions("rhalving_reducescatter", config));
     ParallelizeScope scope = prog->parallelize(config.parallelize);
 
     std::vector<int> lo(num_ranks, 0);
@@ -135,10 +117,9 @@ makeRecursiveDoublingAllGather(int num_ranks, const AlgoConfig &config)
     requirePowerOfTwo("recursive-doubling allgather", num_ranks);
     auto coll = std::make_shared<AllGatherCollective>(num_ranks, 1);
     checkAlgoConfig("recursive-doubling allgather", config,
-                    /*allows_aggregate=*/false);
+                    algoEntry("rdoubling_allgather").knobs);
     auto prog = std::make_unique<Program>(
-        coll,
-        baseOptions(algoKnobName("rdoubling_allgather", config), config));
+        coll, algoProgramOptions("rdoubling_allgather", config));
     ParallelizeScope scope = prog->parallelize(config.parallelize);
 
     for (Rank r = 0; r < num_ranks; r++) {
@@ -167,10 +148,9 @@ makeRabenseifnerAllReduce(int num_ranks, const AlgoConfig &config)
     auto coll =
         std::make_shared<AllReduceCollective>(num_ranks, num_ranks);
     checkAlgoConfig("rabenseifner allreduce", config,
-                    /*allows_aggregate=*/false);
+                    algoEntry("rabenseifner_allreduce").knobs);
     auto prog = std::make_unique<Program>(
-        coll,
-        baseOptions(algoKnobName("rabenseifner_allreduce", config), config));
+        coll, algoProgramOptions("rabenseifner_allreduce", config));
     ParallelizeScope scope = prog->parallelize(config.parallelize);
 
     // Recursive-halving ReduceScatter on the input buffer.
@@ -210,10 +190,9 @@ makeRingBroadcast(int num_ranks, Rank root, int chunks,
     auto coll = std::make_shared<BroadcastCollective>(num_ranks, chunks,
                                                       root);
     checkAlgoConfig("ring broadcast", config,
-                    /*allows_aggregate=*/false);
+                    algoEntry("ring_broadcast").knobs);
     auto prog = std::make_unique<Program>(
-        coll,
-        baseOptions(algoKnobName("ring_broadcast", config), config));
+        coll, algoProgramOptions("ring_broadcast", config));
     ParallelizeScope scope = prog->parallelize(config.parallelize);
     for (int j = 0; j < chunks; j++) {
         ChunkRef c = prog->chunk(root, BufferKind::Input, j)
@@ -232,10 +211,9 @@ makeBinomialBroadcast(int num_ranks, Rank root, const AlgoConfig &config)
     auto coll =
         std::make_shared<BroadcastCollective>(num_ranks, 1, root);
     checkAlgoConfig("binomial broadcast", config,
-                    /*allows_aggregate=*/false);
+                    algoEntry("binomial_broadcast").knobs);
     auto prog = std::make_unique<Program>(
-        coll,
-        baseOptions(algoKnobName("binomial_broadcast", config), config));
+        coll, algoProgramOptions("binomial_broadcast", config));
     ParallelizeScope scope = prog->parallelize(config.parallelize);
     prog->chunk(root, BufferKind::Input, 0)
         .copy(root, BufferKind::Output, 0);
@@ -257,8 +235,7 @@ makeHierarchicalAllGather(int num_nodes, int gpus_per_node,
     int R = num_nodes * gpus_per_node;
     auto coll = std::make_shared<AllGatherCollective>(R, 1);
     checkAlgoConfig("hierarchical allgather", config,
-                    /*allows_aggregate=*/false,
-                    /*allows_hier_split=*/true);
+                    algoEntry("hierarchical_allgather").knobs);
     // Groups of s consecutive ranks are the virtual nodes: s =
     // gpus_per_node swaps whole physical-node blocks, smaller
     // divisors swap smaller blocks between more groups.
@@ -266,8 +243,7 @@ makeHierarchicalAllGather(int num_nodes, int gpus_per_node,
                           config);
     int V = R / s;
     auto prog = std::make_unique<Program>(
-        coll,
-        baseOptions(algoKnobName("hierarchical_allgather", config), config));
+        coll, algoProgramOptions("hierarchical_allgather", config));
     ParallelizeScope scope = prog->parallelize(config.parallelize);
 
     // Phase 1 (channel 0): intra-group ring AllGather assembles each

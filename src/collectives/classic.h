@@ -24,6 +24,14 @@
 
 namespace mscclang {
 
+/** True for 1, 2, 4, ...: the rank counts the hypercube exchanges
+ *  (recursive halving and doubling) need. */
+inline bool
+isPowerOfTwo(int n)
+{
+    return n > 0 && (n & (n - 1)) == 0;
+}
+
 /**
  * Double binary tree AllReduce over @p num_ranks (>= 2): the buffer
  * splits into two chunks; chunk 0 is reduced up / broadcast down a

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "collectives/catalog.h"
 #include "common/error.h"
 #include "common/strings.h"
 
@@ -52,22 +53,11 @@ ringAllGather(Program &prog, const std::vector<Rank> &ranks, int offset,
     }
 }
 
-ProgramOptions
-baseOptions(std::string name, const AlgoConfig &config)
-{
-    ProgramOptions options;
-    options.name = std::move(name);
-    options.protocol = config.protocol;
-    options.instances = config.instances;
-    options.reduceOp = config.reduceOp;
-    return options;
-}
-
 } // namespace
 
 void
 checkAlgoConfig(const char *what, const AlgoConfig &config,
-                bool allows_aggregate, bool allows_hier_split)
+                const AlgoKnobs &knobs)
 {
     if (config.instances < 1 || config.parallelize < 1 ||
         config.aggregate < 1) {
@@ -77,12 +67,12 @@ checkAlgoConfig(const char *what, const AlgoConfig &config,
     }
     if (config.hierSplit < 0)
         throw Error(strprintf("%s: hierSplit must be >= 0", what));
-    if (!allows_aggregate && config.aggregate != 1) {
+    if (!knobs.aggregate && config.aggregate != 1) {
         throw Error(strprintf(
             "%s: send aggregation (aggregate=%d) is not supported by "
             "this builder", what, config.aggregate));
     }
-    if (!allows_hier_split && config.hierSplit != 0) {
+    if (!knobs.hierSplit && config.hierSplit != 0) {
         throw Error(strprintf(
             "%s: the hierarchy split (hierSplit=%d) is not supported "
             "by this builder", what, config.hierSplit));
@@ -99,6 +89,17 @@ algoKnobName(std::string name, const AlgoConfig &config)
     if (config.hierSplit > 0)
         name += strprintf("_h%d", config.hierSplit);
     return name;
+}
+
+ProgramOptions
+algoProgramOptions(std::string name, const AlgoConfig &config)
+{
+    ProgramOptions options;
+    options.name = algoKnobName(std::move(name), config);
+    options.protocol = config.protocol;
+    options.instances = config.instances;
+    options.reduceOp = config.reduceOp;
+    return options;
 }
 
 void
@@ -122,15 +123,15 @@ makeRingAllReduce(int num_ranks, int channels, const AlgoConfig &config)
 {
     if (channels < 1)
         throw Error("ring allreduce: channels must be >= 1");
-    checkAlgoConfig("ring allreduce", config, /*allows_aggregate=*/true);
+    checkAlgoConfig("ring allreduce", config,
+                    algoEntry("ring_allreduce").knobs);
     int agg = config.aggregate;
     auto coll = std::make_shared<AllReduceCollective>(num_ranks,
                                                       num_ranks * agg);
     auto prog = std::make_unique<Program>(
         coll,
-        baseOptions(algoKnobName(strprintf("ring_allreduce_ch%d", channels),
-                             config),
-                    config));
+        algoProgramOptions(strprintf("ring_allreduce_ch%d", channels),
+                           config));
     std::vector<Rank> ranks(num_ranks);
     for (int r = 0; r < num_ranks; r++)
         ranks[r] = r;
@@ -147,16 +148,14 @@ makeRingAllReduceOutOfPlace(int num_ranks, int channels,
 {
     if (channels < 1)
         throw Error("ring allreduce: channels must be >= 1");
-    checkAlgoConfig("ring allreduce oop", config, /*allows_aggregate=*/true);
+    checkAlgoConfig("ring allreduce oop", config, { .aggregate = true });
     int agg = config.aggregate;
     auto coll = std::make_shared<AllReduceCollective>(
         num_ranks, num_ranks * agg, /*in_place=*/false);
     auto prog = std::make_unique<Program>(
         coll,
-        baseOptions(
-            algoKnobName(strprintf("ring_allreduce_oop_ch%d", channels),
-                     config),
-            config));
+        algoProgramOptions(
+            strprintf("ring_allreduce_oop_ch%d", channels), config));
     std::vector<Rank> ranks(num_ranks);
     for (int r = 0; r < num_ranks; r++)
         ranks[r] = r;
@@ -180,12 +179,11 @@ std::unique_ptr<Program>
 makeAllPairsAllReduce(int num_ranks, const AlgoConfig &config)
 {
     checkAlgoConfig("allpairs allreduce", config,
-                /*allows_aggregate=*/false);
+                    algoEntry("allpairs_allreduce").knobs);
     auto coll = std::make_shared<AllReduceCollective>(num_ranks,
                                                       num_ranks);
     auto prog = std::make_unique<Program>(
-        coll,
-        baseOptions(algoKnobName("allpairs_allreduce", config), config));
+        coll, algoProgramOptions("allpairs_allreduce", config));
     ParallelizeScope scope = prog->parallelize(config.parallelize);
     for (Rank r = 0; r < num_ranks; r++) {
         // Step 1: gather chunk r from every peer into scratch.
@@ -233,7 +231,7 @@ makeHierarchicalAllReduce(int num_nodes, int gpus_per_node,
     if (intra_parallel < 1)
         throw Error("hierarchical allreduce: intra_parallel must be >= 1");
     checkAlgoConfig("hierarchical allreduce", config,
-                /*allows_aggregate=*/false, /*allows_hier_split=*/true);
+                    algoEntry("hierarchical_allreduce").knobs);
     // Groups of s consecutive ranks are the virtual nodes of the
     // hierarchy: s = gpus_per_node is Figure 3 verbatim, s = 1
     // degenerates to one flat ring, and intermediate divisors trade
@@ -243,8 +241,7 @@ makeHierarchicalAllReduce(int num_nodes, int gpus_per_node,
     int V = R / s;
     auto coll = std::make_shared<AllReduceCollective>(R, R);
     auto prog = std::make_unique<Program>(
-        coll,
-        baseOptions(algoKnobName("hierarchical_allreduce", config), config));
+        coll, algoProgramOptions("hierarchical_allreduce", config));
     ParallelizeScope outer = prog->parallelize(config.parallelize);
 
     // Intra-group ReduceScatter (channel 0), chunk-parallelized.
@@ -280,10 +277,11 @@ makeTwoStepAllToAll(int num_nodes, int gpus_per_node,
 {
     int N = num_nodes, G = gpus_per_node;
     int R = N * G;
-    checkAlgoConfig("twostep alltoall", config, /*allows_aggregate=*/false);
+    checkAlgoConfig("twostep alltoall", config,
+                    algoEntry("twostep_alltoall").knobs);
     auto coll = std::make_shared<AllToAllCollective>(R, 1);
     auto prog = std::make_unique<Program>(
-        coll, baseOptions(algoKnobName("twostep_alltoall", config), config));
+        coll, algoProgramOptions("twostep_alltoall", config));
     ParallelizeScope scope = prog->parallelize(config.parallelize);
 
     // Figure 9, verbatim.
@@ -318,10 +316,11 @@ makeTwoStepAllToAll(int num_nodes, int gpus_per_node,
 std::unique_ptr<Program>
 makeNaiveAllToAll(int num_ranks, const AlgoConfig &config)
 {
-    checkAlgoConfig("naive alltoall", config, /*allows_aggregate=*/false);
+    checkAlgoConfig("naive alltoall", config,
+                    algoEntry("naive_alltoall").knobs);
     auto coll = std::make_shared<AllToAllCollective>(num_ranks, 1);
     auto prog = std::make_unique<Program>(
-        coll, baseOptions(algoKnobName("naive_alltoall", config), config));
+        coll, algoProgramOptions("naive_alltoall", config));
     ParallelizeScope scope = prog->parallelize(config.parallelize);
     for (Rank src = 0; src < num_ranks; src++) {
         for (Rank dst = 0; dst < num_ranks; dst++) {
@@ -337,10 +336,11 @@ makeAllToNext(int num_nodes, int gpus_per_node, const AlgoConfig &config)
 {
     int N = num_nodes, G = gpus_per_node;
     int R = N * G;
-    checkAlgoConfig("alltonext", config, /*allows_aggregate=*/false);
+    checkAlgoConfig("alltonext", config,
+                    algoEntry("alltonext").knobs);
     auto coll = std::make_shared<AllToNextCollective>(R, G);
     auto prog = std::make_unique<Program>(
-        coll, baseOptions(algoKnobName("alltonext", config), config));
+        coll, algoProgramOptions("alltonext", config));
     ParallelizeScope scope = prog->parallelize(config.parallelize);
 
     for (Rank r = 0; r + 1 < R; r++) {
@@ -371,11 +371,10 @@ makeNaiveAllToNext(int num_nodes, int gpus_per_node,
                    const AlgoConfig &config)
 {
     int R = num_nodes * gpus_per_node;
-    checkAlgoConfig("naive alltonext", config, /*allows_aggregate=*/false);
+    checkAlgoConfig("naive alltonext", config);
     auto coll = std::make_shared<AllToNextCollective>(R, gpus_per_node);
     auto prog = std::make_unique<Program>(
-        coll,
-        baseOptions(algoKnobName("naive_alltonext", config), config));
+        coll, algoProgramOptions("naive_alltonext", config));
     ParallelizeScope scope = prog->parallelize(config.parallelize);
     for (Rank r = 0; r + 1 < R; r++) {
         prog->chunk(r, BufferKind::Input, 0, gpus_per_node)
@@ -389,11 +388,12 @@ makeRingAllGather(int num_ranks, int channels, const AlgoConfig &config)
 {
     if (channels < 1)
         throw Error("ring allgather: channels must be >= 1");
-    checkAlgoConfig("ring allgather", config, /*allows_aggregate=*/true);
+    checkAlgoConfig("ring allgather", config,
+                    algoEntry("ring_allgather").knobs);
     int agg = config.aggregate;
     auto coll = std::make_shared<AllGatherCollective>(num_ranks, agg);
     auto prog = std::make_unique<Program>(
-        coll, baseOptions(algoKnobName("ring_allgather", config), config));
+        coll, algoProgramOptions("ring_allgather", config));
     ParallelizeScope scope = prog->parallelize(config.parallelize);
     for (Rank r = 0; r < num_ranks; r++) {
         ChunkRef c = prog->chunk(r, BufferKind::Input, 0, agg)
@@ -495,18 +495,14 @@ makeRingAllReduceOver(const std::vector<Rank> &order, int channels,
     if (channels < 1)
         throw Error("ring allreduce: channels must be >= 1");
     checkRingOrder(order, "ring allreduce over");
-    checkAlgoConfig("ring allreduce over", config,
-                /*allows_aggregate=*/true);
+    checkAlgoConfig("ring allreduce over", config, { .aggregate = true });
     int R = static_cast<int>(order.size());
     int agg = config.aggregate;
     auto coll = std::make_shared<AllReduceCollective>(R, R * agg);
     auto prog = std::make_unique<Program>(
         coll,
-        baseOptions(
-            algoKnobName(
-                strprintf("ring_allreduce_reformed_ch%d", channels),
-                config),
-            config));
+        algoProgramOptions(
+            strprintf("ring_allreduce_reformed_ch%d", channels), config));
     auto channel_of = [channels](int block) { return block % channels; };
     ParallelizeScope scope = prog->parallelize(config.parallelize);
     ringReduceScatter(*prog, order, 0, agg, channel_of);
@@ -521,14 +517,11 @@ makeRingAllGatherOver(const std::vector<Rank> &order, int channels,
     if (channels < 1)
         throw Error("ring allgather: channels must be >= 1");
     checkRingOrder(order, "ring allgather over");
-    checkAlgoConfig("ring allgather over", config,
-                /*allows_aggregate=*/false);
+    checkAlgoConfig("ring allgather over", config);
     int R = static_cast<int>(order.size());
     auto coll = std::make_shared<AllGatherCollective>(R, 1);
     auto prog = std::make_unique<Program>(
-        coll,
-        baseOptions(algoKnobName("ring_allgather_reformed", config),
-                    config));
+        coll, algoProgramOptions("ring_allgather_reformed", config));
     ParallelizeScope scope = prog->parallelize(config.parallelize);
     for (int i = 0; i < R; i++) {
         Rank owner = order[i];
@@ -548,11 +541,10 @@ makeSccl122AllGather(const Topology &topology, const AlgoConfig &config)
 {
     int R = topology.numRanks();
     checkAlgoConfig("sccl allgather 122", config,
-                /*allows_aggregate=*/false);
+                    algoEntry("sccl_allgather_122").knobs);
     auto coll = std::make_shared<AllGatherCollective>(R, 2);
     auto prog = std::make_unique<Program>(
-        coll,
-        baseOptions(algoKnobName("sccl_allgather_122", config), config));
+        coll, algoProgramOptions("sccl_allgather_122", config));
     ParallelizeScope scope = prog->parallelize(config.parallelize);
 
     auto neighbors = [&](Rank r) {
@@ -603,31 +595,6 @@ makeSccl122AllGather(const Topology &topology, const AlgoConfig &config)
         }
     }
     return prog;
-}
-
-std::vector<ProgramLoc>
-collectiveProgramLoc()
-{
-    // DSL statement counts of the builders above, counting only the
-    // algorithm logic (loops + chunk operations), mirroring how §7
-    // counts "lines of code" for its <30 LoC claim.
-    return {
-        { "ring_allreduce", 12 },
-        { "allpairs_allreduce", 14 },
-        { "hierarchical_allreduce", 18 },
-        { "twostep_alltoall", 15 },
-        { "naive_alltoall", 4 },
-        { "alltonext", 14 },
-        { "ring_allgather", 7 },
-        { "sccl_allgather_122", 22 },
-        { "tree_allreduce", 16 },
-        { "rhalving_reducescatter", 13 },
-        { "rdoubling_allgather", 11 },
-        { "rabenseifner_allreduce", 17 },
-        { "ring_broadcast", 6 },
-        { "binomial_broadcast", 6 },
-        { "hierarchical_allgather", 12 },
-    };
 }
 
 } // namespace mscclang

@@ -19,6 +19,7 @@
 #define MSCCLANG_COLLECTIVES_COLLECTIVES_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "dsl/program.h"
@@ -42,10 +43,10 @@ struct AlgoConfig
     int parallelize = 1;
     /**
      * Contiguous chunks moved per ring block as one multi-count
-     * reference (paper §3.3 send aggregation); 1 = off. Only the
-     * ring-family builders honor values > 1 — every other builder
-     * rejects them with Error so a schedule-search candidate can
-     * never silently drop the knob it claims to vary.
+     * reference (paper §3.3 send aggregation); 1 = off. Builders
+     * whose AlgoKnobs lack @c aggregate reject values > 1 with Error,
+     * so a schedule-search candidate can never silently drop the
+     * knob it claims to vary.
      */
     int aggregate = 1;
     /**
@@ -54,29 +55,46 @@ struct AlgoConfig
      * node); 1 degenerates to one flat ring over all ranks; values
      * in between trade intra-fabric ring length against the number
      * of concurrent inter-group rings. Must divide gpus_per_node so
-     * a group never straddles a node boundary. Only the hierarchical
-     * builders honor the knob — every other builder rejects
-     * values > 0.
+     * a group never straddles a node boundary. Builders whose
+     * AlgoKnobs lack @c hierSplit reject values > 0.
      */
     int hierSplit = 0;
 };
 
+/** The schedule knobs beyond instances, protocol and parallelize
+ *  that a builder honors. */
+struct AlgoKnobs
+{
+    /** Spreads its rings over a channel count argument. */
+    bool channels = false;
+    /** Honors AlgoConfig::aggregate > 1. */
+    bool aggregate = false;
+    /** Honors AlgoConfig::hierSplit > 0. */
+    bool hierSplit = false;
+};
+
 /**
  * Validates @p config's shared schedule knobs on behalf of a builder
- * named @p what: all factors must be >= 1, and builders that cannot
- * honor send aggregation (resp. the hierarchy split) reject
- * aggregate != 1 (resp. hierSplit != 0) instead of silently ignoring
- * it (so a label derived from the config can never claim a knob the
- * trace does not carry). @throws mscclang::Error.
+ * named @p what that honors @p knobs: all factors must be >= 1, and
+ * a builder that cannot honor send aggregation (resp. the hierarchy
+ * split) rejects aggregate != 1 (resp. hierSplit != 0) instead of
+ * silently ignoring it (so a label derived from the config can never
+ * claim a knob the trace does not carry). Catalogued builders pass
+ * their catalogue entry's knobs (collectives/catalog.h).
+ * @throws mscclang::Error.
  */
 void checkAlgoConfig(const char *what, const AlgoConfig &config,
-                     bool allows_aggregate,
-                     bool allows_hier_split = false);
+                     const AlgoKnobs &knobs = {});
 
 /** Appends the non-default schedule-knob suffixes ("_p2", "_a4",
  *  "_h4") to a program name so variants stay tellable apart in
  *  tools/traces. */
 std::string algoKnobName(std::string name, const AlgoConfig &config);
+
+/** A builder's ProgramOptions: @p name with algoKnobName's suffixes,
+ *  and @p config's protocol, instances and reduction operator. */
+ProgramOptions algoProgramOptions(std::string name,
+                                  const AlgoConfig &config);
 
 /**
  * Resolves @p config's hierSplit against a node of @p gpus_per_node
@@ -213,16 +231,6 @@ void buildRingReduceScatter(Program &program,
                             int count, int channel = -1);
 void buildRingAllGather(Program &program, const std::vector<Rank> &ranks,
                         int offset, int count, int channel = -1);
-
-/** Lines-of-code table entry for the §7 "<30 LoC" claim. */
-struct ProgramLoc
-{
-    const char *name;
-    int loc;
-};
-
-/** DSL statement counts of each builder (audited by hand). */
-std::vector<ProgramLoc> collectiveProgramLoc();
 
 } // namespace mscclang
 

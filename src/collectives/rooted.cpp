@@ -17,17 +17,6 @@ checkRoot(int num_ranks, Rank root)
                               "range [0, %d)", root, num_ranks));
 }
 
-ProgramOptions
-baseOptions(std::string name, const AlgoConfig &config)
-{
-    ProgramOptions options;
-    options.name = std::move(name);
-    options.protocol = config.protocol;
-    options.instances = config.instances;
-    options.reduceOp = config.reduceOp;
-    return options;
-}
-
 } // namespace
 
 ReduceCollective::ReduceCollective(int num_ranks, int chunk_factor,
@@ -121,11 +110,9 @@ makeBinomialReduce(int num_ranks, Rank root, const AlgoConfig &config)
 {
     auto coll =
         std::make_shared<ReduceCollective>(num_ranks, 1, root);
-    checkAlgoConfig("binomial reduce", config,
-                    /*allows_aggregate=*/false);
+    checkAlgoConfig("binomial reduce", config);
     auto prog = std::make_unique<Program>(
-        coll,
-        baseOptions(algoKnobName("binomial_reduce", config), config));
+        coll, algoProgramOptions("binomial_reduce", config));
     ParallelizeScope scope = prog->parallelize(config.parallelize);
 
     // Work in scratch relative to the root (rank = (root + v) % R);
@@ -157,11 +144,9 @@ makeDirectGather(int num_ranks, Rank root, const AlgoConfig &config)
 {
     auto coll =
         std::make_shared<GatherCollective>(num_ranks, 1, root);
-    checkAlgoConfig("direct gather", config,
-                    /*allows_aggregate=*/false);
+    checkAlgoConfig("direct gather", config);
     auto prog = std::make_unique<Program>(
-        coll,
-        baseOptions(algoKnobName("direct_gather", config), config));
+        coll, algoProgramOptions("direct_gather", config));
     ParallelizeScope scope = prog->parallelize(config.parallelize);
     for (Rank r = 0; r < num_ranks; r++) {
         prog->chunk(r, BufferKind::Input, 0)
@@ -175,11 +160,9 @@ makeDirectScatter(int num_ranks, Rank root, const AlgoConfig &config)
 {
     auto coll =
         std::make_shared<ScatterCollective>(num_ranks, 1, root);
-    checkAlgoConfig("direct scatter", config,
-                    /*allows_aggregate=*/false);
+    checkAlgoConfig("direct scatter", config);
     auto prog = std::make_unique<Program>(
-        coll,
-        baseOptions(algoKnobName("direct_scatter", config), config));
+        coll, algoProgramOptions("direct_scatter", config));
     ParallelizeScope scope = prog->parallelize(config.parallelize);
     for (Rank r = 0; r < num_ranks; r++) {
         prog->chunk(root, BufferKind::Input, r)

@@ -1,10 +1,11 @@
 /**
  * @file
- * The per-location access history behind the compiler's two
+ * The per-location access history behind the compiler's
  * last-writer walks: lowering (lower.cpp) adds a processing edge from
- * every still-visible earlier access of a chunk, and the race check
- * (verifier.cpp) proves every access ordered after those same
- * entries. Both key locations by (rank, buffer, chunk) and describe
+ * every still-visible earlier access of a chunk, the chunk DAG
+ * (chunk_dag.cpp) does the same per traced operation, and the race
+ * check (verifier.cpp) proves every access ordered after those same
+ * entries. All key locations by (rank, buffer, chunk) and describe
  * sub-chunk byte ranges by split index and count, so the dependence
  * classes and the integer split-fraction tests live here too.
  */
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "dsl/program.h"
 
 namespace mscclang {
 
@@ -159,6 +161,24 @@ class AccessHistory
     std::vector<Entry> pool_;
     int free_ = -1;
 };
+
+/**
+ * Per-(rank, buffer) chunk counts of @p program in AccessHistory's
+ * layout; an in-place program folds Output into Input.
+ */
+inline std::vector<int>
+chunkCounts(const Program &program)
+{
+    const Collective &coll = program.collective();
+    std::vector<int> counts;
+    counts.reserve(static_cast<size_t>(program.numRanks()) * 3);
+    for (Rank r = 0; r < program.numRanks(); r++) {
+        counts.push_back(coll.inputChunkCount(r));
+        counts.push_back(coll.inPlace() ? 0 : coll.outputChunkCount(r));
+        counts.push_back(program.scratchChunkCount(r));
+    }
+    return counts;
+}
 
 } // namespace mscclang
 

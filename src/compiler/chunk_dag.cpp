@@ -1,44 +1,10 @@
 #include "compiler/chunk_dag.h"
 
 #include <algorithm>
-#include <tuple>
 
 #include "common/strings.h"
 
 namespace mscclang {
-
-namespace {
-
-using LocationKey = std::tuple<Rank, BufferKind, int>;
-
-struct Access
-{
-    int op;
-    bool isWrite;
-};
-
-/** Reads/writes of one traced op at chunk granularity. */
-void
-forEachAccess(const TraceOp &op,
-              const std::function<void(LocationKey, bool)> &visit)
-{
-    auto slice_locations = [&](const BufferSlice &slice, bool is_write) {
-        for (int i = 0; i < slice.count; i++) {
-            visit(LocationKey{ slice.rank, slice.buffer, slice.index + i },
-                  is_write);
-        }
-    };
-    if (op.kind == OpKind::Copy) {
-        slice_locations(op.src, false);
-        slice_locations(op.dst, true);
-    } else {
-        slice_locations(op.src, false);
-        slice_locations(op.dst, false);
-        slice_locations(op.dst, true);
-    }
-}
-
-} // namespace
 
 ChunkDag::ChunkDag(const Program &program)
 {
@@ -47,69 +13,55 @@ ChunkDag::ChunkDag(const Program &program)
     preds_.resize(numOps_);
     succs_.resize(numOps_);
 
-    // Note: the DSL canonicalizes in-place Output accesses onto the
-    // Input buffer internally, but TraceOps retain the user's buffer
-    // names; canonicalize here so aliases collide.
-    bool in_place = program.collective().inPlace();
-    auto canonical = [in_place](LocationKey key) {
-        if (in_place && std::get<1>(key) == BufferKind::Output)
-            std::get<1>(key) = BufferKind::Input;
-        return key;
-    };
-
-    // Access history per (rank, buffer) location, stored densely:
-    // history[rank * 3 + buffer][chunkIndex]. Lookup-only, so the
-    // switch from an ordered map changes nothing observable.
-    std::vector<std::vector<std::vector<Access>>> history(
-        3 * static_cast<size_t>(program.numRanks()));
-    auto history_of = [&](const LocationKey &key) -> std::vector<Access> & {
-        std::vector<std::vector<Access>> &buf =
-            history[static_cast<size_t>(std::get<0>(key)) * 3 +
-                    static_cast<size_t>(std::get<1>(key))];
-        int index = std::get<2>(key);
-        if (index >= static_cast<int>(buf.size()))
-            buf.resize(index + 1);
-        return buf[index];
-    };
-
     // Edges deduplicated per source op; the per-op lists are small, so
     // a linear membership scan beats a global ordered set.
     std::vector<std::vector<std::pair<int, DepKind>>> edges_by_from(
         numOps_);
+    auto add_edge = [&](int from, int to, DepKind kind) {
+        std::vector<std::pair<int, DepKind>> &out = edges_by_from[from];
+        auto it = std::find_if(out.begin(), out.end(),
+                               [&](const auto &e) { return e.first == to; });
+        if (it == out.end())
+            out.push_back({ to, kind });
+        else if (kind == DepKind::True)
+            it->second = DepKind::True; // subsumes false dependences
+    };
 
-    for (const TraceOp &op : ops) {
-        forEachAccess(op, [&](LocationKey key, bool is_write) {
-            key = canonical(key);
-            std::vector<Access> &accesses = history_of(key);
-            for (const Access &prev : accesses) {
-                if (prev.op == op.id)
-                    continue;
-                DepKind kind;
-                if (is_write && prev.isWrite)
-                    kind = DepKind::Output;
-                else if (is_write)
-                    kind = DepKind::Anti;
-                else if (prev.isWrite)
-                    kind = DepKind::True;
-                else
-                    continue; // read-read: no dependence
-                std::vector<std::pair<int, DepKind>> &out =
-                    edges_by_from[prev.op];
-                auto it = std::find_if(
-                    out.begin(), out.end(),
-                    [&](const auto &e) { return e.first == op.id; });
-                if (it == out.end()) {
-                    out.push_back({ op.id, kind });
-                } else if (kind == DepKind::True) {
-                    // A true dependence subsumes false ones.
-                    it->second = DepKind::True;
-                }
+    // The last-writer walk lowering does, at whole-chunk granularity:
+    // every access conflicts with its chunk's last writer, and a
+    // write also with the readers since. Older accesses are ordered
+    // through that writer already. TraceOps keep the user's buffer
+    // names, so in-place Output aliases are folded onto Input here.
+    bool in_place = program.collective().inPlace();
+    AccessHistory history(chunkCounts(program));
+    auto access = [&](int id, BufferSlice slice, bool is_write) {
+        if (in_place && slice.buffer == BufferKind::Output)
+            slice.buffer = BufferKind::Input;
+        for (int index = slice.index; index < slice.index + slice.count;
+             index++) {
+            for (int e = history.head(slice.rank, slice.buffer, index);
+                 e >= 0;) {
+                const AccessHistory::Entry &prev = history.entry(e);
+                e = prev.next;
+                if (prev.node == id || !(is_write || prev.isWrite))
+                    continue; // self or read-read: no dependence
+                DepKind kind = !is_write ? DepKind::True
+                    : prev.isWrite       ? DepKind::Output
+                                         : DepKind::Anti;
+                add_edge(prev.node, id, kind);
             }
-            accesses.push_back(Access{ op.id, is_write });
-        });
+            history.record(slice.rank, slice.buffer, index, id, 0, 1,
+                           is_write);
+        }
+    };
+    for (const TraceOp &op : ops) {
+        access(op.id, op.src, false);
+        if (op.kind == OpKind::Reduce)
+            access(op.id, op.dst, false); // reduce reads its target
+        access(op.id, op.dst, true);
     }
 
-    // Emit in (from, to) order, matching the old ordered-set sweep.
+    // Emit in (from, to) order.
     for (int from = 0; from < numOps_; from++) {
         std::vector<std::pair<int, DepKind>> &out = edges_by_from[from];
         std::sort(out.begin(), out.end(),

@@ -16,30 +16,12 @@ namespace mscclang {
 
 namespace {
 
-/**
- * Per-(rank, buffer) chunk counts of @p program, in AccessHistory's
- * layout; in-place programs fold Output into Input.
- */
-std::vector<int>
-chunkCounts(const Program &program, bool in_place)
-{
-    const Collective &coll = program.collective();
-    std::vector<int> counts;
-    counts.reserve(static_cast<size_t>(program.numRanks()) * 3);
-    for (Rank r = 0; r < program.numRanks(); r++) {
-        counts.push_back(coll.inputChunkCount(r));
-        counts.push_back(in_place ? 0 : coll.outputChunkCount(r));
-        counts.push_back(program.scratchChunkCount(r));
-    }
-    return counts;
-}
-
 class LoweringContext
 {
   public:
     LoweringContext(InstrGraph &graph, const Program &program)
         : graph_(graph), inPlace_(program.collective().inPlace()),
-          history_(chunkCounts(program, inPlace_))
+          history_(chunkCounts(program))
     {
     }
 

@@ -146,6 +146,27 @@ connKeyOf(int src, int dst, int channel)
         std::uint64_t(channel);
 }
 
+/**
+ * Numbers connections densely in key order — keys pack (src, dst,
+ * channel) most-significant-first, so that is tuple order. Returns
+ * the distinct keys, sorted; @p ids[i] becomes the number of
+ * @p keys[i].
+ */
+std::vector<ConnKey>
+numberConnections(const std::vector<ConnKey> &keys, std::vector<int> &ids)
+{
+    std::vector<ConnKey> sorted(keys);
+    std::sort(sorted.begin(), sorted.end());
+    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+    ids.resize(keys.size());
+    for (size_t i = 0; i < keys.size(); i++) {
+        ids[i] = static_cast<int>(
+            std::lower_bound(sorted.begin(), sorted.end(), keys[i]) -
+            sorted.begin());
+    }
+    return sorted;
+}
+
 /** Abstract machine state for one verification run. */
 class AbstractMachine
 {
@@ -234,36 +255,28 @@ class AbstractMachine
     void
     indexConnections()
     {
+        std::vector<ConnKey> ends; // send, then recv, of every block
         for (const IrGpu &gpu : ir_.gpus) {
             for (const IrThreadBlock &tb : gpu.threadBlocks) {
-                if (tb.sendPeer >= 0)
-                    connKeys_.push_back(
-                        connKeyOf(gpu.rank, tb.sendPeer, tb.channel));
-                if (tb.recvPeer >= 0)
-                    connKeys_.push_back(
-                        connKeyOf(tb.recvPeer, gpu.rank, tb.channel));
+                ends.push_back(
+                    connKeyOf(gpu.rank, tb.sendPeer, tb.channel));
+                ends.push_back(
+                    connKeyOf(tb.recvPeer, gpu.rank, tb.channel));
             }
         }
-        std::sort(connKeys_.begin(), connKeys_.end());
-        connKeys_.erase(std::unique(connKeys_.begin(), connKeys_.end()),
-                        connKeys_.end());
+        std::vector<int> ids;
+        connKeys_ = numberConnections(ends, ids);
         connections_.resize(connKeys_.size());
-        auto index_of = [&](ConnKey key) {
-            return static_cast<int>(
-                std::lower_bound(connKeys_.begin(), connKeys_.end(),
-                                 key) -
-                connKeys_.begin());
-        };
+        size_t end = 0;
         for (const IrGpu &gpu : ir_.gpus) {
             for (const IrThreadBlock &tb : gpu.threadBlocks) {
                 TbConns conns;
                 if (tb.sendPeer >= 0)
-                    conns.send = index_of(
-                        connKeyOf(gpu.rank, tb.sendPeer, tb.channel));
+                    conns.send = ids[end];
                 if (tb.recvPeer >= 0)
-                    conns.recv = index_of(
-                        connKeyOf(tb.recvPeer, gpu.rank, tb.channel));
+                    conns.recv = ids[end + 1];
                 tbConns_.push_back(conns);
+                end += 2;
             }
         }
     }
@@ -743,7 +756,7 @@ buildHbGraph(const IrProgram &ir)
     g.numRanks = num_ranks;
     g.tbBase.resize(num_ranks);
     g.tbLen.resize(num_ranks);
-    std::vector<ConnKey> send_key, recv_key; // per thread block
+    std::vector<ConnKey> ends; // send, then recv, of every block
     for (const IrGpu &gpu : ir.gpus) {
         std::vector<int> &base = g.tbBase[gpu.rank];
         std::vector<int> &len = g.tbLen[gpu.rank];
@@ -762,10 +775,8 @@ buildHbGraph(const IrProgram &ir)
                                           static_cast<int>(s), g.numTbs,
                                           &tb.steps[s], &tb });
             }
-            send_key.push_back(
-                connKeyOf(gpu.rank, tb.sendPeer, tb.channel));
-            recv_key.push_back(
-                connKeyOf(tb.recvPeer, gpu.rank, tb.channel));
+            ends.push_back(connKeyOf(gpu.rank, tb.sendPeer, tb.channel));
+            ends.push_back(connKeyOf(tb.recvPeer, gpu.rank, tb.channel));
             g.numTbs++;
         }
     }
@@ -796,32 +807,19 @@ buildHbGraph(const IrProgram &ir)
     //     would leave the surplus operations with no happens-before
     //     edge and silently weaken the analysis, so it is rejected.
     //     A thread block has one send and one receive connection, so
-    //     connections are numbered per block, densely in key order —
-    //     keys pack (src, dst, channel) most-significant-first, so
-    //     that is (src, dst, channel) tuple order — and each
-    //     connection's ends are bucketed in node order.
-    std::vector<ConnKey> keys(send_key);
-    keys.insert(keys.end(), recv_key.begin(), recv_key.end());
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-    auto conn_of = [&](ConnKey key) {
-        return static_cast<int>(
-            std::lower_bound(keys.begin(), keys.end(), key) -
-            keys.begin());
-    };
-    std::vector<int> send_conn(g.numTbs), recv_conn(g.numTbs);
-    for (int t = 0; t < g.numTbs; t++) {
-        send_conn[t] = conn_of(send_key[t]);
-        recv_conn[t] = conn_of(recv_key[t]);
-    }
+    //     connections are numbered per block, in (src, dst, channel)
+    //     order, and each connection's ends are bucketed in node
+    //     order.
+    std::vector<int> conn; // block t: send 2t, recv 2t + 1
+    std::vector<ConnKey> keys = numberConnections(ends, conn);
     size_t num_conns = keys.size();
     std::vector<int> send_off(num_conns + 1, 0);
     std::vector<int> recv_off(num_conns + 1, 0);
     for (const HbNode &node : g.nodes) {
         if (irOpSends(node.instr->op))
-            send_off[send_conn[node.tbIdx] + 1]++;
+            send_off[conn[2 * node.tbIdx] + 1]++;
         if (irOpReceives(node.instr->op))
-            recv_off[recv_conn[node.tbIdx] + 1]++;
+            recv_off[conn[2 * node.tbIdx + 1] + 1]++;
     }
     for (size_t c = 0; c < num_conns; c++) {
         send_off[c + 1] += send_off[c];
@@ -835,9 +833,9 @@ buildHbGraph(const IrProgram &ir)
         for (int i = 0; i < n; i++) {
             const HbNode &node = g.nodes[i];
             if (irOpSends(node.instr->op))
-                sends[send_at[send_conn[node.tbIdx]]++] = i;
+                sends[send_at[conn[2 * node.tbIdx]]++] = i;
             if (irOpReceives(node.instr->op))
-                recvs[recv_at[recv_conn[node.tbIdx]]++] = i;
+                recvs[recv_at[conn[2 * node.tbIdx + 1]]++] = i;
         }
     }
     for (size_t c = 0; c < num_conns; c++) {

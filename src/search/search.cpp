@@ -1,11 +1,11 @@
 #include "search/search.h"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <numeric>
 
-#include "collectives/classic.h"
-#include "collectives/collectives.h"
+#include "collectives/catalog.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "common/strings.h"
@@ -16,69 +16,15 @@ namespace mscclang {
 
 namespace {
 
-/** True when the family honors the channels/aggregate knobs. */
-bool
-isRingFamily(AlgoFamily family)
+/** The searched catalogue entry labelled @p label in reports. */
+const AlgoEntry &
+searchFamily(const char *label)
 {
-    return family == AlgoFamily::Ring ||
-        family == AlgoFamily::RingAllGather;
-}
-
-/** True when the family honors the hierSplit knob. */
-bool
-isHierFamily(AlgoFamily family)
-{
-    return family == AlgoFamily::Hierarchical ||
-        family == AlgoFamily::HierarchicalAllGather;
-}
-
-bool
-isPowerOfTwo(int n)
-{
-    return n >= 1 && (n & (n - 1)) == 0;
-}
-
-/** Families implementing @p collective, in enumeration order. */
-std::vector<AlgoFamily>
-familiesFor(const std::string &collective)
-{
-    if (collective == "allreduce") {
-        return { AlgoFamily::Ring, AlgoFamily::AllPairs,
-                 AlgoFamily::Tree, AlgoFamily::Rabenseifner,
-                 AlgoFamily::Hierarchical };
+    for (const AlgoEntry &entry : algoCatalog()) {
+        if (entry.searched() && std::strcmp(entry.searchLabel, label) == 0)
+            return entry;
     }
-    if (collective == "allgather") {
-        return { AlgoFamily::RingAllGather,
-                 AlgoFamily::RecDoubleAllGather,
-                 AlgoFamily::HierarchicalAllGather };
-    }
-    throw Error(strprintf("searchSchedules: unknown collective '%s' "
-                          "(expected allreduce or allgather)",
-                          collective.c_str()));
-}
-
-/** Structural filter: can @p family run on this machine shape at
- *  all? (Whether a specific knob combination compiles is decided
- *  later, by actually compiling it.) */
-bool
-familyFitsTopology(AlgoFamily family, const Topology &topology)
-{
-    int ranks = topology.numRanks();
-    switch (family) {
-    case AlgoFamily::Ring:
-    case AlgoFamily::RingAllGather:
-    case AlgoFamily::AllPairs:
-        return ranks >= 2;
-    case AlgoFamily::Tree:
-        return ranks >= 2;
-    case AlgoFamily::Rabenseifner:
-    case AlgoFamily::RecDoubleAllGather:
-        return ranks >= 2 && isPowerOfTwo(ranks);
-    case AlgoFamily::Hierarchical:
-    case AlgoFamily::HierarchicalAllGather:
-        return topology.numNodes() >= 2;
-    }
-    return false;
+    throw Error(strprintf("no searched algorithm is labelled '%s'", label));
 }
 
 /** Minimal JSON string escape (labels are plain ASCII, but a report
@@ -114,53 +60,11 @@ joinTimes(const std::vector<double> &times_us)
 
 } // namespace
 
-const char *
-algoFamilyName(AlgoFamily family)
-{
-    switch (family) {
-    case AlgoFamily::Ring:
-        return "Ring";
-    case AlgoFamily::AllPairs:
-        return "AllPairs";
-    case AlgoFamily::Tree:
-        return "Tree";
-    case AlgoFamily::Rabenseifner:
-        return "Rabenseifner";
-    case AlgoFamily::Hierarchical:
-        return "Hierarchical";
-    case AlgoFamily::RingAllGather:
-        return "RingAllGather";
-    case AlgoFamily::RecDoubleAllGather:
-        return "RecDoublingAllGather";
-    case AlgoFamily::HierarchicalAllGather:
-        return "HierAllGather";
-    }
-    return "?";
-}
-
-const char *
-algoFamilyCollective(AlgoFamily family)
-{
-    switch (family) {
-    case AlgoFamily::Ring:
-    case AlgoFamily::AllPairs:
-    case AlgoFamily::Tree:
-    case AlgoFamily::Rabenseifner:
-    case AlgoFamily::Hierarchical:
-        return "allreduce";
-    case AlgoFamily::RingAllGather:
-    case AlgoFamily::RecDoubleAllGather:
-    case AlgoFamily::HierarchicalAllGather:
-        return "allgather";
-    }
-    return "?";
-}
-
 std::string
 candidateLabel(const ScheduleCandidate &spec)
 {
-    std::string label = algoFamilyName(spec.family);
-    if (isRingFamily(spec.family))
+    std::string label = spec.family->searchLabel;
+    if (spec.family->knobs.channels)
         label += strprintf(" ch%d", spec.channels);
     label += strprintf(" r%d", spec.instances);
     if (spec.parallelize > 1)
@@ -176,40 +80,16 @@ candidateLabel(const ScheduleCandidate &spec)
 std::unique_ptr<Program>
 buildCandidate(const ScheduleCandidate &spec, const Topology &topology)
 {
+    if (spec.family == nullptr)
+        throw Error("buildCandidate: the candidate names no algorithm");
     AlgoConfig config;
     config.instances = spec.instances;
     config.protocol = spec.protocol;
     config.parallelize = spec.parallelize;
     config.aggregate = spec.aggregate;
     config.hierSplit = spec.hierSplit;
-    int ranks = topology.numRanks();
-    switch (spec.family) {
-    case AlgoFamily::Ring:
-        return makeRingAllReduce(ranks, spec.channels, config);
-    case AlgoFamily::AllPairs:
-        return makeAllPairsAllReduce(ranks, config);
-    case AlgoFamily::Tree:
-        return makeDoubleBinaryTreeAllReduce(ranks, config);
-    case AlgoFamily::Rabenseifner:
-        return makeRabenseifnerAllReduce(ranks, config);
-    case AlgoFamily::Hierarchical:
-        // Intra-node phases chunk-parallelized by the local GPU
-        // count, the paper's §5.1 choice; the config's parallelize
-        // knob still wraps the whole trace on top of it.
-        return makeHierarchicalAllReduce(topology.numNodes(),
-                                         topology.gpusPerNode(),
-                                         topology.gpusPerNode(),
-                                         config);
-    case AlgoFamily::RingAllGather:
-        return makeRingAllGather(ranks, spec.channels, config);
-    case AlgoFamily::RecDoubleAllGather:
-        return makeRecursiveDoublingAllGather(ranks, config);
-    case AlgoFamily::HierarchicalAllGather:
-        return makeHierarchicalAllGather(topology.numNodes(),
-                                         topology.gpusPerNode(),
-                                         config);
-    }
-    throw Error("buildCandidate: unknown algorithm family");
+    return spec.family->build(topology, config, spec.channels,
+                              /*root=*/0, /*chunks=*/1);
 }
 
 std::vector<ScheduleCandidate>
@@ -221,21 +101,24 @@ enumerateCandidates(const std::string &collective,
     // Fixed nesting order (family, channels, parallelize, instances,
     // protocol, aggregate, hierSplit) defines the enumeration index
     // every downstream tie-break refers to.
-    for (AlgoFamily family : familiesFor(collective)) {
-        if (!familyFitsTopology(family, topology))
+    bool known = false;
+    for (const AlgoEntry &family : algoCatalog()) {
+        if (!family.searched() || collective != family.collective)
             continue;
-        bool ring = isRingFamily(family);
+        known = true;
+        if (!family.fits(topology))
+            continue;
         // Families that cannot honor a knob get it pinned to its
         // neutral value instead of crossed, so a knob the trace does
         // not carry can never mint spurious "variants" of the same
         // schedule.
+        const AlgoKnobs &knobs = family.knobs;
         std::vector<int> channels =
-            ring ? options.channels : std::vector<int>{ 1 };
+            knobs.channels ? options.channels : std::vector<int>{ 1 };
         std::vector<int> aggregates =
-            ring ? options.aggregates : std::vector<int>{ 1 };
-        std::vector<int> hier_splits = isHierFamily(family)
-            ? options.hierSplits
-            : std::vector<int>{ 0 };
+            knobs.aggregate ? options.aggregates : std::vector<int>{ 1 };
+        std::vector<int> hier_splits =
+            knobs.hierSplit ? options.hierSplits : std::vector<int>{ 0 };
         for (int ch : channels) {
             for (int par : options.parallelize) {
                 for (int inst : options.instances) {
@@ -243,7 +126,7 @@ enumerateCandidates(const std::string &collective,
                         for (int agg : aggregates) {
                             for (int split : hier_splits) {
                                 ScheduleCandidate spec;
-                                spec.family = family;
+                                spec.family = &family;
                                 spec.channels = ch;
                                 spec.parallelize = par;
                                 spec.instances = inst;
@@ -257,6 +140,11 @@ enumerateCandidates(const std::string &collective,
                 }
             }
         }
+    }
+    if (!known) {
+        throw Error(strprintf("searchSchedules: unknown collective '%s' "
+                              "(expected allreduce or allgather)",
+                              collective.c_str()));
     }
 
     if (options.maxCandidates > 0 &&
@@ -450,7 +338,7 @@ frontierToJson(const SearchResult &result)
             "\"planKey\": \"%016llx\", "
             "\"frontier\": %s, \"timesUs\": [%s]}%s\n",
             jsonEscape(cand.label).c_str(),
-            algoFamilyName(cand.spec.family), cand.spec.channels,
+            cand.spec.family->searchLabel, cand.spec.channels,
             cand.spec.parallelize, cand.spec.instances,
             protocolName(cand.spec.protocol), cand.spec.aggregate,
             cand.spec.hierSplit,
@@ -490,7 +378,7 @@ frontierToCsv(const SearchResult &result)
     for (const CandidateResult &cand : result.evaluated) {
         out += strprintf(
             "%s,%s,%d,%d,%d,%s,%d,%d,%016llx,%d", cand.label.c_str(),
-            algoFamilyName(cand.spec.family), cand.spec.channels,
+            cand.spec.family->searchLabel, cand.spec.channels,
             cand.spec.parallelize, cand.spec.instances,
             protocolName(cand.spec.protocol), cand.spec.aggregate,
             cand.spec.hierSplit,
@@ -509,24 +397,27 @@ handTunedAllReduceCandidates()
     // The picks bench/explore_allreduce_algos shipped with before the
     // search existed: "Ring ch4 r8 LL128", "AllPairs r4 LL",
     // "Tree r4 LL", "Rabenseifner r4 LL".
-    ScheduleCandidate ring;
-    ring.family = AlgoFamily::Ring;
-    ring.channels = 4;
-    ring.instances = 8;
-    ring.protocol = Protocol::LL128;
-    ScheduleCandidate allpairs;
-    allpairs.family = AlgoFamily::AllPairs;
-    allpairs.instances = 4;
-    allpairs.protocol = Protocol::LL;
-    ScheduleCandidate tree;
-    tree.family = AlgoFamily::Tree;
-    tree.instances = 4;
-    tree.protocol = Protocol::LL;
-    ScheduleCandidate rab;
-    rab.family = AlgoFamily::Rabenseifner;
-    rab.instances = 4;
-    rab.protocol = Protocol::LL;
-    return { ring, allpairs, tree, rab };
+    struct Pick
+    {
+        const char *family;
+        int channels;
+        int instances;
+        Protocol protocol;
+    };
+    const Pick picks[] = { { "Ring", 4, 8, Protocol::LL128 },
+                           { "AllPairs", 1, 4, Protocol::LL },
+                           { "Tree", 1, 4, Protocol::LL },
+                           { "Rabenseifner", 1, 4, Protocol::LL } };
+    std::vector<ScheduleCandidate> out;
+    for (const Pick &pick : picks) {
+        ScheduleCandidate spec;
+        spec.family = &searchFamily(pick.family);
+        spec.channels = pick.channels;
+        spec.instances = pick.instances;
+        spec.protocol = pick.protocol;
+        out.push_back(spec);
+    }
+    return out;
 }
 
 } // namespace mscclang

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "collectives/catalog.h"
 #include "dsl/program.h"
 #include "ir/ir.h"
 #include "runtime/tuner.h"
@@ -36,39 +37,25 @@ namespace mscclang {
 
 class Communicator;
 
-/** The algorithm families the candidate generator draws from. */
-enum class AlgoFamily {
-    Ring = 0,          ///< ring allreduce (multi-channel capable)
-    AllPairs,          ///< all-pairs allreduce (2-step latency)
-    Tree,              ///< double binary tree allreduce
-    Rabenseifner,      ///< recursive halving + doubling allreduce
-    Hierarchical,      ///< hierarchical allreduce (multi-node)
-    RingAllGather,     ///< ring allgather (multi-channel capable)
-    RecDoubleAllGather, ///< recursive-doubling allgather
-    HierarchicalAllGather, ///< hierarchical allgather (multi-node)
-};
-
-/** Short family name as used in candidate labels ("Ring", "Tree"). */
-const char *algoFamilyName(AlgoFamily family);
-
-/** The collective a family implements ("allreduce", "allgather"). */
-const char *algoFamilyCollective(AlgoFamily family);
-
 /** One point in the schedule space. */
 struct ScheduleCandidate
 {
-    AlgoFamily family = AlgoFamily::Ring;
-    /** Channels the rings spread over (ring families only). */
+    /** The algorithm: a searched entry of algoCatalog(). */
+    const AlgoEntry *family = nullptr;
+    /** Channels the rings spread over (families whose knobs take
+     *  channels only). */
     int channels = 1;
     /** Whole-trace chunk-parallelization factor (AlgoConfig). */
     int parallelize = 1;
     /** Program-wide instance factor (the plots' "r"). */
     int instances = 1;
     Protocol protocol = Protocol::Simple;
-    /** Chunks aggregated per ring block (ring families only). */
+    /** Chunks aggregated per ring block (families honoring
+     *  aggregate only). */
     int aggregate = 1;
     /** Hierarchy split — intra-phase group size in ranks, 0 = whole
-     *  node (hierarchical families only; see AlgoConfig::hierSplit). */
+     *  node (families honoring hierSplit only; see
+     *  AlgoConfig::hierSplit). */
     int hierSplit = 0;
 
     bool operator==(const ScheduleCandidate &) const = default;
@@ -78,17 +65,19 @@ struct ScheduleCandidate
  * The human-readable label of a candidate, derived from the spec
  * itself so it can never disagree with the program it names:
  * "Ring ch4 r8 LL128", "Tree r4 LL", "Ring ch2 r4 p2 a2 Simple",
- * "Hierarchical r2 h4 Simple". Channels appear only for ring
- * families; the p/a suffixes only when the factor is not 1; the h
- * suffix only for explicit hierarchy splits.
+ * "Hierarchical r2 h4 Simple". The family part is the catalogue
+ * entry's search label; channels appear only for families whose
+ * knobs take channels; the p/a suffixes only when the factor is not
+ * 1; the h suffix only for explicit hierarchy splits.
  */
 std::string candidateLabel(const ScheduleCandidate &spec);
 
 /**
- * Traces the candidate's program on @p topology (ranks, node shape
- * and — for topology-aware families — the machine structure come
- * from it). @throws mscclang::Error when the family cannot run on
- * the topology (e.g. Hierarchical on a single node).
+ * Traces the candidate's program on @p topology with its catalogue
+ * entry's build function (ranks, node shape and — for
+ * topology-aware families — the machine structure come from it).
+ * @throws mscclang::Error when the family cannot run on the topology
+ * (e.g. Hierarchical on a single node) or the spec names none.
  */
 std::unique_ptr<Program> buildCandidate(const ScheduleCandidate &spec,
                                         const Topology &topology);
@@ -97,16 +86,16 @@ std::unique_ptr<Program> buildCandidate(const ScheduleCandidate &spec,
 struct SearchOptions
 {
     /** Knob value lists the generator takes the cross product of.
-     *  Non-ring families ignore channels/aggregate and are emitted
-     *  once per remaining combination. */
+     *  Families whose knobs lack channels/aggregate pin them to 1
+     *  and are emitted once per remaining combination. */
     std::vector<int> channels = { 1, 2, 4 };
     std::vector<int> parallelize = { 1, 2 };
     std::vector<int> instances = { 1, 2, 4, 8 };
     std::vector<Protocol> protocols = { Protocol::LL, Protocol::LL128,
                                         Protocol::Simple };
     std::vector<int> aggregates = { 1, 2 };
-    /** Hierarchy splits swept for the hierarchical families (other
-     *  families pin 0). Splits that do not divide the node are
+    /** Hierarchy splits swept for the families honoring hierSplit
+     *  (other families pin 0). Splits that do not divide the node are
      *  skipped at compile time and counted, like any other
      *  incompilable knob combination. */
     std::vector<int> hierSplits = { 0 };
@@ -173,11 +162,12 @@ struct SearchResult
 
 /**
  * Enumerates the schedule candidates for @p collective ("allreduce"
- * or "allgather") on @p topology: families filtered by topology
- * (Hierarchical needs multiple nodes, Tree needs >= 2 ranks,
- * Rabenseifner/recursive-doubling need power-of-two ranks), knob
- * lists crossed, channels/aggregate pinned to 1 for families that
- * do not honor them, then the seeded subsample if maxCandidates
+ * or "allgather") on @p topology: the catalogue's searched entries
+ * for that collective, in catalogue order, filtered by their shape
+ * checks (Hierarchical needs multiple nodes, Rabenseifner and
+ * recursive doubling need power-of-two ranks), knob lists crossed,
+ * channels/aggregate/hierSplit pinned for families whose knobs do
+ * not honor them, then the seeded subsample if maxCandidates
  * bites. Deterministic for fixed inputs.
  * @throws mscclang::Error on an unknown collective.
  */

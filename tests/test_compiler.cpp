@@ -69,6 +69,27 @@ TEST(ChunkDag, FalseDependenceThroughIndexReuse)
     EXPECT_EQ(dag.edges()[0].kind, DepKind::Output);
 }
 
+TEST(ChunkDag, ReadDependsOnlyOnLastWholeWriter)
+{
+    // Two whole writes of rank 2's scratch 0, then a read of it: the
+    // read's one True edge comes from the second write. The first
+    // write reaches the read through the second (Output edge).
+    Program prog(allreduce(3, 1));
+    prog.chunk(0, BufferKind::Input, 0).copy(2, BufferKind::Scratch, 0);
+    prog.chunk(1, BufferKind::Input, 0).copy(2, BufferKind::Scratch, 0);
+    prog.chunk(2, BufferKind::Scratch, 0).copy(0, BufferKind::Scratch, 0);
+
+    ChunkDag dag(prog);
+    std::vector<ChunkDep> into_read;
+    for (const ChunkDep &edge : dag.edges()) {
+        if (edge.to == 2)
+            into_read.push_back(edge);
+    }
+    ASSERT_EQ(into_read.size(), 1u);
+    EXPECT_EQ(into_read[0], (ChunkDep{ 1, 2, DepKind::True }));
+    EXPECT_EQ(dag.criticalPathLength(), 3);
+}
+
 TEST(ChunkDag, IndependentOpsHaveNoEdges)
 {
     Program prog(allreduce(4, 2));

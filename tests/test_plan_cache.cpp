@@ -292,7 +292,7 @@ TEST(PlanCache, KeySeparatesEverySearchKnob)
     CompileOptions copts;
     copts.topology = &topo;
     ScheduleCandidate base;
-    base.family = AlgoFamily::Ring;
+    base.family = &algoEntry("ring_allreduce");
     base.channels = 2;
     base.parallelize = 1;
     base.instances = 2;

@@ -50,14 +50,14 @@ TEST(Search, LabelsDeriveFromSpec)
 
     // Non-default knobs show up; channels only for ring families.
     ScheduleCandidate spec;
-    spec.family = AlgoFamily::Ring;
+    spec.family = &algoEntry("ring_allreduce");
     spec.channels = 2;
     spec.parallelize = 2;
     spec.instances = 4;
     spec.protocol = Protocol::Simple;
     spec.aggregate = 2;
     EXPECT_EQ(candidateLabel(spec), "Ring ch2 r4 p2 a2 Simple");
-    spec.family = AlgoFamily::Tree;
+    spec.family = &algoEntry("tree_allreduce");
     spec.aggregate = 1;
     EXPECT_EQ(candidateLabel(spec), "Tree r4 p2 Simple");
 }
@@ -69,7 +69,7 @@ TEST(Search, LabelMatchesBuiltProgram)
     // suffixes in the name).
     Topology topo = makeNdv4(1);
     ScheduleCandidate spec;
-    spec.family = AlgoFamily::Ring;
+    spec.family = &algoEntry("ring_allreduce");
     spec.channels = 2;
     spec.parallelize = 2;
     spec.instances = 4;
@@ -91,13 +91,13 @@ TEST(Search, EnumerationRespectsTopologyAndFamilies)
         enumerateCandidates("allreduce", makeNdv4(1), options);
     EXPECT_TRUE(std::none_of(
         single.begin(), single.end(), [](const ScheduleCandidate &c) {
-            return c.family == AlgoFamily::Hierarchical;
+            return c.family == &algoEntry("hierarchical_allreduce");
         }));
     // Ring: 2 channels x 2 instances x 2 protocols = 8; AllPairs,
     // Tree, Rabenseifner with channels/aggregate pinned: 4 each.
     EXPECT_EQ(single.size(), 8u + 3 * 4u);
     for (const ScheduleCandidate &c : single) {
-        if (c.family != AlgoFamily::Ring) {
+        if (c.family != &algoEntry("ring_allreduce")) {
             EXPECT_EQ(c.channels, 1);
             EXPECT_EQ(c.aggregate, 1);
         }
@@ -108,7 +108,7 @@ TEST(Search, EnumerationRespectsTopologyAndFamilies)
         enumerateCandidates("allreduce", makeNdv4(2), options);
     EXPECT_TRUE(std::any_of(
         multi.begin(), multi.end(), [](const ScheduleCandidate &c) {
-            return c.family == AlgoFamily::Hierarchical;
+            return c.family == &algoEntry("hierarchical_allreduce");
         }));
 
     // Non-power-of-two ranks: no Rabenseifner.
@@ -116,7 +116,7 @@ TEST(Search, EnumerationRespectsTopologyAndFamilies)
         enumerateCandidates("allreduce", makeGeneric(1, 6), options);
     EXPECT_TRUE(std::none_of(
         npo2.begin(), npo2.end(), [](const ScheduleCandidate &c) {
-            return c.family == AlgoFamily::Rabenseifner;
+            return c.family == &algoEntry("rabenseifner_allreduce");
         }));
 
     EXPECT_THROW(
@@ -412,7 +412,7 @@ TEST(Search, ThrowingSweepLeavesLaterSweepsWorking)
     Topology topo4 = makeGeneric(1, 4);
     Topology topo8 = makeNdv4(1);
     ScheduleCandidate spec;
-    spec.family = AlgoFamily::Ring;
+    spec.family = &algoEntry("ring_allreduce");
     IrProgram wrong =
         compileProgramCached(*buildCandidate(spec, topo8)).ir;
     IrProgram right =

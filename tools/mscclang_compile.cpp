@@ -1,8 +1,9 @@
 /**
  * @file
  * CLI front end for the compiler — the msccl-tools analogue: pick an
- * algorithm from the library, set the scheduling knobs, and emit
- * MSCCL-IR as XML (plus optional human-readable and Graphviz dumps).
+ * algorithm from the catalogue (collectives/catalog.h), set the
+ * scheduling knobs, and emit MSCCL-IR as XML (plus optional
+ * human-readable and Graphviz dumps).
  *
  * Examples:
  *   mscclang_compile --algo ring_allreduce --machine ndv4:1 \
@@ -14,16 +15,15 @@
  * is a usage error (exit 2), not 3 or a wrapped value.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <limits>
-#include <map>
 #include <string>
+#include <vector>
 
-#include "collectives/classic.h"
-#include "collectives/collectives.h"
+#include "collectives/catalog.h"
 #include "common/error.h"
 #include "common/strings.h"
 #include "compiler/chunk_dag.h"
@@ -80,105 +80,6 @@ parseProto(const std::string &name)
     throw Error("unknown protocol '" + name + "'");
 }
 
-using Builder = std::function<std::unique_ptr<Program>(
-    const Topology &, const Args &)>;
-
-const std::map<std::string, Builder> &
-builders()
-{
-    static const std::map<std::string, Builder> table = {
-        { "ring_allreduce",
-          [](const Topology &topo, const Args &args) {
-              AlgoConfig config{ args.instances, args.proto };
-              return makeRingAllReduce(topo.numRanks(), args.channels,
-                                       config);
-          } },
-        { "allpairs_allreduce",
-          [](const Topology &topo, const Args &args) {
-              AlgoConfig config{ args.instances, args.proto };
-              return makeAllPairsAllReduce(topo.numRanks(), config);
-          } },
-        { "hierarchical_allreduce",
-          [](const Topology &topo, const Args &args) {
-              AlgoConfig config{ args.instances, args.proto };
-              return makeHierarchicalAllReduce(
-                  topo.numNodes(), topo.gpusPerNode(),
-                  std::max(1, topo.numNodes()), config);
-          } },
-        { "tree_allreduce",
-          [](const Topology &topo, const Args &args) {
-              AlgoConfig config{ args.instances, args.proto };
-              return makeDoubleBinaryTreeAllReduce(topo.numRanks(),
-                                                   config);
-          } },
-        { "rabenseifner_allreduce",
-          [](const Topology &topo, const Args &args) {
-              AlgoConfig config{ args.instances, args.proto };
-              return makeRabenseifnerAllReduce(topo.numRanks(),
-                                               config);
-          } },
-        { "twostep_alltoall",
-          [](const Topology &topo, const Args &args) {
-              AlgoConfig config{ args.instances, args.proto };
-              return makeTwoStepAllToAll(topo.numNodes(),
-                                         topo.gpusPerNode(), config);
-          } },
-        { "naive_alltoall",
-          [](const Topology &topo, const Args &args) {
-              AlgoConfig config{ args.instances, args.proto };
-              return makeNaiveAllToAll(topo.numRanks(), config);
-          } },
-        { "alltonext",
-          [](const Topology &topo, const Args &args) {
-              AlgoConfig config{ args.instances, args.proto };
-              return makeAllToNext(topo.numNodes(),
-                                   topo.gpusPerNode(), config);
-          } },
-        { "ring_allgather",
-          [](const Topology &topo, const Args &args) {
-              AlgoConfig config{ args.instances, args.proto };
-              return makeRingAllGather(topo.numRanks(), args.channels,
-                                       config);
-          } },
-        { "hierarchical_allgather",
-          [](const Topology &topo, const Args &args) {
-              AlgoConfig config{ args.instances, args.proto };
-              return makeHierarchicalAllGather(
-                  topo.numNodes(), topo.gpusPerNode(), config);
-          } },
-        { "rdoubling_allgather",
-          [](const Topology &topo, const Args &args) {
-              AlgoConfig config{ args.instances, args.proto };
-              return makeRecursiveDoublingAllGather(topo.numRanks(),
-                                                    config);
-          } },
-        { "rhalving_reducescatter",
-          [](const Topology &topo, const Args &args) {
-              AlgoConfig config{ args.instances, args.proto };
-              return makeRecursiveHalvingReduceScatter(
-                  topo.numRanks(), config);
-          } },
-        { "ring_broadcast",
-          [](const Topology &topo, const Args &args) {
-              AlgoConfig config{ args.instances, args.proto };
-              return makeRingBroadcast(topo.numRanks(), args.root,
-                                       args.chunks, config);
-          } },
-        { "binomial_broadcast",
-          [](const Topology &topo, const Args &args) {
-              AlgoConfig config{ args.instances, args.proto };
-              return makeBinomialBroadcast(topo.numRanks(), args.root,
-                                           config);
-          } },
-        { "sccl_allgather_122",
-          [](const Topology &topo, const Args &args) {
-              AlgoConfig config{ args.instances, args.proto };
-              return makeSccl122AllGather(topo, config);
-          } },
-    };
-    return table;
-}
-
 } // namespace
 
 int
@@ -225,7 +126,11 @@ main(int argc, char **argv)
     }
 
     if (args.list) {
-        for (const auto &[name, builder] : builders())
+        std::vector<std::string> names;
+        for (const AlgoEntry &entry : algoCatalog())
+            names.push_back(entry.name);
+        std::sort(names.begin(), names.end());
+        for (const std::string &name : names)
             std::printf("%s\n", name.c_str());
         return 0;
     }
@@ -236,11 +141,9 @@ main(int argc, char **argv)
 
     try {
         Topology topo = parseTopology(args.machine);
-        auto it = builders().find(args.algo);
-        if (it == builders().end())
-            throw Error("unknown algorithm '" + args.algo +
-                        "' (try --list)");
-        std::unique_ptr<Program> prog = it->second(topo, args);
+        AlgoConfig config{ args.instances, args.proto };
+        std::unique_ptr<Program> prog = algoEntry(args.algo).build(
+            topo, config, args.channels, args.root, args.chunks);
         prog->checkPostcondition();
 
         CompileOptions copts;

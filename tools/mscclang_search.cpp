@@ -294,7 +294,7 @@ main(int argc, char **argv)
                 searchSchedules(two_node, "allreduce", multi);
             std::size_t hier = 0;
             for (const CandidateResult &cand : mresult.evaluated) {
-                if (cand.spec.family == AlgoFamily::Hierarchical)
+                if (cand.spec.family->knobs.hierSplit)
                     hier++;
             }
             if (hier == 0 || mresult.windows.empty()) {

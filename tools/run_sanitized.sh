@@ -24,7 +24,9 @@
 # and the chunk value algebra (ChunkValue|Program): a value keeps up
 # to two runs inline and moves longer run lists to the heap, so a
 # copy, move or growth across that switch is where a double free or
-# stale read would hide.
+# stale read would hide, and the algorithm catalogue (Catalog), which
+# builds and verifies every named algorithm through its table's
+# function pointers.
 # Also registered as the "sanitize" ctest configuration (ctest -C
 # sanitize) next to the existing "perf" configuration.
 #
@@ -70,7 +72,7 @@ if [[ "$TSAN" == "1" ]]; then
 else
     BUILD_DIR="${BUILD_DIR:-build-asan}"
     SANITIZE_FLAG="-DMSCCLANG_SANITIZE=ON"
-    FILTER="${1:-Faults|Watchdog|Communicator|Interpreter|EventQueue|IndexedHeap|Flow|Recovery|Health|PlanCache|Determinism|RaceChecker|Search|Workload|Replay|Slo|Hierarchical|RaceOracle|Schedule|CompileStats|InstrGraph|Lowering|Fusion|ChunkDag|Verifier|IrXml|Xml|Tuner|ChunkValue|Program}"
+    FILTER="${1:-Faults|Watchdog|Communicator|Interpreter|EventQueue|IndexedHeap|Flow|Recovery|Health|PlanCache|Determinism|RaceChecker|Search|Workload|Replay|Slo|Hierarchical|RaceOracle|Schedule|CompileStats|InstrGraph|Lowering|Fusion|ChunkDag|Verifier|IrXml|Xml|Tuner|ChunkValue|Program|Catalog}"
 fi
 
 cmake -B "$BUILD_DIR" -S . "$SANITIZE_FLAG" \
@@ -80,7 +82,7 @@ cmake --build "$BUILD_DIR" --target test_faults test_interpreter \
     test_determinism test_search test_workload test_hierarchical \
     test_race_oracle test_tuner test_schedule test_compiler \
     test_instr_graph test_lowering test_verifier test_xml test_chunk \
-    test_dsl -j"$(nproc)"
+    test_dsl test_catalog -j"$(nproc)"
 
 if [[ "$TSAN" == "1" ]]; then
     export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
