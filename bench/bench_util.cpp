@@ -1,7 +1,6 @@
 #include "bench_util.h"
 
 #include <cstdio>
-#include <cstring>
 
 #include "common/strings.h"
 #include "runtime/communicator.h"
@@ -66,16 +65,15 @@ printFigure(const std::string &title, const std::string &baseline_label,
 }
 
 std::vector<std::uint64_t>
-sweepFromArgs(int argc, char **argv, std::uint64_t def_from,
-              std::uint64_t def_to)
+sweepFromArgs(int argc, char **argv, std::uint64_t from, std::uint64_t to,
+              Flags flags)
 {
-    std::uint64_t from = def_from, to = def_to;
-    for (int i = 1; i + 1 < argc; i++) {
-        if (std::strcmp(argv[i], "--from") == 0)
-            from = parseBytes(argv[i + 1]);
-        if (std::strcmp(argv[i], "--to") == 0)
-            to = parseBytes(argv[i + 1]);
-    }
+    std::string from_help = "sweep start, bytes per rank (default " +
+        formatBytes(from) + ")";
+    std::string to_help = "sweep end (default " + formatBytes(to) + ")";
+    flags.bytes("--from <size>", from_help.c_str(), &from)
+        .bytes("--to <size>", to_help.c_str(), &to);
+    flags.parse(argc, argv);
     return sizeSweep(from, to);
 }
 

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
 #include "ir/ir.h"
 #include "topology/topology.h"
 
@@ -49,10 +50,15 @@ void printFigure(const std::string &title,
                  const std::function<double(std::uint64_t)> &baseline,
                  const std::vector<Series> &series);
 
-/** Parses "--from 1KB --to 4GB" style overrides (optional). */
+/**
+ * Parses a figure bench's flags and returns its size sweep: --from
+ * and --to override the bounds @p from and @p to, and @p flags holds
+ * the bench's own flags, if any. Exits as Flags::parse does.
+ */
 std::vector<std::uint64_t> sweepFromArgs(int argc, char **argv,
-                                         std::uint64_t def_from,
-                                         std::uint64_t def_to);
+                                         std::uint64_t from,
+                                         std::uint64_t to,
+                                         Flags flags = Flags());
 
 } // namespace mscclang::bench
 

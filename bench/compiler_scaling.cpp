@@ -18,14 +18,12 @@
  * in EXPERIMENTS.md.
  *
  * With --json PATH the numbers are written as BENCH_compile.json;
- * tools/run_benches.sh invokes it that way. --reps must be a whole
- * integer >= 1; anything else exits 2 before any compile runs.
+ * tools/run_benches.sh invokes it that way.
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -33,8 +31,7 @@
 #include <vector>
 
 #include "collectives/collectives.h"
-#include "common/error.h"
-#include "common/strings.h"
+#include "common/flags.h"
 #include "compiler/plan_cache.h"
 #include "compiler/verifier.h"
 
@@ -149,19 +146,19 @@ makeBigProgram(int collective, int ranks)
 
 int
 main(int argc, char **argv)
-try {
+{
     std::string json_path;
     int reps = 3;
     bool big_ranks = false;
-    for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-            json_path = argv[++i];
-        else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc)
-            reps = static_cast<int>(parseCount(
-                "--reps", argv[++i], 1, std::numeric_limits<int>::max()));
-        else if (std::strcmp(argv[i], "--big-ranks") == 0)
-            big_ranks = true;
-    }
+    Flags flags;
+    flags
+        .text("--json <path>", "write the numbers as BENCH_compile.json",
+              &json_path)
+        .count("--reps <n>", "timed compiles per batch (default 3)", &reps,
+               1)
+        .on("--big-ranks",
+            "add verify-on cells at 64..1024 ranks (slow)", &big_ranks);
+    flags.parse(argc, argv);
 
     const char *names[3] = { "ring_allreduce", "ring_allgather",
                              "naive_alltoall" };
@@ -363,7 +360,4 @@ try {
         std::printf("wrote %s\n", json_path.c_str());
     }
     return 0;
-} catch (const BadValue &error) {
-    std::fprintf(stderr, "error: %s\n", error.what());
-    return 2;
 }

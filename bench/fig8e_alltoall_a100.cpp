@@ -16,16 +16,11 @@
  * uses the same scale; pass --nodes to shrink for quick runs.
  */
 
-#include <cstdio>
-#include <cstring>
-#include <limits>
-
 #include <map>
 
 #include "baselines/baselines.h"
 #include "bench_util.h"
 #include "collectives/collectives.h"
-#include "common/error.h"
 #include "common/strings.h"
 #include "compiler/compiler.h"
 
@@ -36,20 +31,12 @@ int
 main(int argc, char **argv)
 {
     int nodes = 32;
-    for (int i = 1; i + 1 < argc; i++) {
-        if (std::strcmp(argv[i], "--nodes") != 0)
-            continue;
-        try {
-            nodes = static_cast<int>(parseCount(
-                "--nodes", argv[i + 1], 1, std::numeric_limits<int>::max()));
-        } catch (const BadValue &error) {
-            std::fprintf(stderr, "error: %s\n", error.what());
-            return 2;
-        }
-    }
-    Topology topo = makeNdv4(nodes);
+    Flags flags;
+    flags.count("--nodes <n>", "NDv4 nodes of 8 A100s (default 32)",
+                &nodes, 1);
     std::vector<std::uint64_t> sizes =
-        sweepFromArgs(argc, argv, 256 << 10, 4ULL << 30);
+        sweepFromArgs(argc, argv, 256 << 10, 4ULL << 30, flags);
+    Topology topo = makeNdv4(nodes);
 
     CompileOptions copts;
     copts.verify = false; // statically checked in the test suite

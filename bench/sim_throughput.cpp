@@ -37,7 +37,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <functional>
@@ -50,7 +49,7 @@
 
 #include "collectives/classic.h"
 #include "collectives/collectives.h"
-#include "common/error.h"
+#include "common/flags.h"
 #include "common/strings.h"
 #include "compiler/compiler.h"
 #include "runtime/interpreter.h"
@@ -126,38 +125,6 @@ wallMs(std::chrono::steady_clock::time_point t0)
 {
     auto dt = std::chrono::steady_clock::now() - t0;
     return std::chrono::duration<double, std::milli>(dt).count();
-}
-
-/**
- * Parses a comma-separated integer list for @p flag, rejecting (with
- * a diagnostic on stderr and exit code 2) anything malformed or
- * outside [@p lo, @p hi] — a bad list must never silently fall back
- * to defaults, since the resulting BENCH_sim.json would claim a
- * sweep that never ran.
- */
-std::vector<int>
-parseIntList(const char *flag, const char *arg, int lo, int hi)
-{
-    std::vector<int> out;
-    std::string s(arg);
-    size_t pos = 0;
-    while (true) {
-        size_t comma = s.find(',', pos);
-        std::string tok = s.substr(
-            pos, comma == std::string::npos ? std::string::npos
-                                            : comma - pos);
-        try {
-            out.push_back(static_cast<int>(parseCount(flag, tok, lo, hi)));
-        } catch (const BadValue &error) {
-            std::fprintf(stderr, "sim_throughput: %s (in '%s')\n",
-                         error.what(), arg);
-            std::exit(2);
-        }
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return out;
 }
 
 /**
@@ -395,51 +362,29 @@ main(int argc, char **argv)
     std::string json_path;
     int iters = 20;
     bool profile_on = false;
-    // The scaling axis (documented default; overridden by --ranks,
-    // which *errors* on malformed values rather than falling back
-    // here).
+    // The scaling axis: a bad --ranks is an error, never a fall back
+    // to this default that BENCH_sim.json would then misreport.
     std::vector<int> scale_ranks = { 16, 64 };
-    for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-            json_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--iters") == 0 &&
-                   i + 1 < argc) {
-            try {
-                iters = static_cast<int>(parseCount(
-                    "--iters", argv[++i], 1,
-                    std::numeric_limits<int>::max()));
-            } catch (const BadValue &error) {
-                std::fprintf(stderr, "sim_throughput: %s\n",
-                             error.what());
-                return 2;
-            }
-        } else if (std::strcmp(argv[i], "--fingerprint") == 0) {
-            return fingerprintBattery();
-        } else if (std::strcmp(argv[i], "--ranks") == 0 &&
-                   i + 1 < argc) {
-            scale_ranks = parseIntList("--ranks", argv[++i], 8, 512);
-            for (int r : scale_ranks) {
-                if (r % 8 != 0) {
-                    std::fprintf(stderr,
-                                 "sim_throughput: --ranks values must "
-                                 "be multiples of 8 (NDv4 nodes), got "
-                                 "%d\n",
-                                 r);
-                    return 2;
-                }
-            }
-        } else if (std::strcmp(argv[i], "--profile") == 0) {
-            profile_on = true;
-        } else {
-            std::fprintf(stderr,
-                         "sim_throughput: unknown or incomplete "
-                         "argument '%s'\nusage: sim_throughput "
-                         "[--json PATH] [--iters N] [--fingerprint] "
-                         "[--ranks A,B,...] [--profile]\n",
-                         argv[i]);
-            return 2;
-        }
+    bool fingerprint = false;
+    Flags flags;
+    flags.text("--json <path>", "write the numbers as BENCH_sim.json",
+               &json_path)
+        .count("--iters <n>", "timed runs per size (default 20)", &iters, 1)
+        .on("--fingerprint",
+            "print the simulated-time fingerprint battery and exit",
+            &fingerprint)
+        .counts("--ranks <a,b,...>",
+                "rank counts of the scaling axis, multiples of 8\n"
+                "(default 16,64)",
+                &scale_ranks, 8, 512)
+        .on("--profile", "add the wall-clock phase breakdown", &profile_on);
+    flags.parse(argc, argv);
+    for (int r : scale_ranks) {
+        if (r % 8 != 0)
+            flags.fail(strprintf("--ranks: %d is not a multiple of 8", r));
     }
+    if (fingerprint)
+        return fingerprintBattery();
 
     Topology topo = makeNdv4(2); // 16 ranks
     AlgoConfig cfg;

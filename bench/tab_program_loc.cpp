@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -24,6 +23,7 @@
 #include <vector>
 
 #include "collectives/catalog.h"
+#include "common/flags.h"
 #include "compiler/compiler.h"
 
 using namespace mscclang;
@@ -120,15 +120,11 @@ printLibraryLoc(const std::filesystem::path &src)
 int
 main(int argc, char **argv)
 {
-    std::filesystem::path src = MSCCLANG_SOURCE_DIR;
-    for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--src") == 0 && i + 1 < argc) {
-            src = argv[++i];
-        } else {
-            std::fprintf(stderr, "usage: tab_program_loc [--src DIR]\n");
-            return 2;
-        }
-    }
+    std::string src = MSCCLANG_SOURCE_DIR;
+    Flags flags;
+    flags.text("--src <dir>", "source tree to count (default: the one built)",
+               &src);
+    flags.parse(argc, argv);
 
     // Every catalogue entry, built as mscclang_compile builds it with
     // default flags: on ndv4:2, or on the DGX-1 when the entry's

@@ -76,37 +76,39 @@ parseReal(const std::string &flag, const std::string &text, double min,
 }
 
 std::uint64_t
-parseBytes(const std::string &text)
+parseBytes(const std::string &flag, const std::string &text)
 {
-    if (text.empty())
-        throw Error("parseBytes: empty string");
-    size_t pos = 0;
+    // As in parseReal: a size starts with a digit or a point, which
+    // turns away " 4", "-1" and the "inf"/"nan" spellings.
+    char *end = const_cast<char *>(text.c_str());
     double value = 0.0;
-    try {
-        value = std::stod(text, &pos);
-    } catch (const std::exception &) {
-        throw Error("parseBytes: malformed size '" + text + "'");
+    errno = 0;
+    if (std::isdigit(static_cast<unsigned char>(text[0])) || text[0] == '.')
+        value = std::strtod(text.c_str(), &end);
+    bool ok = end != text.c_str() && errno != ERANGE && std::isfinite(value);
+    while (std::isspace(static_cast<unsigned char>(*end)))
+        end++;
+    std::string unit = end;
+    double scale = 0.0;
+    if (unit.empty() || unit == "B")
+        scale = 1.0;
+    else if (unit == "KB" || unit == "K" || unit == "KiB")
+        scale = 0x1p10;
+    else if (unit == "MB" || unit == "M" || unit == "MiB")
+        scale = 0x1p20;
+    else if (unit == "GB" || unit == "G" || unit == "GiB")
+        scale = 0x1p30;
+    else if (unit == "TB" || unit == "T" || unit == "TiB")
+        scale = 0x1p40;
+    double bytes = value * scale;
+    // 2^64 is the first double a uint64 cannot hold.
+    ok = ok && scale > 0.0 && bytes < 0x1p64 &&
+        (value == 0.0 || bytes >= 1.0);
+    if (!ok) {
+        throw BadValue(strprintf("%s: '%s' is not a byte size",
+                                 flag.c_str(), text.c_str()));
     }
-    std::string unit = text.substr(pos);
-    while (!unit.empty() && std::isspace(static_cast<unsigned char>(unit[0])))
-        unit.erase(unit.begin());
-    std::uint64_t scale = 1;
-    if (unit.empty() || unit == "B") {
-        scale = 1;
-    } else if (unit == "KB" || unit == "K" || unit == "KiB") {
-        scale = 1ULL << 10;
-    } else if (unit == "MB" || unit == "M" || unit == "MiB") {
-        scale = 1ULL << 20;
-    } else if (unit == "GB" || unit == "G" || unit == "GiB") {
-        scale = 1ULL << 30;
-    } else if (unit == "TB" || unit == "T" || unit == "TiB") {
-        scale = 1ULL << 40;
-    } else {
-        throw Error("parseBytes: unknown unit '" + unit + "'");
-    }
-    if (value < 0)
-        throw Error("parseBytes: negative size '" + text + "'");
-    return static_cast<std::uint64_t>(value * static_cast<double>(scale));
+    return static_cast<std::uint64_t>(bytes);
 }
 
 std::string

@@ -19,10 +19,14 @@ namespace mscclang {
 std::string formatBytes(std::uint64_t bytes);
 
 /**
- * Parses strings like "64", "32KB", "1MB", "4GB" into a byte count.
- * @throws mscclang::Error on malformed input.
+ * Parses the whole of @p text as a byte count: a number (decimal or
+ * hex, as for strtod) and an optional unit, B | K | KB | KiB, M, G
+ * or T alike ("64", "32KB", "1.5MB", "0x10"). An empty token, a
+ * leading space or sign, NaN, infinity, an unknown unit, a size
+ * beyond 64 bits or a nonzero size that rounds to 0 bytes throws
+ * BadValue naming @p flag.
  */
-std::uint64_t parseBytes(const std::string &text);
+std::uint64_t parseBytes(const std::string &flag, const std::string &text);
 
 /**
  * Parses the whole of @p text as an unsigned integer in

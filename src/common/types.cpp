@@ -25,6 +25,17 @@ protocolName(Protocol proto)
     return "?";
 }
 
+std::optional<Protocol>
+protocolFromName(const std::string &name)
+{
+    for (Protocol proto : { Protocol::Simple, Protocol::LL,
+                            Protocol::LL128, Protocol::Direct }) {
+        if (name == protocolName(proto))
+            return proto;
+    }
+    return std::nullopt;
+}
+
 const char *
 reduceOpName(ReduceOp op)
 {

@@ -7,6 +7,9 @@
 #ifndef MSCCLANG_COMMON_TYPES_H_
 #define MSCCLANG_COMMON_TYPES_H_
 
+#include <optional>
+#include <string>
+
 namespace mscclang {
 
 /** A GPU's global rank (node * gpusPerNode + local index). */
@@ -34,6 +37,9 @@ const char *bufferKindName(BufferKind kind);
 enum class Protocol { Simple = 0, LL = 1, LL128 = 2, Direct = 3 };
 
 const char *protocolName(Protocol proto);
+
+/** The protocol protocolName() spells @p name, if any. */
+std::optional<Protocol> protocolFromName(const std::string &name);
 
 /**
  * FIFO slots per connection (paper: 1 <= s <= 8). The single source

@@ -259,10 +259,8 @@ bufferFromAttr(const std::string &name)
 Protocol
 protocolFromAttr(const std::string &name)
 {
-    if (name == "Simple") return Protocol::Simple;
-    if (name == "LL") return Protocol::LL;
-    if (name == "LL128") return Protocol::LL128;
-    if (name == "Direct") return Protocol::Direct;
+    if (std::optional<Protocol> proto = protocolFromName(name))
+        return *proto;
     throw Error("MSCCL-IR: unknown protocol '" + name + "'");
 }
 

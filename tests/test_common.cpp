@@ -34,27 +34,45 @@ TEST(Strings, FormatBytesFractional)
 
 TEST(Strings, ParseBytesUnits)
 {
-    EXPECT_EQ(parseBytes("64"), 64u);
-    EXPECT_EQ(parseBytes("64B"), 64u);
-    EXPECT_EQ(parseBytes("32KB"), 32u << 10);
-    EXPECT_EQ(parseBytes("1MB"), 1u << 20);
-    EXPECT_EQ(parseBytes("2GB"), 2ULL << 30);
-    EXPECT_EQ(parseBytes("1TB"), 1ULL << 40);
-    EXPECT_EQ(parseBytes("1.5KB"), 1536u);
+    EXPECT_EQ(parseBytes("--bytes", "64"), 64u);
+    EXPECT_EQ(parseBytes("--bytes", "64B"), 64u);
+    EXPECT_EQ(parseBytes("--bytes", "32KB"), 32u << 10);
+    EXPECT_EQ(parseBytes("--bytes", "1MB"), 1u << 20);
+    EXPECT_EQ(parseBytes("--bytes", "2GB"), 2ULL << 30);
+    EXPECT_EQ(parseBytes("--bytes", "1TB"), 1ULL << 40);
+    EXPECT_EQ(parseBytes("--bytes", "1.5KB"), 1536u);
 }
 
 TEST(Strings, ParseBytesRoundTripsFormat)
 {
     for (std::uint64_t bytes : sizeSweep(1 << 10, 1ULL << 30))
-        EXPECT_EQ(parseBytes(formatBytes(bytes)), bytes);
+        EXPECT_EQ(parseBytes("--bytes", formatBytes(bytes)), bytes);
 }
 
 TEST(Strings, ParseBytesRejectsJunk)
 {
-    EXPECT_THROW(parseBytes(""), Error);
-    EXPECT_THROW(parseBytes("abc"), Error);
-    EXPECT_THROW(parseBytes("12XB"), Error);
-    EXPECT_THROW(parseBytes("-5KB"), Error);
+    EXPECT_THROW(parseBytes("--bytes", ""), Error);
+    EXPECT_THROW(parseBytes("--bytes", "abc"), Error);
+    EXPECT_THROW(parseBytes("--bytes", "12XB"), Error);
+    EXPECT_THROW(parseBytes("--bytes", "-5KB"), Error);
+}
+
+TEST(Strings, ParseBytesIsStrict)
+{
+    EXPECT_EQ(parseBytes("--bytes", "0x10"), 16u);
+    EXPECT_EQ(parseBytes("--bytes", "1.5KB"), 1536u);
+    EXPECT_EQ(parseBytes("--bytes", "0"), 0u);
+    for (const char *bad : { "nan", "inf", "1e30GB", "1e-9", " 1MB",
+                             "+1MB", "18446744073709551616", "0.5" }) {
+        SCOPED_TRACE(bad);
+        EXPECT_THROW(parseBytes("--bytes", bad), BadValue);
+    }
+    try {
+        parseBytes("--from", "nan");
+        FAIL() << "nan accepted";
+    } catch (const BadValue &error) {
+        EXPECT_STREQ(error.what(), "--from: 'nan' is not a byte size");
+    }
 }
 
 TEST(Strings, ParseCountIsStrict)

@@ -31,6 +31,7 @@
 
 #include "collectives/collectives.h"
 #include "common/error.h"
+#include "common/flags.h"
 #include "common/rng.h"
 #include "common/strings.h"
 #include "compiler/plan_cache.h"
@@ -40,29 +41,6 @@
 using namespace mscclang;
 
 namespace {
-
-void
-usage()
-{
-    std::fprintf(stderr,
-        "usage: mscclang_chaos [options]\n"
-        "  --machine <spec>   ndv4:<n> | dgx2:<n> | dgx1 | "
-        "generic:<n>:<g>   (default ndv4:1)\n"
-        "  --bytes <size>     input bytes per rank (default 4MB)\n"
-        "  --at-frac <f>      fault activation as a fraction of the\n"
-        "                     algorithm's healthy latency (default 0.3)\n"
-        "  --resource <id>    faulted resource, by id or by name\n"
-        "                     (default: first resource of the 0 -> 1\n"
-        "                     route)\n"
-        "  --seed <n>         seed for backoff jitter and data fill\n"
-        "                     (default 1; same seed, same output)\n"
-        "  --csv <path>       also write the matrix as CSV rows\n"
-        "                     ('-' for stdout)\n"
-        "  --data             move real floats (slower, validates "
-        "buffers)\n"
-        "  --profile          print a wall-clock phase breakdown of\n"
-        "                     the whole sweep after the matrix\n");
-}
 
 struct Candidate
 {
@@ -118,51 +96,42 @@ main(int argc, char **argv)
     std::string csv_path;
     bool data_mode = false;
     bool profile_on = false;
-    for (int i = 1; i < argc; i++) {
-        std::string flag = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                throw Error("missing value for " + flag);
-            return argv[++i];
-        };
-        try {
-            if (flag == "--machine") machine = value();
-            else if (flag == "--bytes") bytes = parseBytes(value());
-            else if (flag == "--at-frac")
-                at_frac = parseReal(flag, value(), 0.0, 1.0);
-            else if (flag == "--resource") {
-                // Resource names start with a letter; a leading digit
-                // means an id, and the whole token must be one.
-                std::string spec = value();
-                if (!spec.empty() && std::isdigit(
-                        static_cast<unsigned char>(spec[0]))) {
-                    resource = static_cast<int>(parseCount(
-                        flag, spec, 0, std::numeric_limits<int>::max()));
-                } else {
-                    resource_name = spec; // resolve by name later
-                }
-            }
-            else if (flag == "--seed")
-                seed = parseCount(flag, value(), 0,
-                                  std::numeric_limits<std::uint64_t>::max());
-            else if (flag == "--csv") csv_path = value();
-            else if (flag == "--data") data_mode = true;
-            else if (flag == "--profile") profile_on = true;
-            else if (flag == "--help" || flag == "-h") {
-                usage();
-                return 0;
-            } else {
-                std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
-                usage();
-                return 2;
-            }
-        } catch (const std::exception &error) {
-            std::fprintf(stderr, "error: %s\n", error.what());
-            return 2;
-        }
-    }
-
-    try {
+    Flags flags;
+    flags
+        .text("--machine <spec>",
+              "ndv4:<n> | dgx2:<n> | dgx1 | generic:<n>:<g> "
+              "(default ndv4:1)",
+              &machine)
+        .bytes("--bytes <size>", "input bytes per rank (default 4MB)",
+               &bytes)
+        .real("--at-frac <f>", "fault time over healthy latency (default 0.3)",
+              &at_frac, 0.0, 1.0)
+        .custom("--resource <id>",
+                "faulted resource id or name (default: the first of the\n"
+                "0 -> 1 route)",
+                [&](const std::string &spec) {
+                    // Resource names start with a letter; a leading
+                    // digit means an id, and the whole token must be
+                    // one.
+                    if (!spec.empty() && std::isdigit(
+                            static_cast<unsigned char>(spec[0]))) {
+                        resource = static_cast<int>(parseCount(
+                            "--resource", spec, 0,
+                            std::numeric_limits<int>::max()));
+                    } else {
+                        resource_name = spec; // resolve by name later
+                    }
+                })
+        .count("--seed <n>", "backoff jitter and data fill seed (default 1)",
+               &seed)
+        .text("--csv <path>",
+              "also write the matrix as CSV rows ('-' for stdout)",
+              &csv_path)
+        .on("--data", "move real floats (slower, validates buffers)",
+            &data_mode)
+        .on("--profile", "print the sweep's wall-clock phase breakdown",
+            &profile_on);
+    return flags.run(argc, argv, [&] {
         Topology probe = parseTopology(machine);
         int ranks = probe.numRanks();
         if (!resource_name.empty()) {
@@ -334,20 +303,8 @@ main(int argc, char **argv)
                 us(profile.interpMergeNs));
         }
 
-        if (!csv_path.empty()) {
-            if (csv_path == "-") {
-                std::fputs(csv.c_str(), stdout);
-            } else {
-                std::FILE *out = std::fopen(csv_path.c_str(), "w");
-                if (out == nullptr)
-                    throw Error("cannot write " + csv_path);
-                std::fputs(csv.c_str(), out);
-                std::fclose(out);
-            }
-        }
+        if (!csv_path.empty())
+            writeOutput(csv_path, csv);
         return 0;
-    } catch (const std::exception &error) {
-        std::fprintf(stderr, "error: %s\n", error.what());
-        return 1;
-    }
+    });
 }

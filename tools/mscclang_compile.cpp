@@ -11,21 +11,21 @@
  *   mscclang_compile --algo twostep_alltoall --machine ndv4:4 --dump
  *   mscclang_compile --list
  *
- * Numeric options must be whole non-negative integers: "3x" or "-1"
- * is a usage error (exit 2), not 3 or a wrapped value.
+ * Usage errors exit 2 (common/flags.h): besides malformed flags, an
+ * unknown --algo, --channels on an algorithm that takes none, and a
+ * machine the algorithm's shape check turns away.
  */
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "collectives/catalog.h"
 #include "common/error.h"
-#include "common/strings.h"
+#include "common/flags.h"
 #include "compiler/chunk_dag.h"
 #include "compiler/compiler.h"
 
@@ -35,7 +35,7 @@ namespace {
 
 struct Args
 {
-    std::string algo;
+    const AlgoEntry *algo = nullptr;
     std::string machine = "ndv4:1";
     std::string output;
     Protocol proto = Protocol::Simple;
@@ -50,99 +50,70 @@ struct Args
     bool list = false;
 };
 
-void
-usage()
-{
-    std::fprintf(stderr,
-        "usage: mscclang_compile --algo <name> [options]\n"
-        "  --machine <spec>    ndv4:<n> | dgx2:<n> | dgx1 | "
-        "generic:<n>:<g>   (default ndv4:1)\n"
-        "  --proto <p>         Simple | LL | LL128 | Direct\n"
-        "  --channels <c>      ring channel distribution\n"
-        "  --instances <r>     program-wide parallelization\n"
-        "  --root <r>          broadcast root\n"
-        "  --chunks <c>        broadcast pipeline chunks\n"
-        "  -o <file>           write MSCCL-IR XML (default: stdout)\n"
-        "  --dump              print the human-readable IR\n"
-        "  --dot               print the Chunk DAG as Graphviz\n"
-        "  --stats             print compile statistics\n"
-        "  --no-fuse           disable instruction fusion\n"
-        "  --list              list available algorithms\n");
-}
-
-Protocol
-parseProto(const std::string &name)
-{
-    if (name == "Simple") return Protocol::Simple;
-    if (name == "LL") return Protocol::LL;
-    if (name == "LL128") return Protocol::LL128;
-    if (name == "Direct") return Protocol::Direct;
-    throw Error("unknown protocol '" + name + "'");
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     Args args;
-    for (int i = 1; i < argc; i++) {
-        std::string flag = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                throw Error("missing value for " + flag);
-            return argv[++i];
-        };
-        auto intValue = [&] {
-            return static_cast<int>(parseCount(
-                flag, value(), 0, std::numeric_limits<int>::max()));
-        };
-        try {
-            if (flag == "--algo") args.algo = value();
-            else if (flag == "--machine") args.machine = value();
-            else if (flag == "--proto") args.proto = parseProto(value());
-            else if (flag == "--channels") args.channels = intValue();
-            else if (flag == "--instances") args.instances = intValue();
-            else if (flag == "--root") args.root = intValue();
-            else if (flag == "--chunks") args.chunks = intValue();
-            else if (flag == "-o") args.output = value();
-            else if (flag == "--dump") args.dump = true;
-            else if (flag == "--dot") args.dot = true;
-            else if (flag == "--stats") args.stats = true;
-            else if (flag == "--no-fuse") args.noFuse = true;
-            else if (flag == "--list") args.list = true;
-            else if (flag == "--help" || flag == "-h") {
-                usage();
-                return 0;
-            } else {
-                std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
-                usage();
-                return 2;
-            }
-        } catch (const std::exception &error) {
-            std::fprintf(stderr, "error: %s\n", error.what());
-            return 2;
+    Flags flags("--algo <name> [options]");
+    flags
+        .custom("--algo <name>", "catalogued algorithm (see --list)",
+                [&](const std::string &name) {
+                    try {
+                        args.algo = &algoEntry(name);
+                    } catch (const Error &error) {
+                        throw BadValue(std::string("--algo: ") +
+                                       error.what());
+                    }
+                })
+        .text("--machine <spec>",
+              "ndv4:<n> | dgx2:<n> | dgx1 | generic:<n>:<g> "
+              "(default ndv4:1)",
+              &args.machine)
+        .custom("--proto <p>", "Simple | LL | LL128 | Direct",
+                [&](const std::string &name) {
+                    std::optional<Protocol> proto = protocolFromName(name);
+                    if (!proto)
+                        throw BadValue("--proto: unknown '" + name + "'");
+                    args.proto = *proto;
+                })
+        .count("--channels <c>", "ring channel distribution",
+               &args.channels)
+        .count("--instances <r>", "program-wide parallelization",
+               &args.instances)
+        .count("--root <r>", "broadcast root", &args.root)
+        .count("--chunks <c>", "broadcast pipeline chunks", &args.chunks)
+        .text("-o <file>", "write MSCCL-IR XML (default: stdout)",
+              &args.output)
+        .on("--dump", "print the human-readable IR", &args.dump)
+        .on("--dot", "print the Chunk DAG as Graphviz", &args.dot)
+        .on("--stats", "print compile statistics", &args.stats)
+        .on("--no-fuse", "disable instruction fusion", &args.noFuse)
+        .on("--list", "list available algorithms", &args.list);
+    return flags.run(argc, argv, [&] {
+        if (args.list) {
+            std::vector<std::string> names;
+            for (const AlgoEntry &entry : algoCatalog())
+                names.push_back(entry.name);
+            std::sort(names.begin(), names.end());
+            for (const std::string &name : names)
+                std::printf("%s\n", name.c_str());
+            return 0;
         }
-    }
-
-    if (args.list) {
-        std::vector<std::string> names;
-        for (const AlgoEntry &entry : algoCatalog())
-            names.push_back(entry.name);
-        std::sort(names.begin(), names.end());
-        for (const std::string &name : names)
-            std::printf("%s\n", name.c_str());
-        return 0;
-    }
-    if (args.algo.empty()) {
-        usage();
-        return 2;
-    }
-
-    try {
+        if (args.algo == nullptr)
+            flags.fail("--algo is required");
+        if (flags.seen("--channels") && !args.algo->knobs.channels) {
+            flags.fail(std::string("--channels: ") + args.algo->name +
+                       " takes no channels");
+        }
         Topology topo = parseTopology(args.machine);
+        if (!args.algo->fits(topo)) {
+            flags.fail(std::string(args.algo->name) +
+                       " does not fit machine " + args.machine);
+        }
         AlgoConfig config{ args.instances, args.proto };
-        std::unique_ptr<Program> prog = algoEntry(args.algo).build(
+        std::unique_ptr<Program> prog = args.algo->build(
             topo, config, args.channels, args.root, args.chunks);
         prog->checkPostcondition();
 
@@ -166,7 +137,7 @@ main(int argc, char **argv)
                 "fuse ms            %6.2f\n"
                 "schedule ms        %6.2f\n"
                 "verify ms          %6.2f\n",
-                args.algo.c_str(), topo.name().c_str(),
+                args.algo->name, topo.name().c_str(),
                 topo.numRanks(), out.stats.traceOps, critical_path,
                 out.stats.instrsBeforeFusion,
                 out.stats.instrsAfterFusion, out.stats.fusion.rcs,
@@ -196,8 +167,5 @@ main(int argc, char **argv)
                          args.output.c_str(), xml.size());
         }
         return 0;
-    } catch (const std::exception &error) {
-        std::fprintf(stderr, "error: %s\n", error.what());
-        return 1;
-    }
+    });
 }

@@ -21,12 +21,12 @@
  */
 
 #include <cstdio>
-#include <fstream>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "common/error.h"
+#include "common/flags.h"
 #include "common/strings.h"
 #include "runtime/communicator.h"
 #include "workload/replay.h"
@@ -35,45 +35,6 @@
 using namespace mscclang;
 
 namespace {
-
-void
-usage()
-{
-    std::fprintf(stderr,
-        "usage: mscclang_replay [options]\n"
-        "  --machine <spec>    ndv4:<n> | dgx2:<n> | dgx1 | "
-        "generic:<n>:<g>   (default generic:2:8)\n"
-        "  --workload <w>      mixed | decode | pipeline | moe | "
-        "bursty | <trace.json>   (default mixed)\n"
-        "  --storm <kind>      flap | wave | nic | none (default "
-        "flap)\n"
-        "  --seed <n>          workload + health jitter seed "
-        "(default 1)\n"
-        "  --slo <mult>        availability multiplier over the\n"
-        "                      fault-free latency (default 3.0)\n"
-        "  --max-attempts <n>  kernel attempts per op (default 4)\n"
-        "  --watchdog-us <us>  no-progress watchdog (default 250)\n"
-        "  --healing <arm>     on | off | both (default both)\n"
-        "  --data              move real floats (slow; validates)\n"
-        "  --json <path>       write the report JSON ('-' = stdout)\n"
-        "  --csv <path>        write the report CSV ('-' = stdout)\n"
-        "  --emit-spec <path>  write the workload trace JSON\n"
-        "  --smoke             determinism + availability acceptance "
-        "gate\n");
-}
-
-void
-writeOut(const std::string &path, const std::string &text)
-{
-    if (path == "-") {
-        std::fputs(text.c_str(), stdout);
-        return;
-    }
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        throw Error("cannot write '" + path + "'");
-    out << text;
-}
 
 WorkloadSpec
 buildWorkload(const std::string &name, std::uint64_t seed)
@@ -313,61 +274,44 @@ main(int argc, char **argv)
     bool smoke = false;
     ReplayOptions options;
 
-    for (int i = 1; i < argc; i++) {
-        std::string flag = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                throw Error("missing value for " + flag);
-            return argv[++i];
-        };
-        try {
-            if (flag == "--machine") machine = value();
-            else if (flag == "--workload") workload = value();
-            else if (flag == "--storm") storm_kind = value();
-            else if (flag == "--seed")
-                seed = parseCount(flag, value(), 0,
-                                  std::numeric_limits<std::uint64_t>::max());
-            else if (flag == "--slo")
-                options.sloMultiplier = parseReal(
-                    flag, value(), std::numeric_limits<double>::min(),
-                    std::numeric_limits<double>::max());
-            else if (flag == "--max-attempts")
-                options.maxAttempts = static_cast<int>(parseCount(
-                    flag, value(), 1, std::numeric_limits<int>::max()));
-            else if (flag == "--watchdog-us")
-                options.watchdogNoProgressUs = parseReal(
-                    flag, value(), 0.0, std::numeric_limits<double>::max());
-            else if (flag == "--healing") healing = value();
-            else if (flag == "--data") options.dataMode = true;
-            else if (flag == "--json") json_path = value();
-            else if (flag == "--csv") csv_path = value();
-            else if (flag == "--emit-spec") spec_path = value();
-            else if (flag == "--smoke") smoke = true;
-            else if (flag == "--help" || flag == "-h") {
-                usage();
-                return 0;
-            } else {
-                std::fprintf(stderr, "unknown flag %s\n",
-                             flag.c_str());
-                usage();
-                return 2;
-            }
-        } catch (const std::exception &error) {
-            std::fprintf(stderr, "error: %s\n", error.what());
-            return 2;
-        }
-    }
-
-    try {
+    Flags flags;
+    flags
+        .text("--machine <spec>",
+              "ndv4:<n> | dgx2:<n> | dgx1 | generic:<n>:<g> "
+              "(default generic:2:8)",
+              &machine)
+        .text("--workload <w>",
+              "mixed | decode | pipeline | moe | bursty | <trace.json>\n"
+              "(default mixed)",
+              &workload)
+        .text("--storm <kind>", "flap | wave | nic | none (default flap)",
+              &storm_kind)
+        .count("--seed <n>", "workload + health jitter seed (default 1)",
+               &seed)
+        .real("--slo <mult>", "SLO over the fault-free latency (default 3.0)",
+              &options.sloMultiplier, std::numeric_limits<double>::min())
+        .count("--max-attempts <n>", "kernel attempts per op (default 4)",
+               &options.maxAttempts, 1)
+        .real("--watchdog-us <us>", "no-progress watchdog (default 250)",
+              &options.watchdogNoProgressUs, 0.0)
+        .choice("--healing <arm>", "on | off | both (default both)",
+                &healing, { "on", "off", "both" })
+        .on("--data", "move real floats (slow; validates)", &options.dataMode)
+        .text("--json <path>", "write the report JSON ('-' = stdout)",
+              &json_path)
+        .text("--csv <path>", "write the report CSV ('-' = stdout)",
+              &csv_path)
+        .text("--emit-spec <path>", "write the workload trace JSON",
+              &spec_path)
+        .on("--smoke", "determinism + availability acceptance gate", &smoke);
+    return flags.run(argc, argv, [&] {
         if (smoke)
             return runSmoke(seed);
-        if (healing != "on" && healing != "off" && healing != "both")
-            throw Error("--healing takes on | off | both");
 
         WorkloadSpec spec = buildWorkload(workload, seed);
         spec.validate();
         if (!spec_path.empty())
-            writeOut(spec_path, spec.toJson());
+            writeOutput(spec_path, spec.toJson());
 
         Topology topology = parseTopology(machine);
         FaultSchedule storm = buildStorm(storm_kind, topology);
@@ -377,12 +321,9 @@ main(int argc, char **argv)
             machine, spec, storm, options, healing, seed,
             /*quiet=*/false, &csv, nullptr, nullptr);
         if (!json_path.empty())
-            writeOut(json_path, json);
+            writeOutput(json_path, json);
         if (!csv_path.empty())
-            writeOut(csv_path, csv);
+            writeOutput(csv_path, csv);
         return 0;
-    } catch (const Error &error) {
-        std::fprintf(stderr, "error: %s\n", error.what());
-        return 1;
-    }
+    });
 }

@@ -12,73 +12,47 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <limits>
 #include <sstream>
+#include <vector>
 
 #include "common/error.h"
+#include "common/flags.h"
 #include "common/strings.h"
 #include "runtime/communicator.h"
 
 using namespace mscclang;
 
-namespace {
-
-void
-usage()
-{
-    std::fprintf(stderr,
-        "usage: mscclang_run --xml <file> [options]\n"
-        "  --machine <spec>   ndv4:<n> | dgx2:<n> | dgx1 | "
-        "generic:<n>:<g>   (default ndv4:1)\n"
-        "  --bytes <size>     input bytes per rank (default 1MB)\n"
-        "  --sweep <lo:hi>    sweep sizes instead of one run\n"
-        "  --tiles <n>        pipeline tile cap per chunk\n");
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    std::string xml_path, machine = "ndv4:1", sweep;
+    std::string xml_path, machine = "ndv4:1";
     std::uint64_t bytes = 1 << 20;
+    std::vector<std::uint64_t> sweep;
     int tiles = 16;
-    for (int i = 1; i < argc; i++) {
-        std::string flag = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                throw Error("missing value for " + flag);
-            return argv[++i];
-        };
-        try {
-            if (flag == "--xml") xml_path = value();
-            else if (flag == "--machine") machine = value();
-            else if (flag == "--bytes") bytes = parseBytes(value());
-            else if (flag == "--sweep") sweep = value();
-            else if (flag == "--tiles")
-                tiles = static_cast<int>(parseCount(
-                    flag, value(), 1, std::numeric_limits<int>::max()));
-            else if (flag == "--help" || flag == "-h") {
-                usage();
-                return 0;
-            } else {
-                std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
-                usage();
-                return 2;
-            }
-        } catch (const std::exception &error) {
-            std::fprintf(stderr, "error: %s\n", error.what());
-            return 2;
-        }
-    }
-    if (xml_path.empty()) {
-        usage();
-        return 2;
-    }
+    Flags flags("--xml <file> [options]");
+    flags.text("--xml <file>", "MSCCL-IR XML to run", &xml_path)
+        .text("--machine <spec>",
+              "ndv4:<n> | dgx2:<n> | dgx1 | generic:<n>:<g> "
+              "(default ndv4:1)",
+              &machine)
+        .bytes("--bytes <size>", "input bytes per rank (default 1MB)",
+               &bytes)
+        .custom("--sweep <lo:hi>", "sweep sizes instead of one run",
+                [&](const std::string &range) {
+                    auto parts = splitString(range, ':');
+                    if (parts.size() != 2)
+                        throw BadValue("--sweep expects <lo>:<hi>");
+                    sweep = sizeSweep(parseBytes("--sweep", parts[0]),
+                                      parseBytes("--sweep", parts[1]));
+                })
+        .count("--tiles <n>", "pipeline tile cap per chunk", &tiles, 1);
+    return flags.run(argc, argv, [&] {
+        if (xml_path.empty())
+            flags.fail("--xml is required");
+        std::vector<std::uint64_t> sizes =
+            flags.seen("--sweep") ? sweep : std::vector{ bytes };
 
-    try {
         std::ifstream file(xml_path);
         if (!file)
             throw Error("cannot read " + xml_path);
@@ -94,17 +68,6 @@ main(int argc, char **argv)
                     ir.collective.c_str(), ir.numRanks,
                     protocolName(ir.protocol), ir.maxThreadBlocks(),
                     ir.numChannels());
-
-        std::vector<std::uint64_t> sizes;
-        if (sweep.empty()) {
-            sizes.push_back(bytes);
-        } else {
-            auto parts = splitString(sweep, ':');
-            if (parts.size() != 2)
-                throw Error("--sweep expects <lo>:<hi>");
-            sizes = sizeSweep(parseBytes(parts[0]),
-                              parseBytes(parts[1]));
-        }
 
         std::printf("%-8s %12s %10s %14s %12s\n", "size", "time(us)",
                     "msgs", "wire(bytes)", "algbw(GB/s)");
@@ -122,8 +85,5 @@ main(int argc, char **argv)
                         result.stats.wireBytes, algbw);
         }
         return 0;
-    } catch (const std::exception &error) {
-        std::fprintf(stderr, "error: %s\n", error.what());
-        return 1;
-    }
+    });
 }

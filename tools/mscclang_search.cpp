@@ -10,10 +10,6 @@
  * Deterministic: the same --seed, machine and knob lists produce
  * byte-identical --json/--csv output at any --threads setting.
  *
- * Numeric options are parsed strictly: a value that is not a whole
- * non-negative integer in range is an error (exit 2), never a silent
- * 0 or a wrapped huge number.
- *
  * Examples:
  *   mscclang_search
  *   mscclang_search --machine ndv4:2 --collective allgather
@@ -28,13 +24,12 @@
  */
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "common/error.h"
+#include "common/flags.h"
 #include "common/strings.h"
 #include "compiler/plan_cache.h"
 #include "search/search.h"
@@ -42,51 +37,6 @@
 using namespace mscclang;
 
 namespace {
-
-void
-usage()
-{
-    std::fprintf(stderr,
-        "usage: mscclang_search [options]\n"
-        "  --machine <spec>      <name>:<nodes>[:<gpus>][:<variant>] "
-        "with name ndv4 | dgx2 | dgx1 | generic and variant flat | "
-        "rail | fattree (default ndv4:1; e.g. ndv4:4:8:rail, "
-        "generic:8:8:fattree)\n"
-        "  --collective <name>   allreduce | allgather (default "
-        "allreduce)\n"
-        "  --from <size>         sweep start, bytes per rank "
-        "(default 1KB)\n"
-        "  --to <size>           sweep end (default 64MB)\n"
-        "  --threads <n>         sweep worker threads (default: "
-        "hardware)\n"
-        "  --seed <n>            subsample seed (default 0x5eed)\n"
-        "  --max-candidates <n>  cap on evaluated candidates "
-        "(0 = all)\n"
-        "  --hier-splits <list>  comma-separated hierarchy splits "
-        "swept by the hierarchical families (default 0 = whole "
-        "node)\n"
-        "  --json <path>         write the frontier report as JSON "
-        "('-' for stdout)\n"
-        "  --csv <path>          write the cost matrix as CSV "
-        "('-' for stdout)\n"
-        "  --smoke               compact space + hand-tuned baseline "
-        "gate\n");
-}
-
-void
-writeReport(const std::string &path, const std::string &text,
-            const char *what)
-{
-    if (path == "-") {
-        std::fputs(text.c_str(), stdout);
-        return;
-    }
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        throw Error(strprintf("cannot open %s file '%s'", what,
-                              path.c_str()));
-    out << text;
-}
 
 /** The frontier candidate winning @p bytes under @p result. */
 const CandidateResult &
@@ -165,60 +115,35 @@ main(int argc, char **argv)
     bool smoke = false;
     SearchOptions options;
 
-    try {
-        for (int i = 1; i < argc; i++) {
-            std::string arg = argv[i];
-            auto value = [&]() -> std::string {
-                if (i + 1 >= argc)
-                    throw Error(strprintf("%s needs a value",
-                                          arg.c_str()));
-                return argv[++i];
-            };
-            if (arg == "--machine") {
-                machine = value();
-            } else if (arg == "--collective") {
-                collective = value();
-            } else if (arg == "--from") {
-                options.fromBytes = parseBytes(value());
-            } else if (arg == "--to") {
-                options.toBytes = parseBytes(value());
-            } else if (arg == "--threads") {
-                options.threads = static_cast<int>(parseCount(
-                    arg, value(), 0, std::numeric_limits<int>::max()));
-            } else if (arg == "--seed") {
-                options.seed = parseCount(
-                    arg, value(), 0,
-                    std::numeric_limits<std::uint64_t>::max(), 0);
-            } else if (arg == "--max-candidates") {
-                options.maxCandidates =
-                    static_cast<std::size_t>(parseCount(
-                        arg, value(), 0,
-                        std::numeric_limits<std::size_t>::max()));
-            } else if (arg == "--hier-splits") {
-                options.hierSplits.clear();
-                for (const std::string &tok :
-                     splitString(value(), ',')) {
-                    options.hierSplits.push_back(
-                        static_cast<int>(parseCount(
-                            arg, tok, 0,
-                            std::numeric_limits<int>::max())));
-                }
-            } else if (arg == "--json") {
-                json_path = value();
-            } else if (arg == "--csv") {
-                csv_path = value();
-            } else if (arg == "--smoke") {
-                smoke = true;
-            } else if (arg == "--help" || arg == "-h") {
-                usage();
-                return 0;
-            } else {
-                usage();
-                throw Error(strprintf("unknown argument '%s'",
-                                      arg.c_str()));
-            }
-        }
-
+    Flags flags;
+    flags
+        .text("--machine <spec>",
+              "<ndv4|dgx2|dgx1|generic>:<nodes>[:<gpus>]"
+              "[:<flat|rail|fattree>]\n(default ndv4:1; e.g. ndv4:4:8:rail)",
+              &machine)
+        .text("--collective <name>",
+              "allreduce | allgather (default allreduce)", &collective)
+        .bytes("--from <size>", "sweep start, bytes per rank (default 1KB)",
+               &options.fromBytes)
+        .bytes("--to <size>", "sweep end (default 64MB)", &options.toBytes)
+        .count("--threads <n>", "sweep worker threads (default: hardware)",
+               &options.threads)
+        .count("--seed <n>", "subsample seed (default 0x5eed)",
+               &options.seed, 0, std::numeric_limits<std::uint64_t>::max(),
+               0)
+        .count("--max-candidates <n>",
+               "cap on evaluated candidates (0 = all)",
+               &options.maxCandidates)
+        .counts("--hier-splits <list>",
+                "hierarchy splits to sweep (default 0 = whole node)",
+                &options.hierSplits, 0, std::numeric_limits<int>::max())
+        .text("--json <path>",
+              "write the frontier report as JSON ('-' for stdout)",
+              &json_path)
+        .text("--csv <path>", "write the cost matrix as CSV ('-' for stdout)",
+              &csv_path)
+        .on("--smoke", "compact space + hand-tuned baseline gate", &smoke);
+    return flags.run(argc, argv, [&] {
         if (smoke) {
             // Compact space, chosen to contain every hand-tuned
             // explore_allreduce_algos pick so the baseline gate
@@ -259,9 +184,9 @@ main(int argc, char **argv)
         }
 
         if (!json_path.empty())
-            writeReport(json_path, frontierToJson(result), "json");
+            writeOutput(json_path, frontierToJson(result));
         if (!csv_path.empty())
-            writeReport(csv_path, frontierToCsv(result), "csv");
+            writeOutput(csv_path, frontierToCsv(result));
 
         if (smoke && collective == "allreduce") {
             int violations =
@@ -311,11 +236,5 @@ main(int argc, char **argv)
                         mresult.windows.size());
         }
         return 0;
-    } catch (const BadValue &error) {
-        std::fprintf(stderr, "mscclang_search: %s\n", error.what());
-        return 2;
-    } catch (const Error &error) {
-        std::fprintf(stderr, "mscclang_search: %s\n", error.what());
-        return 1;
-    }
+    });
 }

@@ -26,7 +26,8 @@
 # copy, move or growth across that switch is where a double free or
 # stale read would hide, and the algorithm catalogue (Catalog), which
 # builds and verifies every named algorithm through its table's
-# function pointers.
+# function pointers, and the flag parser (Flags), whose bindings
+# write through pointers the program's table captured.
 # Also registered as the "sanitize" ctest configuration (ctest -C
 # sanitize) next to the existing "perf" configuration.
 #
@@ -72,7 +73,7 @@ if [[ "$TSAN" == "1" ]]; then
 else
     BUILD_DIR="${BUILD_DIR:-build-asan}"
     SANITIZE_FLAG="-DMSCCLANG_SANITIZE=ON"
-    FILTER="${1:-Faults|Watchdog|Communicator|Interpreter|EventQueue|IndexedHeap|Flow|Recovery|Health|PlanCache|Determinism|RaceChecker|Search|Workload|Replay|Slo|Hierarchical|RaceOracle|Schedule|CompileStats|InstrGraph|Lowering|Fusion|ChunkDag|Verifier|IrXml|Xml|Tuner|ChunkValue|Program|Catalog}"
+    FILTER="${1:-Faults|Watchdog|Communicator|Interpreter|EventQueue|IndexedHeap|Flow|Recovery|Health|PlanCache|Determinism|RaceChecker|Search|Workload|Replay|Slo|Hierarchical|RaceOracle|Schedule|CompileStats|InstrGraph|Lowering|Fusion|ChunkDag|Verifier|IrXml|Xml|Tuner|ChunkValue|Program|Catalog|Flags}"
 fi
 
 cmake -B "$BUILD_DIR" -S . "$SANITIZE_FLAG" \
@@ -82,7 +83,7 @@ cmake --build "$BUILD_DIR" --target test_faults test_interpreter \
     test_determinism test_search test_workload test_hierarchical \
     test_race_oracle test_tuner test_schedule test_compiler \
     test_instr_graph test_lowering test_verifier test_xml test_chunk \
-    test_dsl test_catalog -j"$(nproc)"
+    test_dsl test_catalog test_flags -j"$(nproc)"
 
 if [[ "$TSAN" == "1" ]]; then
     export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
