@@ -225,10 +225,12 @@ main(int argc, char **argv)
                                      "hierarchical_allreduce" };
         std::printf("# --big-ranks — verify-on compiles at scale "
                     "(single samples)\n");
-        std::printf("%-22s %5s %10s %10s %9s %9s %9s %9s %9s %9s\n",
+        std::printf("%-22s %5s %10s %10s %9s %9s %9s %9s %9s %9s "
+                    "%9s %9s %9s %9s\n",
                     "collective", "ranks", "cold_ms", "warm_ms",
                     "trace_ms", "lower_ms", "fuse_ms", "sched_ms",
-                    "verify_ms", "race_ms");
+                    "verify_ms", "race_ms", "lower_mf", "fuse_mf",
+                    "sched_mf", "verify_mf");
         for (int c = 0; c < 2; c++) {
             for (int ranks : kBigRankSteps) {
                 CompileOptions copts; // verify defaults on
@@ -262,11 +264,17 @@ main(int argc, char **argv)
                                           cold, warm, 0.0, phases,
                                           trace_ms, race_ms });
                 std::printf("%-22s %5d %10.1f %10.4f %9.1f %9.1f %9.1f "
-                            "%9.1f %9.1f %9.1f\n", big_names[c], ranks,
-                            cold, warm, trace_ms, phases.lowerNs / 1e6,
-                            phases.fuseNs / 1e6,
+                            "%9.1f %9.1f %9.1f %9lld %9lld %9lld %9lld\n",
+                            big_names[c], ranks, cold, warm, trace_ms,
+                            phases.lowerNs / 1e6, phases.fuseNs / 1e6,
                             phases.scheduleNs / 1e6,
-                            phases.verifyNs / 1e6, race_ms);
+                            phases.verifyNs / 1e6, race_ms,
+                            static_cast<long long>(phases.lowerMinorFaults),
+                            static_cast<long long>(phases.fuseMinorFaults),
+                            static_cast<long long>(
+                                phases.scheduleMinorFaults),
+                            static_cast<long long>(
+                                phases.verifyMinorFaults));
             }
         }
     }
@@ -342,11 +350,20 @@ main(int argc, char **argv)
                 "\"warm_ms\": %.4f, \"trace_ms\": %.2f, "
                 "\"lower_ms\": %.2f, "
                 "\"fuse_ms\": %.2f, \"schedule_ms\": %.2f, "
-                "\"verify_ms\": %.2f, \"race_ms\": %.2f}%s\n",
+                "\"verify_ms\": %.2f, \"race_ms\": %.2f, "
+                "\"lower_minor_faults\": %lld, "
+                "\"fuse_minor_faults\": %lld, "
+                "\"schedule_minor_faults\": %lld, "
+                "\"verify_minor_faults\": %lld}%s\n",
                 cell.collective, cell.ranks, cell.coldMs, cell.warmMs,
                 cell.traceMs, phases.lowerNs / 1e6, phases.fuseNs / 1e6,
                 phases.scheduleNs / 1e6, phases.verifyNs / 1e6,
-                cell.raceMs, i + 1 < big_cells.size() ? "," : "");
+                cell.raceMs,
+                static_cast<long long>(phases.lowerMinorFaults),
+                static_cast<long long>(phases.fuseMinorFaults),
+                static_cast<long long>(phases.scheduleMinorFaults),
+                static_cast<long long>(phases.verifyMinorFaults),
+                i + 1 < big_cells.size() ? "," : "");
         }
         std::fprintf(f,
             "  ],\n"

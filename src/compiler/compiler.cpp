@@ -1,5 +1,7 @@
 #include "compiler/compiler.h"
 
+#include <sys/resource.h>
+
 #include <chrono>
 
 #include "common/error.h"
@@ -10,15 +12,37 @@ namespace mscclang {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
+/** Minor page faults of the calling thread so far. */
 std::int64_t
-nsSince(Clock::time_point start)
+minorFaults()
 {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               Clock::now() - start)
-        .count();
+#ifdef RUSAGE_THREAD
+    rusage usage;
+    if (getrusage(RUSAGE_THREAD, &usage) == 0)
+        return usage.ru_minflt;
+#endif
+    return 0;
 }
+
+/** Wall time and minor page faults of one compile phase. */
+class PhaseMeter
+{
+  public:
+    /** Stores the time and faults since construction. */
+    void
+    stop(std::int64_t &ns, std::int64_t &faults) const
+    {
+        ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                 Clock::now() - start_)
+                 .count();
+        faults = minorFaults() - faults_;
+    }
+
+  private:
+    using Clock = std::chrono::steady_clock;
+    Clock::time_point start_ = Clock::now();
+    std::int64_t faults_ = minorFaults();
+};
 
 /**
  * Lowers, fuses and schedules @p program, filling the matching
@@ -29,9 +53,9 @@ IrProgram
 buildIr(const Program &program, const CompileOptions &options,
         CompileStats &stats)
 {
-    Clock::time_point start = Clock::now();
+    PhaseMeter lower;
     InstrGraph graph = lowerProgram(program);
-    stats.lowerNs = nsSince(start);
+    lower.stop(stats.lowerNs, stats.lowerMinorFaults);
     stats.instrsBeforeFusion = graph.numLive();
 
     if (options.topology != nullptr) {
@@ -54,9 +78,9 @@ buildIr(const Program &program, const CompileOptions &options,
     }
 
     if (options.fuse) {
-        start = Clock::now();
+        PhaseMeter fuse;
         stats.fusion = fuseInstructions(graph);
-        stats.fuseNs = nsSince(start);
+        fuse.stop(stats.fuseNs, stats.fuseMinorFaults);
     }
     stats.instrsAfterFusion = graph.numLive();
 
@@ -66,9 +90,9 @@ buildIr(const Program &program, const CompileOptions &options,
     // The schedule's witness order must hold at the slot count the
     // verifier checks it against.
     sched.slots = options.verifySlots;
-    start = Clock::now();
+    PhaseMeter schedule;
     IrProgram ir = scheduleProgram(program, graph, sched);
-    stats.scheduleNs = nsSince(start);
+    schedule.stop(stats.scheduleNs, stats.scheduleMinorFaults);
     return ir;
 }
 
@@ -87,9 +111,9 @@ compileProgram(const Program &program, const CompileOptions &options)
     if (options.verify) {
         VerifyOptions verify;
         verify.slots = options.verifySlots;
-        Clock::time_point start = Clock::now();
+        PhaseMeter meter;
         verifyIr(out.ir, program.collective(), verify);
-        out.stats.verifyNs = nsSince(start);
+        meter.stop(out.stats.verifyNs, out.stats.verifyMinorFaults);
     }
     return out;
 }

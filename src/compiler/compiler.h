@@ -57,6 +57,15 @@ struct CompileStats
     std::int64_t fuseNs = 0;
     std::int64_t scheduleNs = 0;
     std::int64_t verifyNs = 0;
+    /** Minor page faults of each phase: getrusage(RUSAGE_THREAD)
+     *  deltas of the compiling thread, so compiles on other threads
+     *  do not mix in (0 when the phase did not run, or where the
+     *  platform has no per-thread usage). Each counts the fresh memory
+     *  the phase first touched. */
+    std::int64_t lowerMinorFaults = 0;
+    std::int64_t fuseMinorFaults = 0;
+    std::int64_t scheduleMinorFaults = 0;
+    std::int64_t verifyMinorFaults = 0;
 };
 
 /** Compilation result. */

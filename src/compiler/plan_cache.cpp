@@ -242,31 +242,35 @@ PlanCache::global()
     return cache;
 }
 
-std::shared_ptr<const Compiled>
-PlanCache::lookup(std::uint64_t key)
+bool
+PlanCache::lookup(std::uint64_t key, Compiled &out)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = entries_.find(key);
     if (it == entries_.end()) {
         misses_++;
-        return nullptr;
+        return false;
     }
-    lru_.splice(lru_.begin(), lru_, it->second.lruPos);
+    it->second.lastUse = ++tick_;
     hits_++;
-    return it->second.plan;
+    out = it->second.plan;
+    return true;
 }
 
 void
-PlanCache::insert(std::uint64_t key, std::shared_ptr<const Compiled> plan)
+PlanCache::insert(std::uint64_t key, const Compiled &plan)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     if (entries_.count(key) > 0)
         return; // a concurrent compile of the same key won
-    lru_.push_front(key);
-    entries_.emplace(key, Entry{ std::move(plan), lru_.begin() });
-    while (entries_.size() > capacity_) {
-        entries_.erase(lru_.back());
-        lru_.pop_back();
+    entries_.emplace(key, Entry{ plan, ++tick_ });
+    if (entries_.size() > capacity_) {
+        auto oldest = std::min_element(
+            entries_.begin(), entries_.end(),
+            [](const auto &a, const auto &b) {
+                return a.second.lastUse < b.second.lastUse;
+            });
+        entries_.erase(oldest);
     }
 }
 
@@ -282,8 +286,9 @@ PlanCache::compile(const Program &program, const CompileOptions &options,
 {
     // Every copy below shares the IR body: a Compiled copy costs its
     // header strings and stats, never the instructions.
-    if (std::shared_ptr<const Compiled> hit = lookup(key))
-        return *hit;
+    Compiled hit;
+    if (lookup(key, hit))
+        return hit;
 
     // Try the on-disk spill before paying for a compile. Any parse
     // failure or shape mismatch (stale file, torn write, wrong
@@ -305,7 +310,7 @@ PlanCache::compile(const Program &program, const CompileOptions &options,
                         std::lock_guard<std::mutex> lock(mutex_);
                         diskHits_++;
                     }
-                    insert(key, std::make_shared<const Compiled>(plan));
+                    insert(key, plan);
                     return plan;
                 }
             } catch (const Error &) {
@@ -315,7 +320,7 @@ PlanCache::compile(const Program &program, const CompileOptions &options,
     }
 
     Compiled plan = compileProgram(program, options);
-    insert(key, std::make_shared<const Compiled>(plan));
+    insert(key, plan);
     if (dir != nullptr && dir[0] != '\0') {
         std::ofstream out(planFileName(dir, key),
                           std::ios::binary | std::ios::trunc);
@@ -351,7 +356,6 @@ PlanCache::clear()
 {
     std::lock_guard<std::mutex> lock(mutex_);
     entries_.clear();
-    lru_.clear();
     hits_ = 0;
     misses_ = 0;
     diskHits_ = 0;

@@ -36,7 +36,10 @@
  * per-rank body is immutable and shared (IrGpus), so a miss hands
  * the freshly built body to the cache and a hit shares it with the
  * caller. Neither copies an instruction, and the lock covers only
- * the map lookup and the LRU splice. When MSCCLANG_PLAN_CACHE_DIR
+ * the map lookup and the copy of a hit's header and stats. Recency is
+ * a use tick per entry, not a list: a hit touches its own map node
+ * only, and an insert past capacity evicts the entry with the oldest
+ * tick. When MSCCLANG_PLAN_CACHE_DIR
  * names a directory, plans additionally spill to
  * `plan-<16 hex digits>.xml` in the MSCCL-IR exchange format; a
  * corrupt or mismatched on-disk entry silently falls back to a fresh
@@ -48,8 +51,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
-#include <memory>
 #include <mutex>
 #include <unordered_map>
 
@@ -111,17 +112,20 @@ class PlanCache
   private:
     struct Entry
     {
-        std::shared_ptr<const Compiled> plan;
-        std::list<std::uint64_t>::iterator lruPos;
+        /** Held in the map node itself, so a hit reads one allocation
+         *  and no reference count besides the IR body's. */
+        Compiled plan;
+        /** The cache's use tick at this entry's latest hit or insert. */
+        std::uint64_t lastUse;
     };
 
-    /** The cached plan on a memory hit, else null. */
-    std::shared_ptr<const Compiled> lookup(std::uint64_t key);
-    void insert(std::uint64_t key, std::shared_ptr<const Compiled> plan);
+    /** Copies the cached plan into @p out on a memory hit. */
+    bool lookup(std::uint64_t key, Compiled &out);
+    void insert(std::uint64_t key, const Compiled &plan);
 
     mutable std::mutex mutex_;
     std::size_t capacity_;
-    std::list<std::uint64_t> lru_; // front = most recent
+    std::uint64_t tick_ = 0;
     std::unordered_map<std::uint64_t, Entry> entries_;
     std::size_t hits_ = 0;
     std::size_t misses_ = 0;

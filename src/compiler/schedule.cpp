@@ -20,17 +20,22 @@ namespace {
  * half of which fusion left dead. Dense index d names the d-th live
  * node in ascending id order, so comparing dense indices compares
  * node ids and every id-order tie-break carries over unchanged.
+ *
+ * Lowering only adds edges into the node it is recording, and fusion
+ * keeps that, so every live edge runs forward in id order. The view
+ * requires it (an edge against id order throws, and every cycle has
+ * one), and the passes below rely on it: a sweep in dense order
+ * visits each node after all of its predecessors.
  */
 struct LiveView
 {
     /** Dense index -> node id, ascending. */
     std::vector<int> ids;
-    /** Per dense node, copied from the graph so that only emission
-     *  reads node slots out of id order. io: bit 0 sends, bit 1
-     *  receives. */
+    /** Per dense node, copied from the graph so that no pass but
+     *  emission reads node slots. io: bit 0 sends, bit 1 receives. */
     std::vector<Rank> rank, sendPeer, recvPeer;
     std::vector<std::uint8_t> io;
-    std::vector<int> opId, chanDirective;
+    std::vector<int> opId, chanDirective, splitIdx, splitCount;
     /** Channel chosen by assignChannels (-1 for local nodes). */
     std::vector<int> channel;
     /** CSR of live processing successors: succs[succBegin[d]..). */
@@ -50,51 +55,89 @@ struct LiveView
 LiveView
 buildLiveView(const InstrGraph &graph)
 {
+    int n = graph.numLive();
     LiveView view;
-    std::vector<int> dense(graph.numNodes(), -1);
-    for (const InstrNode &node : graph.nodes()) {
-        if (node.live) {
-            dense[node.id] = view.size();
-            view.ids.push_back(node.id);
-        }
-    }
-    int n = view.size();
+    view.ids.resize(n);
     view.rank.resize(n);
     view.sendPeer.resize(n);
     view.recvPeer.resize(n);
     view.io.resize(n);
     view.opId.resize(n);
     view.chanDirective.resize(n);
+    view.splitIdx.resize(n);
+    view.splitCount.resize(n);
     view.channel.assign(n, -1);
     view.succBegin.resize(n + 1);
-    view.commSucc.assign(n, -1);
-    view.commPred.assign(n, -1);
+    view.commSucc.resize(n);
+    view.commPred.resize(n);
     view.indegree.assign(n, 0);
-    auto dense_of = [&](int id) { return id >= 0 ? dense[id] : -1; };
-    for (int d = 0; d < n; d++) {
-        const InstrNode &node = graph.node(view.ids[d]);
+    view.succs.reserve(graph.edges().size());
+
+    // One pass over the node slots hands out dense indices in id order.
+    // Successors are recorded by node id for now: a later node's dense
+    // index is not known until the pass reaches it.
+    std::vector<int> dense(graph.numNodes(), -1);
+    int d = 0;
+    auto miscounted = [] {
+        return CompileError("scheduler: the instruction graph's live count "
+                            "disagrees with its nodes");
+    };
+    for (const InstrNode &node : graph.nodes()) {
+        if (!node.live)
+            continue;
+        if (d == n)
+            throw miscounted();
+        dense[node.id] = d;
+        view.ids[d] = node.id;
         view.rank[d] = node.rank;
         view.sendPeer[d] = node.sendPeer;
         view.recvPeer[d] = node.recvPeer;
         view.io[d] = (node.sends() ? 1 : 0) | (node.receives() ? 2 : 0);
         view.opId[d] = node.opId;
         view.chanDirective[d] = node.chanDirective;
+        view.splitIdx[d] = node.splitIdx;
+        view.splitCount[d] = node.splitCount;
         view.succBegin[d] = static_cast<int>(view.succs.size());
-        // forEachLiveSucc, with liveness read from the dense map
-        // rather than the node slots.
         graph.forEachSuccEdge(node.id, [&](const InstrEdge &edge) {
-            int to = dense[edge.to];
-            if (to >= 0 && to != d) {
-                view.succs.push_back(to);
-                view.indegree[to]++;
-            }
+            view.succs.push_back(edge.to);
         });
-        view.commSucc[d] = dense_of(node.commSucc);
-        view.commPred[d] = dense_of(node.commPred);
-        if (view.commSucc[d] >= 0)
-            view.indegree[view.commSucc[d]]++;
+        view.commSucc[d] = node.commSucc;
+        view.commPred[d] = node.commPred >= 0 ? dense[node.commPred] : -1;
+        d++;
     }
+    if (d != n)
+        throw miscounted();
     view.succBegin[n] = static_cast<int>(view.succs.size());
+
+    // Node ids to dense indices, in place: dead successors and self
+    // edges are dropped, and every kept edge must run forward.
+    auto forward = [&](int from, int to) {
+        if (to < from) {
+            throw CompileError(strprintf(
+                "instruction DAG edge #%d -> #%d runs against id order "
+                "(a cycle, or a graph not built by lowering)",
+                view.ids[from], view.ids[to]));
+        }
+        view.indegree[to]++;
+    };
+    int kept = 0;
+    for (d = 0; d < n; d++) {
+        int begin = view.succBegin[d];
+        view.succBegin[d] = kept;
+        for (int i = begin; i < view.succBegin[d + 1]; i++) {
+            int to = dense[view.succs[i]];
+            if (to >= 0 && to != d) {
+                forward(d, to);
+                view.succs[kept++] = to;
+            }
+        }
+        int comm = view.commSucc[d];
+        view.commSucc[d] = comm >= 0 ? dense[comm] : -1;
+        if (view.commSucc[d] >= 0)
+            forward(d, view.commSucc[d]);
+    }
+    view.succBegin[n] = kept;
+    view.succs.resize(kept);
     return view;
 }
 
@@ -123,37 +166,28 @@ struct Priority
     std::vector<int> rankOf; // dense index -> rank
 };
 
-Priority
+/** The priority order, as dense indices (Priority::byRank). */
+std::vector<int>
 rankByPriority(const LiveView &view)
 {
+    // Every edge runs forward in dense order (see LiveView), so depth
+    // is final for d once the sweep reaches it, and rdepth once the
+    // reverse sweep does.
     int n = view.size();
     std::vector<int> depth(n, 0), rdepth(n, 0);
-    std::vector<int> remaining = view.indegree;
-    std::vector<int> topo;
-    topo.reserve(n);
+    int max_depth = 0;
     for (int d = 0; d < n; d++) {
-        if (remaining[d] == 0)
-            topo.push_back(d);
-    }
-    // The ready "queue" is the unprocessed tail of topo itself.
-    for (size_t head = 0; head < topo.size(); head++) {
-        int d = topo[head];
+        max_depth = std::max(max_depth, depth[d]);
         forEachSucc(view, d, [&](int succ) {
             depth[succ] = std::max(depth[succ], depth[d] + 1);
-            if (--remaining[succ] == 0)
-                topo.push_back(succ);
         });
     }
-    if (static_cast<int>(topo.size()) != n)
-        throw CompileError("instruction DAG contains a cycle");
-    int max_rdepth = 0, max_depth = 0;
-    for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-        int d = *it;
+    int max_rdepth = 0;
+    for (int d = n - 1; d >= 0; d--) {
         forEachSucc(view, d, [&](int succ) {
             rdepth[d] = std::max(rdepth[d], rdepth[succ] + 1);
         });
         max_rdepth = std::max(max_rdepth, rdepth[d]);
-        max_depth = std::max(max_depth, depth[d]);
     }
 
     // Two stable counting sorts over ascending dense indices: by
@@ -173,15 +207,10 @@ rankByPriority(const LiveView &view)
     std::vector<int> ascending(n);
     for (int d = 0; d < n; d++)
         ascending[d] = d;
-    Priority prio;
-    prio.byRank = bucket_sort(
+    return bucket_sort(
         bucket_sort(ascending, max_rdepth,
                     [&](int d) { return max_rdepth - rdepth[d]; }),
         max_depth, [&](int d) { return depth[d]; });
-    prio.rankOf.resize(n);
-    for (int r = 0; r < n; r++)
-        prio.rankOf[prio.byRank[r]] = r;
-    return prio;
 }
 
 /**
@@ -261,9 +290,10 @@ int
 assignChannels(const InstrGraph &graph, LiveView &view)
 {
     int n = view.size();
-    // Number chains by their lowest member: walk back from the first
-    // unnumbered receiver to the chain's first edge (whose sender
-    // receives nothing), then collect the whole path forward.
+    // Number chains by their lowest member. Comm edges run forward in
+    // dense order, so members ascend along the path, and the first
+    // unnumbered receiver met is a chain's first edge (whose sender
+    // receives nothing): collect the path forward from it.
     std::vector<int> chain_of(n, -1);
     std::vector<Chain> chains;
     std::vector<int> members;
@@ -272,22 +302,13 @@ assignChannels(const InstrGraph &graph, LiveView &view)
         max_op_id = std::max(max_op_id, view.opId[d]);
         if (view.commPred[d] < 0 || chain_of[d] >= 0)
             continue;
-        int head = d;
-        for (int walked = 0; view.commPred[view.commPred[head]] >= 0;
-             walked++) {
-            if (walked > n)
-                throw CompileError("instruction DAG contains a cycle");
-            head = view.commPred[head];
-        }
         Chain chain;
         chain.begin = static_cast<int>(members.size());
-        for (int x = head; x >= 0; x = view.commSucc[x]) {
+        for (int x = d; x >= 0; x = view.commSucc[x]) {
             chain_of[x] = static_cast<int>(chains.size());
             members.push_back(x);
         }
         chain.end = static_cast<int>(members.size());
-        std::sort(members.begin() + chain.begin,
-                  members.begin() + chain.end);
         chains.push_back(chain);
     }
 
@@ -297,13 +318,12 @@ assignChannels(const InstrGraph &graph, LiveView &view)
         if (chain_of[d] < 0)
             continue;
         Chain &chain = chains[chain_of[d]];
-        const InstrNode &node = graph.node(view.ids[d]);
         if (d == members[chain.begin]) {
-            chain.splitIdx = node.splitIdx;
-            chain.splitCount = node.splitCount;
+            chain.splitIdx = view.splitIdx[d];
+            chain.splitCount = view.splitCount[d];
         }
-        if (node.splitIdx != chain.splitIdx ||
-            node.splitCount != chain.splitCount) {
+        if (view.splitIdx[d] != chain.splitIdx ||
+            view.splitCount[d] != chain.splitCount) {
             throw CompileError(
                 "channel assignment: fused chain mixes parallelization "
                 "instances");
@@ -436,14 +456,6 @@ struct TbKey
     }
 };
 
-struct TbState
-{
-    TbKey key;
-    int id = -1;
-    std::vector<int> steps;   // dense node indices in order
-    long lastAssigned = -1;   // global schedule sequence
-};
-
 /** No thread block owns the connection. */
 constexpr int kUnowned = -2;
 /** Connection seen but its thread block not yet created. */
@@ -452,7 +464,8 @@ constexpr int kPending = -1;
 /** Per-rank thread block construction (paper §5.2, step 2). */
 struct RankTbs
 {
-    std::vector<TbState> tbs;
+    /** Thread block keys; a block's id is its index. */
+    std::vector<TbKey> tbs;
     /** Connection ownership: (channel * numRanks + peer) -> tb. */
     std::vector<int> sendOwner;
     std::vector<int> recvOwner;
@@ -483,40 +496,35 @@ createThreadBlocks(const InstrGraph &graph, const LiveView &view,
         rank.recvOwner.assign(size_t(num_channels) * num_ranks, kUnowned);
     }
 
-    // One scan feeds both passes and the local-work check below.
-    std::vector<std::vector<std::tuple<int, Rank, Rank>>> fused_keys(
-        num_ranks);
+    // Pass 1: fused instructions force (channel, sendPeer, recvPeer)
+    // tuples. A tuple's first node claims both of its connections; a
+    // later node of the same tuple finds both claimed by one block.
+    // Two tuples that claim one connection are an error, reported for
+    // the lowest such rank and, within it, the lowest channel. The
+    // same scan notes the ranks with local work.
     std::vector<char> has_local(num_ranks, 0);
+    std::pair<int, int> claimed_twice(num_ranks, 0);
     for (int d = 0; d < view.size(); d++) {
-        if (view.sends(d) && view.receives(d)) {
-            fused_keys[view.rank[d]].push_back(
-                { view.channel[d], view.sendPeer[d], view.recvPeer[d] });
-        } else if (!view.sends(d) && !view.receives(d)) {
-            has_local[view.rank[d]] = 1;
+        Rank r = view.rank[d];
+        if (!view.sends(d) && !view.receives(d))
+            has_local[r] = 1;
+        if (!view.sends(d) || !view.receives(d))
+            continue;
+        TbKey key{ view.channel[d], view.sendPeer[d], view.recvPeer[d] };
+        std::vector<TbKey> &tbs = ranks[r].tbs;
+        int &send_owner = ranks[r].sendOwner[conn(key.channel, key.sendPeer)];
+        int &recv_owner = ranks[r].recvOwner[conn(key.channel, key.recvPeer)];
+        if (send_owner == kUnowned && recv_owner == kUnowned) {
+            send_owner = recv_owner = static_cast<int>(tbs.size());
+            tbs.push_back(key);
+        } else if (send_owner != recv_owner) {
+            claimed_twice = std::min(claimed_twice, { r, key.channel });
         }
     }
-
-    // Pass 1: fused instructions force (channel, sendPeer, recvPeer)
-    // tuples.
-    for (int r = 0; r < num_ranks; r++) {
-        std::vector<std::tuple<int, Rank, Rank>> &keys = fused_keys[r];
-        std::sort(keys.begin(), keys.end());
-        keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-        for (const auto &[channel, send_peer, recv_peer] : keys) {
-            TbState tb;
-            tb.key = TbKey{ channel, send_peer, recv_peer };
-            int idx = static_cast<int>(ranks[r].tbs.size());
-            int &send_owner = ranks[r].sendOwner[conn(channel, send_peer)];
-            int &recv_owner = ranks[r].recvOwner[conn(channel, recv_peer)];
-            if (send_owner != kUnowned || recv_owner != kUnowned) {
-                throw CompileError(strprintf(
-                    "rank %d channel %d: connection claimed by two "
-                    "thread blocks", r, channel));
-            }
-            send_owner = idx;
-            recv_owner = idx;
-            ranks[r].tbs.push_back(std::move(tb));
-        }
+    if (claimed_twice.first < num_ranks) {
+        throw CompileError(strprintf(
+            "rank %d channel %d: connection claimed by two thread blocks",
+            claimed_twice.first, claimed_twice.second));
     }
 
     // Pass 2: unowned plain connections, paired send+recv per channel
@@ -579,13 +587,11 @@ createThreadBlocks(const InstrGraph &graph, const LiveView &view,
                         }
                     }
                 }
-                TbState tb;
-                tb.key = TbKey{ channel, send_peer, recv_peer };
                 int idx = static_cast<int>(ranks[r].tbs.size());
                 ranks[r].sendOwner[conn(channel, send_peer)] = idx;
                 if (recv_peer >= 0)
                     ranks[r].recvOwner[conn(channel, recv_peer)] = idx;
-                ranks[r].tbs.push_back(std::move(tb));
+                ranks[r].tbs.push_back({ channel, send_peer, recv_peer });
             }
         }
         for (const auto &[channel, recv_peer] : recvs) {
@@ -593,33 +599,60 @@ createThreadBlocks(const InstrGraph &graph, const LiveView &view,
             if (owner != kPending)
                 continue; // already paired above
             owner = static_cast<int>(ranks[r].tbs.size());
-            TbState tb;
-            tb.key = TbKey{ channel, -1, recv_peer };
-            ranks[r].tbs.push_back(std::move(tb));
+            ranks[r].tbs.push_back({ channel, -1, recv_peer });
         }
         // A rank with only local work still needs one thread block.
-        if (ranks[r].tbs.empty() && has_local[r]) {
-            TbState tb;
-            tb.key = TbKey{ 0, -1, -1 };
-            ranks[r].tbs.push_back(std::move(tb));
-        }
+        if (ranks[r].tbs.empty() && has_local[r])
+            ranks[r].tbs.push_back({ 0, -1, -1 });
         // Deterministic ids: sort by (channel, sendPeer, recvPeer).
-        std::sort(ranks[r].tbs.begin(), ranks[r].tbs.end(),
-                  [](const TbState &a, const TbState &b) {
-                      return a.key < b.key;
-                  });
-        for (size_t i = 0; i < ranks[r].tbs.size(); i++) {
-            TbState &tb = ranks[r].tbs[i];
-            tb.id = static_cast<int>(i);
-            if (tb.key.sendPeer >= 0)
-                ranks[r].sendOwner[conn(tb.key.channel, tb.key.sendPeer)] =
-                    tb.id;
-            if (tb.key.recvPeer >= 0)
-                ranks[r].recvOwner[conn(tb.key.channel, tb.key.recvPeer)] =
-                    tb.id;
+        // Keys are distinct (each owns a connection or is the lone
+        // local block), so the owners are re-pointed by key.
+        std::sort(ranks[r].tbs.begin(), ranks[r].tbs.end());
+        for (int id = 0; id < static_cast<int>(ranks[r].tbs.size()); id++) {
+            const TbKey &key = ranks[r].tbs[id];
+            if (key.sendPeer >= 0)
+                ranks[r].sendOwner[conn(key.channel, key.sendPeer)] = id;
+            if (key.recvPeer >= 0)
+                ranks[r].recvOwner[conn(key.channel, key.recvPeer)] = id;
         }
     }
     return ranks;
+}
+
+/**
+ * Whether the gated sweep below would pop exactly @p by_rank. Along
+ * by_rank every node is ready (it is topological, see planGates) and
+ * every send is next in line on its gate, whose turn order is by_rank's
+ * own. So the sweep departs from by_rank only where a receive comes
+ * before the receive of an earlier send on its connection (a receive
+ * gate follows the order of the sends, not of the receives), or where a
+ * send finds all FIFO slots of its connection full. One pass looks for
+ * either; when neither happens the sweep needs no gates, no heap and no
+ * successor walk. @p conn_tb holds each communication node's global
+ * thread block.
+ */
+bool
+gatesKeepOrder(const LiveView &view, const std::vector<int> &by_rank,
+               const std::vector<int> &conn_tb, int num_conns, int slots)
+{
+    // Per connection, the sends and receives taken so far; a send's
+    // number on its connection is its receive's turn.
+    std::vector<int> sent(num_conns, 0), received(num_conns, 0);
+    std::vector<int> turn(view.size(), -1);
+    for (int d : by_rank) {
+        if (view.sends(d)) {
+            int conn = conn_tb[d];
+            if (sent[conn] - received[conn] >= slots)
+                return false;
+            turn[d] = sent[conn]++;
+        }
+        if (view.receives(d)) {
+            int send = view.commPred[d];
+            if (turn[send] != received[conn_tb[send]]++)
+                return false;
+        }
+    }
+    return true;
 }
 
 /**
@@ -632,14 +665,60 @@ createThreadBlocks(const InstrGraph &graph, const LiveView &view,
  */
 struct GatePlan
 {
-    /** Per node: gate its send/recv half must take turns on (-1 none). */
-    std::vector<int> sendGate, recvGate;
-    /** Per node: connection of its send/recv half (-1 none). */
+    /** Per node: connection (sending block) of its send/recv half, -1
+     *  none. The send half takes turns on gate 2 * sendConn. */
     std::vector<int> sendConn, recvConn;
-    /** Per gate: required order of dense nodes. */
-    std::vector<std::vector<int>> gateOrder;
+    /** Per node: gate its recv half takes turns on (-1 none). */
+    std::vector<int> recvGate;
+    /** Gate g's required order of dense nodes, as CSR:
+     *  gateNodes[gateBegin[g] .. gateBegin[g + 1]). */
+    std::vector<int> gateBegin, gateNodes;
     int numConns = 0;
 };
+
+/**
+ * Builds the gate plan from the unconstrained priority order. It
+ * fixes, for every connection, the order in which sends (and
+ * therefore their matched FIFO receives, paper §6.1) will happen.
+ * Depth strictly increases along every edge and is the primary key,
+ * so that order is itself topological: an ungated sweep would pop
+ * exactly prio.byRank. @p conn_tb holds each communication node's
+ * global thread block.
+ */
+GatePlan
+planGates(const LiveView &view, const Priority &prio,
+          const std::vector<int> &conn_tb, int num_conns)
+{
+    int n = view.size();
+    GatePlan plan;
+    plan.numConns = num_conns;
+    plan.sendConn.assign(n, -1);
+    plan.recvConn.assign(n, -1);
+    plan.recvGate.assign(n, -1);
+    plan.gateBegin.assign(2 * size_t(num_conns) + 1, 0);
+    for (int d = 0; d < n; d++) {
+        if (!view.sends(d))
+            continue;
+        int recv = view.commSucc[d];
+        plan.sendConn[d] = conn_tb[d];
+        plan.recvConn[recv] = conn_tb[d];
+        plan.recvGate[recv] = 2 * conn_tb[recv] + 1;
+        plan.gateBegin[2 * conn_tb[d] + 1]++;
+        plan.gateBegin[plan.recvGate[recv] + 1]++;
+    }
+    for (size_t g = 0; g + 1 < plan.gateBegin.size(); g++)
+        plan.gateBegin[g + 1] += plan.gateBegin[g];
+    plan.gateNodes.resize(plan.gateBegin.back());
+    std::vector<int> fill(plan.gateBegin.begin(), plan.gateBegin.end() - 1);
+    for (int d : prio.byRank) {
+        if (!view.sends(d))
+            continue;
+        int recv = view.commSucc[d];
+        plan.gateNodes[fill[2 * plan.sendConn[d]]++] = d;
+        plan.gateNodes[fill[plan.recvGate[recv]]++] = recv;
+    }
+    return plan;
+}
 
 /**
  * The FIFO-gated, slot-accounted sweep over the live view in priority
@@ -659,10 +738,10 @@ topoSweep(const LiveView &view, const Priority &prio, const GatePlan &plan,
             heap.push(prio.rankOf[d]);
     }
 
-    // Per-gate progress; a node out of turn parks on the gate that
-    // blocked it (it can wait on at most one at a time) and is woken
-    // when that gate reaches it.
-    std::vector<size_t> gate_pos(plan.gateOrder.size(), 0);
+    // Per-gate progress, as a position in gateNodes; a node out of turn
+    // parks on the gate that blocked it (it can wait on at most one at
+    // a time) and is woken when that gate reaches it.
+    std::vector<int> gate_pos(plan.gateBegin.begin(), plan.gateBegin.end() - 1);
     std::vector<int> parked_gate(n, -1);
 
     // Slot accounting (paper §6.1: the compiler must not emit
@@ -670,25 +749,27 @@ topoSweep(const LiveView &view, const Priority &prio, const GatePlan &plan,
     // order acts as a witness execution: a send is gated until fewer
     // than `slots` of its connection's sends are unreceived at this
     // point of the order, so the runtime can always follow the
-    // schedule without wedging on FIFO backpressure.
+    // schedule without wedging on FIFO backpressure. Senders waiting
+    // for a slot form one intrusive list per connection.
     std::vector<int> outstanding(plan.numConns, 0);
-    std::vector<std::vector<int>> slot_blocked(plan.numConns);
+    std::vector<int> slot_head(plan.numConns, -1);
+    std::vector<int> slot_next(n, -1);
 
     std::vector<int> order;
     order.reserve(n);
     while (!heap.empty()) {
         int d = prio.byRank[heap.top()];
         heap.pop();
-        int gates[2] = { plan.sendGate[d], plan.recvGate[d] };
+        int send_conn = plan.sendConn[d];
+        int gates[2] = { send_conn >= 0 ? 2 * send_conn : -1,
+                         plan.recvGate[d] };
 
         // FIFO gate: the node must be next in line on each of its
         // connections (send side checked first).
         bool gated = false;
         for (int g : gates) {
-            if (g < 0)
-                continue;
-            const std::vector<int> &seq = plan.gateOrder[g];
-            if (gate_pos[g] < seq.size() && seq[gate_pos[g]] != d) {
+            if (g >= 0 && gate_pos[g] < plan.gateBegin[g + 1] &&
+                plan.gateNodes[gate_pos[g]] != d) {
                 parked_gate[d] = g;
                 gated = true;
                 break;
@@ -698,9 +779,9 @@ topoSweep(const LiveView &view, const Priority &prio, const GatePlan &plan,
             continue;
 
         // Slot gate: sending with all FIFO slots full would wedge.
-        int send_conn = plan.sendConn[d];
         if (send_conn >= 0 && outstanding[send_conn] >= slots) {
-            slot_blocked[send_conn].push_back(d);
+            slot_next[d] = slot_head[send_conn];
+            slot_head[send_conn] = d;
             continue;
         }
         if (send_conn >= 0)
@@ -709,18 +790,17 @@ topoSweep(const LiveView &view, const Priority &prio, const GatePlan &plan,
         if (recv_conn >= 0) {
             outstanding[recv_conn]--;
             // Wake every blocked sender; the heap re-ranks them.
-            for (int waiter : slot_blocked[recv_conn])
-                heap.push(prio.rankOf[waiter]);
-            slot_blocked[recv_conn].clear();
+            for (int w = slot_head[recv_conn]; w >= 0; w = slot_next[w])
+                heap.push(prio.rankOf[w]);
+            slot_head[recv_conn] = -1;
         }
 
         for (int g : gates) {
             if (g < 0)
                 continue;
-            size_t pos = ++gate_pos[g];
-            const std::vector<int> &seq = plan.gateOrder[g];
-            if (pos < seq.size()) {
-                int next = seq[pos];
+            int pos = ++gate_pos[g];
+            if (pos < plan.gateBegin[g + 1]) {
+                int next = plan.gateNodes[pos];
                 if (parked_gate[next] == g) {
                     parked_gate[next] = -1;
                     heap.push(prio.rankOf[next]);
@@ -773,73 +853,57 @@ sweepFailure(const LiveView &view, const Priority &prio,
  * Greedy priority topological assignment (paper §5.2, steps 1-4).
  * @p conn_tb holds each communication node's global thread block
  * (tb_base of its rank + local id; -1 for local nodes). Fills each
- * node's thread block id and step.
+ * node's thread block id and step, and each global thread block's
+ * step count.
  */
 void
-assignInstructions(const LiveView &view, std::vector<RankTbs> &ranks,
-                   const std::vector<int> &tb_base,
+assignInstructions(const LiveView &view, const std::vector<int> &tb_base,
                    const std::vector<int> &conn_tb, int slots,
-                   std::vector<int> &tb_of, std::vector<int> &step_of)
+                   std::vector<int> &tb_of, std::vector<int> &step_of,
+                   std::vector<int> &num_steps)
 {
-    Priority prio = rankByPriority(view);
-
-    // The unconstrained priority order fixes, for every connection,
-    // the order in which sends (and therefore their matched FIFO
-    // receives, paper §6.1) will happen. Depth strictly increases
-    // along every edge and is the primary key, so that order is
-    // itself topological: an ungated sweep would pop exactly
-    // prio.byRank.
     int n = view.size();
-    GatePlan plan;
-    plan.numConns = tb_base.back();
-    plan.sendGate.assign(n, -1);
-    plan.recvGate.assign(n, -1);
-    plan.sendConn.assign(n, -1);
-    plan.recvConn.assign(n, -1);
-    plan.gateOrder.resize(2 * size_t(plan.numConns));
-    for (int d : prio.byRank) {
-        if (!view.sends(d))
-            continue;
-        int recv = view.commSucc[d];
-        plan.sendGate[d] = 2 * conn_tb[d];
-        plan.recvGate[recv] = 2 * conn_tb[recv] + 1;
-        plan.sendConn[d] = conn_tb[d];
-        plan.recvConn[recv] = conn_tb[d];
-        plan.gateOrder[plan.sendGate[d]].push_back(d);
-        plan.gateOrder[plan.recvGate[recv]].push_back(recv);
-    }
-
-    // The same priority sweep, now honoring FIFO turns on both ends
+    int num_tbs = tb_base.back();
+    // The priority order, swept again honoring FIFO turns on both ends
     // of every connection so the k-th receive always pairs with the
-    // k-th send.
-    std::vector<int> order = topoSweep(view, prio, plan, slots);
-    if (static_cast<int>(order.size()) != n)
-        throw sweepFailure(view, prio, plan, slots, order.size());
+    // k-th send, and slot accounting. Usually that sweep pops the
+    // priority order unchanged, which one pass can tell.
+    std::vector<int> order = rankByPriority(view);
+    if (!gatesKeepOrder(view, order, conn_tb, num_tbs, slots)) {
+        Priority prio;
+        prio.byRank = std::move(order);
+        prio.rankOf.resize(n);
+        for (int r = 0; r < n; r++)
+            prio.rankOf[prio.byRank[r]] = r;
+        GatePlan plan = planGates(view, prio, conn_tb, num_tbs);
+        order = topoSweep(view, prio, plan, slots);
+        if (static_cast<int>(order.size()) != n)
+            throw sweepFailure(view, prio, plan, slots, order.size());
+    }
 
     tb_of.assign(n, -1);
     step_of.assign(n, -1);
-    long sequence = 0;
-    for (int d : order) {
+    num_steps.assign(num_tbs, 0);
+    // Per global thread block: the order position of its latest step.
+    std::vector<int> last_assigned(num_tbs, -1);
+    for (int i = 0; i < n; i++) {
+        int d = order[i];
         Rank r = view.rank[d];
-        RankTbs &rank = ranks[r];
-        TbState *tb = nullptr;
-        if (conn_tb[d] >= 0) {
-            tb = &rank.tbs[conn_tb[d] - tb_base[r]];
-        } else {
+        int tb = conn_tb[d];
+        if (tb < 0) {
             // Local instruction: any thread block on the rank; pick
             // the one whose latest assigned instruction is earliest
             // (paper §5.2, step 4).
-            for (TbState &cand : rank.tbs) {
-                if (tb == nullptr || cand.lastAssigned < tb->lastAssigned)
-                    tb = &cand;
+            for (int t = tb_base[r]; t < tb_base[r + 1]; t++) {
+                if (tb < 0 || last_assigned[t] < last_assigned[tb])
+                    tb = t;
             }
-            if (tb == nullptr)
+            if (tb < 0)
                 throw CompileError("scheduler: rank has no thread block");
         }
-        tb_of[d] = tb->id;
-        step_of[d] = static_cast<int>(tb->steps.size());
-        tb->steps.push_back(d);
-        tb->lastAssigned = sequence++;
+        tb_of[d] = tb - tb_base[r];
+        step_of[d] = num_steps[tb]++;
+        last_assigned[tb] = i;
     }
 }
 
@@ -945,9 +1009,9 @@ scheduleProgram(const Program &program, InstrGraph &graph,
         rank.recvOwner = {};
     }
 
-    std::vector<int> tb_of, step_of;
-    assignInstructions(view, ranks, tb_base, conn_tb,
-                       std::max(1, options.slots), tb_of, step_of);
+    std::vector<int> tb_of, step_of, num_steps;
+    assignInstructions(view, tb_base, conn_tb, std::max(1, options.slots),
+                       tb_of, step_of, num_steps);
 
     std::vector<int> dep_begin;
     std::vector<IrDep> deps;
@@ -963,53 +1027,57 @@ scheduleProgram(const Program &program, InstrGraph &graph,
     ir.protocol = program.options().protocol;
     ir.reduceOp = program.options().reduceOp;
     ir.outputScale = coll.outputScale();
+    // Thread blocks are sized first and filled in dense order, so the
+    // node slots are read in ascending id order.
     std::vector<IrGpu> gpus(program.numRanks());
+    std::vector<IrInstruction *> tb_steps(tb_base.back());
     for (int r = 0; r < program.numRanks(); r++) {
         IrGpu &gpu = gpus[r];
         gpu.rank = r;
         gpu.inputChunks = coll.inputChunkCount(r);
         gpu.outputChunks = coll.outputChunkCount(r);
         gpu.scratchChunks = program.scratchChunkCount(r);
-        for (const TbState &tb : ranks[r].tbs) {
-            IrThreadBlock out;
-            out.id = tb.id;
-            out.sendPeer = tb.key.sendPeer;
-            out.recvPeer = tb.key.recvPeer;
-            out.channel = tb.key.channel;
-            out.steps.reserve(tb.steps.size());
-            for (int d : tb.steps) {
-                const InstrNode &node = graph.node(view.ids[d]);
-                IrInstruction instr;
-                instr.op = node.op;
-                const BufferSlice &src =
-                    irOpReadsSrc(node.op) ? node.src : node.dst;
-                const BufferSlice &dst =
-                    irOpWritesDst(node.op) ? node.dst : src;
-                instr.srcBuf = src.buffer;
-                instr.srcOff = src.index;
-                instr.dstBuf = dst.buffer;
-                instr.dstOff = dst.index;
-                instr.count = irOpReadsSrc(node.op) ? src.count
-                                                    : dst.count;
-                instr.splitIdx = node.splitIdx;
-                instr.splitCount = node.splitCount;
-                // Keep only the latest step per predecessor thread
-                // block, ordered by thread block.
-                auto first = deps.begin() + dep_begin[d];
-                auto last = deps.begin() + dep_begin[d + 1];
-                std::sort(first, last, [](const IrDep &a, const IrDep &b) {
-                    return a.tb != b.tb ? a.tb < b.tb : a.step > b.step;
-                });
-                last = std::unique(first, last,
-                                   [](const IrDep &a, const IrDep &b) {
-                                       return a.tb == b.tb;
-                                   });
-                instr.deps.assign(first, last);
-                instr.hasDep = has_dep[d];
-                out.steps.push_back(std::move(instr));
-            }
-            gpu.threadBlocks.push_back(std::move(out));
+        gpu.threadBlocks.resize(ranks[r].tbs.size());
+        for (int id = 0; id < static_cast<int>(ranks[r].tbs.size()); id++) {
+            const TbKey &key = ranks[r].tbs[id];
+            IrThreadBlock &out = gpu.threadBlocks[id];
+            out.id = id;
+            out.sendPeer = key.sendPeer;
+            out.recvPeer = key.recvPeer;
+            out.channel = key.channel;
+            out.steps.resize(num_steps[tb_base[r] + id]);
+            tb_steps[tb_base[r] + id] = out.steps.data();
         }
+    }
+    for (int d = 0; d < view.size(); d++) {
+        const InstrNode &node = graph.node(view.ids[d]);
+        IrInstruction &instr =
+            tb_steps[tb_base[view.rank[d]] + tb_of[d]][step_of[d]];
+        instr.op = node.op;
+        const BufferSlice &src = irOpReadsSrc(node.op) ? node.src : node.dst;
+        const BufferSlice &dst = irOpWritesDst(node.op) ? node.dst : src;
+        instr.srcBuf = src.buffer;
+        instr.srcOff = src.index;
+        instr.dstBuf = dst.buffer;
+        instr.dstOff = dst.index;
+        instr.count = irOpReadsSrc(node.op) ? src.count : dst.count;
+        instr.splitIdx = node.splitIdx;
+        instr.splitCount = node.splitCount;
+        // Keep only the latest step per predecessor thread block,
+        // ordered by thread block.
+        auto first = deps.begin() + dep_begin[d];
+        auto last = deps.begin() + dep_begin[d + 1];
+        if (last - first > 1) {
+            std::sort(first, last, [](const IrDep &a, const IrDep &b) {
+                return a.tb != b.tb ? a.tb < b.tb : a.step > b.step;
+            });
+            last = std::unique(first, last,
+                               [](const IrDep &a, const IrDep &b) {
+                                   return a.tb == b.tb;
+                               });
+        }
+        instr.deps.assign(first, last);
+        instr.hasDep = has_dep[d];
     }
     ir.gpus = IrGpus(std::move(gpus));
     return ir;

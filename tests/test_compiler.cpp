@@ -6,6 +6,8 @@
  * dependence analysis that enables cross-phase fusion.
  */
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <chrono>
 #include <vector>
@@ -410,6 +412,35 @@ TEST(CompileStats, PhaseTimesFitInsideTheCompile)
     Compiled unfused = compileProgram(*prog, bare);
     EXPECT_EQ(unfused.stats.fuseNs, 0);
     EXPECT_EQ(unfused.stats.verifyNs, 0);
+}
+
+TEST(CompileStats, MinorFaultsFitInsideTheProcess)
+{
+    // Each phase counts the calling thread's faults only, so their sum
+    // cannot exceed the whole process's over the same compile.
+    std::unique_ptr<Program> prog = makeRingAllReduce(64, 1, {});
+    rusage before;
+    ASSERT_EQ(getrusage(RUSAGE_SELF, &before), 0);
+    Compiled out = compileProgram(*prog);
+    rusage after;
+    ASSERT_EQ(getrusage(RUSAGE_SELF, &after), 0);
+    const CompileStats &stats = out.stats;
+    std::int64_t sum = 0;
+    for (std::int64_t faults :
+         { stats.lowerMinorFaults, stats.fuseMinorFaults,
+           stats.scheduleMinorFaults, stats.verifyMinorFaults }) {
+        EXPECT_GE(faults, 0);
+        sum += faults;
+    }
+    EXPECT_LE(sum, after.ru_minflt - before.ru_minflt);
+
+    // Phases that do not run report zero.
+    CompileOptions bare;
+    bare.fuse = false;
+    bare.verify = false;
+    Compiled unfused = compileProgram(*prog, bare);
+    EXPECT_EQ(unfused.stats.fuseMinorFaults, 0);
+    EXPECT_EQ(unfused.stats.verifyMinorFaults, 0);
 }
 
 TEST(CompileStats, TopologyConnectivityEnforced)

@@ -43,6 +43,8 @@
 namespace mscclang {
 namespace {
 
+using testing::fnv1a;
+
 std::string
 slurp(const std::string &path)
 {
@@ -51,17 +53,6 @@ slurp(const std::string &path)
     std::ostringstream out;
     out << in.rdbuf();
     return out.str();
-}
-
-std::uint64_t
-fnv1a(const std::string &s)
-{
-    std::uint64_t h = 1469598103934665603ull;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    return h;
 }
 
 /** Runs @p ir once in timing mode, tracing to @p trace_path. */

@@ -8,6 +8,8 @@
  * the IB merge fallback, and slot-bounded send schedules.
  */
 
+#include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -20,6 +22,8 @@
 #include "collectives/collectives.h"
 #include "common/error.h"
 #include "compiler/compiler.h"
+#include "compiler/schedule.h"
+#include "test_util.h"
 
 namespace mscclang {
 namespace {
@@ -309,6 +313,148 @@ TEST(Schedule, OneSlotNamesMinimumSlotsHierarchical2x4i2)
 TEST(Schedule, OneSlotNamesMinimumSlotsRabenseifner8)
 {
     expectMinimumSlots(*makeRabenseifnerAllReduce(8, {}), 2);
+}
+
+/** The full 1-slot CompileError text for @p program ("" if none). */
+std::string
+oneSlotError(const Program &program)
+{
+    CompileOptions one;
+    one.verifySlots = 1;
+    try {
+        compileProgram(program, one);
+    } catch (const CompileError &error) {
+        return error.what();
+    }
+    return "";
+}
+
+TEST(Schedule, OneSlotErrorTextHierarchical4x8i2)
+{
+    // sweepFailure re-runs the gated sweep at 2 slots to name the
+    // minimum; the whole message, counts included, is pinned.
+    AlgoConfig i2;
+    i2.instances = 2;
+    EXPECT_EQ(oneSlotError(*makeHierarchicalAllReduce(4, 8, 1, i2)),
+              "scheduler: only 64 of 1472 instructions could be ordered "
+              "at 1 FIFO slot; the program needs at least 2 slots");
+}
+
+TEST(Schedule, OneSlotErrorTextRing16i2)
+{
+    AlgoConfig i2;
+    i2.instances = 2;
+    EXPECT_EQ(oneSlotError(*makeRingAllReduce(16, 1, i2)),
+              "scheduler: only 32 of 992 instructions could be ordered "
+              "at 1 FIFO slot; the program needs at least 2 slots");
+}
+
+TEST(Schedule, GatedSweepGoldens)
+{
+    // At these slot counts the FIFO and slot gates defer thousands of
+    // nodes behind the priority order, so the sweep's pop order departs
+    // from it; at the default 8 slots (the other goldens) these
+    // programs pop the priority order unchanged. The last two are
+    // 1-slot compiles on real machines. Hashes of the IR XML measured
+    // at the Kahn-walk scheduler.
+    struct Gold
+    {
+        const char *name;
+        const char *machine;
+        /** Whether the compile is given the machine's topology. */
+        bool onMachine;
+        int slots;
+        std::uint64_t xmlHash;
+        std::function<std::unique_ptr<Program>(const Topology &)> make;
+    };
+    auto twostep = [](const Topology &topo) {
+        return makeTwoStepAllToAll(topo.numNodes(), topo.gpusPerNode(), {});
+    };
+    const Gold golds[] = {
+        { "twostep_4x4", "generic:4:4", false, 1, 0x09ca924e47640bfeull,
+          twostep },
+        { "twostep_4x4", "generic:4:4", false, 2, 0x57f10aa164bcb38cull,
+          twostep },
+        { "twostep_4x8", "generic:4:8", false, 2, 0x6ba7c027efe626e4ull,
+          twostep },
+        { "twostep_8x8", "generic:8:8", false, 1, 0xb82b7f74de8253ddull,
+          twostep },
+        { "twostep_8x8", "generic:8:8", false, 2, 0x5a61844ab2e005a3ull,
+          twostep },
+        { "twostep_8x8", "generic:8:8", false, 4, 0xd8f29fbe3e807b67ull,
+          twostep },
+        { "sccl122_dgx1", "dgx1", true, 1, 0x851d6a39a5403a47ull,
+          [](const Topology &topo) {
+              return makeSccl122AllGather(topo, {});
+          } },
+        { "alltonext_2x8", "ndv4:2", true, 1, 0x0502df072496496cull,
+          [](const Topology &topo) {
+              return makeAllToNext(topo.numNodes(), topo.gpusPerNode(), {});
+          } },
+    };
+    for (const Gold &gold : golds) {
+        SCOPED_TRACE(std::string(gold.name) +
+                     " slots=" + std::to_string(gold.slots));
+        Topology topo = parseTopology(gold.machine);
+        CompileOptions copts;
+        copts.verifySlots = gold.slots;
+        if (gold.onMachine)
+            copts.topology = &topo;
+        Compiled out = compileProgram(*gold.make(topo), copts);
+        EXPECT_EQ(testing::fnv1a(out.ir.toXml()), gold.xmlHash);
+    }
+}
+
+TEST(Schedule, ReceivesFollowTheirSendsOrder)
+{
+    // Rank 0 sends In0 and then In1 to rank 1 (both at depth 0). Rank 1
+    // writes Scratch2 through three local copies before In0 lands there,
+    // so the first receive sits at depth 3 and the second at depth 1:
+    // the priority order has the receives the other way round from
+    // their sends. The receive gate must hold the second receive back
+    // until the first has run, or it pairs with the wrong send. Verify
+    // is off (the allreduce postcondition does not hold), so only the
+    // scheduler orders the receives. Hash of the IR XML measured at the
+    // Kahn-walk scheduler.
+    auto coll = std::make_shared<AllReduceCollective>(2, 2);
+    Program prog(coll);
+    prog.chunk(1, BufferKind::Input, 0).copy(1, BufferKind::Scratch, 0);
+    prog.chunk(1, BufferKind::Scratch, 0).copy(1, BufferKind::Scratch, 1);
+    prog.chunk(1, BufferKind::Scratch, 1).copy(1, BufferKind::Scratch, 2);
+    prog.chunk(0, BufferKind::Input, 0).copy(1, BufferKind::Scratch, 2);
+    prog.chunk(0, BufferKind::Input, 1).copy(1, BufferKind::Scratch, 3);
+    CompileOptions copts;
+    copts.verify = false;
+    Compiled out = compileProgram(prog, copts);
+    const IrGpu &receiver = out.ir.gpus[1];
+    ASSERT_EQ(receiver.threadBlocks.size(), 1u);
+    const std::vector<IrInstruction> &steps = receiver.threadBlocks[0].steps;
+    ASSERT_EQ(steps.size(), 5u);
+    EXPECT_EQ(steps[3].op, IrOp::Recv);
+    EXPECT_EQ(steps[3].dstOff, 2);
+    EXPECT_EQ(steps[4].op, IrOp::Recv);
+    EXPECT_EQ(steps[4].dstOff, 3);
+    EXPECT_EQ(testing::fnv1a(out.ir.toXml()), 0x7733daae428bd2a0ull);
+}
+
+TEST(Schedule, EdgeAgainstIdOrderRejected)
+{
+    // Two independent copies 0 -> 1: sends 0 and 2 on rank 0, receives
+    // 1 and 3 on rank 1. A hand-added edge 2 -> 0 keeps the graph
+    // acyclic but runs against id order, which lowering and fusion
+    // never produce and the scheduler's id-order sweeps rely on.
+    auto coll = std::make_shared<AllReduceCollective>(2, 2);
+    Program prog(coll);
+    prog.chunk(0, BufferKind::Input, 0).copy(1, BufferKind::Scratch, 0);
+    prog.chunk(0, BufferKind::Input, 1).copy(1, BufferKind::Scratch, 1);
+    InstrGraph graph = lowerProgram(prog);
+    fuseInstructions(graph);
+    ASSERT_EQ(graph.numLive(), 4);
+    ASSERT_EQ(graph.node(0).rank, 0);
+    ASSERT_EQ(graph.node(2).rank, 0);
+    ASSERT_NO_THROW(scheduleProgram(prog, graph));
+    graph.addEdge(2, 0, DepKind::True);
+    EXPECT_THROW(scheduleProgram(prog, graph), CompileError);
 }
 
 TEST(Schedule, EmptyProgramYieldsEmptyIr)

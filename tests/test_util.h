@@ -10,6 +10,7 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,18 @@ tempPath(const std::string &tag)
         ::testing::UnitTest::GetInstance()->current_test_info();
     return ::testing::TempDir() + "mscclang_" + info->test_suite_name() +
         "." + info->name() + "_" + std::to_string(::getpid()) + "_" + tag;
+}
+
+/** 64-bit FNV-1a hash of @p s: the goldens' fingerprint of IR XML. */
+inline std::uint64_t
+fnv1a(const std::string &s)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    return h;
 }
 
 /** Deterministically fills every rank's input buffer. */

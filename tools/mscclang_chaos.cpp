@@ -35,6 +35,7 @@
 #include "common/rng.h"
 #include "common/strings.h"
 #include "compiler/plan_cache.h"
+#include "machine_flag.h"
 #include "runtime/communicator.h"
 #include "sim/profile.h"
 
@@ -88,6 +89,7 @@ int
 main(int argc, char **argv)
 {
     std::string machine = "ndv4:1";
+    Topology machine_topo = parseTopology(machine);
     std::uint64_t bytes = 4 << 20;
     double at_frac = 0.3;
     int resource = -1;
@@ -98,10 +100,10 @@ main(int argc, char **argv)
     bool profile_on = false;
     Flags flags;
     flags
-        .text("--machine <spec>",
-              "ndv4:<n> | dgx2:<n> | dgx1 | generic:<n>:<g> "
-              "(default ndv4:1)",
-              &machine)
+        .custom("--machine <spec>",
+                "ndv4:<n> | dgx2:<n> | dgx1 | generic:<n>:<g> "
+                "(default ndv4:1)",
+                machineFlag(&machine_topo, &machine))
         .bytes("--bytes <size>", "input bytes per rank (default 4MB)",
                &bytes)
         .real("--at-frac <f>", "fault time over healthy latency (default 0.3)",
@@ -132,7 +134,7 @@ main(int argc, char **argv)
         .on("--profile", "print the sweep's wall-clock phase breakdown",
             &profile_on);
     return flags.run(argc, argv, [&] {
-        Topology probe = parseTopology(machine);
+        const Topology &probe = machine_topo;
         int ranks = probe.numRanks();
         if (!resource_name.empty()) {
             for (ResourceId id = 0; id < probe.numResources(); id++) {
@@ -206,7 +208,7 @@ main(int argc, char **argv)
             // Healthy latency anchors the fault timings per algorithm.
             double healthy_us = 0.0;
             for (const Scenario &scenario : scenarios) {
-                Topology topo = parseTopology(machine);
+                Topology topo = machine_topo;
                 if (scenario.label != "healthy") {
                     FaultEvent event;
                     event.resource = resource;

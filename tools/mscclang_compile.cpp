@@ -12,8 +12,10 @@
  *   mscclang_compile --list
  *
  * Usage errors exit 2 (common/flags.h): besides malformed flags, an
- * unknown --algo, --channels on an algorithm that takes none, and a
- * machine the algorithm's shape check turns away.
+ * unknown --algo or --machine spec, a --channels, --instances or
+ * --chunks below 1, a --root outside the machine's ranks, --channels
+ * on an algorithm that takes none, and a machine the algorithm's shape
+ * check turns away.
  */
 
 #include <algorithm>
@@ -28,6 +30,7 @@
 #include "common/flags.h"
 #include "compiler/chunk_dag.h"
 #include "compiler/compiler.h"
+#include "machine_flag.h"
 
 using namespace mscclang;
 
@@ -37,6 +40,7 @@ struct Args
 {
     const AlgoEntry *algo = nullptr;
     std::string machine = "ndv4:1";
+    Topology topo = parseTopology(machine);
     std::string output;
     Protocol proto = Protocol::Simple;
     int channels = 1;
@@ -67,10 +71,10 @@ main(int argc, char **argv)
                                        error.what());
                     }
                 })
-        .text("--machine <spec>",
-              "ndv4:<n> | dgx2:<n> | dgx1 | generic:<n>:<g> "
-              "(default ndv4:1)",
-              &args.machine)
+        .custom("--machine <spec>",
+                "ndv4:<n> | dgx2:<n> | dgx1 | generic:<n>:<g> "
+                "(default ndv4:1)",
+                machineFlag(&args.topo, &args.machine))
         .custom("--proto <p>", "Simple | LL | LL128 | Direct",
                 [&](const std::string &name) {
                     std::optional<Protocol> proto = protocolFromName(name);
@@ -79,11 +83,12 @@ main(int argc, char **argv)
                     args.proto = *proto;
                 })
         .count("--channels <c>", "ring channel distribution",
-               &args.channels)
+               &args.channels, 1)
         .count("--instances <r>", "program-wide parallelization",
-               &args.instances)
+               &args.instances, 1)
         .count("--root <r>", "broadcast root", &args.root)
-        .count("--chunks <c>", "broadcast pipeline chunks", &args.chunks)
+        .count("--chunks <c>", "broadcast pipeline chunks", &args.chunks,
+               1)
         .text("-o <file>", "write MSCCL-IR XML (default: stdout)",
               &args.output)
         .on("--dump", "print the human-readable IR", &args.dump)
@@ -107,7 +112,12 @@ main(int argc, char **argv)
             flags.fail(std::string("--channels: ") + args.algo->name +
                        " takes no channels");
         }
-        Topology topo = parseTopology(args.machine);
+        const Topology &topo = args.topo;
+        if (args.root >= topo.numRanks()) {
+            flags.fail(strprintf("--root: %d is not a rank of machine %s "
+                                 "(%d ranks)", args.root,
+                                 args.machine.c_str(), topo.numRanks()));
+        }
         if (!args.algo->fits(topo)) {
             flags.fail(std::string(args.algo->name) +
                        " does not fit machine " + args.machine);
@@ -136,7 +146,9 @@ main(int argc, char **argv)
                 "lower ms           %6.2f\n"
                 "fuse ms            %6.2f\n"
                 "schedule ms        %6.2f\n"
-                "verify ms          %6.2f\n",
+                "verify ms          %6.2f\n"
+                "minor faults       %6lld lower, %lld fuse, %lld schedule, "
+                "%lld verify\n",
                 args.algo->name, topo.name().c_str(),
                 topo.numRanks(), out.stats.traceOps, critical_path,
                 out.stats.instrsBeforeFusion,
@@ -144,7 +156,11 @@ main(int argc, char **argv)
                 out.stats.fusion.rrcs, out.stats.fusion.rrs,
                 out.stats.channels, out.stats.maxThreadBlocks,
                 out.stats.lowerNs / 1e6, out.stats.fuseNs / 1e6,
-                out.stats.scheduleNs / 1e6, out.stats.verifyNs / 1e6);
+                out.stats.scheduleNs / 1e6, out.stats.verifyNs / 1e6,
+                static_cast<long long>(out.stats.lowerMinorFaults),
+                static_cast<long long>(out.stats.fuseMinorFaults),
+                static_cast<long long>(out.stats.scheduleMinorFaults),
+                static_cast<long long>(out.stats.verifyMinorFaults));
         }
         if (args.dot) {
             ChunkDag dag(*prog);

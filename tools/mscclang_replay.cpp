@@ -28,6 +28,7 @@
 #include "common/error.h"
 #include "common/flags.h"
 #include "common/strings.h"
+#include "machine_flag.h"
 #include "runtime/communicator.h"
 #include "workload/replay.h"
 #include "workload/workload.h"
@@ -133,14 +134,13 @@ printSummary(const SloReport &report)
  * with healing on and/or off. Returns the combined byte-stable JSON.
  */
 std::string
-runComparison(const std::string &machine, const WorkloadSpec &spec,
+runComparison(const std::string &machine, const Topology &topology,
+              const WorkloadSpec &spec,
               const FaultSchedule &storm, ReplayOptions options,
               const std::string &healing, std::uint64_t seed,
               bool quiet, std::string *csv_out,
               double *availability_on, double *availability_off)
 {
-    Topology topology = parseTopology(machine);
-
     // The fault-free baseline anchors every op's SLO threshold; its
     // own latencies are healing-independent (nothing aborts).
     ReplayOptions base_options = options;
@@ -221,9 +221,10 @@ runSmoke(std::uint64_t seed)
     for (int run = 1; run <= 2; run++) {
         double on = 0.0;
         double off = 0.0;
-        std::string json = runComparison(machine, spec, storm, options,
-                                         "both", seed, /*quiet=*/true,
-                                         nullptr, &on, &off);
+        std::string json = runComparison(machine, topology, spec, storm,
+                                         options, "both", seed,
+                                         /*quiet=*/true, nullptr, &on,
+                                         &off);
         if (run == 1) {
             reference = json;
             avail_on = on;
@@ -264,6 +265,7 @@ int
 main(int argc, char **argv)
 {
     std::string machine = "generic:2:8";
+    Topology topology = parseTopology(machine);
     std::string workload = "mixed";
     std::string storm_kind = "flap";
     std::string healing = "both";
@@ -276,16 +278,16 @@ main(int argc, char **argv)
 
     Flags flags;
     flags
-        .text("--machine <spec>",
-              "ndv4:<n> | dgx2:<n> | dgx1 | generic:<n>:<g> "
-              "(default generic:2:8)",
-              &machine)
+        .custom("--machine <spec>",
+                "ndv4:<n> | dgx2:<n> | dgx1 | generic:<n>:<g> "
+                "(default generic:2:8)",
+                machineFlag(&topology, &machine))
         .text("--workload <w>",
               "mixed | decode | pipeline | moe | bursty | <trace.json>\n"
               "(default mixed)",
               &workload)
-        .text("--storm <kind>", "flap | wave | nic | none (default flap)",
-              &storm_kind)
+        .choice("--storm <kind>", "flap | wave | nic | none (default flap)",
+                &storm_kind, { "flap", "wave", "nic", "none" })
         .count("--seed <n>", "workload + health jitter seed (default 1)",
                &seed)
         .real("--slo <mult>", "SLO over the fault-free latency (default 3.0)",
@@ -313,12 +315,11 @@ main(int argc, char **argv)
         if (!spec_path.empty())
             writeOutput(spec_path, spec.toJson());
 
-        Topology topology = parseTopology(machine);
         FaultSchedule storm = buildStorm(storm_kind, topology);
 
         std::string csv;
         std::string json = runComparison(
-            machine, spec, storm, options, healing, seed,
+            machine, topology, spec, storm, options, healing, seed,
             /*quiet=*/false, &csv, nullptr, nullptr);
         if (!json_path.empty())
             writeOutput(json_path, json);

@@ -19,6 +19,7 @@
 #include "common/error.h"
 #include "common/flags.h"
 #include "common/strings.h"
+#include "machine_flag.h"
 #include "runtime/communicator.h"
 
 using namespace mscclang;
@@ -26,16 +27,17 @@ using namespace mscclang;
 int
 main(int argc, char **argv)
 {
-    std::string xml_path, machine = "ndv4:1";
+    std::string xml_path;
+    Topology topo = parseTopology("ndv4:1");
     std::uint64_t bytes = 1 << 20;
     std::vector<std::uint64_t> sweep;
     int tiles = 16;
     Flags flags("--xml <file> [options]");
     flags.text("--xml <file>", "MSCCL-IR XML to run", &xml_path)
-        .text("--machine <spec>",
-              "ndv4:<n> | dgx2:<n> | dgx1 | generic:<n>:<g> "
-              "(default ndv4:1)",
-              &machine)
+        .custom("--machine <spec>",
+                "ndv4:<n> | dgx2:<n> | dgx1 | generic:<n>:<g> "
+                "(default ndv4:1)",
+                machineFlag(&topo))
         .bytes("--bytes <size>", "input bytes per rank (default 1MB)",
                &bytes)
         .custom("--sweep <lo:hi>", "sweep sizes instead of one run",
@@ -60,7 +62,6 @@ main(int argc, char **argv)
         text << file.rdbuf();
         IrProgram ir = IrProgram::fromXml(text.str());
 
-        Topology topo = parseTopology(machine);
         Communicator comm(topo);
 
         std::printf("program '%s' (%s, %d ranks, %s): %d thread "

@@ -32,6 +32,7 @@
 #include "common/flags.h"
 #include "common/strings.h"
 #include "compiler/plan_cache.h"
+#include "machine_flag.h"
 #include "search/search.h"
 
 using namespace mscclang;
@@ -108,7 +109,7 @@ checkAgainstHandTuned(const Topology &topology,
 int
 main(int argc, char **argv)
 {
-    std::string machine = "ndv4:1";
+    Topology topology = parseTopology("ndv4:1");
     std::string collective = "allreduce";
     std::string json_path;
     std::string csv_path;
@@ -117,12 +118,14 @@ main(int argc, char **argv)
 
     Flags flags;
     flags
-        .text("--machine <spec>",
-              "<ndv4|dgx2|dgx1|generic>:<nodes>[:<gpus>]"
-              "[:<flat|rail|fattree>]\n(default ndv4:1; e.g. ndv4:4:8:rail)",
-              &machine)
-        .text("--collective <name>",
-              "allreduce | allgather (default allreduce)", &collective)
+        .custom("--machine <spec>",
+                "<ndv4|dgx2|dgx1|generic>:<nodes>[:<gpus>]"
+                "[:<flat|rail|fattree>]\n(default ndv4:1; e.g. "
+                "ndv4:4:8:rail)",
+                machineFlag(&topology))
+        .choice("--collective <name>",
+                "allreduce | allgather (default allreduce)", &collective,
+                { "allreduce", "allgather" })
         .bytes("--from <size>", "sweep start, bytes per rank (default 1KB)",
                &options.fromBytes)
         .bytes("--to <size>", "sweep end (default 64MB)", &options.toBytes)
@@ -157,7 +160,6 @@ main(int argc, char **argv)
             options.toBytes = 4 << 20;
         }
 
-        Topology topology = parseTopology(machine);
         SearchResult result =
             searchSchedules(topology, collective, options);
 
