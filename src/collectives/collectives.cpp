@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 
 #include "collectives/catalog.h"
 #include "common/error.h"
@@ -51,6 +52,64 @@ ringAllGather(Program &prog, const std::vector<Rank> &ranks, int offset,
                        OpOptions{ channel_of(r) });
         }
     }
+}
+
+/** Ranks 0..n-1 in index order: the plain ring (empty for n < 1). */
+std::vector<Rank>
+indexOrder(int n)
+{
+    std::vector<Rank> ranks(std::max(n, 0));
+    std::iota(ranks.begin(), ranks.end(), 0);
+    return ranks;
+}
+
+/**
+ * The one Ring AllReduce body: a ReduceScatter then an AllGather
+ * around @p order, the ring of all @p R ranks, chunk block r on
+ * channel r % @p channels, as a program named @p name (plus the
+ * config's knob suffixes). @p R is passed on its own so the
+ * collective rejects a bad count in its own words.
+ */
+std::unique_ptr<Program>
+ringAllReduce(int R, const std::vector<Rank> &order, int channels,
+              const AlgoConfig &config, const std::string &name)
+{
+    int agg = config.aggregate;
+    auto coll = std::make_shared<AllReduceCollective>(R, R * agg);
+    auto prog = std::make_unique<Program>(
+        coll, algoProgramOptions(name, config));
+    auto channel_of = [channels](int block) { return block % channels; };
+    ParallelizeScope scope = prog->parallelize(config.parallelize);
+    ringReduceScatter(*prog, order, 0, agg, channel_of);
+    ringAllGather(*prog, order, 0, agg, channel_of);
+    return prog;
+}
+
+/**
+ * The one Ring AllGather body (non-in-place), as ringAllReduce's:
+ * each rank's block travels around @p order into every output
+ * buffer, the block of order[i] on channel i % @p channels.
+ */
+std::unique_ptr<Program>
+ringAllGatherOut(int R, const std::vector<Rank> &order, int channels,
+                 const AlgoConfig &config, const std::string &name)
+{
+    int agg = config.aggregate;
+    auto coll = std::make_shared<AllGatherCollective>(R, agg);
+    auto prog = std::make_unique<Program>(
+        coll, algoProgramOptions(name, config));
+    ParallelizeScope scope = prog->parallelize(config.parallelize);
+    for (int i = 0; i < R; i++) {
+        Rank owner = order[i];
+        ChunkRef c = prog->chunk(owner, BufferKind::Input, 0, agg)
+                         .copy(owner, BufferKind::Output, owner * agg);
+        for (int step = 1; step < R; step++) {
+            Rank next = order[(i + step) % R];
+            c = c.copy(next, BufferKind::Output, owner * agg,
+                       OpOptions{ i % channels });
+        }
+    }
+    return prog;
 }
 
 } // namespace
@@ -125,21 +184,9 @@ makeRingAllReduce(int num_ranks, int channels, const AlgoConfig &config)
         throw Error("ring allreduce: channels must be >= 1");
     checkAlgoConfig("ring allreduce", config,
                     algoEntry("ring_allreduce").knobs);
-    int agg = config.aggregate;
-    auto coll = std::make_shared<AllReduceCollective>(num_ranks,
-                                                      num_ranks * agg);
-    auto prog = std::make_unique<Program>(
-        coll,
-        algoProgramOptions(strprintf("ring_allreduce_ch%d", channels),
-                           config));
-    std::vector<Rank> ranks(num_ranks);
-    for (int r = 0; r < num_ranks; r++)
-        ranks[r] = r;
-    auto channel_of = [channels](int block) { return block % channels; };
-    ParallelizeScope scope = prog->parallelize(config.parallelize);
-    ringReduceScatter(*prog, ranks, 0, agg, channel_of);
-    ringAllGather(*prog, ranks, 0, agg, channel_of);
-    return prog;
+    return ringAllReduce(num_ranks, indexOrder(num_ranks), channels,
+                         config,
+                         strprintf("ring_allreduce_ch%d", channels));
 }
 
 std::unique_ptr<Program>
@@ -156,12 +203,9 @@ makeRingAllReduceOutOfPlace(int num_ranks, int channels,
         coll,
         algoProgramOptions(
             strprintf("ring_allreduce_oop_ch%d", channels), config));
-    std::vector<Rank> ranks(num_ranks);
-    for (int r = 0; r < num_ranks; r++)
-        ranks[r] = r;
     auto channel_of = [channels](int block) { return block % channels; };
     ParallelizeScope scope = prog->parallelize(config.parallelize);
-    ringReduceScatter(*prog, ranks, 0, agg, channel_of);
+    ringReduceScatter(*prog, indexOrder(num_ranks), 0, agg, channel_of);
     // AllGather into the distinct output buffer.
     for (int r = 0; r < num_ranks; r++) {
         ChunkRef c = prog->chunk(r, BufferKind::Input, r * agg, agg)
@@ -390,21 +434,8 @@ makeRingAllGather(int num_ranks, int channels, const AlgoConfig &config)
         throw Error("ring allgather: channels must be >= 1");
     checkAlgoConfig("ring allgather", config,
                     algoEntry("ring_allgather").knobs);
-    int agg = config.aggregate;
-    auto coll = std::make_shared<AllGatherCollective>(num_ranks, agg);
-    auto prog = std::make_unique<Program>(
-        coll, algoProgramOptions("ring_allgather", config));
-    ParallelizeScope scope = prog->parallelize(config.parallelize);
-    for (Rank r = 0; r < num_ranks; r++) {
-        ChunkRef c = prog->chunk(r, BufferKind::Input, 0, agg)
-                         .copy(r, BufferKind::Output, r * agg);
-        for (int step = 1; step < num_ranks; step++) {
-            Rank next = (r + step) % num_ranks;
-            c = c.copy(next, BufferKind::Output, r * agg,
-                       OpOptions{ r % channels });
-        }
-    }
-    return prog;
+    return ringAllGatherOut(num_ranks, indexOrder(num_ranks), channels,
+                            config, "ring_allgather");
 }
 
 namespace {
@@ -495,19 +526,11 @@ makeRingAllReduceOver(const std::vector<Rank> &order, int channels,
     if (channels < 1)
         throw Error("ring allreduce: channels must be >= 1");
     checkRingOrder(order, "ring allreduce over");
-    checkAlgoConfig("ring allreduce over", config, { .aggregate = true });
-    int R = static_cast<int>(order.size());
-    int agg = config.aggregate;
-    auto coll = std::make_shared<AllReduceCollective>(R, R * agg);
-    auto prog = std::make_unique<Program>(
-        coll,
-        algoProgramOptions(
-            strprintf("ring_allreduce_reformed_ch%d", channels), config));
-    auto channel_of = [channels](int block) { return block % channels; };
-    ParallelizeScope scope = prog->parallelize(config.parallelize);
-    ringReduceScatter(*prog, order, 0, agg, channel_of);
-    ringAllGather(*prog, order, 0, agg, channel_of);
-    return prog;
+    checkAlgoConfig("ring allreduce over", config,
+                    algoEntry("ring_allreduce").knobs);
+    return ringAllReduce(
+        static_cast<int>(order.size()), order, channels, config,
+        strprintf("ring_allreduce_reformed_ch%d", channels));
 }
 
 std::unique_ptr<Program>
@@ -517,23 +540,10 @@ makeRingAllGatherOver(const std::vector<Rank> &order, int channels,
     if (channels < 1)
         throw Error("ring allgather: channels must be >= 1");
     checkRingOrder(order, "ring allgather over");
-    checkAlgoConfig("ring allgather over", config);
-    int R = static_cast<int>(order.size());
-    auto coll = std::make_shared<AllGatherCollective>(R, 1);
-    auto prog = std::make_unique<Program>(
-        coll, algoProgramOptions("ring_allgather_reformed", config));
-    ParallelizeScope scope = prog->parallelize(config.parallelize);
-    for (int i = 0; i < R; i++) {
-        Rank owner = order[i];
-        ChunkRef c = prog->chunk(owner, BufferKind::Input, 0)
-                         .copy(owner, BufferKind::Output, owner);
-        for (int step = 1; step < R; step++) {
-            Rank next = order[(i + step) % R];
-            c = c.copy(next, BufferKind::Output, owner,
-                       OpOptions{ i % channels });
-        }
-    }
-    return prog;
+    checkAlgoConfig("ring allgather over", config,
+                    algoEntry("ring_allgather").knobs);
+    return ringAllGatherOut(static_cast<int>(order.size()), order,
+                            channels, config, "ring_allgather_reformed");
 }
 
 std::unique_ptr<Program>

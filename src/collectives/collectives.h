@@ -208,13 +208,16 @@ std::vector<Rank> findRingOrder(const Topology &topology);
  * Ring AllReduce traversing @p order instead of rank-index order —
  * the replanner's building block: pass findRingOrder() of a degraded
  * topology and the ring only crosses surviving links. @p order must
- * be a permutation of [0, R).
+ * be a permutation of [0, R). Shares makeRingAllReduce's body and its
+ * catalogue knobs; only the program name differs.
  */
 std::unique_ptr<Program> makeRingAllReduceOver(
     const std::vector<Rank> &order, int channels,
     const AlgoConfig &config);
 
-/** Ring AllGather (non-in-place) traversing @p order. */
+/** Ring AllGather (non-in-place) traversing @p order: shares
+ *  makeRingAllGather's body and catalogue knobs (aggregate included),
+ *  as makeRingAllReduceOver does makeRingAllReduce's. */
 std::unique_ptr<Program> makeRingAllGatherOver(
     const std::vector<Rank> &order, int channels,
     const AlgoConfig &config);

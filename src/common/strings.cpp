@@ -130,6 +130,28 @@ strprintf(const char *fmt, ...)
     return out;
 }
 
+std::string
+jsonQuote(const std::string &text)
+{
+    std::string out = "\"";
+    for (char c : text) {
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\t': out += "\\t"; break;
+          case '\r': out += "\\r"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20)
+                out += strprintf("\\u%04x", c);
+            else
+                out += c;
+        }
+    }
+    out += '"';
+    return out;
+}
+
 std::vector<std::string>
 splitString(const std::string &text, char sep)
 {

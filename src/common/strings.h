@@ -53,6 +53,14 @@ double parseReal(const std::string &flag, const std::string &text,
 std::string strprintf(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
+/**
+ * @p text as a JSON string literal: in double quotes, with quotes and
+ * backslashes escaped, newline, tab and carriage return in their short
+ * escapes and any other control character as a four-digit unicode
+ * escape. The one escaper of every JSON writer in the library.
+ */
+std::string jsonQuote(const std::string &text);
+
 /** Splits @p text on @p sep, keeping empty fields. */
 std::vector<std::string> splitString(const std::string &text, char sep);
 

@@ -29,10 +29,11 @@ struct CompileOptions
     bool verify = true;
     /** Cooperative-launch limit on thread blocks per GPU. */
     int maxThreadBlocks = 1024;
-    /** Number of FIFO slots assumed for deadlock checking. The
-     *  paper's protocols provide 1..8 slots; verifying against the
-     *  smallest slot count the runtime may use is the safe choice. */
-    int verifySlots = 8;
+    /** Number of FIFO slots assumed for deadlock checking: by
+     *  default the runtime's FIFO depth. The paper's protocols
+     *  provide 1..8 slots; verifying against the smallest slot count
+     *  the runtime may use is the safe choice. */
+    int verifySlots = kFifoSlotsPerConnection;
     /**
      * Optional topology: when set, every communication edge must
      * connect directly-linked ranks (a DGX-1 has no all-to-all

@@ -817,23 +817,20 @@ topoSweep(const LiveView &view, const Priority &prio, const GatePlan &plan,
     return order;
 }
 
-/** The slot counts probed when a sweep wedges: up to the default
- *  FIFO depth (CompileOptions::verifySlots). */
-constexpr int kMaxProbeSlots = 8;
-
 /**
  * The error for a gated sweep that ordered only @p ordered of the
  * view's nodes at @p slots. Re-runs the sweep at each larger slot
- * count up to kMaxProbeSlots and names the smallest that orders every
- * node, so a caller learns what slot count the program needs. Runs
- * only on this error path.
+ * count up to the runtime's FIFO depth (kFifoSlotsPerConnection, the
+ * default of CompileOptions::verifySlots) and names the smallest that
+ * orders every node, so a caller learns what slot count the program
+ * needs. Runs only on this error path.
  */
 CompileError
 sweepFailure(const LiveView &view, const Priority &prio,
              const GatePlan &plan, int slots, size_t ordered)
 {
     int n = view.size();
-    for (int more = slots + 1; more <= kMaxProbeSlots; more++) {
+    for (int more = slots + 1; more <= kFifoSlotsPerConnection; more++) {
         if (static_cast<int>(topoSweep(view, prio, plan, more).size()) ==
             n) {
             return CompileError(strprintf(

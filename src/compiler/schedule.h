@@ -39,9 +39,9 @@ struct ScheduleOptions
     /**
      * FIFO slot count the emitted schedule must be executable with
      * (paper §6.1: 1 <= s <= 8; every protocol provides at least
-     * this many slots).
+     * this many slots). Defaults to the runtime's FIFO depth.
      */
-    int slots = 8;
+    int slots = kFifoSlotsPerConnection;
 };
 
 /**

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -116,26 +117,9 @@ class Ring
 };
 
 /**
- * One message in flight: instr.count parts, part k carrying chunk
- * k of the sender's slice, all over the sender's byte fraction.
- */
-struct MessageHeader
-{
-    int parts = 0;
-    FracInterval range;
-};
-
-/** One connection's FIFO: message headers and their parts' values. */
-struct Connection
-{
-    Ring<MessageHeader> messages;
-    Ring<int> parts;
-};
-
-/**
  * Connection identity (src, dst, channel) packed into one integer.
  * Fields are packed most-significant-first, so sorting packed keys
- * reproduces tuple order for the deadlock report.
+ * reproduces tuple order for the reports.
  */
 using ConnKey = std::uint64_t;
 
@@ -144,6 +128,25 @@ connKeyOf(int src, int dst, int channel)
 {
     return (std::uint64_t(src) << 43) | (std::uint64_t(dst) << 22) |
         std::uint64_t(channel);
+}
+
+/** The fields of a packed connection key. */
+int
+keySrc(ConnKey key)
+{
+    return static_cast<int>(key >> 43);
+}
+
+int
+keyDst(ConnKey key)
+{
+    return static_cast<int>((key >> 22) & 0x1FFFFF);
+}
+
+int
+keyChannel(ConnKey key)
+{
+    return static_cast<int>(key & 0x3FFFFF);
 }
 
 /**
@@ -167,19 +170,249 @@ numberConnections(const std::vector<ConnKey> &keys, std::vector<int> &ids)
     return sorted;
 }
 
+/**
+ * The one walk of an IR program that both checks run on. Thread
+ * blocks execute their steps in order; a step waits for its cross
+ * thread block dependencies, a receive for a message queued on its
+ * connection and a send for a free slot on its; the k-th receive on a
+ * connection takes the k-th send (FIFO pairing). The IR is indexed
+ * once — flat thread block ids in IR order, one node id per
+ * instruction (its thread block's base plus its step), dense
+ * connection ids in (src, dst, channel) order — and run() steps the
+ * thread blocks round-robin, each as far as it can go, until none can
+ * move. The steps taken, in order, form a linear extension of
+ * happens-before (program order, dependencies, FIFO pairs). Every
+ * rank must be non-negative.
+ */
+class IrWalk
+{
+  public:
+    /** The slot count under which no send ever waits. */
+    static constexpr int kUnbounded = std::numeric_limits<int>::max();
+
+    /** One thread block and its connections' dense ids. */
+    struct Block
+    {
+        const IrThreadBlock *tb;
+        Rank rank;
+        int base; // node id of step 0
+        int send; // connection (rank, sendPeer, channel)
+        int recv; // connection (recvPeer, rank, channel)
+    };
+
+    explicit IrWalk(const IrProgram &ir)
+    {
+        int num_ranks = ir.numRanks;
+        for (const IrGpu &gpu : ir.gpus)
+            num_ranks = std::max(num_ranks, gpu.rank + 1);
+        byId_.resize(num_ranks);
+        std::vector<ConnKey> ends; // send, then recv, of every block
+        int nodes = 0;
+        for (const IrGpu &gpu : ir.gpus) {
+            std::vector<int> &by_id = byId_[gpu.rank];
+            for (const IrThreadBlock &tb : gpu.threadBlocks) {
+                if (tb.id >= 0) {
+                    if (tb.id >= static_cast<int>(by_id.size()))
+                        by_id.resize(tb.id + 1, -1);
+                    by_id[tb.id] = static_cast<int>(blocks_.size());
+                }
+                blocks_.push_back(Block{ &tb, gpu.rank, nodes, -1, -1 });
+                nodes += static_cast<int>(tb.steps.size());
+                ends.push_back(connKeyOf(gpu.rank, tb.sendPeer, tb.channel));
+                ends.push_back(connKeyOf(tb.recvPeer, gpu.rank, tb.channel));
+            }
+        }
+        std::vector<int> ids;
+        connKeys_ = numberConnections(ends, ids);
+        queues_.resize(connKeys_.size());
+        blockOfNode_.resize(nodes);
+        for (size_t t = 0; t < blocks_.size(); t++) {
+            Block &block = blocks_[t];
+            block.send = ids[2 * t];
+            block.recv = ids[2 * t + 1];
+            std::fill_n(blockOfNode_.begin() + block.base,
+                        block.tb->steps.size(), static_cast<int>(t));
+        }
+        cursor_.assign(blocks_.size(), 0);
+    }
+
+    int numRanks() const { return static_cast<int>(byId_.size()); }
+    int numNodes() const { return static_cast<int>(blockOfNode_.size()); }
+    const std::vector<Block> &blocks() const { return blocks_; }
+    size_t numConnections() const { return connKeys_.size(); }
+    ConnKey connKey(int conn) const { return connKeys_[conn]; }
+
+    int blockOfNode(int node) const { return blockOfNode_[node]; }
+
+    int
+    stepOf(int node) const
+    {
+        return node - blocks_[blockOfNode_[node]].base;
+    }
+
+    const IrInstruction &
+    instr(int node) const
+    {
+        const Block &block = blocks_[blockOfNode_[node]];
+        return block.tb->steps[node - block.base];
+    }
+
+    /** The block of thread block @p tb of @p rank, or -1. */
+    int
+    blockOf(Rank rank, int tb) const
+    {
+        const std::vector<int> &by_id = byId_[rank];
+        return tb < 0 || tb >= static_cast<int>(by_id.size()) ? -1
+                                                              : by_id[tb];
+    }
+
+    /** The node of (@p rank, @p tb, @p step), or -1 if there is none. */
+    int
+    nodeOf(Rank rank, int tb, int step) const
+    {
+        int t = blockOf(rank, tb);
+        if (t < 0 || step < 0 ||
+            step >= static_cast<int>(blocks_[t].tb->steps.size()))
+            return -1;
+        return blocks_[t].base + step;
+    }
+
+    /**
+     * Runs the walk with @p slots FIFO slots per connection, calling
+     * @p on_step(block, instr, node, send) for every step taken, where
+     * @p send is the node of a receive's matched send (-1 for any
+     * other step). Returns whether every thread block finished.
+     * @throws VerificationError for a dependency on an unknown thread
+     *         block or a send (receive) on a block without that peer.
+     */
+    template <typename OnStep>
+    bool
+    run(int slots, OnStep &&on_step)
+    {
+        int num_blocks = static_cast<int>(blocks_.size());
+        bool progress = true;
+        while (progress) {
+            progress = false;
+            for (int t = 0; t < num_blocks; t++) {
+                while (tryStep(t, slots, on_step))
+                    progress = true;
+            }
+        }
+        return taken_ == numNodes();
+    }
+
+    /**
+     * The report of a wedged run: the blocked thread blocks, then the
+     * connections with undelivered messages in (src, dst, channel)
+     * order.
+     */
+    std::string
+    deadlockReport() const
+    {
+        std::string report = "deadlock detected:\n";
+        for (size_t t = 0; t < blocks_.size(); t++) {
+            const Block &block = blocks_[t];
+            const IrThreadBlock &tb = *block.tb;
+            int cursor = cursor_[t];
+            if (cursor >= static_cast<int>(tb.steps.size()))
+                continue;
+            const IrInstruction &instr = tb.steps[cursor];
+            std::string reason = "dependency";
+            if (irOpReceives(instr.op)) {
+                reason = strprintf("data from %d (inbox=%zu) or "
+                                   "dependency", tb.recvPeer,
+                                   queues_[block.recv].size());
+            } else if (irOpSends(instr.op)) {
+                reason = strprintf("FIFO slot to %d (queued=%zu) or "
+                                   "dependency", tb.sendPeer,
+                                   queues_[block.send].size());
+            }
+            report += formatBlockedThreadBlock(block.rank, tb.id, cursor,
+                                               instr, reason);
+        }
+        for (size_t c = 0; c < queues_.size(); c++) {
+            size_t count = queues_[c].size();
+            if (count == 0)
+                continue;
+            report += strprintf("  conn %d -> %d ch %d: %zu undelivered\n",
+                                keySrc(connKeys_[c]),
+                                keyDst(connKeys_[c]),
+                                keyChannel(connKeys_[c]), count);
+        }
+        return report;
+    }
+
+  private:
+    /** Attempts block @p t's next step. */
+    template <typename OnStep>
+    bool
+    tryStep(int t, int slots, OnStep &on_step)
+    {
+        const Block &block = blocks_[t];
+        const IrThreadBlock &tb = *block.tb;
+        int &cursor = cursor_[t];
+        if (cursor >= static_cast<int>(tb.steps.size()))
+            return false;
+        const IrInstruction &instr = tb.steps[cursor];
+        for (const IrDep &dep : instr.deps) {
+            int from = blockOf(block.rank, dep.tb);
+            if (from < 0) {
+                throw VerificationError(strprintf(
+                    "rank %d: dependency names unknown thread block %d",
+                    block.rank, dep.tb));
+            }
+            if (cursor_[from] <= dep.step)
+                return false;
+        }
+
+        bool receives = irOpReceives(instr.op);
+        bool sends = irOpSends(instr.op);
+        if (receives && tb.recvPeer < 0)
+            throw VerificationError(strprintf(
+                "rank %d tb %d: %s without a receive peer", block.rank,
+                tb.id, irOpName(instr.op)));
+        if (sends && tb.sendPeer < 0)
+            throw VerificationError(strprintf(
+                "rank %d tb %d: %s without a send peer", block.rank,
+                tb.id, irOpName(instr.op)));
+        if (receives && queues_[block.recv].empty())
+            return false; // waiting for data
+        if (sends && static_cast<int>(queues_[block.send].size()) >= slots)
+            return false; // waiting for a FIFO slot
+
+        int node = block.base + cursor;
+        int send = -1;
+        if (receives) {
+            send = queues_[block.recv].front();
+            queues_[block.recv].pop_front();
+        }
+        on_step(block, instr, node, send);
+        if (sends)
+            queues_[block.send].push_back(node);
+        cursor++;
+        taken_++;
+        return true;
+    }
+
+    std::vector<Block> blocks_;          // flat thread block ids, IR order
+    std::vector<std::vector<int>> byId_; // [rank][tb id] -> block, or -1
+    std::vector<int> blockOfNode_;
+    std::vector<ConnKey> connKeys_; // sorted; index = connection id
+    std::vector<Ring<int>> queues_; // per connection: queued send nodes
+    std::vector<int> cursor_;       // per block: its next step
+    int taken_ = 0;
+};
+
 /** Abstract machine state for one verification run. */
 class AbstractMachine
 {
   public:
     AbstractMachine(const IrProgram &ir, const Collective &collective,
                     const VerifyOptions &options)
-        : ir_(ir), collective_(collective), options_(options)
+        : ir_(ir), collective_(collective), options_(options), walk_(ir)
     {
         buffers_.resize(ir.numRanks);
-        cursors_.resize(ir.numRanks);
         for (const IrGpu &gpu : ir.gpus) {
-            if (gpu.rank < 0 || gpu.rank >= ir.numRanks)
-                throw VerificationError("IR names an out-of-range rank");
             RankBuffers &bufs = buffers_[gpu.rank];
             bufs.input.assign(gpu.inputChunks, Cell{});
             if (!ir.inPlace)
@@ -189,46 +422,20 @@ class AbstractMachine
                 bufs.input[i].value =
                     values_.intern(ChunkValue::input(gpu.rank, i));
             }
-            cursors_[gpu.rank].assign(gpu.threadBlocks.size(), 0);
         }
-        indexConnections();
+        parts_.resize(walk_.numConnections());
     }
 
     /** Runs to completion; throws on deadlock or semantic error. */
     void
     run()
     {
-        bool progress = true;
-        while (progress) {
-            progress = false;
-            const TbConns *conns = tbConns_.data();
-            for (const IrGpu &gpu : ir_.gpus) {
-                for (const IrThreadBlock &tb : gpu.threadBlocks) {
-                    while (tryStep(gpu, tb, *conns))
-                        progress = true;
-                    conns++;
-                }
-            }
-        }
-        std::string blocked = blockedReport();
-        if (!blocked.empty()) {
-            // Report undelivered connections in (src, dst, channel)
-            // order: dense indexes follow sorted packed keys.
-            std::string conns;
-            for (size_t c = 0; c < connections_.size(); c++) {
-                size_t count = connections_[c].messages.size();
-                if (count == 0)
-                    continue;
-                ConnKey key = connKeys_[c];
-                conns += strprintf(
-                    "  conn %d -> %d ch %d: %zu undelivered\n",
-                    static_cast<int>(key >> 43),
-                    static_cast<int>((key >> 22) & 0x1FFFFF),
-                    static_cast<int>(key & 0x3FFFFF), count);
-            }
-            throw VerificationError("deadlock detected:\n" + blocked +
-                                    conns);
-        }
+        bool done = walk_.run(
+            options_.slots,
+            [this](const IrWalk::Block &block, const IrInstruction &instr,
+                   int node, int send) { step(block, instr, node, send); });
+        if (!done)
+            throw VerificationError(walk_.deadlockReport());
         if (options_.checkPostcondition)
             checkPostcondition();
     }
@@ -240,46 +447,6 @@ class AbstractMachine
         std::vector<Cell> output;
         std::vector<Cell> scratch;
     };
-
-    /** Dense connection indexes of one thread block (-1: none). */
-    struct TbConns
-    {
-        int send = -1;
-        int recv = -1;
-    };
-
-    /**
-     * Maps every (src, dst, channel) a thread block names to a dense
-     * index, once: indexes follow sorted packed keys.
-     */
-    void
-    indexConnections()
-    {
-        std::vector<ConnKey> ends; // send, then recv, of every block
-        for (const IrGpu &gpu : ir_.gpus) {
-            for (const IrThreadBlock &tb : gpu.threadBlocks) {
-                ends.push_back(
-                    connKeyOf(gpu.rank, tb.sendPeer, tb.channel));
-                ends.push_back(
-                    connKeyOf(tb.recvPeer, gpu.rank, tb.channel));
-            }
-        }
-        std::vector<int> ids;
-        connKeys_ = numberConnections(ends, ids);
-        connections_.resize(connKeys_.size());
-        size_t end = 0;
-        for (const IrGpu &gpu : ir_.gpus) {
-            for (const IrThreadBlock &tb : gpu.threadBlocks) {
-                TbConns conns;
-                if (tb.sendPeer >= 0)
-                    conns.send = ids[end];
-                if (tb.recvPeer >= 0)
-                    conns.recv = ids[end + 1];
-                tbConns_.push_back(conns);
-                end += 2;
-            }
-        }
-    }
 
     std::vector<Cell> &
     bufferOf(int rank, BufferKind kind)
@@ -426,64 +593,19 @@ class AbstractMachine
         return values_.intern(ChunkValue::reduce(values_[a], values_[b]));
     }
 
-    bool
-    depsSatisfied(const IrGpu &gpu, const IrInstruction &instr) const
+    /**
+     * The effect of one step: node @p node of @p block, whose receive
+     * (if any) takes the message of send node @p send. A message
+     * carries the send's instr.count parts, part k being chunk k of
+     * its slice, all over the send's byte fraction.
+     */
+    void
+    step(const IrWalk::Block &block, const IrInstruction &instr, int node,
+         int send)
     {
-        for (const IrDep &dep : instr.deps) {
-            if (dep.tb < 0 ||
-                static_cast<size_t>(dep.tb) >=
-                    cursors_[gpu.rank].size()) {
-                throw VerificationError(strprintf(
-                    "rank %d: dependency names unknown thread block %d",
-                    gpu.rank, dep.tb));
-            }
-            if (cursors_[gpu.rank][dep.tb] <= dep.step)
-                return false;
-        }
-        return true;
-    }
-
-    /** Attempts the thread block's next instruction. */
-    bool
-    tryStep(const IrGpu &gpu, const IrThreadBlock &tb,
-            const TbConns &conns)
-    {
-        size_t tb_idx = static_cast<size_t>(tb.id);
-        int &cursor = cursors_[gpu.rank][tb_idx];
-        if (cursor >= static_cast<int>(tb.steps.size()))
-            return false;
-        const IrInstruction &instr = tb.steps[cursor];
-        if (!depsSatisfied(gpu, instr))
-            return false;
-
+        Rank rank = block.rank;
         bool receives = irOpReceives(instr.op);
         bool sends = irOpSends(instr.op);
-
-        if (receives && tb.recvPeer < 0)
-            throw VerificationError(strprintf(
-                "rank %d tb %d: %s without a receive peer", gpu.rank,
-                tb.id, irOpName(instr.op)));
-        if (sends && tb.sendPeer < 0)
-            throw VerificationError(strprintf(
-                "rank %d tb %d: %s without a send peer", gpu.rank,
-                tb.id, irOpName(instr.op)));
-
-        Connection *inbox = nullptr;
-        if (receives) {
-            inbox = &connections_[conns.recv];
-            if (inbox->messages.empty())
-                return false; // waiting for data
-        }
-        Connection *outbox = nullptr;
-        if (sends) {
-            outbox = &connections_[conns.send];
-            if (static_cast<int>(outbox->messages.size()) >=
-                options_.slots)
-                return false; // waiting for a FIFO slot
-        }
-
-        // The instruction can execute; compute its effect. Every part
-        // k covers chunk instr.*Off + k over the same byte fraction.
         FracInterval range =
             splitFraction(instr.splitIdx, instr.splitCount);
         size_t count = static_cast<size_t>(instr.count);
@@ -492,25 +614,30 @@ class AbstractMachine
         // part is queued: a connection may loop back to its sender.
         incoming_.clear();
         if (receives) {
-            MessageHeader header = inbox->messages.front();
-            inbox->messages.pop_front();
-            for (int k = 0; k < header.parts; k++) {
-                incoming_.push_back(inbox->parts.front());
-                inbox->parts.pop_front();
+            const IrInstruction &sent = walk_.instr(send);
+            Ring<int> &inbox = parts_[block.recv];
+            for (int k = 0; k < sent.count; k++) {
+                incoming_.push_back(inbox.front());
+                inbox.pop_front();
             }
             // Shape check: FIFO pairing must deliver exactly the
-            // fractions this receive expects.
+            // fractions this receive expects (equal split indexes need
+            // no fraction arithmetic).
+            int cursor = node - block.base;
             if (incoming_.size() != count) {
                 throw VerificationError(strprintf(
                     "rank %d tb %d step %d: FIFO mismatch (message has "
-                    "%zu parts, receive expects %zu)", gpu.rank, tb.id,
+                    "%zu parts, receive expects %zu)", rank, block.tb->id,
                     cursor, incoming_.size(), count));
             }
-            if (count > 0 && !(header.range == range)) {
+            bool same_split = sent.splitIdx == instr.splitIdx &&
+                sent.splitCount == instr.splitCount;
+            if (count > 0 && !same_split &&
+                !(splitFraction(sent.splitIdx, sent.splitCount) == range)) {
                 throw VerificationError(strprintf(
                     "rank %d tb %d step %d: FIFO mismatch (part %zu "
                     "shape differs from the matched send)",
-                    gpu.rank, tb.id, cursor, size_t{ 0 }));
+                    rank, block.tb->id, cursor, size_t{ 0 }));
             }
         }
 
@@ -520,33 +647,33 @@ class AbstractMachine
             break;
           case IrOp::Send:
             for (int rel = 0; rel < instr.count; rel++) {
-                outgoing_.push_back(readPart(gpu.rank, instr.srcBuf,
+                outgoing_.push_back(readPart(rank, instr.srcBuf,
                                              instr.srcOff + rel, range,
                                              "send"));
             }
             break;
           case IrOp::Recv:
             for (size_t i = 0; i < count; i++) {
-                writePart(gpu.rank, instr.dstBuf,
+                writePart(rank, instr.dstBuf,
                           instr.dstOff + static_cast<int>(i),
                           range, incoming_[i], "recv");
             }
             break;
           case IrOp::Copy:
             for (int rel = 0; rel < instr.count; rel++) {
-                int value = readPart(gpu.rank, instr.srcBuf,
+                int value = readPart(rank, instr.srcBuf,
                                      instr.srcOff + rel, range, "copy");
-                writePart(gpu.rank, instr.dstBuf, instr.dstOff + rel,
+                writePart(rank, instr.dstBuf, instr.dstOff + rel,
                           range, value, "copy");
             }
             break;
           case IrOp::Reduce:
             for (int rel = 0; rel < instr.count; rel++) {
-                int a = readPart(gpu.rank, instr.srcBuf,
+                int a = readPart(rank, instr.srcBuf,
                                  instr.srcOff + rel, range, "reduce");
-                int b = readPart(gpu.rank, instr.dstBuf,
+                int b = readPart(rank, instr.dstBuf,
                                  instr.dstOff + rel, range, "reduce");
-                writePart(gpu.rank, instr.dstBuf, instr.dstOff + rel,
+                writePart(rank, instr.dstBuf, instr.dstOff + rel,
                           range, reduce(a, b), "reduce");
             }
             break;
@@ -555,12 +682,12 @@ class AbstractMachine
           case IrOp::RecvReduceCopySend:
             for (size_t i = 0; i < count; i++) {
                 int rel = static_cast<int>(i);
-                int local = readPart(gpu.rank, instr.srcBuf,
+                int local = readPart(rank, instr.srcBuf,
                                      instr.srcOff + rel, range,
                                      irOpName(instr.op));
                 int combined = reduce(local, incoming_[i]);
                 if (irOpWritesDst(instr.op)) {
-                    writePart(gpu.rank, instr.dstBuf,
+                    writePart(rank, instr.dstBuf,
                               instr.dstOff + rel, range, combined,
                               irOpName(instr.op));
                 }
@@ -571,7 +698,7 @@ class AbstractMachine
           case IrOp::RecvCopySend:
             for (size_t i = 0; i < count; i++) {
                 int rel = static_cast<int>(i);
-                writePart(gpu.rank, instr.dstBuf, instr.dstOff + rel,
+                writePart(rank, instr.dstBuf, instr.dstOff + rel,
                           range, incoming_[i], "rcs");
                 outgoing_.push_back(incoming_[i]);
             }
@@ -579,51 +706,10 @@ class AbstractMachine
         }
 
         if (sends) {
-            outbox->messages.push_back(MessageHeader{
-                static_cast<int>(outgoing_.size()), range });
+            Ring<int> &outbox = parts_[block.send];
             for (int value : outgoing_)
-                outbox->parts.push_back(value);
+                outbox.push_back(value);
         }
-
-        cursor++;
-        return true;
-    }
-
-    std::string
-    blockedReport() const
-    {
-        std::string report;
-        const TbConns *conns = tbConns_.data();
-        for (const IrGpu &gpu : ir_.gpus) {
-            for (const IrThreadBlock &tb : gpu.threadBlocks) {
-                const TbConns &tb_conns = *conns++;
-                int cursor = cursors_[gpu.rank][tb.id];
-                if (cursor >= static_cast<int>(tb.steps.size()))
-                    continue;
-                const IrInstruction &instr = tb.steps[cursor];
-                std::string reason = "dependency";
-                if (irOpReceives(instr.op)) {
-                    reason = strprintf("data from %d (inbox=%zu) or "
-                                       "dependency", tb.recvPeer,
-                                       queued(tb_conns.recv));
-                } else if (irOpSends(instr.op)) {
-                    reason = strprintf("FIFO slot to %d (queued=%zu) or "
-                                       "dependency", tb.sendPeer,
-                                       queued(tb_conns.send));
-                }
-                report += formatBlockedThreadBlock(gpu.rank, tb.id,
-                                                   cursor, instr,
-                                                   reason);
-            }
-        }
-        return report;
-    }
-
-    /** Messages queued on connection @p conn (0 for none). */
-    size_t
-    queued(int conn) const
-    {
-        return conn < 0 ? 0 : connections_[conn].messages.size();
     }
 
     void
@@ -665,13 +751,11 @@ class AbstractMachine
     const IrProgram &ir_;
     const Collective &collective_;
     VerifyOptions options_;
+    IrWalk walk_;
     ValueTable values_;
     std::vector<RankBuffers> buffers_;
     std::vector<std::vector<Segment>> segmentLists_;
-    std::vector<std::vector<int>> cursors_;
-    std::vector<ConnKey> connKeys_; // sorted; index = connection id
-    std::vector<Connection> connections_;
-    std::vector<TbConns> tbConns_; // per thread block, in IR order
+    std::vector<Ring<int>> parts_; // per connection: queued part values
     // Per-step scratch, reused so a step allocates nothing.
     std::vector<int> incoming_;
     std::vector<int> outgoing_;
@@ -689,232 +773,38 @@ verifyIr(const IrProgram &ir, const Collective &collective,
         resolved.slots = kFifoSlotsPerConnection;
     if (resolved.slots < 1)
         throw VerificationError("verifier: slots must be >= 1");
+    for (const IrGpu &gpu : ir.gpus) {
+        if (gpu.rank < 0 || gpu.rank >= ir.numRanks)
+            throw VerificationError("IR names an out-of-range rank");
+    }
     AbstractMachine machine(ir, collective, resolved);
     machine.run();
 }
 
 namespace {
 
-/** Flat instruction identity for the happens-before analysis. */
-struct HbNode
-{
-    Rank rank;
-    int tb;
-    int step;
-    int tbIdx; // dense thread block index over the whole program
-    const IrInstruction *instr;
-    const IrThreadBlock *block;
-};
-
-/**
- * The happens-before graph of an IR program in CSR form: thread
- * block program order, cross-thread-block dependencies, and
- * FIFO-matched communication edges. Nodes are instructions with a
- * stable global index, densely addressed by (rank, tb, step).
- */
-struct HbGraph
-{
-    std::vector<HbNode> nodes;
-    int numRanks = 0;
-    int numTbs = 0;
-    std::vector<int> succOff; // successors of v: succ[succOff[v]..succOff[v+1])
-    std::vector<int> succ;
-    std::vector<int> indeg;
-    std::vector<std::vector<int>> tbBase; // [rank][tb id] -> step 0's node
-    std::vector<std::vector<int>> tbLen;
-
-    int n() const { return static_cast<int>(nodes.size()); }
-
-    /** The node of (rank, tb, step), or -1 if there is none. */
-    int
-    lookup(Rank rank, int tb, int step) const
-    {
-        if (rank < 0 || rank >= numRanks)
-            return -1;
-        const std::vector<int> &base = tbBase[rank];
-        if (tb < 0 || tb >= static_cast<int>(base.size()) ||
-            base[tb] < 0) {
-            return -1;
-        }
-        if (step < 0 || step >= tbLen[rank][tb])
-            return -1;
-        return base[tb] + step;
-    }
-};
-
-HbGraph
-buildHbGraph(const IrProgram &ir)
-{
-    HbGraph g;
-    int num_ranks = ir.numRanks;
-    for (const IrGpu &gpu : ir.gpus) {
-        if (gpu.rank < 0)
-            throw VerificationError(
-                "race check: IR names a negative rank");
-        num_ranks = std::max(num_ranks, gpu.rank + 1);
-    }
-    g.numRanks = num_ranks;
-    g.tbBase.resize(num_ranks);
-    g.tbLen.resize(num_ranks);
-    std::vector<ConnKey> ends; // send, then recv, of every block
-    for (const IrGpu &gpu : ir.gpus) {
-        std::vector<int> &base = g.tbBase[gpu.rank];
-        std::vector<int> &len = g.tbLen[gpu.rank];
-        for (const IrThreadBlock &tb : gpu.threadBlocks) {
-            if (tb.id < 0)
-                throw VerificationError(
-                    "race check: IR names a negative thread block id");
-            if (tb.id >= static_cast<int>(base.size())) {
-                base.resize(tb.id + 1, -1);
-                len.resize(tb.id + 1, 0);
-            }
-            base[tb.id] = static_cast<int>(g.nodes.size());
-            len[tb.id] = static_cast<int>(tb.steps.size());
-            for (size_t s = 0; s < tb.steps.size(); s++) {
-                g.nodes.push_back(HbNode{ gpu.rank, tb.id,
-                                          static_cast<int>(s), g.numTbs,
-                                          &tb.steps[s], &tb });
-            }
-            ends.push_back(connKeyOf(gpu.rank, tb.sendPeer, tb.channel));
-            ends.push_back(connKeyOf(tb.recvPeer, gpu.rank, tb.channel));
-            g.numTbs++;
-        }
-    }
-    int n = g.n();
-
-    std::vector<std::pair<int, int>> edges;
-    // (a) thread block program order
-    for (int i = 0; i < n; i++) {
-        if (g.nodes[i].step + 1 < static_cast<int>(
-                g.nodes[i].block->steps.size())) {
-            edges.push_back({ i, g.lookup(g.nodes[i].rank, g.nodes[i].tb,
-                                          g.nodes[i].step + 1) });
-        }
-    }
-    // (b) cross thread block dependencies
-    for (int i = 0; i < n; i++) {
-        for (const IrDep &dep : g.nodes[i].instr->deps) {
-            int from = g.lookup(g.nodes[i].rank, dep.tb, dep.step);
-            if (from < 0)
-                throw VerificationError(
-                    "race check: dependency on unknown instruction");
-            edges.push_back({ from, i });
-        }
-    }
-    // (c) communication edges: the k-th send on a connection
-    //     happens-before the k-th receive (FIFO pairing). Every send
-    //     must have a matched receive and vice versa — an imbalance
-    //     would leave the surplus operations with no happens-before
-    //     edge and silently weaken the analysis, so it is rejected.
-    //     A thread block has one send and one receive connection, so
-    //     connections are numbered per block, in (src, dst, channel)
-    //     order, and each connection's ends are bucketed in node
-    //     order.
-    std::vector<int> conn; // block t: send 2t, recv 2t + 1
-    std::vector<ConnKey> keys = numberConnections(ends, conn);
-    size_t num_conns = keys.size();
-    std::vector<int> send_off(num_conns + 1, 0);
-    std::vector<int> recv_off(num_conns + 1, 0);
-    for (const HbNode &node : g.nodes) {
-        if (irOpSends(node.instr->op))
-            send_off[conn[2 * node.tbIdx] + 1]++;
-        if (irOpReceives(node.instr->op))
-            recv_off[conn[2 * node.tbIdx + 1] + 1]++;
-    }
-    for (size_t c = 0; c < num_conns; c++) {
-        send_off[c + 1] += send_off[c];
-        recv_off[c + 1] += recv_off[c];
-    }
-    std::vector<int> sends(send_off[num_conns]);
-    std::vector<int> recvs(recv_off[num_conns]);
-    {
-        std::vector<int> send_at(send_off.begin(), send_off.end() - 1);
-        std::vector<int> recv_at(recv_off.begin(), recv_off.end() - 1);
-        for (int i = 0; i < n; i++) {
-            const HbNode &node = g.nodes[i];
-            if (irOpSends(node.instr->op))
-                sends[send_at[conn[2 * node.tbIdx]]++] = i;
-            if (irOpReceives(node.instr->op))
-                recvs[recv_at[conn[2 * node.tbIdx + 1]]++] = i;
-        }
-    }
-    for (size_t c = 0; c < num_conns; c++) {
-        int num_sends = send_off[c + 1] - send_off[c];
-        int num_recvs = recv_off[c + 1] - recv_off[c];
-        if (num_sends != num_recvs) {
-            ConnKey key = keys[c];
-            throw VerificationError(strprintf(
-                "race check: connection %d -> %d channel %d has %d "
-                "sends but %d receives; FIFO pairing requires equal "
-                "counts", static_cast<int>(key >> 43),
-                static_cast<int>((key >> 22) & 0x1FFFFF),
-                static_cast<int>(key & 0x3FFFFF), num_sends, num_recvs));
-        }
-        for (int k = 0; k < num_sends; k++)
-            edges.push_back(
-                { sends[send_off[c] + k], recvs[recv_off[c] + k] });
-    }
-
-    g.succOff.assign(n + 1, 0);
-    g.indeg.assign(n, 0);
-    for (const auto &[from, to] : edges) {
-        g.succOff[from + 1]++;
-        g.indeg[to]++;
-    }
-    for (int v = 0; v < n; v++)
-        g.succOff[v + 1] += g.succOff[v];
-    g.succ.resize(edges.size());
-    std::vector<int> cursor(g.succOff.begin(), g.succOff.end() - 1);
-    for (const auto &[from, to] : edges)
-        g.succ[cursor[from]++] = to;
-    return g;
-}
-
-/** Kahn topological order; doubles as the cycle check. */
-std::vector<int>
-topoOrderOf(const HbGraph &g)
-{
-    int n = g.n();
-    std::vector<int> order;
-    order.reserve(n);
-    std::vector<int> degree = g.indeg;
-    std::vector<int> ready;
-    for (int i = 0; i < n; i++) {
-        if (degree[i] == 0)
-            ready.push_back(i);
-    }
-    while (!ready.empty()) {
-        int v = ready.back();
-        ready.pop_back();
-        order.push_back(v);
-        for (int e = g.succOff[v]; e < g.succOff[v + 1]; e++) {
-            if (--degree[g.succ[e]] == 0)
-                ready.push_back(g.succ[e]);
-        }
-    }
-    if (static_cast<int>(order.size()) != n)
-        throw VerificationError(
-            "race check: happens-before relation has a cycle");
-    return order;
-}
-
 /**
  * The latest step of each thread block that each other thread block
  * of its rank has waited on so far, through one direct cross-TB
  * dependency: the race walk's local happens-before facts. Stored as
- * one slot per distinct (waiter, source) thread block pair that some
+ * one slot per distinct (waiter, source) block pair that some
  * dependency names, so its size follows the dependency count.
  */
 class DepFrontier
 {
   public:
-    explicit DepFrontier(const HbGraph &g) : off_(g.numTbs + 1, 0)
+    explicit DepFrontier(const IrWalk &walk)
+        : off_(walk.blocks().size() + 1, 0)
     {
         std::vector<std::pair<int, int>> pairs; // (waiter, source)
-        for (const HbNode &node : g.nodes) {
-            for (const IrDep &dep : node.instr->deps) {
-                int from = g.lookup(node.rank, dep.tb, dep.step);
-                pairs.push_back({ node.tbIdx, g.nodes[from].tbIdx });
+        const std::vector<IrWalk::Block> &blocks = walk.blocks();
+        for (size_t t = 0; t < blocks.size(); t++) {
+            for (const IrInstruction &instr : blocks[t].tb->steps) {
+                for (const IrDep &dep : instr.deps) {
+                    pairs.push_back({ static_cast<int>(t),
+                                      walk.blockOf(blocks[t].rank,
+                                                   dep.tb) });
+                }
             }
         }
         std::sort(pairs.begin(), pairs.end());
@@ -923,7 +813,7 @@ class DepFrontier
             off_[waiter + 1]++;
             source_.push_back(source);
         }
-        for (int t = 0; t < g.numTbs; t++)
+        for (size_t t = 0; t < blocks.size(); t++)
             off_[t + 1] += off_[t];
         latest_.assign(source_.size(), -1);
     }
@@ -962,41 +852,88 @@ class DepFrontier
 };
 
 /**
+ * The race check's structural checks, in order: every dependency
+ * names an instruction, and every connection carries as many sends
+ * as receives — a surplus operation would have no FIFO partner, so
+ * happens-before would silently lose its edge.
+ */
+void
+checkRaceStructure(const IrWalk &walk)
+{
+    std::vector<int> sends(walk.numConnections(), 0);
+    std::vector<int> recvs(walk.numConnections(), 0);
+    for (const IrWalk::Block &block : walk.blocks()) {
+        for (const IrInstruction &instr : block.tb->steps) {
+            for (const IrDep &dep : instr.deps) {
+                if (walk.nodeOf(block.rank, dep.tb, dep.step) < 0)
+                    throw VerificationError(
+                        "race check: dependency on unknown instruction");
+            }
+            if (irOpSends(instr.op))
+                sends[block.send]++;
+            if (irOpReceives(instr.op))
+                recvs[block.recv]++;
+        }
+    }
+    for (size_t c = 0; c < sends.size(); c++) {
+        if (sends[c] != recvs[c]) {
+            ConnKey key = walk.connKey(static_cast<int>(c));
+            throw VerificationError(strprintf(
+                "race check: connection %d -> %d channel %d has %d "
+                "sends but %d receives; FIFO pairing requires equal "
+                "counts", keySrc(key), keyDst(key), keyChannel(key),
+                sends[c], recvs[c]));
+        }
+    }
+}
+
+/**
  * The race check proper: a last-writer walk over the accesses of
  * every rank, in ascending rank order, each rank's instructions in
- * the order of one linear extension of happens-before. Each access is
- * checked only against its location's AccessHistory list — the last
- * whole-chunk writer and the accesses since — and a conflict with an
- * entry must be ordered after it. Transitivity through the shadowing
- * writer orders every older conflicting access too, and the linear
- * extension rules out the reverse order, so the first unordered pair
- * the walk meets is a real race, on the lowest racy rank.
+ * the order the IR walk took them — a linear extension of
+ * happens-before. Each access is checked only against its location's
+ * AccessHistory list — the last whole-chunk writer and the accesses
+ * since — and a conflict with an entry must be ordered after it.
+ * Transitivity through the shadowing writer orders every older
+ * conflicting access too, and the linear extension rules out the
+ * reverse order, so the first unordered pair the walk meets is a real
+ * race, on the lowest racy rank.
  */
 class RaceWalk
 {
   public:
-    RaceWalk(const HbGraph &g, const IrProgram &ir,
-             const std::vector<int> &order)
-        : g_(g), order_(order), inPlace_(ir.inPlace), frontier_(g),
-          history_(chunkCounts(g, ir)), pos_(g.n())
+    RaceWalk(IrWalk &walk, const IrProgram &ir)
+        : walk_(walk), inPlace_(ir.inPlace), frontier_(walk),
+          history_(chunkCounts(walk, ir)), pos_(walk.numNodes()),
+          send_(walk.numNodes(), -1)
     {
-        for (int i = 0; i < g.n(); i++)
-            pos_[order[i]] = i;
     }
 
     /** @throws VerificationError naming the first unordered pair. */
     void
     run()
     {
-        // Stable counting sort of the linear extension by rank.
-        std::vector<int> start(g_.numRanks + 1, 0);
-        for (const HbNode &node : g_.nodes)
-            start[node.rank + 1]++;
-        for (int r = 0; r < g_.numRanks; r++)
+        // Happens-before does not depend on FIFO depth, so the walk
+        // runs unbounded: it wedges only on a cycle. Its order is
+        // bucketed by rank as it is taken (a stable counting sort).
+        std::vector<int> start(walk_.numRanks() + 1, 0);
+        for (const IrWalk::Block &block : walk_.blocks())
+            start[block.rank + 1] += static_cast<int>(block.tb->steps.size());
+        for (int r = 0; r < walk_.numRanks(); r++)
             start[r + 1] += start[r];
-        std::vector<int> by_rank(g_.n());
-        for (int v : order_)
-            by_rank[start[g_.nodes[v].rank]++] = v;
+        std::vector<int> by_rank(walk_.numNodes());
+        int position = 0;
+        bool done = walk_.run(
+            IrWalk::kUnbounded,
+            [&](const IrWalk::Block &block, const IrInstruction &, int node,
+                int send) {
+                pos_[node] = position++;
+                send_[node] = send;
+                by_rank[start[block.rank]++] = node;
+            });
+        if (!done)
+            throw VerificationError(
+                "race check: happens-before relation has a cycle");
         for (int v : by_rank)
             visit(v);
     }
@@ -1007,9 +944,9 @@ class RaceWalk
      * negative declared count holds no chunks.
      */
     static std::vector<int>
-    chunkCounts(const HbGraph &g, const IrProgram &ir)
+    chunkCounts(const IrWalk &walk, const IrProgram &ir)
     {
-        std::vector<int> counts(static_cast<size_t>(g.numRanks) * 3, 0);
+        std::vector<int> counts(static_cast<size_t>(walk.numRanks()) * 3, 0);
         for (const IrGpu &gpu : ir.gpus) {
             int *rank_counts = &counts[static_cast<size_t>(gpu.rank) * 3];
             rank_counts[0] = std::max(0, gpu.inputChunks);
@@ -1022,12 +959,11 @@ class RaceWalk
     void
     visit(int b)
     {
-        const HbNode &nb = g_.nodes[b];
-        const IrInstruction &instr = *nb.instr;
-        for (const IrDep &dep : instr.deps) {
-            int from = g_.lookup(nb.rank, dep.tb, dep.step);
-            frontier_.wait(nb.tbIdx, g_.nodes[from].tbIdx, dep.step);
-        }
+        int t = walk_.blockOfNode(b);
+        Rank rank = walk_.blocks()[t].rank;
+        const IrInstruction &instr = walk_.instr(b);
+        for (const IrDep &dep : instr.deps)
+            frontier_.wait(t, walk_.blockOf(rank, dep.tb), dep.step);
         if (irOpReadsSrc(instr.op))
             access(b, instr.srcBuf, instr.srcOff, false);
         if (instr.op == IrOp::Reduce || instr.op == IrOp::RecvReduceCopy)
@@ -1040,21 +976,20 @@ class RaceWalk
     void
     access(int b, BufferKind buf, int off, bool is_write)
     {
-        const HbNode &nb = g_.nodes[b];
-        const IrInstruction &instr = *nb.instr;
+        Rank rank = walk_.blocks()[walk_.blockOfNode(b)].rank;
+        const IrInstruction &instr = walk_.instr(b);
         BufferKind canonical = buf;
         if (inPlace_ && buf == BufferKind::Output)
             canonical = BufferKind::Input;
-        int chunks = history_.chunks(nb.rank, canonical);
+        int chunks = history_.chunks(rank, canonical);
         for (int k = 0; k < instr.count; k++) {
             int index = off + k;
             if (index < 0 || index >= chunks) {
                 throw VerificationError(strprintf(
                     "race check: rank %d %s[%d] out of bounds (%d chunks)",
-                    nb.rank, bufferKindName(buf), index, chunks));
+                    rank, bufferKindName(buf), index, chunks));
             }
-            for (int e = history_.head(nb.rank, canonical, index);
-                 e >= 0;) {
+            for (int e = history_.head(rank, canonical, index); e >= 0;) {
                 const AccessHistory::Entry &prev = history_.entry(e);
                 e = prev.next;
                 if (!(is_write || prev.isWrite) || prev.node == b)
@@ -1067,8 +1002,8 @@ class RaceWalk
                         raceMessage(prev.node, b, canonical, index));
                 }
             }
-            history_.record(nb.rank, canonical, index, b,
-                            instr.splitIdx, instr.splitCount, is_write);
+            history_.record(rank, canonical, index, b, instr.splitIdx,
+                            instr.splitCount, is_write);
         }
     }
 
@@ -1081,17 +1016,19 @@ class RaceWalk
     bool
     locallyBefore(int a, int b) const
     {
-        const HbNode &na = g_.nodes[a];
-        const HbNode &nb = g_.nodes[b];
-        return na.tbIdx == nb.tbIdx ||
-            frontier_.latest(nb.tbIdx, na.tbIdx) >= na.step;
+        int block_a = walk_.blockOfNode(a);
+        int block_b = walk_.blockOfNode(b);
+        return block_a == block_b ||
+            frontier_.latest(block_b, block_a) >= walk_.stepOf(a);
     }
 
     /**
      * Whether @p a happens before @p b, which follows it in the linear
-     * extension. A local miss falls back to a search of the graph from
-     * a, pruned to nodes before b in the linear extension (no later
-     * node reaches b) and cut short by any node locally before b.
+     * extension. A local miss falls back to a search backward from b
+     * over its implicit predecessors — the previous step, the
+     * dependencies, a receive's matched send — pruned to nodes after
+     * a in the linear extension (no earlier node is reached from a)
+     * and ended by any node of a's thread block.
      */
     bool
     happensBefore(int a, int b)
@@ -1099,24 +1036,33 @@ class RaceWalk
         if (locallyBefore(a, b))
             return true;
         if (stamp_.empty())
-            stamp_.assign(g_.n(), 0);
+            stamp_.assign(walk_.numNodes(), 0);
         epoch_++;
-        stamp_[a] = epoch_;
-        stack_.assign(1, a);
+        int block_a = walk_.blockOfNode(a);
+        int pos_a = pos_[a];
+        // Whether predecessor w ends the search; else queues it.
+        auto reached = [&](int w) {
+            if (pos_[w] < pos_a || stamp_[w] == epoch_)
+                return false;
+            if (walk_.blockOfNode(w) == block_a)
+                return true;
+            stamp_[w] = epoch_;
+            stack_.push_back(w);
+            return false;
+        };
+        stack_.assign(1, b);
         while (!stack_.empty()) {
             int v = stack_.back();
             stack_.pop_back();
-            for (int e = g_.succOff[v]; e < g_.succOff[v + 1]; e++) {
-                int w = g_.succ[e];
-                if (w == b)
+            const IrWalk::Block &block = walk_.blocks()[walk_.blockOfNode(v)];
+            if (v > block.base && reached(v - 1))
+                return true;
+            for (const IrDep &dep : walk_.instr(v).deps) {
+                if (reached(walk_.nodeOf(block.rank, dep.tb, dep.step)))
                     return true;
-                if (stamp_[w] == epoch_ || pos_[w] > pos_[b])
-                    continue;
-                stamp_[w] = epoch_;
-                if (locallyBefore(w, b))
-                    return true;
-                stack_.push_back(w);
             }
+            if (send_[v] >= 0 && reached(send_[v]))
+                return true;
         }
         return false;
     }
@@ -1125,21 +1071,23 @@ class RaceWalk
     std::string
     raceMessage(int a, int b, BufferKind buffer, int chunk) const
     {
-        const HbNode &na = g_.nodes[std::min(a, b)];
-        const HbNode &nb = g_.nodes[std::max(a, b)];
+        int first = std::min(a, b);
+        int second = std::max(a, b);
+        const IrWalk::Block &na = walk_.blocks()[walk_.blockOfNode(first)];
+        const IrWalk::Block &nb = walk_.blocks()[walk_.blockOfNode(second)];
         return strprintf(
             "data race: rank %d tb %d step %d and tb %d "
             "step %d access %s[%d] unordered",
-            na.rank, na.tb, na.step, nb.tb, nb.step,
-            bufferKindName(buffer), chunk);
+            na.rank, na.tb->id, walk_.stepOf(first), nb.tb->id,
+            walk_.stepOf(second), bufferKindName(buffer), chunk);
     }
 
-    const HbGraph &g_;
-    const std::vector<int> &order_;
+    IrWalk &walk_;
     bool inPlace_;
     DepFrontier frontier_;
     AccessHistory history_;
-    std::vector<int> pos_; // node -> position in the linear extension
+    std::vector<int> pos_;   // node -> position in the linear extension
+    std::vector<int> send_;  // receive node -> its matched send, or -1
     std::vector<int> stamp_; // search visit marks, allocated on demand
     int epoch_ = 0;
     std::vector<int> stack_;
@@ -1150,9 +1098,21 @@ class RaceWalk
 void
 verifyRaceFree(const IrProgram &ir)
 {
-    HbGraph g = buildHbGraph(ir);
-    std::vector<int> order = topoOrderOf(g);
-    RaceWalk(g, ir, order).run();
+    for (const IrGpu &gpu : ir.gpus) {
+        if (gpu.rank < 0)
+            throw VerificationError(
+                "race check: IR names a negative rank");
+    }
+    for (const IrGpu &gpu : ir.gpus) {
+        for (const IrThreadBlock &tb : gpu.threadBlocks) {
+            if (tb.id < 0)
+                throw VerificationError(
+                    "race check: IR names a negative thread block id");
+        }
+    }
+    IrWalk walk(ir);
+    checkRaceStructure(walk);
+    RaceWalk(walk, ir).run();
 }
 
 } // namespace mscclang

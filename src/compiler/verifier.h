@@ -5,15 +5,20 @@
  * collective before running on hardware", and §5.2's deadlock/data
  * race guarantees).
  *
- * The verifier abstractly interprets the IR: buffer locations hold
- * symbolic chunk values (at sub-chunk fraction precision so
- * parallelized instances compose), connections are FIFO queues with a
- * bounded slot count, cross thread block dependencies are honored,
- * and thread blocks execute their instruction lists in order. The
- * interpretation either reaches completion — at which point the
- * output buffers are compared against the collective postcondition —
- * or wedges, which is reported as a deadlock with the set of blocked
- * thread blocks.
+ * Both checks run on one walk of the IR: thread blocks execute their
+ * instruction lists in order, cross thread block dependencies are
+ * honored, and connections are FIFO queues — the k-th receive on a
+ * connection takes its k-th send. The walk steps the thread blocks
+ * round-robin until none can move; its slot count per connection is
+ * the only thing the two checks set differently.
+ *
+ * verifyIr() abstractly interprets the IR on that walk: buffer
+ * locations hold symbolic chunk values (at sub-chunk fraction
+ * precision so parallelized instances compose), and connections have
+ * the runtime's bounded slot count. The interpretation either reaches
+ * completion — at which point the output buffers are compared against
+ * the collective postcondition — or wedges, which is reported as a
+ * deadlock with the set of blocked thread blocks.
  */
 
 #ifndef MSCCLANG_COMPILER_VERIFIER_H_
@@ -64,23 +69,30 @@ void verifyIr(const IrProgram &ir, const Collective &collective,
  * overlapping split fractions, at least one write — must be ordered
  * by it.
  *
- * One serial last-writer walk decides this exactly in near-linear
- * time. It visits each rank's instructions, ranks in ascending order,
- * in a linear extension of happens-before. Per location it keeps the
- * last whole-chunk writer plus the readers and split writes since
- * (AccessHistory, shared with lowering), and checks each access only
- * against those entries: by transitivity through the shadowing
- * writer, that orders every older conflicting access too. Each "a
- * before b" query is first answered locally — same thread block, or
- * b's thread block waited (at or before b's step) on a's at or after
- * a's step through one direct dependency — and only on a miss by a
- * search of the graph, pruned to the nodes between a and b in the
- * linear extension.
+ * The IR walk runs with unbounded slots — happens-before does not
+ * depend on FIFO depth, so the walk wedges only on a cycle — and the
+ * order it takes the steps in is a linear extension of
+ * happens-before; it also records each receive's matched send. No
+ * graph is built. One serial last-writer walk then decides race
+ * freedom exactly in near-linear time. It visits each rank's
+ * instructions, ranks in ascending order, in that linear extension.
+ * Per location it keeps the last whole-chunk writer plus the readers
+ * and split writes since (AccessHistory, shared with lowering), and
+ * checks each access only against those entries: by transitivity
+ * through the shadowing writer, that orders every older conflicting
+ * access too. Each "a before b" query is first answered locally —
+ * same thread block, or b's thread block waited (at or before b's
+ * step) on a's at or after a's step through one direct dependency —
+ * and only on a miss by a search backward from b over its implicit
+ * predecessors (the previous step, the dependencies, a receive's
+ * matched send), pruned to the nodes after a in the linear extension.
  *
- * @throws VerificationError naming the first unordered pair found, on
- *         the lowest racy rank (lower instruction index first); a
+ * @throws VerificationError for, in this order: a negative rank or
+ *         thread block id; a dependency on an unknown instruction; a
  *         connection whose send and receive counts differ; a cycle;
- *         or an access outside its buffer's declared chunk count.
+ *         then the first unordered pair found, on the lowest racy
+ *         rank (lower instruction index first), or an access outside
+ *         its buffer's declared chunk count.
  */
 void verifyRaceFree(const IrProgram &ir);
 

@@ -27,25 +27,6 @@ searchFamily(const char *label)
     throw Error(strprintf("no searched algorithm is labelled '%s'", label));
 }
 
-/** Minimal JSON string escape (labels are plain ASCII, but a report
- *  writer must never emit syntactically broken output). */
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        if (static_cast<unsigned char>(c) < 0x20) {
-            out += strprintf("\\u%04x", c);
-            continue;
-        }
-        out.push_back(c);
-    }
-    return out;
-}
-
 std::string
 joinTimes(const std::vector<double> &times_us)
 {
@@ -310,10 +291,10 @@ std::string
 frontierToJson(const SearchResult &result)
 {
     std::string out = "{\n";
-    out += strprintf("  \"collective\": \"%s\",\n",
-                     jsonEscape(result.collective).c_str());
-    out += strprintf("  \"topology\": \"%s\",\n",
-                     jsonEscape(result.topologyName).c_str());
+    out += strprintf("  \"collective\": %s,\n",
+                     jsonQuote(result.collective).c_str());
+    out += strprintf("  \"topology\": %s,\n",
+                     jsonQuote(result.topologyName).c_str());
     out += strprintf("  \"seed\": %llu,\n",
                      static_cast<unsigned long long>(result.seed));
     out += strprintf("  \"enumerated\": %zu,\n", result.enumerated);
@@ -331,13 +312,13 @@ frontierToJson(const SearchResult &result)
     for (size_t c = 0; c < result.evaluated.size(); c++) {
         const CandidateResult &cand = result.evaluated[c];
         out += strprintf(
-            "    {\"label\": \"%s\", \"family\": \"%s\", "
+            "    {\"label\": %s, \"family\": \"%s\", "
             "\"channels\": %d, \"parallelize\": %d, "
             "\"instances\": %d, \"protocol\": \"%s\", "
             "\"aggregate\": %d, \"hierSplit\": %d, "
             "\"planKey\": \"%016llx\", "
             "\"frontier\": %s, \"timesUs\": [%s]}%s\n",
-            jsonEscape(cand.label).c_str(),
+            jsonQuote(cand.label).c_str(),
             cand.spec.family->searchLabel, cand.spec.channels,
             cand.spec.parallelize, cand.spec.instances,
             protocolName(cand.spec.protocol), cand.spec.aggregate,
@@ -355,10 +336,10 @@ frontierToJson(const SearchResult &result)
                 .name;
         out += strprintf(
             "    {\"minBytes\": %llu, \"maxBytes\": %llu, "
-            "\"label\": \"%s\", \"timeUs\": %.3f}%s\n",
+            "\"label\": %s, \"timeUs\": %.3f}%s\n",
             static_cast<unsigned long long>(window.minBytes),
             static_cast<unsigned long long>(window.maxBytes),
-            jsonEscape(label).c_str(), window.timeUs,
+            jsonQuote(label).c_str(), window.timeUs,
             w + 1 < result.windows.size() ? "," : "");
     }
     out += "  ]\n}\n";

@@ -543,14 +543,14 @@ std::string
 statsJson(const SloStats &stats, const char *indent)
 {
     return strprintf(
-        "%s{\"name\": \"%s\", \"ops\": %d, \"completed\": %d, "
+        "%s{\"name\": %s, \"ops\": %d, \"completed\": %d, "
         "\"failed\": %d, \"p50_us\": %.3f, \"p99_us\": %.3f, "
         "\"p999_us\": %.3f, \"mean_us\": %.3f, "
         "\"availability\": %.4f, \"goodput_gbps\": %.3f, "
         "\"retries\": %d, \"backoffs\": %d, \"replans\": %d, "
         "\"fallbacks\": %d, \"rollbacks\": %d, \"backoff_us\": %.3f, "
         "\"faults_seen\": %d}",
-        indent, stats.name.c_str(), stats.ops, stats.completed,
+        indent, jsonQuote(stats.name).c_str(), stats.ops, stats.completed,
         stats.failed, stats.p50Us, stats.p99Us, stats.p999Us,
         stats.meanUs, stats.availability, stats.goodputGBps,
         stats.retries, stats.backoffs, stats.replans, stats.fallbacks,
@@ -578,11 +578,11 @@ std::string
 SloReport::toJson() const
 {
     std::string out = strprintf(
-        "{\n  \"workload\": \"%s\",\n  \"self_healing\": %s,\n"
+        "{\n  \"workload\": %s,\n  \"self_healing\": %s,\n"
         "  \"slo_multiplier\": %.3f,\n  \"makespan_us\": %.3f,\n"
         "  \"faults_fired\": %d,\n  \"quarantine_changes\": %d,\n"
         "  \"replan_compiles\": %d,\n  \"quarantined_links\": %d,\n",
-        workload.c_str(), selfHealing ? "true" : "false",
+        jsonQuote(workload).c_str(), selfHealing ? "true" : "false",
         sloMultiplier, makespanUs, faultsFired, quarantineChanges,
         replanCompiles, quarantinedLinks);
     out += "  \"fleet\":\n" + statsJson(fleet, "    ") + ",\n";

@@ -27,27 +27,6 @@ quantize(double bytes)
     return units * kSizeQuantum;
 }
 
-void
-appendJsonString(std::string &out, const std::string &text)
-{
-    out += '"';
-    for (char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += strprintf("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    out += '"';
-}
-
 } // namespace
 
 int
@@ -148,19 +127,19 @@ std::string
 WorkloadSpec::toJson() const
 {
     std::string out = "{\n  \"name\": ";
-    appendJsonString(out, name);
+    out += jsonQuote(name);
     out += ",\n  \"streams\": [";
     for (size_t s = 0; s < streams.size(); s++) {
         const WorkloadStream &stream = streams[s];
         out += s == 0 ? "\n" : ",\n";
         out += "    {\"name\": ";
-        appendJsonString(out, stream.name);
+        out += jsonQuote(stream.name);
         out += ", \"ops\": [";
         for (size_t o = 0; o < stream.ops.size(); o++) {
             const WorkloadOp &op = stream.ops[o];
             out += o == 0 ? "\n" : ",\n";
             out += "      {\"collective\": ";
-            appendJsonString(out, op.collective);
+            out += jsonQuote(op.collective);
             out += strprintf(", \"bytes\": %llu, \"issue_us\": %.3f",
                              static_cast<unsigned long long>(op.bytes),
                              op.issueUs);

@@ -224,9 +224,10 @@ TEST(RaceChecker, SplitWritesDoNotShadowWholeRead)
 
     // tb 2 reads all of s[0]; tb 0 writes its first half after that
     // read (a dependency), tb 1 its second half with no ordering.
-    // The walk visits tb 2, then tb 0, then tb 1 (the Kahn order), so
-    // had tb 0's half write dropped the read, tb 1's race with it
-    // would go unseen.
+    // The IR walk's round-robin takes tb 1, then tb 2, then tb 0 (tb
+    // 0 waits for tb 2), so the race walk meets tb 1's unordered half
+    // write before the read and names that pair.
+    // SplitWriteAfterOrderedReadKeepsTheRead takes the read first.
     IrProgram ir;
     ir.numRanks = 1;
     std::vector<IrGpu> &gpus = ir.gpus.edit();
@@ -255,6 +256,117 @@ TEST(RaceChecker, SplitWritesDoNotShadowWholeRead)
     std::optional<ReportedRace> race = parseRaceMessage(verdict);
     ASSERT_TRUE(race.has_value());
     EXPECT_TRUE(confirmsRace(ir, *race));
+}
+
+TEST(RaceChecker, SplitWriteAfterOrderedReadKeepsTheRead)
+{
+    // tb 0 reads all of s[0]; tb 1 writes its first half after that
+    // read (a dependency), tb 2 its second half with no ordering. The
+    // walk takes tb 0, tb 1, tb 2 in that order, so had tb 1's half
+    // write dropped the read from s[0]'s history, tb 2's race with
+    // it would go unseen.
+    IrProgram ir;
+    ir.numRanks = 1;
+    std::vector<IrGpu> &gpus = ir.gpus.edit();
+    gpus.resize(1);
+    gpus[0].inputChunks = 1;
+    gpus[0].outputChunks = 1;
+    gpus[0].scratchChunks = 1;
+    for (int t = 0; t < 3; t++) {
+        IrThreadBlock tb;
+        tb.id = t;
+        IrInstruction step =
+            t == 0 ? copyOf(BufferKind::Scratch, 0, BufferKind::Output, 0)
+                   : copyOf(BufferKind::Input, 0, BufferKind::Scratch, 0);
+        if (t > 0) {
+            step.splitIdx = t - 1;
+            step.splitCount = 2;
+        }
+        if (t == 1)
+            step.deps.push_back(IrDep{ 0, 0 });
+        tb.steps.push_back(step);
+        gpus[0].threadBlocks.push_back(tb);
+    }
+    std::string verdict = raceVerdict(ir);
+    EXPECT_EQ(verdict, "data race: rank 0 tb 0 step 0 and tb 2 step 0 "
+                       "access s[0] unordered");
+    std::optional<ReportedRace> race = parseRaceMessage(verdict);
+    ASSERT_TRUE(race.has_value());
+    EXPECT_TRUE(confirmsRace(ir, *race));
+}
+
+TEST(RaceChecker, VerdictDoesNotDependOnSlots)
+{
+    // Rank 0's tb 0 sends nine messages on channel 0; its tb 1 sends
+    // one on channel 1 after the ninth. Rank 1's first channel-0
+    // receive waits (a dependency) for its channel-1 receive. Nothing
+    // orders a step after itself, but at eight FIFO slots the ninth
+    // send waits for a receive that waits for it: a deadlock that
+    // verifyIr must report and the race check must not confuse with a
+    // cycle.
+    IrProgram ir;
+    ir.numRanks = 2;
+    std::vector<IrGpu> &gpus = ir.gpus.edit();
+    gpus.resize(2);
+    for (int r = 0; r < 2; r++) {
+        gpus[r].rank = r;
+        gpus[r].inputChunks = 1;
+        gpus[r].outputChunks = 1;
+        gpus[r].scratchChunks = 10;
+    }
+    IrInstruction send;
+    send.op = IrOp::Send;
+    send.srcBuf = BufferKind::Input;
+    IrThreadBlock burst;
+    burst.id = 0;
+    burst.sendPeer = 1;
+    burst.steps.assign(9, send);
+    IrThreadBlock last;
+    last.id = 1;
+    last.channel = 1;
+    last.sendPeer = 1;
+    last.steps.push_back(send);
+    last.steps[0].deps.push_back(IrDep{ 0, 8 });
+    gpus[0].threadBlocks = { burst, last };
+
+    IrThreadBlock drain;
+    drain.id = 0;
+    drain.recvPeer = 0;
+    for (int k = 0; k < 9; k++) {
+        IrInstruction recv;
+        recv.op = IrOp::Recv;
+        recv.dstBuf = BufferKind::Scratch;
+        recv.dstOff = k;
+        drain.steps.push_back(recv);
+    }
+    drain.steps[0].deps.push_back(IrDep{ 1, 0 });
+    IrThreadBlock gate;
+    gate.id = 1;
+    gate.channel = 1;
+    gate.recvPeer = 0;
+    IrInstruction recv;
+    recv.op = IrOp::Recv;
+    recv.dstBuf = BufferKind::Scratch;
+    recv.dstOff = 9;
+    gate.steps.push_back(recv);
+    gpus[1].threadBlocks = { drain, gate };
+
+    VerifyOptions options;
+    options.checkPostcondition = false;
+    try {
+        verifyIr(ir, AllGatherCollective(2, 1), options);
+        FAIL() << "deadlock at 8 slots not detected";
+    } catch (const VerificationError &error) {
+        std::string what = error.what();
+        EXPECT_EQ(what.rfind("deadlock detected:\n", 0), 0u) << what;
+        EXPECT_NE(what.find("FIFO slot to 1 (queued=8)"), std::string::npos)
+            << what;
+    }
+    options.slots = 9;
+    verifyIr(ir, AllGatherCollective(2, 1), options);
+
+    EXPECT_EQ(raceVerdict(ir), "");
+    verifyRaceFreeReference(ir);
 }
 
 /**

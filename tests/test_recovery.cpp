@@ -254,6 +254,28 @@ TEST(Recovery, ReformedRingPrefersSameNodePaths)
     EXPECT_EQ(testing::runAndCheck(degraded, *prog, 8 * 1024), "");
 }
 
+TEST(Recovery, RingOverBuildersShareThePlainBodies)
+{
+    // Over the index order, a reformed ring is the plain ring under
+    // another name — allgather's aggregate knob included.
+    AlgoConfig config;
+    config.instances = 2;
+    config.aggregate = 2;
+    std::vector<Rank> order = { 0, 1, 2, 3, 4, 5 };
+    IrProgram plain = compileProgram(*makeRingAllReduce(6, 2, config)).ir;
+    IrProgram over =
+        compileProgram(*makeRingAllReduceOver(order, 2, config)).ir;
+    EXPECT_EQ(over.name, "ring_allreduce_reformed_ch2_a2");
+    over.name = plain.name;
+    EXPECT_TRUE(over == plain);
+
+    plain = compileProgram(*makeRingAllGather(6, 2, config)).ir;
+    over = compileProgram(*makeRingAllGatherOver(order, 2, config)).ir;
+    EXPECT_EQ(over.name, "ring_allgather_reformed_a2");
+    over.name = plain.name;
+    EXPECT_TRUE(over == plain);
+}
+
 /**
  * The acceptance scenario: a 2-node generic machine, primary ring in
  * rank order, the NIC carrying rank 3's cross-node sends dies

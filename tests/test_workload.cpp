@@ -567,3 +567,23 @@ TEST(Slo, FingerprintMatchesJsonBytes)
     b.fleet.p50Us += 1.0;
     EXPECT_NE(a.fingerprint(), b.fingerprint());
 }
+
+TEST(Slo, JsonReportEscapesNames)
+{
+    // Workload and stream names come from user spec files; a quote or
+    // backslash in one must not break the report's JSON.
+    WorkloadSpec spec;
+    ReplayResult result;
+    syntheticReplay({ 10, 20 }, { true, true }, spec, result);
+    spec.name = "w\"1\\";
+    spec.streams[0].name = "say \"hi\" \\ bye";
+    spec = WorkloadSpec::fromJson(spec.toJson());
+    EXPECT_EQ(spec.streams[0].name, "say \"hi\" \\ bye");
+    SloReport report =
+        buildSloReport(spec, result, nullptr, ReplayOptions{});
+    JsonValue json = parseJson(report.toJson());
+    EXPECT_EQ(json.at("workload").asString(), spec.name);
+    ASSERT_EQ(json.at("streams").asArray().size(), 1u);
+    EXPECT_EQ(json.at("streams").asArray()[0].at("name").asString(),
+              spec.streams[0].name);
+}
