@@ -33,7 +33,6 @@
 #include "collectives/collectives.h"
 #include "common/flags.h"
 #include "compiler/plan_cache.h"
-#include "compiler/verifier.h"
 
 using namespace mscclang;
 
@@ -119,8 +118,6 @@ struct Cell
     CompileStats coldStats = {};
     /** Tracing time of the cold compile (big cells only). */
     double traceMs = 0.0;
-    /** verifyRaceFree on the cold compile's IR (big cells only). */
-    double raceMs = 0.0;
 };
 
 /**
@@ -128,8 +125,8 @@ struct Cell
  * compiles at 64..1024 ranks for the flat ring and the hierarchical
  * allreduce (8-GPU nodes). No frozen seed here — the seed compiler
  * rejected these sizes outright — so the cells carry raw latencies,
- * plus the trace/lower/fuse/schedule/verify split of the cold compile
- * and, timed apart from it, the race check of the compiled IR.
+ * plus the trace/lower/fuse/schedule/verify/race-check split of the
+ * cold compile.
  */
 constexpr int kBigRankSteps[5] = { 64, 128, 256, 512, 1024 };
 
@@ -226,17 +223,16 @@ main(int argc, char **argv)
         std::printf("# --big-ranks — verify-on compiles at scale "
                     "(single samples)\n");
         std::printf("%-22s %5s %10s %10s %9s %9s %9s %9s %9s %9s "
-                    "%9s %9s %9s %9s\n",
+                    "%9s %9s %9s %9s %9s\n",
                     "collective", "ranks", "cold_ms", "warm_ms",
                     "trace_ms", "lower_ms", "fuse_ms", "sched_ms",
                     "verify_ms", "race_ms", "lower_mf", "fuse_mf",
-                    "sched_mf", "verify_mf");
+                    "sched_mf", "verify_mf", "race_mf");
         for (int c = 0; c < 2; c++) {
             for (int ranks : kBigRankSteps) {
                 CompileOptions copts; // verify defaults on
                 CompileStats phases;
                 double trace_ms = 0.0;
-                IrProgram cold_ir;
                 double cold = minBatchMs(1, 1, [&] {
                     auto t0 = std::chrono::steady_clock::now();
                     auto prog = makeBigProgram(c, ranks);
@@ -245,10 +241,6 @@ main(int argc, char **argv)
                     if (out.ir.numRanks != ranks)
                         std::abort();
                     phases = out.stats;
-                    cold_ir = out.ir;
-                });
-                double race_ms = minBatchMs(1, 1, [&] {
-                    verifyRaceFree(cold_ir);
                 });
                 PlanCache cache(4);
                 auto warm_prog = makeBigProgram(c, ranks);
@@ -262,19 +254,22 @@ main(int argc, char **argv)
                     std::abort();
                 big_cells.push_back(Cell{ big_names[c], ranks, true,
                                           cold, warm, 0.0, phases,
-                                          trace_ms, race_ms });
+                                          trace_ms });
                 std::printf("%-22s %5d %10.1f %10.4f %9.1f %9.1f %9.1f "
-                            "%9.1f %9.1f %9.1f %9lld %9lld %9lld %9lld\n",
+                            "%9.1f %9.1f %9.1f %9lld %9lld %9lld %9lld "
+                            "%9lld\n",
                             big_names[c], ranks, cold, warm, trace_ms,
                             phases.lowerNs / 1e6, phases.fuseNs / 1e6,
                             phases.scheduleNs / 1e6,
-                            phases.verifyNs / 1e6, race_ms,
+                            phases.verifyNs / 1e6, phases.raceNs / 1e6,
                             static_cast<long long>(phases.lowerMinorFaults),
                             static_cast<long long>(phases.fuseMinorFaults),
                             static_cast<long long>(
                                 phases.scheduleMinorFaults),
                             static_cast<long long>(
-                                phases.verifyMinorFaults));
+                                phases.verifyMinorFaults),
+                            static_cast<long long>(
+                                phases.raceMinorFaults));
             }
         }
     }
@@ -354,15 +349,17 @@ main(int argc, char **argv)
                 "\"lower_minor_faults\": %lld, "
                 "\"fuse_minor_faults\": %lld, "
                 "\"schedule_minor_faults\": %lld, "
-                "\"verify_minor_faults\": %lld}%s\n",
+                "\"verify_minor_faults\": %lld, "
+                "\"race_minor_faults\": %lld}%s\n",
                 cell.collective, cell.ranks, cell.coldMs, cell.warmMs,
                 cell.traceMs, phases.lowerNs / 1e6, phases.fuseNs / 1e6,
                 phases.scheduleNs / 1e6, phases.verifyNs / 1e6,
-                cell.raceMs,
+                phases.raceNs / 1e6,
                 static_cast<long long>(phases.lowerMinorFaults),
                 static_cast<long long>(phases.fuseMinorFaults),
                 static_cast<long long>(phases.scheduleMinorFaults),
                 static_cast<long long>(phases.verifyMinorFaults),
+                static_cast<long long>(phases.raceMinorFaults),
                 i + 1 < big_cells.size() ? "," : "");
         }
         std::fprintf(f,

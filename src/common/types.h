@@ -7,6 +7,7 @@
 #ifndef MSCCLANG_COMMON_TYPES_H_
 #define MSCCLANG_COMMON_TYPES_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -20,7 +21,7 @@ using Rank = int;
  * §3.1): Input holds the collective's input data, Output is where the
  * postcondition is checked, Scratch is uninitialized temporary space.
  */
-enum class BufferKind { Input = 0, Output = 1, Scratch = 2 };
+enum class BufferKind : std::uint8_t { Input = 0, Output = 1, Scratch = 2 };
 
 /** Short name used in IR dumps: "i", "o", "s". */
 const char *bufferKindName(BufferKind kind);

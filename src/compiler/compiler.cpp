@@ -114,6 +114,9 @@ compileProgram(const Program &program, const CompileOptions &options)
         PhaseMeter meter;
         verifyIr(out.ir, program.collective(), verify);
         meter.stop(out.stats.verifyNs, out.stats.verifyMinorFaults);
+        PhaseMeter race;
+        verifyRaceFree(out.ir);
+        race.stop(out.stats.raceNs, out.stats.raceMinorFaults);
     }
     return out;
 }

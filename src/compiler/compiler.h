@@ -23,8 +23,9 @@ struct CompileOptions
 {
     /** Run the rcs/rrcs/rrs fusion passes (paper §4.3). */
     bool fuse = true;
-    /** Statically verify the emitted IR (postcondition, deadlock
-     *  freedom, FIFO consistency). Strongly recommended; benches may
+    /** Statically verify the emitted IR: postcondition, deadlock
+     *  freedom and FIFO consistency (verifyIr), then data-race
+     *  freedom (verifyRaceFree). Strongly recommended; benches may
      *  disable it on very large rank counts after a first check. */
     bool verify = true;
     /** Cooperative-launch limit on thread blocks per GPU. */
@@ -53,11 +54,13 @@ struct CompileStats
     int maxThreadBlocks = 0;
     int totalInstructions = 0;
     /** Wall time of each compile phase in ns (0 when the phase did
-     *  not run: fuse = false, verify = false). */
+     *  not run: fuse = false, verify = false). verifyNs is verifyIr,
+     *  raceNs the race check. */
     std::int64_t lowerNs = 0;
     std::int64_t fuseNs = 0;
     std::int64_t scheduleNs = 0;
     std::int64_t verifyNs = 0;
+    std::int64_t raceNs = 0;
     /** Minor page faults of each phase: getrusage(RUSAGE_THREAD)
      *  deltas of the compiling thread, so compiles on other threads
      *  do not mix in (0 when the phase did not run, or where the
@@ -67,6 +70,7 @@ struct CompileStats
     std::int64_t fuseMinorFaults = 0;
     std::int64_t scheduleMinorFaults = 0;
     std::int64_t verifyMinorFaults = 0;
+    std::int64_t raceMinorFaults = 0;
 };
 
 /** Compilation result. */

@@ -325,7 +325,7 @@ PlanCache::compile(const Program &program, const CompileOptions &options,
         std::ofstream out(planFileName(dir, key),
                           std::ios::binary | std::ios::trunc);
         if (out)
-            out << plan.ir.toXml();
+            plan.ir.toXml(out);
     }
     return plan;
 }

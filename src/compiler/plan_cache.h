@@ -86,7 +86,7 @@ class PlanCache
      * caches, and returns it. A hit's IR shares the cached body and
      * is byte-identical (same toXml()) to what compileProgram()
      * would produce; the header fields (name, ...) are the caller's
-     * own, and gpus.edit() clones the body before any write. Memory
+     * own, and the body is immutable (an edit builds a new one). Memory
      * hits also return the original CompileStats, while disk hits
      * reconstruct the stats fields derivable from the IR and zero
      * the trace/fusion counters and phase times.

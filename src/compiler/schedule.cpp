@@ -1015,6 +1015,15 @@ scheduleProgram(const Program &program, InstrGraph &graph,
     std::vector<char> has_dep;
     insertCrossTbDeps(view, tb_of, step_of, dep_begin, deps, has_dep);
 
+    // Emission runs in body order — flat block, then step — so the
+    // builder appends each instruction and its dependencies once.
+    std::vector<int> step_base(tb_base.back() + 1, 0);
+    for (int t = 0; t < tb_base.back(); t++)
+        step_base[t + 1] = step_base[t] + num_steps[t];
+    std::vector<int> node_at(view.size());
+    for (int d = 0; d < view.size(); d++)
+        node_at[step_base[tb_base[view.rank[d]] + tb_of[d]] + step_of[d]] = d;
+
     const Collective &coll = program.collective();
     IrProgram ir;
     ir.name = program.options().name;
@@ -1024,59 +1033,52 @@ scheduleProgram(const Program &program, InstrGraph &graph,
     ir.protocol = program.options().protocol;
     ir.reduceOp = program.options().reduceOp;
     ir.outputScale = coll.outputScale();
-    // Thread blocks are sized first and filled in dense order, so the
-    // node slots are read in ascending id order.
-    std::vector<IrGpu> gpus(program.numRanks());
-    std::vector<IrInstruction *> tb_steps(tb_base.back());
-    for (int r = 0; r < program.numRanks(); r++) {
-        IrGpu &gpu = gpus[r];
-        gpu.rank = r;
-        gpu.inputChunks = coll.inputChunkCount(r);
-        gpu.outputChunks = coll.outputChunkCount(r);
-        gpu.scratchChunks = program.scratchChunkCount(r);
-        gpu.threadBlocks.resize(ranks[r].tbs.size());
-        for (int id = 0; id < static_cast<int>(ranks[r].tbs.size()); id++) {
-            const TbKey &key = ranks[r].tbs[id];
-            IrThreadBlock &out = gpu.threadBlocks[id];
-            out.id = id;
-            out.sendPeer = key.sendPeer;
-            out.recvPeer = key.recvPeer;
-            out.channel = key.channel;
-            out.steps.resize(num_steps[tb_base[r] + id]);
-            tb_steps[tb_base[r] + id] = out.steps.data();
+    IrBuilder body;
+    body.reserve(num_ranks, tb_base.back(), view.size(),
+                 static_cast<int>(deps.size()));
+    for (int r = 0; r < num_ranks; r++) {
+        body.addGpu(r, coll.inputChunkCount(r), coll.outputChunkCount(r),
+                    program.scratchChunkCount(r));
+    }
+    for (int t = 0, r = 0; t < tb_base.back(); t++) {
+        while (t >= tb_base[r + 1])
+            r++;
+        const TbKey &key = ranks[r].tbs[t - tb_base[r]];
+        body.addThreadBlock(r, t - tb_base[r], key.sendPeer, key.recvPeer,
+                            key.channel);
+        for (int slot = step_base[t]; slot < step_base[t + 1]; slot++) {
+            int d = node_at[slot];
+            const InstrNode &node = graph.node(view.ids[d]);
+            const BufferSlice &src =
+                irOpReadsSrc(node.op) ? node.src : node.dst;
+            const BufferSlice &dst = irOpWritesDst(node.op) ? node.dst : src;
+            IrInstruction instr;
+            instr.op = node.op;
+            instr.srcBuf = src.buffer;
+            instr.srcOff = src.index;
+            instr.dstBuf = dst.buffer;
+            instr.dstOff = dst.index;
+            instr.count = irOpReadsSrc(node.op) ? src.count : dst.count;
+            instr.splitIdx = node.splitIdx;
+            instr.splitCount = node.splitCount;
+            instr.hasDep = has_dep[d];
+            // Keep only the latest step per predecessor thread block,
+            // ordered by thread block.
+            auto first = deps.begin() + dep_begin[d];
+            auto last = deps.begin() + dep_begin[d + 1];
+            if (last - first > 1) {
+                std::sort(first, last, [](const IrDep &a, const IrDep &b) {
+                    return a.tb != b.tb ? a.tb < b.tb : a.step > b.step;
+                });
+                last = std::unique(first, last,
+                                   [](const IrDep &a, const IrDep &b) {
+                                       return a.tb == b.tb;
+                                   });
+            }
+            body.addStep(instr, std::span<const IrDep>(first, last));
         }
     }
-    for (int d = 0; d < view.size(); d++) {
-        const InstrNode &node = graph.node(view.ids[d]);
-        IrInstruction &instr =
-            tb_steps[tb_base[view.rank[d]] + tb_of[d]][step_of[d]];
-        instr.op = node.op;
-        const BufferSlice &src = irOpReadsSrc(node.op) ? node.src : node.dst;
-        const BufferSlice &dst = irOpWritesDst(node.op) ? node.dst : src;
-        instr.srcBuf = src.buffer;
-        instr.srcOff = src.index;
-        instr.dstBuf = dst.buffer;
-        instr.dstOff = dst.index;
-        instr.count = irOpReadsSrc(node.op) ? src.count : dst.count;
-        instr.splitIdx = node.splitIdx;
-        instr.splitCount = node.splitCount;
-        // Keep only the latest step per predecessor thread block,
-        // ordered by thread block.
-        auto first = deps.begin() + dep_begin[d];
-        auto last = deps.begin() + dep_begin[d + 1];
-        if (last - first > 1) {
-            std::sort(first, last, [](const IrDep &a, const IrDep &b) {
-                return a.tb != b.tb ? a.tb < b.tb : a.step > b.step;
-            });
-            last = std::unique(first, last,
-                               [](const IrDep &a, const IrDep &b) {
-                                   return a.tb == b.tb;
-                               });
-        }
-        instr.deps.assign(first, last);
-        instr.hasDep = has_dep[d];
-    }
-    ir.gpus = IrGpus(std::move(gpus));
+    ir.gpus = body.build(num_ranks);
     return ir;
 }
 

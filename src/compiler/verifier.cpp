@@ -117,72 +117,16 @@ class Ring
 };
 
 /**
- * Connection identity (src, dst, channel) packed into one integer.
- * Fields are packed most-significant-first, so sorting packed keys
- * reproduces tuple order for the reports.
- */
-using ConnKey = std::uint64_t;
-
-ConnKey
-connKeyOf(int src, int dst, int channel)
-{
-    return (std::uint64_t(src) << 43) | (std::uint64_t(dst) << 22) |
-        std::uint64_t(channel);
-}
-
-/** The fields of a packed connection key. */
-int
-keySrc(ConnKey key)
-{
-    return static_cast<int>(key >> 43);
-}
-
-int
-keyDst(ConnKey key)
-{
-    return static_cast<int>((key >> 22) & 0x1FFFFF);
-}
-
-int
-keyChannel(ConnKey key)
-{
-    return static_cast<int>(key & 0x3FFFFF);
-}
-
-/**
- * Numbers connections densely in key order — keys pack (src, dst,
- * channel) most-significant-first, so that is tuple order. Returns
- * the distinct keys, sorted; @p ids[i] becomes the number of
- * @p keys[i].
- */
-std::vector<ConnKey>
-numberConnections(const std::vector<ConnKey> &keys, std::vector<int> &ids)
-{
-    std::vector<ConnKey> sorted(keys);
-    std::sort(sorted.begin(), sorted.end());
-    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-    ids.resize(keys.size());
-    for (size_t i = 0; i < keys.size(); i++) {
-        ids[i] = static_cast<int>(
-            std::lower_bound(sorted.begin(), sorted.end(), keys[i]) -
-            sorted.begin());
-    }
-    return sorted;
-}
-
-/**
  * The one walk of an IR program that both checks run on. Thread
  * blocks execute their steps in order; a step waits for its cross
  * thread block dependencies, a receive for a message queued on its
  * connection and a send for a free slot on its; the k-th receive on a
- * connection takes the k-th send (FIFO pairing). The IR is indexed
- * once — flat thread block ids in IR order, one node id per
- * instruction (its thread block's base plus its step), dense
- * connection ids in (src, dst, channel) order — and run() steps the
- * thread blocks round-robin, each as far as it can go, until none can
- * move. The steps taken, in order, form a linear extension of
- * happens-before (program order, dependencies, FIFO pairs). Every
- * rank must be non-negative.
+ * connection takes the k-th send (FIFO pairing). The walk reads the
+ * body's own index — flat block ids, node ids (a step's index in the
+ * instruction array), connection ids — and run() steps the thread
+ * blocks round-robin, each as far as it can go, until none can move.
+ * The steps taken, in order, form a linear extension of
+ * happens-before (program order, dependencies, FIFO pairs).
  */
 class IrWalk
 {
@@ -190,106 +134,26 @@ class IrWalk
     /** The slot count under which no send ever waits. */
     static constexpr int kUnbounded = std::numeric_limits<int>::max();
 
-    /** One thread block and its connections' dense ids. */
-    struct Block
-    {
-        const IrThreadBlock *tb;
-        Rank rank;
-        int base; // node id of step 0
-        int send; // connection (rank, sendPeer, channel)
-        int recv; // connection (recvPeer, rank, channel)
-    };
-
     explicit IrWalk(const IrProgram &ir)
+        : body_(ir.gpus), queues_(body_.connections().size()),
+          cursor_(body_.blocks().size(), 0)
     {
-        int num_ranks = ir.numRanks;
-        for (const IrGpu &gpu : ir.gpus)
-            num_ranks = std::max(num_ranks, gpu.rank + 1);
-        byId_.resize(num_ranks);
-        std::vector<ConnKey> ends; // send, then recv, of every block
-        int nodes = 0;
-        for (const IrGpu &gpu : ir.gpus) {
-            std::vector<int> &by_id = byId_[gpu.rank];
-            for (const IrThreadBlock &tb : gpu.threadBlocks) {
-                if (tb.id >= 0) {
-                    if (tb.id >= static_cast<int>(by_id.size()))
-                        by_id.resize(tb.id + 1, -1);
-                    by_id[tb.id] = static_cast<int>(blocks_.size());
-                }
-                blocks_.push_back(Block{ &tb, gpu.rank, nodes, -1, -1 });
-                nodes += static_cast<int>(tb.steps.size());
-                ends.push_back(connKeyOf(gpu.rank, tb.sendPeer, tb.channel));
-                ends.push_back(connKeyOf(tb.recvPeer, gpu.rank, tb.channel));
-            }
-        }
-        std::vector<int> ids;
-        connKeys_ = numberConnections(ends, ids);
-        queues_.resize(connKeys_.size());
-        blockOfNode_.resize(nodes);
-        for (size_t t = 0; t < blocks_.size(); t++) {
-            Block &block = blocks_[t];
-            block.send = ids[2 * t];
-            block.recv = ids[2 * t + 1];
-            std::fill_n(blockOfNode_.begin() + block.base,
-                        block.tb->steps.size(), static_cast<int>(t));
-        }
-        cursor_.assign(blocks_.size(), 0);
     }
 
-    int numRanks() const { return static_cast<int>(byId_.size()); }
-    int numNodes() const { return static_cast<int>(blockOfNode_.size()); }
-    const std::vector<Block> &blocks() const { return blocks_; }
-    size_t numConnections() const { return connKeys_.size(); }
-    ConnKey connKey(int conn) const { return connKeys_[conn]; }
-
-    int blockOfNode(int node) const { return blockOfNode_[node]; }
-
-    int
-    stepOf(int node) const
-    {
-        return node - blocks_[blockOfNode_[node]].base;
-    }
-
-    const IrInstruction &
-    instr(int node) const
-    {
-        const Block &block = blocks_[blockOfNode_[node]];
-        return block.tb->steps[node - block.base];
-    }
-
-    /** The block of thread block @p tb of @p rank, or -1. */
-    int
-    blockOf(Rank rank, int tb) const
-    {
-        const std::vector<int> &by_id = byId_[rank];
-        return tb < 0 || tb >= static_cast<int>(by_id.size()) ? -1
-                                                              : by_id[tb];
-    }
-
-    /** The node of (@p rank, @p tb, @p step), or -1 if there is none. */
-    int
-    nodeOf(Rank rank, int tb, int step) const
-    {
-        int t = blockOf(rank, tb);
-        if (t < 0 || step < 0 ||
-            step >= static_cast<int>(blocks_[t].tb->steps.size()))
-            return -1;
-        return blocks_[t].base + step;
-    }
+    int numRanks() const { return static_cast<int>(body_.size()); }
+    int numNodes() const { return static_cast<int>(body_.steps().size()); }
 
     /**
      * Runs the walk with @p slots FIFO slots per connection, calling
-     * @p on_step(block, instr, node, send) for every step taken, where
+     * @p on_step(block, node, send) for every step taken, where
      * @p send is the node of a receive's matched send (-1 for any
      * other step). Returns whether every thread block finished.
-     * @throws VerificationError for a dependency on an unknown thread
-     *         block or a send (receive) on a block without that peer.
      */
     template <typename OnStep>
     bool
     run(int slots, OnStep &&on_step)
     {
-        int num_blocks = static_cast<int>(blocks_.size());
+        int num_blocks = static_cast<int>(cursor_.size());
         bool progress = true;
         while (progress) {
             progress = false;
@@ -310,34 +174,35 @@ class IrWalk
     deadlockReport() const
     {
         std::string report = "deadlock detected:\n";
-        for (size_t t = 0; t < blocks_.size(); t++) {
-            const Block &block = blocks_[t];
-            const IrThreadBlock &tb = *block.tb;
+        std::span<const IrThreadBlock> blocks = body_.blocks();
+        for (size_t t = 0; t < blocks.size(); t++) {
+            const IrThreadBlock &tb = blocks[t];
             int cursor = cursor_[t];
-            if (cursor >= static_cast<int>(tb.steps.size()))
+            if (cursor >= tb.numSteps)
                 continue;
-            const IrInstruction &instr = tb.steps[cursor];
+            const IrInstruction &instr = body_.steps(tb)[cursor];
             std::string reason = "dependency";
             if (irOpReceives(instr.op)) {
                 reason = strprintf("data from %d (inbox=%zu) or "
                                    "dependency", tb.recvPeer,
-                                   queues_[block.recv].size());
+                                   queues_[tb.recvConn].size());
             } else if (irOpSends(instr.op)) {
                 reason = strprintf("FIFO slot to %d (queued=%zu) or "
                                    "dependency", tb.sendPeer,
-                                   queues_[block.send].size());
+                                   queues_[tb.sendConn].size());
             }
-            report += formatBlockedThreadBlock(block.rank, tb.id, cursor,
-                                               instr, reason);
+            report += formatBlockedThreadBlock(
+                tb.rank, tb.id, cursor,
+                instr.toString(body_.deps(instr)), reason);
         }
-        for (size_t c = 0; c < queues_.size(); c++) {
+        std::span<const IrConnection> conns = body_.connections();
+        for (size_t c = 0; c < conns.size(); c++) {
             size_t count = queues_[c].size();
             if (count == 0)
                 continue;
             report += strprintf("  conn %d -> %d ch %d: %zu undelivered\n",
-                                keySrc(connKeys_[c]),
-                                keyDst(connKeys_[c]),
-                                keyChannel(connKeys_[c]), count);
+                                conns[c].src, conns[c].dst,
+                                conns[c].channel, count);
         }
         return report;
     }
@@ -348,56 +213,39 @@ class IrWalk
     bool
     tryStep(int t, int slots, OnStep &on_step)
     {
-        const Block &block = blocks_[t];
-        const IrThreadBlock &tb = *block.tb;
+        const IrThreadBlock &tb = body_.blocks()[t];
         int &cursor = cursor_[t];
-        if (cursor >= static_cast<int>(tb.steps.size()))
+        if (cursor >= tb.numSteps)
             return false;
-        const IrInstruction &instr = tb.steps[cursor];
-        for (const IrDep &dep : instr.deps) {
-            int from = blockOf(block.rank, dep.tb);
-            if (from < 0) {
-                throw VerificationError(strprintf(
-                    "rank %d: dependency names unknown thread block %d",
-                    block.rank, dep.tb));
-            }
-            if (cursor_[from] <= dep.step)
+        int node = tb.firstStep + cursor;
+        const IrInstruction &instr = body_.steps()[node];
+        int rank_base = body_[tb.rank].firstBlock;
+        for (const IrDep &dep : body_.deps(instr)) {
+            if (cursor_[rank_base + dep.tb] <= dep.step)
                 return false;
         }
 
         bool receives = irOpReceives(instr.op);
         bool sends = irOpSends(instr.op);
-        if (receives && tb.recvPeer < 0)
-            throw VerificationError(strprintf(
-                "rank %d tb %d: %s without a receive peer", block.rank,
-                tb.id, irOpName(instr.op)));
-        if (sends && tb.sendPeer < 0)
-            throw VerificationError(strprintf(
-                "rank %d tb %d: %s without a send peer", block.rank,
-                tb.id, irOpName(instr.op)));
-        if (receives && queues_[block.recv].empty())
+        if (receives && queues_[tb.recvConn].empty())
             return false; // waiting for data
-        if (sends && static_cast<int>(queues_[block.send].size()) >= slots)
+        if (sends && static_cast<int>(queues_[tb.sendConn].size()) >= slots)
             return false; // waiting for a FIFO slot
 
-        int node = block.base + cursor;
         int send = -1;
         if (receives) {
-            send = queues_[block.recv].front();
-            queues_[block.recv].pop_front();
+            send = queues_[tb.recvConn].front();
+            queues_[tb.recvConn].pop_front();
         }
-        on_step(block, instr, node, send);
+        on_step(t, node, send);
         if (sends)
-            queues_[block.send].push_back(node);
+            queues_[tb.sendConn].push_back(node);
         cursor++;
         taken_++;
         return true;
     }
 
-    std::vector<Block> blocks_;          // flat thread block ids, IR order
-    std::vector<std::vector<int>> byId_; // [rank][tb id] -> block, or -1
-    std::vector<int> blockOfNode_;
-    std::vector<ConnKey> connKeys_; // sorted; index = connection id
+    const IrGpus &body_;
     std::vector<Ring<int>> queues_; // per connection: queued send nodes
     std::vector<int> cursor_;       // per block: its next step
     int taken_ = 0;
@@ -411,7 +259,7 @@ class AbstractMachine
                     const VerifyOptions &options)
         : ir_(ir), collective_(collective), options_(options), walk_(ir)
     {
-        buffers_.resize(ir.numRanks);
+        buffers_.resize(ir.gpus.size());
         for (const IrGpu &gpu : ir.gpus) {
             RankBuffers &bufs = buffers_[gpu.rank];
             bufs.input.assign(gpu.inputChunks, Cell{});
@@ -423,7 +271,7 @@ class AbstractMachine
                     values_.intern(ChunkValue::input(gpu.rank, i));
             }
         }
-        parts_.resize(walk_.numConnections());
+        parts_.resize(ir.gpus.connections().size());
     }
 
     /** Runs to completion; throws on deadlock or semantic error. */
@@ -432,8 +280,7 @@ class AbstractMachine
     {
         bool done = walk_.run(
             options_.slots,
-            [this](const IrWalk::Block &block, const IrInstruction &instr,
-                   int node, int send) { step(block, instr, node, send); });
+            [this](int t, int node, int send) { step(t, node, send); });
         if (!done)
             throw VerificationError(walk_.deadlockReport());
         if (options_.checkPostcondition)
@@ -594,16 +441,18 @@ class AbstractMachine
     }
 
     /**
-     * The effect of one step: node @p node of @p block, whose receive
-     * (if any) takes the message of send node @p send. A message
-     * carries the send's instr.count parts, part k being chunk k of
-     * its slice, all over the send's byte fraction.
+     * The effect of one step: node @p node of block @p t, whose
+     * receive (if any) takes the message of send node @p send. A
+     * message carries the send's instr.count parts, part k being
+     * chunk k of its slice, all over the send's byte fraction.
      */
     void
-    step(const IrWalk::Block &block, const IrInstruction &instr, int node,
-         int send)
+    step(int t, int node, int send)
     {
-        Rank rank = block.rank;
+        std::span<const IrInstruction> steps = ir_.gpus.steps();
+        const IrThreadBlock &tb = ir_.gpus.blocks()[t];
+        const IrInstruction &instr = steps[node];
+        Rank rank = tb.rank;
         bool receives = irOpReceives(instr.op);
         bool sends = irOpSends(instr.op);
         FracInterval range =
@@ -614,8 +463,8 @@ class AbstractMachine
         // part is queued: a connection may loop back to its sender.
         incoming_.clear();
         if (receives) {
-            const IrInstruction &sent = walk_.instr(send);
-            Ring<int> &inbox = parts_[block.recv];
+            const IrInstruction &sent = steps[send];
+            Ring<int> &inbox = parts_[tb.recvConn];
             for (int k = 0; k < sent.count; k++) {
                 incoming_.push_back(inbox.front());
                 inbox.pop_front();
@@ -623,11 +472,11 @@ class AbstractMachine
             // Shape check: FIFO pairing must deliver exactly the
             // fractions this receive expects (equal split indexes need
             // no fraction arithmetic).
-            int cursor = node - block.base;
+            int cursor = node - tb.firstStep;
             if (incoming_.size() != count) {
                 throw VerificationError(strprintf(
                     "rank %d tb %d step %d: FIFO mismatch (message has "
-                    "%zu parts, receive expects %zu)", rank, block.tb->id,
+                    "%zu parts, receive expects %zu)", rank, tb.id,
                     cursor, incoming_.size(), count));
             }
             bool same_split = sent.splitIdx == instr.splitIdx &&
@@ -637,7 +486,7 @@ class AbstractMachine
                 throw VerificationError(strprintf(
                     "rank %d tb %d step %d: FIFO mismatch (part %zu "
                     "shape differs from the matched send)",
-                    rank, block.tb->id, cursor, size_t{ 0 }));
+                    rank, tb.id, cursor, size_t{ 0 }));
             }
         }
 
@@ -706,7 +555,7 @@ class AbstractMachine
         }
 
         if (sends) {
-            Ring<int> &outbox = parts_[block.send];
+            Ring<int> &outbox = parts_[tb.sendConn];
             for (int value : outgoing_)
                 outbox.push_back(value);
         }
@@ -773,10 +622,6 @@ verifyIr(const IrProgram &ir, const Collective &collective,
         resolved.slots = kFifoSlotsPerConnection;
     if (resolved.slots < 1)
         throw VerificationError("verifier: slots must be >= 1");
-    for (const IrGpu &gpu : ir.gpus) {
-        if (gpu.rank < 0 || gpu.rank >= ir.numRanks)
-            throw VerificationError("IR names an out-of-range rank");
-    }
     AbstractMachine machine(ir, collective, resolved);
     machine.run();
 }
@@ -793,18 +638,17 @@ namespace {
 class DepFrontier
 {
   public:
-    explicit DepFrontier(const IrWalk &walk)
-        : off_(walk.blocks().size() + 1, 0)
+    explicit DepFrontier(const IrGpus &body)
+        : off_(body.blocks().size() + 1, 0)
     {
         std::vector<std::pair<int, int>> pairs; // (waiter, source)
-        const std::vector<IrWalk::Block> &blocks = walk.blocks();
+        std::span<const IrThreadBlock> blocks = body.blocks();
         for (size_t t = 0; t < blocks.size(); t++) {
-            for (const IrInstruction &instr : blocks[t].tb->steps) {
-                for (const IrDep &dep : instr.deps) {
+            int rank_base = body[blocks[t].rank].firstBlock;
+            for (const IrInstruction &instr : body.steps(blocks[t])) {
+                for (const IrDep &dep : body.deps(instr))
                     pairs.push_back({ static_cast<int>(t),
-                                      walk.blockOf(blocks[t].rank,
-                                                   dep.tb) });
-                }
+                                      rank_base + dep.tb });
             }
         }
         std::sort(pairs.begin(), pairs.end());
@@ -852,37 +696,31 @@ class DepFrontier
 };
 
 /**
- * The race check's structural checks, in order: every dependency
- * names an instruction, and every connection carries as many sends
- * as receives — a surplus operation would have no FIFO partner, so
- * happens-before would silently lose its edge.
+ * The race check's FIFO check: every connection carries as many
+ * sends as receives — a surplus operation would have no FIFO partner,
+ * so happens-before would silently lose its edge.
  */
 void
-checkRaceStructure(const IrWalk &walk)
+checkFifoBalance(const IrGpus &body)
 {
-    std::vector<int> sends(walk.numConnections(), 0);
-    std::vector<int> recvs(walk.numConnections(), 0);
-    for (const IrWalk::Block &block : walk.blocks()) {
-        for (const IrInstruction &instr : block.tb->steps) {
-            for (const IrDep &dep : instr.deps) {
-                if (walk.nodeOf(block.rank, dep.tb, dep.step) < 0)
-                    throw VerificationError(
-                        "race check: dependency on unknown instruction");
-            }
+    std::vector<int> sends(body.connections().size(), 0);
+    std::vector<int> recvs(body.connections().size(), 0);
+    for (const IrThreadBlock &tb : body.blocks()) {
+        for (const IrInstruction &instr : body.steps(tb)) {
             if (irOpSends(instr.op))
-                sends[block.send]++;
+                sends[tb.sendConn]++;
             if (irOpReceives(instr.op))
-                recvs[block.recv]++;
+                recvs[tb.recvConn]++;
         }
     }
     for (size_t c = 0; c < sends.size(); c++) {
         if (sends[c] != recvs[c]) {
-            ConnKey key = walk.connKey(static_cast<int>(c));
+            const IrConnection &conn = body.connections()[c];
             throw VerificationError(strprintf(
                 "race check: connection %d -> %d channel %d has %d "
                 "sends but %d receives; FIFO pairing requires equal "
-                "counts", keySrc(key), keyDst(key), keyChannel(key),
-                sends[c], recvs[c]));
+                "counts", conn.src, conn.dst, conn.channel, sends[c],
+                recvs[c]));
         }
     }
 }
@@ -902,10 +740,11 @@ checkRaceStructure(const IrWalk &walk)
 class RaceWalk
 {
   public:
-    RaceWalk(IrWalk &walk, const IrProgram &ir)
-        : walk_(walk), inPlace_(ir.inPlace), frontier_(walk),
-          history_(chunkCounts(walk, ir)), pos_(walk.numNodes()),
-          send_(walk.numNodes(), -1)
+    explicit RaceWalk(const IrProgram &ir)
+        : body_(ir.gpus), walk_(ir), inPlace_(ir.inPlace),
+          frontier_(body_), history_(chunkCounts(ir)),
+          pos_(walk_.numNodes()), send_(walk_.numNodes(), -1),
+          block_(walk_.numNodes())
     {
     }
 
@@ -917,20 +756,20 @@ class RaceWalk
         // runs unbounded: it wedges only on a cycle. Its order is
         // bucketed by rank as it is taken (a stable counting sort).
         std::vector<int> start(walk_.numRanks() + 1, 0);
-        for (const IrWalk::Block &block : walk_.blocks())
-            start[block.rank + 1] += static_cast<int>(block.tb->steps.size());
+        for (const IrThreadBlock &tb : body_.blocks())
+            start[tb.rank + 1] += tb.numSteps;
         for (int r = 0; r < walk_.numRanks(); r++)
             start[r + 1] += start[r];
         std::vector<int> by_rank(walk_.numNodes());
         int position = 0;
-        bool done = walk_.run(
-            IrWalk::kUnbounded,
-            [&](const IrWalk::Block &block, const IrInstruction &, int node,
-                int send) {
-                pos_[node] = position++;
-                send_[node] = send;
-                by_rank[start[block.rank]++] = node;
-            });
+        bool done = walk_.run(IrWalk::kUnbounded,
+                              [&](int t, int node, int send) {
+                                  pos_[node] = position++;
+                                  send_[node] = send;
+                                  block_[node] = t;
+                                  Rank rank = body_.blocks()[t].rank;
+                                  by_rank[start[rank]++] = node;
+                              });
         if (!done)
             throw VerificationError(
                 "race check: happens-before relation has a cycle");
@@ -944,9 +783,9 @@ class RaceWalk
      * negative declared count holds no chunks.
      */
     static std::vector<int>
-    chunkCounts(const IrWalk &walk, const IrProgram &ir)
+    chunkCounts(const IrProgram &ir)
     {
-        std::vector<int> counts(static_cast<size_t>(walk.numRanks()) * 3, 0);
+        std::vector<int> counts(ir.gpus.size() * 3, 0);
         for (const IrGpu &gpu : ir.gpus) {
             int *rank_counts = &counts[static_cast<size_t>(gpu.rank) * 3];
             rank_counts[0] = std::max(0, gpu.inputChunks);
@@ -956,14 +795,21 @@ class RaceWalk
         return counts;
     }
 
+    const IrThreadBlock &blockOf(int node) const
+    {
+        return body_.blocks()[block_[node]];
+    }
+
+    int stepOf(int node) const { return node - blockOf(node).firstStep; }
+
     void
     visit(int b)
     {
-        int t = walk_.blockOfNode(b);
-        Rank rank = walk_.blocks()[t].rank;
-        const IrInstruction &instr = walk_.instr(b);
-        for (const IrDep &dep : instr.deps)
-            frontier_.wait(t, walk_.blockOf(rank, dep.tb), dep.step);
+        int t = block_[b];
+        const IrInstruction &instr = body_.steps()[b];
+        int rank_base = body_[blockOf(b).rank].firstBlock;
+        for (const IrDep &dep : body_.deps(instr))
+            frontier_.wait(t, rank_base + dep.tb, dep.step);
         if (irOpReadsSrc(instr.op))
             access(b, instr.srcBuf, instr.srcOff, false);
         if (instr.op == IrOp::Reduce || instr.op == IrOp::RecvReduceCopy)
@@ -976,8 +822,8 @@ class RaceWalk
     void
     access(int b, BufferKind buf, int off, bool is_write)
     {
-        Rank rank = walk_.blocks()[walk_.blockOfNode(b)].rank;
-        const IrInstruction &instr = walk_.instr(b);
+        Rank rank = blockOf(b).rank;
+        const IrInstruction &instr = body_.steps()[b];
         BufferKind canonical = buf;
         if (inPlace_ && buf == BufferKind::Output)
             canonical = BufferKind::Input;
@@ -1016,10 +862,8 @@ class RaceWalk
     bool
     locallyBefore(int a, int b) const
     {
-        int block_a = walk_.blockOfNode(a);
-        int block_b = walk_.blockOfNode(b);
-        return block_a == block_b ||
-            frontier_.latest(block_b, block_a) >= walk_.stepOf(a);
+        return block_[a] == block_[b] ||
+            frontier_.latest(block_[b], block_[a]) >= stepOf(a);
     }
 
     /**
@@ -1038,13 +882,13 @@ class RaceWalk
         if (stamp_.empty())
             stamp_.assign(walk_.numNodes(), 0);
         epoch_++;
-        int block_a = walk_.blockOfNode(a);
+        int block_a = block_[a];
         int pos_a = pos_[a];
         // Whether predecessor w ends the search; else queues it.
         auto reached = [&](int w) {
             if (pos_[w] < pos_a || stamp_[w] == epoch_)
                 return false;
-            if (walk_.blockOfNode(w) == block_a)
+            if (block_[w] == block_a)
                 return true;
             stamp_[w] = epoch_;
             stack_.push_back(w);
@@ -1054,11 +898,12 @@ class RaceWalk
         while (!stack_.empty()) {
             int v = stack_.back();
             stack_.pop_back();
-            const IrWalk::Block &block = walk_.blocks()[walk_.blockOfNode(v)];
-            if (v > block.base && reached(v - 1))
+            const IrThreadBlock &tb = blockOf(v);
+            if (v > tb.firstStep && reached(v - 1))
                 return true;
-            for (const IrDep &dep : walk_.instr(v).deps) {
-                if (reached(walk_.nodeOf(block.rank, dep.tb, dep.step)))
+            for (const IrDep &dep : body_.deps(body_.steps()[v])) {
+                const IrThreadBlock &from = body_.block(tb.rank, dep.tb);
+                if (reached(from.firstStep + dep.step))
                     return true;
             }
             if (send_[v] >= 0 && reached(send_[v]))
@@ -1073,21 +918,22 @@ class RaceWalk
     {
         int first = std::min(a, b);
         int second = std::max(a, b);
-        const IrWalk::Block &na = walk_.blocks()[walk_.blockOfNode(first)];
-        const IrWalk::Block &nb = walk_.blocks()[walk_.blockOfNode(second)];
         return strprintf(
             "data race: rank %d tb %d step %d and tb %d "
             "step %d access %s[%d] unordered",
-            na.rank, na.tb->id, walk_.stepOf(first), nb.tb->id,
-            walk_.stepOf(second), bufferKindName(buffer), chunk);
+            blockOf(first).rank, blockOf(first).id, stepOf(first),
+            blockOf(second).id, stepOf(second), bufferKindName(buffer),
+            chunk);
     }
 
-    IrWalk &walk_;
+    const IrGpus &body_;
+    IrWalk walk_;
     bool inPlace_;
     DepFrontier frontier_;
     AccessHistory history_;
     std::vector<int> pos_;   // node -> position in the linear extension
     std::vector<int> send_;  // receive node -> its matched send, or -1
+    std::vector<int> block_; // node -> flat id of its thread block
     std::vector<int> stamp_; // search visit marks, allocated on demand
     int epoch_ = 0;
     std::vector<int> stack_;
@@ -1098,21 +944,8 @@ class RaceWalk
 void
 verifyRaceFree(const IrProgram &ir)
 {
-    for (const IrGpu &gpu : ir.gpus) {
-        if (gpu.rank < 0)
-            throw VerificationError(
-                "race check: IR names a negative rank");
-    }
-    for (const IrGpu &gpu : ir.gpus) {
-        for (const IrThreadBlock &tb : gpu.threadBlocks) {
-            if (tb.id < 0)
-                throw VerificationError(
-                    "race check: IR names a negative thread block id");
-        }
-    }
-    IrWalk walk(ir);
-    checkRaceStructure(walk);
-    RaceWalk(walk, ir).run();
+    checkFifoBalance(ir.gpus);
+    RaceWalk(ir).run();
 }
 
 } // namespace mscclang

@@ -19,6 +19,11 @@
  * completion — at which point the output buffers are compared against
  * the collective postcondition — or wedges, which is reported as a
  * deadlock with the set of blocked thread blocks.
+ *
+ * Neither check validates structure: the IR body (IrGpus) is made
+ * only by IrBuilder::build(), which rejects out-of-range ranks and
+ * peers, sparse thread-block ids, sends or receives on blocks without
+ * that peer and dependencies on unknown steps.
  */
 
 #ifndef MSCCLANG_COMPILER_VERIFIER_H_
@@ -87,12 +92,17 @@ void verifyIr(const IrProgram &ir, const Collective &collective,
  * predecessors (the previous step, the dependencies, a receive's
  * matched send), pruned to the nodes after a in the linear extension.
  *
- * @throws VerificationError for, in this order: a negative rank or
- *         thread block id; a dependency on an unknown instruction; a
- *         connection whose send and receive counts differ; a cycle;
- *         then the first unordered pair found, on the lowest racy
- *         rank (lower instruction index first), or an access outside
- *         its buffer's declared chunk count.
+ * The structure it indexes by — ranks, thread-block ids, peers,
+ * dependency targets — is checked once, when IrBuilder builds the
+ * body, so the walk reads it without checks.
+ *
+ * @throws VerificationError for, in this order: a connection whose
+ *         send and receive counts differ; a cycle; then the first
+ *         unordered pair found, on the lowest racy rank (lower
+ *         instruction index first), or an access outside its buffer's
+ *         declared chunk count. The pair is the first the walk meets,
+ *         which need not be the first in (buffer, chunk) order; only
+ *         its rank is sure to match an exhaustive pairwise search.
  */
 void verifyRaceFree(const IrProgram &ir);
 

@@ -1,7 +1,10 @@
 #include "ir/ir.h"
 
 #include <algorithm>
-#include <atomic>
+#include <charconv>
+#include <iterator>
+#include <sstream>
+#include <tuple>
 
 #include "common/error.h"
 #include "common/strings.h"
@@ -9,121 +12,63 @@
 
 namespace mscclang {
 
-const char *
-irOpName(IrOp op)
+namespace {
+
+/** An opcode's mnemonic and semantics, indexed by IrOp. */
+struct OpInfo
 {
-    switch (op) {
-      case IrOp::Nop: return "nop";
-      case IrOp::Send: return "s";
-      case IrOp::Recv: return "r";
-      case IrOp::Copy: return "cpy";
-      case IrOp::Reduce: return "re";
-      case IrOp::RecvReduceCopy: return "rrc";
-      case IrOp::RecvReduceSend: return "rrs";
-      case IrOp::RecvReduceCopySend: return "rrcs";
-      case IrOp::RecvCopySend: return "rcs";
+    const char *name;
+    bool receives, sends, readsSrc, writesDst, reduces;
+};
+
+constexpr OpInfo kOps[] = {
+    { "nop", false, false, false, false, false },
+    { "s", false, true, true, false, false },
+    { "r", true, false, false, true, false },
+    { "cpy", false, false, true, true, false },
+    { "re", false, false, true, true, true },
+    { "rrc", true, false, true, true, true },
+    { "rrs", true, true, true, false, true },
+    { "rrcs", true, true, true, true, true },
+    { "rcs", true, true, false, true, false },
+};
+
+/** The one of the @p count values of T that @p name_of names @p name. */
+template <typename T>
+T
+fromName(const std::string &name, int count, const char *(*name_of)(T),
+         const char *what)
+{
+    for (int i = 0; i < count; i++) {
+        if (name == name_of(static_cast<T>(i)))
+            return static_cast<T>(i);
     }
-    return "?";
+    throw Error(strprintf("MSCCL-IR: unknown %s '%s'", what, name.c_str()));
 }
+
+const OpInfo &
+opInfo(IrOp op)
+{
+    return kOps[static_cast<int>(op)];
+}
+
+} // namespace
+
+const char *irOpName(IrOp op) { return opInfo(op).name; }
+bool irOpReceives(IrOp op) { return opInfo(op).receives; }
+bool irOpSends(IrOp op) { return opInfo(op).sends; }
+bool irOpReadsSrc(IrOp op) { return opInfo(op).readsSrc; }
+bool irOpWritesDst(IrOp op) { return opInfo(op).writesDst; }
+bool irOpReduces(IrOp op) { return opInfo(op).reduces; }
 
 IrOp
 irOpFromName(const std::string &name)
 {
-    static const std::pair<const char *, IrOp> table[] = {
-        { "nop", IrOp::Nop },
-        { "s", IrOp::Send },
-        { "r", IrOp::Recv },
-        { "cpy", IrOp::Copy },
-        { "re", IrOp::Reduce },
-        { "rrc", IrOp::RecvReduceCopy },
-        { "rrs", IrOp::RecvReduceSend },
-        { "rrcs", IrOp::RecvReduceCopySend },
-        { "rcs", IrOp::RecvCopySend },
-    };
-    for (const auto &entry : table) {
-        if (name == entry.first)
-            return entry.second;
-    }
-    throw Error("MSCCL-IR: unknown opcode '" + name + "'");
-}
-
-bool
-irOpReceives(IrOp op)
-{
-    switch (op) {
-      case IrOp::Recv:
-      case IrOp::RecvReduceCopy:
-      case IrOp::RecvReduceSend:
-      case IrOp::RecvReduceCopySend:
-      case IrOp::RecvCopySend:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-irOpSends(IrOp op)
-{
-    switch (op) {
-      case IrOp::Send:
-      case IrOp::RecvReduceSend:
-      case IrOp::RecvReduceCopySend:
-      case IrOp::RecvCopySend:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-irOpReadsSrc(IrOp op)
-{
-    switch (op) {
-      case IrOp::Send:
-      case IrOp::Copy:
-      case IrOp::Reduce:
-      case IrOp::RecvReduceCopy:
-      case IrOp::RecvReduceSend:
-      case IrOp::RecvReduceCopySend:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-irOpWritesDst(IrOp op)
-{
-    switch (op) {
-      case IrOp::Recv:
-      case IrOp::Copy:
-      case IrOp::Reduce:
-      case IrOp::RecvReduceCopy:
-      case IrOp::RecvReduceCopySend:
-      case IrOp::RecvCopySend:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-irOpReduces(IrOp op)
-{
-    switch (op) {
-      case IrOp::Reduce:
-      case IrOp::RecvReduceCopy:
-      case IrOp::RecvReduceSend:
-      case IrOp::RecvReduceCopySend:
-        return true;
-      default:
-        return false;
-    }
+    return fromName<IrOp>(name, std::size(kOps), irOpName, "opcode");
 }
 
 std::string
-IrInstruction::toString() const
+IrInstruction::toString(std::span<const IrDep> deps) const
 {
     std::string text = strprintf(
         "%s %s[%d] -> %s[%d] cnt=%d", irOpName(op), bufferKindName(srcBuf),
@@ -139,33 +84,12 @@ IrInstruction::toString() const
 
 std::string
 formatBlockedThreadBlock(Rank rank, int tb, int step,
-                         const IrInstruction &instr,
+                         const std::string &instr,
                          const std::string &reason)
 {
     return strprintf(
         "  rank %d tb %d blocked at step %d (%s) waiting for %s\n",
-        rank, tb, step, instr.toString().c_str(), reason.c_str());
-}
-
-IrGpus::IrGpus(std::vector<IrGpu> gpus)
-    : body_(std::make_shared<std::vector<IrGpu>>(std::move(gpus)))
-{
-}
-
-std::vector<IrGpu> &
-IrGpus::edit()
-{
-    if (body_ == nullptr) {
-        body_ = std::make_shared<std::vector<IrGpu>>();
-    } else if (body_.use_count() != 1) {
-        body_ = std::make_shared<std::vector<IrGpu>>(*body_);
-    } else {
-        // No other program holds the body. The fence orders these
-        // writes after the reads of a copy another thread just
-        // dropped (its release decrement is what this count saw).
-        std::atomic_thread_fence(std::memory_order_acquire);
-    }
-    return *body_;
+        rank, tb, step, instr.c_str(), reason.c_str());
 }
 
 bool
@@ -173,17 +97,210 @@ IrGpus::operator==(const IrGpus &other) const
 {
     if (body_ == other.body_)
         return true;
-    return std::equal(begin(), end(), other.begin(), other.end());
+    // build() lays every body out canonically, so equal contents
+    // mean equal arrays (the connection table follows the blocks).
+    const Body &a = body();
+    const Body &b = other.body();
+    return a.gpus == b.gpus && a.blocks == b.blocks &&
+        a.steps == b.steps && a.deps == b.deps;
+}
+
+IrBuilder::IrBuilder(const IrGpus &body)
+    : gpus_(body.body().gpus), blocks_(body.body().blocks),
+      steps_(body.body().steps), deps_(body.body().deps)
+{
+}
+
+void
+IrBuilder::reserve(int gpus, int blocks, int steps, int deps)
+{
+    gpus_.reserve(gpus);
+    blocks_.reserve(blocks);
+    steps_.reserve(steps);
+    deps_.reserve(deps);
+}
+
+void
+IrBuilder::addGpu(int rank, int input_chunks, int output_chunks,
+                  int scratch_chunks)
+{
+    gpus_.push_back(IrGpu{ rank, input_chunks, output_chunks,
+                           scratch_chunks, 0, 0 });
+}
+
+void
+IrBuilder::addThreadBlock(int rank, int id, int send_peer, int recv_peer,
+                          int channel)
+{
+    blocks_.push_back(IrThreadBlock{ id, rank, send_peer, recv_peer,
+                                     channel, numSteps(), 0, -1, -1 });
+}
+
+void
+IrBuilder::addStep(const IrInstruction &instr, std::span<const IrDep> deps)
+{
+    if (blocks_.empty())
+        throw Error("MSCCL-IR: step added before any thread block");
+    blocks_.back().numSteps++;
+    steps_.push_back(instr);
+    setDeps(numSteps() - 1, deps);
+}
+
+void
+IrBuilder::setDeps(int node, std::span<const IrDep> deps)
+{
+    // A replaced range stays behind until build() packs the pool.
+    steps_[node].depFirst = static_cast<int>(deps_.size());
+    steps_[node].depCount = static_cast<int>(deps.size());
+    deps_.insert(deps_.end(), deps.begin(), deps.end());
+}
+
+/** Sets the rank headers' block ranges and checks the structure. */
+void
+IrBuilder::check(int num_ranks)
+{
+    for (size_t i = 0; i < gpus_.size(); i++) {
+        int rank = gpus_[i].rank;
+        if (rank < 0 || rank >= num_ranks) {
+            throw Error(strprintf("MSCCL-IR: gpu %d is outside the %d-rank "
+                                  "program", rank, num_ranks));
+        }
+        if (rank != static_cast<int>(i)) {
+            throw Error(strprintf("MSCCL-IR: gpu %d listed where rank %zu "
+                                  "belongs", rank, i));
+        }
+        gpus_[i].firstBlock = gpus_[i].numBlocks = 0;
+    }
+    if (static_cast<int>(gpus_.size()) != num_ranks) {
+        throw Error(strprintf("MSCCL-IR: %zu gpus for a %d-rank program",
+                              gpus_.size(), num_ranks));
+    }
+    for (size_t b = 0; b < blocks_.size(); b++) {
+        const IrThreadBlock &tb = blocks_[b];
+        if (tb.rank < (b > 0 ? blocks_[b - 1].rank : 0) ||
+            tb.rank >= num_ranks) {
+            throw Error(strprintf("MSCCL-IR: thread block of rank %d out "
+                                  "of rank order", tb.rank));
+        }
+        IrGpu &gpu = gpus_[tb.rank];
+        if (gpu.numBlocks == 0)
+            gpu.firstBlock = static_cast<int>(b);
+        if (tb.id != gpu.numBlocks++) {
+            throw Error(strprintf(
+                "MSCCL-IR: rank %d has thread block %d where id %d "
+                "belongs", tb.rank, tb.id, gpu.numBlocks - 1));
+        }
+        auto peer = [&](int p) { return p >= -1 && p < num_ranks; };
+        if (!peer(tb.sendPeer) || !peer(tb.recvPeer) || tb.channel < 0) {
+            throw Error(strprintf(
+                "MSCCL-IR: rank %d tb %d names send peer %d, receive "
+                "peer %d, channel %d outside the %d-rank program",
+                tb.rank, tb.id, tb.sendPeer, tb.recvPeer, tb.channel,
+                num_ranks));
+        }
+    }
+    for (const IrThreadBlock &tb : blocks_) {
+        for (int s = 0; s < tb.numSteps; s++) {
+            const IrInstruction &instr = steps_[tb.firstStep + s];
+            const char *missing =
+                irOpSends(instr.op) && tb.sendPeer < 0 ? "send"
+                : irOpReceives(instr.op) && tb.recvPeer < 0 ? "receive"
+                : nullptr;
+            if (missing != nullptr) {
+                throw Error(strprintf(
+                    "MSCCL-IR: rank %d tb %d step %d: %s without a %s "
+                    "peer", tb.rank, tb.id, s, irOpName(instr.op),
+                    missing));
+            }
+            const IrGpu &gpu = gpus_[tb.rank];
+            for (int k = 0; k < instr.depCount; k++) {
+                const IrDep &dep = deps_[instr.depFirst + k];
+                if (dep.tb < 0 || dep.tb >= gpu.numBlocks || dep.step < 0 ||
+                    dep.step >= blocks_[gpu.firstBlock + dep.tb].numSteps) {
+                    throw Error(strprintf(
+                        "MSCCL-IR: rank %d tb %d step %d: dependency on "
+                        "unknown step (tb %d, step %d)", tb.rank, tb.id,
+                        s, dep.tb, dep.step));
+                }
+            }
+        }
+    }
+}
+
+/** Lays the dependency pool out in instruction order, dropping the
+ *  ranges setDeps replaced, so one content has one layout. */
+void
+IrBuilder::packDeps()
+{
+    std::vector<IrDep> pool;
+    pool.reserve(deps_.size());
+    for (IrInstruction &instr : steps_) {
+        if (instr.depFirst < 0 || instr.depCount < 0 ||
+            instr.depFirst + instr.depCount > static_cast<int>(deps_.size()))
+            throw Error("MSCCL-IR: dependency range outside the pool");
+        int first = static_cast<int>(pool.size());
+        pool.insert(pool.end(), deps_.begin() + instr.depFirst,
+                    deps_.begin() + instr.depFirst + instr.depCount);
+        instr.depFirst = first;
+    }
+    deps_.swap(pool);
+}
+
+/** Sorts the distinct connections by (src, dst, channel) and points
+ *  every block at its own. */
+std::vector<IrConnection>
+IrBuilder::deriveConnections()
+{
+    auto less = [](const IrConnection &a, const IrConnection &b) {
+        return std::tie(a.src, a.dst, a.channel) <
+            std::tie(b.src, b.dst, b.channel);
+    };
+    std::vector<IrConnection> table;
+    for (const IrThreadBlock &tb : blocks_) {
+        if (tb.sendPeer >= 0)
+            table.push_back(IrConnection{ tb.rank, tb.sendPeer, tb.channel });
+        if (tb.recvPeer >= 0)
+            table.push_back(IrConnection{ tb.recvPeer, tb.rank, tb.channel });
+    }
+    std::sort(table.begin(), table.end(), less);
+    table.erase(std::unique(table.begin(), table.end()), table.end());
+    auto id_of = [&](int peer, const IrConnection &conn) {
+        return peer < 0 ? -1
+                        : static_cast<int>(std::lower_bound(table.begin(),
+                                                            table.end(), conn,
+                                                            less) -
+                                           table.begin());
+    };
+    for (IrThreadBlock &tb : blocks_) {
+        tb.sendConn = id_of(tb.sendPeer, { tb.rank, tb.sendPeer, tb.channel });
+        tb.recvConn = id_of(tb.recvPeer, { tb.recvPeer, tb.rank, tb.channel });
+    }
+    return table;
+}
+
+IrGpus
+IrBuilder::build(int num_ranks)
+{
+    packDeps();
+    check(num_ranks);
+    auto body = std::make_shared<IrGpus::Body>();
+    body->connections = deriveConnections();
+    body->gpus = std::move(gpus_);
+    body->blocks = std::move(blocks_);
+    body->steps = std::move(steps_);
+    body->deps = std::move(deps_);
+    *this = IrBuilder();
+    IrGpus out;
+    out.body_ = std::move(body);
+    return out;
 }
 
 int
 IrProgram::numChannels() const
 {
     int max_channel = -1;
-    for (const IrGpu &gpu : gpus) {
-        for (const IrThreadBlock &tb : gpu.threadBlocks)
-            max_channel = std::max(max_channel, tb.channel);
-    }
+    for (const IrThreadBlock &tb : gpus.blocks())
+        max_channel = std::max(max_channel, tb.channel);
     return max_channel + 1;
 }
 
@@ -192,37 +309,19 @@ IrProgram::maxThreadBlocks() const
 {
     int most = 0;
     for (const IrGpu &gpu : gpus)
-        most = std::max(most, static_cast<int>(gpu.threadBlocks.size()));
+        most = std::max(most, gpu.numBlocks);
     return most;
-}
-
-bool
-IrProgram::carriesReduction() const
-{
-    for (const IrGpu &gpu : gpus) {
-        for (const IrThreadBlock &tb : gpu.threadBlocks) {
-            for (const IrInstruction &instr : tb.steps) {
-                if (irOpReduces(instr.op))
-                    return true;
-            }
-        }
-    }
-    return false;
 }
 
 bool
 IrProgram::mutatesInput() const
 {
-    for (const IrGpu &gpu : gpus) {
-        for (const IrThreadBlock &tb : gpu.threadBlocks) {
-            for (const IrInstruction &instr : tb.steps) {
-                if (!irOpWritesDst(instr.op))
-                    continue;
-                if (instr.dstBuf == BufferKind::Input ||
-                    (inPlace && instr.dstBuf == BufferKind::Output)) {
-                    return true;
-                }
-            }
+    for (const IrInstruction &instr : gpus.steps()) {
+        if (!irOpWritesDst(instr.op))
+            continue;
+        if (instr.dstBuf == BufferKind::Input ||
+            (inPlace && instr.dstBuf == BufferKind::Output)) {
+            return true;
         }
     }
     return false;
@@ -231,51 +330,13 @@ IrProgram::mutatesInput() const
 int
 IrProgram::totalInstructions() const
 {
-    int total = 0;
-    for (const IrGpu &gpu : gpus) {
-        for (const IrThreadBlock &tb : gpu.threadBlocks)
-            total += static_cast<int>(tb.steps.size());
-    }
-    return total;
+    return static_cast<int>(gpus.steps().size());
 }
 
 namespace {
 
 std::string
-bufferAttr(BufferKind kind)
-{
-    return bufferKindName(kind);
-}
-
-BufferKind
-bufferFromAttr(const std::string &name)
-{
-    if (name == "i") return BufferKind::Input;
-    if (name == "o") return BufferKind::Output;
-    if (name == "s") return BufferKind::Scratch;
-    throw Error("MSCCL-IR: unknown buffer '" + name + "'");
-}
-
-Protocol
-protocolFromAttr(const std::string &name)
-{
-    if (std::optional<Protocol> proto = protocolFromName(name))
-        return *proto;
-    throw Error("MSCCL-IR: unknown protocol '" + name + "'");
-}
-
-ReduceOp
-reduceOpFromAttr(const std::string &name)
-{
-    if (name == "sum") return ReduceOp::Sum;
-    if (name == "prod") return ReduceOp::Prod;
-    if (name == "max") return ReduceOp::Max;
-    if (name == "min") return ReduceOp::Min;
-    throw Error("MSCCL-IR: unknown reduce op '" + name + "'");
-}
-
-std::string
-depsAttr(const std::vector<IrDep> &deps)
+depsAttr(std::span<const IrDep> deps)
 {
     std::string out;
     for (size_t i = 0; i < deps.size(); i++) {
@@ -293,12 +354,16 @@ depsFromAttr(const std::string &text)
     if (text.empty())
         return deps;
     for (const std::string &field : splitString(text, ',')) {
-        auto parts = splitString(field, ':');
-        if (parts.size() != 2)
-            throw Error("MSCCL-IR: malformed dependency '" + field + "'");
         IrDep dep;
-        dep.tb = std::stoi(parts[0]);
-        dep.step = std::stoi(parts[1]);
+        const char *end = field.data() + field.size();
+        auto [colon, tb_error] = std::from_chars(field.data(), end, dep.tb);
+        bool ok = tb_error == std::errc() && colon != end && *colon == ':';
+        if (ok) {
+            auto [last, error] = std::from_chars(colon + 1, end, dep.step);
+            ok = error == std::errc() && last == end;
+        }
+        if (!ok)
+            throw Error("MSCCL-IR: malformed dependency '" + field + "'");
         deps.push_back(dep);
     }
     return deps;
@@ -309,7 +374,15 @@ depsFromAttr(const std::string &text)
 std::string
 IrProgram::toXml() const
 {
-    XmlWriter writer;
+    std::ostringstream out;
+    toXml(out);
+    return std::move(out).str();
+}
+
+void
+IrProgram::toXml(std::ostream &out) const
+{
+    XmlWriter writer(out);
     writer.open("algo");
     writer.attr("name", name);
     writer.attr("coll", collective);
@@ -324,28 +397,29 @@ IrProgram::toXml() const
         writer.attr("i_chunks", gpu.inputChunks);
         writer.attr("o_chunks", gpu.outputChunks);
         writer.attr("s_chunks", gpu.scratchChunks);
-        for (const IrThreadBlock &tb : gpu.threadBlocks) {
+        for (const IrThreadBlock &tb : gpus.blocks(gpu)) {
             writer.open("tb");
             writer.attr("id", tb.id);
             writer.attr("send", tb.sendPeer);
             writer.attr("recv", tb.recvPeer);
             writer.attr("chan", tb.channel);
-            for (size_t s = 0; s < tb.steps.size(); s++) {
-                const IrInstruction &instr = tb.steps[s];
+            std::span<const IrInstruction> steps = gpus.steps(tb);
+            for (size_t s = 0; s < steps.size(); s++) {
+                const IrInstruction &instr = steps[s];
                 writer.open("step");
                 writer.attr("s", static_cast<int>(s));
                 writer.attr("type", irOpName(instr.op));
-                writer.attr("srcbuf", bufferAttr(instr.srcBuf));
+                writer.attr("srcbuf", bufferKindName(instr.srcBuf));
                 writer.attr("srcoff", instr.srcOff);
-                writer.attr("dstbuf", bufferAttr(instr.dstBuf));
+                writer.attr("dstbuf", bufferKindName(instr.dstBuf));
                 writer.attr("dstoff", instr.dstOff);
                 writer.attr("cnt", instr.count);
                 if (instr.splitCount > 1) {
                     writer.attr("spliti", instr.splitIdx);
                     writer.attr("splitn", instr.splitCount);
                 }
-                if (!instr.deps.empty())
-                    writer.attr("deps", depsAttr(instr.deps));
+                if (instr.depCount > 0)
+                    writer.attr("deps", depsAttr(gpus.deps(instr)));
                 writer.attr("hasdep", instr.hasDep ? 1 : 0);
                 writer.close();
             }
@@ -354,7 +428,7 @@ IrProgram::toXml() const
         writer.close();
     }
     writer.close();
-    return writer.str();
+    writer.finish();
 }
 
 IrProgram
@@ -369,50 +443,49 @@ IrProgram::fromXml(const std::string &xml)
     program.collective = root.attrOr("coll", "custom");
     program.numRanks = root.attrInt("nranks");
     program.inPlace = root.attrIntOr("inplace", 0) != 0;
-    program.protocol = protocolFromAttr(root.attrOr("proto", "Simple"));
-    program.reduceOp = reduceOpFromAttr(root.attrOr("redop", "sum"));
+    program.protocol = fromName<Protocol>(root.attrOr("proto", "Simple"), 4,
+                                          protocolName, "protocol");
+    program.reduceOp = fromName<ReduceOp>(root.attrOr("redop", "sum"), 4,
+                                          reduceOpName, "reduce op");
     program.outputScale = root.hasAttr("outputscale")
         ? root.attrDouble("outputscale") : 1.0;
-    std::vector<IrGpu> gpus;
-    gpus.reserve(root.children.size());
+    IrBuilder body;
     for (const XmlNode &gpu_node : root.children) {
         if (gpu_node.tag != "gpu")
             throw Error("MSCCL-IR: unexpected <" + gpu_node.tag + ">");
-        IrGpu gpu;
-        gpu.rank = gpu_node.attrInt("id");
-        gpu.inputChunks = gpu_node.attrInt("i_chunks");
-        gpu.outputChunks = gpu_node.attrInt("o_chunks");
-        gpu.scratchChunks = gpu_node.attrInt("s_chunks");
+        int rank = gpu_node.attrInt("id");
+        body.addGpu(rank, gpu_node.attrInt("i_chunks"),
+                    gpu_node.attrInt("o_chunks"),
+                    gpu_node.attrInt("s_chunks"));
         for (const XmlNode &tb_node : gpu_node.children) {
             if (tb_node.tag != "tb")
                 throw Error("MSCCL-IR: unexpected <" + tb_node.tag + ">");
-            IrThreadBlock tb;
-            tb.id = tb_node.attrInt("id");
-            tb.sendPeer = tb_node.attrInt("send");
-            tb.recvPeer = tb_node.attrInt("recv");
-            tb.channel = tb_node.attrInt("chan");
+            body.addThreadBlock(rank, tb_node.attrInt("id"),
+                                tb_node.attrInt("send"),
+                                tb_node.attrInt("recv"),
+                                tb_node.attrInt("chan"));
             for (const XmlNode &step_node : tb_node.children) {
                 if (step_node.tag != "step")
                     throw Error("MSCCL-IR: unexpected <" + step_node.tag +
                                 ">");
                 IrInstruction instr;
                 instr.op = irOpFromName(step_node.attr("type"));
-                instr.srcBuf = bufferFromAttr(step_node.attr("srcbuf"));
+                instr.srcBuf = fromName<BufferKind>(
+                    step_node.attr("srcbuf"), 3, bufferKindName, "buffer");
                 instr.srcOff = step_node.attrInt("srcoff");
-                instr.dstBuf = bufferFromAttr(step_node.attr("dstbuf"));
+                instr.dstBuf = fromName<BufferKind>(
+                    step_node.attr("dstbuf"), 3, bufferKindName, "buffer");
                 instr.dstOff = step_node.attrInt("dstoff");
                 instr.count = step_node.attrInt("cnt");
                 instr.splitIdx = step_node.attrIntOr("spliti", 0);
                 instr.splitCount = step_node.attrIntOr("splitn", 1);
-                instr.deps = depsFromAttr(step_node.attrOr("deps", ""));
                 instr.hasDep = step_node.attrIntOr("hasdep", 0) != 0;
-                tb.steps.push_back(std::move(instr));
+                body.addStep(instr,
+                             depsFromAttr(step_node.attrOr("deps", "")));
             }
-            gpu.threadBlocks.push_back(std::move(tb));
         }
-        gpus.push_back(std::move(gpu));
     }
-    program.gpus = IrGpus(std::move(gpus));
+    program.gpus = body.build(program.numRanks);
     return program;
 }
 
@@ -427,12 +500,14 @@ IrProgram::dump() const
         out += strprintf("  gpu %d (i=%d o=%d s=%d chunks)\n", gpu.rank,
                          gpu.inputChunks, gpu.outputChunks,
                          gpu.scratchChunks);
-        for (const IrThreadBlock &tb : gpu.threadBlocks) {
+        for (const IrThreadBlock &tb : gpus.blocks(gpu)) {
             out += strprintf("    tb %d send=%d recv=%d chan=%d\n", tb.id,
                              tb.sendPeer, tb.recvPeer, tb.channel);
-            for (size_t s = 0; s < tb.steps.size(); s++) {
-                out += strprintf("      %2zu: %s\n", s,
-                                 tb.steps[s].toString().c_str());
+            std::span<const IrInstruction> steps = gpus.steps(tb);
+            for (size_t s = 0; s < steps.size(); s++) {
+                out += strprintf(
+                    "      %2zu: %s\n", s,
+                    steps[s].toString(gpus.deps(steps[s])).c_str());
             }
         }
     }

@@ -1,6 +1,7 @@
 #include "ir/xml.h"
 
 #include <cctype>
+#include <ostream>
 
 #include "common/error.h"
 #include "common/strings.h"
@@ -337,9 +338,10 @@ xmlEscape(const std::string &text)
 void
 XmlWriter::open(const std::string &tag)
 {
-    finishOpenTag(false);
-    out_ += std::string(stack_.size() * 2, ' ');
-    out_ += "<" + tag;
+    finishOpenTag();
+    if (out_.size() >= kFlushBytes)
+        flush();
+    out_ += std::string(stack_.size() * 2, ' ') + "<" + tag;
     stack_.push_back(tag);
     openTagPending_ = true;
 }
@@ -375,22 +377,28 @@ XmlWriter::close()
         stack_.pop_back();
         return;
     }
-    std::string tag = stack_.back();
+    std::string tag = std::move(stack_.back());
     stack_.pop_back();
-    out_ += std::string(stack_.size() * 2, ' ');
-    out_ += "</" + tag + ">\n";
-}
-
-std::string
-XmlWriter::str() const
-{
-    if (!stack_.empty() || openTagPending_)
-        throw Error("xml: document has unclosed elements");
-    return out_;
+    out_ += std::string(stack_.size() * 2, ' ') + "</" + tag + ">\n";
 }
 
 void
-XmlWriter::finishOpenTag(bool)
+XmlWriter::finish()
+{
+    if (!stack_.empty() || openTagPending_)
+        throw Error("xml: document has unclosed elements");
+    flush();
+}
+
+void
+XmlWriter::flush()
+{
+    sink_.write(out_.data(), static_cast<std::streamsize>(out_.size()));
+    out_.clear();
+}
+
+void
+XmlWriter::finishOpenTag()
 {
     if (!openTagPending_)
         return;

@@ -9,6 +9,7 @@
 #ifndef MSCCLANG_IR_XML_H_
 #define MSCCLANG_IR_XML_H_
 
+#include <iosfwd>
 #include <memory>
 #include <string>
 #include <utility>
@@ -40,10 +41,15 @@ struct XmlNode
 /** Parses one document; @throws mscclang::Error on malformed input. */
 XmlNode parseXml(const std::string &text);
 
-/** Incremental writer producing indented output. */
+/**
+ * Incremental writer producing indented output, streamed into a sink
+ * a bounded buffer at a time; call finish() after the last close().
+ */
 class XmlWriter
 {
   public:
+    explicit XmlWriter(std::ostream &sink) : sink_(sink) {}
+
     /** Opens an element; attributes are added until the next child or
      *  close call. */
     void open(const std::string &tag);
@@ -52,12 +58,19 @@ class XmlWriter
     void attr(const std::string &name, double value);
     void close();
 
-    /** Final document text. All elements must be closed. */
-    std::string str() const;
+    /** Flushes the rest to the sink; the caller checks the sink's
+     *  state. @throws mscclang::Error if an element is still open. */
+    void finish();
 
   private:
-    void finishOpenTag(bool self_closing);
+    void finishOpenTag();
+    /** Hands the buffered text to the sink. */
+    void flush();
 
+    /** Buffered bytes that make open() flush. */
+    static constexpr std::size_t kFlushBytes = 1 << 16;
+
+    std::ostream &sink_;
     std::string out_;
     std::vector<std::string> stack_;
     bool openTagPending_ = false;

@@ -136,16 +136,11 @@ double LinkHealthMonitor::nextBackoffUs()
 
 std::vector<Link> programLinks(const IrProgram &ir)
 {
+    // The connection table is sorted by (src, dst, channel), so the
+    // links come out sorted; channels only repeat them.
     std::vector<Link> out;
-    for (const IrGpu &gpu : ir.gpus) {
-        for (const IrThreadBlock &tb : gpu.threadBlocks) {
-            if (tb.sendPeer >= 0)
-                out.push_back(Link{gpu.rank, tb.sendPeer});
-            if (tb.recvPeer >= 0)
-                out.push_back(Link{tb.recvPeer, gpu.rank});
-        }
-    }
-    std::sort(out.begin(), out.end());
+    for (const IrConnection &conn : ir.gpus.connections())
+        out.push_back(Link{conn.src, conn.dst});
     out.erase(std::unique(out.begin(), out.end()), out.end());
     return out;
 }

@@ -223,12 +223,10 @@ struct IrExecution::Impl
     DataStore *data;
     ProtocolParams proto;
 
+    /** Per thread block, by the body's flat block id. */
     std::vector<TbState> tbs;
-    /** flat tb id = tbBase[rank] + tb index */
-    std::vector<int> tbBase;
+    /** Per connection, by the body's connection id. */
     std::vector<ConnState> conns;
-    /** Destination rank per connection: the delivery rank. */
-    std::vector<Rank> connDst;
     std::vector<SendOp> sendPool;
     int freeSend = -1;
 
@@ -285,13 +283,10 @@ struct IrExecution::Impl
 
         int input_chunks = 1;
         int max_split = 1;
-        for (const IrGpu &gpu : ir.gpus) {
+        for (const IrGpu &gpu : ir.gpus)
             input_chunks = std::max(input_chunks, gpu.inputChunks);
-            for (const IrThreadBlock &tb : gpu.threadBlocks) {
-                for (const IrInstruction &instr : tb.steps)
-                    max_split = std::max(max_split, instr.splitCount);
-            }
-        }
+        for (const IrInstruction &instr : ir.gpus.steps())
+            max_split = std::max(max_split, instr.splitCount);
         chunkBytes =
             (options.bytesPerRank + input_chunks - 1) / input_chunks;
         // Pipeline depth (paper §6.2): a chunk larger than a FIFO
@@ -313,100 +308,68 @@ struct IrExecution::Impl
 
         // Count the send connections sharing each NIC: the
         // per-message proxy cost grows with queue-pair pressure.
+        std::span<const IrThreadBlock> blocks = ir.gpus.blocks();
         std::vector<int> nic_connections(topo.numResources(), 0);
-        for (const IrGpu &gpu : ir.gpus) {
-            for (const IrThreadBlock &tb : gpu.threadBlocks) {
-                if (tb.sendPeer < 0 ||
-                    !topo.connected(gpu.rank, tb.sendPeer)) {
-                    continue;
-                }
-                const Route &route = topo.route(gpu.rank, tb.sendPeer);
-                if (route.type == LinkType::InfiniBand &&
-                    !route.resources.empty()) {
-                    nic_connections[route.resources.front()]++;
-                }
+        for (const IrThreadBlock &tb : blocks) {
+            if (tb.sendPeer < 0 || !topo.connected(tb.rank, tb.sendPeer))
+                continue;
+            const Route &route = topo.route(tb.rank, tb.sendPeer);
+            if (route.type == LinkType::InfiniBand &&
+                !route.resources.empty()) {
+                nic_connections[route.resources.front()]++;
             }
         }
 
-        tbBase.resize(ir.numRanks + 1, 0);
-        for (const IrGpu &gpu : ir.gpus) {
-            tbBase[gpu.rank + 1] =
-                static_cast<int>(gpu.threadBlocks.size());
-        }
-        for (int r = 0; r < ir.numRanks; r++)
-            tbBase[r + 1] += tbBase[r];
-        tbs.resize(tbBase[ir.numRanks]);
+        // The dense execution plan: the body's flat block and
+        // connection ids, plus flattened send-path constants per
+        // thread block.
+        tbs.resize(blocks.size());
         semWaiters.resize(tbs.size());
-
-        // Resolve the dense execution plan: connection indices and
-        // flattened send-path constants per thread block.
-        int num_channels = std::max(ir.numChannels(), 1);
-        std::vector<int> conn_index(
-            static_cast<size_t>(ir.numRanks) * ir.numRanks *
-                num_channels,
-            -1);
-        auto conn_of = [&](Rank src, Rank dst, int channel) {
-            size_t key =
-                (static_cast<size_t>(src) * ir.numRanks + dst) *
-                    num_channels +
-                channel;
-            if (conn_index[key] < 0) {
-                conn_index[key] = static_cast<int>(conns.size());
-                ConnState conn;
-                conn.ring.resize(std::max(proto.slots, 1));
-                conns.push_back(std::move(conn));
-                connDst.push_back(dst);
-            }
-            return conn_index[key];
-        };
+        conns.resize(ir.gpus.connections().size());
+        for (ConnState &conn : conns)
+            conn.ring.resize(std::max(proto.slots, 1));
         const MachineParams &params = topo.params();
-        for (const IrGpu &gpu : ir.gpus) {
-            for (const IrThreadBlock &tb : gpu.threadBlocks) {
-                int flat = tbBase[gpu.rank] + tb.id;
-                TbState &state = tbs[flat];
-                state.tb = &tb;
-                state.rank = gpu.rank;
-                state.flatId = flat;
-                state.numSteps = static_cast<int>(tb.steps.size());
-                if (tb.recvPeer >= 0) {
-                    state.recvConn =
-                        conn_of(tb.recvPeer, gpu.rank, tb.channel);
+        for (size_t flat = 0; flat < blocks.size(); flat++) {
+            const IrThreadBlock &tb = blocks[flat];
+            TbState &state = tbs[flat];
+            state.tb = &tb;
+            state.rank = tb.rank;
+            state.flatId = static_cast<int>(flat);
+            state.numSteps = tb.numSteps;
+            state.recvConn = tb.recvConn;
+            state.sendConn = tb.sendConn;
+            if (tb.sendPeer < 0)
+                continue;
+            if (!topo.connected(tb.rank, tb.sendPeer))
+                continue; // route() throws at first send
+            state.sendRouted = true;
+            const Route &route = topo.route(tb.rank, tb.sendPeer);
+            state.sendResources = &route.resources;
+            double scale = params.protocolAlphaScale;
+            state.sendAlpha0Ns = usToNs(
+                route.extraLatencyUs +
+                scale * protocolAlphaUs(proto, route.type));
+            state.sendAlphaNNs = usToNs(
+                route.extraLatencyUs +
+                scale * proto.perSlotOverheadUs);
+            if (route.type == LinkType::InfiniBand) {
+                state.sendCapGBps = params.ibNicBwGBps;
+                // Per-message NIC occupancy: a message ties up
+                // the NIC pipeline independent of its size, and
+                // the cost grows with the number of connections
+                // contending for the NIC's queue pairs
+                // (1 GB/s == 1 byte/ns == 1000 bytes/us).
+                int nic_conns = 1;
+                if (!route.resources.empty()) {
+                    nic_conns = std::max(
+                        1, nic_connections[route.resources.front()]);
                 }
-                if (tb.sendPeer < 0)
-                    continue;
-                state.sendConn =
-                    conn_of(gpu.rank, tb.sendPeer, tb.channel);
-                if (!topo.connected(gpu.rank, tb.sendPeer))
-                    continue; // route() throws at first send
-                state.sendRouted = true;
-                const Route &route = topo.route(gpu.rank, tb.sendPeer);
-                state.sendResources = &route.resources;
-                double scale = params.protocolAlphaScale;
-                state.sendAlpha0Ns = usToNs(
-                    route.extraLatencyUs +
-                    scale * protocolAlphaUs(proto, route.type));
-                state.sendAlphaNNs = usToNs(
-                    route.extraLatencyUs +
-                    scale * proto.perSlotOverheadUs);
-                if (route.type == LinkType::InfiniBand) {
-                    state.sendCapGBps = params.ibNicBwGBps;
-                    // Per-message NIC occupancy: a message ties up
-                    // the NIC pipeline independent of its size, and
-                    // the cost grows with the number of connections
-                    // contending for the NIC's queue pairs
-                    // (1 GB/s == 1 byte/ns == 1000 bytes/us).
-                    int nic_conns = 1;
-                    if (!route.resources.empty()) {
-                        nic_conns = std::max(
-                            1, nic_connections[route.resources.front()]);
-                    }
-                    double per_message = params.ibPerMessageUs +
-                        params.ibQpPenaltyUs * (nic_conns - 1);
-                    state.sendPerMessageWireBytes =
-                        per_message * params.ibNicBwGBps * 1000.0;
-                } else {
-                    state.sendCapGBps = params.tbNvlinkBwGBps;
-                }
+                double per_message = params.ibPerMessageUs +
+                    params.ibQpPenaltyUs * (nic_conns - 1);
+                state.sendPerMessageWireBytes =
+                    per_message * params.ibNicBwGBps * 1000.0;
+            } else {
+                state.sendCapGBps = params.tbNvlinkBwGBps;
             }
         }
 
@@ -416,7 +379,14 @@ struct IrExecution::Impl
     int
     flatOf(Rank rank, int tb_id) const
     {
-        return tbBase[rank] + tb_id;
+        return ir.gpus[rank].firstBlock + tb_id;
+    }
+
+    /** The instruction @p tb is at. */
+    const IrInstruction &
+    instrOf(const TbState &tb) const
+    {
+        return ir.gpus.steps()[tb.tb->firstStep + tb.step];
     }
 
     // ------------------------------------------------------------------
@@ -617,41 +587,26 @@ struct IrExecution::Impl
     }
 
     /**
-     * Per-chunk byte range of (instance, tile), within a chunk. The
-     * instance owns [i/n, (i+1)/n) of the chunk; the pipeline loop
-     * then walks that range in numTiles sub-ranges.
+     * The range of (instance, tile) within a chunk of @p chunk units
+     * (bytes, or elements in data mode). The instance owns
+     * [i/n, (i+1)/n) of the chunk; the pipeline loop then walks that
+     * range in numTiles sub-ranges.
      */
     std::pair<std::uint64_t, std::uint64_t>
-    tileRangeBytes(const IrInstruction &instr, int tile) const
+    tileRange(std::uint64_t chunk, const IrInstruction &instr,
+              int tile) const
     {
-        std::uint64_t ilo =
-            chunkBytes * instr.splitIdx / instr.splitCount;
-        std::uint64_t ihi =
-            chunkBytes * (instr.splitIdx + 1) / instr.splitCount;
+        std::uint64_t ilo = chunk * instr.splitIdx / instr.splitCount;
+        std::uint64_t ihi = chunk * (instr.splitIdx + 1) / instr.splitCount;
         std::uint64_t span = ihi - ilo;
-        std::uint64_t lo = ilo + span * tile / numTiles;
-        std::uint64_t hi = ilo + span * (tile + 1) / numTiles;
-        return { lo, hi };
-    }
-
-    /** Element range analogue for data mode. */
-    std::pair<std::uint64_t, std::uint64_t>
-    tileRangeElems(const IrInstruction &instr, int tile) const
-    {
-        std::uint64_t ilo =
-            chunkElems * instr.splitIdx / instr.splitCount;
-        std::uint64_t ihi =
-            chunkElems * (instr.splitIdx + 1) / instr.splitCount;
-        std::uint64_t span = ihi - ilo;
-        std::uint64_t lo = ilo + span * tile / numTiles;
-        std::uint64_t hi = ilo + span * (tile + 1) / numTiles;
-        return { lo, hi };
+        return { ilo + span * tile / numTiles,
+                 ilo + span * (tile + 1) / numTiles };
     }
 
     std::uint64_t
     payloadBytes(const IrInstruction &instr, int tile) const
     {
-        auto [lo, hi] = tileRangeBytes(instr, tile);
+        auto [lo, hi] = tileRange(chunkBytes, instr, tile);
         return (hi - lo) * static_cast<std::uint64_t>(instr.count);
     }
 
@@ -668,7 +623,7 @@ struct IrExecution::Impl
     readSpan(Rank rank, BufferKind buf, int off,
              const IrInstruction &instr, int tile)
     {
-        auto [lo, hi] = tileRangeElems(instr, tile);
+        auto [lo, hi] = tileRange(chunkElems, instr, tile);
         std::vector<float> out;
         out.reserve((hi - lo) * instr.count);
         std::vector<float> &storage = bufferOf(rank, buf);
@@ -690,7 +645,7 @@ struct IrExecution::Impl
               const IrInstruction &instr, int tile,
               const std::vector<float> &values)
     {
-        auto [lo, hi] = tileRangeElems(instr, tile);
+        auto [lo, hi] = tileRange(chunkElems, instr, tile);
         std::uint64_t per_chunk = hi - lo;
         if (values.size() != per_chunk * instr.count)
             throw RuntimeError("interpreter: message size mismatch");
@@ -823,14 +778,14 @@ struct IrExecution::Impl
         for (const TbState &tb : tbs) {
             if (tb.finished || tb.numSteps == 0)
                 continue;
-            const IrInstruction &instr = tb.tb->steps[tb.step];
+            const IrInstruction &instr = instrOf(tb);
             if (tb.busy) {
-                if (irOpSends(instr.op) && tb.tb->sendPeer >= 0)
+                if (irOpSends(instr.op))
                     links.push_back(Link{ tb.rank, tb.tb->sendPeer });
-            } else if (irOpReceives(instr.op) && tb.recvConn >= 0 &&
+            } else if (irOpReceives(instr.op) &&
                        conns[tb.recvConn].count == 0) {
                 links.push_back(Link{ tb.tb->recvPeer, tb.rank });
-            } else if (irOpSends(instr.op) && tb.sendConn >= 0 &&
+            } else if (irOpSends(instr.op) &&
                        conns[tb.sendConn].occupied >= proto.slots) {
                 links.push_back(Link{ tb.rank, tb.tb->sendPeer });
             }
@@ -849,10 +804,10 @@ struct IrExecution::Impl
         for (const TbState &tb : tbs) {
             if (tb.finished || tb.numSteps == 0)
                 continue;
-            const IrInstruction &instr = tb.tb->steps[tb.step];
+            const IrInstruction &instr = instrOf(tb);
             std::string reason;
             if (tb.busy) {
-                if (irOpSends(instr.op) && tb.tb->sendPeer >= 0) {
+                if (irOpSends(instr.op)) {
                     reason = strprintf(
                         "send to rank %d ch %d to drain (in flight, "
                         "occupied=%d)", tb.tb->sendPeer,
@@ -860,12 +815,12 @@ struct IrExecution::Impl
                 } else {
                     reason = "local work to complete (in flight)";
                 }
-            } else if (irOpReceives(instr.op) && tb.recvConn >= 0 &&
+            } else if (irOpReceives(instr.op) &&
                        conns[tb.recvConn].count == 0) {
                 reason = strprintf(
                     "data from rank %d ch %d (inbox empty)",
                     tb.tb->recvPeer, tb.tb->channel);
-            } else if (irOpSends(instr.op) && tb.sendConn >= 0 &&
+            } else if (irOpSends(instr.op) &&
                        conns[tb.sendConn].occupied >= proto.slots) {
                 reason = strprintf(
                     "FIFO slot to rank %d ch %d (occupied=%d)",
@@ -873,7 +828,7 @@ struct IrExecution::Impl
                     conns[tb.sendConn].occupied);
             } else {
                 reason = "dependency";
-                for (const IrDep &dep : instr.deps) {
+                for (const IrDep &dep : ir.gpus.deps(instr)) {
                     int dep_flat = flatOf(tb.rank, dep.tb);
                     long needed = static_cast<long>(tb.tile) *
                         static_cast<long>(tbs[dep_flat].numSteps) +
@@ -887,8 +842,9 @@ struct IrExecution::Impl
                     }
                 }
             }
-            report += formatBlockedThreadBlock(tb.rank, tb.tb->id,
-                                               tb.step, instr, reason);
+            report += formatBlockedThreadBlock(
+                tb.rank, tb.tb->id, tb.step,
+                instr.toString(ir.gpus.deps(instr)), reason);
         }
         return report;
     }
@@ -995,10 +951,10 @@ struct IrExecution::Impl
 
             return;
         }
-        const IrInstruction &instr = tb.tb->steps[tb.step];
+        const IrInstruction &instr = instrOf(tb);
 
         // Cross thread block dependencies (same rank).
-        for (const IrDep &dep : instr.deps) {
+        for (const IrDep &dep : ir.gpus.deps(instr)) {
             int dep_flat = flatOf(tb.rank, dep.tb);
             long needed = static_cast<long>(tb.tile) *
                 static_cast<long>(tbs[dep_flat].numSteps) +
@@ -1022,8 +978,6 @@ struct IrExecution::Impl
         bool sends = irOpSends(instr.op) && payload > 0;
 
         if (receives) {
-            if (tb.recvConn < 0)
-                return; // no peer: wedges, as diagnosed by runIr
             ConnState &in = conns[tb.recvConn];
             if (in.count == 0) {
                 in.waitingReceiver = flat;
@@ -1152,7 +1106,8 @@ struct IrExecution::Impl
         const SendOp &op = sendPool[idx];
         TimeNs now = events.now();
         stage(now, tbs[op.flat].rank, kActComplete, op.flat, op.receives);
-        stage(now + op.alphaNs, connDst[op.conn], kActDeliver, idx);
+        stage(now + op.alphaNs, ir.gpus.connections()[op.conn].dst,
+              kActDeliver, idx);
         syncDue();
     }
 
@@ -1178,7 +1133,7 @@ struct IrExecution::Impl
             // independent of the append order.
             trace.push_back(TraceEvent{
                 tb.rank, tb.tb->id, tb.tile, tb.step,
-                tb.tb->steps[tb.step].op, tb.busyStartNs,
+                instrOf(tb).op, tb.busyStartNs,
                 events.now() });
         }
         if (debugLog) {
@@ -1186,7 +1141,7 @@ struct IrExecution::Impl
                 "t=%8.2fus rank %d tb %d tile %d step %d done: %s",
                 static_cast<double>(events.now()) / 1000.0, tb.rank,
                 tb.tb->id, tb.tile, tb.step,
-                tb.tb->steps[tb.step].toString().c_str()));
+                instrOf(tb).toString(ir.gpus.deps(instrOf(tb))).c_str()));
         }
         if (received) {
             // Consuming the message frees the sender's FIFO slot —

@@ -557,6 +557,22 @@ statsJson(const SloStats &stats, const char *indent)
         stats.rollbacks, stats.backoffUs, stats.faultsSeen);
 }
 
+/**
+ * One CSV field as RFC 4180 writes it: quoted, with inner quotes
+ * doubled, when it holds a comma, a quote or a line break; as is
+ * otherwise.
+ */
+std::string
+csvField(const std::string &text)
+{
+    if (text.find_first_of(",\"\r\n") == std::string::npos)
+        return text;
+    std::string out = "\"";
+    for (char c : text)
+        out += c == '"' ? std::string("\"\"") : std::string(1, c);
+    return out + "\"";
+}
+
 std::string
 statsCsv(const std::string &workload, bool healing,
          const SloStats &stats)
@@ -564,7 +580,8 @@ statsCsv(const std::string &workload, bool healing,
     return strprintf(
         "%s,%s,%s,%d,%d,%d,%.3f,%.3f,%.3f,%.3f,%.4f,%.3f,%d,%d,%d,%d,"
         "%d,%.3f,%d\n",
-        workload.c_str(), stats.name.c_str(), healing ? "on" : "off",
+        csvField(workload).c_str(), csvField(stats.name).c_str(),
+        healing ? "on" : "off",
         stats.ops, stats.completed, stats.failed, stats.p50Us,
         stats.p99Us, stats.p999Us, stats.meanUs, stats.availability,
         stats.goodputGBps, stats.retries, stats.backoffs,

@@ -49,12 +49,13 @@ buildGraph(const IrProgram &ir)
 {
     Graph g;
     for (const IrGpu &gpu : ir.gpus) {
-        for (const IrThreadBlock &tb : gpu.threadBlocks) {
-            for (size_t s = 0; s < tb.steps.size(); s++) {
+        for (const IrThreadBlock &tb : ir.gpus.blocks(gpu)) {
+            std::span<const IrInstruction> steps = ir.gpus.steps(tb);
+            for (size_t s = 0; s < steps.size(); s++) {
                 int step = static_cast<int>(s);
                 g.index[{ gpu.rank, tb.id, step }] = g.n();
                 g.nodes.push_back(
-                    Node{ gpu.rank, tb.id, step, &tb.steps[s], &tb });
+                    Node{ gpu.rank, tb.id, step, &steps[s], &tb });
             }
         }
     }
@@ -66,7 +67,7 @@ buildGraph(const IrProgram &ir)
             g.succ[i].push_back(next);
     }
     for (int i = 0; i < g.n(); i++) {
-        for (const IrDep &dep : g.nodes[i].instr->deps) {
+        for (const IrDep &dep : ir.gpus.deps(*g.nodes[i].instr)) {
             int from = g.find(g.nodes[i].rank, dep.tb, dep.step);
             if (from < 0)
                 throw VerificationError(

@@ -52,7 +52,7 @@ TEST(Baselines, NcclRingUsesAllNicsAcrossNodes)
     // rings all G NICs carry traffic.
     std::set<int> boundary_senders;
     for (const IrGpu &gpu : ir.gpus) {
-        for (const IrThreadBlock &tb : gpu.threadBlocks) {
+        for (const IrThreadBlock &tb : ir.gpus.blocks(gpu)) {
             if (tb.sendPeer >= 0 &&
                 topo.nodeOf(tb.sendPeer) != topo.nodeOf(gpu.rank)) {
                 boundary_senders.insert(topo.localOf(gpu.rank));

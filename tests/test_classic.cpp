@@ -136,12 +136,12 @@ TEST(Classic, HierarchicalAllGatherAggregatesInterNode)
     Topology topo = makeGeneric(2, 4);
     bool found_aggregated = false;
     for (const IrGpu &gpu : out.ir.gpus) {
-        for (const IrThreadBlock &tb : gpu.threadBlocks) {
+        for (const IrThreadBlock &tb : out.ir.gpus.blocks(gpu)) {
             if (tb.sendPeer < 0 ||
                 topo.nodeOf(tb.sendPeer) == topo.nodeOf(gpu.rank)) {
                 continue;
             }
-            for (const IrInstruction &instr : tb.steps) {
+            for (const IrInstruction &instr : out.ir.gpus.steps(tb)) {
                 if (irOpSends(instr.op)) {
                     EXPECT_EQ(instr.count, 4);
                     found_aggregated = true;

@@ -547,7 +547,11 @@ struct GoldenProgram
 {
     const char *name;
     std::uint64_t xmlHash;
-    std::function<std::string()> compileXml;
+    /** Hash of dump(), measured at the tree-shaped IR body. */
+    std::uint64_t dumpHash;
+    std::function<IrProgram()> compile;
+
+    std::string compileXml() const { return compile().toXml(); }
 };
 
 std::vector<GoldenProgram>
@@ -562,64 +566,67 @@ goldenPrograms()
     ll.protocol = Protocol::LL;
     ll.instances = 2;
     AlgoConfig plain;
-    auto xml = [](const Program &p, const CompileOptions &copts = {}) {
-        return compileProgram(p, copts).ir.toXml();
+    auto ir = [](const Program &p, const CompileOptions &copts = {}) {
+        return compileProgram(p, copts).ir;
     };
     return {
-        { "ring_allreduce_8x2_i2", 0x75cca9cb1c069012ull,
-          [=] { return xml(*makeRingAllReduce(8, 2, i2)); } },
+        { "ring_allreduce_8x2_i2", 0x75cca9cb1c069012ull, 0x8baf049219f49380ull,
+          [=] { return ir(*makeRingAllReduce(8, 2, i2)); } },
         { "ring_allreduce_16x4_i4_ll128", 0x38abad495ed5569aull,
-          [=] { return xml(*makeRingAllReduce(16, 4, i4)); } },
+          0x994174bc93473a40ull,
+          [=] { return ir(*makeRingAllReduce(16, 4, i4)); } },
         { "ring_allreduce_oop_8x2", 0x1f2f8a7279bbe52cull,
-          [=] { return xml(*makeRingAllReduceOutOfPlace(8, 2, i2)); } },
-        { "allpairs_8_ll", 0x8f00059d8a9ebce5ull,
-          [=] { return xml(*makeAllPairsAllReduce(8, ll)); } },
-        { "hierarchical_2x4_i2", 0xf050070cec36d9b9ull,
+          0xf0543bf3ade2c3bcull,
+          [=] { return ir(*makeRingAllReduceOutOfPlace(8, 2, i2)); } },
+        { "allpairs_8_ll", 0x8f00059d8a9ebce5ull, 0xcd608ece8128fc0dull,
+          [=] { return ir(*makeAllPairsAllReduce(8, ll)); } },
+        { "hierarchical_2x4_i2", 0xf050070cec36d9b9ull, 0x8529d9b15ca0bc3bull,
           [=] {
-              return xml(*makeHierarchicalAllReduce(2, 4, 2, plain));
+              return ir(*makeHierarchicalAllReduce(2, 4, 2, plain));
           } },
         // Multi-node scaling goldens: the hierarchical factory at
         // 16/64/256 ranks (8-GPU nodes) plus an explicit hierarchy
         // split, pinning the generalized group loops to the exact IR
         // the whole-node implementation emitted.
-        { "hierarchical_2x8", 0xb575bde688fd43aaull,
+        { "hierarchical_2x8", 0xb575bde688fd43aaull, 0x8c8aa4f524436ba6ull,
           [=] {
-              return xml(*makeHierarchicalAllReduce(2, 8, 1, plain));
+              return ir(*makeHierarchicalAllReduce(2, 8, 1, plain));
           } },
-        { "hierarchical_8x8", 0x4f3d555957bfb307ull,
+        { "hierarchical_8x8", 0x4f3d555957bfb307ull, 0x054b467d1b47d833ull,
           [=] {
-              return xml(*makeHierarchicalAllReduce(8, 8, 1, plain));
+              return ir(*makeHierarchicalAllReduce(8, 8, 1, plain));
           } },
-        { "hierarchical_32x8", 0x39147a7e3b401852ull,
+        { "hierarchical_32x8", 0x39147a7e3b401852ull, 0x9168903ad25dab20ull,
           [=] {
-              return xml(*makeHierarchicalAllReduce(32, 8, 1, plain));
+              return ir(*makeHierarchicalAllReduce(32, 8, 1, plain));
           } },
-        { "hierarchical_2x4_h2", 0x7d3a2ab38d94a56cull,
+        { "hierarchical_2x4_h2", 0x7d3a2ab38d94a56cull, 0xd8687d2327b557eaull,
           [=] {
               AlgoConfig split;
               split.hierSplit = 2;
-              return xml(*makeHierarchicalAllReduce(2, 4, 2, split));
+              return ir(*makeHierarchicalAllReduce(2, 4, 2, split));
           } },
-        { "twostep_alltoall_2x4", 0x45fd89fa179dffa7ull,
-          [=] { return xml(*makeTwoStepAllToAll(2, 4, plain)); } },
-        { "naive_alltoall_8", 0xf3352f705b2aeb2eull,
-          [=] { return xml(*makeNaiveAllToAll(8, plain)); } },
-        { "alltonext_2x4", 0xc05b83444d2becf6ull,
-          [=] { return xml(*makeAllToNext(2, 4, plain)); } },
-        { "naive_alltonext_2x4", 0x705dbf06d0bb286aull,
-          [=] { return xml(*makeNaiveAllToNext(2, 4, plain)); } },
-        { "ring_allgather_8x2_i2", 0xa2b4b8c1d774e602ull,
-          [=] { return xml(*makeRingAllGather(8, 2, i2)); } },
-        { "dbt_allreduce_16_ll", 0x2ad83adb6e380f8full,
-          [=] { return xml(*makeDoubleBinaryTreeAllReduce(16, ll)); } },
-        { "rabenseifner_8", 0xffa1b3a08739c09eull,
-          [=] { return xml(*makeRabenseifnerAllReduce(8, plain)); } },
+        { "twostep_alltoall_2x4", 0x45fd89fa179dffa7ull, 0x1a410e13dffc8217ull,
+          [=] { return ir(*makeTwoStepAllToAll(2, 4, plain)); } },
+        { "naive_alltoall_8", 0xf3352f705b2aeb2eull, 0xb26a2442c2b92d66ull,
+          [=] { return ir(*makeNaiveAllToAll(8, plain)); } },
+        { "alltonext_2x4", 0xc05b83444d2becf6ull, 0xb2f8e41fe7745689ull,
+          [=] { return ir(*makeAllToNext(2, 4, plain)); } },
+        { "naive_alltonext_2x4", 0x705dbf06d0bb286aull, 0xdbd01917af77fe70ull,
+          [=] { return ir(*makeNaiveAllToNext(2, 4, plain)); } },
+        { "ring_allgather_8x2_i2", 0xa2b4b8c1d774e602ull, 0x93e4227f202849e1ull,
+          [=] { return ir(*makeRingAllGather(8, 2, i2)); } },
+        { "dbt_allreduce_16_ll", 0x2ad83adb6e380f8full, 0x3d2a35b3c8e6e709ull,
+          [=] { return ir(*makeDoubleBinaryTreeAllReduce(16, ll)); } },
+        { "rabenseifner_8", 0xffa1b3a08739c09eull, 0xcda52086edf45b48ull,
+          [=] { return ir(*makeRabenseifnerAllReduce(8, plain)); } },
         { "sccl122_allgather_dgx1", 0x3515935a2aea16adull,
+          0xe734ca4c84a8b94cull,
           [=] {
               Topology dgx1 = makeDgx1();
               CompileOptions copts;
               copts.topology = &dgx1;
-              return xml(*makeSccl122AllGather(dgx1, plain), copts);
+              return ir(*makeSccl122AllGather(dgx1, plain), copts);
           } },
     };
 }
@@ -629,6 +636,16 @@ TEST(Determinism, CompiledIrMatchesGoldenHashes)
     for (const GoldenProgram &gold : goldenPrograms()) {
         SCOPED_TRACE(gold.name);
         EXPECT_EQ(fnv1a(gold.compileXml()), gold.xmlHash);
+    }
+}
+
+// The --dump text of the same programs, pinned the same way: a change
+// to the IR body's layout must leave the human-readable form as is.
+TEST(Determinism, CompiledDumpsMatchGoldenHashes)
+{
+    for (const GoldenProgram &gold : goldenPrograms()) {
+        SCOPED_TRACE(gold.name);
+        EXPECT_EQ(fnv1a(gold.compile().dump()), gold.dumpHash);
     }
 }
 
@@ -710,25 +727,21 @@ TEST(Determinism, ConcurrentCompilesYieldIdenticalIr)
 IrProgram
 racyWriteWriteIr()
 {
-    IrProgram ir;
-    ir.numRanks = 1;
-    std::vector<IrGpu> &gpus = ir.gpus.edit();
-    gpus.resize(1);
-    gpus[0].rank = 0;
-    gpus[0].inputChunks = 2;
-    gpus[0].outputChunks = 1;
+    IrBuilder body;
+    body.addGpu(0, 2, 1, 0);
     for (int t = 0; t < 2; t++) {
-        IrThreadBlock tb;
-        tb.id = t;
         IrInstruction copy;
         copy.op = IrOp::Copy;
         copy.srcBuf = BufferKind::Input;
         copy.srcOff = t;
         copy.dstBuf = BufferKind::Output;
         copy.dstOff = 0;
-        tb.steps.push_back(copy);
-        gpus[0].threadBlocks.push_back(tb);
+        body.addThreadBlock(0, t);
+        body.addStep(copy);
     }
+    IrProgram ir;
+    ir.numRanks = 1;
+    ir.gpus = body.build(1);
     return ir;
 }
 
@@ -736,30 +749,23 @@ racyWriteWriteIr()
 IrProgram
 racyReadWriteIr()
 {
-    IrProgram ir;
-    ir.numRanks = 1;
-    std::vector<IrGpu> &gpus = ir.gpus.edit();
-    gpus.resize(1);
-    gpus[0].rank = 0;
-    gpus[0].inputChunks = 1;
-    gpus[0].outputChunks = 1;
-    gpus[0].scratchChunks = 1;
-    IrThreadBlock tb0;
-    tb0.id = 0;
+    IrBuilder body;
+    body.addGpu(0, 1, 1, 1);
     IrInstruction w;
     w.op = IrOp::Copy;
     w.srcBuf = BufferKind::Input;
     w.dstBuf = BufferKind::Scratch;
-    tb0.steps.push_back(w);
-    gpus[0].threadBlocks.push_back(tb0);
-    IrThreadBlock tb1;
-    tb1.id = 1;
+    body.addThreadBlock(0, 0);
+    body.addStep(w);
     IrInstruction r;
     r.op = IrOp::Copy;
     r.srcBuf = BufferKind::Scratch;
     r.dstBuf = BufferKind::Output;
-    tb1.steps.push_back(r);
-    gpus[0].threadBlocks.push_back(tb1);
+    body.addThreadBlock(0, 1);
+    body.addStep(r);
+    IrProgram ir;
+    ir.numRanks = 1;
+    ir.gpus = body.build(1);
     return ir;
 }
 

@@ -119,14 +119,12 @@ TEST(Interpreter, MessageAndWireStatsPopulated)
 TEST(Interpreter, EmptyProgramFinishesAtLaunch)
 {
     Topology topo = makeGeneric(1, 2);
+    IrBuilder body;
+    for (int r = 0; r < 2; r++)
+        body.addGpu(r, 1, 1, 0);
     IrProgram ir;
     ir.numRanks = 2;
-    std::vector<IrGpu> &gpus = ir.gpus.edit();
-    gpus.resize(2);
-    gpus[0].rank = 0;
-    gpus[1].rank = 1;
-    gpus[0].inputChunks = gpus[1].inputChunks = 1;
-    gpus[0].outputChunks = gpus[1].outputChunks = 1;
+    ir.gpus = body.build(2);
     ExecOptions options;
     ExecStats stats = runIr(topo, ir, options);
     EXPECT_EQ(stats.messages, 0u);
@@ -137,23 +135,17 @@ TEST(Interpreter, RuntimeDetectsWedgedIr)
     // A receive with no matching send anywhere: the event queue
     // drains without completing and the runtime reports the wedge.
     Topology topo = makeGeneric(1, 2);
-    IrProgram ir;
-    ir.numRanks = 2;
-    std::vector<IrGpu> &gpus = ir.gpus.edit();
-    gpus.resize(2);
-    for (int r = 0; r < 2; r++) {
-        gpus[r].rank = r;
-        gpus[r].inputChunks = 1;
-        gpus[r].outputChunks = 1;
-    }
-    IrThreadBlock tb;
-    tb.id = 0;
-    tb.recvPeer = 1;
+    IrBuilder body;
+    for (int r = 0; r < 2; r++)
+        body.addGpu(r, 1, 1, 0);
     IrInstruction recv;
     recv.op = IrOp::Recv;
     recv.dstBuf = BufferKind::Output;
-    tb.steps.push_back(recv);
-    gpus[0].threadBlocks.push_back(tb);
+    body.addThreadBlock(0, 0, -1, /*recv_peer=*/1);
+    body.addStep(recv);
+    IrProgram ir;
+    ir.numRanks = 2;
+    ir.gpus = body.build(2);
     ExecOptions options;
     EXPECT_THROW(runIr(topo, ir, options), RuntimeError);
 }

@@ -207,7 +207,7 @@ TEST(PlanCache, HitSharesTheCachedBody)
 TEST(PlanCache, EditingAHitLeavesTheCachedPlanUnchanged)
 {
     // The race and verifier tests seed bugs by editing compiled IR;
-    // through gpus.edit() that must never reach the cached plan.
+    // an edit builds a new body and must never reach the cached plan.
     PlanCache cache(8);
     AlgoConfig i2;
     i2.instances = 2;
@@ -217,12 +217,10 @@ TEST(PlanCache, EditingAHitLeavesTheCachedPlanUnchanged)
     const void *cached = first.ir.gpus.bodyId();
 
     Compiled mutated = cache.compile(*make());
-    for (IrGpu &gpu : mutated.ir.gpus.edit()) {
-        for (IrThreadBlock &tb : gpu.threadBlocks) {
-            for (IrInstruction &instr : tb.steps)
-                instr.deps.clear();
-        }
-    }
+    IrBuilder stripped(mutated.ir.gpus);
+    for (int i = 0; i < stripped.numSteps(); i++)
+        stripped.setDeps(i, {});
+    mutated.ir.gpus = stripped.build(mutated.ir.numRanks);
     EXPECT_NE(mutated.ir.gpus.bodyId(), cached);
     EXPECT_NE(mutated.ir.toXml(), xml);
 
@@ -473,6 +471,33 @@ TEST(PlanCache, CorruptDiskEntryFallsBackToFreshCompile)
     EXPECT_EQ(cache.diskHits(), 0u);
     EXPECT_EQ(got.ir.toXml(), cold);
     // The corrupt entry was overwritten with a valid plan.
+    EXPECT_EQ(slurp(dir.planFile(key)), cold);
+}
+
+TEST(PlanCache, MalformedDiskEntryFallsBackToFreshCompile)
+{
+    // Well-formed XML of the right shape whose structure IrBuilder
+    // rejects (a sparse thread-block id) is never indexed: the cache
+    // compiles afresh and overwrites it.
+    SpillDir dir;
+    AlgoConfig plain;
+    auto make = [&] { return makeNaiveAllToAll(4, plain); };
+    CompileOptions copts;
+    std::uint64_t key = planCacheKey(*make(), copts);
+    std::string cold = compileProgram(*make(), copts).ir.toXml();
+
+    std::string sparse = cold;
+    std::size_t tb = sparse.find("<tb id=\"0\"");
+    ASSERT_NE(tb, std::string::npos);
+    sparse.replace(tb, 10, "<tb id=\"9\"");
+    {
+        std::ofstream out(dir.planFile(key));
+        out << sparse;
+    }
+    PlanCache cache(8);
+    Compiled got = cache.compile(*make(), copts);
+    EXPECT_EQ(cache.diskHits(), 0u);
+    EXPECT_EQ(got.ir.toXml(), cold);
     EXPECT_EQ(slurp(dir.planFile(key)), cold);
 }
 

@@ -60,14 +60,12 @@ checkedVerdict(const IrProgram &ir)
 IrProgram
 stripDeps(IrProgram ir)
 {
-    for (IrGpu &gpu : ir.gpus.edit()) {
-        for (IrThreadBlock &tb : gpu.threadBlocks) {
-            for (IrInstruction &instr : tb.steps) {
-                instr.deps.clear();
-                instr.hasDep = false;
-            }
-        }
+    IrBuilder body(ir.gpus);
+    for (int i = 0; i < body.numSteps(); i++) {
+        body.setDeps(i, {});
+        body.step(i).hasDep = false;
     }
+    ir.gpus = body.build(ir.numRanks);
     return ir;
 }
 
@@ -95,22 +93,26 @@ factorySuite()
     return irs;
 }
 
+/** One instruction and its dependencies. */
+struct Step
+{
+    IrInstruction instr;
+    std::vector<IrDep> deps;
+};
+
 /** A rank-0 program of one-step thread blocks, one per instruction. */
 IrProgram
-oneStepBlocks(const std::vector<IrInstruction> &steps)
+oneStepBlocks(const std::vector<Step> &steps)
 {
+    IrBuilder body;
+    body.addGpu(0, 2, 1, 0);
+    for (size_t t = 0; t < steps.size(); t++) {
+        body.addThreadBlock(0, static_cast<int>(t));
+        body.addStep(steps[t].instr, steps[t].deps);
+    }
     IrProgram ir;
     ir.numRanks = 1;
-    std::vector<IrGpu> &gpus = ir.gpus.edit();
-    gpus.resize(1);
-    gpus[0].inputChunks = 2;
-    gpus[0].outputChunks = 1;
-    for (size_t t = 0; t < steps.size(); t++) {
-        IrThreadBlock tb;
-        tb.id = static_cast<int>(t);
-        tb.steps.push_back(steps[t]);
-        gpus[0].threadBlocks.push_back(tb);
-    }
+    ir.gpus = body.build(1);
     return ir;
 }
 
@@ -165,12 +167,12 @@ TEST(RaceOracle, DifferentialVerdictsOnRacyPrograms)
 
     // The two-thread-block write-write race from the race checker
     // suite, with the exact message pinned.
-    std::vector<IrInstruction> copies(2);
+    std::vector<Step> copies(2);
     for (int t = 0; t < 2; t++) {
-        copies[t].op = IrOp::Copy;
-        copies[t].srcBuf = BufferKind::Input;
-        copies[t].srcOff = t;
-        copies[t].dstBuf = BufferKind::Output;
+        copies[t].instr.op = IrOp::Copy;
+        copies[t].instr.srcBuf = BufferKind::Input;
+        copies[t].instr.srcOff = t;
+        copies[t].instr.dstBuf = BufferKind::Output;
     }
     IrProgram racy = oneStepBlocks(copies);
     EXPECT_EQ(checkedVerdict(racy),
@@ -190,23 +192,17 @@ TEST(RaceOracle, FifoImbalanceReportedIdentically)
 {
     // An unmatched send must be rejected by both checks with the
     // same connection named.
-    IrProgram ir;
-    ir.numRanks = 2;
-    std::vector<IrGpu> &gpus = ir.gpus.edit();
-    gpus.resize(2);
-    for (int r = 0; r < 2; r++) {
-        gpus[r].rank = r;
-        gpus[r].inputChunks = 1;
-        gpus[r].outputChunks = 1;
-    }
-    IrThreadBlock sender;
-    sender.id = 0;
-    sender.sendPeer = 1;
+    IrBuilder body;
+    for (int r = 0; r < 2; r++)
+        body.addGpu(r, 1, 1, 0);
     IrInstruction send;
     send.op = IrOp::Send;
     send.srcBuf = BufferKind::Input;
-    sender.steps.push_back(send);
-    gpus[0].threadBlocks.push_back(sender);
+    body.addThreadBlock(0, 0, /*send_peer=*/1);
+    body.addStep(send);
+    IrProgram ir;
+    ir.numRanks = 2;
+    ir.gpus = body.build(2);
     EXPECT_EQ(checkedVerdict(ir),
               "race check: connection 0 -> 1 channel 0 has 1 sends "
               "but 0 receives; FIFO pairing requires equal counts");
@@ -214,7 +210,7 @@ TEST(RaceOracle, FifoImbalanceReportedIdentically)
 
 TEST(RaceOracle, CycleReportedIdentically)
 {
-    std::vector<IrInstruction> nops(2);
+    std::vector<Step> nops(2);
     for (int t = 0; t < 2; t++)
         nops[t].deps.push_back(IrDep{ 1 - t, 0 });
     EXPECT_EQ(checkedVerdict(oneStepBlocks(nops)),

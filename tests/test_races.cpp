@@ -24,6 +24,28 @@
 namespace mscclang {
 namespace {
 
+/** The program of @p body over @p ranks. */
+IrProgram
+programOf(IrBuilder &body, int ranks)
+{
+    IrProgram ir;
+    ir.numRanks = ranks;
+    ir.gpus = body.build(ranks);
+    return ir;
+}
+
+IrInstruction
+copyOf(BufferKind src, int src_off, BufferKind dst, int dst_off)
+{
+    IrInstruction copy;
+    copy.op = IrOp::Copy;
+    copy.srcBuf = src;
+    copy.srcOff = src_off;
+    copy.dstBuf = dst;
+    copy.dstOff = dst_off;
+    return copy;
+}
+
 TEST(RaceChecker, CompilerOutputIsRaceFreeByConstruction)
 {
     AlgoConfig config;
@@ -42,25 +64,13 @@ TEST(RaceChecker, DetectsMissingCrossTbDependency)
 {
     // Two thread blocks on one rank write the same output chunk with
     // no ordering between them.
-    IrProgram ir;
-    ir.numRanks = 1;
-    std::vector<IrGpu> &gpus = ir.gpus.edit();
-    gpus.resize(1);
-    gpus[0].rank = 0;
-    gpus[0].inputChunks = 2;
-    gpus[0].outputChunks = 1;
+    IrBuilder body;
+    body.addGpu(0, 2, 1, 0);
     for (int t = 0; t < 2; t++) {
-        IrThreadBlock tb;
-        tb.id = t;
-        IrInstruction copy;
-        copy.op = IrOp::Copy;
-        copy.srcBuf = BufferKind::Input;
-        copy.srcOff = t;
-        copy.dstBuf = BufferKind::Output;
-        copy.dstOff = 0;
-        tb.steps.push_back(copy);
-        gpus[0].threadBlocks.push_back(tb);
+        body.addThreadBlock(0, t);
+        body.addStep(copyOf(BufferKind::Input, t, BufferKind::Output, 0));
     }
+    IrProgram ir = programOf(body, 1);
     try {
         verifyRaceFree(ir);
         FAIL() << "race not detected";
@@ -72,115 +82,68 @@ TEST(RaceChecker, DetectsMissingCrossTbDependency)
 
 TEST(RaceChecker, DependencyMakesItOrdered)
 {
-    IrProgram ir;
-    ir.numRanks = 1;
-    std::vector<IrGpu> &gpus = ir.gpus.edit();
-    gpus.resize(1);
-    gpus[0].rank = 0;
-    gpus[0].inputChunks = 2;
-    gpus[0].outputChunks = 1;
-    for (int t = 0; t < 2; t++) {
-        IrThreadBlock tb;
-        tb.id = t;
-        IrInstruction copy;
-        copy.op = IrOp::Copy;
-        copy.srcBuf = BufferKind::Input;
-        copy.srcOff = t;
-        copy.dstBuf = BufferKind::Output;
-        copy.dstOff = 0;
-        if (t == 1)
-            copy.deps.push_back(IrDep{ 0, 0 });
-        tb.steps.push_back(copy);
-        gpus[0].threadBlocks.push_back(tb);
-    }
-    gpus[0].threadBlocks[0].steps[0].hasDep = true;
-    verifyRaceFree(ir);
+    IrBuilder body;
+    body.addGpu(0, 2, 1, 0);
+    IrInstruction first = copyOf(BufferKind::Input, 0, BufferKind::Output, 0);
+    first.hasDep = true;
+    body.addThreadBlock(0, 0);
+    body.addStep(first);
+    body.addThreadBlock(0, 1);
+    body.addStep(copyOf(BufferKind::Input, 1, BufferKind::Output, 0),
+                 { IrDep{ 0, 0 } });
+    verifyRaceFree(programOf(body, 1));
 }
 
 TEST(RaceChecker, DisjointFractionsDoNotConflict)
 {
     // Two unordered thread blocks write complementary halves.
-    IrProgram ir;
-    ir.numRanks = 1;
-    std::vector<IrGpu> &gpus = ir.gpus.edit();
-    gpus.resize(1);
-    gpus[0].rank = 0;
-    gpus[0].inputChunks = 1;
-    gpus[0].outputChunks = 1;
+    IrBuilder body;
+    body.addGpu(0, 1, 1, 0);
     for (int t = 0; t < 2; t++) {
-        IrThreadBlock tb;
-        tb.id = t;
-        IrInstruction copy;
-        copy.op = IrOp::Copy;
-        copy.srcBuf = BufferKind::Input;
-        copy.dstBuf = BufferKind::Output;
+        IrInstruction copy =
+            copyOf(BufferKind::Input, 0, BufferKind::Output, 0);
         copy.splitIdx = t;
         copy.splitCount = 2;
-        tb.steps.push_back(copy);
-        gpus[0].threadBlocks.push_back(tb);
+        body.addThreadBlock(0, t);
+        body.addStep(copy);
     }
-    verifyRaceFree(ir);
+    verifyRaceFree(programOf(body, 1));
 }
 
 TEST(RaceChecker, CommunicationEdgesProvideOrder)
 {
     // Rank 0 sends; rank 1 receives then reads the landing spot —
     // ordered through the communication edge, not a semaphore.
-    IrProgram ir;
-    ir.numRanks = 2;
-    std::vector<IrGpu> &gpus = ir.gpus.edit();
-    gpus.resize(2);
-    for (int r = 0; r < 2; r++) {
-        gpus[r].rank = r;
-        gpus[r].inputChunks = 1;
-        gpus[r].outputChunks = 1;
-        gpus[r].scratchChunks = 1;
-    }
-    IrThreadBlock sender;
-    sender.id = 0;
-    sender.sendPeer = 1;
+    IrBuilder body;
+    for (int r = 0; r < 2; r++)
+        body.addGpu(r, 1, 1, 1);
     IrInstruction send;
     send.op = IrOp::Send;
     send.srcBuf = BufferKind::Input;
-    sender.steps.push_back(send);
-    gpus[0].threadBlocks.push_back(sender);
+    body.addThreadBlock(0, 0, /*send_peer=*/1);
+    body.addStep(send);
 
-    IrThreadBlock receiver;
-    receiver.id = 0;
-    receiver.recvPeer = 0;
+    body.addThreadBlock(1, 0, -1, /*recv_peer=*/0);
     IrInstruction recv;
     recv.op = IrOp::Recv;
     recv.dstBuf = BufferKind::Scratch;
-    receiver.steps.push_back(recv);
-    IrInstruction use;
-    use.op = IrOp::Copy;
-    use.srcBuf = BufferKind::Scratch;
-    use.dstBuf = BufferKind::Output;
-    receiver.steps.push_back(use);
-    gpus[1].threadBlocks.push_back(receiver);
+    body.addStep(recv);
+    body.addStep(copyOf(BufferKind::Scratch, 0, BufferKind::Output, 0));
 
-    verifyRaceFree(ir);
+    verifyRaceFree(programOf(body, 2));
 }
 
 TEST(RaceChecker, CyclicDependenciesRejected)
 {
-    IrProgram ir;
-    ir.numRanks = 1;
-    std::vector<IrGpu> &gpus = ir.gpus.edit();
-    gpus.resize(1);
-    gpus[0].rank = 0;
-    gpus[0].inputChunks = 1;
-    gpus[0].outputChunks = 1;
+    IrBuilder body;
+    body.addGpu(0, 1, 1, 0);
     for (int t = 0; t < 2; t++) {
-        IrThreadBlock tb;
-        tb.id = t;
         IrInstruction nop;
         nop.op = IrOp::Nop;
-        nop.deps.push_back(IrDep{ 1 - t, 0 });
-        tb.steps.push_back(nop);
-        gpus[0].threadBlocks.push_back(tb);
+        body.addThreadBlock(0, t);
+        body.addStep(nop, { IrDep{ 1 - t, 0 } });
     }
-    EXPECT_THROW(verifyRaceFree(ir), VerificationError);
+    EXPECT_THROW(verifyRaceFree(programOf(body, 1)), VerificationError);
 }
 
 /** Runs the race check; returns its message, or "" if it passes. */
@@ -193,18 +156,6 @@ raceVerdict(const IrProgram &ir)
         return error.what();
     }
     return "";
-}
-
-IrInstruction
-copyOf(BufferKind src, int src_off, BufferKind dst, int dst_off)
-{
-    IrInstruction copy;
-    copy.op = IrOp::Copy;
-    copy.srcBuf = src;
-    copy.srcOff = src_off;
-    copy.dstBuf = dst;
-    copy.dstOff = dst_off;
-    return copy;
 }
 
 TEST(RaceChecker, SplitWritesDoNotShadowWholeRead)
@@ -228,16 +179,9 @@ TEST(RaceChecker, SplitWritesDoNotShadowWholeRead)
     // 0 waits for tb 2), so the race walk meets tb 1's unordered half
     // write before the read and names that pair.
     // SplitWriteAfterOrderedReadKeepsTheRead takes the read first.
-    IrProgram ir;
-    ir.numRanks = 1;
-    std::vector<IrGpu> &gpus = ir.gpus.edit();
-    gpus.resize(1);
-    gpus[0].inputChunks = 1;
-    gpus[0].outputChunks = 1;
-    gpus[0].scratchChunks = 1;
+    IrBuilder body;
+    body.addGpu(0, 1, 1, 1);
     for (int t = 0; t < 3; t++) {
-        IrThreadBlock tb;
-        tb.id = t;
         IrInstruction step =
             t == 2 ? copyOf(BufferKind::Scratch, 0, BufferKind::Output, 0)
                    : copyOf(BufferKind::Input, 0, BufferKind::Scratch, 0);
@@ -245,11 +189,13 @@ TEST(RaceChecker, SplitWritesDoNotShadowWholeRead)
             step.splitIdx = t;
             step.splitCount = 2;
         }
+        std::vector<IrDep> deps;
         if (t == 0)
-            step.deps.push_back(IrDep{ 2, 0 });
-        tb.steps.push_back(step);
-        gpus[0].threadBlocks.push_back(tb);
+            deps.push_back(IrDep{ 2, 0 });
+        body.addThreadBlock(0, t);
+        body.addStep(step, deps);
     }
+    IrProgram ir = programOf(body, 1);
     std::string verdict = raceVerdict(ir);
     EXPECT_EQ(verdict, "data race: rank 0 tb 1 step 0 and tb 2 step 0 "
                        "access s[0] unordered");
@@ -265,16 +211,9 @@ TEST(RaceChecker, SplitWriteAfterOrderedReadKeepsTheRead)
     // walk takes tb 0, tb 1, tb 2 in that order, so had tb 1's half
     // write dropped the read from s[0]'s history, tb 2's race with
     // it would go unseen.
-    IrProgram ir;
-    ir.numRanks = 1;
-    std::vector<IrGpu> &gpus = ir.gpus.edit();
-    gpus.resize(1);
-    gpus[0].inputChunks = 1;
-    gpus[0].outputChunks = 1;
-    gpus[0].scratchChunks = 1;
+    IrBuilder body;
+    body.addGpu(0, 1, 1, 1);
     for (int t = 0; t < 3; t++) {
-        IrThreadBlock tb;
-        tb.id = t;
         IrInstruction step =
             t == 0 ? copyOf(BufferKind::Scratch, 0, BufferKind::Output, 0)
                    : copyOf(BufferKind::Input, 0, BufferKind::Scratch, 0);
@@ -282,11 +221,13 @@ TEST(RaceChecker, SplitWriteAfterOrderedReadKeepsTheRead)
             step.splitIdx = t - 1;
             step.splitCount = 2;
         }
+        std::vector<IrDep> deps;
         if (t == 1)
-            step.deps.push_back(IrDep{ 0, 0 });
-        tb.steps.push_back(step);
-        gpus[0].threadBlocks.push_back(tb);
+            deps.push_back(IrDep{ 0, 0 });
+        body.addThreadBlock(0, t);
+        body.addStep(step, deps);
     }
+    IrProgram ir = programOf(body, 1);
     std::string verdict = raceVerdict(ir);
     EXPECT_EQ(verdict, "data race: rank 0 tb 0 step 0 and tb 2 step 0 "
                        "access s[0] unordered");
@@ -304,52 +245,33 @@ TEST(RaceChecker, VerdictDoesNotDependOnSlots)
     // send waits for a receive that waits for it: a deadlock that
     // verifyIr must report and the race check must not confuse with a
     // cycle.
-    IrProgram ir;
-    ir.numRanks = 2;
-    std::vector<IrGpu> &gpus = ir.gpus.edit();
-    gpus.resize(2);
-    for (int r = 0; r < 2; r++) {
-        gpus[r].rank = r;
-        gpus[r].inputChunks = 1;
-        gpus[r].outputChunks = 1;
-        gpus[r].scratchChunks = 10;
-    }
+    IrBuilder body;
+    for (int r = 0; r < 2; r++)
+        body.addGpu(r, 1, 1, 10);
     IrInstruction send;
     send.op = IrOp::Send;
     send.srcBuf = BufferKind::Input;
-    IrThreadBlock burst;
-    burst.id = 0;
-    burst.sendPeer = 1;
-    burst.steps.assign(9, send);
-    IrThreadBlock last;
-    last.id = 1;
-    last.channel = 1;
-    last.sendPeer = 1;
-    last.steps.push_back(send);
-    last.steps[0].deps.push_back(IrDep{ 0, 8 });
-    gpus[0].threadBlocks = { burst, last };
+    body.addThreadBlock(0, 0, /*send_peer=*/1);
+    for (int k = 0; k < 9; k++)
+        body.addStep(send);
+    body.addThreadBlock(0, 1, /*send_peer=*/1, -1, /*channel=*/1);
+    body.addStep(send, { IrDep{ 0, 8 } });
 
-    IrThreadBlock drain;
-    drain.id = 0;
-    drain.recvPeer = 0;
-    for (int k = 0; k < 9; k++) {
-        IrInstruction recv;
-        recv.op = IrOp::Recv;
-        recv.dstBuf = BufferKind::Scratch;
-        recv.dstOff = k;
-        drain.steps.push_back(recv);
-    }
-    drain.steps[0].deps.push_back(IrDep{ 1, 0 });
-    IrThreadBlock gate;
-    gate.id = 1;
-    gate.channel = 1;
-    gate.recvPeer = 0;
     IrInstruction recv;
     recv.op = IrOp::Recv;
     recv.dstBuf = BufferKind::Scratch;
+    body.addThreadBlock(1, 0, -1, /*recv_peer=*/0);
+    for (int k = 0; k < 9; k++) {
+        recv.dstOff = k;
+        if (k == 0)
+            body.addStep(recv, { IrDep{ 1, 0 } });
+        else
+            body.addStep(recv);
+    }
     recv.dstOff = 9;
-    gate.steps.push_back(recv);
-    gpus[1].threadBlocks = { drain, gate };
+    body.addThreadBlock(1, 1, -1, /*recv_peer=*/0, /*channel=*/1);
+    body.addStep(recv);
+    IrProgram ir = programOf(body, 2);
 
     VerifyOptions options;
     options.checkPostcondition = false;
@@ -379,16 +301,9 @@ TEST(RaceChecker, VerdictDoesNotDependOnSlots)
 IrProgram
 roundTripIr(bool one_forwarder)
 {
-    IrProgram ir;
-    ir.numRanks = 2;
-    std::vector<IrGpu> &gpus = ir.gpus.edit();
-    gpus.resize(2);
-    for (int r = 0; r < 2; r++) {
-        gpus[r].rank = r;
-        gpus[r].inputChunks = 1;
-        gpus[r].outputChunks = 1;
-        gpus[r].scratchChunks = 2;
-    }
+    IrBuilder body;
+    for (int r = 0; r < 2; r++)
+        body.addGpu(r, 1, 1, 2);
     IrInstruction send;
     send.op = IrOp::Send;
     send.srcBuf = BufferKind::Input;
@@ -397,36 +312,25 @@ roundTripIr(bool one_forwarder)
     recv.dstBuf = BufferKind::Scratch;
     recv.dstOff = 1;
 
-    IrThreadBlock writer;
-    writer.id = 0;
-    writer.sendPeer = 1;
-    writer.steps.push_back(
-        copyOf(BufferKind::Input, 0, BufferKind::Scratch, 0));
-    writer.steps.push_back(send);
-    IrThreadBlock reader;
-    reader.id = 1;
-    reader.recvPeer = 1;
-    reader.steps.push_back(recv);
-    reader.steps.push_back(
-        copyOf(BufferKind::Scratch, 0, BufferKind::Output, 0));
-    gpus[0].threadBlocks = { writer, reader };
+    body.addThreadBlock(0, 0, /*send_peer=*/1);
+    body.addStep(copyOf(BufferKind::Input, 0, BufferKind::Scratch, 0));
+    body.addStep(send);
+    body.addThreadBlock(0, 1, -1, /*recv_peer=*/1);
+    body.addStep(recv);
+    body.addStep(copyOf(BufferKind::Scratch, 0, BufferKind::Output, 0));
 
-    IrThreadBlock in;
-    in.id = 0;
-    in.recvPeer = 0;
-    in.steps.push_back(recv);
-    IrThreadBlock out;
-    out.id = 1;
-    out.sendPeer = 0;
-    out.steps.push_back(send);
     if (one_forwarder) {
-        in.sendPeer = 0;
-        in.steps.push_back(send);
-        gpus[1].threadBlocks = { in };
+        body.addThreadBlock(1, 0, /*send_peer=*/0,
+                            /*recv_peer=*/0);
+        body.addStep(recv);
+        body.addStep(send);
     } else {
-        gpus[1].threadBlocks = { in, out };
+        body.addThreadBlock(1, 0, -1, /*recv_peer=*/0);
+        body.addStep(recv);
+        body.addThreadBlock(1, 1, /*send_peer=*/0);
+        body.addStep(send);
     }
-    return ir;
+    return programOf(body, 2);
 }
 
 TEST(RaceChecker, OrderedOnlyThroughAnotherRanksFifoChain)
@@ -450,26 +354,15 @@ TEST(RaceChecker, DependencyOrdersOnlyUpToItsStep)
     // tb 1 waits on tb 0's step 0, but tb 0 writes s[0] at step 1:
     // the read is ordered after the dependency's step only.
     auto program = [](int dep_step) {
-        IrProgram ir;
-        ir.numRanks = 1;
-        std::vector<IrGpu> &gpus = ir.gpus.edit();
-        gpus.resize(1);
-        gpus[0].inputChunks = 1;
-        gpus[0].outputChunks = 1;
-        gpus[0].scratchChunks = 2;
-        IrThreadBlock writer;
-        writer.id = 0;
-        writer.steps.push_back(
-            copyOf(BufferKind::Input, 0, BufferKind::Scratch, 1));
-        writer.steps.push_back(
-            copyOf(BufferKind::Input, 0, BufferKind::Scratch, 0));
-        IrThreadBlock reader;
-        reader.id = 1;
-        reader.steps.push_back(
-            copyOf(BufferKind::Scratch, 0, BufferKind::Output, 0));
-        reader.steps[0].deps.push_back(IrDep{ 0, dep_step });
-        gpus[0].threadBlocks = { writer, reader };
-        return ir;
+        IrBuilder body;
+        body.addGpu(0, 1, 1, 2);
+        body.addThreadBlock(0, 0);
+        body.addStep(copyOf(BufferKind::Input, 0, BufferKind::Scratch, 1));
+        body.addStep(copyOf(BufferKind::Input, 0, BufferKind::Scratch, 0));
+        body.addThreadBlock(0, 1);
+        body.addStep(copyOf(BufferKind::Scratch, 0, BufferKind::Output, 0),
+                     { IrDep{ 0, dep_step } });
+        return programOf(body, 1);
     };
     EXPECT_EQ(raceVerdict(program(0)),
               "data race: rank 0 tb 0 step 1 and tb 1 step 0 access "
@@ -480,24 +373,21 @@ TEST(RaceChecker, DependencyOrdersOnlyUpToItsStep)
 TEST(RaceChecker, OutOfBoundsAccessIsNamed)
 {
     // A two-chunk copy out of a one-chunk input buffer.
-    IrProgram ir;
-    ir.numRanks = 1;
-    std::vector<IrGpu> &gpus = ir.gpus.edit();
-    gpus.resize(1);
-    gpus[0].inputChunks = 1;
-    gpus[0].outputChunks = 2;
-    IrThreadBlock tb;
-    tb.id = 0;
+    IrBuilder body;
+    body.addGpu(0, 1, 2, 0);
     IrInstruction copy =
         copyOf(BufferKind::Input, 0, BufferKind::Output, 0);
     copy.count = 2;
-    tb.steps.push_back(copy);
-    gpus[0].threadBlocks.push_back(tb);
+    body.addThreadBlock(0, 0);
+    body.addStep(copy);
+    IrProgram ir = programOf(body, 1);
     EXPECT_EQ(raceVerdict(ir),
               "race check: rank 0 i[1] out of bounds (1 chunks)");
 
     // A negative declared count holds no chunks at all.
-    ir.gpus.edit()[0].inputChunks = -1;
+    IrBuilder edited(ir.gpus);
+    edited.gpu(0).inputChunks = -1;
+    ir.gpus = edited.build(1);
     EXPECT_EQ(raceVerdict(ir),
               "race check: rank 0 i[0] out of bounds (0 chunks)");
 }

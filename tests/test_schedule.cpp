@@ -36,33 +36,28 @@ checkStructure(const IrProgram &ir)
     std::map<Conn, int> senders, receivers;
     for (const IrGpu &gpu : ir.gpus) {
         std::set<int> tb_ids;
-        for (const IrThreadBlock &tb : gpu.threadBlocks) {
+        for (const IrThreadBlock &tb : ir.gpus.blocks(gpu)) {
             EXPECT_TRUE(tb_ids.insert(tb.id).second)
                 << "duplicate tb id on rank " << gpu.rank;
             if (tb.sendPeer >= 0)
                 senders[{ gpu.rank, tb.sendPeer, tb.channel }]++;
             if (tb.recvPeer >= 0)
                 receivers[{ tb.recvPeer, gpu.rank, tb.channel }]++;
-            for (size_t s = 0; s < tb.steps.size(); s++) {
-                const IrInstruction &instr = tb.steps[s];
+            for (const IrInstruction &instr : ir.gpus.steps(tb)) {
                 if (irOpSends(instr.op)) {
                     EXPECT_GE(tb.sendPeer, 0);
                 }
                 if (irOpReceives(instr.op)) {
                     EXPECT_GE(tb.recvPeer, 0);
                 }
-                for (const IrDep &dep : instr.deps) {
+                for (const IrDep &dep : ir.gpus.deps(instr)) {
                     // Dependencies reference existing TBs and
                     // earlier-completing steps on the same rank.
                     ASSERT_GE(dep.tb, 0);
-                    ASSERT_LT(dep.tb,
-                              static_cast<int>(
-                                  gpu.threadBlocks.size()));
+                    ASSERT_LT(dep.tb, gpu.numBlocks);
                     EXPECT_GE(dep.step, 0);
                     EXPECT_LT(dep.step,
-                              static_cast<int>(
-                                  gpu.threadBlocks[dep.tb]
-                                      .steps.size()));
+                              ir.gpus.block(gpu.rank, dep.tb).numSteps);
                     EXPECT_NE(dep.tb, tb.id)
                         << "self-TB dependency is redundant";
                 }
@@ -87,8 +82,8 @@ checkMessageBalance(const IrProgram &ir)
     using Conn = std::tuple<int, int, int>;
     std::map<Conn, int> sent, received;
     for (const IrGpu &gpu : ir.gpus) {
-        for (const IrThreadBlock &tb : gpu.threadBlocks) {
-            for (const IrInstruction &instr : tb.steps) {
+        for (const IrThreadBlock &tb : ir.gpus.blocks(gpu)) {
+            for (const IrInstruction &instr : ir.gpus.steps(tb)) {
                 if (irOpSends(instr.op))
                     sent[{ gpu.rank, tb.sendPeer, tb.channel }]++;
                 if (irOpReceives(instr.op))
@@ -148,10 +143,8 @@ TEST(Schedule, ChannelDirectivesAreHonored)
     Compiled out =
         compileProgram(*makeHierarchicalAllReduce(2, 3, 1, {}));
     std::set<int> channels;
-    for (const IrGpu &gpu : out.ir.gpus) {
-        for (const IrThreadBlock &tb : gpu.threadBlocks)
-            channels.insert(tb.channel);
-    }
+    for (const IrThreadBlock &tb : out.ir.gpus.blocks())
+        channels.insert(tb.channel);
     EXPECT_TRUE(channels.count(0));
     EXPECT_TRUE(channels.count(1));
     EXPECT_TRUE(channels.count(2));
@@ -168,7 +161,7 @@ TEST(Schedule, ParallelInstancesGetDisjointChannels)
     copts.verify = false; // fragment, not a whole collective
     Compiled out = compileProgram(prog, copts);
     std::set<int> send_channels;
-    for (const IrThreadBlock &tb : out.ir.gpus[0].threadBlocks) {
+    for (const IrThreadBlock &tb : out.ir.gpus.blocks(out.ir.gpus[0])) {
         if (tb.sendPeer == 1)
             send_channels.insert(tb.channel);
     }
@@ -193,11 +186,9 @@ TEST(Schedule, ConflictingDirectivesOnFusedChainRejected)
     Compiled out = compileProgram(prog, copts);
     checkStructure(out.ir);
     std::set<int> channels;
-    for (const IrGpu &gpu : out.ir.gpus) {
-        for (const IrThreadBlock &tb : gpu.threadBlocks) {
-            if (!tb.steps.empty())
-                channels.insert(tb.channel);
-        }
+    for (const IrThreadBlock &tb : out.ir.gpus.blocks()) {
+        if (tb.numSteps > 0)
+            channels.insert(tb.channel);
     }
     EXPECT_TRUE(channels.count(2));
     EXPECT_TRUE(channels.count(3));
@@ -427,8 +418,9 @@ TEST(Schedule, ReceivesFollowTheirSendsOrder)
     copts.verify = false;
     Compiled out = compileProgram(prog, copts);
     const IrGpu &receiver = out.ir.gpus[1];
-    ASSERT_EQ(receiver.threadBlocks.size(), 1u);
-    const std::vector<IrInstruction> &steps = receiver.threadBlocks[0].steps;
+    ASSERT_EQ(receiver.numBlocks, 1);
+    std::span<const IrInstruction> steps =
+        out.ir.gpus.steps(out.ir.gpus.block(1, 0));
     ASSERT_EQ(steps.size(), 5u);
     EXPECT_EQ(steps[3].op, IrOp::Recv);
     EXPECT_EQ(steps[3].dstOff, 2);

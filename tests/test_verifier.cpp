@@ -1,9 +1,10 @@
 /**
  * @file
  * Failure injection for the static verifier: hand-built MSCCL-IR
- * with deadlocks, FIFO slot overflows, semantic errors and malformed
- * structure must be rejected with precise diagnostics, while correct
- * IR passes (paper §1's "automatically check ... before running").
+ * with deadlocks, FIFO slot overflows and semantic errors must be
+ * rejected with precise diagnostics, while correct IR passes (paper
+ * §1's "automatically check ... before running"). Malformed structure
+ * never reaches the verifier: IrBuilder rejects it (test_xml.cpp).
  */
 
 #include <gtest/gtest.h>
@@ -16,23 +17,26 @@
 namespace mscclang {
 namespace {
 
-/** Hand-built program skeleton over @p ranks with 1 chunk each. */
+/** Hand-built body over @p ranks: 1 input, @p ranks output chunks. */
+IrBuilder
+skeleton(int ranks)
+{
+    IrBuilder body;
+    for (int r = 0; r < ranks; r++)
+        body.addGpu(r, 1, ranks, 0);
+    return body;
+}
+
+/** The allgather-named program of @p body, over @p ranks. */
 IrProgram
-skeleton(int ranks, const char *collective = "allgather")
+handmade(IrBuilder &body, int ranks)
 {
     IrProgram ir;
     ir.name = "handmade";
-    ir.collective = collective;
+    ir.collective = "allgather";
     ir.numRanks = ranks;
     ir.protocol = Protocol::Simple;
-    std::vector<IrGpu> &gpus = ir.gpus.edit();
-    gpus.resize(ranks);
-    for (int r = 0; r < ranks; r++) {
-        gpus[r].rank = r;
-        gpus[r].inputChunks = 1;
-        gpus[r].outputChunks = ranks;
-        gpus[r].scratchChunks = 0;
-    }
+    ir.gpus = body.build(ranks);
     return ir;
 }
 
@@ -52,24 +56,18 @@ instr(IrOp op, BufferKind src_buf, int src_off, BufferKind dst_buf,
 TEST(Verifier, AcceptsHandWrittenBroadcastPair)
 {
     // Rank 0 sends its chunk to rank 1; both place their own copy.
-    IrProgram ir = skeleton(2);
-    IrThreadBlock tb0;
-    tb0.id = 0;
-    tb0.sendPeer = 1;
-    tb0.steps.push_back(
-        instr(IrOp::Copy, BufferKind::Input, 0, BufferKind::Output, 0));
-    tb0.steps.push_back(
-        instr(IrOp::Send, BufferKind::Input, 0, BufferKind::Input, 0));
-    ir.gpus.edit()[0].threadBlocks.push_back(tb0);
-
-    IrThreadBlock tb1;
-    tb1.id = 0;
-    tb1.recvPeer = 0;
-    tb1.steps.push_back(
-        instr(IrOp::Copy, BufferKind::Input, 0, BufferKind::Output, 1));
-    tb1.steps.push_back(
-        instr(IrOp::Recv, BufferKind::Output, 0, BufferKind::Output, 0));
-    ir.gpus.edit()[1].threadBlocks.push_back(tb1);
+    IrBuilder body = skeleton(2);
+    body.addThreadBlock(0, 0, /*send_peer=*/1);
+    body.addStep(instr(IrOp::Copy, BufferKind::Input, 0,
+                       BufferKind::Output, 0));
+    body.addStep(instr(IrOp::Send, BufferKind::Input, 0,
+                       BufferKind::Input, 0));
+    body.addThreadBlock(1, 0, -1, /*recv_peer=*/0);
+    body.addStep(instr(IrOp::Copy, BufferKind::Input, 0,
+                       BufferKind::Output, 1));
+    body.addStep(instr(IrOp::Recv, BufferKind::Output, 0,
+                       BufferKind::Output, 0));
+    IrProgram ir = handmade(body, 2);
 
     // Postcondition: this is rank-1-only gather, so use a custom
     // collective that only constrains what the IR provides.
@@ -89,7 +87,8 @@ TEST(Verifier, AcceptsHandWrittenBroadcastPair)
 TEST(Verifier, DetectsWrongPostcondition)
 {
     // The IR gathers nothing, but claims to be an AllGather.
-    IrProgram ir = skeleton(2);
+    IrBuilder body = skeleton(2);
+    IrProgram ir = handmade(body, 2);
     AllGatherCollective coll(2, 1);
     EXPECT_THROW(verifyIr(ir, coll), VerificationError);
 }
@@ -97,22 +96,15 @@ TEST(Verifier, DetectsWrongPostcondition)
 TEST(Verifier, DetectsCrossTbDependencyDeadlock)
 {
     // Two thread blocks on one rank waiting on each other.
-    IrProgram ir = skeleton(1);
-    IrThreadBlock a, b;
-    a.id = 0;
-    b.id = 1;
-    IrInstruction ia =
+    IrBuilder body = skeleton(1);
+    IrInstruction copy =
         instr(IrOp::Copy, BufferKind::Input, 0, BufferKind::Output, 0);
-    ia.deps.push_back(IrDep{ 1, 0 });
-    ia.hasDep = true;
-    IrInstruction ib =
-        instr(IrOp::Copy, BufferKind::Input, 0, BufferKind::Output, 0);
-    ib.deps.push_back(IrDep{ 0, 0 });
-    ib.hasDep = true;
-    a.steps.push_back(ia);
-    b.steps.push_back(ib);
-    ir.gpus.edit()[0].threadBlocks.push_back(a);
-    ir.gpus.edit()[0].threadBlocks.push_back(b);
+    copy.hasDep = true;
+    body.addThreadBlock(0, 0);
+    body.addStep(copy, { IrDep{ 1, 0 } });
+    body.addThreadBlock(0, 1);
+    body.addStep(copy, { IrDep{ 0, 0 } });
+    IrProgram ir = handmade(body, 1);
     VerifyOptions options;
     options.checkPostcondition = false;
     try {
@@ -129,22 +121,19 @@ TEST(Verifier, DetectsFifoSlotDeadlock)
     // Both ranks send 16 messages before receiving any; with 8 slots
     // the schedule wedges (the head-of-line pattern the slot-gating
     // scheduler exists to prevent).
-    IrProgram ir = skeleton(2);
+    IrBuilder body = skeleton(2);
     for (int r = 0; r < 2; r++) {
-        IrThreadBlock tb;
-        tb.id = 0;
-        tb.sendPeer = 1 - r;
-        tb.recvPeer = 1 - r;
+        body.addThreadBlock(r, 0, 1 - r, 1 - r);
         for (int i = 0; i < 16; i++) {
-            tb.steps.push_back(instr(IrOp::Send, BufferKind::Input, 0,
-                                     BufferKind::Input, 0));
+            body.addStep(instr(IrOp::Send, BufferKind::Input, 0,
+                               BufferKind::Input, 0));
         }
         for (int i = 0; i < 16; i++) {
-            tb.steps.push_back(instr(IrOp::Recv, BufferKind::Output,
-                                     0, BufferKind::Output, 0));
+            body.addStep(instr(IrOp::Recv, BufferKind::Output, 0,
+                               BufferKind::Output, 0));
         }
-        ir.gpus.edit()[r].threadBlocks.push_back(tb);
     }
+    IrProgram ir = handmade(body, 2);
     VerifyOptions options;
     options.checkPostcondition = false;
     options.slots = 8;
@@ -157,12 +146,11 @@ TEST(Verifier, DetectsFifoSlotDeadlock)
 
 TEST(Verifier, DetectsUninitializedRead)
 {
-    IrProgram ir = skeleton(1);
-    IrThreadBlock tb;
-    tb.id = 0;
-    tb.steps.push_back(
-        instr(IrOp::Copy, BufferKind::Output, 0, BufferKind::Output, 0));
-    ir.gpus.edit()[0].threadBlocks.push_back(tb);
+    IrBuilder body = skeleton(1);
+    body.addThreadBlock(0, 0);
+    body.addStep(instr(IrOp::Copy, BufferKind::Output, 0,
+                       BufferKind::Output, 0));
+    IrProgram ir = handmade(body, 1);
     VerifyOptions options;
     options.checkPostcondition = false;
     try {
@@ -176,12 +164,11 @@ TEST(Verifier, DetectsUninitializedRead)
 
 TEST(Verifier, DetectsOutOfBoundsAccess)
 {
-    IrProgram ir = skeleton(1);
-    IrThreadBlock tb;
-    tb.id = 0;
-    tb.steps.push_back(
-        instr(IrOp::Copy, BufferKind::Input, 5, BufferKind::Output, 0));
-    ir.gpus.edit()[0].threadBlocks.push_back(tb);
+    IrBuilder body = skeleton(1);
+    body.addThreadBlock(0, 0);
+    body.addStep(instr(IrOp::Copy, BufferKind::Input, 5,
+                       BufferKind::Output, 0));
+    IrProgram ir = handmade(body, 1);
     VerifyOptions options;
     options.checkPostcondition = false;
     EXPECT_THROW(verifyIr(ir, AllGatherCollective(1, 1), options),
@@ -191,23 +178,18 @@ TEST(Verifier, DetectsOutOfBoundsAccess)
 TEST(Verifier, DetectsFifoShapeMismatch)
 {
     // Sender ships 1 chunk, receiver expects 2: FIFO pairing breaks.
-    IrProgram ir = skeleton(2);
-    ir.gpus.edit()[0].inputChunks = 2;
-    ir.gpus.edit()[1].inputChunks = 2;
-    IrThreadBlock tb0;
-    tb0.id = 0;
-    tb0.sendPeer = 1;
-    tb0.steps.push_back(
-        instr(IrOp::Send, BufferKind::Input, 0, BufferKind::Input, 0));
-    ir.gpus.edit()[0].threadBlocks.push_back(tb0);
-    IrThreadBlock tb1;
-    tb1.id = 0;
-    tb1.recvPeer = 0;
+    IrBuilder body = skeleton(2);
+    body.gpu(0).inputChunks = 2;
+    body.gpu(1).inputChunks = 2;
+    body.addThreadBlock(0, 0, /*send_peer=*/1);
+    body.addStep(instr(IrOp::Send, BufferKind::Input, 0, BufferKind::Input,
+                       0));
     IrInstruction recv =
         instr(IrOp::Recv, BufferKind::Output, 0, BufferKind::Output, 0);
     recv.count = 2;
-    tb1.steps.push_back(recv);
-    ir.gpus.edit()[1].threadBlocks.push_back(tb1);
+    body.addThreadBlock(1, 0, -1, /*recv_peer=*/0);
+    body.addStep(recv);
+    IrProgram ir = handmade(body, 2);
     VerifyOptions options;
     options.checkPostcondition = false;
     try {
@@ -219,46 +201,14 @@ TEST(Verifier, DetectsFifoShapeMismatch)
     }
 }
 
-TEST(Verifier, DetectsSendWithoutPeer)
-{
-    IrProgram ir = skeleton(1);
-    IrThreadBlock tb;
-    tb.id = 0; // no sendPeer
-    tb.steps.push_back(
-        instr(IrOp::Send, BufferKind::Input, 0, BufferKind::Input, 0));
-    ir.gpus.edit()[0].threadBlocks.push_back(tb);
-    VerifyOptions options;
-    options.checkPostcondition = false;
-    EXPECT_THROW(verifyIr(ir, AllGatherCollective(1, 1), options),
-                 VerificationError);
-}
-
-TEST(Verifier, DetectsUnknownDependencyTarget)
-{
-    IrProgram ir = skeleton(1);
-    IrThreadBlock tb;
-    tb.id = 0;
-    IrInstruction bad =
-        instr(IrOp::Copy, BufferKind::Input, 0, BufferKind::Output, 0);
-    bad.deps.push_back(IrDep{ 7, 0 });
-    tb.steps.push_back(bad);
-    ir.gpus.edit()[0].threadBlocks.push_back(tb);
-    VerifyOptions options;
-    options.checkPostcondition = false;
-    EXPECT_THROW(verifyIr(ir, AllGatherCollective(1, 1), options),
-                 VerificationError);
-}
-
 TEST(Verifier, TornChunkDetected)
 {
     // Two parallel instances write halves of an output chunk with
     // DIFFERENT values; reading the whole chunk must report a torn
     // value (postcondition failure rather than silent acceptance).
-    IrProgram ir = skeleton(1);
-    ir.gpus.edit()[0].inputChunks = 2;
-    ir.gpus.edit()[0].outputChunks = 1;
-    IrThreadBlock tb;
-    tb.id = 0;
+    IrBuilder body = skeleton(1);
+    body.gpu(0).inputChunks = 2;
+    body.gpu(0).outputChunks = 1;
     IrInstruction lo =
         instr(IrOp::Copy, BufferKind::Input, 0, BufferKind::Output, 0);
     lo.splitIdx = 0;
@@ -267,9 +217,10 @@ TEST(Verifier, TornChunkDetected)
         instr(IrOp::Copy, BufferKind::Input, 1, BufferKind::Output, 0);
     hi.splitIdx = 1;
     hi.splitCount = 2;
-    tb.steps.push_back(lo);
-    tb.steps.push_back(hi);
-    ir.gpus.edit()[0].threadBlocks.push_back(tb);
+    body.addThreadBlock(0, 0);
+    body.addStep(lo);
+    body.addStep(hi);
+    IrProgram ir = handmade(body, 1);
 
     CustomCollective coll(
         "torn", 1, 2, false, 2, 1,
@@ -283,18 +234,17 @@ TEST(Verifier, ParallelInstancesComposeWhenConsistent)
 {
     // Same as above but both halves carry the same source chunk:
     // the whole-chunk read sees one uniform value.
-    IrProgram ir = skeleton(1);
-    ir.gpus.edit()[0].outputChunks = 1;
-    IrThreadBlock tb;
-    tb.id = 0;
+    IrBuilder body = skeleton(1);
+    body.gpu(0).outputChunks = 1;
+    body.addThreadBlock(0, 0);
     for (int i = 0; i < 2; i++) {
         IrInstruction half = instr(IrOp::Copy, BufferKind::Input, 0,
                                    BufferKind::Output, 0);
         half.splitIdx = i;
         half.splitCount = 2;
-        tb.steps.push_back(half);
+        body.addStep(half);
     }
-    ir.gpus.edit()[0].threadBlocks.push_back(tb);
+    IrProgram ir = handmade(body, 1);
     CustomCollective coll(
         "whole", 1, 1, false, 1, 1,
         [](Rank, int) -> std::optional<ChunkValue> {
@@ -316,15 +266,13 @@ verifyMessage(const IrProgram &ir, const Collective &coll,
     return "";
 }
 
-/** A one-rank IR with 2 input, 2 scratch and 1 output chunk. */
-IrProgram
+/** A one-rank body with 2 input, 2 scratch and 1 output chunk. */
+IrBuilder
 singleRankScratch()
 {
-    IrProgram ir = skeleton(1);
-    ir.gpus.edit()[0].inputChunks = 2;
-    ir.gpus.edit()[0].scratchChunks = 2;
-    ir.gpus.edit()[0].outputChunks = 1;
-    return ir;
+    IrBuilder body;
+    body.addGpu(0, 2, 1, 2);
+    return body;
 }
 
 IrInstruction
@@ -351,39 +299,37 @@ TEST(Verifier, EqualSplitValuesFromDifferentInstructionsAreNotTorn)
     // own reduce, so the two values are equal but produced by
     // different instructions. Each lands on one half of output[0];
     // the whole-chunk reads that follow must see one value.
-    IrProgram ir = singleRankScratch();
-    IrThreadBlock tb;
-    tb.id = 0;
+    IrBuilder body = singleRankScratch();
+    body.addThreadBlock(0, 0);
     for (int s = 0; s < 2; s++) {
-        tb.steps.push_back(instr(IrOp::Copy, BufferKind::Input, 0,
-                                 BufferKind::Scratch, s));
-        tb.steps.push_back(instr(IrOp::Reduce, BufferKind::Input, 1,
-                                 BufferKind::Scratch, s));
+        body.addStep(instr(IrOp::Copy, BufferKind::Input, 0,
+                           BufferKind::Scratch, s));
+        body.addStep(instr(IrOp::Reduce, BufferKind::Input, 1,
+                           BufferKind::Scratch, s));
     }
     for (int s = 0; s < 2; s++) {
-        tb.steps.push_back(split(instr(IrOp::Copy, BufferKind::Scratch,
-                                       s, BufferKind::Output, 0),
-                                 s, 2));
+        body.addStep(split(instr(IrOp::Copy, BufferKind::Scratch, s,
+                                 BufferKind::Output, 0),
+                           s, 2));
     }
     // A whole read through an instruction, not only the postcondition.
-    tb.steps.push_back(instr(IrOp::Copy, BufferKind::Output, 0,
-                             BufferKind::Scratch, 0));
-    ir.gpus.edit()[0].threadBlocks.push_back(tb);
+    body.addStep(instr(IrOp::Copy, BufferKind::Output, 0,
+                       BufferKind::Scratch, 0));
+    IrProgram ir = handmade(body, 1);
     ChunkValue sum = ChunkValue::reductionOf({ { 0, 0 }, { 0, 1 } });
     EXPECT_EQ(verifyMessage(ir, oneOutput(sum)), "");
 }
 
 TEST(Verifier, SplitWriteOverWholeWriteIsTorn)
 {
-    IrProgram ir = singleRankScratch();
-    IrThreadBlock tb;
-    tb.id = 0;
-    tb.steps.push_back(
-        instr(IrOp::Copy, BufferKind::Input, 0, BufferKind::Output, 0));
-    tb.steps.push_back(split(
-        instr(IrOp::Copy, BufferKind::Input, 1, BufferKind::Output, 0),
-        1, 2));
-    ir.gpus.edit()[0].threadBlocks.push_back(tb);
+    IrBuilder body = singleRankScratch();
+    body.addThreadBlock(0, 0);
+    body.addStep(instr(IrOp::Copy, BufferKind::Input, 0,
+                       BufferKind::Output, 0));
+    body.addStep(split(instr(IrOp::Copy, BufferKind::Input, 1,
+                             BufferKind::Output, 0),
+                       1, 2));
+    IrProgram ir = handmade(body, 1);
     EXPECT_EQ(verifyMessage(ir, oneOutput(ChunkValue::input(0, 0))),
               "postcondition: rank 0 output[0]: torn read: fractions hold "
               "different values ((0,0) vs (0,1))");
@@ -391,13 +337,12 @@ TEST(Verifier, SplitWriteOverWholeWriteIsTorn)
 
 TEST(Verifier, UninitializedFractionDetected)
 {
-    IrProgram ir = singleRankScratch();
-    IrThreadBlock tb;
-    tb.id = 0;
-    tb.steps.push_back(split(
-        instr(IrOp::Copy, BufferKind::Input, 0, BufferKind::Output, 0),
-        0, 2));
-    ir.gpus.edit()[0].threadBlocks.push_back(tb);
+    IrBuilder body = singleRankScratch();
+    body.addThreadBlock(0, 0);
+    body.addStep(split(instr(IrOp::Copy, BufferKind::Input, 0,
+                             BufferKind::Output, 0),
+                       0, 2));
+    IrProgram ir = handmade(body, 1);
     EXPECT_EQ(verifyMessage(ir, oneOutput(ChunkValue::input(0, 0))),
               "postcondition: rank 0 output[0]: uninitialized bytes at "
               "fraction 1/2");
@@ -406,16 +351,15 @@ TEST(Verifier, UninitializedFractionDetected)
 TEST(Verifier, PostconditionMessageIsExact)
 {
     // Rank 0 places its own chunk where rank 1's belongs.
-    IrProgram ir = skeleton(2);
+    IrBuilder body = skeleton(2);
     for (int r = 0; r < 2; r++) {
-        IrThreadBlock tb;
-        tb.id = 0;
+        body.addThreadBlock(r, 0);
         for (int i = 0; i < 2; i++) {
-            tb.steps.push_back(instr(IrOp::Copy, BufferKind::Input, 0,
-                                     BufferKind::Output, i));
+            body.addStep(instr(IrOp::Copy, BufferKind::Input, 0,
+                               BufferKind::Output, i));
         }
-        ir.gpus.edit()[r].threadBlocks.push_back(tb);
     }
+    IrProgram ir = handmade(body, 2);
     EXPECT_EQ(verifyMessage(ir, AllGatherCollective(2, 1)),
               "postcondition violated at rank 0 output[1]: expected (1,0), "
               "got (0,0)");
@@ -427,40 +371,31 @@ TEST(Verifier, DeadlockReportIsExact)
     // channels, a thread block stuck behind a dependency and one
     // starved of data: the report lists blocked thread blocks, then
     // undelivered connections in (src, dst, channel) order.
-    IrProgram ir = skeleton(2);
+    IrBuilder body = skeleton(2);
     for (int r = 0; r < 2; r++) {
         for (int ch = 0; ch < 2; ch++) {
-            IrThreadBlock tb;
-            tb.id = ch;
-            tb.channel = 1 - ch;
-            tb.sendPeer = 1 - r;
-            tb.recvPeer = 1 - r;
+            body.addThreadBlock(r, ch, 1 - r, 1 - r, 1 - ch);
             for (int i = 0; i < 3; i++) {
-                tb.steps.push_back(instr(IrOp::Send, BufferKind::Input,
-                                         0, BufferKind::Input, 0));
+                body.addStep(instr(IrOp::Send, BufferKind::Input, 0,
+                                   BufferKind::Input, 0));
             }
-            tb.steps.push_back(instr(IrOp::Recv, BufferKind::Output, 0,
-                                     BufferKind::Output, 0));
-            ir.gpus.edit()[r].threadBlocks.push_back(tb);
+            body.addStep(instr(IrOp::Recv, BufferKind::Output, 0,
+                               BufferKind::Output, 0));
         }
-        IrThreadBlock waiter;
-        waiter.id = 2;
         IrInstruction copy =
             instr(IrOp::Copy, BufferKind::Input, 0, BufferKind::Output,
                   1);
-        copy.deps.push_back(IrDep{ 0, 3 });
         copy.hasDep = true;
-        waiter.steps.push_back(copy);
-        ir.gpus.edit()[r].threadBlocks.push_back(waiter);
+        body.addThreadBlock(r, 2);
+        body.addStep(copy, { IrDep{ 0, 3 } });
+        if (r == 0) {
+            // A receiver on a connection nobody sends on.
+            body.addThreadBlock(0, 3, -1, /*recv_peer=*/1, 5);
+            body.addStep(instr(IrOp::Recv, BufferKind::Output, 1,
+                               BufferKind::Output, 1));
+        }
     }
-    // A receiver on a connection nobody sends on.
-    IrThreadBlock orphan;
-    orphan.id = 3;
-    orphan.channel = 5;
-    orphan.recvPeer = 1;
-    orphan.steps.push_back(
-        instr(IrOp::Recv, BufferKind::Output, 1, BufferKind::Output, 1));
-    ir.gpus.edit()[0].threadBlocks.push_back(orphan);
+    IrProgram ir = handmade(body, 2);
     VerifyOptions options;
     options.checkPostcondition = false;
     options.slots = 2;
@@ -488,7 +423,8 @@ TEST(Verifier, DeadlockReportIsExact)
 
 TEST(Verifier, SlotOptionValidated)
 {
-    IrProgram ir = skeleton(1);
+    IrBuilder body = skeleton(1);
+    IrProgram ir = handmade(body, 1);
     VerifyOptions options;
     options.slots = 0;
     EXPECT_THROW(verifyIr(ir, AllGatherCollective(1, 1), options),

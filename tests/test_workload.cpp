@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/strings.h"
 #include "runtime/communicator.h"
 #include "topology/topology.h"
 #include "workload/json.h"
@@ -586,4 +587,35 @@ TEST(Slo, JsonReportEscapesNames)
     ASSERT_EQ(json.at("streams").asArray().size(), 1u);
     EXPECT_EQ(json.at("streams").asArray()[0].at("name").asString(),
               spec.streams[0].name);
+}
+
+TEST(Slo, CsvReportQuotesNames)
+{
+    // RFC 4180: a name holding a comma or a quote is one quoted field
+    // with its quotes doubled, so every row keeps the header's 19
+    // columns.
+    WorkloadSpec spec;
+    ReplayResult result;
+    syntheticReplay({ 10, 20 }, { true, true }, spec, result);
+    spec.name = "mix \"a\"";
+    spec.streams[0].name = "decode,prefill";
+    SloReport report =
+        buildSloReport(spec, result, nullptr, ReplayOptions{});
+    std::string csv = report.toCsv();
+    std::vector<std::string> rows = splitString(csv, '\n');
+    ASSERT_EQ(rows.size(), 4u); // header, fleet, one stream, ""
+    EXPECT_EQ(rows[2].rfind("\"mix \"\"a\"\"\",\"decode,prefill\",", 0), 0u)
+        << rows[2];
+    for (int i = 0; i < 3; i++) {
+        // Count the separators outside quotes.
+        int fields = 1;
+        bool quoted = false;
+        for (char c : rows[i]) {
+            if (c == '"')
+                quoted = !quoted;
+            else if (c == ',' && !quoted)
+                fields++;
+        }
+        EXPECT_EQ(fields, 19) << rows[i];
+    }
 }

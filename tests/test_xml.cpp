@@ -1,14 +1,19 @@
 /**
  * @file
  * Tests for the XML reader/writer and the MSCCL-IR exchange format:
- * parser features and error reporting, escaping, and exact IR
- * round-trips for every collective in the library.
+ * parser features and error reporting, escaping, exact IR
+ * round-trips for every catalogued algorithm, and the IR builder's
+ * layout and structural checks.
  */
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "collectives/catalog.h"
 #include "collectives/collectives.h"
 #include "common/error.h"
+#include "common/strings.h"
 #include "compiler/compiler.h"
 #include "ir/xml.h"
 
@@ -76,11 +81,13 @@ TEST(Xml, ControlCharactersRoundTripThroughAttributes)
     // write-then-parse round trip is byte-exact.
     std::string nasty = "line1\nline2\ttab\rret\x01\x1F\x7F end";
     EXPECT_EQ(xmlEscape("\n"), "&#10;");
-    XmlWriter writer;
+    std::ostringstream out;
+    XmlWriter writer(out);
     writer.open("a");
     writer.attr("v", nasty);
     writer.close();
-    XmlNode root = parseXml(writer.str());
+    writer.finish();
+    XmlNode root = parseXml(out.str());
     EXPECT_EQ(root.attr("v"), nasty);
 }
 
@@ -109,7 +116,8 @@ TEST(Xml, RejectsMalformedInput)
 
 TEST(Xml, WriterProducesParsableNesting)
 {
-    XmlWriter writer;
+    std::ostringstream out;
+    XmlWriter writer(out);
     writer.open("root");
     writer.attr("n", 2);
     writer.open("child");
@@ -118,7 +126,8 @@ TEST(Xml, WriterProducesParsableNesting)
     writer.open("child");
     writer.close();
     writer.close();
-    XmlNode root = parseXml(writer.str());
+    writer.finish();
+    XmlNode root = parseXml(out.str());
     EXPECT_EQ(root.tag, "root");
     EXPECT_EQ(root.children.size(), 2u);
     EXPECT_EQ(root.children[0].attr("s"), "a<b");
@@ -126,32 +135,58 @@ TEST(Xml, WriterProducesParsableNesting)
 
 TEST(Xml, WriterRejectsMisuse)
 {
-    XmlWriter writer;
+    std::ostringstream out;
+    XmlWriter writer(out);
     EXPECT_THROW(writer.attr("x", 1), Error);
     EXPECT_THROW(writer.close(), Error);
     writer.open("a");
-    EXPECT_THROW(writer.str(), Error); // unclosed
+    EXPECT_THROW(writer.finish(), Error); // unclosed
 }
 
 TEST(IrXml, RoundTripsEveryCollective)
 {
-    Topology dgx1 = makeDgx1();
-    std::vector<std::unique_ptr<Program>> programs;
-    AlgoConfig config;
-    config.instances = 2;
-    config.protocol = Protocol::LL;
-    programs.push_back(makeRingAllReduce(4, 2, config));
-    programs.push_back(makeAllPairsAllReduce(4, config));
-    programs.push_back(makeHierarchicalAllReduce(2, 3, 2, config));
-    programs.push_back(makeTwoStepAllToAll(2, 2, config));
-    programs.push_back(makeAllToNext(2, 3, config));
-    programs.push_back(makeRingAllGather(4, 2, config));
-    programs.push_back(makeSccl122AllGather(dgx1, config));
-    for (auto &prog : programs) {
-        Compiled out = compileProgram(*prog);
-        IrProgram reloaded = IrProgram::fromXml(out.ir.toXml());
-        EXPECT_EQ(reloaded, out.ir) << prog->options().name;
+    // Every catalogue entry, as mscclang_compile builds it, on every
+    // machine its shape check accepts and whose links it can use:
+    // exact round trips, and streamed bytes equal to the string's.
+    int checked = 0;
+    for (const char *machine : { "ndv4:1", "ndv4:2", "dgx1" }) {
+        Topology topo = parseTopology(machine);
+        for (const AlgoEntry &entry : algoCatalog()) {
+            if (!entry.fits(topo))
+                continue;
+            SCOPED_TRACE(std::string(entry.name) + " on " + machine);
+            AlgoConfig config{ 2, Protocol::LL };
+            std::unique_ptr<Program> prog =
+                entry.build(topo, config, 2, 0, 4);
+            CompileOptions copts;
+            copts.topology = &topo;
+            Compiled out;
+            try {
+                out = compileProgram(*prog, copts);
+            } catch (const CompileError &) {
+                continue; // a dgx1 pair without a direct link
+            }
+            std::string xml = out.ir.toXml();
+            EXPECT_EQ(IrProgram::fromXml(xml), out.ir);
+            std::ostringstream streamed;
+            out.ir.toXml(streamed);
+            EXPECT_EQ(streamed.str(), xml);
+            checked++;
+        }
     }
+    EXPECT_GE(checked, 30);
+}
+
+TEST(IrXml, StreamedWriterFlushesLargePlansInPieces)
+{
+    // A plan well over the writer's 64 KiB buffer streams the same
+    // bytes as the string form.
+    Compiled out = compileProgram(*makeRingAllReduce(64, 2, {}));
+    std::string xml = out.ir.toXml();
+    ASSERT_GT(xml.size(), 4u << 16);
+    std::ostringstream streamed;
+    out.ir.toXml(streamed);
+    EXPECT_EQ(streamed.str(), xml);
 }
 
 TEST(IrXml, RejectsUnknownStructure)
@@ -179,6 +214,180 @@ TEST(IrXml, DumpMentionsEveryThreadBlock)
     }
 }
 
+/** One-rank XML around @p tbs, for the structural rejections. */
+std::string
+oneRankXml(const std::string &tbs, int nranks = 1, int id = 0)
+{
+    return strprintf("<algo nranks=\"%d\"><gpu id=\"%d\" i_chunks=\"1\" "
+                     "o_chunks=\"1\" s_chunks=\"0\">", nranks, id) +
+        tbs + "</gpu></algo>";
+}
+
+/** A copy step in XML, with @p deps ("" for none). */
+std::string
+copyStep(const char *deps = "")
+{
+    std::string attr = deps[0] == '\0'
+        ? std::string()
+        : std::string(" deps=\"") + deps + "\"";
+    return "<step s=\"0\" type=\"cpy\" srcbuf=\"i\" srcoff=\"0\" "
+           "dstbuf=\"o\" dstoff=\"0\" cnt=\"1\"" + attr +
+        " hasdep=\"0\"/>";
+}
+
+/** fromXml's error text for @p xml, or "" if it loads. */
+std::string
+loadError(const std::string &xml)
+{
+    try {
+        IrProgram::fromXml(xml);
+    } catch (const Error &error) {
+        return error.what();
+    }
+    return "";
+}
+
+TEST(IrXml, RejectsOutOfRangeRank)
+{
+    // A 1-rank program whose only gpu claims rank 5.
+    EXPECT_EQ(loadError(oneRankXml("", 1, 5)),
+              "MSCCL-IR: gpu 5 is outside the 1-rank program");
+    // A 2-rank program with one gpu.
+    EXPECT_EQ(loadError(oneRankXml("", 2, 0)),
+              "MSCCL-IR: 1 gpus for a 2-rank program");
+    // A peer outside the program.
+    EXPECT_EQ(loadError(oneRankXml("<tb id=\"0\" send=\"3\" recv=\"-1\" "
+                                   "chan=\"0\"/>")),
+              "MSCCL-IR: rank 0 tb 0 names send peer 3, receive peer -1, "
+              "channel 0 outside the 1-rank program");
+}
+
+TEST(IrXml, RejectsSparseThreadBlockIds)
+{
+    EXPECT_EQ(loadError(oneRankXml("<tb id=\"7\" send=\"-1\" recv=\"-1\" "
+                                   "chan=\"0\">" + copyStep() + "</tb>")),
+              "MSCCL-IR: rank 0 has thread block 7 where id 0 belongs");
+    EXPECT_EQ(loadError(oneRankXml(
+                  "<tb id=\"1\" send=\"-1\" recv=\"-1\" chan=\"0\"/>"
+                  "<tb id=\"0\" send=\"-1\" recv=\"-1\" chan=\"0\"/>")),
+              "MSCCL-IR: rank 0 has thread block 1 where id 0 belongs");
+}
+
+TEST(IrXml, RejectsDependencyOnUnknownStep)
+{
+    std::string tb = "<tb id=\"0\" send=\"-1\" recv=\"-1\" chan=\"0\">";
+    EXPECT_EQ(loadError(oneRankXml(tb + copyStep("0:3") + "</tb>")),
+              "MSCCL-IR: rank 0 tb 0 step 0: dependency on unknown step "
+              "(tb 0, step 3)");
+    EXPECT_EQ(loadError(oneRankXml(tb + copyStep("4:0") + "</tb>")),
+              "MSCCL-IR: rank 0 tb 0 step 0: dependency on unknown step "
+              "(tb 4, step 0)");
+    EXPECT_EQ(loadError(oneRankXml(tb + copyStep("x:0") + "</tb>")),
+              "MSCCL-IR: malformed dependency 'x:0'");
+    EXPECT_EQ(loadError(oneRankXml(tb + copyStep() + "</tb>")), "");
+}
+
+/** A one-rank builder with one input and one output chunk. */
+IrBuilder
+oneRank()
+{
+    IrBuilder body;
+    body.addGpu(0, 1, 1, 0);
+    return body;
+}
+
+IrInstruction
+opOf(IrOp op)
+{
+    IrInstruction instr;
+    instr.op = op;
+    instr.dstBuf = BufferKind::Output;
+    return instr;
+}
+
+// The verifiers and the interpreter index the body without checks,
+// so IrBuilder must reject these before either runs.
+TEST(IrBuilder, RejectsSendWithoutPeer)
+{
+    IrBuilder body = oneRank();
+    body.addThreadBlock(0, 0);
+    body.addStep(opOf(IrOp::Send));
+    try {
+        body.build(1);
+        FAIL() << "send without a peer accepted";
+    } catch (const Error &error) {
+        EXPECT_EQ(std::string(error.what()),
+                  "MSCCL-IR: rank 0 tb 0 step 0: s without a send peer");
+    }
+    IrBuilder recv = oneRank();
+    recv.addThreadBlock(0, 0, /*send_peer=*/0);
+    recv.addStep(opOf(IrOp::RecvCopySend));
+    EXPECT_THROW(recv.build(1), Error);
+}
+
+TEST(IrBuilder, RejectsUnknownDependencyTarget)
+{
+    IrBuilder body = oneRank();
+    body.addThreadBlock(0, 0);
+    body.addStep(opOf(IrOp::Copy),
+                 { IrDep{ 7, 0 } });
+    try {
+        body.build(1);
+        FAIL() << "dependency on thread block 7 accepted";
+    } catch (const Error &error) {
+        EXPECT_EQ(std::string(error.what()),
+                  "MSCCL-IR: rank 0 tb 0 step 0: dependency on unknown "
+                  "step (tb 7, step 0)");
+    }
+}
+
+TEST(IrBuilder, DerivesTheIndexAndPacksEditedDeps)
+{
+    auto two_ranks = [](IrBuilder &body) {
+        body.addGpu(0, 1, 1, 0);
+        body.addGpu(1, 1, 1, 0);
+        body.addThreadBlock(0, 0, 1, -1, 0);
+        body.addStep(opOf(IrOp::Copy));
+        body.addStep(opOf(IrOp::Send));
+        body.addThreadBlock(0, 1);
+        body.addStep(opOf(IrOp::Copy), { IrDep{ 0, 1 } });
+    };
+    IrBuilder body;
+    two_ranks(body);
+    body.addThreadBlock(1, 0, -1, 0, 0);
+    body.addStep(opOf(IrOp::Recv));
+    IrGpus built = body.build(2);
+
+    // Block and step ranges, and one connection shared by its sender
+    // and receiver.
+    EXPECT_EQ(built[1].firstBlock, 2);
+    EXPECT_EQ(built.block(0, 1).firstStep, 2);
+    ASSERT_EQ(built.connections().size(), 1u);
+    EXPECT_EQ(built.connections()[0], (IrConnection{ 0, 1, 0 }));
+    EXPECT_EQ(built.block(0, 0).sendConn, 0);
+    EXPECT_EQ(built.block(1, 0).recvConn, 0);
+    EXPECT_EQ(built.block(0, 1).sendConn, -1);
+    ASSERT_EQ(built.deps(built.steps()[2]).size(), 1u);
+    EXPECT_EQ(built.deps(built.steps()[2])[0], (IrDep{ 0, 1 }));
+
+    // Replacing a step's deps repacks the pool: dropping the only one
+    // and putting it back gives the original body.
+    IrBuilder edited(built);
+    edited.setDeps(2, {});
+    IrGpus stripped = edited.build(2);
+    EXPECT_EQ(stripped.deps(stripped.steps()[2]).size(), 0u);
+    IrBuilder again(stripped);
+    again.setDeps(2, std::vector<IrDep>{ IrDep{ 0, 1 } });
+    EXPECT_EQ(again.build(2), built);
+
+    // Thread blocks go in rank order.
+    IrBuilder late;
+    two_ranks(late);
+    late.addThreadBlock(1, 0, -1, 0, 0);
+    late.addThreadBlock(0, 2);
+    EXPECT_THROW(late.build(2), Error);
+}
+
 TEST(IrXml, CopiesShareOneImmutableBody)
 {
     Compiled out = compileProgram(*makeRingAllReduce(4, 2, {}));
@@ -186,18 +395,15 @@ TEST(IrXml, CopiesShareOneImmutableBody)
     EXPECT_EQ(copy.gpus.bodyId(), out.ir.gpus.bodyId());
     EXPECT_EQ(copy, out.ir);
 
-    // Editing the copy clones the body first; the original keeps its
-    // body and its bytes.
+    // Editing the copy builds a new body; the original keeps its body
+    // and its bytes.
     std::string before = out.ir.toXml();
-    copy.gpus.edit()[0].threadBlocks[0].steps[0].hasDep ^= true;
+    IrBuilder edited(copy.gpus);
+    edited.step(0).hasDep ^= true;
+    copy.gpus = edited.build(copy.numRanks);
     EXPECT_NE(copy.gpus.bodyId(), out.ir.gpus.bodyId());
     EXPECT_EQ(out.ir.toXml(), before);
     EXPECT_NE(copy, out.ir);
-
-    // An unshared body is edited in place.
-    const void *own = copy.gpus.bodyId();
-    copy.gpus.edit()[0].rank = 0;
-    EXPECT_EQ(copy.gpus.bodyId(), own);
 }
 
 TEST(IrXml, DistinctBodiesCompareByContent)
@@ -208,25 +414,31 @@ TEST(IrXml, DistinctBodiesCompareByContent)
     EXPECT_EQ(reloaded.gpus, out.ir.gpus);
 
     // One changed dep anywhere makes the bodies unequal.
-    IrInstruction *with_dep = nullptr;
-    for (IrGpu &gpu : reloaded.gpus.edit()) {
-        for (IrThreadBlock &tb : gpu.threadBlocks) {
-            for (IrInstruction &instr : tb.steps) {
-                if (with_dep == nullptr && !instr.deps.empty())
-                    with_dep = &instr;
-            }
+    std::span<const IrInstruction> steps = reloaded.gpus.steps();
+    int with_dep = -1;
+    for (int i = 0; i < static_cast<int>(steps.size()); i++) {
+        std::span<const IrDep> deps = reloaded.gpus.deps(steps[i]);
+        if (!deps.empty() && deps.back().step > 0) {
+            with_dep = i;
+            break;
         }
     }
-    ASSERT_NE(with_dep, nullptr);
-    with_dep->deps.back().step++;
+    ASSERT_GE(with_dep, 0);
+    std::span<const IrDep> deps = reloaded.gpus.deps(steps[with_dep]);
+    std::vector<IrDep> changed(deps.begin(), deps.end());
+    changed.back().step--;
+    IrBuilder edited(reloaded.gpus);
+    edited.setDeps(with_dep, changed);
+    reloaded.gpus = edited.build(reloaded.numRanks);
     EXPECT_FALSE(reloaded.gpus == out.ir.gpus);
     EXPECT_NE(reloaded, out.ir);
 
     // Empty bodies are equal however they were made.
     IrProgram blank;
-    IrProgram edited;
-    edited.gpus.edit();
-    EXPECT_EQ(blank.gpus, edited.gpus);
+    IrBuilder none;
+    IrProgram built;
+    built.gpus = none.build(0);
+    EXPECT_EQ(blank.gpus, built.gpus);
     EXPECT_EQ(blank.gpus.size(), 0u);
 }
 

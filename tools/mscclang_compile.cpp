@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iostream>
 #include <optional>
 #include <string>
 #include <vector>
@@ -147,8 +148,9 @@ main(int argc, char **argv)
                 "fuse ms            %6.2f\n"
                 "schedule ms        %6.2f\n"
                 "verify ms          %6.2f\n"
+                "race check ms      %6.2f\n"
                 "minor faults       %6lld lower, %lld fuse, %lld schedule, "
-                "%lld verify\n",
+                "%lld verify, %lld race\n",
                 args.algo->name, topo.name().c_str(),
                 topo.numRanks(), out.stats.traceOps, critical_path,
                 out.stats.instrsBeforeFusion,
@@ -157,10 +159,12 @@ main(int argc, char **argv)
                 out.stats.channels, out.stats.maxThreadBlocks,
                 out.stats.lowerNs / 1e6, out.stats.fuseNs / 1e6,
                 out.stats.scheduleNs / 1e6, out.stats.verifyNs / 1e6,
+                out.stats.raceNs / 1e6,
                 static_cast<long long>(out.stats.lowerMinorFaults),
                 static_cast<long long>(out.stats.fuseMinorFaults),
                 static_cast<long long>(out.stats.scheduleMinorFaults),
-                static_cast<long long>(out.stats.verifyMinorFaults));
+                static_cast<long long>(out.stats.verifyMinorFaults),
+                static_cast<long long>(out.stats.raceMinorFaults));
         }
         if (args.dot) {
             ChunkDag dag(*prog);
@@ -171,17 +175,20 @@ main(int argc, char **argv)
             std::printf("%s", out.ir.dump().c_str());
             return 0;
         }
-        std::string xml = out.ir.toXml();
         if (args.output.empty()) {
-            std::printf("%s", xml.c_str());
-        } else {
-            std::ofstream file(args.output);
-            if (!file)
-                throw Error("cannot write " + args.output);
-            file << xml;
-            std::fprintf(stderr, "wrote %s (%zu bytes)\n",
-                         args.output.c_str(), xml.size());
+            std::fflush(stdout);
+            out.ir.toXml(std::cout);
+            return 0;
         }
+        std::ofstream file(args.output, std::ios::binary);
+        if (!file)
+            throw Error("cannot write " + args.output);
+        out.ir.toXml(file);
+        if (!file)
+            throw Error("cannot write " + args.output);
+        std::fprintf(stderr, "wrote %s (%lld bytes)\n",
+                     args.output.c_str(),
+                     static_cast<long long>(file.tellp()));
         return 0;
     });
 }

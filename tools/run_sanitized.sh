@@ -19,8 +19,10 @@
 # hide, and the IR verifier (Verifier), whose interned value ids,
 # pooled segment lists and ring-buffer FIFOs are where a
 # use-after-reuse would hide, and the shared IR body (IrXml|Xml|
-# Tuner): copies of one plan share a reference-counted body that
-# edit() clones, so a dangling or aliased body would surface there,
+# IrBuilder|Tuner): copies of one plan share a reference-counted flat
+# body that readers index without checks, so a dangling body or a
+# range the builder failed to check would surface there, as would
+# mscclang_run on the malformed plans of the run_rejects_* ctests,
 # and the chunk value algebra (ChunkValue|Program): a value keeps up
 # to two runs inline and moves longer run lists to the heap, so a
 # copy, move or growth across that switch is where a double free or
@@ -73,7 +75,7 @@ if [[ "$TSAN" == "1" ]]; then
 else
     BUILD_DIR="${BUILD_DIR:-build-asan}"
     SANITIZE_FLAG="-DMSCCLANG_SANITIZE=ON"
-    FILTER="${1:-Faults|Watchdog|Communicator|Interpreter|EventQueue|IndexedHeap|Flow|Recovery|Health|PlanCache|Determinism|RaceChecker|Search|Workload|Replay|Slo|Hierarchical|RaceOracle|Schedule|CompileStats|InstrGraph|Lowering|Fusion|ChunkDag|Verifier|IrXml|Xml|Tuner|ChunkValue|Program|Catalog|Flags}"
+    FILTER="${1:-Faults|Watchdog|Communicator|Interpreter|EventQueue|IndexedHeap|Flow|Recovery|Health|PlanCache|Determinism|RaceChecker|Search|Workload|Replay|Slo|Hierarchical|RaceOracle|Schedule|CompileStats|InstrGraph|Lowering|Fusion|ChunkDag|Verifier|IrXml|Xml|IrBuilder|Tuner|ChunkValue|Program|Catalog|Flags|run_rejects}"
 fi
 
 cmake -B "$BUILD_DIR" -S . "$SANITIZE_FLAG" \
@@ -83,7 +85,8 @@ cmake --build "$BUILD_DIR" --target test_faults test_interpreter \
     test_determinism test_search test_workload test_hierarchical \
     test_race_oracle test_tuner test_schedule test_compiler \
     test_instr_graph test_lowering test_verifier test_xml test_chunk \
-    test_dsl test_catalog test_flags -j"$(nproc)"
+    test_dsl test_catalog test_flags mscclang_run mscclang_compile \
+    -j"$(nproc)"
 
 if [[ "$TSAN" == "1" ]]; then
     export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
