@@ -90,23 +90,13 @@ class AccessHistory
      */
     explicit AccessHistory(const std::vector<int> &counts)
     {
-        base_.resize(counts.size() + 1);
+        base_.resize(counts.size());
         size_t total = 0;
         for (size_t i = 0; i < counts.size(); i++) {
             base_[i] = total;
             total += static_cast<size_t>(counts[i]);
         }
-        base_[counts.size()] = total;
         heads_.assign(total, -1);
-    }
-
-    /** Number of chunks of (rank, buffer). */
-    int
-    chunks(Rank rank, BufferKind buffer) const
-    {
-        size_t i = static_cast<size_t>(rank) * 3 +
-            static_cast<size_t>(buffer);
-        return static_cast<int>(base_[i + 1] - base_[i]);
     }
 
     /** Newest entry of chunk @p index of (rank, buffer), or -1. */

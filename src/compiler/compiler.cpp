@@ -109,13 +109,16 @@ compileProgram(const Program &program, const CompileOptions &options)
     out.stats.totalInstructions = out.ir.totalInstructions();
 
     if (options.verify) {
+        // One IR walk serves both checks: verifyIr records the order
+        // it took, and the race check reads it.
         VerifyOptions verify;
         verify.slots = options.verifySlots;
+        WalkOrder order;
         PhaseMeter meter;
-        verifyIr(out.ir, program.collective(), verify);
+        verifyIr(out.ir, program.collective(), verify, &order);
         meter.stop(out.stats.verifyNs, out.stats.verifyMinorFaults);
         PhaseMeter race;
-        verifyRaceFree(out.ir);
+        verifyRaceFree(out.ir, order);
         race.stop(out.stats.raceNs, out.stats.raceMinorFaults);
     }
     return out;

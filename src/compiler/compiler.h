@@ -25,8 +25,10 @@ struct CompileOptions
     bool fuse = true;
     /** Statically verify the emitted IR: postcondition, deadlock
      *  freedom and FIFO consistency (verifyIr), then data-race
-     *  freedom (verifyRaceFree). Strongly recommended; benches may
-     *  disable it on very large rank counts after a first check. */
+     *  freedom (verifyRaceFree over the order verifyIr's walk
+     *  recorded: one IR walk for both). Strongly recommended; benches
+     *  may disable it on very large rank counts after a first
+     *  check. */
     bool verify = true;
     /** Cooperative-launch limit on thread blocks per GPU. */
     int maxThreadBlocks = 1024;
@@ -55,7 +57,9 @@ struct CompileStats
     int totalInstructions = 0;
     /** Wall time of each compile phase in ns (0 when the phase did
      *  not run: fuse = false, verify = false). verifyNs is verifyIr,
-     *  raceNs the race check. */
+     *  including the one IR walk both checks share; raceNs is the
+     *  rest of the race check (the FIFO-balance check and the
+     *  last-writer visit over that walk's order). */
     std::int64_t lowerNs = 0;
     std::int64_t fuseNs = 0;
     std::int64_t scheduleNs = 0;

@@ -25,6 +25,14 @@ InstrNode::toString() const
     return text;
 }
 
+void
+InstrGraph::reserve(std::size_t nodes, std::size_t edges)
+{
+    nodes_.reserve(nodes);
+    links_.reserve(nodes);
+    edges_.reserve(edges);
+}
+
 int
 InstrGraph::addNode(InstrNode node)
 {

@@ -12,6 +12,7 @@
 #ifndef MSCCLANG_COMPILER_INSTR_GRAPH_H_
 #define MSCCLANG_COMPILER_INSTR_GRAPH_H_
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -93,6 +94,9 @@ class InstrGraph
     int numNodes() const { return static_cast<int>(nodes_.size()); }
     std::vector<InstrNode> &nodes() { return nodes_; }
     const std::vector<InstrNode> &nodes() const { return nodes_; }
+
+    /** Pre-sizes the node and edge arrays. */
+    void reserve(std::size_t nodes, std::size_t edges);
 
     /** Appends a node, returning its id. */
     int addNode(InstrNode node);
@@ -197,9 +201,18 @@ class InstrGraph
 };
 
 /**
+ * The number of nodes lowerProgram makes from @p program: per traced
+ * op, parFactor × instances instances of one local instruction or a
+ * send/receive pair, skipping the copies in-place aliasing makes
+ * no-ops.
+ */
+std::size_t loweredNodeCount(const Program &program);
+
+/**
  * Lowers a traced program into the initial Instruction DAG,
- * expanding parallelization instances and dropping no-op copies.
- * @p instances is the program-wide factor (options().instances).
+ * expanding parallelization instances (parFactor × the program-wide
+ * options().instances) and dropping no-op copies. The node arrays are
+ * sized once, from loweredNodeCount.
  */
 InstrGraph lowerProgram(const Program &program);
 

@@ -1078,7 +1078,7 @@ scheduleProgram(const Program &program, InstrGraph &graph,
             body.addStep(instr, std::span<const IrDep>(first, last));
         }
     }
-    ir.gpus = body.build(num_ranks);
+    ir.gpus = body.build(num_ranks, ir.inPlace);
     return ir;
 }
 

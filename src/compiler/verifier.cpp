@@ -21,32 +21,77 @@ constexpr int kUninit = -1;
 constexpr int kSplit = -2;
 
 /**
- * The values of one verification run, interned: buffer cells, FIFO
- * parts and reductions carry int ids into this append-only table,
- * so moving a value costs one word and no allocation. Ids are not
- * canonical — two reductions with equal results get different ids —
- * so equality compares ids first and falls back to the values.
+ * The values of one verification run: buffer cells, FIFO parts and
+ * reductions carry int ids, so moving a value costs one word and no
+ * allocation. The ids below numInputs() are the input chunks,
+ * rank-major, and decode to (rank, index) without being stored; the
+ * reductions are interned above them in an append-only table. Ids
+ * are not canonical — two reductions with equal results get
+ * different ids — so equality compares ids first and falls back to
+ * the values.
  */
 class ValueTable
 {
   public:
+    explicit ValueTable(const IrGpus &body) : inputBase_(body.size() + 1, 0)
+    {
+        for (const IrGpu &gpu : body)
+            inputBase_[gpu.rank + 1] = inputBase_[gpu.rank] + gpu.inputChunks;
+        size_t reductions = 0;
+        for (const IrInstruction &instr : body.steps()) {
+            if (irOpReduces(instr.op))
+                reductions += static_cast<size_t>(instr.count);
+        }
+        reduced_.reserve(reductions); // one value per reduced part
+    }
+
+    int numInputs() const { return inputBase_.back(); }
+
+    /** The id of input chunk @p index of @p rank. */
+    int input(Rank rank, int index) const { return inputBase_[rank] + index; }
+
     int
     intern(ChunkValue value)
     {
-        values_.push_back(std::move(value));
-        return static_cast<int>(values_.size()) - 1;
+        reduced_.push_back(std::move(value));
+        return numInputs() + static_cast<int>(reduced_.size()) - 1;
     }
 
-    const ChunkValue &operator[](int id) const { return values_[id]; }
+    /** Value @p id; an input chunk is made in @p spare. */
+    const ChunkValue &
+    get(int id, ChunkValue &spare) const
+    {
+        if (id >= numInputs())
+            return reduced_[id - numInputs()];
+        int rank = static_cast<int>(std::upper_bound(inputBase_.begin(),
+                                                     inputBase_.end(), id) -
+                                    inputBase_.begin()) - 1;
+        spare = ChunkValue::input(rank, id - inputBase_[rank]);
+        return spare;
+    }
 
+    std::string
+    toString(int id) const
+    {
+        ChunkValue spare;
+        return get(id, spare).toString();
+    }
+
+    /** A pure input equals only itself: every reduction combines at
+     *  least two parts. */
     bool
     same(int a, int b) const
     {
-        return a == b || values_[a] == values_[b];
+        if (a == b)
+            return true;
+        if (a < numInputs() || b < numInputs())
+            return false;
+        return reduced_[a - numInputs()] == reduced_[b - numInputs()];
     }
 
   private:
-    std::vector<ChunkValue> values_;
+    std::vector<int> inputBase_; // rank -> id of its input chunk 0
+    std::vector<ChunkValue> reduced_;
 };
 
 /** One byte fraction of a split cell and the value it holds. */
@@ -77,7 +122,8 @@ isWholeChunk(const FracInterval &range)
 
 /**
  * A FIFO ring buffer that only allocates when it grows past its
- * largest size so far.
+ * largest size so far. Its capacity is a power of two, so wrapping
+ * an index is a mask.
  */
 template <typename T>
 class Ring
@@ -94,19 +140,19 @@ class Ring
             std::vector<T> grown;
             grown.reserve(std::max<size_t>(4, 2 * buf_.size()));
             for (size_t i = 0; i < count_; i++)
-                grown.push_back(buf_[(head_ + i) % buf_.size()]);
+                grown.push_back(buf_[(head_ + i) & (buf_.size() - 1)]);
             grown.resize(grown.capacity());
             buf_.swap(grown);
             head_ = 0;
         }
-        buf_[(head_ + count_) % buf_.size()] = item;
+        buf_[(head_ + count_) & (buf_.size() - 1)] = item;
         count_++;
     }
 
     void
     pop_front()
     {
-        head_ = (head_ + 1) % buf_.size();
+        head_ = (head_ + 1) & (buf_.size() - 1);
         count_--;
     }
 
@@ -140,7 +186,6 @@ class IrWalk
     {
     }
 
-    int numRanks() const { return static_cast<int>(body_.size()); }
     int numNodes() const { return static_cast<int>(body_.steps().size()); }
 
     /**
@@ -251,36 +296,84 @@ class IrWalk
     int taken_ = 0;
 };
 
+/**
+ * Writes the order a walk takes the steps in into a WalkOrder: each
+ * step's position, a receive's matched send, and the step in its
+ * rank's bucket of byRank (a stable counting sort by rank, filled as
+ * the walk goes). Each step's block does not depend on the order, so
+ * it is filled up front, block by block.
+ */
+class OrderRecorder
+{
+  public:
+    OrderRecorder(const IrGpus &body, WalkOrder &order)
+        : body_(body), order_(order), next_(body.size() + 1, 0)
+    {
+        size_t nodes = body.steps().size();
+        order.pos.resize(nodes);
+        order.send.resize(nodes);
+        order.block.resize(nodes);
+        order.byRank.resize(nodes);
+        std::span<const IrThreadBlock> blocks = body.blocks();
+        for (size_t t = 0; t < blocks.size(); t++) {
+            std::fill_n(order.block.begin() + blocks[t].firstStep,
+                        blocks[t].numSteps, static_cast<int>(t));
+            next_[blocks[t].rank + 1] += blocks[t].numSteps;
+        }
+        for (size_t r = 0; r + 1 < next_.size(); r++)
+            next_[r + 1] += next_[r];
+    }
+
+    void
+    operator()(int t, int node, int send)
+    {
+        order_.pos[node] = position_++;
+        order_.send[node] = send;
+        order_.byRank[next_[body_.blocks()[t].rank]++] = node;
+    }
+
+  private:
+    const IrGpus &body_;
+    WalkOrder &order_;
+    std::vector<int> next_; // per rank: the next free slot of its bucket
+    int position_ = 0;
+};
+
 /** Abstract machine state for one verification run. */
 class AbstractMachine
 {
   public:
     AbstractMachine(const IrProgram &ir, const Collective &collective,
                     const VerifyOptions &options)
-        : ir_(ir), collective_(collective), options_(options), walk_(ir)
+        : ir_(ir), collective_(collective), options_(options), walk_(ir),
+          values_(ir.gpus)
     {
         buffers_.resize(ir.gpus.size());
         for (const IrGpu &gpu : ir.gpus) {
             RankBuffers &bufs = buffers_[gpu.rank];
-            bufs.input.assign(gpu.inputChunks, Cell{});
+            bufs.input.resize(gpu.inputChunks);
             if (!ir.inPlace)
                 bufs.output.assign(gpu.outputChunks, Cell{});
             bufs.scratch.assign(gpu.scratchChunks, Cell{});
-            for (int i = 0; i < gpu.inputChunks; i++) {
-                bufs.input[i].value =
-                    values_.intern(ChunkValue::input(gpu.rank, i));
-            }
+            for (int i = 0; i < gpu.inputChunks; i++)
+                bufs.input[i].value = values_.input(gpu.rank, i);
         }
         parts_.resize(ir.gpus.connections().size());
     }
 
-    /** Runs to completion; throws on deadlock or semantic error. */
+    /**
+     * Runs to completion, telling @p on_step (if set) of every step
+     * taken; throws on deadlock or semantic error.
+     */
     void
-    run()
+    run(OrderRecorder *on_step)
     {
-        bool done = walk_.run(
-            options_.slots,
-            [this](int t, int node, int send) { step(t, node, send); });
+        bool done = walk_.run(options_.slots,
+                              [&](int t, int node, int send) {
+                                  step(t, node, send);
+                                  if (on_step != nullptr)
+                                      (*on_step)(t, node, send);
+                              });
         if (!done)
             throw VerificationError(walk_.deadlockReport());
         if (options_.checkPostcondition)
@@ -310,16 +403,11 @@ class AbstractMachine
         throw VerificationError("bad buffer kind");
     }
 
+    /** IrBuilder::build() keeps every access inside its buffer. */
     Cell &
-    cellAt(int rank, BufferKind buf, int index, const char *what)
+    cellAt(int rank, BufferKind buf, int index)
     {
-        std::vector<Cell> &cells = bufferOf(rank, buf);
-        if (index < 0 || static_cast<size_t>(index) >= cells.size()) {
-            throw VerificationError(strprintf(
-                "%s: rank %d %s[%d] out of bounds (%zu chunks)", what,
-                rank, bufferKindName(buf), index, cells.size()));
-        }
-        return cells[index];
+        return bufferOf(rank, buf)[index];
     }
 
     /** Writes value @p id over @p range of @p cell. */
@@ -395,8 +483,8 @@ class AbstractMachine
             }
             if (value >= 0 && !values_.same(value, seg.value)) {
                 why = "torn read: fractions hold different values (" +
-                    values_[value].toString() + " vs " +
-                    values_[seg.value].toString() + ")";
+                    values_.toString(value) + " vs " +
+                    values_.toString(seg.value) + ")";
                 return kUninit;
             }
             value = seg.value;
@@ -416,7 +504,7 @@ class AbstractMachine
     readPart(int rank, BufferKind buf, int index,
              const FracInterval &range, const char *what)
     {
-        const Cell &cell = cellAt(rank, buf, index, what);
+        const Cell &cell = cellAt(rank, buf, index);
         std::string why;
         int value = readCell(cell, range, why);
         if (value < 0) {
@@ -429,15 +517,17 @@ class AbstractMachine
 
     void
     writePart(int rank, BufferKind buf, int index,
-              const FracInterval &range, int value, const char *what)
+              const FracInterval &range, int value)
     {
-        writeCell(cellAt(rank, buf, index, what), range, value);
+        writeCell(cellAt(rank, buf, index), range, value);
     }
 
     int
     reduce(int a, int b)
     {
-        return values_.intern(ChunkValue::reduce(values_[a], values_[b]));
+        ChunkValue spare_a, spare_b;
+        return values_.intern(ChunkValue::reduce(values_.get(a, spare_a),
+                                                 values_.get(b, spare_b)));
     }
 
     /**
@@ -505,7 +595,7 @@ class AbstractMachine
             for (size_t i = 0; i < count; i++) {
                 writePart(rank, instr.dstBuf,
                           instr.dstOff + static_cast<int>(i),
-                          range, incoming_[i], "recv");
+                          range, incoming_[i]);
             }
             break;
           case IrOp::Copy:
@@ -513,7 +603,7 @@ class AbstractMachine
                 int value = readPart(rank, instr.srcBuf,
                                      instr.srcOff + rel, range, "copy");
                 writePart(rank, instr.dstBuf, instr.dstOff + rel,
-                          range, value, "copy");
+                          range, value);
             }
             break;
           case IrOp::Reduce:
@@ -523,7 +613,7 @@ class AbstractMachine
                 int b = readPart(rank, instr.dstBuf,
                                  instr.dstOff + rel, range, "reduce");
                 writePart(rank, instr.dstBuf, instr.dstOff + rel,
-                          range, reduce(a, b), "reduce");
+                          range, reduce(a, b));
             }
             break;
           case IrOp::RecvReduceCopy:
@@ -537,8 +627,7 @@ class AbstractMachine
                 int combined = reduce(local, incoming_[i]);
                 if (irOpWritesDst(instr.op)) {
                     writePart(rank, instr.dstBuf,
-                              instr.dstOff + rel, range, combined,
-                              irOpName(instr.op));
+                              instr.dstOff + rel, range, combined);
                 }
                 if (sends)
                     outgoing_.push_back(combined);
@@ -548,7 +637,7 @@ class AbstractMachine
             for (size_t i = 0; i < count; i++) {
                 int rel = static_cast<int>(i);
                 writePart(rank, instr.dstBuf, instr.dstOff + rel,
-                          range, incoming_[i], "rcs");
+                          range, incoming_[i]);
                 outgoing_.push_back(incoming_[i]);
             }
             break;
@@ -586,12 +675,14 @@ class AbstractMachine
                         "postcondition: rank %d output[%d]: %s",
                         gpu.rank, i, why.c_str()));
                 }
-                if (!(values_[actual] == *expected)) {
+                ChunkValue spare;
+                const ChunkValue &value = values_.get(actual, spare);
+                if (!(value == *expected)) {
                     throw VerificationError(strprintf(
                         "postcondition violated at rank %d output[%d]: "
                         "expected %s, got %s", gpu.rank, i,
                         expected->toString().c_str(),
-                        values_[actual].toString().c_str()));
+                        value.toString().c_str()));
                 }
             }
         }
@@ -615,7 +706,7 @@ class AbstractMachine
 
 void
 verifyIr(const IrProgram &ir, const Collective &collective,
-         const VerifyOptions &options)
+         const VerifyOptions &options, WalkOrder *order)
 {
     VerifyOptions resolved = options;
     if (resolved.slots == 0)
@@ -623,7 +714,12 @@ verifyIr(const IrProgram &ir, const Collective &collective,
     if (resolved.slots < 1)
         throw VerificationError("verifier: slots must be >= 1");
     AbstractMachine machine(ir, collective, resolved);
-    machine.run();
+    if (order == nullptr) {
+        machine.run(nullptr);
+        return;
+    }
+    OrderRecorder recorder(ir.gpus, *order);
+    machine.run(&recorder);
 }
 
 namespace {
@@ -740,11 +836,10 @@ checkFifoBalance(const IrGpus &body)
 class RaceWalk
 {
   public:
-    explicit RaceWalk(const IrProgram &ir)
-        : body_(ir.gpus), walk_(ir), inPlace_(ir.inPlace),
-          frontier_(body_), history_(chunkCounts(ir)),
-          pos_(walk_.numNodes()), send_(walk_.numNodes(), -1),
-          block_(walk_.numNodes())
+    RaceWalk(const IrProgram &ir, const WalkOrder &order)
+        : body_(ir.gpus), inPlace_(ir.inPlace), frontier_(body_),
+          history_(chunkCounts(ir)), pos_(order.pos), send_(order.send),
+          block_(order.block), byRank_(order.byRank)
     {
     }
 
@@ -752,45 +847,21 @@ class RaceWalk
     void
     run()
     {
-        // Happens-before does not depend on FIFO depth, so the walk
-        // runs unbounded: it wedges only on a cycle. Its order is
-        // bucketed by rank as it is taken (a stable counting sort).
-        std::vector<int> start(walk_.numRanks() + 1, 0);
-        for (const IrThreadBlock &tb : body_.blocks())
-            start[tb.rank + 1] += tb.numSteps;
-        for (int r = 0; r < walk_.numRanks(); r++)
-            start[r + 1] += start[r];
-        std::vector<int> by_rank(walk_.numNodes());
-        int position = 0;
-        bool done = walk_.run(IrWalk::kUnbounded,
-                              [&](int t, int node, int send) {
-                                  pos_[node] = position++;
-                                  send_[node] = send;
-                                  block_[node] = t;
-                                  Rank rank = body_.blocks()[t].rank;
-                                  by_rank[start[rank]++] = node;
-                              });
-        if (!done)
-            throw VerificationError(
-                "race check: happens-before relation has a cycle");
-        for (int v : by_rank)
+        for (int v : byRank_)
             visit(v);
     }
 
   private:
-    /**
-     * Per-(rank, buffer) chunk counts in AccessHistory's layout; a
-     * negative declared count holds no chunks.
-     */
+    /** Per-(rank, buffer) chunk counts in AccessHistory's layout. */
     static std::vector<int>
     chunkCounts(const IrProgram &ir)
     {
         std::vector<int> counts(ir.gpus.size() * 3, 0);
         for (const IrGpu &gpu : ir.gpus) {
             int *rank_counts = &counts[static_cast<size_t>(gpu.rank) * 3];
-            rank_counts[0] = std::max(0, gpu.inputChunks);
-            rank_counts[1] = ir.inPlace ? 0 : std::max(0, gpu.outputChunks);
-            rank_counts[2] = std::max(0, gpu.scratchChunks);
+            rank_counts[0] = gpu.inputChunks;
+            rank_counts[1] = ir.inPlace ? 0 : gpu.outputChunks;
+            rank_counts[2] = gpu.scratchChunks;
         }
         return counts;
     }
@@ -827,14 +898,8 @@ class RaceWalk
         BufferKind canonical = buf;
         if (inPlace_ && buf == BufferKind::Output)
             canonical = BufferKind::Input;
-        int chunks = history_.chunks(rank, canonical);
         for (int k = 0; k < instr.count; k++) {
             int index = off + k;
-            if (index < 0 || index >= chunks) {
-                throw VerificationError(strprintf(
-                    "race check: rank %d %s[%d] out of bounds (%d chunks)",
-                    rank, bufferKindName(buf), index, chunks));
-            }
             for (int e = history_.head(rank, canonical, index); e >= 0;) {
                 const AccessHistory::Entry &prev = history_.entry(e);
                 e = prev.next;
@@ -880,7 +945,7 @@ class RaceWalk
         if (locallyBefore(a, b))
             return true;
         if (stamp_.empty())
-            stamp_.assign(walk_.numNodes(), 0);
+            stamp_.assign(body_.steps().size(), 0);
         epoch_++;
         int block_a = block_[a];
         int pos_a = pos_[a];
@@ -927,13 +992,13 @@ class RaceWalk
     }
 
     const IrGpus &body_;
-    IrWalk walk_;
     bool inPlace_;
     DepFrontier frontier_;
     AccessHistory history_;
-    std::vector<int> pos_;   // node -> position in the linear extension
-    std::vector<int> send_;  // receive node -> its matched send, or -1
-    std::vector<int> block_; // node -> flat id of its thread block
+    const std::vector<int> &pos_;    // node -> position in the extension
+    const std::vector<int> &send_;   // receive node -> matched send, or -1
+    const std::vector<int> &block_;  // node -> flat id of its thread block
+    const std::vector<int> &byRank_; // the extension, bucketed by rank
     std::vector<int> stamp_; // search visit marks, allocated on demand
     int epoch_ = 0;
     std::vector<int> stack_;
@@ -945,7 +1010,24 @@ void
 verifyRaceFree(const IrProgram &ir)
 {
     checkFifoBalance(ir.gpus);
-    RaceWalk(ir).run();
+    // Happens-before does not depend on FIFO depth, so the walk runs
+    // unbounded: it wedges only on a cycle.
+    WalkOrder order;
+    OrderRecorder recorder(ir.gpus, order);
+    if (!IrWalk(ir).run(IrWalk::kUnbounded, recorder))
+        throw VerificationError(
+            "race check: happens-before relation has a cycle");
+    RaceWalk(ir, order).run();
+}
+
+void
+verifyRaceFree(const IrProgram &ir, const WalkOrder &order)
+{
+    if (order.pos.size() != ir.gpus.steps().size())
+        throw VerificationError(
+            "race check: the walk order is not of this program");
+    checkFifoBalance(ir.gpus);
+    RaceWalk(ir, order).run();
 }
 
 } // namespace mscclang

@@ -20,10 +20,18 @@
  * the collective postcondition — or wedges, which is reported as a
  * deadlock with the set of blocked thread blocks.
  *
+ * On the compile path the two checks share one walk: verifyIr runs
+ * it at the runtime's slot count and records the order it took the
+ * steps in (WalkOrder), and verifyRaceFree(ir, order) reads that
+ * order instead of walking again. A completed walk at any slot count
+ * is a linear extension of happens-before, so the verdict is the
+ * same; only which racy pair is named may differ.
+ *
  * Neither check validates structure: the IR body (IrGpus) is made
  * only by IrBuilder::build(), which rejects out-of-range ranks and
  * peers, sparse thread-block ids, sends or receives on blocks without
- * that peer and dependencies on unknown steps.
+ * that peer, dependencies on unknown steps, and buffer accesses
+ * outside their rank's declared chunks.
  */
 
 #ifndef MSCCLANG_COMPILER_VERIFIER_H_
@@ -31,6 +39,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "dsl/collective.h"
 #include "ir/ir.h"
@@ -58,11 +67,35 @@ struct VerifyOptions
 };
 
 /**
- * Verifies @p ir against @p collective.
- * @throws VerificationError describing the first violated property.
+ * The order one completed IR walk took the steps (node ids, indexes
+ * into IrGpus::steps()) in: a linear extension of happens-before,
+ * with each receive's FIFO-matched send. verifyIr fills it for
+ * verifyRaceFree(ir, order).
+ */
+struct WalkOrder
+{
+    /** Node -> its position in the order. */
+    std::vector<int> pos;
+    /** Receive node -> its matched send node; -1 for other steps. */
+    std::vector<int> send;
+    /** Node -> flat id of its thread block (IrGpus::blocks()). */
+    std::vector<int> block;
+    /** Every node, ranks in ascending order, each rank's in order. */
+    std::vector<int> byRank;
+};
+
+/**
+ * Verifies @p ir against @p collective. With @p order set, also
+ * records the order the walk took (complete when verifyIr returns),
+ * for verifyRaceFree(ir, *order).
+ * @throws VerificationError describing the first violated property:
+ *         a semantic error met on the walk (an uninitialized or torn
+ *         read, a FIFO shape mismatch), a deadlock, then the
+ *         postcondition.
  */
 void verifyIr(const IrProgram &ir, const Collective &collective,
-              const VerifyOptions &options = {});
+              const VerifyOptions &options = {},
+              WalkOrder *order = nullptr);
 
 /**
  * Structural data-race check (paper §5.2: processing edges between
@@ -93,18 +126,30 @@ void verifyIr(const IrProgram &ir, const Collective &collective,
  * matched send), pruned to the nodes after a in the linear extension.
  *
  * The structure it indexes by — ranks, thread-block ids, peers,
- * dependency targets — is checked once, when IrBuilder builds the
- * body, so the walk reads it without checks.
+ * dependency targets, buffer ranges — is checked once, when
+ * IrBuilder builds the body, so the walk reads it without checks.
  *
  * @throws VerificationError for, in this order: a connection whose
  *         send and receive counts differ; a cycle; then the first
  *         unordered pair found, on the lowest racy rank (lower
- *         instruction index first), or an access outside its buffer's
- *         declared chunk count. The pair is the first the walk meets,
- *         which need not be the first in (buffer, chunk) order; only
- *         its rank is sure to match an exhaustive pairwise search.
+ *         instruction index first). The pair is the first the walk
+ *         meets, which need not be the first in (buffer, chunk) order;
+ *         only its rank is sure to match an exhaustive pairwise
+ *         search.
  */
 void verifyRaceFree(const IrProgram &ir);
+
+/**
+ * The same check over @p order, the order a verifyIr call on @p ir
+ * recorded, instead of a walk of its own: the FIFO-balance check,
+ * then the last-writer visit. Any completed walk is a linear
+ * extension of happens-before, so the verdict — race free or not, and
+ * the lowest racy rank — is verifyRaceFree(ir)'s; the pair named is
+ * the first met in this order.
+ * @throws VerificationError as verifyRaceFree(ir), without the cycle
+ *         (a completed walk has none).
+ */
+void verifyRaceFree(const IrProgram &ir, const WalkOrder &order);
 
 } // namespace mscclang
 

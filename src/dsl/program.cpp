@@ -64,16 +64,11 @@ Program::Program(std::shared_ptr<Collective> collective,
         buffers_[r].resize(3);
         BufferState &input = buffers_[r][0];
         int in_chunks = collective_->inputChunkCount(r);
-        input.values.resize(in_chunks);
-        input.versions.assign(in_chunks, 0);
+        input.resize(in_chunks);
         for (int i = 0; i < in_chunks; i++)
-            input.values[i] = ChunkValue::input(r, i);
-        if (!collective_->inPlace()) {
-            BufferState &output = buffers_[r][1];
-            int out_chunks = collective_->outputChunkCount(r);
-            output.values.resize(out_chunks); // uninitialized
-            output.versions.assign(out_chunks, 0);
-        }
+            input[i].value = ChunkValue::input(r, i);
+        if (!collective_->inPlace()) // output starts uninitialized
+            buffers_[r][1].resize(collective_->outputChunkCount(r));
         // Scratch grows on demand.
     }
 }
@@ -110,29 +105,18 @@ Program::ensureLocation(Rank rank, BufferKind buffer, int index, int count)
     BufferState &buf = state(rank, buffer);
     if (canonical(buffer) == BufferKind::Scratch) {
         size_t needed = static_cast<size_t>(index) + count;
-        if (buf.values.size() < needed) {
-            buf.values.resize(needed);
-            buf.versions.resize(needed, 0);
+        if (buf.size() < needed) {
+            buf.resize(needed);
             fingerprint_.store(0, std::memory_order_relaxed);
         }
         return;
     }
-    if (static_cast<size_t>(index) + count > buf.values.size()) {
+    if (static_cast<size_t>(index) + count > buf.size()) {
         throw ProgramError(strprintf(
             "slice r%d.%s[%d:%d] exceeds buffer of %zu chunks",
             rank, bufferKindName(buffer), index, index + count,
-            buf.values.size()));
+            buf.size()));
     }
-}
-
-std::vector<std::uint64_t>
-Program::versionsOf(const BufferSlice &slice) const
-{
-    const BufferState &buf = state(slice.rank, slice.buffer);
-    std::vector<std::uint64_t> versions(slice.count);
-    for (int i = 0; i < slice.count; i++)
-        versions[i] = buf.versions[slice.index + i];
-    return versions;
 }
 
 void
@@ -140,7 +124,7 @@ Program::checkFresh(const ChunkRef &ref, const char *use) const
 {
     const BufferState &buf = state(ref.slice_.rank, ref.slice_.buffer);
     for (int i = 0; i < ref.slice_.count; i++) {
-        if (buf.versions[ref.slice_.index + i] != ref.versions_[i]) {
+        if (buf[ref.slice_.index + i].version >= ref.stamp_) {
             throw ProgramError(strprintf(
                 "stale chunk reference %s used as %s: location %s was "
                 "overwritten after the reference was created",
@@ -157,15 +141,14 @@ Program::chunk(Rank rank, BufferKind buffer, int index, int count)
     ensureLocation(rank, buffer, index, count);
     const BufferState &buf = state(rank, buffer);
     for (int i = 0; i < count; i++) {
-        if (!buf.values[index + i].initialized()) {
+        if (!buf[index + i].value.initialized()) {
             throw ProgramError(strprintf(
                 "chunk(): access to uninitialized chunk %s",
                 BufferSlice{ rank, buffer, index + i, 1 }
                     .toString().c_str()));
         }
     }
-    BufferSlice slice{ rank, buffer, index, count };
-    return ChunkRef(this, slice, versionsOf(slice));
+    return refTo(BufferSlice{ rank, buffer, index, count });
 }
 
 ParallelizeScope
@@ -182,8 +165,7 @@ Program::presetChunk(Rank rank, BufferKind buffer, int index,
         throw ProgramError(
             "presetChunk: must be called before any operation");
     ensureLocation(rank, buffer, index, 1);
-    BufferState &buf = state(rank, buffer);
-    buf.values[index] = value;
+    state(rank, buffer)[index].value = value;
 }
 
 int
@@ -208,15 +190,18 @@ Program::doCopy(const ChunkRef &src, Rank rank, BufferKind buffer,
     // a no-op but is still recorded so schedules stay explicit; the
     // lowering pass drops it.
     const BufferState &sbuf = state(src.slice_.rank, src.slice_.buffer);
-    std::vector<ChunkValue> copied(src.slice_.count);
-    for (int i = 0; i < src.slice_.count; i++)
-        copied[i] = sbuf.values[src.slice_.index + i];
-
     BufferState &dbuf = state(rank, buffer);
-    for (int i = 0; i < src.slice_.count; i++) {
-        dbuf.values[index + i] = copied[i];
-        dbuf.versions[index + i] = nextVersion_++;
+    int count = src.slice_.count;
+    // Source and destination may overlap in one canonical buffer: as
+    // memmove does, copy backward when the destination starts after
+    // the source, so each location receives its source's old value.
+    bool backward = &sbuf == &dbuf && index > src.slice_.index;
+    for (int k = 0; k < count; k++) {
+        int i = backward ? count - 1 - k : k;
+        dbuf[index + i].value = sbuf[src.slice_.index + i].value;
     }
+    for (int i = 0; i < count; i++)
+        dbuf[index + i].version = nextVersion_++;
 
     TraceOp op;
     op.id = static_cast<int>(ops_.size());
@@ -228,7 +213,7 @@ Program::doCopy(const ChunkRef &src, Rank rank, BufferKind buffer,
     ops_.push_back(op);
     fingerprint_.store(0, std::memory_order_relaxed);
 
-    return ChunkRef(this, dst, versionsOf(dst));
+    return refTo(dst);
 }
 
 ChunkRef
@@ -249,8 +234,9 @@ Program::doReduce(const ChunkRef &dst, const ChunkRef &src,
     const BufferState &sbuf = state(src.slice_.rank, src.slice_.buffer);
     BufferState &dbuf = state(dst.slice_.rank, dst.slice_.buffer);
     for (int i = 0; i < dst.slice_.count; i++) {
-        const ChunkValue &a = dbuf.values[dst.slice_.index + i];
-        const ChunkValue &b = sbuf.values[src.slice_.index + i];
+        Location &target = dbuf[dst.slice_.index + i];
+        const ChunkValue &a = target.value;
+        const ChunkValue &b = sbuf[src.slice_.index + i].value;
         if (!a.initialized() || !b.initialized()) {
             throw ProgramError(strprintf(
                 "reduce: uninitialized operand at %s / %s",
@@ -260,8 +246,8 @@ Program::doReduce(const ChunkRef &dst, const ChunkRef &src,
                              src.slice_.index + i, 1 }
                     .toString().c_str()));
         }
-        dbuf.values[dst.slice_.index + i] = ChunkValue::reduce(a, b);
-        dbuf.versions[dst.slice_.index + i] = nextVersion_++;
+        target.value = ChunkValue::reduce(a, b);
+        target.version = nextVersion_++;
     }
 
     TraceOp op;
@@ -274,24 +260,23 @@ Program::doReduce(const ChunkRef &dst, const ChunkRef &src,
     ops_.push_back(op);
     fingerprint_.store(0, std::memory_order_relaxed);
 
-    return ChunkRef(this, dst.slice_, versionsOf(dst.slice_));
+    return refTo(dst.slice_);
 }
 
 int
 Program::scratchChunkCount(Rank rank) const
 {
     return static_cast<int>(
-        buffers_[rank][static_cast<int>(BufferKind::Scratch)]
-            .values.size());
+        buffers_[rank][static_cast<int>(BufferKind::Scratch)].size());
 }
 
 const ChunkValue &
 Program::valueAt(Rank rank, BufferKind buffer, int index) const
 {
     const BufferState &buf = state(rank, buffer);
-    if (index < 0 || static_cast<size_t>(index) >= buf.values.size())
+    if (index < 0 || static_cast<size_t>(index) >= buf.size())
         throw ProgramError("valueAt: index out of range");
-    return buf.values[index];
+    return buf[index].value;
 }
 
 void
@@ -304,7 +289,7 @@ Program::checkPostcondition() const
             auto expected = collective_->expectedOutput(r, i);
             if (!expected.has_value())
                 continue;
-            const ChunkValue &actual = out.values[i];
+            const ChunkValue &actual = out[i].value;
             if (!(actual == *expected)) {
                 throw VerificationError(strprintf(
                     "postcondition violated at %s: expected %s, traced %s",

@@ -64,7 +64,9 @@ struct TraceOp
  * A live reference to `count` contiguous chunks (paper §3.3). A
  * reference becomes stale as soon as any of its locations is
  * overwritten by a later operation; using a stale reference raises
- * ProgramError. References are cheap value types.
+ * ProgramError. References are cheap value types: a slice and the
+ * program's version counter at creation, so making one allocates
+ * nothing.
  */
 class ChunkRef
 {
@@ -92,14 +94,15 @@ class ChunkRef
 
   private:
     friend class Program;
-    ChunkRef(Program *program, BufferSlice slice,
-             std::vector<std::uint64_t> versions)
-        : program_(program), slice_(slice), versions_(std::move(versions))
+    ChunkRef(Program *program, BufferSlice slice, std::uint64_t stamp)
+        : program_(program), slice_(slice), stamp_(stamp)
     {}
 
     Program *program_;
     BufferSlice slice_;
-    std::vector<std::uint64_t> versions_;
+    /** Program::nextVersion_ when the reference was made: every
+     *  location written since carries a version at or above it. */
+    std::uint64_t stamp_;
 };
 
 /**
@@ -205,11 +208,15 @@ class Program
     friend class ParallelizeScope;
     friend std::uint64_t fingerprintProgram(const Program &program);
 
-    struct BufferState
+    /** A location's abstract value and the version of its last
+     *  write (0 = never written), side by side so an operation reads
+     *  one cache line per location. */
+    struct Location
     {
-        std::vector<ChunkValue> values;
-        std::vector<std::uint64_t> versions;
+        ChunkValue value;
+        std::uint64_t version = 0;
     };
+    using BufferState = std::vector<Location>;
 
     /** Canonical buffer: Output aliases Input for in-place programs. */
     BufferKind canonical(BufferKind buffer) const;
@@ -221,8 +228,15 @@ class Program
     void ensureLocation(Rank rank, BufferKind buffer, int index,
                         int count);
 
+    /** Throws unless no location of @p ref was written after it was
+     *  made. Versions come from one increasing counter, so that is a
+     *  version below the reference's stamp. */
     void checkFresh(const ChunkRef &ref, const char *use) const;
-    std::vector<std::uint64_t> versionsOf(const BufferSlice &slice) const;
+    /** A fresh reference to @p slice. */
+    ChunkRef refTo(const BufferSlice &slice)
+    {
+        return ChunkRef(this, slice, nextVersion_);
+    }
 
     ChunkRef doCopy(const ChunkRef &src, Rank rank, BufferKind buffer,
                     int index, const OpOptions &opts);

@@ -155,19 +155,64 @@ IrBuilder::setDeps(int node, std::span<const IrDep> deps)
     deps_.insert(deps_.end(), deps.begin(), deps.end());
 }
 
+namespace {
+
+/** Chunks of @p buf on @p gpu; in place, Output is Input's alias. */
+int
+declaredChunks(const IrGpu &gpu, BufferKind buf, bool in_place)
+{
+    switch (buf) {
+      case BufferKind::Input: return gpu.inputChunks;
+      case BufferKind::Output:
+        return in_place ? gpu.inputChunks : gpu.outputChunks;
+      case BufferKind::Scratch: return gpu.scratchChunks;
+    }
+    return 0;
+}
+
+/**
+ * Throws unless chunks [off, off + count) of @p buf lie inside
+ * @p gpu's declared chunks; @p count is already known positive.
+ */
+void
+checkRange(const IrGpu &gpu, const IrThreadBlock &tb, int step,
+           const IrInstruction &instr, const char *verb, BufferKind buf,
+           int off, bool in_place)
+{
+    std::int64_t chunks = declaredChunks(gpu, buf, in_place);
+    std::int64_t end = std::int64_t{ off } + instr.count;
+    if (off >= 0 && end <= chunks)
+        return;
+    std::int64_t bad = off < 0 ? off : std::max<std::int64_t>(off, chunks);
+    throw Error(strprintf(
+        "MSCCL-IR: rank %d tb %d step %d: %s %s %s[%lld] out of bounds "
+        "(%lld chunks)", tb.rank, tb.id, step, irOpName(instr.op), verb,
+        bufferKindName(buf), static_cast<long long>(bad),
+        static_cast<long long>(chunks)));
+}
+
+} // namespace
+
 /** Sets the rank headers' block ranges and checks the structure. */
 void
-IrBuilder::check(int num_ranks)
+IrBuilder::check(int num_ranks, bool in_place)
 {
     for (size_t i = 0; i < gpus_.size(); i++) {
-        int rank = gpus_[i].rank;
-        if (rank < 0 || rank >= num_ranks) {
+        const IrGpu &gpu = gpus_[i];
+        if (gpu.rank < 0 || gpu.rank >= num_ranks) {
             throw Error(strprintf("MSCCL-IR: gpu %d is outside the %d-rank "
-                                  "program", rank, num_ranks));
+                                  "program", gpu.rank, num_ranks));
         }
-        if (rank != static_cast<int>(i)) {
+        if (gpu.rank != static_cast<int>(i)) {
             throw Error(strprintf("MSCCL-IR: gpu %d listed where rank %zu "
-                                  "belongs", rank, i));
+                                  "belongs", gpu.rank, i));
+        }
+        if (gpu.inputChunks < 0 || gpu.outputChunks < 0 ||
+            gpu.scratchChunks < 0) {
+            throw Error(strprintf(
+                "MSCCL-IR: gpu %d declares a negative chunk count "
+                "(i=%d o=%d s=%d)", gpu.rank, gpu.inputChunks,
+                gpu.outputChunks, gpu.scratchChunks));
         }
         gpus_[i].firstBlock = gpus_[i].numBlocks = 0;
     }
@@ -222,6 +267,22 @@ IrBuilder::check(int num_ranks)
                         "unknown step (tb %d, step %d)", tb.rank, tb.id,
                         s, dep.tb, dep.step));
                 }
+            }
+            if (instr.count < 1 || instr.splitIdx < 0 ||
+                instr.splitIdx >= instr.splitCount) {
+                throw Error(strprintf(
+                    "MSCCL-IR: rank %d tb %d step %d: count %d, split "
+                    "%d/%d (a count must be positive and a split index "
+                    "in [0, split count))", tb.rank, tb.id, s, instr.count,
+                    instr.splitIdx, instr.splitCount));
+            }
+            if (irOpReadsSrc(instr.op)) {
+                checkRange(gpu, tb, s, instr, "reads", instr.srcBuf,
+                           instr.srcOff, in_place);
+            }
+            if (irOpWritesDst(instr.op)) {
+                checkRange(gpu, tb, s, instr, "writes", instr.dstBuf,
+                           instr.dstOff, in_place);
             }
         }
     }
@@ -279,10 +340,10 @@ IrBuilder::deriveConnections()
 }
 
 IrGpus
-IrBuilder::build(int num_ranks)
+IrBuilder::build(int num_ranks, bool in_place)
 {
     packDeps();
-    check(num_ranks);
+    check(num_ranks, in_place);
     auto body = std::make_shared<IrGpus::Body>();
     body->connections = deriveConnections();
     body->gpus = std::move(gpus_);
@@ -485,7 +546,7 @@ IrProgram::fromXml(const std::string &xml)
             }
         }
     }
-    program.gpus = body.build(program.numRanks);
+    program.gpus = body.build(program.numRanks, program.inPlace);
     return program;
 }
 

@@ -182,7 +182,12 @@ struct IrConnection
  *   - peers are -1 or a rank, channels are non-negative;
  *   - a step that sends (receives) sits on a block with a send
  *     (receive) peer, so its connection id is set;
- *   - every dependency names an existing step of its own rank.
+ *   - every dependency names an existing step of its own rank;
+ *   - chunk counts are non-negative, every step covers count >= 1
+ *     chunks and 0 <= splitIdx < splitCount, and every chunk a step
+ *     reads (irOpReadsSrc: src) or writes (irOpWritesDst: dst) lies
+ *     inside its rank's declared chunks of that buffer — in an
+ *     in-place program, Output aliases Input and has its chunks.
  *
  * The body is immutable and shared by reference count, so copying an
  * IrProgram (a plan-cache hit, a communicator registration, a
@@ -312,14 +317,15 @@ class IrBuilder
     void setDeps(int node, std::span<const IrDep> deps);
 
     /**
-     * The body of a @p num_ranks rank program.
+     * The body of a @p num_ranks rank program, in place (Output
+     * aliases Input) when @p in_place.
      * @throws mscclang::Error naming the first structural fault (see
      *         IrGpus for what is checked).
      */
-    IrGpus build(int num_ranks);
+    IrGpus build(int num_ranks, bool in_place);
 
   private:
-    void check(int num_ranks);
+    void check(int num_ranks, bool in_place);
     void packDeps();
     std::vector<IrConnection> deriveConnections();
 

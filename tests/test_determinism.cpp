@@ -741,7 +741,7 @@ racyWriteWriteIr()
     }
     IrProgram ir;
     ir.numRanks = 1;
-    ir.gpus = body.build(1);
+    ir.gpus = body.build(1, false);
     return ir;
 }
 
@@ -765,7 +765,7 @@ racyReadWriteIr()
     body.addStep(r);
     IrProgram ir;
     ir.numRanks = 1;
-    ir.gpus = body.build(1);
+    ir.gpus = body.build(1, false);
     return ir;
 }
 

@@ -144,6 +144,61 @@ TEST(Program, StaleReduceTargetRejected)
     EXPECT_THROW(target.reduce(operand), ProgramError);
 }
 
+TEST(Program, StaleAfterWriteThroughOverlappingReference)
+{
+    // A multi-chunk reference goes stale when a write through another
+    // reference covers only part of it, and only the written
+    // locations count: a reference to the untouched rest stays fresh.
+    Program prog(allreduce(2, 4));
+    ChunkRef wide = prog.chunk(0, BufferKind::Input, 0, 3);
+    ChunkRef rest = prog.chunk(0, BufferKind::Input, 0, 2);
+    prog.chunk(1, BufferKind::Input, 2).copy(0, BufferKind::Input, 2);
+    try {
+        wide.copy(1, BufferKind::Scratch, 0);
+        FAIL() << "stale reference accepted";
+    } catch (const ProgramError &error) {
+        BufferSlice stale{ 0, BufferKind::Input, 2, 1 };
+        EXPECT_EQ(std::string(error.what()),
+                  "stale chunk reference " + wide.slice().toString() +
+                      " used as copy source: location " +
+                      stale.toString() +
+                      " was overwritten after the reference was created");
+    }
+    EXPECT_NO_THROW(rest.copy(1, BufferKind::Scratch, 0));
+
+    // A reduce through an overlapping in-place alias stales it too,
+    // and so does a write that lands after the reference was made
+    // from a fresh one of the same location.
+    ChunkRef in = prog.chunk(0, BufferKind::Input, 1);
+    prog.chunk(0, BufferKind::Output, 0, 2)
+        .reduce(prog.chunk(1, BufferKind::Input, 0, 2));
+    EXPECT_THROW(in.copy(1, BufferKind::Scratch, 4), ProgramError);
+    ChunkRef result = prog.chunk(0, BufferKind::Input, 0, 2);
+    EXPECT_NO_THROW(result.copy(1, BufferKind::Scratch, 4));
+}
+
+TEST(Program, SelfOverlappingCopyCopiesOldValues)
+{
+    // [0,4) -> [2,6) in one buffer: every destination receives its
+    // source's value from before the copy, as with memmove.
+    Program forward(allreduce(1, 6));
+    forward.chunk(0, BufferKind::Input, 0, 4).copy(0, BufferKind::Input, 2);
+    for (int i = 0; i < 6; i++) {
+        int from = i < 2 ? i : i - 2;
+        EXPECT_EQ(forward.valueAt(0, BufferKind::Input, i),
+                  ChunkValue::input(0, from)) << "chunk " << i;
+    }
+    // And the other way, [2,6) -> [0,4), through the in-place alias.
+    Program backward(allreduce(1, 6));
+    backward.chunk(0, BufferKind::Input, 2, 4)
+        .copy(0, BufferKind::Output, 0);
+    for (int i = 0; i < 6; i++) {
+        int from = i < 4 ? i + 2 : i;
+        EXPECT_EQ(backward.valueAt(0, BufferKind::Input, i),
+                  ChunkValue::input(0, from)) << "chunk " << i;
+    }
+}
+
 TEST(Program, FreshReferenceAfterOverwriteWorks)
 {
     Program prog(allreduce(2, 2));

@@ -124,7 +124,7 @@ TEST(Interpreter, EmptyProgramFinishesAtLaunch)
         body.addGpu(r, 1, 1, 0);
     IrProgram ir;
     ir.numRanks = 2;
-    ir.gpus = body.build(2);
+    ir.gpus = body.build(2, false);
     ExecOptions options;
     ExecStats stats = runIr(topo, ir, options);
     EXPECT_EQ(stats.messages, 0u);
@@ -145,7 +145,7 @@ TEST(Interpreter, RuntimeDetectsWedgedIr)
     body.addStep(recv);
     IrProgram ir;
     ir.numRanks = 2;
-    ir.gpus = body.build(2);
+    ir.gpus = body.build(2, false);
     ExecOptions options;
     EXPECT_THROW(runIr(topo, ir, options), RuntimeError);
 }

@@ -7,8 +7,10 @@
  * the same processing edges — same (from, to, kind), same order —
  * on every golden program and on hand-built programs that mix split
  * writes, split reads, whole overwrites, in-place aliasing and
- * multi-chunk slices. Also pins lowering's id-order invariant and
- * checks fusion's id-order rdepth sweep against a Kahn-walk oracle.
+ * multi-chunk slices. Also pins lowering's id-order invariant,
+ * checks fusion's id-order rdepth sweep against a Kahn-walk oracle,
+ * and holds loweredNodeCount, which sizes the graph up front, to the
+ * node count lowering makes.
  */
 
 #include <algorithm>
@@ -17,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "collectives/catalog.h"
 #include "collectives/classic.h"
 #include "collectives/collectives.h"
 #include "compiler/instr_graph.h"
@@ -425,6 +428,56 @@ TEST(LoweringOracle, MultiChunkSliceMatchesReference)
     splitThenWholeSequence(prog, BufferKind::Output, BufferKind::Input,
                            1, 3);
     expectSameEdges(prog);
+}
+
+TEST(Lowering, NodeCountFormulaIsExact)
+{
+    // Every catalogue entry on every machine it fits, at one and two
+    // instances.
+    int checked = 0;
+    for (const char *machine : { "ndv4:1", "ndv4:2", "dgx1" }) {
+        Topology topo = parseTopology(machine);
+        for (const AlgoEntry &entry : algoCatalog()) {
+            if (!entry.fits(topo))
+                continue;
+            for (int instances : { 1, 2 }) {
+                AlgoConfig config;
+                config.instances = instances;
+                std::unique_ptr<Program> prog =
+                    entry.build(topo, config, 1, 0, 1);
+                EXPECT_EQ(loweredNodeCount(*prog),
+                          static_cast<std::size_t>(
+                              lowerProgram(*prog).numNodes()))
+                    << entry.name << " on " << machine << " x"
+                    << instances;
+                checked++;
+            }
+        }
+    }
+    EXPECT_GE(checked, 60);
+
+    // parallelize(2) inside a two-instance program, with copies the
+    // in-place alias makes no-ops (dropped) beside real local and
+    // remote copies and reduces.
+    auto coll = std::make_shared<AllReduceCollective>(2, 4);
+    ProgramOptions options;
+    options.instances = 2;
+    Program prog(coll, options);
+    prog.chunk(0, BufferKind::Input, 0).copy(0, BufferKind::Output, 0);
+    {
+        ParallelizeScope scope = prog.parallelize(2);
+        prog.chunk(0, BufferKind::Input, 1).copy(1, BufferKind::Scratch, 0);
+        prog.chunk(1, BufferKind::Input, 1)
+            .reduce(prog.chunk(1, BufferKind::Scratch, 0));
+        prog.chunk(1, BufferKind::Input, 2, 2).copy(1, BufferKind::Output, 2);
+        prog.chunk(1, BufferKind::Input, 1).copy(0, BufferKind::Output, 1);
+    }
+    prog.chunk(0, BufferKind::Input, 2).copy(0, BufferKind::Scratch, 0);
+    prog.chunk(1, BufferKind::Input, 3)
+        .reduce(prog.chunk(0, BufferKind::Input, 3));
+    // 2 no-op copies; 2x2 x (2 + 1 + 2) + 2 x (1 + 2) = 26 nodes.
+    EXPECT_EQ(loweredNodeCount(prog), 26u);
+    EXPECT_EQ(lowerProgram(prog).numNodes(), 26);
 }
 
 } // namespace

@@ -220,7 +220,8 @@ TEST(PlanCache, EditingAHitLeavesTheCachedPlanUnchanged)
     IrBuilder stripped(mutated.ir.gpus);
     for (int i = 0; i < stripped.numSteps(); i++)
         stripped.setDeps(i, {});
-    mutated.ir.gpus = stripped.build(mutated.ir.numRanks);
+    mutated.ir.gpus =
+        stripped.build(mutated.ir.numRanks, mutated.ir.inPlace);
     EXPECT_NE(mutated.ir.gpus.bodyId(), cached);
     EXPECT_NE(mutated.ir.toXml(), xml);
 

@@ -5,15 +5,19 @@
  * race free; on a racy one, the pair the check names must be on the
  * oracle's lowest racy rank and the oracle must confirm it conflicting
  * and unordered; FIFO-imbalance and cycle errors must match word for
- * word.
+ * word. The compile path's race check, which reads the order of
+ * verifyIr's walk instead of walking again, must reach the same
+ * verdict on the same rank.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "collectives/catalog.h"
 #include "collectives/classic.h"
 #include "collectives/collectives.h"
 #include "common/error.h"
@@ -65,32 +69,88 @@ stripDeps(IrProgram ir)
         body.setDeps(i, {});
         body.step(i).hasDep = false;
     }
-    ir.gpus = body.build(ir.numRanks);
+    ir.gpus = body.build(ir.numRanks, ir.inPlace);
     return ir;
 }
 
-std::vector<IrProgram>
-factorySuite()
+std::vector<std::unique_ptr<Program>>
+factoryPrograms()
 {
     AlgoConfig config;
     config.instances = 2;
     AlgoConfig split;
     split.hierSplit = 2;
+    std::vector<std::unique_ptr<Program>> programs;
+    programs.push_back(makeRingAllReduce(6, 3, config));
+    programs.push_back(makeAllPairsAllReduce(6, config));
+    programs.push_back(makeHierarchicalAllReduce(2, 4, 2, config));
+    programs.push_back(makeTwoStepAllToAll(2, 3, config));
+    programs.push_back(makeAllToNext(2, 4, config));
+    programs.push_back(makeRabenseifnerAllReduce(8, config));
+    programs.push_back(makeHierarchicalAllGather(2, 4, config));
+    programs.push_back(makeHierarchicalAllReduce(2, 4, 2, split));
+    return programs;
+}
+
+std::vector<IrProgram>
+factorySuite()
+{
     std::vector<IrProgram> irs;
-    irs.push_back(compileProgram(*makeRingAllReduce(6, 3, config)).ir);
-    irs.push_back(compileProgram(*makeAllPairsAllReduce(6, config)).ir);
-    irs.push_back(
-        compileProgram(*makeHierarchicalAllReduce(2, 4, 2, config)).ir);
-    irs.push_back(
-        compileProgram(*makeTwoStepAllToAll(2, 3, config)).ir);
-    irs.push_back(compileProgram(*makeAllToNext(2, 4, config)).ir);
-    irs.push_back(
-        compileProgram(*makeRabenseifnerAllReduce(8, config)).ir);
-    irs.push_back(
-        compileProgram(*makeHierarchicalAllGather(2, 4, config)).ir);
-    irs.push_back(
-        compileProgram(*makeHierarchicalAllReduce(2, 4, 2, split)).ir);
+    for (const std::unique_ptr<Program> &program : factoryPrograms())
+        irs.push_back(compileProgram(*program).ir);
     return irs;
+}
+
+/**
+ * The compile path's race verdict on @p ir ("" = race free): verifyIr
+ * walks it at the runtime's slot count, recording the order, and the
+ * race check reads that order. nullopt when the walk itself stops (a
+ * deadlock, or a value error such as an uninitialized read) before
+ * the race check runs.
+ */
+std::optional<std::string>
+compilePathVerdict(const IrProgram &ir, const Collective &collective)
+{
+    VerifyOptions options;
+    options.checkPostcondition = false;
+    WalkOrder order;
+    try {
+        verifyIr(ir, collective, options, &order);
+    } catch (const VerificationError &) {
+        return std::nullopt;
+    }
+    try {
+        verifyRaceFree(ir, order);
+        return std::string();
+    } catch (const VerificationError &error) {
+        return std::string(error.what());
+    }
+}
+
+/**
+ * Checks that the compile path and the standalone check (itself held
+ * to the oracle) agree on @p ir: both race free, or both naming a race
+ * on the same rank — the oracle's lowest racy rank — which the oracle
+ * confirms. Returns whether the walk completed and the two compared.
+ */
+bool
+compilePathAgrees(const IrProgram &ir, const Collective &collective,
+                  const std::string &what)
+{
+    std::optional<std::string> shared = compilePathVerdict(ir, collective);
+    if (!shared)
+        return false;
+    std::string alone = checkedVerdict(ir);
+    std::optional<ReportedRace> race = parseRaceMessage(*shared);
+    std::optional<ReportedRace> expected = parseRaceMessage(alone);
+    if (!race || !expected) {
+        EXPECT_EQ(*shared, alone) << what;
+        return true;
+    }
+    EXPECT_EQ(race->rank, expected->rank)
+        << what << ": " << *shared << "\nstandalone: " << alone;
+    EXPECT_TRUE(confirmsRace(ir, *race)) << what << ": " << *shared;
+    return true;
 }
 
 /** One instruction and its dependencies. */
@@ -112,7 +172,7 @@ oneStepBlocks(const std::vector<Step> &steps)
     }
     IrProgram ir;
     ir.numRanks = 1;
-    ir.gpus = body.build(1);
+    ir.gpus = body.build(1, false);
     return ir;
 }
 
@@ -139,6 +199,65 @@ TEST(RaceOracle, DifferentialVerdictsOnStrippedFactorySuite)
         }
     }
     EXPECT_GT(racy, 0);
+}
+
+TEST(RaceOracle, CompilePathVerdictsMatchOnStrippedFactorySuite)
+{
+    int compared = 0;
+    int racy = 0;
+    std::vector<std::unique_ptr<Program>> programs = factoryPrograms();
+    for (size_t i = 0; i < programs.size(); i++) {
+        IrProgram ir = compileProgram(*programs[i]).ir;
+        const Collective &collective = programs[i]->collective();
+        std::string what = "program " + std::to_string(i);
+        EXPECT_TRUE(compilePathAgrees(ir, collective, what)) << what;
+        IrProgram stripped = stripDeps(ir);
+        if (compilePathAgrees(stripped, collective, what + " stripped")) {
+            compared++;
+            if (!compilePathVerdict(stripped, collective)->empty())
+                racy++;
+        }
+    }
+    // Most stripped programs stop the walk with an uninitialized
+    // read; those that complete include racy ones.
+    EXPECT_GE(compared, 3);
+    EXPECT_GE(racy, 2);
+}
+
+TEST(RaceOracle, CompilePathVerdictsMatchOnCatalogue)
+{
+    int compared = 0;
+    int racy = 0;
+    for (const char *machine : { "ndv4:1", "ndv4:2", "dgx1" }) {
+        Topology topo = parseTopology(machine);
+        CompileOptions options;
+        options.topology = &topo;
+        options.verify = false;
+        for (const AlgoEntry &entry : algoCatalog()) {
+            if (!entry.fits(topo))
+                continue;
+            std::unique_ptr<Program> program;
+            IrProgram ir;
+            try {
+                program = entry.build(topo, AlgoConfig{}, 1, 0, 1);
+                ir = compileProgram(*program, options).ir;
+            } catch (const Error &) {
+                continue; // the entry's knobs do not compile here
+            }
+            std::string what = std::string(entry.name) + " on " + machine;
+            EXPECT_TRUE(compilePathAgrees(ir, program->collective(), what))
+                << what;
+            compared++;
+            IrProgram stripped = stripDeps(ir);
+            if (compilePathAgrees(stripped, program->collective(),
+                                  what + " stripped") &&
+                !compilePathVerdict(stripped, program->collective())
+                     ->empty())
+                racy++;
+        }
+    }
+    EXPECT_GE(compared, 30);
+    EXPECT_GE(racy, 10);
 }
 
 TEST(RaceOracle, DifferentialVerdictsOnLargeProgram)
@@ -202,7 +321,7 @@ TEST(RaceOracle, FifoImbalanceReportedIdentically)
     body.addStep(send);
     IrProgram ir;
     ir.numRanks = 2;
-    ir.gpus = body.build(2);
+    ir.gpus = body.build(2, false);
     EXPECT_EQ(checkedVerdict(ir),
               "race check: connection 0 -> 1 channel 0 has 1 sends "
               "but 0 receives; FIFO pairing requires equal counts");

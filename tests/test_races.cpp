@@ -30,7 +30,7 @@ programOf(IrBuilder &body, int ranks)
 {
     IrProgram ir;
     ir.numRanks = ranks;
-    ir.gpus = body.build(ranks);
+    ir.gpus = body.build(ranks, false);
     return ir;
 }
 
@@ -369,28 +369,5 @@ TEST(RaceChecker, DependencyOrdersOnlyUpToItsStep)
               "s[0] unordered");
     EXPECT_EQ(raceVerdict(program(1)), "");
 }
-
-TEST(RaceChecker, OutOfBoundsAccessIsNamed)
-{
-    // A two-chunk copy out of a one-chunk input buffer.
-    IrBuilder body;
-    body.addGpu(0, 1, 2, 0);
-    IrInstruction copy =
-        copyOf(BufferKind::Input, 0, BufferKind::Output, 0);
-    copy.count = 2;
-    body.addThreadBlock(0, 0);
-    body.addStep(copy);
-    IrProgram ir = programOf(body, 1);
-    EXPECT_EQ(raceVerdict(ir),
-              "race check: rank 0 i[1] out of bounds (1 chunks)");
-
-    // A negative declared count holds no chunks at all.
-    IrBuilder edited(ir.gpus);
-    edited.gpu(0).inputChunks = -1;
-    ir.gpus = edited.build(1);
-    EXPECT_EQ(raceVerdict(ir),
-              "race check: rank 0 i[0] out of bounds (0 chunks)");
-}
-
 } // namespace
 } // namespace mscclang

@@ -313,7 +313,7 @@ TEST(IrBuilder, RejectsSendWithoutPeer)
     body.addThreadBlock(0, 0);
     body.addStep(opOf(IrOp::Send));
     try {
-        body.build(1);
+        body.build(1, false);
         FAIL() << "send without a peer accepted";
     } catch (const Error &error) {
         EXPECT_EQ(std::string(error.what()),
@@ -322,7 +322,7 @@ TEST(IrBuilder, RejectsSendWithoutPeer)
     IrBuilder recv = oneRank();
     recv.addThreadBlock(0, 0, /*send_peer=*/0);
     recv.addStep(opOf(IrOp::RecvCopySend));
-    EXPECT_THROW(recv.build(1), Error);
+    EXPECT_THROW(recv.build(1, false), Error);
 }
 
 TEST(IrBuilder, RejectsUnknownDependencyTarget)
@@ -332,13 +332,143 @@ TEST(IrBuilder, RejectsUnknownDependencyTarget)
     body.addStep(opOf(IrOp::Copy),
                  { IrDep{ 7, 0 } });
     try {
-        body.build(1);
+        body.build(1, false);
         FAIL() << "dependency on thread block 7 accepted";
     } catch (const Error &error) {
         EXPECT_EQ(std::string(error.what()),
                   "MSCCL-IR: rank 0 tb 0 step 0: dependency on unknown "
                   "step (tb 7, step 0)");
     }
+}
+
+/** build()'s error text for @p body, or "" if it builds. */
+std::string
+buildError(IrBuilder &body, bool in_place = false)
+{
+    try {
+        body.build(1, in_place);
+    } catch (const Error &error) {
+        return error.what();
+    }
+    return "";
+}
+
+/** A one-rank builder with a one-thread-block program of @p instr. */
+IrBuilder
+oneStep(const IrInstruction &instr, int input_chunks = 1,
+        int output_chunks = 1)
+{
+    IrBuilder body;
+    body.addGpu(0, input_chunks, output_chunks, 0);
+    body.addThreadBlock(0, 0);
+    body.addStep(instr);
+    return body;
+}
+
+TEST(IrBuilder, RejectsOutOfBoundsRead)
+{
+    // A copy out of chunk 5 of a one-chunk input buffer.
+    IrInstruction copy = opOf(IrOp::Copy);
+    copy.srcOff = 5;
+    IrBuilder body = oneStep(copy);
+    EXPECT_EQ(buildError(body),
+              "MSCCL-IR: rank 0 tb 0 step 0: cpy reads i[5] out of bounds "
+              "(1 chunks)");
+}
+
+TEST(IrBuilder, RejectsOutOfBoundsAccess)
+{
+    // A two-chunk copy out of a one-chunk input buffer.
+    IrInstruction copy = opOf(IrOp::Copy);
+    copy.count = 2;
+    IrBuilder two = oneStep(copy, 1, 2);
+    EXPECT_EQ(buildError(two),
+              "MSCCL-IR: rank 0 tb 0 step 0: cpy reads i[1] out of bounds "
+              "(1 chunks)");
+
+    // A negative declared count holds no chunks at all.
+    IrBuilder negative = oneStep(opOf(IrOp::Copy), -1, 1);
+    EXPECT_EQ(buildError(negative),
+              "MSCCL-IR: gpu 0 declares a negative chunk count (i=-1 o=1 "
+              "s=0)");
+
+    // Writes are checked too, and a negative offset names itself.
+    IrInstruction below = opOf(IrOp::Copy);
+    below.dstOff = -1;
+    IrBuilder write = oneStep(below);
+    EXPECT_EQ(buildError(write),
+              "MSCCL-IR: rank 0 tb 0 step 0: cpy writes o[-1] out of bounds "
+              "(1 chunks)");
+    IrInstruction scratch = opOf(IrOp::Reduce);
+    scratch.srcBuf = BufferKind::Scratch;
+    IrBuilder reduce = oneStep(scratch);
+    EXPECT_EQ(buildError(reduce),
+              "MSCCL-IR: rank 0 tb 0 step 0: re reads s[0] out of bounds "
+              "(0 chunks)");
+}
+
+TEST(IrBuilder, ChecksOnlyTheBuffersAnOpUses)
+{
+    // A send reads its source and writes nothing: its destination
+    // fields are ignored, as the verifiers and the interpreter do.
+    IrInstruction send = opOf(IrOp::Send);
+    send.dstOff = 99;
+    IrBuilder body;
+    body.addGpu(0, 1, 1, 0);
+    body.addThreadBlock(0, 0, /*send_peer=*/0, /*recv_peer=*/0);
+    body.addStep(send);
+    EXPECT_EQ(buildError(body), "");
+
+    IrInstruction recv = opOf(IrOp::Recv);
+    recv.srcOff = 99;
+    IrBuilder recv_body;
+    recv_body.addGpu(0, 1, 1, 0);
+    recv_body.addThreadBlock(0, 0, /*send_peer=*/0, /*recv_peer=*/0);
+    recv_body.addStep(recv);
+    EXPECT_EQ(buildError(recv_body), "");
+}
+
+TEST(IrBuilder, InPlaceOutputAliasesInput)
+{
+    // Output chunk 1 exists only as the alias of a two-chunk input.
+    IrInstruction copy = opOf(IrOp::Copy);
+    copy.dstOff = 1;
+    IrBuilder in_place = oneStep(copy, 2, 0);
+    EXPECT_EQ(buildError(in_place, true), "");
+    IrBuilder separate = oneStep(copy, 2, 0);
+    EXPECT_EQ(buildError(separate, false),
+              "MSCCL-IR: rank 0 tb 0 step 0: cpy writes o[1] out of bounds "
+              "(0 chunks)");
+    IrBuilder beyond = oneStep(copy, 1, 2);
+    EXPECT_EQ(buildError(beyond, true),
+              "MSCCL-IR: rank 0 tb 0 step 0: cpy writes o[1] out of bounds "
+              "(1 chunks)");
+}
+
+TEST(IrBuilder, RejectsBadCountAndSplit)
+{
+    const char *message = "MSCCL-IR: rank 0 tb 0 step 0: count %d, split "
+                          "%d/%d (a count must be positive and a split "
+                          "index in [0, split count))";
+    struct Case
+    {
+        int count, splitIdx, splitCount;
+    };
+    for (Case c : { Case{ 0, 0, 1 }, Case{ -1, 0, 1 }, Case{ 1, 2, 2 },
+                    Case{ 1, -1, 1 }, Case{ 1, 0, 0 } }) {
+        IrInstruction copy = opOf(IrOp::Copy);
+        copy.count = c.count;
+        copy.splitIdx = c.splitIdx;
+        copy.splitCount = c.splitCount;
+        IrBuilder body = oneStep(copy);
+        EXPECT_EQ(buildError(body),
+                  strprintf(message, c.count, c.splitIdx, c.splitCount));
+    }
+    IrInstruction last = opOf(IrOp::Copy);
+    last.splitIdx = 3;
+    last.splitCount = 4;
+    IrBuilder body = oneStep(last);
+    EXPECT_EQ(buildError(body), "");
 }
 
 TEST(IrBuilder, DerivesTheIndexAndPacksEditedDeps)
@@ -356,7 +486,7 @@ TEST(IrBuilder, DerivesTheIndexAndPacksEditedDeps)
     two_ranks(body);
     body.addThreadBlock(1, 0, -1, 0, 0);
     body.addStep(opOf(IrOp::Recv));
-    IrGpus built = body.build(2);
+    IrGpus built = body.build(2, false);
 
     // Block and step ranges, and one connection shared by its sender
     // and receiver.
@@ -374,18 +504,18 @@ TEST(IrBuilder, DerivesTheIndexAndPacksEditedDeps)
     // and putting it back gives the original body.
     IrBuilder edited(built);
     edited.setDeps(2, {});
-    IrGpus stripped = edited.build(2);
+    IrGpus stripped = edited.build(2, false);
     EXPECT_EQ(stripped.deps(stripped.steps()[2]).size(), 0u);
     IrBuilder again(stripped);
     again.setDeps(2, std::vector<IrDep>{ IrDep{ 0, 1 } });
-    EXPECT_EQ(again.build(2), built);
+    EXPECT_EQ(again.build(2, false), built);
 
     // Thread blocks go in rank order.
     IrBuilder late;
     two_ranks(late);
     late.addThreadBlock(1, 0, -1, 0, 0);
     late.addThreadBlock(0, 2);
-    EXPECT_THROW(late.build(2), Error);
+    EXPECT_THROW(late.build(2, false), Error);
 }
 
 TEST(IrXml, CopiesShareOneImmutableBody)
@@ -400,7 +530,7 @@ TEST(IrXml, CopiesShareOneImmutableBody)
     std::string before = out.ir.toXml();
     IrBuilder edited(copy.gpus);
     edited.step(0).hasDep ^= true;
-    copy.gpus = edited.build(copy.numRanks);
+    copy.gpus = edited.build(copy.numRanks, copy.inPlace);
     EXPECT_NE(copy.gpus.bodyId(), out.ir.gpus.bodyId());
     EXPECT_EQ(out.ir.toXml(), before);
     EXPECT_NE(copy, out.ir);
@@ -429,7 +559,7 @@ TEST(IrXml, DistinctBodiesCompareByContent)
     changed.back().step--;
     IrBuilder edited(reloaded.gpus);
     edited.setDeps(with_dep, changed);
-    reloaded.gpus = edited.build(reloaded.numRanks);
+    reloaded.gpus = edited.build(reloaded.numRanks, reloaded.inPlace);
     EXPECT_FALSE(reloaded.gpus == out.ir.gpus);
     EXPECT_NE(reloaded, out.ir);
 
@@ -437,7 +567,7 @@ TEST(IrXml, DistinctBodiesCompareByContent)
     IrProgram blank;
     IrBuilder none;
     IrProgram built;
-    built.gpus = none.build(0);
+    built.gpus = none.build(0, false);
     EXPECT_EQ(blank.gpus, built.gpus);
     EXPECT_EQ(blank.gpus.size(), 0u);
 }

@@ -19,6 +19,7 @@
  */
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -124,8 +125,12 @@ main(int argc, char **argv)
                        " does not fit machine " + args.machine);
         }
         AlgoConfig config{ args.instances, args.proto };
+        auto trace_start = std::chrono::steady_clock::now();
         std::unique_ptr<Program> prog = args.algo->build(
             topo, config, args.channels, args.root, args.chunks);
+        double trace_ms = std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - trace_start)
+                              .count();
         prog->checkPostcondition();
 
         CompileOptions copts;
@@ -139,6 +144,7 @@ main(int argc, char **argv)
             std::fprintf(stderr,
                 "algo=%s machine=%s ranks=%d\n"
                 "trace ops          %6d\n"
+                "trace ms           %6.2f\n"
                 "chunk critical path%6d\n"
                 "instrs pre-fusion  %6d\n"
                 "instrs post-fusion %6d (rcs=%d rrcs=%d rrs=%d)\n"
@@ -152,7 +158,7 @@ main(int argc, char **argv)
                 "minor faults       %6lld lower, %lld fuse, %lld schedule, "
                 "%lld verify, %lld race\n",
                 args.algo->name, topo.name().c_str(),
-                topo.numRanks(), out.stats.traceOps, critical_path,
+                topo.numRanks(), out.stats.traceOps, trace_ms, critical_path,
                 out.stats.instrsBeforeFusion,
                 out.stats.instrsAfterFusion, out.stats.fusion.rcs,
                 out.stats.fusion.rrcs, out.stats.fusion.rrs,

@@ -21,7 +21,8 @@
 # use-after-reuse would hide, and the shared IR body (IrXml|Xml|
 # IrBuilder|Tuner): copies of one plan share a reference-counted flat
 # body that readers index without checks, so a dangling body or a
-# range the builder failed to check would surface there, as would
+# range the builder failed to check (ranks, ids, peers, dependencies,
+# counts, splits, buffer ranges) would surface there, as would
 # mscclang_run on the malformed plans of the run_rejects_* ctests,
 # and the chunk value algebra (ChunkValue|Program): a value keeps up
 # to two runs inline and moves longer run lists to the heap, so a
